@@ -1,5 +1,7 @@
 #include "naming/db_base.h"
 
+#include <set>
+
 #include "actions/coordinator_log.h"
 #include "core/metrics.h"
 #include "core/trace.h"
@@ -22,7 +24,7 @@ NamingDbBase::NamingDbBase(sim::Node& node, store::ObjectStore& store,
     undo_.clear();
     owners_.clear();
     locks_.reset();
-    reload();
+    load_entries(store_.records(db_uid_));
   });
 }
 
@@ -108,10 +110,18 @@ sim::Task<bool> NamingDbBase::prepare(const Uid&) {
 }
 
 sim::Task<Status> NamingDbBase::commit(const Uid& txn) {
-  undo_.erase(txn);
+  auto it = undo_.find(txn);
+  if (it != undo_.end()) {
+    // Persist each touched entry once, while the action still holds its
+    // lock: the entry then holds exactly the committed state. Read-only
+    // actions (GetServer, GetView, validate) have no undo records.
+    std::set<Uid> touched;
+    for (const Undo& u : it->second) touched.insert(u.entry);
+    for (const Uid& entry : touched) persist_entry(entry);
+    undo_.erase(it);
+  }
   owners_.erase(txn);
   locks_.release_all(txn);
-  persist();
   counters_.inc("db.commit");
   co_return ok_status();
 }
@@ -154,22 +164,8 @@ void NamingDbBase::nested_abort(const Uid& child) {
 void NamingDbBase::rollback(const Uid& txn) {
   auto it = undo_.find(txn);
   if (it == undo_.end()) return;
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) (*rit)();
+  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) rit->fn();
   undo_.erase(it);
-}
-
-void NamingDbBase::persist() {
-  ++persist_version_;
-  // The database lives on its own node's store; write-through on commit.
-  (void)store_.write_direct(db_uid_, persist_version_, serialize());
-}
-
-void NamingDbBase::reload() {
-  store_.clear_suspect(db_uid_);  // the db validates itself by reloading
-  auto r = store_.read(db_uid_);
-  if (!r.ok()) return;  // nothing persisted yet
-  persist_version_ = r.value().version;
-  deserialize(r.value().state);
 }
 
 }  // namespace gv::naming

@@ -8,11 +8,13 @@
 //    is concurrency controlled independently using locks"), managed by a
 //    LockManager supporting READ / WRITE / EXCLUDE-WRITE;
 //  * transactional: mutations apply immediately under the protecting
-//    lock and push an undo record; abort rolls back, nested commit
-//    re-keys undo records and locks to the parent action (Arjuna
-//    recovery-record style);
-//  * persistent: on top-level commit the database serialises itself into
-//    the local ObjectStore (it is itself a persistent object).
+//    lock and push an undo record naming the entry it edits; abort rolls
+//    back, nested commit re-keys undo records and locks to the parent
+//    action (Arjuna recovery-record style);
+//  * persistent: on top-level commit the database writes one stable
+//    record per entry the action touched into the local ObjectStore's
+//    keyed table for this database; a crash reloads the table. An
+//    action that touched nothing writes nothing.
 #pragma once
 
 #include <functional>
@@ -86,17 +88,21 @@ class NamingDbBase : public actions::ServerParticipant {
  protected:
   ~NamingDbBase() override = default;
 
-  void push_undo(const Uid& txn, std::function<void()> fn) { undo_[txn].push_back(std::move(fn)); }
+  void push_undo(const Uid& txn, const Uid& entry, std::function<void()> fn) {
+    undo_[txn].push_back(Undo{entry, std::move(fn)});
+  }
   void rollback(const Uid& txn);
 
-  // Write-through of the current committed state; subclasses call this
-  // from create() so the store always holds an authoritative image to
-  // reload after a crash.
-  void persist_now() { persist(); }
+  // Write `entry`'s current state as its stable record. Subclasses call
+  // this from create() so registration survives a naming-node crash;
+  // commit() calls it once per entry the committing action touched.
+  void persist_entry(const Uid& entry) { store_.put_record(db_uid_, entry, pack_entry(entry)); }
 
-  // Subclass state (de)hydration for persistence / recovery.
-  virtual Buffer serialize() const = 0;
-  virtual void deserialize(Buffer state) = 0;
+  // Subclass entry (de)hydration for persistence / recovery. Entries are
+  // never deleted, so `pack_entry` is only asked for existing ones;
+  // `load_entries` replaces every entry with the stable records.
+  virtual Buffer pack_entry(const Uid& entry) const = 0;
+  virtual void load_entries(const std::map<Uid, Buffer>& records) = 0;
 
   // Schedule an orphan sweep if none is running (fire-and-forget).
   void trigger_orphan_sweep();
@@ -107,8 +113,11 @@ class NamingDbBase : public actions::ServerParticipant {
   Uid db_uid_;
   NamingConfig cfg_;
   actions::LockManager locks_;
-  std::uint64_t persist_version_ = 0;
-  std::map<Uid, std::vector<std::function<void()>>> undo_;
+  struct Undo {
+    Uid entry;  // the entry `fn` restores; persisted if the action commits
+    std::function<void()> fn;
+  };
+  std::map<Uid, std::vector<Undo>> undo_;
   struct ActionOwner {
     NodeId node = 0;
     sim::SimTime last_seen = 0;
@@ -118,11 +127,6 @@ class NamingDbBase : public actions::ServerParticipant {
   Counters counters_;
   core::TraceRecorder* trace_ = nullptr;
   core::MetricsRegistry* metrics_ = nullptr;
-
-
- private:
-  void persist();
-  void reload();
 };
 
 }  // namespace gv::naming

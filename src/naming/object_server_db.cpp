@@ -20,7 +20,7 @@ void ObjectServerDb::create(const Uid& object, std::vector<NodeId> sv) {
   Entry e;
   e.sv = std::move(sv);
   entries_[object] = std::move(e);
-  persist_now();  // registration itself must survive a naming-node crash
+  persist_entry(object);  // registration itself must survive a naming-node crash
 }
 
 SvView ObjectServerDb::view_of(const Entry& e) const {
@@ -114,7 +114,7 @@ sim::Task<Status> ObjectServerDb::insert(Uid object, NodeId host, Uid action) {
     co_return ok_status();  // already a member: pure quiescence check
   e.sv.push_back(host);
   bump_epoch(object);
-  push_undo(action, [this, object, host] {
+  push_undo(action, object, [this, object, host] {
     auto eit = entries_.find(object);
     if (eit == entries_.end()) return;
     auto& sv = eit->second.sv;
@@ -144,7 +144,7 @@ sim::Task<Status> ObjectServerDb::remove(Uid object, NodeId host, Uid action) {
                                                    : std::map<NodeId, std::uint32_t>{};
   e.use.erase(host);
   bump_epoch(object);
-  push_undo(action, [this, object, host, index, saved_use] {
+  push_undo(action, object, [this, object, host, index, saved_use] {
     auto eit = entries_.find(object);
     if (eit == entries_.end()) return;
     auto& sv = eit->second.sv;
@@ -173,7 +173,7 @@ sim::Task<Status> ObjectServerDb::increment(Uid object, NodeId client, std::vect
   for (const auto& [server, clients] : e.use)
     for (const auto& [c, n] : clients) total_uses += n;
   core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(total_uses));
-  push_undo(action, [this, object, client, hosts] {
+  push_undo(action, object, [this, object, client, hosts] {
     auto eit = entries_.find(object);
     if (eit == entries_.end()) return;
     for (NodeId host : hosts) {
@@ -213,7 +213,7 @@ sim::Task<Status> ObjectServerDb::decrement(Uid object, NodeId client, std::vect
   for (const auto& [server, clients] : e.use)
     for (const auto& [c, n] : clients) total_uses += n;
   core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(total_uses));
-  push_undo(action, [this, object, client, hosts] {
+  push_undo(action, object, [this, object, client, hosts] {
     auto eit = entries_.find(object);
     if (eit == entries_.end()) return;
     for (NodeId host : hosts) ++eit->second.use[host][client];
@@ -246,7 +246,7 @@ sim::Task<Result<std::uint32_t>> ObjectServerDb::purge_client(NodeId client, Uid
       const std::uint32_t count = cit->second;
       clients.erase(cit);
       purged += count;
-      push_undo(action, [this, object, server = server, client, count] {
+      push_undo(action, object, [this, object, server = server, client, count] {
         auto rit = entries_.find(object);
         if (rit != entries_.end()) rit->second.use[server][client] = count;
       });
@@ -268,49 +268,46 @@ std::vector<NodeId> ObjectServerDb::clients_in_use() const {
 
 // ------------------------------------------------------------ persistence
 
-Buffer ObjectServerDb::serialize() const {
+Buffer ObjectServerDb::pack_entry(const Uid& object) const {
+  const Entry& e = entries_.at(object);
   Buffer b;
-  b.pack_u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& [object, e] : entries_) {
-    b.pack_uid(object);
-    b.pack_u64(e.epoch);
-    b.pack_u32_vector(std::vector<std::uint32_t>(e.sv.begin(), e.sv.end()));
-    b.pack_u32(static_cast<std::uint32_t>(e.use.size()));
-    for (const auto& [server, clients] : e.use) {
-      b.pack_u32(server);
-      b.pack_u32(static_cast<std::uint32_t>(clients.size()));
-      for (const auto& [client, count] : clients) b.pack_u32(client).pack_u32(count);
-    }
+  b.pack_u64(e.epoch);
+  b.pack_u32_vector(std::vector<std::uint32_t>(e.sv.begin(), e.sv.end()));
+  b.pack_u32(static_cast<std::uint32_t>(e.use.size()));
+  for (const auto& [server, clients] : e.use) {
+    b.pack_u32(server);
+    b.pack_u32(static_cast<std::uint32_t>(clients.size()));
+    for (const auto& [client, count] : clients) b.pack_u32(client).pack_u32(count);
   }
   return b;
 }
 
-void ObjectServerDb::deserialize(Buffer state) {
-  entries_.clear();
-  auto n = state.unpack_u32();
-  if (!n.ok()) return;
-  for (std::uint32_t i = 0; i < n.value(); ++i) {
-    auto object = state.unpack_uid();
-    auto epoch = state.unpack_u64();
-    auto sv = state.unpack_u32_vector();
-    auto nuse = state.unpack_u32();
-    if (!object.ok() || !epoch.ok() || !sv.ok() || !nuse.ok()) return;
-    Entry e;
+void ObjectServerDb::load_entries(const std::map<Uid, Buffer>& records) {
+  auto unpack = [](Buffer b, Entry& e) {
+    auto epoch = b.unpack_u64();
+    auto sv = b.unpack_u32_vector();
+    auto nuse = b.unpack_u32();
+    if (!epoch.ok() || !sv.ok() || !nuse.ok()) return false;
     e.epoch = epoch.value();
     e.sv.assign(sv.value().begin(), sv.value().end());
     for (std::uint32_t j = 0; j < nuse.value(); ++j) {
-      auto server = state.unpack_u32();
-      auto nclients = state.unpack_u32();
-      if (!server.ok() || !nclients.ok()) return;
+      auto server = b.unpack_u32();
+      auto nclients = b.unpack_u32();
+      if (!server.ok() || !nclients.ok()) return false;
       auto& clients = e.use[server.value()];
       for (std::uint32_t k = 0; k < nclients.value(); ++k) {
-        auto client = state.unpack_u32();
-        auto count = state.unpack_u32();
-        if (!client.ok() || !count.ok()) return;
+        auto client = b.unpack_u32();
+        auto count = b.unpack_u32();
+        if (!client.ok() || !count.ok()) return false;
         clients[client.value()] = count.value();
       }
     }
-    entries_[object.value()] = std::move(e);
+    return true;
+  };
+  entries_.clear();
+  for (const auto& [object, record] : records) {
+    Entry e;
+    if (unpack(record, e)) entries_[object] = std::move(e);
   }
 }
 

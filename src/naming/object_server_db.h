@@ -30,7 +30,8 @@
 namespace gv::naming {
 
 inline constexpr const char* kOsdbService = "osdb";
-// Well-known UID under which the database persists itself.
+// Well-known UID naming the store table that holds the database's
+// per-entry stable records.
 inline constexpr Uid kOsdbUid{0xDBull, 1};
 
 // One client's presence on one server node's use list.
@@ -113,8 +114,8 @@ class ObjectServerDb final : public NamingDbBase {
   void bump_epoch(const Uid& object);
   void register_rpc(rpc::RpcEndpoint& endpoint);
 
-  Buffer serialize() const override;
-  void deserialize(Buffer state) override;
+  Buffer pack_entry(const Uid& object) const override;
+  void load_entries(const std::map<Uid, Buffer>& records) override;
 
   std::map<Uid, Entry> entries_;
   std::function<void(const Uid&)> epoch_listener_;

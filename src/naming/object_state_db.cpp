@@ -20,7 +20,7 @@ void ObjectStateDb::create(const Uid& object, std::vector<NodeId> st) {
   Entry e;
   e.st = std::move(st);
   entries_[object] = std::move(e);
-  persist_now();  // registration itself must survive a naming-node crash
+  persist_entry(object);  // registration itself must survive a naming-node crash
 }
 
 std::vector<NodeId> ObjectStateDb::peek(const Uid& object) const {
@@ -122,7 +122,7 @@ sim::Task<Status> ObjectStateDb::exclude(std::vector<ExcludeItem> items, Uid act
         core::trace_instant(trace_, "ostdb.excluded", node_.id(), "naming",
                             "node " + std::to_string(host) + " from " + item.object.to_string());
       }
-      push_undo(action, [this, object = item.object, removed, action] {
+      push_undo(action, item.object, [this, object = item.object, removed, action] {
         auto eit = entries_.find(object);
         if (eit == entries_.end()) return;
         for (NodeId host : removed) {
@@ -160,7 +160,7 @@ sim::Task<Status> ObjectStateDb::include(Uid object, NodeId host, Uid action) {
   e.st.push_back(host);
   core::metric_gauge(metrics_, "naming.st_size", static_cast<double>(e.st.size()));
   bump_epoch(object);
-  push_undo(action, [this, object, host] {
+  push_undo(action, object, [this, object, host] {
     auto eit = entries_.find(object);
     if (eit == entries_.end()) return;
     auto& st = eit->second.st;
@@ -172,30 +172,25 @@ sim::Task<Status> ObjectStateDb::include(Uid object, NodeId host, Uid action) {
 
 // ------------------------------------------------------------ persistence
 
-Buffer ObjectStateDb::serialize() const {
+Buffer ObjectStateDb::pack_entry(const Uid& object) const {
+  const Entry& e = entries_.at(object);
   Buffer b;
-  b.pack_u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& [object, e] : entries_) {
-    b.pack_uid(object);
-    b.pack_u64(e.epoch);
-    b.pack_u32_vector(std::vector<std::uint32_t>(e.st.begin(), e.st.end()));
-  }
+  b.pack_u64(e.epoch);
+  b.pack_u32_vector(std::vector<std::uint32_t>(e.st.begin(), e.st.end()));
   return b;
 }
 
-void ObjectStateDb::deserialize(Buffer state) {
+void ObjectStateDb::load_entries(const std::map<Uid, Buffer>& records) {
   entries_.clear();
-  auto n = state.unpack_u32();
-  if (!n.ok()) return;
-  for (std::uint32_t i = 0; i < n.value(); ++i) {
-    auto object = state.unpack_uid();
-    auto epoch = state.unpack_u64();
-    auto st = state.unpack_u32_vector();
-    if (!object.ok() || !epoch.ok() || !st.ok()) return;
+  for (const auto& [object, record] : records) {
+    Buffer b = record;
+    auto epoch = b.unpack_u64();
+    auto st = b.unpack_u32_vector();
+    if (!epoch.ok() || !st.ok()) continue;
     Entry e;
     e.epoch = epoch.value();
     e.st.assign(st.value().begin(), st.value().end());
-    entries_[object.value()] = std::move(e);
+    entries_[object] = std::move(e);
   }
 }
 

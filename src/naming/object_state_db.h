@@ -32,6 +32,7 @@
 namespace gv::naming {
 
 inline constexpr const char* kOstdbService = "ostdb";
+// Store table holding the database's per-entry stable records.
 inline constexpr Uid kOstdbUid{0xDBull, 2};
 
 enum class ExcludePolicy { ExcludeWriteLock, PromoteToWrite };
@@ -90,8 +91,8 @@ class ObjectStateDb final : public NamingDbBase {
   void bump_epoch(const Uid& object);
   void register_rpc(rpc::RpcEndpoint& endpoint);
 
-  Buffer serialize() const override;
-  void deserialize(Buffer state) override;
+  Buffer pack_entry(const Uid& object) const override;
+  void load_entries(const std::map<Uid, Buffer>& records) override;
 
   std::map<Uid, Entry> entries_;
   ExcludePolicy policy_;

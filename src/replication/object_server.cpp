@@ -19,6 +19,7 @@ ObjectServerHost::ObjectServerHost(sim::Node& node, rpc::RpcEndpoint& endpoint,
     // Activated objects and all lock state are volatile; committed
     // states live in the stores.
     active_.clear();
+    touched_.clear();
     terminated_.clear();
     owners_.clear();
     locks_.reset();
@@ -119,8 +120,10 @@ sim::Task<Result<Buffer>> ObjectServerHost::apply_locked(Active& a, Uid object, 
   // read-mode invocations keep a scratch snapshot so a misdeclared
   // operation (one that mutates under a read lock) can be rolled back
   // instead of corrupting serialisability.
-  if (mode == actions::LockMode::Write && a.before.count(action) == 0)
+  if (mode == actions::LockMode::Write && a.before.count(action) == 0) {
     a.before.emplace(action, a.obj->snapshot());
+    touched_[action].insert(object);  // covers modified_by too: only writers modify
+  }
   Buffer scratch;
   if (mode != actions::LockMode::Write) scratch = a.obj->snapshot();
 
@@ -136,7 +139,6 @@ sim::Task<Result<Buffer>> ObjectServerHost::apply_locked(Active& a, Uid object, 
     a.modified_by.insert(action);
   }
   co_return result;
-  (void)object;
 }
 
 Result<ObjectServerHost::StateForCommit> ObjectServerHost::state_for_commit(
@@ -201,9 +203,22 @@ Status ObjectServerHost::passivate(const Uid& object) {
 
 sim::Task<bool> ObjectServerHost::prepare(const Uid&) { co_return true; }
 
+std::vector<ObjectServerHost::ActiveEntry*> ObjectServerHost::take_touched(const Uid& action) {
+  std::vector<ActiveEntry*> out;
+  auto it = touched_.find(action);
+  if (it == touched_.end()) return out;
+  for (const Uid& uid : it->second) {
+    auto ait = active_.find(uid);
+    if (ait != active_.end()) out.push_back(&*ait);  // else passivated or retired since
+  }
+  touched_.erase(it);
+  return out;
+}
+
 sim::Task<Status> ObjectServerHost::commit(const Uid& txn) {
   terminated_.insert(txn);
-  for (auto& [uid, a] : active_) {
+  for (ActiveEntry* entry : take_touched(txn)) {
+    Active& a = entry->second;
     a.before.erase(txn);
     // Advance the version here, not only via the best-effort
     // mark_committed that follows: a member that misses that RPC would
@@ -221,7 +236,8 @@ sim::Task<Status> ObjectServerHost::commit(const Uid& txn) {
 
 sim::Task<Status> ObjectServerHost::abort(const Uid& txn) {
   terminated_.insert(txn);
-  for (auto& [uid, a] : active_) {
+  for (ActiveEntry* entry : take_touched(txn)) {
+    Active& a = entry->second;
     auto bit = a.before.find(txn);
     if (bit != a.before.end()) {
       (void)a.obj->restore(std::move(bit->second));
@@ -285,8 +301,13 @@ sim::Task<> ObjectServerHost::sweep_orphan_actions() {
     // traces, then retire them so the next activation reloads committed
     // state from a store.
     std::vector<Uid> touched;
-    for (const auto& [uid, a] : active_)
-      if (a.before.count(action) > 0 || a.modified_by.count(action) > 0) touched.push_back(uid);
+    if (auto tit = touched_.find(action); tit != touched_.end())
+      for (const Uid& uid : tit->second) {
+        auto ait = active_.find(uid);
+        if (ait != active_.end() &&
+            (ait->second.before.count(action) > 0 || ait->second.modified_by.count(action) > 0))
+          touched.push_back(uid);
+      }
     if (committed) {
       (void)co_await commit(action);
       counters_.inc("objsrv.orphan_committed");
@@ -303,7 +324,9 @@ sim::Task<> ObjectServerHost::sweep_orphan_actions() {
 
 void ObjectServerHost::nested_commit(const Uid& child, const Uid& parent) {
   locks_.transfer(child, parent);
-  for (auto& [uid, a] : active_) {
+  for (ActiveEntry* entry : take_touched(child)) {
+    Active& a = entry->second;
+    touched_[parent].insert(entry->first);
     auto bit = a.before.find(child);
     if (bit != a.before.end()) {
       // Parent keeps ITS before-image if it has one (it is older); the
@@ -316,7 +339,8 @@ void ObjectServerHost::nested_commit(const Uid& child, const Uid& parent) {
 }
 
 void ObjectServerHost::nested_abort(const Uid& child) {
-  for (auto& [uid, a] : active_) {
+  for (ActiveEntry* entry : take_touched(child)) {
+    Active& a = entry->second;
     auto bit = a.before.find(child);
     if (bit != a.before.end()) {
       (void)a.obj->restore(std::move(bit->second));

@@ -118,6 +118,9 @@ class ObjectServerHost final : public actions::ServerParticipant {
   Counters& counters() noexcept { return counters_; }
   NodeId node_id() const noexcept { return node_.id(); }
 
+  // Number of actions with undo state here (diagnostics).
+  std::size_t indexed_actions() const noexcept { return touched_.size(); }
+
  private:
   struct Active {
     std::string class_name;
@@ -137,6 +140,10 @@ class ObjectServerHost final : public actions::ServerParticipant {
                                          Buffer args);
   void on_group_deliver(NodeId from, Buffer msg);
   void register_rpc();
+  // Remove `action` from the touched-object index, returning those of its
+  // objects that are still active.
+  using ActiveEntry = std::map<Uid, Active>::value_type;
+  std::vector<ActiveEntry*> take_touched(const Uid& action);
 
   // ---- orphaned-action resolution ---------------------------------------
   // A server delisted from a commit (unreachable during the probe) or one
@@ -162,6 +169,11 @@ class ObjectServerHost final : public actions::ServerParticipant {
   ClassRegistry& classes_;
   actions::LockManager locks_;
   std::map<Uid, Active> active_;  // volatile
+  // action -> objects it left a before-image (and maybe modified_by) on,
+  // so ending an action visits only what it touched. Entries may name
+  // objects since passivated, retired or re-activated: visitors skip
+  // those missing from active_, and a fresh instance holds no undo state.
+  std::map<Uid, std::set<Uid>> touched_;  // volatile
   // Actions already committed/aborted here: an invocation whose lock is
   // granted after its action terminated (client gave up waiting, then
   // aborted) must be refused, not applied under a dead action.

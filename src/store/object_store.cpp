@@ -13,7 +13,7 @@ ObjectStore::ObjectStore(sim::Node& node, rpc::RpcEndpoint& endpoint)
   register_rpc();
 
   node_.on_crash([this] {
-    // Volatile state only; committed_ and shadows_ are stable.
+    // Volatile state only; committed_, tables_ and shadows_ are stable.
     suspects_.clear();
   });
   node_.on_recover([this] {
@@ -177,6 +177,17 @@ Status ObjectStore::write_direct(const Uid& uid, std::uint64_t version, Buffer s
 }
 
 bool ObjectStore::contains(const Uid& uid) const { return committed_.count(uid) > 0; }
+
+void ObjectStore::put_record(const Uid& table, const Uid& key, Buffer value) {
+  tables_[table][key] = std::move(value);
+  counters_.inc("store.record_put");
+}
+
+const std::map<Uid, Buffer>& ObjectStore::records(const Uid& table) const {
+  static const std::map<Uid, Buffer> kNone;
+  auto it = tables_.find(table);
+  return it == tables_.end() ? kNone : it->second;
+}
 
 bool ObjectStore::has_pending_shadow(const Uid& uid) const {
   for (const auto& [txn, set] : shadows_)

@@ -77,6 +77,14 @@ class ObjectStore {
   bool contains(const Uid& uid) const;
   std::vector<Uid> local_objects() const;
 
+  // Keyed stable records for a local service that persists itself here
+  // but is not a replicated object: the naming databases keep one record
+  // per entry, in a table named by the database's UID. Records are
+  // stable like committed states, but never SUSPECT and never listed by
+  // local_objects(): their owner validates them itself by reloading.
+  void put_record(const Uid& table, const Uid& key, Buffer value);
+  const std::map<Uid, Buffer>& records(const Uid& table) const;
+
   // 2PC vote: the shadow must exist AND verify against its checksum — a
   // torn slot is detected here at the latest, so a tear can only ever
   // abort an action or divert it to the recovery path, never commit.
@@ -166,6 +174,7 @@ class ObjectStore {
 
   // STABLE storage: survives crashes.
   std::map<Uid, VersionedState> committed_;
+  std::map<Uid, std::map<Uid, Buffer>> tables_;  // table -> key -> record
   // Shadow slots: stable, but discarded by the recovery scan (presumed
   // abort) or the orphan reaper. txn -> pending writes.
   std::map<Uid, ShadowSet> shadows_;

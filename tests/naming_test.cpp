@@ -1,10 +1,13 @@
 // Tests for the naming-and-binding service: the Object Server database
 // (Sv, use lists, quiescence), the Object State database (St, Exclude/
 // Include under both locking policies), transactional semantics of both,
-// persistence across naming-node crashes, and the use-list janitor.
+// per-entry persistence across naming-node crashes, and the use-list
+// janitor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
 #include "actions/atomic_action.h"
 #include "naming/group_view_db.h"
@@ -411,6 +414,185 @@ TEST(ObjectStateDb, TwoConcurrentExcludersConflictEvenWithEwLock) {
     (void)co_await c1.commit();
   }(f, second));
   EXPECT_EQ(second, Err::LockRefused);
+}
+
+// ------------------------------------------------ per-entry persistence
+
+// Membership of both databases' entries for `object`, as text. Epochs are
+// left out: an abort's epoch bumps are volatile and need not survive a
+// crash (the naming node's incarnation covers them). St is sorted: an
+// undone Exclude re-appends, so St order is not significant.
+std::string entry_state(Fixture& f, const Uid& object) {
+  auto sv = f.gvdb->servers().peek_view(object);
+  if (!sv.ok()) return "missing";
+  auto join = [](const std::vector<NodeId>& nodes) {
+    std::string out;
+    for (NodeId n : nodes) out += (out.empty() ? "" : ",") + std::to_string(n);
+    return out;
+  };
+  std::string use;
+  for (const UseEntry& u : sv.value().use)
+    use += (use.empty() ? "" : ",") + std::to_string(u.server) + ":" + std::to_string(u.client) +
+           "x" + std::to_string(u.count);
+  std::vector<NodeId> st = f.gvdb->states().peek(object);
+  std::sort(st.begin(), st.end());
+  return "sv=" + join(sv.value().sv) + " use=" + use + " st=" + join(st);
+}
+
+using StableRecords = std::pair<std::map<Uid, Buffer>, std::map<Uid, Buffer>>;
+
+StableRecords stable_records(const Fixture& f) {
+  return {f.naming_store->records(kOsdbUid), f.naming_store->records(kOstdbUid)};
+}
+
+void crash_naming_node(Fixture& f) {
+  f.cluster.node(0).crash();
+  f.cluster.node(0).recover();
+}
+
+// A commit persists only the entries its own action touched. P's
+// uncommitted Remove on X must not reach stable storage when C commits
+// an edit of Y: after a crash Sv(X) is the committed {2, 3, 4}.
+TEST(NamingPersistence, CommitDoesNotPersistAnotherActionsUncommittedRemove) {
+  Fixture f;
+  const Uid y{100, 2};
+  f.gvdb->create_object(y, {2, 3}, {2, 3});
+  f.run([](Fixture& f, Uid y) -> sim::Task<> {
+    AtomicAction p{*f.rt};
+    EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 4, p.uid())).ok());
+    AtomicAction c{*f.rt};
+    std::vector<NodeId> two{2};
+    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, y, 1, two, c.uid())).ok());
+    c.enlist({0, kOsdbService});
+    EXPECT_TRUE((co_await c.commit()).ok());
+    // P never ends: the naming node crashes with its edit in flight.
+  }(f, y));
+  crash_naming_node(f);
+  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
+  EXPECT_EQ(entry_state(f, y), "sv=2,3 use=2:1x1 st=2,3");
+}
+
+// The same for ostdb: an uncommitted Exclude beside a committed Include.
+TEST(NamingPersistence, CommitDoesNotPersistAnotherActionsUncommittedExclude) {
+  Fixture f;
+  const Uid y{100, 2};
+  f.gvdb->create_object(y, {2, 3}, {2, 3});
+  f.run([](Fixture& f, Uid y) -> sim::Task<> {
+    AtomicAction p{*f.rt};
+    std::vector<ExcludeItem> drop4{{f.obj, {4}}};
+    EXPECT_TRUE((co_await ostdb_exclude(f.rt->endpoint(), 0, drop4, p.uid())).ok());
+    AtomicAction c{*f.rt};
+    EXPECT_TRUE((co_await ostdb_include(f.rt->endpoint(), 0, y, 4, c.uid())).ok());
+    c.enlist({0, kOstdbService});
+    EXPECT_TRUE((co_await c.commit()).ok());
+  }(f, y));
+  crash_naming_node(f);
+  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
+  EXPECT_EQ(entry_state(f, y), "sv=2,3 use= st=2,3,4");
+}
+
+// Commits that edit several entries — a batched Exclude, a nested action
+// whose child edits merge into its parent, a use-list purge — survive a
+// naming-node crash complete, and an aborted action beside them leaves
+// no trace in stable storage.
+TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
+  Fixture f;
+  const Uid a{100, 2}, b{100, 3}, c{100, 4};
+  for (const Uid& o : {a, b, c}) f.gvdb->create_object(o, {2, 3, 4}, {2, 3, 4});
+  f.run([](Fixture& f, Uid a, Uid b, Uid c) -> sim::Task<> {
+    rpc::RpcEndpoint& ep = f.rt->endpoint();
+    const std::vector<NodeId> two{2};
+    {  // client 5 binds to obj and a through server 2
+      AtomicAction bind{*f.rt};
+      EXPECT_TRUE((co_await osdb_increment(ep, 0, f.obj, 5, two, bind.uid())).ok());
+      EXPECT_TRUE((co_await osdb_increment(ep, 0, a, 5, two, bind.uid())).ok());
+      bind.enlist({0, kOsdbService});
+      EXPECT_TRUE((co_await bind.commit()).ok());
+    }
+    {  // one Exclude batch over three objects
+      AtomicAction ex{*f.rt};
+      std::vector<ExcludeItem> items{{a, {4}}, {b, {3, 4}}, {c, {2}}};
+      EXPECT_TRUE((co_await ostdb_exclude(ep, 0, items, ex.uid())).ok());
+      ex.enlist({0, kOstdbService});
+      EXPECT_TRUE((co_await ex.commit()).ok());
+    }
+    {  // nested: the child's edits are committed by the parent
+      AtomicAction top{*f.rt};
+      EXPECT_TRUE((co_await osdb_remove(ep, 0, b, 4, top.uid())).ok());
+      {
+        AtomicAction child{*f.rt, &top};
+        EXPECT_TRUE((co_await osdb_remove(ep, 0, c, 3, child.uid())).ok());
+        EXPECT_TRUE((co_await ostdb_include(ep, 0, c, 2, child.uid())).ok());
+        child.enlist({0, kOsdbService});
+        child.enlist({0, kOstdbService});
+        EXPECT_TRUE((co_await child.commit()).ok());
+      }
+      top.enlist({0, kOsdbService});
+      EXPECT_TRUE((co_await top.commit()).ok());
+    }
+    {  // the janitor's cleanup of client 5
+      AtomicAction purge{*f.rt};
+      auto purged = co_await f.gvdb->servers().purge_client(5, purge.uid());
+      EXPECT_TRUE(purged.ok() && purged.value() == 2u);
+      purge.enlist({0, kOsdbService});
+      EXPECT_TRUE((co_await purge.commit()).ok());
+    }
+    {  // edits across both databases, aborted
+      AtomicAction doomed{*f.rt};
+      EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 2, doomed.uid())).ok());
+      EXPECT_TRUE((co_await osdb_increment(ep, 0, a, 6, two, doomed.uid())).ok());
+      std::vector<ExcludeItem> items{{f.obj, {3}}, {c, {4}}};
+      EXPECT_TRUE((co_await ostdb_exclude(ep, 0, items, doomed.uid())).ok());
+      doomed.enlist({0, kOsdbService});
+      doomed.enlist({0, kOstdbService});
+      (void)co_await doomed.abort();
+    }
+  }(f, a, b, c));
+  const std::map<Uid, std::string> expected{
+      {f.obj, "sv=2,3,4 use= st=2,3,4"},
+      {a, "sv=2,3,4 use= st=2,3"},
+      {b, "sv=2,3 use= st=2"},
+      {c, "sv=2,4 use= st=2,3,4"},
+  };
+  for (const auto& [object, state] : expected) EXPECT_EQ(entry_state(f, object), state);
+  crash_naming_node(f);
+  for (const auto& [object, state] : expected)
+    EXPECT_EQ(entry_state(f, object), state) << "after reload: " << object.to_string();
+  EXPECT_EQ(f.naming_store->records(kOsdbUid).size(), 4u);
+  EXPECT_EQ(f.naming_store->records(kOstdbUid).size(), 4u);
+  // The records are the store's private tables, not replicated objects.
+  EXPECT_TRUE(f.naming_store->local_objects().empty());
+  EXPECT_TRUE(f.naming_store->suspect_objects().empty());
+}
+
+// Read-only naming actions (GetServer, GetView, get_views, validate)
+// commit without writing a single stable record.
+TEST(NamingPersistence, ReadOnlyActionsWriteNothing) {
+  Fixture f;
+  const StableRecords before = stable_records(f);
+  const std::uint64_t puts = f.naming_store->counters().get("store.record_put");
+  f.run([](Fixture& f) -> sim::Task<> {
+    rpc::RpcEndpoint& ep = f.rt->endpoint();
+    AtomicAction act{*f.rt};
+    EXPECT_TRUE((co_await osdb_get_server(ep, 0, f.obj, act.uid())).ok());
+    EXPECT_TRUE((co_await ostdb_get_view(ep, 0, f.obj, act.uid())).ok());
+    std::vector<Uid> objects{f.obj};
+    auto views = co_await gvdb_get_views(ep, 0, objects);
+    EXPECT_TRUE(views.ok() && views.value().views.size() == 1u);
+    if (views.ok() && views.value().views.size() == 1u) {
+      const ViewFill& v = views.value().views[0];
+      std::vector<ValidateItem> items{{f.obj, v.sv_epoch, v.st_epoch}};
+      EXPECT_TRUE(
+          (co_await gvdb_validate(ep, 0, views.value().incarnation, items, act.uid())).ok());
+    }
+    act.enlist({0, kOsdbService});
+    act.enlist({0, kOstdbService});
+    EXPECT_TRUE((co_await act.commit()).ok());
+  }(f));
+  EXPECT_EQ(f.gvdb->servers().counters().get("db.commit"), 1u);
+  EXPECT_EQ(f.gvdb->states().counters().get("db.commit"), 1u);
+  EXPECT_EQ(f.naming_store->counters().get("store.record_put"), puts);
+  EXPECT_TRUE(stable_records(f) == before);
 }
 
 // ----------------------------------------------------------- Janitor

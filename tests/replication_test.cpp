@@ -371,5 +371,129 @@ TEST(Recovery, RecoveredServerReinserts) {
   EXPECT_GE(s.sys.recovery_at(2).counters().get("recovery.reinserted"), 1u);
 }
 
+// ------------------------------------------------ touched-object index
+// An ending action visits only the objects it holds undo state on. These
+// drive ObjectServerHost's participant API directly so each step of the
+// nesting is explicit.
+
+// Balance of `object` as `host` holds it (no action may have undo state).
+std::int64_t held_balance(ObjectServerHost& host, const Uid& object) {
+  auto s = host.state_for_commit(object, Uid{});
+  if (!s.ok()) return -1;
+  BankAccount acct;
+  (void)acct.restore(std::move(s.value().snapshot));
+  return acct.balance();
+}
+
+Buffer bank_state(std::int64_t balance) {
+  BankAccount acct;
+  bool modified = false;
+  (void)acct.apply("deposit", i64_buf(balance), modified);
+  return acct.snapshot();
+}
+
+struct IndexSys : Sys {
+  Uid a, b;
+  ObjectServerHost& host;
+  const std::vector<NodeId> st{3};
+  IndexSys()
+      : a(sys.define_object("a", "bank", BankAccount{}.snapshot(), {2}, {3},
+                            ReplicationPolicy::SingleCopyPassive, 1)),
+        b(sys.define_object("b", "bank", BankAccount{}.snapshot(), {2}, {3},
+                            ReplicationPolicy::SingleCopyPassive, 1)),
+        host(sys.host_at(2)) {}
+
+  sim::Task<Status> deposit(Uid object, Uid action, std::vector<Uid> ancestors,
+                            std::int64_t amount) {
+    auto r = co_await host.invoke(object, action, std::move(ancestors), LockMode::Write,
+                                  "deposit", i64_buf(amount));
+    if (!r.ok()) co_return r.error();
+    co_return ok_status();
+  }
+};
+
+TEST(ObjectServerIndex, NestedCommitThenAbortRestoresBothObjects) {
+  IndexSys s;
+  s.run([](IndexSys& s) -> sim::Task<> {
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    EXPECT_TRUE((co_await s.host.activate(s.b, "bank", s.st)).ok());
+    const Uid top{0xAC7, 1}, child{0xAC7, 2};
+    const std::vector<Uid> in_top{top};
+    EXPECT_TRUE((co_await s.deposit(s.a, top, {}, 10)).ok());
+    EXPECT_TRUE((co_await s.deposit(s.a, child, in_top, 5)).ok());
+    EXPECT_TRUE((co_await s.deposit(s.b, child, in_top, 7)).ok());
+    EXPECT_EQ(s.host.indexed_actions(), 2u);
+    s.host.nested_commit(child, top);
+    EXPECT_EQ(s.host.indexed_actions(), 1u);
+    EXPECT_TRUE((co_await s.host.abort(top)).ok());
+    EXPECT_EQ(s.host.indexed_actions(), 0u);
+    // Both objects are back at their pre-action state and version.
+    EXPECT_EQ(held_balance(s.host, s.a), 0);
+    EXPECT_EQ(held_balance(s.host, s.b), 0);
+    EXPECT_EQ(s.host.status(s.a).version, 1u);
+    EXPECT_EQ(s.host.status(s.b).version, 1u);
+
+    // A nested abort undoes only the child; the parent's commit then
+    // advances exactly the object the parent family still modified.
+    const Uid top2{0xAC7, 3}, child2{0xAC7, 4};
+    const std::vector<Uid> in_top2{top2};
+    EXPECT_TRUE((co_await s.deposit(s.a, top2, {}, 1)).ok());
+    EXPECT_TRUE((co_await s.deposit(s.a, child2, in_top2, 2)).ok());
+    EXPECT_TRUE((co_await s.deposit(s.b, child2, in_top2, 3)).ok());
+    s.host.nested_abort(child2);
+    EXPECT_EQ(s.host.indexed_actions(), 1u);
+    EXPECT_TRUE((co_await s.host.commit(top2)).ok());
+    EXPECT_EQ(s.host.indexed_actions(), 0u);
+    EXPECT_EQ(held_balance(s.host, s.a), 1);
+    EXPECT_EQ(held_balance(s.host, s.b), 0);
+    EXPECT_EQ(s.host.status(s.a).version, 2u);
+    EXPECT_EQ(s.host.status(s.b).version, 1u);
+  }(s));
+}
+
+TEST(ObjectServerIndex, PassivatedAndReactivatedObjectsKeepTheirState) {
+  IndexSys s;
+  s.run([](IndexSys& s) -> sim::Task<> {
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    EXPECT_TRUE((co_await s.host.activate(s.b, "bank", s.st)).ok());
+    // A child writes `a` and is undone; `a` then falls quiet, is
+    // passivated and re-activated from its store while the parent still
+    // runs. The parent's abort restores `b` and leaves the fresh `a` be.
+    const Uid top{0xAC7, 1}, child{0xAC7, 2};
+    const std::vector<Uid> in_top{top};
+    EXPECT_TRUE((co_await s.deposit(s.b, top, {}, 4)).ok());
+    EXPECT_TRUE((co_await s.deposit(s.a, child, in_top, 9)).ok());
+    s.host.nested_abort(child);
+    EXPECT_TRUE(s.host.passivate(s.a).ok());
+    EXPECT_FALSE(s.host.is_active(s.a));
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    EXPECT_TRUE((co_await s.host.abort(top)).ok());
+    EXPECT_EQ(held_balance(s.host, s.a), 0);
+    EXPECT_EQ(held_balance(s.host, s.b), 0);
+
+    // An action's object is re-activated from a checkpoint before the
+    // action ends: the index still names it, but the fresh instance holds
+    // none of the action's undo state, so neither the abort's restore nor
+    // the commit's version bump may touch it.
+    const Uid t1{0xAC7, 3};
+    EXPECT_TRUE((co_await s.deposit(s.a, t1, {}, 5)).ok());
+    EXPECT_TRUE(s.host.activate_from_snapshot(s.a, "bank", 5, bank_state(50)).ok());
+    EXPECT_TRUE((co_await s.host.abort(t1)).ok());
+    EXPECT_EQ(held_balance(s.host, s.a), 50);
+    EXPECT_EQ(s.host.status(s.a).version, 5u);
+
+    const Uid t2{0xAC7, 4};
+    EXPECT_TRUE((co_await s.deposit(s.a, t2, {}, 5)).ok());
+    EXPECT_TRUE((co_await s.deposit(s.b, t2, {}, 6)).ok());
+    EXPECT_TRUE(s.host.activate_from_snapshot(s.a, "bank", 6, bank_state(60)).ok());
+    EXPECT_TRUE((co_await s.host.commit(t2)).ok());
+    EXPECT_EQ(held_balance(s.host, s.a), 60);
+    EXPECT_EQ(s.host.status(s.a).version, 6u);
+    EXPECT_EQ(held_balance(s.host, s.b), 6);
+    EXPECT_EQ(s.host.status(s.b).version, 2u);
+    EXPECT_EQ(s.host.indexed_actions(), 0u);
+  }(s));
+}
+
 }  // namespace
 }  // namespace gv::replication
