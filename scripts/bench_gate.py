@@ -4,9 +4,7 @@
 The figure/ablation benches run on the deterministic simulator, so their
 latency series are SIM-TIME milliseconds: bit-stable across machines and
 CI runners. That is what makes a hard gate possible — any median drift is
-a code change, not noise. Files that do not follow the in-repo schema
-(notably BENCH_micro.json, google-benchmark wall-clock output) are
-reported but never gated.
+a code change, not noise.
 
 Usage:
     bench_gate.py --current DIR [--baselines DIR] [--threshold 0.25]
@@ -41,9 +39,6 @@ def main():
 
     for base_path in sorted(base_dir.glob("BENCH_*.json")):
         base = load(base_path)
-        if "series" not in base:  # e.g. google-benchmark wall-clock output
-            print(f"skip  {base_path.name}: no sim-time series (not gated)")
-            continue
         cur_path = cur_dir / base_path.name
         if not cur_path.exists():
             failures.append(f"{base_path.name}: missing from {cur_dir}")

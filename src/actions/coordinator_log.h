@@ -16,10 +16,9 @@
 // and count (the affected client never saw its commit() return).
 #pragma once
 
-#include <map>
-
 #include "rpc/rpc.h"
 #include "util/uid.h"
+#include "util/uid_table.h"
 
 namespace gv::actions {
 
@@ -30,19 +29,19 @@ class CoordinatorLog {
   explicit CoordinatorLog(rpc::RpcEndpoint& endpoint);
 
   void record(const Uid& txn, bool committed) {
-    outcomes_[txn] = committed ? TxnOutcome::Committed : TxnOutcome::Aborted;
+    outcomes_.set(txn, static_cast<std::uint8_t>(committed ? TxnOutcome::Committed
+                                                           : TxnOutcome::Aborted));
   }
-  TxnOutcome outcome(const Uid& txn) const {
-    auto it = outcomes_.find(txn);
-    return it == outcomes_.end() ? TxnOutcome::Unknown : it->second;
-  }
+  TxnOutcome outcome(const Uid& txn) const { return static_cast<TxnOutcome>(outcomes_.get(txn)); }
 
   // Ask the coordinator on `coordinator_node` for the outcome of `txn`.
   static sim::Task<Result<TxnOutcome>> remote_outcome(rpc::RpcEndpoint& from,
                                                       sim::NodeId coordinator_node, Uid txn);
 
  private:
-  std::map<Uid, TxnOutcome> outcomes_;  // volatile by design
+  // Two bits per action the node ever decided: S2 makes every naming
+  // operation its own top-level action, so this grows with the run.
+  DenseUidTable<2> outcomes_;  // volatile by design
 };
 
 }  // namespace gv::actions

@@ -56,11 +56,15 @@ class MetricsRegistry {
   const std::map<std::string, gv::Histogram>& histograms() const noexcept { return histograms_; }
   const std::map<std::string, Gauge>& gauges() const noexcept { return gauges_; }
 
+  // clear() drops every metric and bumps generation(), so a component
+  // holding Histogram pointers from this registry knows to re-resolve.
   void clear() {
     histograms_.clear();
     gauges_.clear();
     counters_.reset();
+    ++generation_;
   }
+  std::uint64_t generation() const noexcept { return generation_; }
 
   // One JSON object per line:
   //   {"label":...,"kind":"histogram","name":...,"count":...,"mean":...,
@@ -76,6 +80,7 @@ class MetricsRegistry {
   std::map<std::string, gv::Histogram> histograms_;
   std::map<std::string, Gauge> gauges_;
   gv::Counters counters_;
+  std::uint64_t generation_ = 0;
 };
 
 // Null-tolerant helpers mirroring trace_span/trace_instant: components

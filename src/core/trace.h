@@ -198,6 +198,11 @@ class TraceRecorder {
 // Null-tolerant helpers: every instrumentation site takes a nullable
 // recorder, so components outside a ReplicaSystem (unit fixtures, the
 // ablation benches) run uninstrumented without branching at each call.
+// Hot paths test tracing() first to skip building span names at all.
+inline bool tracing(const TraceRecorder* rec) noexcept {
+  return rec != nullptr && rec->enabled();
+}
+
 inline TraceRecorder::Span trace_span(TraceRecorder* rec, std::string name, sim::NodeId node,
                                       const char* component, std::string detail = {}) {
   if (rec == nullptr || !rec->enabled()) return {};

@@ -18,7 +18,7 @@ GroupViewDb::GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEnd
       states_(node, store, endpoint, txns, cfg, policy) {
   servers_.set_epoch_listener([this](const Uid& object) { note_invalidation(object); });
   states_.set_epoch_listener([this](const Uid& object) { note_invalidation(object); });
-  endpoint.set_piggyback_provider([this] { return piggyback_blob(); });
+  endpoint.set_piggyback_provider([this]() -> const Buffer& { return piggyback_blob(); });
   register_rpc(endpoint);
 }
 
@@ -27,20 +27,24 @@ void GroupViewDb::note_invalidation(const Uid& object) {
   if (it != recent_bumps_.end()) recent_bumps_.erase(it);
   recent_bumps_.push_back(object);
   if (recent_bumps_.size() > kRecentBumpCap) recent_bumps_.pop_front();
+  piggyback_stale_ = true;
 }
 
-Buffer GroupViewDb::piggyback_blob() const {
-  if (recent_bumps_.empty()) return Buffer{};
-  Buffer out;
-  out.reserve(8 + 1 + recent_bumps_.size() * (16 + 8 + 8));
-  out.pack_u64(node_.epoch());
-  out.pack_u8(static_cast<std::uint8_t>(recent_bumps_.size()));
+const Buffer& GroupViewDb::piggyback_blob() {
+  if (!piggyback_stale_ && piggyback_epoch_ == node_.epoch()) return piggyback_;
+  piggyback_stale_ = false;
+  piggyback_epoch_ = node_.epoch();
+  piggyback_.clear();
+  if (recent_bumps_.empty()) return piggyback_;
+  piggyback_.reserve(8 + 1 + recent_bumps_.size() * (16 + 8 + 8));
+  piggyback_.pack_u64(node_.epoch());
+  piggyback_.pack_u8(static_cast<std::uint8_t>(recent_bumps_.size()));
   for (const Uid& object : recent_bumps_) {
-    out.pack_uid(object);
-    out.pack_u64(servers_.epoch_of(object));
-    out.pack_u64(states_.epoch_of(object));
+    piggyback_.pack_uid(object);
+    piggyback_.pack_u64(servers_.epoch_of(object));
+    piggyback_.pack_u64(states_.epoch_of(object));
   }
-  return out;
+  return piggyback_;
 }
 
 // ---------------------------------------------------------------- RPC glue

@@ -67,6 +67,7 @@ class GroupViewDb {
   void create_object(const Uid& object, std::vector<NodeId> sv, std::vector<NodeId> st) {
     servers_.create(object, std::move(sv));
     states_.create(object, std::move(st));
+    piggyback_stale_ = true;  // a re-created entry restarts its epochs
   }
 
   ObjectServerDb& servers() noexcept { return servers_; }
@@ -75,7 +76,9 @@ class GroupViewDb {
 
   // The reply-piggyback blob: current incarnation plus the current epochs
   // of recently bumped entries. Empty when nothing changed recently.
-  Buffer piggyback_blob() const;
+  // Built once per change (an epoch bump or a new node incarnation) and
+  // shared by every reply until the next one.
+  const Buffer& piggyback_blob();
 
   Counters& counters() noexcept { return counters_; }
 
@@ -90,6 +93,11 @@ class GroupViewDb {
   ObjectStateDb states_;
   // Recently bumped UIDs, most recent last, deduplicated, bounded.
   std::deque<Uid> recent_bumps_;
+  // piggyback_blob()'s bytes, valid while !piggyback_stale_ and the node
+  // is still in incarnation piggyback_epoch_ (a recovery reloads epochs).
+  Buffer piggyback_;
+  bool piggyback_stale_ = true;
+  std::uint64_t piggyback_epoch_ = 0;
   Counters counters_;
 };
 

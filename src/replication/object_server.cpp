@@ -90,7 +90,7 @@ sim::Task<Result<Buffer>> ObjectServerHost::invoke(Uid object, Uid action,
                                                    Buffer args, NodeId owner) {
   auto it = active_.find(object);
   if (it == active_.end()) co_return Err::NotFound;  // passive: activate first
-  if (terminated_.count(action) > 0) co_return Err::Aborted;
+  if (terminated_.get(action) != 0) co_return Err::Aborted;
   if (owner != sim::kNoNode) note_owner(action, owner);
   Status lk = co_await locks_.acquire(lock_name(object), mode, action, kInvokeLockWait,
                                       std::move(ancestors));
@@ -103,7 +103,7 @@ sim::Task<Result<Buffer>> ObjectServerHost::invoke(Uid object, Uid action,
   }
   // Re-check after the wait: the object may have been passivated, or the
   // action terminated while we were queued for the lock.
-  if (terminated_.count(action) > 0) {
+  if (terminated_.get(action) != 0) {
     locks_.release(lock_name(object), action);
     counters_.inc("objsrv.refused_dead_action");
     co_return Err::Aborted;
@@ -216,7 +216,7 @@ std::vector<ObjectServerHost::ActiveEntry*> ObjectServerHost::take_touched(const
 }
 
 sim::Task<Status> ObjectServerHost::commit(const Uid& txn) {
-  terminated_.insert(txn);
+  terminated_.set(txn, 1);
   for (ActiveEntry* entry : take_touched(txn)) {
     Active& a = entry->second;
     a.before.erase(txn);
@@ -235,7 +235,7 @@ sim::Task<Status> ObjectServerHost::commit(const Uid& txn) {
 }
 
 sim::Task<Status> ObjectServerHost::abort(const Uid& txn) {
-  terminated_.insert(txn);
+  terminated_.set(txn, 1);
   for (ActiveEntry* entry : take_touched(txn)) {
     Active& a = entry->second;
     auto bit = a.before.find(txn);

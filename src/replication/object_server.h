@@ -30,6 +30,7 @@
 #include "rpc/group_comm.h"
 #include "rpc/rpc.h"
 #include "store/object_store.h"
+#include "util/uid_table.h"
 
 namespace gv::replication {
 
@@ -177,7 +178,7 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // Actions already committed/aborted here: an invocation whose lock is
   // granted after its action terminated (client gave up waiting, then
   // aborted) must be refused, not applied under a dead action.
-  std::set<Uid> terminated_;  // volatile
+  DenseUidTable<1> terminated_;  // volatile
   std::set<Uid> activation_blocked_;  // volatile; managed by RecoveryDaemon
   std::map<Uid, ActionOwner> owners_;  // volatile; coordinator node per live action
   bool orphan_sweep_running_ = false;

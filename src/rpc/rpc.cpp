@@ -55,25 +55,20 @@ RpcEndpoint::RpcEndpoint(sim::Node& node, sim::Network& net, RpcConfig cfg)
   });
 }
 
-bool RpcEndpoint::first_delivery(NodeId from, std::uint64_t req_id) {
-  DedupWindow& w = dedup_[from];
-  if (req_id <= w.watermark) return false;
-  if (!w.seen.insert(req_id).second) return false;
-  // Bound memory: once the window grows, advance the watermark past the
-  // oldest ids. req_ids are monotone per sender, so anything that old can
-  // only be a duplicate.
-  constexpr std::size_t kWindow = 1024;
-  if (w.seen.size() > 2 * kWindow) {
-    std::uint64_t max_seen = 0;
-    for (std::uint64_t id : w.seen) max_seen = std::max(max_seen, id);
-    const std::uint64_t new_watermark = max_seen > kWindow ? max_seen - kWindow : 0;
-    for (auto it = w.seen.begin(); it != w.seen.end();) {
-      if (*it <= new_watermark)
-        it = w.seen.erase(it);
-      else
-        ++it;
-    }
-    w.watermark = std::max(w.watermark, new_watermark);
+bool DedupWindow::first_delivery(std::uint64_t req_id) {
+  if (req_id <= watermark_) return false;
+  // `seen_` stays sorted; ids arrive nearly in order, so the insertion
+  // point is almost always at or near the end.
+  auto pos = std::lower_bound(seen_.begin(), seen_.end(), req_id);
+  if (pos != seen_.end() && *pos == req_id) return false;
+  seen_.insert(pos, req_id);
+  // Once the window grows, advance the watermark past the oldest ids.
+  // req_ids are monotone per sender, so anything that old can only be a
+  // duplicate.
+  if (seen_.size() > 2 * kWindow) {
+    const std::uint64_t new_watermark = seen_.back() > kWindow ? seen_.back() - kWindow : 0;
+    seen_.erase(seen_.begin(), std::upper_bound(seen_.begin(), seen_.end(), new_watermark));
+    watermark_ = std::max(watermark_, new_watermark);
   }
   return true;
 }
@@ -114,18 +109,12 @@ sim::Task<Result<Buffer>> RpcEndpoint::call(NodeId dest, std::string service, st
   return call(dest, std::move(service), std::move(method), std::move(args), cfg_.call_timeout);
 }
 
-sim::Task<Result<Buffer>> RpcEndpoint::call(NodeId dest, std::string service, std::string method,
-                                            Buffer args, sim::SimTime timeout) {
-  if (!node_.up()) co_return Err::NodeDown;
-
-  const std::string op = service + "." + method;
-  auto span =
-      core::trace_span(trace_, "rpc." + op, node_.id(), "rpc", "dest=" + std::to_string(dest));
-  // Propagate the ambient context (the span when recording, the caller's
-  // context otherwise) so the server parents its handler correctly.
+sim::SimFuture<Result<Buffer>> RpcEndpoint::send_request(NodeId dest, std::uint64_t wire_epoch,
+                                                         std::uint64_t op, Buffer args,
+                                                         sim::SimTime timeout) {
+  // Propagate the ambient context (the caller's span when recording, its
+  // inherited context otherwise) so the server parents its handler.
   const TraceContext ctx = current_trace_context();
-  const sim::SimTime t0 = node_.sim().now();
-
   const std::uint64_t req_id = next_req_id_++;
   sim::SimPromise<Result<Buffer>> promise{node_.sim()};
   auto future = promise.future();
@@ -143,15 +132,40 @@ sim::Task<Result<Buffer>> RpcEndpoint::call(NodeId dest, std::string service, st
   msg.reserve(kRequestOverhead + args.size());
   msg.pack_u8(kKindRequest)
       .pack_u64(req_id)
-      .pack_u64(0)  // no epoch expectation (unbound call)
+      .pack_u64(wire_epoch)
       .pack_u64(ctx.trace)
       .pack_u64(ctx.span)
-      .pack_u64(op_hash(service, method))
+      .pack_u64(op)
       .pack_bytes(args);
   net_.send(node_.id(), dest, std::move(msg));
-  Result<Buffer> result = co_await future;
-  core::metric_record(metrics_, "rpc." + op + "_us",
-                      static_cast<double>(node_.sim().now() - t0));
+  return future;
+}
+
+void RpcEndpoint::record_latency(std::uint64_t op, const std::string& service,
+                                 const std::string& method, sim::SimTime t0) {
+  if (metrics_ == nullptr) return;
+  if (latency_generation_ != metrics_->generation()) {
+    latency_.clear();  // the registry was cleared: every handle dangles
+    latency_generation_ = metrics_->generation();
+  }
+  auto [it, fresh] = latency_.try_emplace(op, nullptr);
+  if (fresh) it->second = &metrics_->histogram("rpc." + service + "." + method + "_us");
+  it->second->record(static_cast<double>(node_.sim().now() - t0));
+}
+
+sim::Task<Result<Buffer>> RpcEndpoint::call(NodeId dest, std::string service, std::string method,
+                                            Buffer args, sim::SimTime timeout) {
+  if (!node_.up()) co_return Err::NodeDown;
+
+  auto span = core::tracing(trace_)
+                  ? core::trace_span(trace_, "rpc." + service + "." + method, node_.id(), "rpc",
+                                     "dest=" + std::to_string(dest))
+                  : core::TraceRecorder::Span{};
+  const sim::SimTime t0 = node_.sim().now();
+  const std::uint64_t op = op_hash(service, method);
+  // No epoch expectation: an unbound call.
+  Result<Buffer> result = co_await send_request(dest, 0, op, std::move(args), timeout);
+  record_latency(op, service, method, t0);
   span.end(result.ok() ? "ok" : to_string(result.error()));
   co_return result;
 }
@@ -161,45 +175,23 @@ sim::Task<Result<Buffer>> RpcEndpoint::call_bound(Binding& binding, std::string 
   if (!binding.valid()) co_return Err::BindingBroken;
   if (!node_.up()) co_return Err::NodeDown;
 
-  const std::string op = service + "." + method;
-  auto span = core::trace_span(trace_, "rpc." + op, node_.id(), "rpc",
-                               "bound dest=" + std::to_string(binding.server));
-  const TraceContext ctx = current_trace_context();
+  const bool traced = core::tracing(trace_);
+  auto span = traced ? core::trace_span(trace_, "rpc." + service + "." + method, node_.id(), "rpc",
+                                        "bound dest=" + std::to_string(binding.server))
+                     : core::TraceRecorder::Span{};
   const sim::SimTime t0 = node_.sim().now();
-
-  const std::uint64_t req_id = next_req_id_++;
-  sim::SimPromise<Result<Buffer>> promise{node_.sim()};
-  auto future = promise.future();
-  const std::uint64_t timer = node_.sim().schedule(cfg_.call_timeout, [this, req_id] {
-    auto it = outstanding_.find(req_id);
-    if (it == outstanding_.end()) return;
-    auto p = it->second.first;
-    outstanding_.erase(it);
-    core::trace_instant(trace_, "rpc.timeout", node_.id(), "rpc");
-    p.set_value(Err::Timeout);
-  });
-  outstanding_.emplace(req_id, std::make_pair(promise, timer));
-
-  Buffer msg;
-  msg.reserve(kRequestOverhead + args.size());
-  msg.pack_u8(kKindRequest)
-      .pack_u64(req_id)
-      .pack_u64(binding.epoch + 1)  // expected incarnation (+1: 0 = none)
-      .pack_u64(ctx.trace)
-      .pack_u64(ctx.span)
-      .pack_u64(op_hash(service, method))
-      .pack_bytes(args);
-  net_.send(node_.id(), binding.server, std::move(msg));
-
-  Result<Buffer> result = co_await future;
-  core::metric_record(metrics_, "rpc." + op + "_us",
-                      static_cast<double>(node_.sim().now() - t0));
+  const std::uint64_t op = op_hash(service, method);
+  // Expected incarnation, +1 so that 0 means none.
+  Result<Buffer> result = co_await send_request(binding.server, binding.epoch + 1, op,
+                                                std::move(args), cfg_.call_timeout);
+  record_latency(op, service, method, t0);
   if (!result.ok() && (result.error() == Err::Timeout || result.error() == Err::BindingBroken ||
                        result.error() == Err::NodeDown)) {
     // The server incarnation is gone or unreachable; per sec 3.1 the
     // binding is broken for the remainder of the action.
     binding.broken = true;
-    core::trace_instant(trace_, "rpc.binding_broken", node_.id(), "rpc", op);
+    if (traced)
+      core::trace_instant(trace_, "rpc.binding_broken", node_.id(), "rpc", service + "." + method);
   }
   span.end(result.ok() ? "ok" : to_string(result.error()));
   co_return result;
@@ -212,8 +204,9 @@ sim::Task<Result<Buffer>> RpcEndpoint::call_with_retry(NodeId dest, std::string 
   Result<Buffer> result = Err::Timeout;
   for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      core::trace_instant(trace_, "rpc.retry", node_.id(), "rpc",
-                          service + "." + method + " attempt=" + std::to_string(attempt + 1));
+      if (core::tracing(trace_))
+        core::trace_instant(trace_, "rpc.retry", node_.id(), "rpc",
+                            service + "." + method + " attempt=" + std::to_string(attempt + 1));
       if (metrics_ != nullptr) metrics_->counters().inc("rpc.retries");
       co_await node_.sim().sleep(backoff.next());
       if (!node_.up()) co_return Err::NodeDown;
@@ -249,7 +242,7 @@ void RpcEndpoint::on_request(NodeId from, std::uint64_t req_id, Buffer msg) {
   // The original delivery's reply (possibly itself duplicated in flight)
   // answers the caller; if that reply was lost, the caller times out and
   // retries under a fresh req_id — exactly as for a lost request.
-  if (!first_delivery(from, req_id)) return;
+  if (!dedup_[from].first_delivery(req_id)) return;
   auto expected_epoch = msg.unpack_u64();
   auto wire_trace = msg.unpack_u64();
   auto wire_span = msg.unpack_u64();
@@ -274,8 +267,10 @@ sim::Task<> RpcEndpoint::run_handler(NodeId from, std::uint64_t req_id, std::uin
   const std::uint64_t epoch_at_receipt = node_.epoch();
   // The server-side span parents under the context carried on the wire,
   // connecting this handler (and its nested calls) to the client's tree.
-  auto span = core::trace_span_under(trace_, wire_ctx, "rpc.serve." + op_name(op), node_.id(),
-                                     "rpc", "from=" + std::to_string(from));
+  auto span = core::tracing(trace_)
+                  ? core::trace_span_under(trace_, wire_ctx, "rpc.serve." + op_name(op),
+                                           node_.id(), "rpc", "from=" + std::to_string(from))
+                  : core::TraceRecorder::Span{};
   auto it = methods_.find(op);
   if (it == methods_.end()) {
     span.end("not_found");
@@ -294,7 +289,8 @@ void RpcEndpoint::send_reply(NodeId to, std::uint64_t req_id, const Result<Buffe
   // Fail-silence: a handler that was interrupted by a crash (or whose node
   // recovered into a new incarnation) sends nothing; the client times out.
   if (!node_.up() || node_.epoch() != epoch_at_receipt) return;
-  const Buffer piggyback = piggyback_provider_ ? piggyback_provider_() : Buffer{};
+  static const Buffer kNoPiggyback;
+  const Buffer& piggyback = piggyback_provider_ ? piggyback_provider_() : kNoPiggyback;
   Buffer msg;
   msg.reserve(1 + 8 + 4 + 4 + (result.ok() ? result.value().size() : 0) + 4 + piggyback.size());
   msg.pack_u8(kKindReply).pack_u64(req_id).pack_u32(static_cast<std::uint32_t>(

@@ -17,7 +17,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "sim/future.h"
 #include "sim/network.h"
@@ -28,6 +28,10 @@
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/trace_context.h"
+
+namespace gv {
+class Histogram;
+}  // namespace gv
 
 namespace gv::core {
 class TraceRecorder;
@@ -62,6 +66,24 @@ struct RpcConfig {
   BackoffConfig backoff() const noexcept {
     return BackoffConfig{retry_initial, retry_max, retry_multiplier, retry_jitter};
   }
+};
+
+// At-most-once execution: first_delivery() is true exactly once per
+// req_id from one sender. The network may duplicate datagrams
+// (NetConfig::dup_prob); re-running a request would double-apply
+// non-idempotent operations (Increment, prepare, ...), so duplicates are
+// dropped — the original execution's reply already answers the caller.
+// Memory is bounded: ids more than kWindow below the highest seen fall
+// under a watermark and count as seen.
+class DedupWindow {
+ public:
+  static constexpr std::size_t kWindow = 1024;
+
+  bool first_delivery(std::uint64_t req_id);
+
+ private:
+  std::uint64_t watermark_ = 0;      // ids <= watermark are known-seen
+  std::vector<std::uint64_t> seen_;  // ids above it, sorted
 };
 
 class RpcEndpoint {
@@ -121,6 +143,7 @@ class RpcEndpoint {
   void set_obs(core::TraceRecorder* trace, core::MetricsRegistry* metrics) noexcept {
     trace_ = trace;
     metrics_ = metrics;
+    latency_.clear();
   }
   core::TraceRecorder* trace() const noexcept { return trace_; }
   core::MetricsRegistry* metrics() const noexcept { return metrics_; }
@@ -129,8 +152,9 @@ class RpcEndpoint {
   // small opaque blob to every reply it sends (provider), and consume the
   // blob riding on every reply it receives (sink). The group-view cache
   // uses this to ship recent invalidations from the naming node to
-  // clients without any extra messages.
-  void set_piggyback_provider(std::function<Buffer()> fn) {
+  // clients without any extra messages. The provider returns a reference
+  // that must stay valid until the reply is packed.
+  void set_piggyback_provider(std::function<const Buffer&()> fn) {
     piggyback_provider_ = std::move(fn);
   }
   void set_piggyback_sink(std::function<void(NodeId, Buffer)> fn) {
@@ -138,6 +162,14 @@ class RpcEndpoint {
   }
 
  private:
+  // Arm the timeout, register the call and send the request datagram;
+  // the future resolves with the reply or Err::Timeout.
+  sim::SimFuture<Result<Buffer>> send_request(NodeId dest, std::uint64_t wire_epoch,
+                                              std::uint64_t op, Buffer args,
+                                              sim::SimTime timeout);
+  // Record a finished call's latency in "rpc.<service>.<method>_us".
+  void record_latency(std::uint64_t op, const std::string& service, const std::string& method,
+                      sim::SimTime t0);
   void on_message(NodeId from, Buffer msg);
   void on_request(NodeId from, std::uint64_t req_id, Buffer msg);
   void on_reply(NodeId from, std::uint64_t req_id, Buffer msg);
@@ -146,14 +178,6 @@ class RpcEndpoint {
   void send_reply(NodeId to, std::uint64_t req_id, const Result<Buffer>& result,
                   std::uint64_t epoch_at_receipt);
   const std::string& op_name(std::uint64_t op) const;
-
-  // At-most-once execution: true exactly once per (sender, req_id). The
-  // network may duplicate datagrams (NetConfig::dup_prob); re-running a
-  // request would double-apply non-idempotent operations (Increment,
-  // prepare, ...), so duplicates are dropped here — the original
-  // execution's reply already answers the caller. Volatile (cleared on
-  // crash), like any server-side session table.
-  bool first_delivery(NodeId from, std::uint64_t req_id);
 
   sim::Node& node_;
   sim::Network& net_;
@@ -164,16 +188,16 @@ class RpcEndpoint {
   std::uint64_t next_req_id_ = 1;
   std::unordered_map<std::uint64_t, Method> methods_;   // op hash -> handler
   std::unordered_map<std::uint64_t, std::string> op_names_;  // op hash -> "svc.method"
-  std::function<Buffer()> piggyback_provider_;
+  // op hash -> latency histogram in metrics_, valid while the registry's
+  // generation() equals latency_generation_.
+  std::unordered_map<std::uint64_t, gv::Histogram*> latency_;
+  std::uint64_t latency_generation_ = 0;
+  std::function<const Buffer&()> piggyback_provider_;
   std::function<void(NodeId, Buffer)> piggyback_sink_;
   // req_id -> (reply promise, timeout event id)
   std::unordered_map<std::uint64_t, std::pair<sim::SimPromise<Result<Buffer>>, std::uint64_t>>
       outstanding_;
-  struct DedupWindow {
-    std::uint64_t watermark = 0;  // ids <= watermark are known-seen
-    std::unordered_set<std::uint64_t> seen;
-  };
-  std::unordered_map<NodeId, DedupWindow> dedup_;
+  std::unordered_map<NodeId, DedupWindow> dedup_;  // per sender; volatile
 };
 
 // The cluster-wide RPC fabric: one endpoint per node, plus a built-in

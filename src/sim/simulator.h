@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/task.h"
@@ -37,7 +35,7 @@ class Simulator {
   Rng& rng() noexcept { return rng_; }
 
   // Schedule `fn` to run `delay` after now. Returns an event id usable
-  // with cancel().
+  // with cancel(); cancelling an event that already ran is a no-op.
   std::uint64_t schedule(SimTime delay, std::function<void()> fn);
   void cancel(std::uint64_t event_id);
 
@@ -63,33 +61,44 @@ class Simulator {
   }
 
   // Run until the event queue drains or `limit` is reached. Returns the
-  // number of events processed.
+  // number of events processed. run_until never runs an event scheduled
+  // after `limit`, and leaves now() at `limit` if it was earlier.
   std::size_t run();
   std::size_t run_until(SimTime limit);
 
-  bool idle() const noexcept { return events_.empty(); }
+  bool idle() const noexcept { return heap_.empty(); }
   std::size_t events_processed() const noexcept { return processed_; }
 
  private:
-  struct Event {
+  // The heap orders small keys; each closure lives in a slab slot that is
+  // recycled as soon as its event runs or is cancelled. A key whose `gen`
+  // no longer matches its slot's is a cancelled event, skipped when popped.
+  struct Key {
     SimTime at;
     std::uint64_t seq;  // tie-break: FIFO among same-time events
-    std::function<void()> fn;
-    TraceContext ctx;  // causal context captured at schedule time
+    std::uint32_t slot;
+    std::uint32_t gen;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+  struct KeyOrder {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
   };
+  struct Slot {
+    std::function<void()> fn;
+    TraceContext ctx;  // causal context captured at schedule time
+    std::uint32_t gen = 0;
+  };
 
-  bool step();  // pop + run one event; false if queue empty
+  void release(std::uint32_t slot);  // bump gen, drop closure, recycle
+  bool pop_and_run();                // false if the popped key was cancelled
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> events_;
-  std::unordered_set<std::uint64_t> cancelled_;
+  std::vector<Key> heap_;  // std::push_heap/pop_heap under KeyOrder
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   Rng rng_;
 };
 

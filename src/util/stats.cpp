@@ -53,13 +53,34 @@ constexpr std::int32_t kUnderflowBucket = INT32_MIN;
 }  // namespace
 
 std::int32_t Histogram::bucket_of(double v) noexcept {
-  if (!(v > 0)) return kUnderflowBucket;  // <=0 and NaN share the underflow bucket
+  // <=0, NaN and +inf share the underflow bucket (+inf has no finite log).
+  if (!(v > 0) || v == std::numeric_limits<double>::infinity()) return kUnderflowBucket;
   return static_cast<std::int32_t>(std::floor(std::log(v) / kLogBase));
 }
 
 double Histogram::bucket_lower(std::int32_t idx) noexcept {
   if (idx == kUnderflowBucket) return 0.0;
   return std::exp(kLogBase * static_cast<double>(idx));
+}
+
+void Histogram::add(std::int32_t idx, std::uint64_t n) {
+  std::uint64_t* slot;
+  if (idx == kUnderflowBucket) {
+    slot = &underflow_;
+  } else {
+    if (buckets_.empty()) {
+      base_ = idx;
+      buckets_.assign(1, 0);
+    } else if (idx < base_) {
+      buckets_.insert(buckets_.begin(), static_cast<std::size_t>(base_ - idx), 0);
+      base_ = idx;
+    } else if (static_cast<std::size_t>(idx - base_) >= buckets_.size()) {
+      buckets_.resize(static_cast<std::size_t>(idx - base_) + 1, 0);
+    }
+    slot = &buckets_[static_cast<std::size_t>(idx - base_)];
+  }
+  if (*slot == 0) ++nonempty_;
+  *slot += n;
 }
 
 void Histogram::record(double v) {
@@ -71,21 +92,23 @@ void Histogram::record(double v) {
   }
   ++count_;
   sum_ += v;
-  ++buckets_[bucket_of(v)];
+  add(bucket_of(v), 1);
 }
 
 double Histogram::percentile(double p) const {
   if (count_ == 0) return 0.0;
   const double target = p / 100.0 * static_cast<double>(count_);
-  std::uint64_t seen = 0;
-  for (const auto& [idx, n] : buckets_) {
+  if (static_cast<double>(underflow_) >= target && underflow_ > 0) return std::min(0.0, max_);
+  std::uint64_t seen = underflow_;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    const std::uint64_t n = buckets_[i];
+    if (n == 0) continue;
     if (static_cast<double>(seen + n) >= target) {
-      if (idx == kUnderflowBucket) return std::min(0.0, max_);
+      const std::int32_t idx = base_ + static_cast<std::int32_t>(i);
       const double lo = bucket_lower(idx);
       const double hi = bucket_lower(idx + 1);
       // Interpolate by the fraction of the target rank inside this bucket.
-      const double frac =
-          n == 0 ? 0.0 : (target - static_cast<double>(seen)) / static_cast<double>(n);
+      const double frac = (target - static_cast<double>(seen)) / static_cast<double>(n);
       const double est = lo + (hi - lo) * std::min(1.0, std::max(0.0, frac));
       return std::min(max_, std::max(min_, est));
     }
@@ -105,10 +128,12 @@ void Histogram::merge(const Histogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  for (const auto& [idx, n] : other.buckets_) buckets_[idx] += n;
+  if (other.underflow_ > 0) add(kUnderflowBucket, other.underflow_);
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i)
+    if (other.buckets_[i] > 0) add(other.base_ + static_cast<std::int32_t>(i), other.buckets_[i]);
 }
 
-std::uint64_t Counters::get(const std::string& name) const {
+std::uint64_t Counters::get(std::string_view name) const {
   auto it = counts_.find(name);
   return it == counts_.end() ? 0 : it->second;
 }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gv {
@@ -40,7 +41,9 @@ class Summary {
 // interpolate inside the winning bucket. Non-positive values share one
 // underflow bucket at zero. This is what core/metrics.h registers per
 // operation so latency percentiles survive a 750-cell campaign without
-// retaining millions of samples.
+// retaining millions of samples. Bucket counts live in one flat vector
+// spanning the lowest to the highest bucket used; empty buckets are
+// skipped, so results are those of a sparse map.
 class Histogram {
  public:
   void record(double v);
@@ -53,7 +56,8 @@ class Histogram {
   // p in [0,100]; estimate with bucket interpolation, clamped to the
   // observed [min, max].
   double percentile(double p) const;
-  std::size_t bucket_count() const noexcept { return buckets_.size(); }
+  // Number of non-empty buckets.
+  std::size_t bucket_count() const noexcept { return nonempty_; }
 
   // Merge another histogram into this one (same bucket layout).
   void merge(const Histogram& other);
@@ -61,8 +65,12 @@ class Histogram {
  private:
   static std::int32_t bucket_of(double v) noexcept;
   static double bucket_lower(std::int32_t idx) noexcept;
+  void add(std::int32_t idx, std::uint64_t n);
 
-  std::map<std::int32_t, std::uint64_t> buckets_;
+  std::uint64_t underflow_ = 0;        // non-positive values: the lowest bucket
+  std::int32_t base_ = 0;              // bucket index of buckets_[0]
+  std::vector<std::uint64_t> buckets_;  // counts for base_, base_ + 1, ...
+  std::size_t nonempty_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;
@@ -70,15 +78,25 @@ class Histogram {
 };
 
 // Named monotonically increasing counters, e.g. "bind.stale_attempts".
+// Lookups take a string_view, so incrementing an existing counter builds
+// no std::string.
 class Counters {
  public:
-  void inc(const std::string& name, std::uint64_t by = 1) { counts_[name] += by; }
-  std::uint64_t get(const std::string& name) const;
+  using Map = std::map<std::string, std::uint64_t, std::less<>>;
+
+  void inc(std::string_view name, std::uint64_t by = 1) {
+    auto it = counts_.lower_bound(name);
+    if (it != counts_.end() && it->first == name)
+      it->second += by;
+    else
+      counts_.emplace_hint(it, name, by);
+  }
+  std::uint64_t get(std::string_view name) const;
   void reset() { counts_.clear(); }
-  const std::map<std::string, std::uint64_t>& all() const noexcept { return counts_; }
+  const Map& all() const noexcept { return counts_; }
 
  private:
-  std::map<std::string, std::uint64_t> counts_;
+  Map counts_;
 };
 
 }  // namespace gv

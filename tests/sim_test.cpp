@@ -56,6 +56,33 @@ TEST(Simulator, RunUntilStopsAtLimit) {
   EXPECT_EQ(count, 3);
 }
 
+TEST(Simulator, RunUntilSkipsCancelledTopWithoutRunningPastLimit) {
+  Simulator sim;
+  SimTime ran_at = 0;
+  auto cancelled = sim.schedule(10, [] {});
+  sim.schedule(30, [&] { ran_at = sim.now(); });
+  sim.cancel(cancelled);
+  EXPECT_EQ(sim.run_until(20), 0u);
+  EXPECT_EQ(ran_at, 0u);  // the t=30 event must wait for its time
+  EXPECT_EQ(sim.now(), 20u);
+  EXPECT_EQ(sim.run_until(30), 1u);
+  EXPECT_EQ(ran_at, 30u);
+}
+
+TEST(Simulator, CancelAfterRunIsNoOp) {
+  Simulator sim;
+  int a = 0, b = 0;
+  auto first = sim.schedule(10, [&] { ++a; });
+  sim.run();
+  // The slot `first` used is free again; cancelling the stale id must not
+  // touch the event that reuses it.
+  sim.schedule(10, [&] { ++b; });
+  sim.cancel(first);
+  sim.run();
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b, 1);
+}
+
 TEST(Simulator, NestedSchedulingFromEvents) {
   Simulator sim;
   std::vector<SimTime> times;

@@ -351,7 +351,7 @@ TEST(TraceDeterminism, TracingOnOffIsInvisibleToTheSimulation) {
     struct Outcome {
       std::size_t events;
       int committed;
-      std::map<std::string, std::uint64_t> counters;
+      Counters::Map counters;
     };
     return Outcome{sys.sim().events_processed(), committed, sys.aggregate_counters().all()};
   };

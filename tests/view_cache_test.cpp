@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "actions/atomic_action.h"
 #include "core/system.h"
@@ -122,6 +123,55 @@ TEST(ViewEpochs, AbortNeverRewindsAnEpoch) {
     EXPECT_EQ(v.value().sv, (std::vector<NodeId>{2, 3, 4}));
     EXPECT_GT(f.gvdb->servers().epoch_of(f.obj), sv_dirty);
   }(f));
+}
+
+// The piggyback blob is built once per change and shared by every reply
+// until the next one; it must never lag the databases. Decode it after
+// each bump, abort and naming-node restart and compare with the entries.
+TEST(ViewEpochs, PiggybackBlobTracksEveryBumpAndIncarnation) {
+  Fixture f;
+  const Uid other{100, 2};
+  f.gvdb->create_object(other, {2, 3}, {2, 3});
+  const std::function<void(const char*)> expect_current = [&f](const char* when) {
+    Buffer blob = f.gvdb->piggyback_blob();
+    ASSERT_FALSE(blob.empty()) << when;
+    EXPECT_EQ(blob.unpack_u64().value(), f.cluster.node(0).epoch()) << when;
+    const std::uint8_t n = blob.unpack_u8().value();
+    for (std::uint8_t i = 0; i < n; ++i) {
+      const Uid object = blob.unpack_uid().value();
+      EXPECT_EQ(blob.unpack_u64().value(), f.gvdb->servers().epoch_of(object)) << when;
+      EXPECT_EQ(blob.unpack_u64().value(), f.gvdb->states().epoch_of(object)) << when;
+    }
+    EXPECT_EQ(blob.remaining(), 0u) << when;
+  };
+  EXPECT_TRUE(f.gvdb->piggyback_blob().empty());  // nothing bumped yet
+  f.run([](Fixture& f, Uid other,
+            const std::function<void(const char*)>& expect_current) -> sim::Task<> {
+    {
+      AtomicAction act{*f.rt};
+      EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 3, act.uid())).ok());
+      expect_current("after a dirty remove");
+      act.enlist({0, kOsdbService});
+      EXPECT_TRUE((co_await act.commit()).ok());
+    }
+    {
+      AtomicAction act{*f.rt};
+      std::vector<ExcludeItem> items;
+      items.push_back(ExcludeItem{other, {3}});
+      EXPECT_TRUE(
+          (co_await ostdb_exclude(f.rt->endpoint(), 0, std::move(items), act.uid())).ok());
+      act.enlist({0, kOstdbService});
+      (void)co_await act.abort();
+      expect_current("after an aborted exclude");
+    }
+    // Unchanged databases give the very same bytes.
+    const Buffer before = f.gvdb->piggyback_blob();
+    EXPECT_EQ(f.gvdb->piggyback_blob(), before);
+  }(f, other, expect_current));
+  // A restart reloads committed epochs only; the abort's bumps are gone.
+  f.cluster.node(0).crash();
+  f.cluster.node(0).recover();
+  expect_current("after a naming-node restart");
 }
 
 // -------------------------------------------------------- singleflight
