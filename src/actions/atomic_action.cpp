@@ -58,9 +58,8 @@ sim::Task<Status> AtomicAction::commit_nested() {
   // undo data, pending updates) to the parent, then the participant ref
   // itself moves up so top-level 2PC reaches it.
   for (const ParticipantRef& p : participants_) {
-    Buffer args;
-    args.pack_string(p.name).pack_uid(uid_).pack_uid(parent_->uid());
-    auto r = co_await rt_.endpoint().call(p.node, "txn", "nested_commit", std::move(args));
+    auto r = co_await rt_.endpoint().call(p.node, kTxnNestedCommit, p.name, uid_,
+                                          parent_->uid());
     if (!r.ok()) {
       // The participant is unreachable: its effects cannot be inherited,
       // so the nested action must abort instead (its caller may retry).
@@ -87,14 +86,7 @@ sim::Task<Status> AtomicAction::commit_top_level() {
                                        std::to_string(participants_.size()) + " participants");
   bool all_yes = true;
   for (const ParticipantRef& p : participants_) {
-    Buffer args;
-    args.pack_string(p.name).pack_uid(uid_);
-    auto r = co_await rt_.endpoint().call(p.node, "txn", "prepare", std::move(args));
-    if (!r.ok()) {
-      all_yes = false;
-      break;
-    }
-    auto vote = r.value().unpack_bool();
+    auto vote = co_await rt_.endpoint().call(p.node, kTxnPrepare, p.name, uid_);
     if (!vote.ok() || !vote.value()) {
       all_yes = false;
       break;
@@ -129,9 +121,7 @@ sim::Task<Status> AtomicAction::commit_top_level() {
   auto phase2_span = core::trace_span(rt_.trace(), "action.phase2", here, "action");
   const sim::SimTime t_phase2 = sim.now();
   for (const ParticipantRef& p : participants_) {
-    Buffer args;
-    args.pack_string(p.name).pack_uid(uid_);
-    auto r = co_await rt_.endpoint().call(p.node, "txn", "commit", std::move(args));
+    auto r = co_await rt_.endpoint().call(p.node, kTxnCommit, p.name, uid_);
     if (!r.ok()) rt_.counters().inc("action.commit_phase_miss");
   }
   core::metric_record(rt_.metrics(), "commit.phase2_us",
@@ -153,12 +143,11 @@ sim::Task<Status> AtomicAction::abort() {
          uid_.to_string().c_str());
   core::trace_instant(rt_.trace(), "action.decision", rt_.endpoint().node_id(), "action",
                       "abort");
-  const bool nested = !is_top_level();
+  // Chosen before the loop: GCC 12 miscompiles a ?: operand inside the
+  // arguments of a co_await-ed call (double-destroys a temporary).
+  const auto& method = is_top_level() ? kTxnAbort : kTxnNestedAbort;
   for (const ParticipantRef& p : participants_) {
-    Buffer args;
-    args.pack_string(p.name).pack_uid(uid_);
-    const char* method = nested ? "nested_abort" : "abort";
-    auto r = co_await rt_.endpoint().call(p.node, "txn", method, std::move(args));
+    auto r = co_await rt_.endpoint().call(p.node, method, p.name, uid_);
     if (!r.ok()) rt_.counters().inc("action.abort_phase_miss");
   }
   co_return Err::Aborted;
@@ -167,58 +156,40 @@ sim::Task<Status> AtomicAction::abort() {
 // -------------------------------------------------------------- registry
 
 TxnRegistry::TxnRegistry(rpc::RpcEndpoint& endpoint) : endpoint_(endpoint) {
-  auto lookup = [this](Buffer& args) -> ServerParticipant* {
-    auto name = args.unpack_string();
-    if (!name.ok()) return nullptr;
-    auto it = participants_.find(name.value());
-    return it == participants_.end() ? nullptr : it->second;
-  };
+  endpoint_.serve(kTxnPrepare,
+                  [this](NodeId, std::string name, Uid txn) -> sim::Task<Result<bool>> {
+                    ServerParticipant* p = find(name);
+                    if (p == nullptr) co_return Err::BadRequest;
+                    co_return co_await p->prepare(txn);
+                  });
+  endpoint_.serve(kTxnCommit, [this](NodeId, std::string name, Uid txn) -> sim::Task<Status> {
+    ServerParticipant* p = find(name);
+    if (p == nullptr) co_return Err::BadRequest;
+    co_return co_await p->commit(txn);
+  });
+  endpoint_.serve(kTxnAbort, [this](NodeId, std::string name, Uid txn) -> sim::Task<Status> {
+    ServerParticipant* p = find(name);
+    if (p == nullptr) co_return Err::BadRequest;
+    co_return co_await p->abort(txn);
+  });
+  endpoint_.serve(kTxnNestedCommit,
+                  [this](NodeId, std::string name, Uid child, Uid parent) -> Status {
+                    ServerParticipant* p = find(name);
+                    if (p == nullptr) return Err::BadRequest;
+                    p->nested_commit(child, parent);
+                    return ok_status();
+                  });
+  endpoint_.serve(kTxnNestedAbort, [this](NodeId, std::string name, Uid child) -> Status {
+    ServerParticipant* p = find(name);
+    if (p == nullptr) return Err::BadRequest;
+    p->nested_abort(child);
+    return ok_status();
+  });
+}
 
-  endpoint_.register_method(
-      "txn", "prepare", [this, lookup](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-        ServerParticipant* p = lookup(args);
-        auto txn = args.unpack_uid();
-        if (!p || !txn.ok()) co_return Err::BadRequest;
-        const bool vote = co_await p->prepare(txn.value());
-        Buffer out;
-        out.pack_bool(vote);
-        co_return out;
-      });
-  endpoint_.register_method(
-      "txn", "commit", [this, lookup](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-        ServerParticipant* p = lookup(args);
-        auto txn = args.unpack_uid();
-        if (!p || !txn.ok()) co_return Err::BadRequest;
-        Status s = co_await p->commit(txn.value());
-        if (!s.ok()) co_return s.error();
-        co_return Buffer{};
-      });
-  endpoint_.register_method(
-      "txn", "abort", [this, lookup](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-        ServerParticipant* p = lookup(args);
-        auto txn = args.unpack_uid();
-        if (!p || !txn.ok()) co_return Err::BadRequest;
-        Status s = co_await p->abort(txn.value());
-        if (!s.ok()) co_return s.error();
-        co_return Buffer{};
-      });
-  endpoint_.register_method(
-      "txn", "nested_commit", [this, lookup](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-        ServerParticipant* p = lookup(args);
-        auto child = args.unpack_uid();
-        auto parent = args.unpack_uid();
-        if (!p || !child.ok() || !parent.ok()) co_return Err::BadRequest;
-        p->nested_commit(child.value(), parent.value());
-        co_return Buffer{};
-      });
-  endpoint_.register_method(
-      "txn", "nested_abort", [this, lookup](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-        ServerParticipant* p = lookup(args);
-        auto child = args.unpack_uid();
-        if (!p || !child.ok()) co_return Err::BadRequest;
-        p->nested_abort(child.value());
-        co_return Buffer{};
-      });
+ServerParticipant* TxnRegistry::find(const std::string& name) const {
+  auto it = participants_.find(name);
+  return it == participants_.end() ? nullptr : it->second;
 }
 
 void TxnRegistry::add(const std::string& name, ServerParticipant* participant) {

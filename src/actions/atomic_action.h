@@ -151,6 +151,15 @@ class ServerParticipant {
   virtual void nested_abort(const Uid& child) = 0;
 };
 
+// The "txn" service's methods, declared once for the coordinator above
+// and the TxnRegistry below. Each names the participant, then the action
+// (nested_commit: the child, then its parent).
+inline constexpr rpc::Rpc<bool(std::string, Uid)> kTxnPrepare{"txn", "prepare"};
+inline constexpr rpc::Rpc<void(std::string, Uid)> kTxnCommit{"txn", "commit"};
+inline constexpr rpc::Rpc<void(std::string, Uid)> kTxnAbort{"txn", "abort"};
+inline constexpr rpc::Rpc<void(std::string, Uid, Uid)> kTxnNestedCommit{"txn", "nested_commit"};
+inline constexpr rpc::Rpc<void(std::string, Uid)> kTxnNestedAbort{"txn", "nested_abort"};
+
 // Per-node dispatcher for the "txn" RPC service.
 class TxnRegistry {
  public:
@@ -160,6 +169,8 @@ class TxnRegistry {
   void remove(const std::string& name);
 
  private:
+  ServerParticipant* find(const std::string& name) const;
+
   rpc::RpcEndpoint& endpoint_;
   std::unordered_map<std::string, ServerParticipant*> participants_;
 };

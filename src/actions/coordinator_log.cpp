@@ -3,27 +3,10 @@
 namespace gv::actions {
 
 CoordinatorLog::CoordinatorLog(rpc::RpcEndpoint& endpoint) {
-  endpoint.register_method("txnc", "outcome",
-                           [this](sim::NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto txn = args.unpack_uid();
-                             if (!txn.ok()) co_return Err::BadRequest;
-                             Buffer out;
-                             out.pack_u8(static_cast<std::uint8_t>(outcome(txn.value())));
-                             co_return out;
-                           });
+  endpoint.serve(kTxncOutcome, [this](sim::NodeId, Uid txn) -> Result<TxnOutcome> {
+    return outcome(txn);
+  });
   endpoint.node().on_crash([this] { outcomes_.clear(); });
-}
-
-sim::Task<Result<TxnOutcome>> CoordinatorLog::remote_outcome(rpc::RpcEndpoint& from,
-                                                             sim::NodeId coordinator_node,
-                                                             Uid txn) {
-  Buffer args;
-  args.pack_uid(txn);
-  auto r = co_await from.call(coordinator_node, "txnc", "outcome", std::move(args));
-  if (!r.ok()) co_return r.error();
-  auto o = r.value().unpack_u8();
-  if (!o.ok() || o.value() > 2) co_return Err::BadRequest;
-  co_return static_cast<TxnOutcome>(o.value());
 }
 
 }  // namespace gv::actions

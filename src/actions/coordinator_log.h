@@ -23,6 +23,10 @@
 namespace gv::actions {
 
 enum class TxnOutcome : std::uint8_t { Unknown = 0, Committed = 1, Aborted = 2 };
+constexpr TxnOutcome wire_last(TxnOutcome) { return TxnOutcome::Aborted; }
+
+// "txnc.outcome": the coordinator's decision on an action.
+inline constexpr rpc::Rpc<TxnOutcome(Uid)> kTxncOutcome{"txnc", "outcome"};
 
 class CoordinatorLog {
  public:
@@ -36,7 +40,9 @@ class CoordinatorLog {
 
   // Ask the coordinator on `coordinator_node` for the outcome of `txn`.
   static sim::Task<Result<TxnOutcome>> remote_outcome(rpc::RpcEndpoint& from,
-                                                      sim::NodeId coordinator_node, Uid txn);
+                                                      sim::NodeId coordinator_node, Uid txn) {
+    return from.call(coordinator_node, kTxncOutcome, txn);
+  }
 
  private:
   // Two bits per action the node ever decided: S2 makes every naming

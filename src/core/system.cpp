@@ -27,7 +27,7 @@ ReplicaSystem::ReplicaSystem(SystemConfig cfg)
         cluster_.node(id), fabric_->endpoint(id), *stores_.back(), naming_node(),
         hosts_.back().get()));
     recovery_.back()->runtime().set_obs(&trace_, &metrics_);
-    if (cfg_.start_store_reaper) stores_.back()->start_reaper(cfg_.store_reaper_period);
+    if (cfg_.start_store_reaper) stores_.back()->start_reaper();
     if (cfg_.start_view_probe && id != naming_node())
       recovery_.back()->start_view_probe(cfg_.view_probe_period);
   }
@@ -35,13 +35,11 @@ ReplicaSystem::ReplicaSystem(SystemConfig cfg)
   gvdb_ = std::make_unique<naming::GroupViewDb>(cluster_.node(naming_node()),
                                                 *stores_[naming_node()],
                                                 fabric_->endpoint(naming_node()),
-                                                *txns_[naming_node()], cfg_.naming,
-                                                cfg_.exclude_policy);
+                                                *txns_[naming_node()], cfg_.naming);
   gvdb_->servers().set_obs(&trace_, &metrics_);
   gvdb_->states().set_obs(&trace_, &metrics_);
   janitor_ = std::make_unique<naming::UseListJanitor>(gvdb_->servers(),
-                                                      fabric_->endpoint(naming_node()),
-                                                      cfg_.janitor_period);
+                                                      fabric_->endpoint(naming_node()));
   if (cfg_.start_janitor) janitor_->start();
 
   if (cfg_.view_cache) {

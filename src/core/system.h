@@ -56,24 +56,22 @@ struct SystemConfig {
   rpc::RpcConfig rpc;
   naming::NamingConfig naming;
   naming::Scheme scheme = naming::Scheme::IndependentTopLevel;
-  naming::ExcludePolicy exclude_policy = naming::ExcludePolicy::ExcludeWriteLock;
   // Sec 6: client-side caching of group views with commit-time epoch
   // validation. Off by default (the paper's S1-S3 run uncached). When on,
   // every node gets a GroupViewCache: binds hit it instead of the naming
   // databases, staleness is caught by one batched gvdb.validate per
   // commit, and invalidations ride the reply piggyback.
   bool view_cache = false;
-  // The janitor's periodic loop keeps the event queue non-empty; leave it
-  // off unless the workload needs crashed-client cleanup, and drive the
-  // simulation with run_until() (or janitor().stop() before run()).
+  // The janitor's periodic loop (every 100 ms) keeps the event queue
+  // non-empty; leave it off unless the workload needs crashed-client
+  // cleanup, and drive the simulation with run_until() (or
+  // janitor().stop() before run()).
   bool start_janitor = false;
-  sim::SimTime janitor_period = 100 * sim::kMillisecond;
   // Periodic loops below follow the same rule: off by default so plain
   // run() drains; enable for chaos workloads driven with run_until().
-  // Orphan-shadow reaper on every store (presume abort for shadows whose
-  // coordinator died undecided).
+  // Orphan-shadow reaper on every store, every 500 ms (presume abort for
+  // shadows whose coordinator died undecided).
   bool start_store_reaper = false;
-  sim::SimTime store_reaper_period = 500 * sim::kMillisecond;
   // Partition-heal view probe on every store node: notices this node was
   // Excluded from an St while it stayed up (no crash, so the recovery
   // hook never fired) and drives re-Include once the partition heals.

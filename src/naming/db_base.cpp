@@ -81,7 +81,7 @@ sim::Task<std::uint32_t> NamingDbBase::sweep_orphans() {
     // outlives any plausible action lifetime, or its owner (the client
     // process or its whole node) is provably gone — a failed outcome
     // call is NOT proof, so liveness comes from a ping.
-    const bool aged = node_.sim().now() - owner.last_seen > cfg_.orphan_action_age;
+    const bool aged = node_.sim().now() - owner.last_seen > kOrphanActionAge;
     bool dead = false;
     if (!aged) {
       auto ping = co_await endpoint_.call(owner.node, "sys", "ping", Buffer{},

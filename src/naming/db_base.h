@@ -41,14 +41,6 @@ struct NamingConfig {
   // up with LockRefused (the caller's action then aborts). Kept below the
   // RPC call timeout so the caller learns the precise reason.
   sim::SimTime lock_wait = 30 * sim::kMillisecond;
-
-  // Orphan cleanup (sec 4.1.3: "failure detection and cleanup protocols
-  // will be required"): an action whose client node no longer answers
-  // pings, or that has been idle longer than this, is presumed dead and
-  // aborted locally (rollback + lock release). Without it a client that
-  // crashes mid-action wedges the entry locks it held forever. Sweeps
-  // are event-driven: each refused lock wait triggers one.
-  sim::SimTime orphan_action_age = 3 * sim::kSecond;
 };
 
 class NamingDbBase : public actions::ServerParticipant {
@@ -103,6 +95,14 @@ class NamingDbBase : public actions::ServerParticipant {
   // `load_entries` replaces every entry with the stable records.
   virtual Buffer pack_entry(const Uid& entry) const = 0;
   virtual void load_entries(const std::map<Uid, Buffer>& records) = 0;
+
+  // Orphan cleanup (sec 4.1.3: "failure detection and cleanup protocols
+  // will be required"): an action whose client node no longer answers
+  // pings, or that has been idle longer than this, is presumed dead and
+  // aborted locally (rollback + lock release). Without it a client that
+  // crashes mid-action wedges the entry locks it held forever. Sweeps
+  // are event-driven: each refused lock wait triggers one.
+  static constexpr sim::SimTime kOrphanActionAge = 3 * sim::kSecond;
 
   // Schedule an orphan sweep if none is running (fire-and-forget).
   void trigger_orphan_sweep();

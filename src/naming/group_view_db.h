@@ -26,6 +26,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 
 #include "naming/object_server_db.h"
 #include "naming/object_state_db.h"
@@ -34,19 +35,26 @@ namespace gv::naming {
 
 inline constexpr const char* kGvdbService = "gvdb";
 
-// One object's fill inside a batched get_views reply.
-struct ViewFill {
-  Uid object;
-  bool found = false;
+// One object's Sv(A) and St(A) with their view epochs.
+struct ObjectViews {
   std::uint64_t sv_epoch = 0;
   std::vector<NodeId> sv;
   std::uint64_t st_epoch = 0;
   std::vector<NodeId> st;
+  GV_WIRE_FIELDS(sv_epoch, sv, st_epoch, st)
+};
+
+// One object's fill inside a batched get_views reply.
+struct ViewFill {
+  Uid object;
+  std::optional<ObjectViews> view;  // empty: the object is not registered
+  GV_WIRE_FIELDS(object, view)
 };
 
 struct GetViewsReply {
   std::uint64_t incarnation = 0;  // naming node incarnation at snapshot
   std::vector<ViewFill> views;
+  GV_WIRE_FIELDS(incarnation, views)
 };
 
 // One object's staleness check inside a batched validate call.
@@ -54,7 +62,15 @@ struct ValidateItem {
   Uid object;
   std::uint64_t sv_epoch = 0;
   std::uint64_t st_epoch = 0;
+  GV_WIRE_FIELDS(object, sv_epoch, st_epoch)
 };
+
+// The gvdb service's methods, declared once for the registration and the
+// client stubs below. validate takes (action, incarnation, items).
+inline constexpr rpc::Rpc<GetViewsReply(std::vector<Uid>)> kGvdbGetViews{kGvdbService,
+                                                                         "get_views"};
+inline constexpr rpc::Rpc<void(Uid, std::uint64_t, std::vector<ValidateItem>)> kGvdbValidate{
+    kGvdbService, "validate"};
 
 class GroupViewDb {
  public:
@@ -85,8 +101,9 @@ class GroupViewDb {
  private:
   void note_invalidation(const Uid& object);
   void register_rpc(rpc::RpcEndpoint& endpoint);
-  sim::Task<Result<Buffer>> handle_get_views(Buffer args);
-  sim::Task<Result<Buffer>> handle_validate(NodeId from, Buffer args);
+  Result<GetViewsReply> get_views(const std::vector<Uid>& objects);
+  sim::Task<Status> validate(NodeId from, Uid action, std::uint64_t incarnation,
+                             std::vector<ValidateItem> items);
 
   sim::Node& node_;
   ObjectServerDb servers_;
@@ -102,10 +119,14 @@ class GroupViewDb {
 };
 
 // Client stubs for the combined service.
-sim::Task<Result<GetViewsReply>> gvdb_get_views(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                                std::vector<Uid> objects);
-sim::Task<Status> gvdb_validate(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                std::uint64_t incarnation, std::vector<ValidateItem> items,
-                                Uid action);
+inline sim::Task<Result<GetViewsReply>> gvdb_get_views(rpc::RpcEndpoint& ep, NodeId naming_node,
+                                                       std::vector<Uid> objects) {
+  return ep.call(naming_node, kGvdbGetViews, objects);
+}
+inline sim::Task<Status> gvdb_validate(rpc::RpcEndpoint& ep, NodeId naming_node,
+                                       std::uint64_t incarnation, std::vector<ValidateItem> items,
+                                       Uid action) {
+  return ep.call(naming_node, kGvdbValidate, action, incarnation, items);
+}
 
 }  // namespace gv::naming

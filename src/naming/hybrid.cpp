@@ -28,46 +28,15 @@ void PlainNameServer::remove(const Uid& object, NodeId host) {
 }
 
 void PlainNameServer::register_rpc(rpc::RpcEndpoint& endpoint) {
-  endpoint.register_method(kPnsService, "get",
-                           [this](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto object = args.unpack_uid();
-                             if (!object.ok()) co_return Err::BadRequest;
-                             counters_.inc("pns.get");
-                             auto r = get(object.value());
-                             if (!r.ok()) co_return r.error();
-                             Buffer out;
-                             out.pack_u32_vector(
-                                 std::vector<std::uint32_t>(r.value().begin(), r.value().end()));
-                             co_return out;
-                           });
-  endpoint.register_method(kPnsService, "remove",
-                           [this](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto object = args.unpack_uid();
-                             auto host = args.unpack_u32();
-                             if (!object.ok() || !host.ok()) co_return Err::BadRequest;
-                             counters_.inc("pns.remove");
-                             remove(object.value(), host.value());
-                             co_return Buffer{};
-                           });
-}
-
-sim::Task<Result<std::vector<NodeId>>> pns_get(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                               Uid object) {
-  Buffer args;
-  args.pack_uid(object);
-  auto r = co_await ep.call(naming_node, kPnsService, "get", std::move(args));
-  if (!r.ok()) co_return r.error();
-  auto sv = r.value().unpack_u32_vector();
-  if (!sv.ok()) co_return Err::BadRequest;
-  co_return std::vector<NodeId>(sv.value().begin(), sv.value().end());
-}
-
-sim::Task<Status> pns_remove(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object, NodeId host) {
-  Buffer args;
-  args.pack_uid(object).pack_u32(host);
-  auto r = co_await ep.call(naming_node, kPnsService, "remove", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
+  endpoint.serve(kPnsGet, [this](NodeId, Uid object) {
+    counters_.inc("pns.get");
+    return get(object);
+  });
+  endpoint.serve(kPnsRemove, [this](NodeId, Uid object, NodeId host) -> Status {
+    counters_.inc("pns.remove");
+    remove(object, host);
+    return ok_status();
+  });
 }
 
 sim::Task<Result<BindResult>> HybridBinder::bind(Uid object, std::size_t want, Probe probe) {

@@ -50,10 +50,20 @@ class PlainNameServer {
   Counters counters_;
 };
 
+// The pns service's methods, declared once for the registration and the
+// client stubs below.
+inline constexpr rpc::Rpc<std::vector<NodeId>(Uid)> kPnsGet{kPnsService, "get"};
+inline constexpr rpc::Rpc<void(Uid, NodeId)> kPnsRemove{kPnsService, "remove"};
+
 // Client stubs.
-sim::Task<Result<std::vector<NodeId>>> pns_get(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                               Uid object);
-sim::Task<Status> pns_remove(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object, NodeId host);
+inline sim::Task<Result<std::vector<NodeId>>> pns_get(rpc::RpcEndpoint& ep, NodeId naming_node,
+                                                      Uid object) {
+  return ep.call(naming_node, kPnsGet, object);
+}
+inline sim::Task<Status> pns_remove(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
+                                    NodeId host) {
+  return ep.call(naming_node, kPnsRemove, object, host);
+}
 
 // Binder over the plain name server: lookup without any lock, probe,
 // best-effort remove of failed servers (non-atomic!). No use lists —

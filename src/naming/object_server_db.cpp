@@ -269,212 +269,47 @@ std::vector<NodeId> ObjectServerDb::clients_in_use() const {
 // ------------------------------------------------------------ persistence
 
 Buffer ObjectServerDb::pack_entry(const Uid& object) const {
-  const Entry& e = entries_.at(object);
-  Buffer b;
-  b.pack_u64(e.epoch);
-  b.pack_u32_vector(std::vector<std::uint32_t>(e.sv.begin(), e.sv.end()));
-  b.pack_u32(static_cast<std::uint32_t>(e.use.size()));
-  for (const auto& [server, clients] : e.use) {
-    b.pack_u32(server);
-    b.pack_u32(static_cast<std::uint32_t>(clients.size()));
-    for (const auto& [client, count] : clients) b.pack_u32(client).pack_u32(count);
-  }
-  return b;
+  return rpc::encode(entries_.at(object));
 }
 
 void ObjectServerDb::load_entries(const std::map<Uid, Buffer>& records) {
-  auto unpack = [](Buffer b, Entry& e) {
-    auto epoch = b.unpack_u64();
-    auto sv = b.unpack_u32_vector();
-    auto nuse = b.unpack_u32();
-    if (!epoch.ok() || !sv.ok() || !nuse.ok()) return false;
-    e.epoch = epoch.value();
-    e.sv.assign(sv.value().begin(), sv.value().end());
-    for (std::uint32_t j = 0; j < nuse.value(); ++j) {
-      auto server = b.unpack_u32();
-      auto nclients = b.unpack_u32();
-      if (!server.ok() || !nclients.ok()) return false;
-      auto& clients = e.use[server.value()];
-      for (std::uint32_t k = 0; k < nclients.value(); ++k) {
-        auto client = b.unpack_u32();
-        auto count = b.unpack_u32();
-        if (!client.ok() || !count.ok()) return false;
-        clients[client.value()] = count.value();
-      }
-    }
-    return true;
-  };
   entries_.clear();
   for (const auto& [object, record] : records) {
+    Buffer b = record;
     Entry e;
-    if (unpack(record, e)) entries_[object] = std::move(e);
+    if (rpc::decode(b, e)) entries_[object] = std::move(e);
   }
 }
 
 // --------------------------------------------------------------- RPC glue
 
-namespace {
-
-Buffer pack_view(const SvView& v) {
-  Buffer out;
-  out.reserve(8 + 4 + 4 * v.sv.size() + 4 + 12 * v.use.size());
-  out.pack_u64(v.epoch);
-  out.pack_u32_vector(std::vector<std::uint32_t>(v.sv.begin(), v.sv.end()));
-  out.pack_u32(static_cast<std::uint32_t>(v.use.size()));
-  for (const auto& u : v.use) out.pack_u32(u.server).pack_u32(u.client).pack_u32(u.count);
-  return out;
-}
-
-Result<SvView> unpack_view(Buffer& b) {
-  auto epoch = b.unpack_u64();
-  auto sv = b.unpack_u32_vector();
-  auto n = b.unpack_u32();
-  if (!epoch.ok() || !sv.ok() || !n.ok()) return Err::BadRequest;
-  SvView v;
-  v.epoch = epoch.value();
-  v.sv.assign(sv.value().begin(), sv.value().end());
-  for (std::uint32_t i = 0; i < n.value(); ++i) {
-    auto server = b.unpack_u32();
-    auto client = b.unpack_u32();
-    auto count = b.unpack_u32();
-    if (!server.ok() || !client.ok() || !count.ok()) return Err::BadRequest;
-    v.use.push_back(UseEntry{server.value(), client.value(), count.value()});
-  }
-  return v;
-}
-
-}  // namespace
-
 void ObjectServerDb::register_rpc(rpc::RpcEndpoint& endpoint) {
-  endpoint.register_method(kOsdbService, "get_server",
-                           [this](NodeId from, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto object = args.unpack_uid();
-                             auto action = args.unpack_uid();
-                             auto for_update = args.unpack_bool();
-                             if (!object.ok() || !action.ok() || !for_update.ok())
-                               co_return Err::BadRequest;
-                             note_activity(action.value(), from);
-                             auto r = co_await get_server(object.value(), action.value(),
-                                                          for_update.value());
-                             if (!r.ok()) co_return r.error();
-                             co_return pack_view(r.value());
-                           });
-  endpoint.register_method(kOsdbService, "insert",
-                           [this](NodeId from, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto object = args.unpack_uid();
-                             auto host = args.unpack_u32();
-                             auto action = args.unpack_uid();
-                             if (!object.ok() || !host.ok() || !action.ok())
-                               co_return Err::BadRequest;
-                             note_activity(action.value(), from);
-                             Status s =
-                                 co_await insert(object.value(), host.value(), action.value());
-                             if (!s.ok()) co_return s.error();
-                             co_return Buffer{};
-                           });
-  endpoint.register_method(kOsdbService, "remove",
-                           [this](NodeId from, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto object = args.unpack_uid();
-                             auto host = args.unpack_u32();
-                             auto action = args.unpack_uid();
-                             if (!object.ok() || !host.ok() || !action.ok())
-                               co_return Err::BadRequest;
-                             note_activity(action.value(), from);
-                             Status s =
-                                 co_await remove(object.value(), host.value(), action.value());
-                             if (!s.ok()) co_return s.error();
-                             co_return Buffer{};
-                           });
-  auto use_list_op = [this](bool inc) {
-    return [this, inc](NodeId from, Buffer args) -> sim::Task<Result<Buffer>> {
-      auto object = args.unpack_uid();
-      auto client = args.unpack_u32();
-      auto hosts = args.unpack_u32_vector();
-      auto action = args.unpack_uid();
-      if (!object.ok() || !client.ok() || !hosts.ok() || !action.ok()) co_return Err::BadRequest;
-      note_activity(action.value(), from);
-      std::vector<NodeId> host_ids(hosts.value().begin(), hosts.value().end());
-      // Plain if/else: GCC 12 miscompiles co_await inside ?: operands
-      // (double-destroys the selected temporary task).
-      Status s = Err::BadRequest;
-      if (inc)
-        s = co_await increment(object.value(), client.value(), std::move(host_ids),
-                               action.value());
-      else
-        s = co_await decrement(object.value(), client.value(), std::move(host_ids),
-                               action.value());
-      if (!s.ok()) co_return s.error();
-      co_return Buffer{};
-    };
-  };
-  endpoint.register_method(kOsdbService, "increment", use_list_op(true));
-  endpoint.register_method(kOsdbService, "decrement", use_list_op(false));
-  endpoint.register_method(kOsdbService, "purge_client",
-                           [this](NodeId from, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto client = args.unpack_u32();
-                             auto action = args.unpack_uid();
-                             if (!client.ok() || !action.ok()) co_return Err::BadRequest;
-                             note_activity(action.value(), from);
-                             auto r = co_await purge_client(client.value(), action.value());
-                             if (!r.ok()) co_return r.error();
-                             Buffer out;
-                             out.pack_u32(r.value());
-                             co_return out;
-                           });
-}
-
-// ------------------------------------------------------------ client stubs
-
-sim::Task<Result<SvView>> osdb_get_server(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                          Uid action, bool for_update) {
-  Buffer args;
-  args.pack_uid(object).pack_uid(action).pack_bool(for_update);
-  auto r = co_await ep.call(naming_node, kOsdbService, "get_server", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return unpack_view(r.value());
-}
-
-sim::Task<Status> osdb_insert(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object, NodeId host,
-                              Uid action) {
-  Buffer args;
-  args.pack_uid(object).pack_u32(host).pack_uid(action);
-  auto r = co_await ep.call(naming_node, kOsdbService, "insert", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Status> osdb_remove(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object, NodeId host,
-                              Uid action) {
-  Buffer args;
-  args.pack_uid(object).pack_u32(host).pack_uid(action);
-  auto r = co_await ep.call(naming_node, kOsdbService, "remove", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-namespace {
-sim::Task<Status> use_list_call(rpc::RpcEndpoint& ep, NodeId naming_node, const char* method,
-                                Uid object, NodeId client, std::vector<NodeId> hosts, Uid action) {
-  Buffer args;
-  args.pack_uid(object).pack_u32(client);
-  args.pack_u32_vector(std::vector<std::uint32_t>(hosts.begin(), hosts.end()));
-  args.pack_uid(action);
-  auto r = co_await ep.call(naming_node, kOsdbService, method, std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-}  // namespace
-
-sim::Task<Status> osdb_increment(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                 NodeId client, std::vector<NodeId> hosts, Uid action) {
-  co_return co_await use_list_call(ep, naming_node, "increment", object, client, std::move(hosts),
-                                   action);
-}
-
-sim::Task<Status> osdb_decrement(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                 NodeId client, std::vector<NodeId> hosts, Uid action) {
-  co_return co_await use_list_call(ep, naming_node, "decrement", object, client, std::move(hosts),
-                                   action);
+  endpoint.serve(kOsdbGetServer, [this](NodeId from, Uid object, Uid action, bool for_update) {
+    note_activity(action, from);
+    return get_server(object, action, for_update);
+  });
+  endpoint.serve(kOsdbInsert, [this](NodeId from, Uid object, NodeId host, Uid action) {
+    note_activity(action, from);
+    return insert(object, host, action);
+  });
+  endpoint.serve(kOsdbRemove, [this](NodeId from, Uid object, NodeId host, Uid action) {
+    note_activity(action, from);
+    return remove(object, host, action);
+  });
+  endpoint.serve(kOsdbIncrement, [this](NodeId from, Uid object, NodeId client,
+                                        std::vector<NodeId> hosts, Uid action) {
+    note_activity(action, from);
+    return increment(object, client, std::move(hosts), action);
+  });
+  endpoint.serve(kOsdbDecrement, [this](NodeId from, Uid object, NodeId client,
+                                        std::vector<NodeId> hosts, Uid action) {
+    note_activity(action, from);
+    return decrement(object, client, std::move(hosts), action);
+  });
+  endpoint.serve(kOsdbPurgeClient, [this](NodeId from, NodeId client, Uid action) {
+    note_activity(action, from);
+    return purge_client(client, action);
+  });
 }
 
 }  // namespace gv::naming

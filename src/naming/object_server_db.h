@@ -39,6 +39,7 @@ struct UseEntry {
   NodeId server = 0;
   NodeId client = 0;
   std::uint32_t count = 0;
+  GV_WIRE_FIELDS(server, client, count)
 };
 
 struct SvView {
@@ -49,6 +50,8 @@ struct SvView {
   // Bumped on every membership mutation — Insert, Remove — AND on the
   // rollback of one, so a dirty read that later aborts still invalidates.
   std::uint64_t epoch = 0;
+
+  GV_WIRE_FIELDS(epoch, sv, use)
 
   bool quiescent() const noexcept { return use.empty(); }
   bool in_use(NodeId server) const noexcept {
@@ -102,11 +105,12 @@ class ObjectServerDb final : public NamingDbBase {
   void set_epoch_listener(std::function<void(const Uid&)> fn) { epoch_listener_ = std::move(fn); }
 
  private:
-  struct Entry {
+  struct Entry {  // also the entry's stable record
     std::vector<NodeId> sv;
     // server node -> (client node -> count)
     std::map<NodeId, std::map<NodeId, std::uint32_t>> use;
     std::uint64_t epoch = 1;
+    GV_WIRE_FIELDS(epoch, sv, use)
   };
 
   static std::string lock_name(const Uid& object) { return "sv:" + object.to_string(); }
@@ -121,18 +125,41 @@ class ObjectServerDb final : public NamingDbBase {
   std::function<void(const Uid&)> epoch_listener_;
 };
 
+// The osdb service's methods, declared once for the registration and the
+// client stubs below, which give each argument's meaning.
+inline constexpr rpc::Rpc<SvView(Uid, Uid, bool)> kOsdbGetServer{kOsdbService, "get_server"};
+inline constexpr rpc::Rpc<void(Uid, NodeId, Uid)> kOsdbInsert{kOsdbService, "insert"};
+inline constexpr rpc::Rpc<void(Uid, NodeId, Uid)> kOsdbRemove{kOsdbService, "remove"};
+inline constexpr rpc::Rpc<void(Uid, NodeId, std::vector<NodeId>, Uid)> kOsdbIncrement{
+    kOsdbService, "increment"};
+inline constexpr rpc::Rpc<void(Uid, NodeId, std::vector<NodeId>, Uid)> kOsdbDecrement{
+    kOsdbService, "decrement"};
+// (client, action) -> use counts purged
+inline constexpr rpc::Rpc<std::uint32_t(NodeId, Uid)> kOsdbPurgeClient{kOsdbService,
+                                                                       "purge_client"};
+
 // ------------------------------------------------------- client stubs
 // Thin client-side wrappers used by the binder strategies.
 
-sim::Task<Result<SvView>> osdb_get_server(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                          Uid action, bool for_update = false);
-sim::Task<Status> osdb_insert(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object, NodeId host,
-                              Uid action);
-sim::Task<Status> osdb_remove(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object, NodeId host,
-                              Uid action);
-sim::Task<Status> osdb_increment(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                 NodeId client, std::vector<NodeId> hosts, Uid action);
-sim::Task<Status> osdb_decrement(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                 NodeId client, std::vector<NodeId> hosts, Uid action);
+inline sim::Task<Result<SvView>> osdb_get_server(rpc::RpcEndpoint& ep, NodeId naming_node,
+                                                 Uid object, Uid action, bool for_update = false) {
+  return ep.call(naming_node, kOsdbGetServer, object, action, for_update);
+}
+inline sim::Task<Status> osdb_insert(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
+                                     NodeId host, Uid action) {
+  return ep.call(naming_node, kOsdbInsert, object, host, action);
+}
+inline sim::Task<Status> osdb_remove(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
+                                     NodeId host, Uid action) {
+  return ep.call(naming_node, kOsdbRemove, object, host, action);
+}
+inline sim::Task<Status> osdb_increment(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
+                                        NodeId client, std::vector<NodeId> hosts, Uid action) {
+  return ep.call(naming_node, kOsdbIncrement, object, client, hosts, action);
+}
+inline sim::Task<Status> osdb_decrement(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
+                                        NodeId client, std::vector<NodeId> hosts, Uid action) {
+  return ep.call(naming_node, kOsdbDecrement, object, client, hosts, action);
+}
 
 }  // namespace gv::naming

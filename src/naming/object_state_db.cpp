@@ -173,135 +173,37 @@ sim::Task<Status> ObjectStateDb::include(Uid object, NodeId host, Uid action) {
 // ------------------------------------------------------------ persistence
 
 Buffer ObjectStateDb::pack_entry(const Uid& object) const {
-  const Entry& e = entries_.at(object);
-  Buffer b;
-  b.pack_u64(e.epoch);
-  b.pack_u32_vector(std::vector<std::uint32_t>(e.st.begin(), e.st.end()));
-  return b;
+  return rpc::encode(entries_.at(object));
 }
 
 void ObjectStateDb::load_entries(const std::map<Uid, Buffer>& records) {
   entries_.clear();
   for (const auto& [object, record] : records) {
     Buffer b = record;
-    auto epoch = b.unpack_u64();
-    auto st = b.unpack_u32_vector();
-    if (!epoch.ok() || !st.ok()) continue;
     Entry e;
-    e.epoch = epoch.value();
-    e.st.assign(st.value().begin(), st.value().end());
-    entries_[object] = std::move(e);
+    if (rpc::decode(b, e)) entries_[object] = std::move(e);
   }
 }
 
 // --------------------------------------------------------------- RPC glue
 
 void ObjectStateDb::register_rpc(rpc::RpcEndpoint& endpoint) {
-  endpoint.register_method(kOstdbService, "get_view",
-                           [this](NodeId from, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto object = args.unpack_uid();
-                             auto action = args.unpack_uid();
-                             if (!object.ok() || !action.ok()) co_return Err::BadRequest;
-                             note_activity(action.value(), from);
-                             auto r = co_await get_view(object.value(), action.value());
-                             if (!r.ok()) co_return r.error();
-                             Buffer out;
-                             out.pack_u64(r.value().epoch);
-                             out.pack_u32_vector(std::vector<std::uint32_t>(
-                                 r.value().st.begin(), r.value().st.end()));
-                             co_return out;
-                           });
-  endpoint.register_method(
-      kOstdbService, "exclude", [this](NodeId from, Buffer args) -> sim::Task<Result<Buffer>> {
-        auto n = args.unpack_u32();
-        if (!n.ok()) co_return Err::BadRequest;
-        std::vector<ExcludeItem> items;
-        for (std::uint32_t i = 0; i < n.value(); ++i) {
-          auto object = args.unpack_uid();
-          auto nodes = args.unpack_u32_vector();
-          if (!object.ok() || !nodes.ok()) co_return Err::BadRequest;
-          items.push_back(
-              ExcludeItem{object.value(), {nodes.value().begin(), nodes.value().end()}});
-        }
-        auto action = args.unpack_uid();
-        if (!action.ok()) co_return Err::BadRequest;
-        note_activity(action.value(), from);
-        Status s = co_await exclude(std::move(items), action.value());
-        if (!s.ok()) co_return s.error();
-        co_return Buffer{};
-      });
-  endpoint.register_method(kOstdbService, "peek",
-                           [this](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto object = args.unpack_uid();
-                             if (!object.ok()) co_return Err::BadRequest;
-                             if (!known(object.value())) co_return Err::NotFound;
-                             const std::vector<NodeId> st = peek(object.value());
-                             Buffer out;
-                             out.pack_u32_vector(
-                                 std::vector<std::uint32_t>(st.begin(), st.end()));
-                             co_return out;
-                           });
-  endpoint.register_method(kOstdbService, "include",
-                           [this](NodeId from, Buffer args) -> sim::Task<Result<Buffer>> {
-                             auto object = args.unpack_uid();
-                             auto host = args.unpack_u32();
-                             auto action = args.unpack_uid();
-                             if (!object.ok() || !host.ok() || !action.ok())
-                               co_return Err::BadRequest;
-                             note_activity(action.value(), from);
-                             Status s =
-                                 co_await include(object.value(), host.value(), action.value());
-                             if (!s.ok()) co_return s.error();
-                             co_return Buffer{};
-                           });
-}
-
-// ------------------------------------------------------------ client stubs
-
-sim::Task<Result<StView>> ostdb_get_view(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                         Uid action) {
-  Buffer args;
-  args.pack_uid(object).pack_uid(action);
-  auto r = co_await ep.call(naming_node, kOstdbService, "get_view", std::move(args));
-  if (!r.ok()) co_return r.error();
-  auto epoch = r.value().unpack_u64();
-  auto st = r.value().unpack_u32_vector();
-  if (!epoch.ok() || !st.ok()) co_return Err::BadRequest;
-  co_return StView{{st.value().begin(), st.value().end()}, epoch.value()};
-}
-
-sim::Task<Status> ostdb_exclude(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                std::vector<ExcludeItem> items, Uid action) {
-  Buffer args;
-  args.pack_u32(static_cast<std::uint32_t>(items.size()));
-  for (const auto& item : items) {
-    args.pack_uid(item.object);
-    args.pack_u32_vector(std::vector<std::uint32_t>(item.nodes.begin(), item.nodes.end()));
-  }
-  args.pack_uid(action);
-  auto r = co_await ep.call(naming_node, kOstdbService, "exclude", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Status> ostdb_include(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object, NodeId host,
-                                Uid action) {
-  Buffer args;
-  args.pack_uid(object).pack_u32(host).pack_uid(action);
-  auto r = co_await ep.call(naming_node, kOstdbService, "include", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Result<std::vector<NodeId>>> ostdb_peek(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                                  Uid object) {
-  Buffer args;
-  args.pack_uid(object);
-  auto r = co_await ep.call(naming_node, kOstdbService, "peek", std::move(args));
-  if (!r.ok()) co_return r.error();
-  auto st = r.value().unpack_u32_vector();
-  if (!st.ok()) co_return Err::BadRequest;
-  co_return std::vector<NodeId>(st.value().begin(), st.value().end());
+  endpoint.serve(kOstdbGetView, [this](NodeId from, Uid object, Uid action) {
+    note_activity(action, from);
+    return get_view(object, action);
+  });
+  endpoint.serve(kOstdbExclude, [this](NodeId from, std::vector<ExcludeItem> items, Uid action) {
+    note_activity(action, from);
+    return exclude(std::move(items), action);
+  });
+  endpoint.serve(kOstdbPeek, [this](NodeId, Uid object) -> Result<std::vector<NodeId>> {
+    if (!known(object)) return Err::NotFound;
+    return peek(object);
+  });
+  endpoint.serve(kOstdbInclude, [this](NodeId from, Uid object, NodeId host, Uid action) {
+    note_activity(action, from);
+    return include(object, host, action);
+  });
 }
 
 }  // namespace gv::naming

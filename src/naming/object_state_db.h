@@ -41,6 +41,7 @@ enum class ExcludePolicy { ExcludeWriteLock, PromoteToWrite };
 struct ExcludeItem {
   Uid object;
   std::vector<NodeId> nodes;
+  GV_WIRE_FIELDS(object, nodes)
 };
 
 // St(A) plus its monotonic view epoch (mirrors SvView.epoch: bumped on
@@ -48,6 +49,7 @@ struct ExcludeItem {
 struct StView {
   std::vector<NodeId> st;
   std::uint64_t epoch = 0;
+  GV_WIRE_FIELDS(epoch, st)
 };
 
 class ObjectStateDb final : public NamingDbBase {
@@ -82,9 +84,10 @@ class ObjectStateDb final : public NamingDbBase {
   void set_epoch_listener(std::function<void(const Uid&)> fn) { epoch_listener_ = std::move(fn); }
 
  private:
-  struct Entry {
+  struct Entry {  // also the entry's stable record
     std::vector<NodeId> st;
     std::uint64_t epoch = 1;
+    GV_WIRE_FIELDS(epoch, st)
   };
 
   static std::string lock_name(const Uid& object) { return "st:" + object.to_string(); }
@@ -99,16 +102,32 @@ class ObjectStateDb final : public NamingDbBase {
   std::function<void(const Uid&)> epoch_listener_;
 };
 
+// The ostdb service's methods, declared once for the registration and the
+// client stubs below, which give each argument's meaning.
+inline constexpr rpc::Rpc<StView(Uid, Uid)> kOstdbGetView{kOstdbService, "get_view"};
+inline constexpr rpc::Rpc<void(std::vector<ExcludeItem>, Uid)> kOstdbExclude{kOstdbService,
+                                                                             "exclude"};
+inline constexpr rpc::Rpc<void(Uid, NodeId, Uid)> kOstdbInclude{kOstdbService, "include"};
+inline constexpr rpc::Rpc<std::vector<NodeId>(Uid)> kOstdbPeek{kOstdbService, "peek"};
+
 // Client stubs.
-sim::Task<Result<StView>> ostdb_get_view(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                         Uid action);
-sim::Task<Status> ostdb_exclude(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                std::vector<ExcludeItem> items, Uid action);
-sim::Task<Status> ostdb_include(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object, NodeId host,
-                                Uid action);
+inline sim::Task<Result<StView>> ostdb_get_view(rpc::RpcEndpoint& ep, NodeId naming_node,
+                                                Uid object, Uid action) {
+  return ep.call(naming_node, kOstdbGetView, object, action);
+}
+inline sim::Task<Status> ostdb_exclude(rpc::RpcEndpoint& ep, NodeId naming_node,
+                                       std::vector<ExcludeItem> items, Uid action) {
+  return ep.call(naming_node, kOstdbExclude, items, action);
+}
+inline sim::Task<Status> ostdb_include(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
+                                       NodeId host, Uid action) {
+  return ep.call(naming_node, kOstdbInclude, object, host, action);
+}
 // Lock-free St(A) snapshot (no action, no lock): advisory only — may be
 // stale the instant it returns. Used by the partition-heal view probe.
-sim::Task<Result<std::vector<NodeId>>> ostdb_peek(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                                  Uid object);
+inline sim::Task<Result<std::vector<NodeId>>> ostdb_peek(rpc::RpcEndpoint& ep,
+                                                         NodeId naming_node, Uid object) {
+  return ep.call(naming_node, kOstdbPeek, object);
+}
 
 }  // namespace gv::naming

@@ -72,9 +72,10 @@ sim::Task<Status> GroupViewCache::fetch(std::vector<Uid> objects) {
     auto r = co_await gvdb_get_views(ep_, naming_node_, mine);
     if (r.ok()) {
       for (ViewFill& fill : r.value().views) {
-        if (!fill.found) continue;
-        entries_[fill.object] = Entry{std::move(fill.sv), fill.sv_epoch, std::move(fill.st),
-                                      fill.st_epoch, r.value().incarnation};
+        if (!fill.view) continue;
+        ObjectViews& v = *fill.view;
+        entries_[fill.object] =
+            Entry{std::move(v.sv), v.sv_epoch, std::move(v.st), v.st_epoch, r.value().incarnation};
       }
     } else {
       out = r.error();

@@ -336,6 +336,14 @@ void ObjectServerHost::nested_commit(const Uid& child, const Uid& parent) {
     }
     if (a.modified_by.erase(child) > 0) a.modified_by.insert(parent);
   }
+  // The parent inherits the child's locks, so it inherits orphan tracking
+  // too: left keyed by the child, a dead client's lock would never be
+  // swept.
+  auto oit = owners_.find(child);
+  if (oit != owners_.end()) {
+    note_owner(parent, oit->second.node);
+    owners_.erase(oit);
+  }
 }
 
 void ObjectServerHost::nested_abort(const Uid& child) {
@@ -348,6 +356,7 @@ void ObjectServerHost::nested_abort(const Uid& child) {
     }
     a.modified_by.erase(child);
   }
+  owners_.erase(child);
   locks_.release_all(child);
 }
 
@@ -359,235 +368,78 @@ void ObjectServerHost::join_group(const Uid& object) {
 }
 
 void ObjectServerHost::on_group_deliver(NodeId, Buffer msg) {
-  auto inv_id = msg.unpack_u64();
-  auto reply_to = msg.unpack_u32();
-  auto wire_trace = msg.unpack_u64();
-  auto wire_span = msg.unpack_u64();
-  auto object = msg.unpack_uid();
-  auto action = msg.unpack_uid();
-  auto ancestors = msg.unpack_uid_vector();
-  auto mode = msg.unpack_u8();
-  auto op = msg.unpack_string();
-  auto args = msg.unpack_bytes();
-  if (!inv_id.ok() || !reply_to.ok() || !wire_trace.ok() || !wire_span.ok() || !object.ok() ||
-      !action.ok() || !ancestors.ok() || !mode.ok() || !op.ok() || !args.ok())
-    return;
-  const TraceContext wire_ctx{wire_trace.value(), wire_span.value()};
+  GroupInvocation g;
+  if (!rpc::decode(msg, g)) return;
   // Apply and reply point-to-point; the handler runs as its own process,
   // parented under the client's multicast span so every member of the
   // fan-out hangs off the same invocation node in the trace tree.
-  node_.sim().spawn([](ObjectServerHost& self, std::uint64_t inv, NodeId reply_to,
-                       TraceContext wire_ctx, Uid object, Uid action, std::vector<Uid> ancestors,
-                       actions::LockMode mode, std::string op, Buffer args) -> sim::Task<> {
-    auto span = core::trace_span_under(self.endpoint_.trace(), wire_ctx, "ginv.serve",
-                                       self.node_.id(), "ginv", object.to_string());
-    Result<Buffer> r = co_await self.invoke(object, action, std::move(ancestors), mode,
-                                            std::move(op), std::move(args), reply_to);
+  node_.sim().spawn([](ObjectServerHost& self, GroupInvocation g) -> sim::Task<> {
+    auto span = core::trace_span_under(self.endpoint_.trace(), TraceContext{g.trace, g.span},
+                                       "ginv.serve", self.node_.id(), "ginv", g.object.to_string());
+    Result<Buffer> r = co_await self.invoke(g.object, g.action, std::move(g.ancestors), g.mode,
+                                            std::move(g.op), std::move(g.args), g.reply_to);
     span.end(r.ok() ? "ok" : to_string(r.error()));
-    Buffer reply;
-    reply.pack_u64(inv);
-    reply.pack_u32(static_cast<std::uint32_t>(r.ok() ? Err::None : r.error()));
-    reply.pack_bytes(r.ok() ? r.value() : Buffer{});
+    // Built before the co_await below: GCC 12 miscompiles a ?: operand
+    // inside the arguments of a co_await-ed call (double free).
+    const auto err = static_cast<std::uint32_t>(r.ok() ? Err::None : r.error());
+    const Buffer result = r.ok() ? std::move(r).value() : Buffer{};
     // One-way notification; errors are irrelevant (client takes first).
-    (void)co_await self.endpoint_.call(reply_to, "ginv", "reply", std::move(reply));
-  }(*this, inv_id.value(), reply_to.value(), wire_ctx, object.value(), action.value(),
-    std::move(ancestors).value(), static_cast<actions::LockMode>(mode.value()),
-    std::move(op).value(), std::move(args).value()));
+    (void)co_await self.endpoint_.call(g.reply_to, kGinvReply, g.id, err, result);
+  }(*this, std::move(g)));
 }
 
 // --------------------------------------------------------------- RPC glue
 
 void ObjectServerHost::register_rpc() {
-  endpoint_.register_method(
-      kObjSrvService, "activate", [this](NodeId, Buffer a) -> sim::Task<Result<Buffer>> {
-        auto object = a.unpack_uid();
-        auto cls = a.unpack_string();
-        auto st = a.unpack_u32_vector();
-        if (!object.ok() || !cls.ok() || !st.ok()) co_return Err::BadRequest;
-        Status s = co_await activate(object.value(), std::move(cls).value(),
-                                     {st.value().begin(), st.value().end()});
-        if (!s.ok()) co_return s.error();
-        co_return Buffer{};
-      });
-  endpoint_.register_method(
-      kObjSrvService, "invoke", [this](NodeId from, Buffer a) -> sim::Task<Result<Buffer>> {
-        auto object = a.unpack_uid();
-        auto action = a.unpack_uid();
-        auto ancestors = a.unpack_uid_vector();
-        auto mode = a.unpack_u8();
-        auto op = a.unpack_string();
-        auto args = a.unpack_bytes();
-        if (!object.ok() || !action.ok() || !ancestors.ok() || !mode.ok() || !op.ok() ||
-            !args.ok())
-          co_return Err::BadRequest;
-        co_return co_await invoke(object.value(), action.value(), std::move(ancestors).value(),
-                                  static_cast<actions::LockMode>(mode.value()),
-                                  std::move(op).value(), std::move(args).value(), from);
-      });
-  endpoint_.register_method(
-      kObjSrvService, "state_for_commit", [this](NodeId, Buffer a) -> sim::Task<Result<Buffer>> {
-        auto object = a.unpack_uid();
-        auto txn = a.unpack_uid();
-        if (!object.ok() || !txn.ok()) co_return Err::BadRequest;
-        auto r = state_for_commit(object.value(), txn.value());
-        if (!r.ok()) co_return r.error();
-        Buffer out;
-        out.pack_u64(r.value().version).pack_bool(r.value().modified).pack_bytes(
-            r.value().snapshot);
-        co_return out;
-      });
-  endpoint_.register_method(kObjSrvService, "mark_committed",
-                            [this](NodeId, Buffer a) -> sim::Task<Result<Buffer>> {
-                              auto object = a.unpack_uid();
-                              auto ver = a.unpack_u64();
-                              if (!object.ok() || !ver.ok()) co_return Err::BadRequest;
-                              mark_committed(object.value(), ver.value());
-                              co_return Buffer{};
-                            });
-  endpoint_.register_method(
-      kObjSrvService, "cohort_checkpoint", [this](NodeId, Buffer a) -> sim::Task<Result<Buffer>> {
-        auto object = a.unpack_uid();
-        auto cls = a.unpack_string();
-        auto ver = a.unpack_u64();
-        auto snap = a.unpack_bytes();
-        if (!object.ok() || !cls.ok() || !ver.ok() || !snap.ok()) co_return Err::BadRequest;
-        Status s = activate_from_snapshot(object.value(), cls.value(), ver.value(),
-                                          std::move(snap).value());
-        if (!s.ok()) co_return s.error();
-        co_return Buffer{};
-      });
-  endpoint_.register_method(kObjSrvService, "is_active",
-                            [this](NodeId, Buffer a) -> sim::Task<Result<Buffer>> {
-                              auto object = a.unpack_uid();
-                              if (!object.ok()) co_return Err::BadRequest;
-                              Buffer out;
-                              out.pack_bool(is_active(object.value()));
-                              co_return out;
-                            });
-  endpoint_.register_method(kObjSrvService, "join_group",
-                            [this](NodeId, Buffer a) -> sim::Task<Result<Buffer>> {
-                              auto object = a.unpack_uid();
-                              if (!object.ok()) co_return Err::BadRequest;
-                              if (!is_active(object.value())) co_return Err::NotFound;
-                              join_group(object.value());
-                              co_return Buffer{};
-                            });
-  endpoint_.register_method(kObjSrvService, "passivate",
-                            [this](NodeId, Buffer a) -> sim::Task<Result<Buffer>> {
-                              auto object = a.unpack_uid();
-                              if (!object.ok()) co_return Err::BadRequest;
-                              Status s = passivate(object.value());
-                              if (!s.ok()) co_return s.error();
-                              co_return Buffer{};
-                            });
-}
-
-// ------------------------------------------------------------ client stubs
-
-sim::Task<Status> objsrv_activate(rpc::RpcEndpoint& ep, NodeId server, Uid object,
-                                  std::string class_name, std::vector<NodeId> st_nodes,
-                                  sim::SimTime timeout) {
-  Buffer a;
-  a.pack_uid(object).pack_string(class_name);
-  a.pack_u32_vector({st_nodes.begin(), st_nodes.end()});
-  auto r = co_await ep.call(server, kObjSrvService, "activate", std::move(a), timeout);
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Result<Buffer>> objsrv_invoke(rpc::RpcEndpoint& ep, NodeId server, Uid object,
-                                        Uid action, std::vector<Uid> ancestors,
-                                        actions::LockMode mode, std::string op, Buffer args) {
-  Buffer a;
-  a.pack_uid(object).pack_uid(action).pack_uid_vector(ancestors);
-  a.pack_u8(static_cast<std::uint8_t>(mode));
-  a.pack_string(op).pack_bytes(args);
-  co_return co_await ep.call(server, kObjSrvService, "invoke", std::move(a));
-}
-
-sim::Task<Result<ObjectServerHost::StateForCommit>> objsrv_state_for_commit(rpc::RpcEndpoint& ep,
-                                                                            NodeId server,
-                                                                            Uid object, Uid txn) {
-  Buffer a;
-  a.pack_uid(object).pack_uid(txn);
-  auto r = co_await ep.call(server, kObjSrvService, "state_for_commit", std::move(a));
-  if (!r.ok()) co_return r.error();
-  auto ver = r.value().unpack_u64();
-  auto modified = r.value().unpack_bool();
-  auto snap = r.value().unpack_bytes();
-  if (!ver.ok() || !modified.ok() || !snap.ok()) co_return Err::BadRequest;
-  co_return ObjectServerHost::StateForCommit{ver.value(), modified.value(),
-                                             std::move(snap).value()};
-}
-
-sim::Task<Status> objsrv_mark_committed(rpc::RpcEndpoint& ep, NodeId server, Uid object,
-                                        std::uint64_t new_version) {
-  Buffer a;
-  a.pack_uid(object).pack_u64(new_version);
-  auto r = co_await ep.call(server, kObjSrvService, "mark_committed", std::move(a));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Status> objsrv_cohort_checkpoint(rpc::RpcEndpoint& ep, NodeId server, Uid object,
-                                           std::string class_name, std::uint64_t version,
-                                           Buffer snapshot) {
-  Buffer a;
-  a.pack_uid(object).pack_string(class_name).pack_u64(version).pack_bytes(snapshot);
-  auto r = co_await ep.call(server, kObjSrvService, "cohort_checkpoint", std::move(a));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Result<bool>> objsrv_is_active(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
-  Buffer a;
-  a.pack_uid(object);
-  auto r = co_await ep.call(server, kObjSrvService, "is_active", std::move(a));
-  if (!r.ok()) co_return r.error();
-  auto b = r.value().unpack_bool();
-  if (!b.ok()) co_return Err::BadRequest;
-  co_return b.value();
-}
-
-sim::Task<Status> objsrv_join_group(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
-  Buffer a;
-  a.pack_uid(object);
-  auto r = co_await ep.call(server, kObjSrvService, "join_group", std::move(a));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Status> objsrv_passivate(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
-  Buffer a;
-  a.pack_uid(object);
-  auto r = co_await ep.call(server, kObjSrvService, "passivate", std::move(a));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
+  endpoint_.serve(kObjsrvActivate,
+                  [this](NodeId, Uid object, std::string cls, std::vector<NodeId> st) {
+                    return activate(object, std::move(cls), std::move(st));
+                  });
+  endpoint_.serve(kObjsrvInvoke, [this](NodeId from, Uid object, Uid action,
+                                        std::vector<Uid> ancestors, actions::LockMode mode,
+                                        std::string op, Buffer args) {
+    return invoke(object, action, std::move(ancestors), mode, std::move(op), std::move(args),
+                  from);
+  });
+  endpoint_.serve(kObjsrvStateForCommit,
+                  [this](NodeId, Uid object, Uid txn) { return state_for_commit(object, txn); });
+  endpoint_.serve(kObjsrvMarkCommitted,
+                  [this](NodeId, Uid object, std::uint64_t version) -> Status {
+                    mark_committed(object, version);
+                    return ok_status();
+                  });
+  endpoint_.serve(kObjsrvCohortCheckpoint, [this](NodeId, Uid object, std::string cls,
+                                                  std::uint64_t version, Buffer snapshot) {
+    return activate_from_snapshot(object, cls, version, std::move(snapshot));
+  });
+  endpoint_.serve(kObjsrvIsActive,
+                  [this](NodeId, Uid object) -> Result<bool> { return is_active(object); });
+  endpoint_.serve(kObjsrvJoinGroup, [this](NodeId, Uid object) -> Status {
+    if (!is_active(object)) return Err::NotFound;
+    join_group(object);
+    return ok_status();
+  });
+  endpoint_.serve(kObjsrvPassivate, [this](NodeId, Uid object) { return passivate(object); });
 }
 
 // ------------------------------------------------------------ GroupInvoker
 
 GroupInvoker::GroupInvoker(rpc::RpcEndpoint& endpoint, rpc::GroupComm& gc)
     : endpoint_(endpoint), gc_(gc) {
-  endpoint_.register_method("ginv", "reply",
-                            [this](NodeId, Buffer msg) -> sim::Task<Result<Buffer>> {
-                              auto inv = msg.unpack_u64();
-                              auto err = msg.unpack_u32();
-                              auto payload = msg.unpack_bytes();
-                              if (!inv.ok() || !err.ok() || !payload.ok())
-                                co_return Err::BadRequest;
-                              auto it = pending_.find(inv.value());
-                              if (it != pending_.end()) {
-                                counters_.inc("ginv.reply");
-                                if (static_cast<Err>(err.value()) == Err::None)
-                                  it->second.set_value(std::move(payload).value());
-                                else
-                                  it->second.set_value(static_cast<Err>(err.value()));
-                              } else {
-                                counters_.inc("ginv.late_reply");
-                              }
-                              co_return Buffer{};
-                            });
+  endpoint_.serve(kGinvReply, [this](NodeId, std::uint64_t inv, std::uint32_t err,
+                                     Buffer payload) -> Status {
+    auto it = pending_.find(inv);
+    if (it == pending_.end()) {
+      counters_.inc("ginv.late_reply");
+      return ok_status();
+    }
+    counters_.inc("ginv.reply");
+    if (static_cast<Err>(err) == Err::None)
+      it->second.set_value(std::move(payload));
+    else
+      it->second.set_value(static_cast<Err>(err));
+    return ok_status();
+  });
 }
 
 sim::Task<Result<Buffer>> GroupInvoker::invoke(const std::string& group, Uid object, Uid action,
@@ -614,13 +466,10 @@ sim::Task<Result<Buffer>> GroupInvoker::invoke(const std::string& group, Uid obj
     p.set_value(Err::Timeout);
   });
 
-  Buffer msg;
-  msg.pack_u64(inv).pack_u32(endpoint_.node_id());
-  msg.pack_u64(ctx.trace).pack_u64(ctx.span);
-  msg.pack_uid(object).pack_uid(action);
-  msg.pack_uid_vector(ancestors);
-  msg.pack_u8(static_cast<std::uint8_t>(mode)).pack_string(op).pack_bytes(args);
-  gc_.multicast(endpoint_.node_id(), group, std::move(msg), rpc::McastMode::ReliableOrdered);
+  const GroupInvocation msg{inv,    endpoint_.node_id(), ctx.trace,      ctx.span,
+                            object, action,              std::move(ancestors), mode,
+                            std::move(op), std::move(args)};
+  gc_.multicast(endpoint_.node_id(), group, rpc::encode(msg), rpc::McastMode::ReliableOrdered);
   counters_.inc("ginv.multicast");
 
   Result<Buffer> result = co_await future;

@@ -93,6 +93,7 @@ class ObjectServerHost final : public actions::ServerParticipant {
     std::uint64_t version = 0;
     bool modified = false;
     Buffer snapshot;
+    GV_WIRE_FIELDS(version, modified, snapshot)
   };
   Result<StateForCommit> state_for_commit(const Uid& object, const Uid& txn) const;
 
@@ -185,29 +186,83 @@ class ObjectServerHost final : public actions::ServerParticipant {
   Counters counters_;
 };
 
+// The objsrv service's methods, declared once for the registration and
+// the client stubs below, which give each argument's meaning.
+inline constexpr rpc::Rpc<void(Uid, std::string, std::vector<NodeId>)> kObjsrvActivate{
+    kObjSrvService, "activate"};
+inline constexpr rpc::Rpc<Buffer(Uid, Uid, std::vector<Uid>, actions::LockMode, std::string,
+                                 Buffer)>
+    kObjsrvInvoke{kObjSrvService, "invoke"};
+inline constexpr rpc::Rpc<ObjectServerHost::StateForCommit(Uid, Uid)> kObjsrvStateForCommit{
+    kObjSrvService, "state_for_commit"};
+inline constexpr rpc::Rpc<void(Uid, std::uint64_t)> kObjsrvMarkCommitted{kObjSrvService,
+                                                                         "mark_committed"};
+inline constexpr rpc::Rpc<void(Uid, std::string, std::uint64_t, Buffer)> kObjsrvCohortCheckpoint{
+    kObjSrvService, "cohort_checkpoint"};
+inline constexpr rpc::Rpc<bool(Uid)> kObjsrvIsActive{kObjSrvService, "is_active"};
+inline constexpr rpc::Rpc<void(Uid)> kObjsrvJoinGroup{kObjSrvService, "join_group"};
+inline constexpr rpc::Rpc<void(Uid)> kObjsrvPassivate{kObjSrvService, "passivate"};
+
+// The group-invocation multicast: which client call it answers (the
+// invocation id and the node to reply to), the caller's trace context,
+// then the invocation itself.
+struct GroupInvocation {
+  std::uint64_t id = 0;
+  NodeId reply_to = sim::kNoNode;
+  std::uint64_t trace = 0;
+  std::uint64_t span = 0;
+  Uid object;
+  Uid action;
+  std::vector<Uid> ancestors;
+  actions::LockMode mode = actions::LockMode::Read;
+  std::string op;
+  Buffer args;
+  GV_WIRE_FIELDS(id, reply_to, trace, span, object, action, ancestors, mode, op, args)
+};
+
+// "ginv.reply": a member's answer to a group invocation (the invocation
+// id, its Err as a u32, and the operation's result when that is None).
+inline constexpr rpc::Rpc<void(std::uint64_t, std::uint32_t, Buffer)> kGinvReply{"ginv", "reply"};
+
 // --------------------------------------------------------- client stubs
 
 // `timeout` bounds the probe round-trip: activation doubles as the
 // binder's failure detector, so it must not inherit a generous data-path
 // RPC deadline (a dead candidate would stall binding while the caller
 // holds naming-database locks).
-sim::Task<Status> objsrv_activate(rpc::RpcEndpoint& ep, NodeId server, Uid object,
-                                  std::string class_name, std::vector<NodeId> st_nodes,
-                                  sim::SimTime timeout = 60 * sim::kMillisecond);
-sim::Task<Result<Buffer>> objsrv_invoke(rpc::RpcEndpoint& ep, NodeId server, Uid object,
-                                        Uid action, std::vector<Uid> ancestors,
-                                        actions::LockMode mode, std::string op, Buffer args);
-sim::Task<Result<ObjectServerHost::StateForCommit>> objsrv_state_for_commit(rpc::RpcEndpoint& ep,
-                                                                            NodeId server,
-                                                                            Uid object, Uid txn);
-sim::Task<Status> objsrv_mark_committed(rpc::RpcEndpoint& ep, NodeId server, Uid object,
-                                        std::uint64_t new_version);
-sim::Task<Status> objsrv_cohort_checkpoint(rpc::RpcEndpoint& ep, NodeId server, Uid object,
-                                           std::string class_name, std::uint64_t version,
-                                           Buffer snapshot);
-sim::Task<Result<bool>> objsrv_is_active(rpc::RpcEndpoint& ep, NodeId server, Uid object);
-sim::Task<Status> objsrv_passivate(rpc::RpcEndpoint& ep, NodeId server, Uid object);
-sim::Task<Status> objsrv_join_group(rpc::RpcEndpoint& ep, NodeId server, Uid object);
+inline sim::Task<Status> objsrv_activate(rpc::RpcEndpoint& ep, NodeId server, Uid object,
+                                         std::string class_name, std::vector<NodeId> st_nodes,
+                                         sim::SimTime timeout = 60 * sim::kMillisecond) {
+  return ep.call(server, timeout, kObjsrvActivate, object, class_name, st_nodes);
+}
+inline sim::Task<Result<Buffer>> objsrv_invoke(rpc::RpcEndpoint& ep, NodeId server, Uid object,
+                                               Uid action, std::vector<Uid> ancestors,
+                                               actions::LockMode mode, std::string op,
+                                               Buffer args) {
+  return ep.call(server, kObjsrvInvoke, object, action, ancestors, mode, op, args);
+}
+inline sim::Task<Result<ObjectServerHost::StateForCommit>> objsrv_state_for_commit(
+    rpc::RpcEndpoint& ep, NodeId server, Uid object, Uid txn) {
+  return ep.call(server, kObjsrvStateForCommit, object, txn);
+}
+inline sim::Task<Status> objsrv_mark_committed(rpc::RpcEndpoint& ep, NodeId server, Uid object,
+                                               std::uint64_t new_version) {
+  return ep.call(server, kObjsrvMarkCommitted, object, new_version);
+}
+inline sim::Task<Status> objsrv_cohort_checkpoint(rpc::RpcEndpoint& ep, NodeId server,
+                                                  Uid object, std::string class_name,
+                                                  std::uint64_t version, Buffer snapshot) {
+  return ep.call(server, kObjsrvCohortCheckpoint, object, class_name, version, snapshot);
+}
+inline sim::Task<Result<bool>> objsrv_is_active(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
+  return ep.call(server, kObjsrvIsActive, object);
+}
+inline sim::Task<Status> objsrv_passivate(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
+  return ep.call(server, kObjsrvPassivate, object);
+}
+inline sim::Task<Status> objsrv_join_group(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
+  return ep.call(server, kObjsrvJoinGroup, object);
+}
 
 // ----------------------------------------------------------- GroupInvoker
 // Client-side collector for active-replication invocations: multicasts

@@ -8,31 +8,4 @@ sim::Task<bool> FailureDetector::alive(NodeId target) {
   co_return r.ok();
 }
 
-std::shared_ptr<FailureDetector::Monitor> FailureDetector::watch(NodeId target,
-                                                                 sim::SimTime period,
-                                                                 std::function<void()> on_failure) {
-  auto handle = std::make_shared<Monitor>();
-  endpoint_.node().sim().spawn(run_monitor(target, period, std::move(on_failure), handle));
-  return handle;
-}
-
-sim::Task<> FailureDetector::run_monitor(NodeId target, sim::SimTime period,
-                                         std::function<void()> on_failure,
-                                         std::shared_ptr<Monitor> handle) {
-  const std::uint64_t my_epoch = endpoint_.node().epoch();
-  while (!handle->cancelled) {
-    co_await endpoint_.node().sim().sleep(period);
-    // The monitor belongs to one incarnation of this node.
-    if (handle->cancelled || !endpoint_.node().up() || endpoint_.node().epoch() != my_epoch)
-      co_return;
-    const bool ok = co_await alive(target);
-    if (handle->cancelled || !endpoint_.node().up() || endpoint_.node().epoch() != my_epoch)
-      co_return;
-    if (!ok) {
-      on_failure();
-      co_return;
-    }
-  }
-}
-
 }  // namespace gv::rpc

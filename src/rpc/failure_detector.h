@@ -8,9 +8,6 @@
 // timeout heuristic: ping with an RPC deadline.
 #pragma once
 
-#include <functional>
-#include <memory>
-
 #include "rpc/rpc.h"
 #include "sim/task.h"
 
@@ -26,22 +23,7 @@ class FailureDetector {
   // protocols above are designed to tolerate that.)
   sim::Task<bool> alive(NodeId target);
 
-  // Periodic monitor: ping `target` every `period`; invoke `on_failure`
-  // once when a probe fails, then stop. The monitor also stops when this
-  // node crashes (its epoch changes) or when the returned handle is
-  // cancelled.
-  struct Monitor {
-    bool cancelled = false;
-  };
-  std::shared_ptr<Monitor> watch(NodeId target, sim::SimTime period,
-                                 std::function<void()> on_failure);
-
-  sim::SimTime ping_timeout() const noexcept { return ping_timeout_; }
-
  private:
-  sim::Task<> run_monitor(NodeId target, sim::SimTime period, std::function<void()> on_failure,
-                          std::shared_ptr<Monitor> handle);
-
   RpcEndpoint& endpoint_;
   sim::SimTime ping_timeout_;
 };

@@ -18,22 +18,6 @@ constexpr std::uint8_t kKindReply = 1;
 constexpr std::size_t kRequestOverhead = 1 + 8 * 5 + 4;
 }  // namespace
 
-std::uint64_t RpcEndpoint::op_hash(const std::string& service,
-                                   const std::string& method) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(service);
-  h ^= '.';
-  h *= 0x100000001b3ull;
-  mix(method);
-  return h;
-}
-
 RpcEndpoint::RpcEndpoint(sim::Node& node, sim::Network& net, RpcConfig cfg)
     : node_(node), net_(net), cfg_(cfg), rng_(node.sim().rng().fork()) {
   net_.register_handler(node_.id(), [this](NodeId from, Buffer msg) { on_message(from, msg); });
@@ -75,8 +59,12 @@ bool DedupWindow::first_delivery(std::uint64_t req_id) {
 
 void RpcEndpoint::register_method(const std::string& service, const std::string& method,
                                   Method fn) {
-  const std::uint64_t op = op_hash(service, method);
-  const std::string name = service + "." + method;
+  register_op(OpName{service.c_str(), method.c_str(), op_hash(service, method)}, std::move(fn));
+}
+
+void RpcEndpoint::register_op(const OpName& op_name, Method fn) {
+  const std::uint64_t op = op_name.op;
+  const std::string name = std::string(op_name.service) + "." + op_name.method;
   auto it = op_names_.find(op);
   // A collision between two distinct op names would silently misroute
   // calls; with a handful of ops per node the chance is negligible, but
@@ -141,33 +129,31 @@ sim::SimFuture<Result<Buffer>> RpcEndpoint::send_request(NodeId dest, std::uint6
   return future;
 }
 
-void RpcEndpoint::record_latency(std::uint64_t op, const std::string& service,
-                                 const std::string& method, sim::SimTime t0) {
+void RpcEndpoint::record_latency(const OpName& name, sim::SimTime t0) {
   if (metrics_ == nullptr) return;
   if (latency_generation_ != metrics_->generation()) {
     latency_.clear();  // the registry was cleared: every handle dangles
     latency_generation_ = metrics_->generation();
   }
-  auto [it, fresh] = latency_.try_emplace(op, nullptr);
-  if (fresh) it->second = &metrics_->histogram("rpc." + service + "." + method + "_us");
+  auto [it, fresh] = latency_.try_emplace(name.op, nullptr);
+  if (fresh)
+    it->second = &metrics_->histogram(std::string("rpc.") + name.service + "." + name.method +
+                                      "_us");
   it->second->record(static_cast<double>(node_.sim().now() - t0));
+}
+
+core::TraceRecorder::Span RpcEndpoint::call_span(const OpName& name, const char* what,
+                                                 NodeId dest) {
+  if (!core::tracing(trace_)) return {};
+  return core::trace_span(trace_, std::string("rpc.") + name.service + "." + name.method,
+                          node_.id(), "rpc", what + std::to_string(dest));
 }
 
 sim::Task<Result<Buffer>> RpcEndpoint::call(NodeId dest, std::string service, std::string method,
                                             Buffer args, sim::SimTime timeout) {
-  if (!node_.up()) co_return Err::NodeDown;
-
-  auto span = core::tracing(trace_)
-                  ? core::trace_span(trace_, "rpc." + service + "." + method, node_.id(), "rpc",
-                                     "dest=" + std::to_string(dest))
-                  : core::TraceRecorder::Span{};
-  const sim::SimTime t0 = node_.sim().now();
-  const std::uint64_t op = op_hash(service, method);
-  // No epoch expectation: an unbound call.
-  Result<Buffer> result = co_await send_request(dest, 0, op, std::move(args), timeout);
-  record_latency(op, service, method, t0);
-  span.end(result.ok() ? "ok" : to_string(result.error()));
-  co_return result;
+  co_return co_await call_op<Buffer>(
+      dest, OpName{service.c_str(), method.c_str(), op_hash(service, method)}, std::move(args),
+      timeout);
 }
 
 sim::Task<Result<Buffer>> RpcEndpoint::call_bound(Binding& binding, std::string service,
@@ -175,47 +161,22 @@ sim::Task<Result<Buffer>> RpcEndpoint::call_bound(Binding& binding, std::string 
   if (!binding.valid()) co_return Err::BindingBroken;
   if (!node_.up()) co_return Err::NodeDown;
 
-  const bool traced = core::tracing(trace_);
-  auto span = traced ? core::trace_span(trace_, "rpc." + service + "." + method, node_.id(), "rpc",
-                                        "bound dest=" + std::to_string(binding.server))
-                     : core::TraceRecorder::Span{};
+  const OpName name{service.c_str(), method.c_str(), op_hash(service, method)};
+  auto span = call_span(name, "bound dest=", binding.server);
   const sim::SimTime t0 = node_.sim().now();
-  const std::uint64_t op = op_hash(service, method);
   // Expected incarnation, +1 so that 0 means none.
-  Result<Buffer> result = co_await send_request(binding.server, binding.epoch + 1, op,
+  Result<Buffer> result = co_await send_request(binding.server, binding.epoch + 1, name.op,
                                                 std::move(args), cfg_.call_timeout);
-  record_latency(op, service, method, t0);
+  record_latency(name, t0);
   if (!result.ok() && (result.error() == Err::Timeout || result.error() == Err::BindingBroken ||
                        result.error() == Err::NodeDown)) {
     // The server incarnation is gone or unreachable; per sec 3.1 the
     // binding is broken for the remainder of the action.
     binding.broken = true;
-    if (traced)
+    if (core::tracing(trace_))
       core::trace_instant(trace_, "rpc.binding_broken", node_.id(), "rpc", service + "." + method);
   }
   span.end(result.ok() ? "ok" : to_string(result.error()));
-  co_return result;
-}
-
-sim::Task<Result<Buffer>> RpcEndpoint::call_with_retry(NodeId dest, std::string service,
-                                                       std::string method, Buffer args) {
-  Backoff backoff{cfg_.backoff(), rng_.fork()};
-  const std::uint32_t attempts = cfg_.retry_attempts == 0 ? 1 : cfg_.retry_attempts;
-  Result<Buffer> result = Err::Timeout;
-  for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      if (core::tracing(trace_))
-        core::trace_instant(trace_, "rpc.retry", node_.id(), "rpc",
-                            service + "." + method + " attempt=" + std::to_string(attempt + 1));
-      if (metrics_ != nullptr) metrics_->counters().inc("rpc.retries");
-      co_await node_.sim().sleep(backoff.next());
-      if (!node_.up()) co_return Err::NodeDown;
-    }
-    result = co_await call(dest, service, method, args);
-    // Only transport loss is worth re-trying; everything else (including
-    // NodeDown: local knowledge that the destination is gone) is final.
-    if (result.ok() || result.error() != Err::Timeout) co_return result;
-  }
   co_return result;
 }
 

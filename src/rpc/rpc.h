@@ -5,6 +5,14 @@
 // make nested RPCs (e.g. an object server fetching state from an object
 // store while serving an activation request).
 //
+// Typed methods (the stub layer): each service declares its methods once
+// as Rpc<R(A...)> values. serve() registers a handler taking
+// (NodeId from, A... args); call() sends A... and yields Result<R>. Both
+// marshal through the wire codec (rpc/wire.h), so a handler or a call
+// whose types differ from the declaration does not compile. A request is
+// decoded in full before its handler runs; one that does not decode is
+// refused with BadRequest.
+//
 // Bindings (sec 3.1): a client's binding to a server is created when the
 // first invocation is made and carries the server node's epoch. If the
 // server node crashes, the binding is broken and STAYS broken for the
@@ -13,17 +21,24 @@
 // protocol (sec 4.2) before serving again.
 #pragma once
 
+#include <cassert>
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/trace.h"
+#include "rpc/wire.h"
 #include "sim/future.h"
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/task.h"
-#include "util/backoff.h"
 #include "util/buffer.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -34,7 +49,6 @@ class Histogram;
 }  // namespace gv
 
 namespace gv::core {
-class TraceRecorder;
 class MetricsRegistry;
 }  // namespace gv::core
 
@@ -53,20 +67,130 @@ struct Binding {
 
 struct RpcConfig {
   sim::SimTime call_timeout = 50 * sim::kMillisecond;
-
-  // Retry policy for call_with_retry: exponential backoff between
-  // attempts with deterministic jitter (the endpoint's Rng is forked from
-  // the simulation RNG, so retry schedules replay exactly from the seed).
-  std::uint32_t retry_attempts = 3;  // total attempts, including the first
-  sim::SimTime retry_initial = 10 * sim::kMillisecond;
-  sim::SimTime retry_max = 200 * sim::kMillisecond;
-  double retry_multiplier = 2.0;
-  double retry_jitter = 0.2;  // +/- fraction of each delay
-
-  BackoffConfig backoff() const noexcept {
-    return BackoffConfig{retry_initial, retry_max, retry_multiplier, retry_jitter};
-  }
 };
+
+// Operations travel the wire as the 64-bit FNV-1a of "service.method"
+// rather than the string pair itself: 8 fixed bytes instead of a
+// length-prefixed name on every request, and handler dispatch becomes a
+// u64 hash lookup. Registration keeps the readable name for trace labels
+// and asserts against hash collisions.
+constexpr std::uint64_t op_hash(std::string_view service, std::string_view method) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](unsigned char c) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  };
+  for (char c : service) mix(static_cast<unsigned char>(c));
+  mix('.');
+  for (char c : method) mix(static_cast<unsigned char>(c));
+  return h;
+}
+
+// A method's wire identity: its readable name (trace spans, latency
+// histograms) and the op hash that travels in its place.
+struct OpName {
+  const char* service;
+  const char* method;
+  std::uint64_t op;
+};
+
+// One method's declaration: Rpc<R(A...)> takes arguments A... and replies
+// R. A `void` reply is empty; a `Buffer` reply is the reply body itself.
+template <typename Sig>
+struct Rpc;
+template <typename R, typename... A>
+struct Rpc<R(A...)> {
+  constexpr Rpc(const char* service, const char* method)
+      : name{service, method, op_hash(service, method)} {}
+  OpName name;
+};
+
+// A handler's result as its reply body.
+template <typename R>
+Result<Buffer> encode_reply(Result<R> r) {
+  if (!r.ok()) return r.error();
+  if constexpr (std::is_void_v<R>)
+    return Buffer{};
+  else if constexpr (std::is_same_v<R, Buffer>)
+    return std::move(r).value();
+  else
+    return encode(r.value());
+}
+
+// A reply body as the caller's result, decoded in place.
+template <typename R>
+Result<R> decode_reply(Buffer& body) {
+  if constexpr (std::is_void_v<R>) {
+    return ok_status();
+  } else if constexpr (std::is_same_v<R, Buffer>) {
+    return std::move(body);
+  } else {
+    Result<R> out{R{}};
+    if (!wire::get(body, out.value())) return Err::BadRequest;
+    return out;
+  }
+}
+
+// What a method handler hands the endpoint: the encoded reply when the
+// handler finished synchronously, or else the handler's own task, run
+// when the endpoint awaits it and encoded as it completes. Wrapping the
+// task instead of awaiting it in an adapter coroutine keeps a served
+// request at one coroutine frame beyond the handler's own.
+class Served {
+ public:
+  explicit Served(Err refused) : reply_(refused) {}
+  template <typename R>
+  Served(Result<R> reply) : reply_(encode_reply(std::move(reply))) {}  // NOLINT
+  template <typename R>
+  Served(sim::Task<Result<R>> task) {  // NOLINT
+    auto h = task.release();
+    promise_ = &h.promise();
+    task_ = h;
+    finish_ = [](std::coroutine_handle<> erased) {
+      auto typed = std::coroutine_handle<sim::detail::TaskPromise<Result<R>>>::from_address(
+          erased.address());
+      assert(typed.promise().value.has_value());
+      return encode_reply(std::move(*typed.promise().value));
+    };
+  }
+  Served(const Served&) = delete;
+  Served& operator=(const Served&) = delete;
+  ~Served() {
+    if (task_) task_.destroy();
+  }
+
+  // Awaitable, like a Task: the caller's trace context is restored when
+  // the handler completes.
+  bool await_ready() const noexcept { return !task_; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) noexcept {
+    ctx_ = current_trace_context();
+    promise_->continuation = caller;
+    return task_;
+  }
+  Result<Buffer> await_resume() {
+    if (!task_) return std::move(reply_);
+    set_current_trace_context(ctx_);
+    return finish_(task_);
+  }
+
+ private:
+  Result<Buffer> reply_ = Buffer{};
+  std::coroutine_handle<> task_;
+  sim::detail::TaskPromiseBase* promise_ = nullptr;
+  Result<Buffer> (*finish_)(std::coroutine_handle<>) = nullptr;
+  TraceContext ctx_;
+};
+
+namespace detail {
+// The parameter list and result of a (non-generic) handler lambda.
+template <typename F>
+struct HandlerSig : HandlerSig<decltype(&F::operator())> {};
+template <typename C, typename Ret, typename... P>
+struct HandlerSig<Ret (C::*)(P...) const> {
+  using Params = std::tuple<P...>;
+  using Returns = Ret;
+};
+}  // namespace detail
 
 // At-most-once execution: first_delivery() is true exactly once per
 // req_id from one sender. The network may duplicate datagrams
@@ -90,20 +214,31 @@ class RpcEndpoint {
  public:
   RpcEndpoint(sim::Node& node, sim::Network& net, RpcConfig cfg = {});
 
-  // A method handler; `from` identifies the calling node.
-  using Method = std::function<sim::Task<Result<Buffer>>(NodeId from, Buffer args)>;
-
-  // Operations travel the wire as the 64-bit FNV-1a of "service.method"
-  // rather than the string pair itself: 8 fixed bytes instead of a
-  // length-prefixed name on every request, and handler dispatch becomes a
-  // u64 hash lookup. Registration keeps the readable name for trace
-  // labels and asserts against hash collisions.
-  static std::uint64_t op_hash(const std::string& service, const std::string& method) noexcept;
+  // An untyped method handler; `from` identifies the calling node.
+  using Method = std::function<Served(NodeId from, Buffer args)>;
 
   // Register "service.method". Re-registration replaces (used after
   // recovery when services restart).
   void register_method(const std::string& service, const std::string& method, Method fn);
   void unregister_service(const std::string& service);
+
+  // Serve the declared method `m` with `fn(NodeId from, A... args)`, its
+  // parameters taken by value. `fn` returns Result<R> when it finishes
+  // synchronously, or its own sim::Task<Result<R>> (Status for a void R).
+  template <typename R, typename... A, typename F>
+  void serve(const Rpc<R(A...)>& m, F fn) {
+    using Sig = detail::HandlerSig<F>;
+    static_assert(std::is_same_v<typename Sig::Params, std::tuple<NodeId, A...>>,
+                  "a handler takes (NodeId from, A... args), each by value");
+    static_assert(std::is_same_v<typename Sig::Returns, Result<R>> ||
+                      std::is_same_v<typename Sig::Returns, sim::Task<Result<R>>>,
+                  "a handler returns Result<R> or sim::Task<Result<R>>");
+    register_op(m.name, [fn = std::move(fn)](NodeId from, Buffer args) -> Served {
+      std::tuple<A...> in;
+      if (!wire::get(args, in)) return Served{Err::BadRequest};
+      return std::apply([&](A&... a) -> Served { return fn(from, std::move(a)...); }, in);
+    });
+  }
 
   // Plain call: send request, await reply or timeout.
   sim::Task<Result<Buffer>> call(NodeId dest, std::string service, std::string method,
@@ -111,13 +246,18 @@ class RpcEndpoint {
   sim::Task<Result<Buffer>> call(NodeId dest, std::string service, std::string method,
                                  Buffer args, sim::SimTime timeout);
 
-  // Call with up to cfg.retry_attempts attempts, pacing retries with
-  // exponential backoff + jitter. Retries ONLY transport-level losses
-  // (Timeout): application errors and NodeDown are returned immediately,
-  // and the callee must be idempotent (every built-in service is — the
-  // duplicate-suppression window below absorbs re-executed requests).
-  sim::Task<Result<Buffer>> call_with_retry(NodeId dest, std::string service, std::string method,
-                                            Buffer args);
+  // Typed call of the declared method `m`. The arguments are encoded
+  // before this returns, so the task holds no reference to them.
+  template <typename R, typename... A>
+  sim::Task<Result<R>> call(NodeId dest, const Rpc<R(A...)>& m,
+                            const std::type_identity_t<A>&... args) {
+    return call_op<R>(dest, m.name, encode(args...), cfg_.call_timeout);
+  }
+  template <typename R, typename... A>
+  sim::Task<Result<R>> call(NodeId dest, sim::SimTime timeout, const Rpc<R(A...)>& m,
+                            const std::type_identity_t<A>&... args) {
+    return call_op<R>(dest, m.name, encode(args...), timeout);
+  }
 
   Rng& rng() noexcept { return rng_; }
 
@@ -162,14 +302,20 @@ class RpcEndpoint {
   }
 
  private:
+  void register_op(const OpName& name, Method fn);
+  // An unbound call of `name`, its reply decoded as R.
+  template <typename R>
+  sim::Task<Result<R>> call_op(NodeId dest, OpName name, Buffer args, sim::SimTime timeout);
+  // The client-side span of a call ("rpc.<service>.<method>"); inert when
+  // not tracing.
+  core::TraceRecorder::Span call_span(const OpName& name, const char* what, NodeId dest);
   // Arm the timeout, register the call and send the request datagram;
   // the future resolves with the reply or Err::Timeout.
   sim::SimFuture<Result<Buffer>> send_request(NodeId dest, std::uint64_t wire_epoch,
                                               std::uint64_t op, Buffer args,
                                               sim::SimTime timeout);
   // Record a finished call's latency in "rpc.<service>.<method>_us".
-  void record_latency(std::uint64_t op, const std::string& service, const std::string& method,
-                      sim::SimTime t0);
+  void record_latency(const OpName& name, sim::SimTime t0);
   void on_message(NodeId from, Buffer msg);
   void on_request(NodeId from, std::uint64_t req_id, Buffer msg);
   void on_reply(NodeId from, std::uint64_t req_id, Buffer msg);
@@ -182,7 +328,7 @@ class RpcEndpoint {
   sim::Node& node_;
   sim::Network& net_;
   RpcConfig cfg_;
-  Rng rng_;  // forked from the sim RNG: retry jitter
+  Rng rng_;  // forked from the sim RNG; the store and recovery daemon fork it
   core::TraceRecorder* trace_ = nullptr;
   core::MetricsRegistry* metrics_ = nullptr;
   std::uint64_t next_req_id_ = 1;
@@ -199,6 +345,20 @@ class RpcEndpoint {
       outstanding_;
   std::unordered_map<NodeId, DedupWindow> dedup_;  // per sender; volatile
 };
+
+template <typename R>
+sim::Task<Result<R>> RpcEndpoint::call_op(NodeId dest, OpName name, Buffer args,
+                                          sim::SimTime timeout) {
+  if (!node_.up()) co_return Err::NodeDown;
+  auto span = call_span(name, "dest=", dest);
+  const sim::SimTime t0 = node_.sim().now();
+  // No epoch expectation: an unbound call.
+  Result<Buffer> reply = co_await send_request(dest, 0, name.op, std::move(args), timeout);
+  record_latency(name, t0);
+  span.end(reply.ok() ? "ok" : to_string(reply.error()));
+  if (!reply.ok()) co_return reply.error();
+  co_return decode_reply<R>(reply.value());
+}
 
 // The cluster-wide RPC fabric: one endpoint per node, plus a built-in
 // "bind"/"ping" service on every node.

@@ -290,148 +290,22 @@ std::vector<Uid> ObjectStore::suspect_objects() const {
 // --------------------------------------------------------------- RPC glue
 
 void ObjectStore::register_rpc() {
-  endpoint_.register_method(kStoreService, "read",
-                            [this](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                              auto uid = args.unpack_uid();
-                              if (!uid.ok()) co_return Err::BadRequest;
-                              auto r = read(uid.value());
-                              if (!r.ok()) co_return r.error();
-                              Buffer out;
-                              out.pack_u64(r.value().version).pack_bytes(r.value().state);
-                              co_return out;
-                            });
-  endpoint_.register_method(kStoreService, "version",
-                            [this](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                              auto uid = args.unpack_uid();
-                              if (!uid.ok()) co_return Err::BadRequest;
-                              auto r = version(uid.value());
-                              if (!r.ok()) co_return r.error();
-                              Buffer out;
-                              out.pack_u64(r.value());
-                              co_return out;
-                            });
-  endpoint_.register_method(kStoreService, "probe",
-                            [this](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                              auto uid = args.unpack_uid();
-                              if (!uid.ok()) co_return Err::BadRequest;
-                              Buffer out;
-                              out.pack_u64(version(uid.value()).value_or(0))
-                                  .pack_bool(has_pending_shadow(uid.value()));
-                              co_return out;
-                            });
-  endpoint_.register_method(kStoreService, "prepare",
-                            [this](NodeId from, Buffer args) -> sim::Task<Result<Buffer>> {
-                              auto uid = args.unpack_uid();
-                              auto txn = args.unpack_uid();
-                              auto ver = args.unpack_u64();
-                              auto state = args.unpack_bytes();
-                              if (!uid.ok() || !txn.ok() || !ver.ok() || !state.ok())
-                                co_return Err::BadRequest;
-                              // The caller is the coordinator (the commit
-                              // processor runs on the client node).
-                              Status s = prepare(uid.value(), txn.value(), ver.value(),
-                                                 std::move(state).value(), from);
-                              if (!s.ok()) co_return s.error();
-                              co_return Buffer{};
-                            });
-  endpoint_.register_method(kStoreService, "commit",
-                            [this](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                              auto txn = args.unpack_uid();
-                              if (!txn.ok()) co_return Err::BadRequest;
-                              Status s = commit(txn.value());
-                              if (!s.ok()) co_return s.error();
-                              co_return Buffer{};
-                            });
-  endpoint_.register_method(kStoreService, "abort",
-                            [this](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                              auto txn = args.unpack_uid();
-                              if (!txn.ok()) co_return Err::BadRequest;
-                              Status s = abort(txn.value());
-                              if (!s.ok()) co_return s.error();
-                              co_return Buffer{};
-                            });
-  endpoint_.register_method(kStoreService, "write_direct",
-                            [this](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                              auto uid = args.unpack_uid();
-                              auto ver = args.unpack_u64();
-                              auto state = args.unpack_bytes();
-                              if (!uid.ok() || !ver.ok() || !state.ok()) co_return Err::BadRequest;
-                              Status s =
-                                  write_direct(uid.value(), ver.value(), std::move(state).value());
-                              if (!s.ok()) co_return s.error();
-                              co_return Buffer{};
-                            });
-}
-
-sim::Task<Result<VersionedState>> ObjectStore::remote_read(rpc::RpcEndpoint& from, NodeId dest,
-                                                           Uid uid) {
-  Buffer args;
-  args.pack_uid(uid);
-  auto r = co_await from.call(dest, kStoreService, "read", std::move(args));
-  if (!r.ok()) co_return r.error();
-  auto ver = r.value().unpack_u64();
-  auto state = r.value().unpack_bytes();
-  if (!ver.ok() || !state.ok()) co_return Err::BadRequest;
-  co_return VersionedState{ver.value(), std::move(state).value()};
-}
-
-sim::Task<Result<std::uint64_t>> ObjectStore::remote_version(rpc::RpcEndpoint& from, NodeId dest,
-                                                             Uid uid) {
-  Buffer args;
-  args.pack_uid(uid);
-  auto r = co_await from.call(dest, kStoreService, "version", std::move(args));
-  if (!r.ok()) co_return r.error();
-  auto ver = r.value().unpack_u64();
-  if (!ver.ok()) co_return Err::BadRequest;
-  co_return ver.value();
-}
-
-sim::Task<Result<ObjectStore::Probe>> ObjectStore::remote_probe(rpc::RpcEndpoint& from,
-                                                                NodeId dest, Uid uid) {
-  Buffer args;
-  args.pack_uid(uid);
-  auto r = co_await from.call(dest, kStoreService, "probe", std::move(args));
-  if (!r.ok()) co_return r.error();
-  auto ver = r.value().unpack_u64();
-  auto pending = r.value().unpack_bool();
-  if (!ver.ok() || !pending.ok()) co_return Err::BadRequest;
-  co_return Probe{ver.value(), pending.value()};
-}
-
-sim::Task<Status> ObjectStore::remote_prepare(rpc::RpcEndpoint& from, NodeId dest, Uid uid,
-                                              Uid txn, std::uint64_t version, Buffer state,
-                                              NodeId coordinator) {
-  (void)coordinator;  // carried implicitly: the RPC sender IS the coordinator
-  Buffer args;
-  args.pack_uid(uid).pack_uid(txn).pack_u64(version).pack_bytes(state);
-  auto r = co_await from.call(dest, kStoreService, "prepare", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Status> ObjectStore::remote_commit(rpc::RpcEndpoint& from, NodeId dest, Uid txn) {
-  Buffer args;
-  args.pack_uid(txn);
-  auto r = co_await from.call(dest, kStoreService, "commit", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Status> ObjectStore::remote_abort(rpc::RpcEndpoint& from, NodeId dest, Uid txn) {
-  Buffer args;
-  args.pack_uid(txn);
-  auto r = co_await from.call(dest, kStoreService, "abort", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
-}
-
-sim::Task<Status> ObjectStore::remote_write_direct(rpc::RpcEndpoint& from, NodeId dest, Uid uid,
-                                                   std::uint64_t version, Buffer state) {
-  Buffer args;
-  args.pack_uid(uid).pack_u64(version).pack_bytes(state);
-  auto r = co_await from.call(dest, kStoreService, "write_direct", std::move(args));
-  if (!r.ok()) co_return r.error();
-  co_return ok_status();
+  endpoint_.serve(kStoreRead, [this](NodeId, Uid uid) { return read(uid); });
+  endpoint_.serve(kStoreVersion, [this](NodeId, Uid uid) { return version(uid); });
+  endpoint_.serve(kStoreProbe, [this](NodeId, Uid uid) -> Result<Probe> {
+    return Probe{version(uid).value_or(0), has_pending_shadow(uid)};
+  });
+  endpoint_.serve(kStorePrepare, [this](NodeId from, Uid uid, Uid txn, std::uint64_t ver,
+                                        Buffer state) {
+    // The caller is the coordinator (the commit processor runs on the
+    // client node).
+    return prepare(uid, txn, ver, std::move(state), from);
+  });
+  endpoint_.serve(kStoreCommit, [this](NodeId, Uid txn) { return commit(txn); });
+  endpoint_.serve(kStoreAbort, [this](NodeId, Uid txn) { return abort(txn); });
+  endpoint_.serve(kStoreWriteDirect, [this](NodeId, Uid uid, std::uint64_t ver, Buffer state) {
+    return write_direct(uid, ver, std::move(state));
+  });
 }
 
 // ---------------------------------------------------------- participant

@@ -39,6 +39,7 @@ using sim::NodeId;
 struct VersionedState {
   std::uint64_t version = 0;
   Buffer state;
+  GV_WIRE_FIELDS(version, state)
 };
 
 // Stable-storage fault injection (nemesis hook). Probabilities are
@@ -146,6 +147,7 @@ class ObjectStore {
   struct Probe {
     std::uint64_t version = 0;
     bool pending = false;
+    GV_WIRE_FIELDS(version, pending)
   };
   static sim::Task<Result<Probe>> remote_probe(rpc::RpcEndpoint& from, NodeId dest, Uid uid);
   static sim::Task<Status> remote_prepare(rpc::RpcEndpoint& from, NodeId dest, Uid uid, Uid txn,
@@ -187,6 +189,48 @@ class ObjectStore {
 
   Counters counters_;
 };
+
+// The store service's methods, declared once for the registration and
+// the client stubs. A prepare's caller is the action's coordinator.
+inline constexpr rpc::Rpc<VersionedState(Uid)> kStoreRead{kStoreService, "read"};
+inline constexpr rpc::Rpc<std::uint64_t(Uid)> kStoreVersion{kStoreService, "version"};
+inline constexpr rpc::Rpc<ObjectStore::Probe(Uid)> kStoreProbe{kStoreService, "probe"};
+inline constexpr rpc::Rpc<void(Uid, Uid, std::uint64_t, Buffer)> kStorePrepare{kStoreService,
+                                                                               "prepare"};
+inline constexpr rpc::Rpc<void(Uid)> kStoreCommit{kStoreService, "commit"};
+inline constexpr rpc::Rpc<void(Uid)> kStoreAbort{kStoreService, "abort"};
+inline constexpr rpc::Rpc<void(Uid, std::uint64_t, Buffer)> kStoreWriteDirect{kStoreService,
+                                                                              "write_direct"};
+
+inline sim::Task<Result<VersionedState>> ObjectStore::remote_read(rpc::RpcEndpoint& from,
+                                                                  NodeId dest, Uid uid) {
+  return from.call(dest, kStoreRead, uid);
+}
+inline sim::Task<Result<std::uint64_t>> ObjectStore::remote_version(rpc::RpcEndpoint& from,
+                                                                    NodeId dest, Uid uid) {
+  return from.call(dest, kStoreVersion, uid);
+}
+inline sim::Task<Result<ObjectStore::Probe>> ObjectStore::remote_probe(rpc::RpcEndpoint& from,
+                                                                       NodeId dest, Uid uid) {
+  return from.call(dest, kStoreProbe, uid);
+}
+// The coordinator travels implicitly: the RPC sender IS the coordinator.
+inline sim::Task<Status> ObjectStore::remote_prepare(rpc::RpcEndpoint& from, NodeId dest, Uid uid,
+                                                     Uid txn, std::uint64_t version, Buffer state,
+                                                     NodeId) {
+  return from.call(dest, kStorePrepare, uid, txn, version, state);
+}
+inline sim::Task<Status> ObjectStore::remote_commit(rpc::RpcEndpoint& from, NodeId dest, Uid txn) {
+  return from.call(dest, kStoreCommit, txn);
+}
+inline sim::Task<Status> ObjectStore::remote_abort(rpc::RpcEndpoint& from, NodeId dest, Uid txn) {
+  return from.call(dest, kStoreAbort, txn);
+}
+inline sim::Task<Status> ObjectStore::remote_write_direct(rpc::RpcEndpoint& from, NodeId dest,
+                                                          Uid uid, std::uint64_t version,
+                                                          Buffer state) {
+  return from.call(dest, kStoreWriteDirect, uid, version, state);
+}
 
 // Adapter enrolling the store in client-coordinated 2PC. Registered in
 // the node's TxnRegistry under kStoreService. Prepare work (the stable

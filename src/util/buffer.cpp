@@ -140,6 +140,8 @@ Result<Buffer> Buffer::unpack_bytes() {
 Result<std::vector<std::uint32_t>> Buffer::unpack_u32_vector() {
   auto len = unpack_u32();
   if (!len.ok()) return len.error();
+  // A corrupt count must not size the allocation: check it first.
+  if (len.value() > remaining() / 4) return Err::BadRequest;
   std::vector<std::uint32_t> out;
   out.reserve(len.value());
   for (std::uint32_t i = 0; i < len.value(); ++i) {
@@ -153,6 +155,7 @@ Result<std::vector<std::uint32_t>> Buffer::unpack_u32_vector() {
 Result<std::vector<Uid>> Buffer::unpack_uid_vector() {
   auto len = unpack_u32();
   if (!len.ok()) return len.error();
+  if (len.value() > remaining() / 16) return Err::BadRequest;
   std::vector<Uid> out;
   out.reserve(len.value());
   for (std::uint32_t i = 0; i < len.value(); ++i) {

@@ -578,9 +578,9 @@ TEST(NamingPersistence, ReadOnlyActionsWriteNothing) {
     EXPECT_TRUE((co_await ostdb_get_view(ep, 0, f.obj, act.uid())).ok());
     std::vector<Uid> objects{f.obj};
     auto views = co_await gvdb_get_views(ep, 0, objects);
-    EXPECT_TRUE(views.ok() && views.value().views.size() == 1u);
-    if (views.ok() && views.value().views.size() == 1u) {
-      const ViewFill& v = views.value().views[0];
+    EXPECT_TRUE(views.ok() && views.value().views.size() == 1u && views.value().views[0].view);
+    if (views.ok() && views.value().views.size() == 1u && views.value().views[0].view) {
+      const ObjectViews& v = *views.value().views[0].view;
       std::vector<ValidateItem> items{{f.obj, v.sv_epoch, v.st_epoch}};
       EXPECT_TRUE(
           (co_await gvdb_validate(ep, 0, views.value().incarnation, items, act.uid())).ok());

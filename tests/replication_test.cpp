@@ -495,5 +495,39 @@ TEST(ObjectServerIndex, PassivatedAndReactivatedObjectsKeepTheirState) {
   }(s));
 }
 
+// A nested commit hands the child's locks to its parent, and with them
+// the orphan tracking: when the client dies, the sweep a refused lock
+// wait triggers must find the parent, or its inherited write lock wedges
+// the object for good.
+TEST(ObjectServerIndex, NestedCommitHandsOrphanTrackingToTheParent) {
+  IndexSys s;
+  const Uid top{0xAC7, 1}, child{0xAC7, 2};
+  Status second = ok_status();
+  s.run([](IndexSys& s, Uid top, Uid child, Status& second) -> sim::Task<> {
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    const std::vector<Uid> in_top{top};
+    auto r = co_await s.host.invoke(s.a, child, in_top, LockMode::Write, "deposit", i64_buf(5),
+                                    /*owner=*/1);
+    EXPECT_TRUE(r.ok());
+    s.host.nested_commit(child, top);
+    s.sys.cluster().node(1).crash();  // the client dies holding the lock
+    second = co_await s.deposit(s.a, Uid{0xAC7, 3}, {}, 1);
+  }(s, top, child, second));
+  // Refused while the dead client holds the lock; the refusal sweeps.
+  EXPECT_EQ(second.error(), Err::LockRefused);
+  EXPECT_EQ(s.host.locks().holder_count("obj:" + s.a.to_string()), 0u);
+
+  EXPECT_EQ(s.host.counters().get("objsrv.orphan_presumed_abort"), 1u);
+
+  // The sweep retired the replica the orphan wrote; reloaded from its
+  // store, the object serves the next action.
+  Status third = Err::Timeout;
+  s.run([](IndexSys& s, Status& third) -> sim::Task<> {
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    third = co_await s.deposit(s.a, Uid{0xAC7, 4}, {}, 1);
+  }(s, third));
+  EXPECT_TRUE(third.ok()) << to_string(third.error());
+}
+
 }  // namespace
 }  // namespace gv::replication

@@ -304,26 +304,5 @@ TEST(FailureDetector, DetectsAliveAndDead) {
   EXPECT_FALSE(results[1]);
 }
 
-TEST(FailureDetector, MonitorFiresOnceOnFailure) {
-  Fixture f;
-  FailureDetector fd{f.ep(0)};
-  int fired = 0;
-  fd.watch(1, 5 * sim::kMillisecond, [&] { ++fired; });
-  f.sim.schedule(12 * sim::kMillisecond, [&] { f.cluster.node(1).crash(); });
-  f.sim.run_until(200 * sim::kMillisecond);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(FailureDetector, CancelledMonitorNeverFires) {
-  Fixture f;
-  FailureDetector fd{f.ep(0)};
-  int fired = 0;
-  auto handle = fd.watch(1, 5 * sim::kMillisecond, [&] { ++fired; });
-  handle->cancelled = true;
-  f.cluster.node(1).crash();
-  f.sim.run_until(100 * sim::kMillisecond);
-  EXPECT_EQ(fired, 0);
-}
-
 }  // namespace
 }  // namespace gv::rpc

@@ -189,20 +189,25 @@ TEST(TracePropagation, RpcLinksClientAndServerSpans) {
 TEST(TracePropagation, LinkageSurvivesMidCallCrashAndRetry) {
   RpcFixture f;
   f.register_doubler(1);
-  // Server down for the first attempt; back up before the retry fires
-  // (first attempt times out at 50ms, backoff ~10ms).
+  // Server down for the first attempt; back up before the retry is sent
+  // (the first attempt times out at 50ms, the retry follows 10ms later).
   f.cluster.node(1).crash();
   f.sim.schedule(55 * sim::kMillisecond, [&f] { f.cluster.node(1).recover(); });
 
+  Result<Buffer> first = Buffer{};
   Result<Buffer> got = Err::Timeout;
-  f.sim.spawn([](RpcFixture& f, Result<Buffer>& got) -> sim::Task<> {
+  f.sim.spawn([](RpcFixture& f, Result<Buffer>& first, Result<Buffer>& got) -> sim::Task<> {
     auto root = f.rec.begin_span("root", 0, "test");
     Buffer args;
     args.pack_u32(21);
-    got = co_await f.ep(0).call_with_retry(1, "math", "double", std::move(args));
+    first = co_await f.ep(0).call(1, "math", "double", args);
+    co_await f.sim.sleep(10 * sim::kMillisecond);
+    got = co_await f.ep(0).call(1, "math", "double", args);
     root.end();
-  }(f, got));
+  }(f, first, got));
   f.sim.run();
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.error(), Err::Timeout);
   ASSERT_TRUE(got.ok());
 
   const TraceEvent* root = find_begin(f.rec, "root");
@@ -215,14 +220,11 @@ TEST(TracePropagation, LinkageSurvivesMidCallCrashAndRetry) {
     EXPECT_EQ(a->parent, root->span);
     EXPECT_EQ(a->trace, root->trace);
   }
-  // The retry instant is attributed to the same trace.
-  bool saw_retry = false;
-  for (const TraceEvent& ev : f.rec.events())
-    if (ev.kind == TraceKind::Instant && ev.name == "rpc.retry") {
-      saw_retry = true;
-      EXPECT_EQ(ev.trace, root->trace);
-    }
-  EXPECT_TRUE(saw_retry);
+  // The served retry parents under the second attempt's client span.
+  const TraceEvent* server = find_begin(f.rec, "rpc.serve.math.double");
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(server->parent, attempts[1]->span);
+  EXPECT_EQ(server->trace, root->trace);
 }
 
 // ----------------------------------- context propagation: group multicast

@@ -74,6 +74,31 @@ TEST(Buffer, TruncatedStringDetected) {
   EXPECT_EQ(b.unpack_string().error(), Err::BadRequest);
 }
 
+// A corrupt count must yield BadRequest, not size an allocation: a
+// 4-byte message claiming 2^30 elements used to abort with bad_alloc.
+TEST(Buffer, OversizedU32VectorCountIsBadRequest) {
+  Buffer b;
+  b.pack_u32(1u << 30);
+  auto r = b.unpack_u32_vector();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), Err::BadRequest);
+  // One element short of the claimed count is refused the same way.
+  Buffer c;
+  c.pack_u32(2).pack_u32(7);
+  EXPECT_EQ(c.unpack_u32_vector().error(), Err::BadRequest);
+}
+
+TEST(Buffer, OversizedUidVectorCountIsBadRequest) {
+  Buffer b;
+  b.pack_u32(1u << 30);
+  auto r = b.unpack_uid_vector();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), Err::BadRequest);
+  Buffer c;
+  c.pack_u32(2).pack_uid(Uid{1, 2});
+  EXPECT_EQ(c.unpack_uid_vector().error(), Err::BadRequest);
+}
+
 TEST(Buffer, ChecksumDiscriminates) {
   Buffer a, b;
   a.pack_string("state-1");
