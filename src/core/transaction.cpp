@@ -147,11 +147,12 @@ sim::Task<Status> Transaction::abort() {
 }
 
 sim::Task<> Transaction::release_use_lists() {
-  // Fig 7: the Decrement runs as its own top-level action AFTER the
-  // client action has terminated (commit or abort alike). Retry a few
-  // times: a transiently-lost Decrement from a LIVE client leaks a
-  // use-list counter forever, since the janitor only purges dead
-  // clients (found by the gv_campaign netchaos mix).
+  // Fig 7: the Decrement runs AFTER the client action has terminated
+  // (commit or abort alike), as one call that needs no client action.
+  // Resend it a few times: a transiently-lost Decrement from a LIVE
+  // client leaks a use-list entry forever, since the janitor only purges
+  // dead clients (found by the gv_campaign netchaos mix). The binding's
+  // token makes the resend harmless when only the reply was lost.
   for (auto& [uid, binding] : bindings_) {
     if (binding.cached) continue;  // cached binds never touched use lists
     Backoff pace{BackoffConfig{50 * sim::kMillisecond, 400 * sim::kMillisecond},

@@ -136,26 +136,34 @@ sim::Task<Result<BindResult>> Binder::bind_enhanced(Uid object, std::size_t want
   }
 
   // Remove the failed servers so later clients never retry them; then
-  // record our presence in the use lists.
+  // record our presence in the use lists. The Increment commits the
+  // action at the naming node, Removes included, so the call's reply is
+  // the action's outcome. It is idempotent by the token, so a call whose
+  // reply was lost is sent again.
   for (NodeId node : out.failed) {
     Status s = co_await osdb_remove(rt_.endpoint(), naming_node_, object, node, act.uid());
     if (s.ok()) counters_.inc("bind.removed_failed_server");
   }
-  if (!out.servers.empty()) {
-    Status s = co_await osdb_increment(rt_.endpoint(), naming_node_, object,
-                                       rt_.endpoint().node_id(), out.servers, act.uid());
-    if (!s.ok()) {
-      (void)co_await act.abort();
-      counters_.inc("bind.increment_failed");
-      co_return s.error();
+  out.token = act.uid();
+  Status s = Err::Timeout;
+  for (int attempt = 0; attempt < kIncrementAttempts && s.error() == Err::Timeout; ++attempt) {
+    if (attempt > 0) counters_.inc("bind.increment_resent");
+    s = co_await osdb_increment(rt_.endpoint(), naming_node_, object, rt_.endpoint().node_id(),
+                                out.servers, out.token);
+  }
+  if (!s.ok()) {
+    // Refused (the naming node no longer holds the action) or no reply
+    // at all. Abort, so a late Increment is refused; with no reply the
+    // Increment may have committed, so drop its binding too.
+    (void)co_await act.abort();
+    if (s.error() == Err::Timeout && !out.servers.empty()) {
+      for (int attempt = 0; attempt < kIncrementAttempts; ++attempt)
+        if ((co_await unbind(object, out)).ok()) break;
     }
-  }
-
-  Status c = co_await act.commit();
-  if (!c.ok()) {
     counters_.inc("bind.action_aborted");
-    co_return Err::Aborted;
+    co_return s.error();
   }
+  act.committed_at_participant();
   if (out.servers.empty()) {
     counters_.inc("bind.no_replicas");
     co_return Err::NoReplicas;  // the Removes still committed above
@@ -167,16 +175,10 @@ sim::Task<Result<BindResult>> Binder::bind_enhanced(Uid object, std::size_t want
 sim::Task<Status> Binder::unbind(Uid object, const BindResult& binding) {
   if (scheme_ == Scheme::StandardNested) co_return ok_status();  // lock release did the work
   if (binding.servers.empty()) co_return ok_status();
-  actions::AtomicAction act{rt_};
   Status s = co_await osdb_decrement(rt_.endpoint(), naming_node_, object,
-                                     rt_.endpoint().node_id(), binding.servers, act.uid());
-  act.enlist({naming_node_, kOsdbService});
-  if (!s.ok()) {
-    (void)co_await act.abort();
-    co_return s;
-  }
-  counters_.inc("bind.decremented");
-  co_return co_await act.commit();
+                                     rt_.endpoint().node_id(), binding.servers, binding.token);
+  if (s.ok()) counters_.inc("bind.decremented");
+  co_return s;
 }
 
 }  // namespace gv::naming

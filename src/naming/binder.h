@@ -11,9 +11,12 @@
 //   IndependentTopLevel (S2, fig 7)
 //     Binding runs in its own top-level action, BEFORE the client action:
 //     GetServer (now also returning use lists), probe, Remove failed
-//     servers, Increment use counters, commit. After the client action
-//     terminates a second top-level action Decrements. Sv stays current
-//     at the cost of write locks on the DB entry.
+//     servers, Increment use counters, commit. The action's only
+//     participant is the naming database, so its Increment call also
+//     commits it there: a bind costs GetServer + Increment. After the
+//     client action terminates one Decrement call, which needs no client
+//     action, drops the binding. Sv stays current at the cost of write
+//     locks on the DB entry.
 //
 //   NestedTopLevel (S3, fig 8)
 //     Same operations, but the binding action is a nested top-level
@@ -49,6 +52,9 @@ struct BindResult {
   std::vector<NodeId> servers;  // Sv(A)': the bound subset
   std::vector<NodeId> failed;   // probe failures discovered at bind time
   Scheme scheme = Scheme::StandardNested;
+  // S2/S3: the binding's name on the use lists — the UID of the binder
+  // action that recorded it; Decrement drops exactly this binding.
+  Uid token;
 };
 
 class Binder {
@@ -70,8 +76,12 @@ class Binder {
                                      actions::AtomicAction* client_action, Probe probe);
 
   // Release the binding bookkeeping after the client action ended
-  // (S2/S3: Decrement under a fresh top-level action; S1: no-op).
+  // (S2/S3: one Decrement call, idempotent by the binding's token, so a
+  // caller may resend it; S1: no-op).
   sim::Task<Status> unbind(Uid object, const BindResult& binding);
+
+  // Times the binder sends its Increment while every reply is lost.
+  static constexpr int kIncrementAttempts = 3;
 
   Scheme scheme() const noexcept { return scheme_; }
   Counters& counters() noexcept { return counters_; }

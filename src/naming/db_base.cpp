@@ -110,20 +110,25 @@ sim::Task<bool> NamingDbBase::prepare(const Uid&) {
 }
 
 sim::Task<Status> NamingDbBase::commit(const Uid& txn) {
+  commit_now(txn);
+  co_return ok_status();
+}
+
+void NamingDbBase::commit_now(const Uid& txn, const Uid& also) {
+  // Persist each touched entry once, while the action still holds its
+  // lock: the entry then holds exactly the committed state. Read-only
+  // actions (GetServer, GetView, validate) have no undo records.
+  std::set<Uid> touched;
+  if (!also.nil()) touched.insert(also);
   auto it = undo_.find(txn);
   if (it != undo_.end()) {
-    // Persist each touched entry once, while the action still holds its
-    // lock: the entry then holds exactly the committed state. Read-only
-    // actions (GetServer, GetView, validate) have no undo records.
-    std::set<Uid> touched;
     for (const Undo& u : it->second) touched.insert(u.entry);
-    for (const Uid& entry : touched) persist_entry(entry);
     undo_.erase(it);
   }
+  for (const Uid& entry : touched) persist_entry(entry);
   owners_.erase(txn);
   locks_.release_all(txn);
   counters_.inc("db.commit");
-  co_return ok_status();
 }
 
 sim::Task<Status> NamingDbBase::abort(const Uid& txn) {

@@ -85,6 +85,11 @@ class NamingDbBase : public actions::ServerParticipant {
   }
   void rollback(const Uid& txn);
 
+  // Commit `txn` here and now: write the stable record of each entry it
+  // touched (and of `also`, unless nil), release its locks and forget it.
+  // commit() is this; a single-site action ends through it directly.
+  void commit_now(const Uid& txn, const Uid& also = Uid{});
+
   // Write `entry`'s current state as its stable record. Subclasses call
   // this from create() so registration survives a naming-node crash;
   // commit() calls it once per entry the committing action touched.

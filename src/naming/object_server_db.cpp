@@ -8,10 +8,25 @@
 
 namespace gv::naming {
 
+namespace {
+
+bool has_token(const std::vector<Uid>& tokens, const Uid& token) {
+  return std::find(tokens.begin(), tokens.end(), token) != tokens.end();
+}
+
+// Add back the tokens an undone edit removed (those not present again).
+void restore_tokens(std::vector<Uid>& tokens, const std::vector<Uid>& removed) {
+  for (const Uid& t : removed)
+    if (!has_token(tokens, t)) tokens.push_back(t);
+}
+
+}  // namespace
+
 ObjectServerDb::ObjectServerDb(sim::Node& node, store::ObjectStore& store,
                                rpc::RpcEndpoint& endpoint, actions::TxnRegistry& txns,
                                NamingConfig cfg)
-    : NamingDbBase(node, store, endpoint, kOsdbUid, cfg) {
+    : NamingDbBase(node, store, endpoint, kOsdbUid, cfg),
+      local_actions_(0xDEC00000ull + node.id()) {
   txns.add(kOsdbService, this);
   register_rpc(endpoint);
 }
@@ -28,8 +43,9 @@ SvView ObjectServerDb::view_of(const Entry& e) const {
   v.sv = e.sv;
   v.epoch = e.epoch;
   for (const auto& [server, clients] : e.use)
-    for (const auto& [client, count] : clients)
-      if (count > 0) v.use.push_back(UseEntry{server, client, count});
+    for (const auto& [client, tokens] : clients)
+      if (!tokens.empty())
+        v.use.push_back(UseEntry{server, client, static_cast<std::uint32_t>(tokens.size())});
   return v;
 }
 
@@ -105,8 +121,8 @@ sim::Task<Status> ObjectServerDb::insert(Uid object, NodeId host, Uid action) {
   // holding the write lock proves no S1 client is bound (their read locks
   // would conflict); with use lists we additionally require them empty.
   for (const auto& [server, clients] : e.use)
-    for (const auto& [client, count] : clients)
-      if (count > 0) {
+    for (const auto& [client, tokens] : clients)
+      if (!tokens.empty()) {
         counters_.inc("osdb.insert_not_quiescent");
         co_return Err::NotQuiescent;
       }
@@ -140,85 +156,98 @@ sim::Task<Status> ObjectServerDb::remove(Uid object, NodeId host, Uid action) {
   if (pos == e.sv.end()) co_return ok_status();  // idempotent
   const std::size_t index = static_cast<std::size_t>(pos - e.sv.begin());
   e.sv.erase(pos);
-  auto saved_use = e.use.find(host) != e.use.end() ? e.use[host]
-                                                   : std::map<NodeId, std::uint32_t>{};
-  e.use.erase(host);
+  std::map<NodeId, Tokens> saved_use;
+  if (auto uit = e.use.find(host); uit != e.use.end()) {
+    saved_use = std::move(uit->second);
+    e.use.erase(uit);
+  }
   bump_epoch(object);
   push_undo(action, object, [this, object, host, index, saved_use] {
     auto eit = entries_.find(object);
     if (eit == entries_.end()) return;
     auto& sv = eit->second.sv;
     sv.insert(sv.begin() + static_cast<long>(std::min(index, sv.size())), host);
-    if (!saved_use.empty()) eit->second.use[host] = saved_use;
+    for (const auto& [client, tokens] : saved_use)
+      restore_tokens(eit->second.use[host][client], tokens);
     bump_epoch(object);
   });
   co_return ok_status();
 }
 
-sim::Task<Status> ObjectServerDb::increment(Uid object, NodeId client, std::vector<NodeId> hosts,
-                                            Uid action) {
+Status ObjectServerDb::increment(Uid object, NodeId client, std::vector<NodeId> hosts,
+                                 Uid token) {
   counters_.inc("osdb.increment");
   auto it = entries_.find(object);
-  if (it == entries_.end()) co_return Err::NotFound;
-  Status lk = co_await locks_.acquire(lock_name(object), actions::LockMode::Write, action,
-                                      cfg_.lock_wait);
-  if (!lk.ok()) {
-    counters_.inc("osdb.lock_refused");
-    trigger_orphan_sweep();
-    co_return lk.error();
-  }
-  Entry& e = entries_.find(object)->second;
-  for (NodeId host : hosts) ++e.use[host][client];
-  std::uint64_t total_uses = 0;
-  for (const auto& [server, clients] : e.use)
-    for (const auto& [c, n] : clients) total_uses += n;
-  core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(total_uses));
-  push_undo(action, object, [this, object, client, hosts] {
-    auto eit = entries_.find(object);
-    if (eit == entries_.end()) return;
-    for (NodeId host : hosts) {
-      auto uit = eit->second.use.find(host);
-      if (uit == eit->second.use.end()) continue;
-      auto cit = uit->second.find(client);
-      if (cit == uit->second.end()) continue;
-      if (cit->second > 0) --cit->second;
-      if (cit->second == 0) uit->second.erase(cit);
+  if (it == entries_.end()) return Err::NotFound;
+  Entry& e = it->second;
+  // A resend of an Increment that already committed: the token says so.
+  for (NodeId host : hosts) {
+    const Tokens* tokens = slot(e, host, client);
+    if (tokens != nullptr && has_token(*tokens, token)) {
+      counters_.inc("osdb.increment_resent");
+      return ok_status();
     }
-  });
-  co_return ok_status();
+  }
+  // The bind action's write lock pins the view it read; without it the
+  // action is gone from this incarnation and so are its Removes.
+  if (!locks_.holds(lock_name(object), token, actions::LockMode::Write)) {
+    counters_.inc("osdb.increment_refused");
+    return Err::Aborted;
+  }
+  for (NodeId host : hosts) e.use[host][client].push_back(token);
+  core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
+  commit_now(token, object);
+  return ok_status();
 }
 
 sim::Task<Status> ObjectServerDb::decrement(Uid object, NodeId client, std::vector<NodeId> hosts,
-                                            Uid action) {
+                                            Uid token) {
   counters_.inc("osdb.decrement");
-  auto it = entries_.find(object);
-  if (it == entries_.end()) co_return Err::NotFound;
-  Status lk = co_await locks_.acquire(lock_name(object), actions::LockMode::Write, action,
-                                      cfg_.lock_wait);
+  if (entries_.find(object) == entries_.end()) co_return Err::NotFound;
+  const std::string lock = lock_name(object);
+  if (locks_.holds(lock, token, actions::LockMode::Read)) {
+    // The bind action itself is still live here (its client gave up on
+    // the Increment): end it, so a late Increment finds nothing to commit.
+    counters_.inc("osdb.decrement_ended_bind");
+    (void)co_await abort(token);
+  }
+  const Uid local = local_actions_.next();
+  Status lk = co_await locks_.acquire(lock, actions::LockMode::Write, local, cfg_.lock_wait);
   if (!lk.ok()) {
     counters_.inc("osdb.lock_refused");
     trigger_orphan_sweep();
     co_return lk.error();
   }
   Entry& e = entries_.find(object)->second;
+  bool removed = false;
   for (NodeId host : hosts) {
-    auto uit = e.use.find(host);
-    if (uit == e.use.end()) continue;
-    auto cit = uit->second.find(client);
-    if (cit == uit->second.end() || cit->second == 0) continue;
-    --cit->second;
-    if (cit->second == 0) uit->second.erase(cit);
+    Tokens* tokens = slot(e, host, client);
+    if (tokens == nullptr || !has_token(*tokens, token)) continue;
+    std::erase(*tokens, token);
+    if (tokens->empty()) e.use[host].erase(client);
+    removed = true;
   }
-  std::uint64_t total_uses = 0;
-  for (const auto& [server, clients] : e.use)
-    for (const auto& [c, n] : clients) total_uses += n;
-  core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(total_uses));
-  push_undo(action, object, [this, object, client, hosts] {
-    auto eit = entries_.find(object);
-    if (eit == entries_.end()) return;
-    for (NodeId host : hosts) ++eit->second.use[host][client];
-  });
+  if (removed)
+    persist_entry(object);
+  else
+    counters_.inc("osdb.decrement_absent");
+  core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
+  locks_.release_all(local);
   co_return ok_status();
+}
+
+ObjectServerDb::Tokens* ObjectServerDb::slot(Entry& e, NodeId server, NodeId client) {
+  auto uit = e.use.find(server);
+  if (uit == e.use.end()) return nullptr;
+  auto cit = uit->second.find(client);
+  return cit == uit->second.end() ? nullptr : &cit->second;
+}
+
+std::uint64_t ObjectServerDb::use_count(const Entry& e) {
+  std::uint64_t n = 0;
+  for (const auto& [server, clients] : e.use)
+    for (const auto& [client, tokens] : clients) n += tokens.size();
+  return n;
 }
 
 sim::Task<Result<std::uint32_t>> ObjectServerDb::purge_client(NodeId client, Uid action) {
@@ -228,7 +257,7 @@ sim::Task<Result<std::uint32_t>> ObjectServerDb::purge_client(NodeId client, Uid
   for (const auto& [object, e] : entries_) {
     for (const auto& [server, clients] : e.use) {
       auto cit = clients.find(client);
-      if (cit != clients.end() && cit->second > 0) {
+      if (cit != clients.end() && !cit->second.empty()) {
         affected.push_back(object);
         break;
       }
@@ -243,12 +272,12 @@ sim::Task<Result<std::uint32_t>> ObjectServerDb::purge_client(NodeId client, Uid
     for (auto& [server, clients] : eit->second.use) {
       auto cit = clients.find(client);
       if (cit == clients.end()) continue;
-      const std::uint32_t count = cit->second;
+      Tokens tokens = std::move(cit->second);
       clients.erase(cit);
-      purged += count;
-      push_undo(action, object, [this, object, server = server, client, count] {
+      purged += static_cast<std::uint32_t>(tokens.size());
+      push_undo(action, object, [this, object, server = server, client, tokens] {
         auto rit = entries_.find(object);
-        if (rit != entries_.end()) rit->second.use[server][client] = count;
+        if (rit != entries_.end()) restore_tokens(rit->second.use[server][client], tokens);
       });
     }
   }
@@ -260,8 +289,8 @@ std::vector<NodeId> ObjectServerDb::clients_in_use() const {
   std::vector<NodeId> out;
   for (const auto& [object, e] : entries_)
     for (const auto& [server, clients] : e.use)
-      for (const auto& [client, count] : clients)
-        if (count > 0 && std::find(out.begin(), out.end(), client) == out.end())
+      for (const auto& [client, tokens] : clients)
+        if (!tokens.empty() && std::find(out.begin(), out.end(), client) == out.end())
           out.push_back(client);
   return out;
 }
@@ -296,16 +325,16 @@ void ObjectServerDb::register_rpc(rpc::RpcEndpoint& endpoint) {
     note_activity(action, from);
     return remove(object, host, action);
   });
-  endpoint.serve(kOsdbIncrement, [this](NodeId from, Uid object, NodeId client,
-                                        std::vector<NodeId> hosts, Uid action) {
-    note_activity(action, from);
-    return increment(object, client, std::move(hosts), action);
-  });
-  endpoint.serve(kOsdbDecrement, [this](NodeId from, Uid object, NodeId client,
-                                        std::vector<NodeId> hosts, Uid action) {
-    note_activity(action, from);
-    return decrement(object, client, std::move(hosts), action);
-  });
+  // Increment and Decrement end or need no action here, so neither
+  // records activity: a refused or resent call must not leave an owner.
+  endpoint.serve(kOsdbIncrement,
+                 [this](NodeId, Uid object, NodeId client, std::vector<NodeId> hosts, Uid token) {
+                   return increment(object, client, std::move(hosts), token);
+                 });
+  endpoint.serve(kOsdbDecrement,
+                 [this](NodeId, Uid object, NodeId client, std::vector<NodeId> hosts, Uid token) {
+                   return decrement(object, client, std::move(hosts), token);
+                 });
   endpoint.serve(kOsdbPurgeClient, [this](NodeId from, NodeId client, Uid action) {
     note_activity(action, from);
     return purge_client(client, action);

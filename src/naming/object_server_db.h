@@ -3,20 +3,27 @@
 // Maintains, per persistent object, the list of nodes capable of running
 // a server for it, and — for the enhanced schemes of sec 4.1.3 — a use
 // list per server node of the form <client-node, count> recording which
-// clients are currently bound through that server.
+// clients are currently bound through that server. Each count is kept as
+// the set of the client's live bindings, each named by its bind token
+// (the UID of the binder action that made it), so a resent Increment or
+// Decrement is harmless and an undo restores exactly what it removed.
 //
 // Exported operations (sec 4.1 / 4.1.3):
-//   GetServer(A)                      read;  returns Sv(A) (+ use lists)
+//   GetServer(A)                      read;  returns Sv(A) (+ use counts)
 //   Insert(A, host)                   write; doubles as quiescence check
 //   Remove(A, host)                   write
-//   Increment(client, A, hosts...)    write; bumps use counts
-//   Decrement(client, A, hosts...)    write
+//   Increment(client, A, hosts, tok)  write; records binding `tok` and
+//                                     commits the bind action `tok` here
+//   Decrement(client, A, hosts, tok)  write; drops binding `tok`, as a
+//                                     local action of its own
 //
-// Every operation names the atomic action it runs under; locks are owned
-// by that action and held until it ends (or are inherited by its parent
-// if it is nested). This is what makes scheme S1 (fig 6) hold the read
-// lock for the whole client action while S2/S3 (figs 7, 8) — which pass a
-// short independent top-level action — release it immediately.
+// Every other operation names the atomic action it runs under; locks are
+// owned by that action and held until it ends (or are inherited by its
+// parent if it is nested). This is what makes scheme S1 (fig 6) hold the
+// read lock for the whole client action while S2/S3 (figs 7, 8) — which
+// pass a short independent top-level action — release it immediately.
+// That binder action has this database as its only participant, so it
+// ends with one call: its Increment commits it (DESIGN.md §15).
 #pragma once
 
 #include <functional>
@@ -34,7 +41,8 @@ inline constexpr const char* kOsdbService = "osdb";
 // per-entry stable records.
 inline constexpr Uid kOsdbUid{0xDBull, 1};
 
-// One client's presence on one server node's use list.
+// One client's presence on one server node's use list: `count` is the
+// number of its live bindings through that server.
 struct UseEntry {
   NodeId server = 0;
   NodeId client = 0;
@@ -79,12 +87,24 @@ class ObjectServerDb final : public NamingDbBase {
   sim::Task<Result<SvView>> get_server(Uid object, Uid action, bool for_update = false);
   sim::Task<Status> insert(Uid object, NodeId host, Uid action);
   sim::Task<Status> remove(Uid object, NodeId host, Uid action);
-  sim::Task<Status> increment(Uid object, NodeId client, std::vector<NodeId> hosts, Uid action);
-  sim::Task<Status> decrement(Uid object, NodeId client, std::vector<NodeId> hosts, Uid action);
+  // Increment: record binding `token` for `client` on every host's use
+  // list, then commit the bind action `token` here, together with any
+  // Removes it made: the binder's action ends in this call. The action
+  // must still hold the entry's write lock (GetServer for update); one
+  // this incarnation no longer holds — aborted, swept as an orphan, lost
+  // in a crash — is refused with Aborted and nothing changes. A resend
+  // whose token is already recorded answers OK.
+  Status increment(Uid object, NodeId client, std::vector<NodeId> hosts, Uid token);
+  // Decrement: drop binding `token` from those use lists and persist the
+  // entry, under a local action of its own (no client action). A token
+  // that is absent answers OK. If the bind action `token` is still live
+  // here it is rolled back first, so its late Increment is refused.
+  sim::Task<Status> decrement(Uid object, NodeId client, std::vector<NodeId> hosts, Uid token);
 
   // Cleanup hook for the janitor (sec 4.1.3: "failure detection and
   // cleanup protocols will be required"): drop every use-list entry of a
-  // crashed client, across all objects. Runs under `action`.
+  // crashed client, across all objects. Runs under `action`; returns the
+  // number of bindings dropped.
   sim::Task<Result<std::uint32_t>> purge_client(NodeId client, Uid action);
 
   // All client nodes appearing in any use list (janitor scan).
@@ -105,16 +125,21 @@ class ObjectServerDb final : public NamingDbBase {
   void set_epoch_listener(std::function<void(const Uid&)> fn) { epoch_listener_ = std::move(fn); }
 
  private:
+  // The tokens of one client's live bindings through one server.
+  using Tokens = std::vector<Uid>;
+
   struct Entry {  // also the entry's stable record
     std::vector<NodeId> sv;
-    // server node -> (client node -> count)
-    std::map<NodeId, std::map<NodeId, std::uint32_t>> use;
+    // server node -> (client node -> tokens)
+    std::map<NodeId, std::map<NodeId, Tokens>> use;
     std::uint64_t epoch = 1;
     GV_WIRE_FIELDS(epoch, sv, use)
   };
 
   static std::string lock_name(const Uid& object) { return "sv:" + object.to_string(); }
   SvView view_of(const Entry& e) const;
+  static Tokens* slot(Entry& e, NodeId server, NodeId client);  // nullptr if none
+  static std::uint64_t use_count(const Entry& e);                // live bindings, all slots
   void bump_epoch(const Uid& object);
   void register_rpc(rpc::RpcEndpoint& endpoint);
 
@@ -123,6 +148,8 @@ class ObjectServerDb final : public NamingDbBase {
 
   std::map<Uid, Entry> entries_;
   std::function<void(const Uid&)> epoch_listener_;
+  // Owners of the locks Decrement takes, one fresh UID per call.
+  UidGenerator local_actions_;
 };
 
 // The osdb service's methods, declared once for the registration and the
@@ -134,7 +161,7 @@ inline constexpr rpc::Rpc<void(Uid, NodeId, std::vector<NodeId>, Uid)> kOsdbIncr
     kOsdbService, "increment"};
 inline constexpr rpc::Rpc<void(Uid, NodeId, std::vector<NodeId>, Uid)> kOsdbDecrement{
     kOsdbService, "decrement"};
-// (client, action) -> use counts purged
+// (client, action) -> bindings purged
 inline constexpr rpc::Rpc<std::uint32_t(NodeId, Uid)> kOsdbPurgeClient{kOsdbService,
                                                                        "purge_client"};
 
@@ -154,12 +181,12 @@ inline sim::Task<Status> osdb_remove(rpc::RpcEndpoint& ep, NodeId naming_node, U
   return ep.call(naming_node, kOsdbRemove, object, host, action);
 }
 inline sim::Task<Status> osdb_increment(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                        NodeId client, std::vector<NodeId> hosts, Uid action) {
-  return ep.call(naming_node, kOsdbIncrement, object, client, hosts, action);
+                                        NodeId client, std::vector<NodeId> hosts, Uid token) {
+  return ep.call(naming_node, kOsdbIncrement, object, client, hosts, token);
 }
 inline sim::Task<Status> osdb_decrement(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                        NodeId client, std::vector<NodeId> hosts, Uid action) {
-  return ep.call(naming_node, kOsdbDecrement, object, client, hosts, action);
+                                        NodeId client, std::vector<NodeId> hosts, Uid token) {
+  return ep.call(naming_node, kOsdbDecrement, object, client, hosts, token);
 }
 
 }  // namespace gv::naming

@@ -68,7 +68,16 @@ sim::Task<Status> CommitProcessor::commit(actions::AtomicAction& action,
     if (!staged.ok()) {
       counters_.inc("commit.stage_failed");
       stage_span.end("failed");
-      co_return co_await action.abort();
+      Status aborted = co_await action.abort();
+      if (staged.error() == Err::Conflict) {
+        // The bound replicas missed a commit that a store holds. Once the
+        // abort has released them, retire them (the mark_committed rule
+        // for a replica behind the group), so the next bind reloads.
+        for (NodeId server : b->bind.servers)
+          (void)co_await objsrv_mark_committed(rt_.endpoint(), server, b->spec.uid,
+                                               b->staged_version);
+      }
+      co_return aborted;
     }
   }
 
@@ -167,8 +176,10 @@ sim::Task<Status> CommitProcessor::stage_object(actions::AtomicAction& action,
   }
 
   const std::uint64_t new_version = state.value().version + 1;
+  binding.staged_version = new_version;
   // 3. Copy (prepare) the new state to every store in St(A).
   std::vector<NodeId> copied, failed;
+  bool behind = false;
   for (NodeId st : binding.st) {
     // The client node coordinates this 2PC: record it with the shadow so
     // a store left holding an undecided slot (crash, or a lost phase-2
@@ -180,10 +191,23 @@ sim::Task<Status> CommitProcessor::stage_object(actions::AtomicAction& action,
     if (s.ok()) {
       copied.push_back(st);
       counters_.inc("commit.state_copied");
+    } else if (s.error() == Err::Conflict) {
+      // The store already holds this version or a later one: it is not
+      // the store that failed but the state being staged that is stale.
+      // Excluding it would retire the only holders of a committed update.
+      behind = true;
     } else {
       failed.push_back(st);
       counters_.inc("commit.state_copy_failed");
     }
+  }
+  // Enlist every store that accepted the copy, so the 2PC (or the
+  // abort) reaches its shadow; the naming database is already a
+  // participant from GetView.
+  for (NodeId st : copied) action.enlist({st, store::kStoreService});
+  if (behind) {
+    counters_.inc("commit.staged_state_behind");
+    co_return Err::Conflict;
   }
 
   // 4. No store holds the new state: the object cannot commit.
@@ -199,11 +223,6 @@ sim::Task<Status> CommitProcessor::stage_object(actions::AtomicAction& action,
     excludes.push_back(naming::ExcludeItem{binding.spec.uid, std::move(failed)});
   }
 
-  // 6. Enlist every store that accepted the copy (the naming database is
-  // already a participant from GetView).
-  for (NodeId st : copied) action.enlist({st, store::kStoreService});
-
-  binding.staged_version = new_version;
   binding.staged_snapshot = state.value().snapshot;
   co_return ok_status();
 }

@@ -67,7 +67,7 @@ Status ObjectStore::prepare(const Uid& uid, const Uid& txn, std::uint64_t versio
   }
   if (faults_.fail_prepare_prob > 0 && fault_rng_.bernoulli(faults_.fail_prepare_prob)) {
     counters_.inc("store.fault_prepare_failed");
-    return Err::Conflict;  // injected IO error: the shadow install failed
+    return Err::StorageFault;  // injected IO error: the shadow install failed
   }
   ShadowSet& set = shadows_[txn];
   if (set.writes.empty()) set.created_at = node_.sim().now();

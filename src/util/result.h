@@ -31,6 +31,7 @@ enum class Err {
   BadRequest,      // malformed RPC payload
   Conflict,        // generic optimistic/version conflict
   StaleView,       // cached group-view epoch no longer current (rebind + retry)
+  StorageFault,    // a stable-storage write failed (injected IO error)
 };
 
 const char* to_string(Err e) noexcept;

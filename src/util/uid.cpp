@@ -29,6 +29,7 @@ const char* to_string(Err e) noexcept {
     case Err::BadRequest: return "BadRequest";
     case Err::Conflict: return "Conflict";
     case Err::StaleView: return "StaleView";
+    case Err::StorageFault: return "StorageFault";
   }
   return "Unknown";
 }

@@ -55,6 +55,28 @@ struct Fixture {
     sim.spawn(std::forward<F>(body));
     sim.run();
   }
+
+  // Drop every datagram from `from` to `to` for the next `span`.
+  void drop_for(NodeId from, NodeId to, sim::SimTime span) {
+    net.set_reachable(from, to, false);
+    sim.spawn([](sim::Network& net, sim::Simulator& sim, NodeId from, NodeId to,
+                 sim::SimTime span) -> sim::Task<> {
+      co_await sim.sleep(span);
+      net.set_reachable(from, to, true);
+    }(net, sim, from, to, span));
+  }
+
+  // Live bindings of `client` on obj's use lists, summed over servers.
+  std::uint32_t uses_of(NodeId client) {
+    std::uint32_t n = 0;
+    auto v = gvdb->servers().peek_view(obj);
+    if (v.ok())
+      for (const UseEntry& u : v.value().use)
+        if (u.client == client) n += u.count;
+    return n;
+  }
+
+  bool entry_unlocked() { return gvdb->servers().locks().holder_count("sv:" + obj.to_string()) == 0; }
 };
 
 TEST(BinderS1, BindsFirstKInSvOrder) {
@@ -210,6 +232,158 @@ TEST(BinderS3, StructurallySameRepairsAsS2) {
   }(f, binder));
   EXPECT_EQ(binder.counters().get("bind.removed_failed_server"), 1u);
   EXPECT_EQ(binder.counters().get("bind.nested_toplevel_action"), 1u);
+}
+
+// ------------------------------------------- single-site binder actions
+
+// A bind costs GetServer + Increment, an unbind one Decrement: no
+// prepare, no phase 2, no client action around the Decrement.
+TEST(BinderS2, BindIsTwoCallsAndUnbindOne) {
+  Fixture f;
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
+    auto r = co_await binder.bind(f.obj, 2, nullptr, f.probe());
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) co_return;
+    EXPECT_EQ(r.value().token, (Uid{0xB1D, 1}));  // the bind action's UID
+    EXPECT_EQ(f.net.counters().get("net.send"), 4u);
+    EXPECT_EQ(f.uses_of(1), 2u);
+    EXPECT_TRUE((co_await binder.unbind(f.obj, r.value())).ok());
+    EXPECT_EQ(f.net.counters().get("net.send"), 6u);
+    EXPECT_EQ(f.uses_of(1), 0u);
+  }(f, binder));
+  EXPECT_EQ(f.rt->counters().get("action.committed_single_site"), 1u);
+  EXPECT_EQ(f.rt->counters().get("action.begin_top"), 1u);
+  EXPECT_EQ(f.gvdb->servers().counters().get("db.commit"), 1u);
+}
+
+// The Increment's reply is lost; the resend finds the token and answers
+// OK, leaving exactly one binding.
+TEST(BinderS2, LostIncrementReplyIsResentAndLeavesOneToken) {
+  Fixture f;
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
+    Binder::Probe probe = [&f](NodeId) -> sim::Task<ProbeResult> {
+      f.drop_for(0, 1, 20 * sim::kMillisecond);  // the naming node's next reply
+      co_return ProbeResult::Ok;
+    };
+    auto r = co_await binder.bind(f.obj, 1, nullptr, probe);
+    EXPECT_TRUE(r.ok());
+  }(f, binder));
+  EXPECT_EQ(f.uses_of(1), 1u);
+  EXPECT_EQ(binder.counters().get("bind.increment_resent"), 1u);
+  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_resent"), 1u);
+  EXPECT_TRUE(f.entry_unlocked());
+}
+
+// Every datagram duplicated: the duplicate Increment changes nothing.
+TEST(BinderS2, DuplicatedIncrementLeavesOneToken) {
+  Fixture f;
+  f.net.config().dup_prob = 1.0;
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
+    auto r = co_await binder.bind(f.obj, 1, nullptr, f.probe());
+    EXPECT_TRUE(r.ok());
+  }(f, binder));
+  EXPECT_GE(f.net.counters().get("net.duplicated"), 4u);
+  EXPECT_EQ(f.uses_of(1), 1u);
+  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment"), 1u);
+}
+
+// The naming node restarts after the Increment committed and before its
+// reply arrived: the resend reaches the new incarnation, which answers OK
+// from the reloaded token.
+TEST(BinderS2, NamingRestartAfterIncrementCommittedAnswersFromToken) {
+  Fixture f;
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
+    Binder::Probe probe = [&f](NodeId) -> sim::Task<ProbeResult> {
+      f.drop_for(0, 1, 20 * sim::kMillisecond);
+      f.sim.spawn([](Fixture& f) -> sim::Task<> {
+        co_await f.sim.sleep(10 * sim::kMillisecond);  // the Increment has committed
+        f.cluster.node(0).crash();
+        f.cluster.node(0).recover();
+      }(f));
+      co_return ProbeResult::Ok;
+    };
+    auto r = co_await binder.bind(f.obj, 1, nullptr, probe);
+    EXPECT_TRUE(r.ok());
+  }(f, binder));
+  EXPECT_EQ(f.uses_of(1), 1u);
+  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_resent"), 1u);
+}
+
+// The naming node restarts during the bind's probe: the new incarnation
+// holds no bind action, so the Increment is refused and records nothing;
+// a retried bind succeeds.
+TEST(BinderS2, NamingRestartDuringProbeRefusesIncrement) {
+  Fixture f;
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  Err first = Err::None;
+  f.run([](Fixture& f, Binder& binder, Err& first) -> sim::Task<> {
+    Binder::Probe probe = [&f](NodeId) -> sim::Task<ProbeResult> {
+      f.cluster.node(0).crash();
+      f.cluster.node(0).recover();
+      co_return ProbeResult::Ok;
+    };
+    auto r = co_await binder.bind(f.obj, 1, nullptr, probe);
+    first = r.ok() ? Err::None : r.error();
+    EXPECT_EQ(f.uses_of(1), 0u);
+    auto again = co_await binder.bind(f.obj, 1, nullptr, f.probe());
+    EXPECT_TRUE(again.ok());
+  }(f, binder, first));
+  EXPECT_EQ(first, Err::Aborted);
+  EXPECT_EQ(f.uses_of(1), 1u);
+  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_refused"), 1u);
+  EXPECT_TRUE(f.entry_unlocked());
+}
+
+// An unbind whose reply is lost is resent; the resend finds no token and
+// answers OK, and the count is 0.
+TEST(BinderS2, UnbindResentAfterLostReplyLeavesZero) {
+  Fixture f;
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
+    auto r = co_await binder.bind(f.obj, 2, nullptr, f.probe());
+    EXPECT_TRUE(r.ok());
+    if (!r.ok()) co_return;
+    f.drop_for(0, 1, 20 * sim::kMillisecond);
+    EXPECT_EQ((co_await binder.unbind(f.obj, r.value())).error(), Err::Timeout);
+    EXPECT_EQ(f.uses_of(1), 0u);  // it was applied; only the reply was lost
+    EXPECT_TRUE((co_await binder.unbind(f.obj, r.value())).ok());
+  }(f, binder));
+  EXPECT_EQ(f.uses_of(1), 0u);
+  EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
+  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.decrement_absent"), 1u);
+}
+
+// Every Increment is lost, so the bind gives up: it aborts its action,
+// and an Increment that arrives late is refused and records nothing.
+TEST(BinderS2, GivenUpBindRefusesLateIncrement) {
+  Fixture f;
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  const sim::SimTime timeout = f.fabric->endpoint(1).config().call_timeout;
+  Err got = Err::None;
+  f.run([](Fixture& f, Binder& binder, sim::SimTime timeout, Err& got) -> sim::Task<> {
+    // Requests to the naming node are lost until the last Increment has
+    // gone; the abort that follows gets through.
+    Binder::Probe probe = [&f, timeout](NodeId) -> sim::Task<ProbeResult> {
+      f.drop_for(1, 0, (Binder::kIncrementAttempts - 1) * timeout + timeout / 2);
+      co_return ProbeResult::Ok;
+    };
+    auto r = co_await binder.bind(f.obj, 1, nullptr, probe);
+    got = r.ok() ? Err::None : r.error();
+    const Uid token{0xB1D, 1};  // the bind action: the runtime's first UID
+    const std::vector<NodeId> two{2};
+    EXPECT_EQ((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, two, token)).error(),
+              Err::Aborted);
+  }(f, binder, timeout, got));
+  EXPECT_EQ(got, Err::Timeout);
+  EXPECT_EQ(binder.counters().get("bind.increment_resent"),
+            static_cast<std::uint64_t>(Binder::kIncrementAttempts - 1));
+  EXPECT_EQ(f.rt->counters().get("action.aborted_top"), 1u);
+  EXPECT_EQ(f.uses_of(1), 0u);
+  EXPECT_TRUE(f.entry_unlocked());
 }
 
 TEST(Binder, UnknownObjectFails) {

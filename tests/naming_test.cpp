@@ -53,6 +53,26 @@ struct Fixture {
   }
 };
 
+// A binder action for `client` through `hosts`: GetServer for update,
+// then the Increment that records binding `token` (the action's UID) and
+// commits the action at the naming node.
+sim::Task<Status> record_binding(Fixture& f, Uid object, NodeId client, std::vector<NodeId> hosts,
+                                 Uid token) {
+  auto v = co_await osdb_get_server(f.rt->endpoint(), 0, object, token, true);
+  if (!v.ok()) co_return v.error();
+  co_return co_await osdb_increment(f.rt->endpoint(), 0, object, client, hosts, token);
+}
+
+// Live bindings of `client` on `object`'s use lists, summed over servers.
+std::uint32_t uses_of(Fixture& f, const Uid& object, NodeId client) {
+  std::uint32_t n = 0;
+  auto v = f.gvdb->servers().peek_view(object);
+  if (v.ok())
+    for (const UseEntry& u : v.value().use)
+      if (u.client == client) n += u.count;
+  return n;
+}
+
 // ------------------------------------------------------ ObjectServerDb
 
 TEST(ObjectServerDb, GetServerReturnsSvUnderReadLock) {
@@ -161,11 +181,11 @@ TEST(ObjectServerDb, WriteLockBlocksWhileReaderHolds) {
 TEST(ObjectServerDb, IncrementDecrementMaintainUseLists) {
   Fixture f;
   f.run([](Fixture& f) -> sim::Task<> {
-    AtomicAction a1{*f.rt};
+    const Uid token = f.rt->new_uid();
     std::vector<NodeId> both{2, 3};
-    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, both, a1.uid())).ok());
-    a1.enlist({0, kOsdbService});
-    EXPECT_TRUE((co_await a1.commit()).ok());
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, both, token)).ok());
+    // The Increment ended the bind action: its write lock is released.
+    EXPECT_EQ(f.gvdb->servers().locks().holder_count("sv:" + f.obj.to_string()), 0u);
 
     AtomicAction a2{*f.rt};
     auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, a2.uid());
@@ -179,10 +199,8 @@ TEST(ObjectServerDb, IncrementDecrementMaintainUseLists) {
     a2.enlist({0, kOsdbService});
     (void)co_await a2.commit();
 
-    AtomicAction a3{*f.rt};
-    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, both, a3.uid())).ok());
-    a3.enlist({0, kOsdbService});
-    EXPECT_TRUE((co_await a3.commit()).ok());
+    // Decrement needs no client action.
+    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, both, token)).ok());
 
     AtomicAction a4{*f.rt};
     auto v2 = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, a4.uid());
@@ -200,11 +218,9 @@ TEST(ObjectServerDb, InsertRefusedWhileObjectInUse) {
   // it must fail while any client is using the object.
   Fixture f;
   f.run([](Fixture& f) -> sim::Task<> {
-    AtomicAction user{*f.rt};
+    const Uid user = f.rt->new_uid();
     std::vector<NodeId> two{2};
-    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, two, user.uid())).ok());
-    user.enlist({0, kOsdbService});
-    EXPECT_TRUE((co_await user.commit()).ok());
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, user)).ok());
 
     AtomicAction recoverer{*f.rt};
     Status s = co_await osdb_insert(f.rt->endpoint(), 0, f.obj, 3, recoverer.uid());
@@ -215,10 +231,7 @@ TEST(ObjectServerDb, InsertRefusedWhileObjectInUse) {
     (void)co_await recoverer.abort();
 
     // After the user departs, Insert succeeds (as a no-op membership check).
-    AtomicAction bye{*f.rt};
-    (void)co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, two, bye.uid());
-    bye.enlist({0, kOsdbService});
-    (void)co_await bye.commit();
+    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, two, user)).ok());
 
     AtomicAction retry{*f.rt};
     EXPECT_TRUE((co_await osdb_insert(f.rt->endpoint(), 0, f.obj, 3, retry.uid())).ok());
@@ -249,12 +262,12 @@ TEST(ObjectServerDb, NestedActionInheritsLockToParent) {
 TEST(ObjectServerDb, PersistsAcrossNamingNodeCrash) {
   Fixture f;
   f.run([](Fixture& f) -> sim::Task<> {
+    // A binder action: Remove, then the Increment that commits both.
     AtomicAction act{*f.rt};
     std::vector<NodeId> two{2};
-    (void)co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 4, act.uid());
-    (void)co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, two, act.uid());
-    act.enlist({0, kOsdbService});
-    EXPECT_TRUE((co_await act.commit()).ok());
+    EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 4, act.uid())).ok());
+    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, two, act.uid())).ok());
+    act.committed_at_participant();
   }(f));
 
   f.cluster.node(0).crash();
@@ -460,11 +473,8 @@ TEST(NamingPersistence, CommitDoesNotPersistAnotherActionsUncommittedRemove) {
   f.run([](Fixture& f, Uid y) -> sim::Task<> {
     AtomicAction p{*f.rt};
     EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 4, p.uid())).ok());
-    AtomicAction c{*f.rt};
     std::vector<NodeId> two{2};
-    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, y, 1, two, c.uid())).ok());
-    c.enlist({0, kOsdbService});
-    EXPECT_TRUE((co_await c.commit()).ok());
+    EXPECT_TRUE((co_await record_binding(f, y, 1, two, f.rt->new_uid())).ok());
     // P never ends: the naming node crashes with its edit in flight.
   }(f, y));
   crash_naming_node(f);
@@ -502,12 +512,9 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
   f.run([](Fixture& f, Uid a, Uid b, Uid c) -> sim::Task<> {
     rpc::RpcEndpoint& ep = f.rt->endpoint();
     const std::vector<NodeId> two{2};
-    {  // client 5 binds to obj and a through server 2
-      AtomicAction bind{*f.rt};
-      EXPECT_TRUE((co_await osdb_increment(ep, 0, f.obj, 5, two, bind.uid())).ok());
-      EXPECT_TRUE((co_await osdb_increment(ep, 0, a, 5, two, bind.uid())).ok());
-      bind.enlist({0, kOsdbService});
-      EXPECT_TRUE((co_await bind.commit()).ok());
+    {  // client 5 binds to obj and a through server 2, one bind action each
+      EXPECT_TRUE((co_await record_binding(f, f.obj, 5, two, f.rt->new_uid())).ok());
+      EXPECT_TRUE((co_await record_binding(f, a, 5, two, f.rt->new_uid())).ok());
     }
     {  // one Exclude batch over three objects
       AtomicAction ex{*f.rt};
@@ -537,15 +544,16 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
       purge.enlist({0, kOsdbService});
       EXPECT_TRUE((co_await purge.commit()).ok());
     }
-    {  // edits across both databases, aborted
+    {  // edits across both databases, aborted; its late Increment is refused
       AtomicAction doomed{*f.rt};
       EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 2, doomed.uid())).ok());
-      EXPECT_TRUE((co_await osdb_increment(ep, 0, a, 6, two, doomed.uid())).ok());
+      EXPECT_TRUE((co_await osdb_remove(ep, 0, a, 3, doomed.uid())).ok());
       std::vector<ExcludeItem> items{{f.obj, {3}}, {c, {4}}};
       EXPECT_TRUE((co_await ostdb_exclude(ep, 0, items, doomed.uid())).ok());
       doomed.enlist({0, kOsdbService});
       doomed.enlist({0, kOstdbService});
       (void)co_await doomed.abort();
+      EXPECT_EQ((co_await osdb_increment(ep, 0, a, 6, two, doomed.uid())).error(), Err::Aborted);
     }
   }(f, a, b, c));
   const std::map<Uid, std::string> expected{
@@ -595,6 +603,137 @@ TEST(NamingPersistence, ReadOnlyActionsWriteNothing) {
   EXPECT_TRUE(stable_records(f) == before);
 }
 
+// ------------------------------------------- bind tokens: idempotence
+
+// A Decrement of a binding the client does not hold changes nothing, so
+// aborting the action that sent it cannot leave a phantom use behind
+// (the object would look active forever, and every later binder would
+// have to join server 2). Reached when the janitor purged a client that
+// was partitioned but alive, and that client's unbind then aborted.
+TEST(ObjectServerDb, AbortedDecrementOfAbsentCountLeavesNoPhantom) {
+  Fixture f;
+  f.run([](Fixture& f) -> sim::Task<> {
+    AtomicAction a{*f.rt};
+    std::vector<NodeId> two{2};
+    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, two, a.uid())).ok());
+    a.enlist({0, kOsdbService});
+    (void)co_await a.abort();
+  }(f));
+  EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
+}
+
+// The janitor's scenario end to end: a purge of a live client, then that
+// client's own unbind. The token is gone already, so the unbind answers
+// OK and the object stays quiescent.
+TEST(ObjectServerDb, UnbindAfterPurgeLeavesNoPhantom) {
+  Fixture f;
+  f.run([](Fixture& f) -> sim::Task<> {
+    const Uid token = f.rt->new_uid();
+    std::vector<NodeId> two{2};
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, token)).ok());
+    AtomicAction purge{*f.rt};
+    auto purged = co_await f.gvdb->servers().purge_client(1, purge.uid());
+    EXPECT_TRUE(purged.ok() && purged.value() == 1u);
+    purge.enlist({0, kOsdbService});
+    EXPECT_TRUE((co_await purge.commit()).ok());
+    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, two, token)).ok());
+  }(f));
+  EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
+  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.decrement_absent"), 1u);
+}
+
+// An aborted purge restores exactly the tokens it removed: a binding the
+// client dropped meanwhile does not come back, one it still holds does.
+TEST(ObjectServerDb, AbortedPurgeRestoresOnlyItsTokens) {
+  Fixture f;
+  f.run([](Fixture& f) -> sim::Task<> {
+    const Uid first = f.rt->new_uid(), second = f.rt->new_uid();
+    std::vector<NodeId> two{2};
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, first)).ok());
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, second)).ok());
+    EXPECT_EQ(uses_of(f, f.obj, 1), 2u);
+    AtomicAction purge{*f.rt};
+    auto purged = co_await f.gvdb->servers().purge_client(1, purge.uid());
+    EXPECT_TRUE(purged.ok() && purged.value() == 2u);
+    purge.enlist({0, kOsdbService});
+    (void)co_await purge.abort();
+    EXPECT_EQ(uses_of(f, f.obj, 1), 2u);
+    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, two, first)).ok());
+    EXPECT_EQ(uses_of(f, f.obj, 1), 1u);
+  }(f));
+}
+
+// An Increment resent after it committed answers OK from its token, in
+// the same incarnation and in the next one, and records nothing twice.
+TEST(ObjectServerDb, ResentIncrementAnswersFromItsToken) {
+  Fixture f;
+  const Uid token = f.rt->new_uid();
+  const std::vector<NodeId> both{2, 3};
+  f.run([](Fixture& f, Uid token, std::vector<NodeId> both) -> sim::Task<> {
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, both, token)).ok());
+    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, both, token)).ok());
+    EXPECT_EQ(uses_of(f, f.obj, 1), 2u);  // one binding on each of 2 and 3
+  }(f, token, both));
+  crash_naming_node(f);
+  f.run([](Fixture& f, Uid token, std::vector<NodeId> both) -> sim::Task<> {
+    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, both, token)).ok());
+  }(f, token, both));
+  EXPECT_EQ(uses_of(f, f.obj, 1), 2u);
+  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_resent"), 2u);
+}
+
+// An Increment for an action this incarnation does not hold is refused
+// and changes nothing: one that never locked the entry, one lost in a
+// naming-node crash (with its Remove), one already aborted.
+TEST(ObjectServerDb, IncrementOfAnActionNotHeldIsRefused) {
+  Fixture f;
+  const Uid lost = f.rt->new_uid();
+  f.run([](Fixture& f, Uid lost) -> sim::Task<> {
+    rpc::RpcEndpoint& ep = f.rt->endpoint();
+    std::vector<NodeId> two{2};
+    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, f.rt->new_uid())).error(),
+              Err::Aborted);
+    EXPECT_TRUE((co_await osdb_get_server(ep, 0, f.obj, lost, true)).ok());
+    EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 4, lost)).ok());
+  }(f, lost));
+  crash_naming_node(f);
+  f.run([](Fixture& f, Uid lost) -> sim::Task<> {
+    rpc::RpcEndpoint& ep = f.rt->endpoint();
+    std::vector<NodeId> two{2};
+    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, lost)).error(), Err::Aborted);
+    AtomicAction aborted{*f.rt};
+    EXPECT_TRUE((co_await osdb_get_server(ep, 0, f.obj, aborted.uid(), true)).ok());
+    aborted.enlist({0, kOsdbService});
+    (void)co_await aborted.abort();
+    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, aborted.uid())).error(),
+              Err::Aborted);
+  }(f, lost));
+  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
+  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_refused"), 3u);
+}
+
+// A Decrement for a bind action still live at the naming node ends that
+// action: its Remove is rolled back, its lock released, and its late
+// Increment refused. A resent Decrement then answers OK.
+TEST(ObjectServerDb, DecrementEndsALiveBindAction) {
+  Fixture f;
+  f.run([](Fixture& f) -> sim::Task<> {
+    rpc::RpcEndpoint& ep = f.rt->endpoint();
+    const Uid token = f.rt->new_uid();
+    std::vector<NodeId> two{2};
+    EXPECT_TRUE((co_await osdb_get_server(ep, 0, f.obj, token, true)).ok());
+    EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 4, token)).ok());
+    EXPECT_TRUE((co_await osdb_decrement(ep, 0, f.obj, 1, two, token)).ok());
+    EXPECT_EQ(f.gvdb->servers().locks().holder_count("sv:" + f.obj.to_string()), 0u);
+    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, token)).error(), Err::Aborted);
+    EXPECT_TRUE((co_await osdb_decrement(ep, 0, f.obj, 1, two, token)).ok());
+  }(f));
+  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
+  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.decrement_ended_bind"), 1u);
+  crash_naming_node(f);
+  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
+}
+
 // ----------------------------------------------------------- Janitor
 
 TEST(UseListJanitor, PurgesCrashedClientsEntries) {
@@ -602,11 +741,8 @@ TEST(UseListJanitor, PurgesCrashedClientsEntries) {
   UseListJanitor janitor{f.gvdb->servers(), f.fabric->endpoint(0)};
   // Client on node 1 binds, then crashes without decrementing.
   f.run([](Fixture& f) -> sim::Task<> {
-    AtomicAction act{*f.rt};
     std::vector<NodeId> both{2, 3};
-    (void)co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, both, act.uid());
-    act.enlist({0, kOsdbService});
-    (void)co_await act.commit();
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, both, f.rt->new_uid())).ok());
   }(f));
   f.cluster.node(1).crash();
 
@@ -622,11 +758,8 @@ TEST(UseListJanitor, LeavesLiveClientsAlone) {
   Fixture f;
   UseListJanitor janitor{f.gvdb->servers(), f.fabric->endpoint(0)};
   f.run([](Fixture& f) -> sim::Task<> {
-    AtomicAction act{*f.rt};
     std::vector<NodeId> two{2};
-    (void)co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, two, act.uid());
-    act.enlist({0, kOsdbService});
-    (void)co_await act.commit();
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, f.rt->new_uid())).ok());
   }(f));
 
   std::uint32_t purged = 99;
@@ -643,11 +776,8 @@ TEST(UseListJanitor, PeriodicSweepRunsAutomatically) {
   janitor.start();
   // The janitor loop keeps the queue non-empty: drive with run_until.
   f.sim.spawn([](Fixture& f) -> sim::Task<> {
-    AtomicAction act{*f.rt};
     std::vector<NodeId> two{2};
-    (void)co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, two, act.uid());
-    act.enlist({0, kOsdbService});
-    (void)co_await act.commit();
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, f.rt->new_uid())).ok());
     f.cluster.node(1).crash();
   }(f));
   f.sim.run_until(500 * sim::kMillisecond);

@@ -139,6 +139,65 @@ TEST(Nemesis, DoubleFailureJanitorAndOrphanCleanupCompose) {
   EXPECT_GE(sys.gvdb().states().counters().get("db.orphan_owner_dead"), 1u);
 }
 
+// ------------------------------------------------- stale staging state
+
+// A store that missed a decided commit's phase 2 still answers reads with
+// the version before it. A server activated from that store holds stale
+// state, and staging it reaches a store that already holds the commit.
+// That store is ahead, not failed: the action must abort and the stale
+// replica retire, instead of Excluding the only holder of the committed
+// update and installing over it (found by the gv_campaign netchaos and
+// everything mixes).
+TEST(StaleStaging, StoreAheadOfStagedStateAbortsInsteadOfExcluding) {
+  SystemConfig cfg;
+  cfg.nodes = 8;
+  cfg.seed = 11;
+  ReplicaSystem sys{cfg};
+  const Uid obj = sys.define_object("o", "counter", Counter{}.snapshot(), {2}, {5, 6},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = sys.client(1);
+
+  // The moment the client decides to commit its action (decision #2;
+  // #1 is the bind), cut it off from store 5: phase 2 reaches store 6
+  // only, and store 5 keeps the commit as a pending shadow.
+  sys.sim().spawn([](ReplicaSystem& sys, ClientSession* client) -> sim::Task<> {
+    while (client->runtime().counters().get("action.committed_top") < 2)
+      co_await sys.sim().sleep(50);  // 50us polling, well under latency
+    sys.net().set_reachable(1, 5, false);
+  }(sys, client));
+
+  bool second_committed = true;
+  sys.sim().spawn([](ReplicaSystem& sys, ClientSession* client, Uid obj,
+                     bool& second_committed) -> sim::Task<> {
+    auto first = client->begin();
+    EXPECT_TRUE((co_await first->invoke(obj, "add", i64_buf(1), LockMode::Write)).ok());
+    EXPECT_TRUE((co_await first->commit()).ok());
+    sys.net().set_reachable(1, 5, true);
+    // The server lets go of the object; its next activation reads store
+    // 5 first, which still answers with v1.
+    EXPECT_TRUE(sys.host_at(2).passivate(obj).ok());
+    auto second = client->begin();
+    EXPECT_TRUE((co_await second->invoke(obj, "add", i64_buf(10), LockMode::Write)).ok());
+    second_committed = (co_await second->commit()).ok();
+  }(sys, client, obj, second_committed));
+  sys.sim().run_until(2 * sim::kSecond);
+
+  EXPECT_EQ(sys.store_at(5).read(obj).value().version, 1u);  // phase 2 never came
+  EXPECT_FALSE(second_committed);
+  // Store 6 keeps the first commit and stays in St.
+  auto st = sys.gvdb().states().peek(obj);
+  std::sort(st.begin(), st.end());
+  EXPECT_EQ(st, (std::vector<sim::NodeId>{5, 6}));
+  auto six = sys.store_at(6).read(obj);
+  ASSERT_TRUE(six.ok());
+  EXPECT_EQ(six.value().version, 2u);
+  Counter committed;
+  ASSERT_TRUE(committed.restore(six.value().state).ok());
+  EXPECT_EQ(committed.value(), 1);
+  // The stale replica was retired, so the next bind reloads.
+  EXPECT_FALSE(sys.host_at(2).is_active(obj));
+}
+
 // ---------------------------------------------------------------- auditor
 
 TEST(Auditor, FlagsEscapedViewState) {

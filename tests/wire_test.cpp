@@ -316,19 +316,20 @@ struct NamingFixture {
 
 TEST(WireOracle, OsdbRecord) {
   NamingFixture f;
-  const Uid action{7, 7};
-  f.sim.spawn([](NamingFixture& f, Uid action) -> sim::Task<> {
-    const std::vector<NodeId> both{2, 3};
-    const std::vector<NodeId> first{2};
-    EXPECT_TRUE((co_await f.gvdb->servers().increment(f.obj, 1, both, action)).ok());
-    EXPECT_TRUE((co_await f.gvdb->servers().increment(f.obj, 5, first, action)).ok());
-    EXPECT_TRUE((co_await f.gvdb->servers().commit(action)).ok());
-  }(f, action));
+  const Uid first{7, 7}, second{7, 8};
+  f.sim.spawn([](NamingFixture& f, Uid first, Uid second) -> sim::Task<> {
+    // Two bind actions, each ended by its Increment.
+    EXPECT_TRUE((co_await f.gvdb->servers().get_server(f.obj, first, true)).ok());
+    EXPECT_TRUE(f.gvdb->servers().increment(f.obj, 1, {2, 3}, first).ok());
+    EXPECT_TRUE((co_await f.gvdb->servers().get_server(f.obj, second, true)).ok());
+    EXPECT_TRUE(f.gvdb->servers().increment(f.obj, 5, {2}, second).ok());
+  }(f, first, second));
   f.sim.run();
 
-  // epoch, Sv, then the use lists grouped by server: server -> clients.
-  const std::map<NodeId, std::map<NodeId, std::uint32_t>> use{{2, {{1, 1}, {5, 1}}},
-                                                              {3, {{1, 1}}}};
+  // epoch, Sv, then the use lists grouped by server: server -> clients,
+  // each client's binding tokens as a UID vector.
+  const std::map<NodeId, std::map<NodeId, std::vector<Uid>>> use{
+      {2, {{1, {first}}, {5, {second}}}}, {3, {{1, {first}}}}};
   Buffer ref;
   ref.pack_u64(f.gvdb->servers().epoch_of(f.obj));
   ref.pack_u32_vector({2, 3, 4});
@@ -336,7 +337,7 @@ TEST(WireOracle, OsdbRecord) {
   for (const auto& [server, clients] : use) {
     ref.pack_u32(server);
     ref.pack_u32(static_cast<std::uint32_t>(clients.size()));
-    for (const auto& [client, count] : clients) ref.pack_u32(client).pack_u32(count);
+    for (const auto& [client, tokens] : clients) ref.pack_u32(client).pack_uid_vector(tokens);
   }
   const Buffer record = f.store->records(naming::kOsdbUid).at(f.obj);
   EXPECT_EQ(record, ref);
