@@ -1,10 +1,11 @@
 // Experiment F7 (Figure 7): independent top-level actions.
 //
 // Binding runs in its own top-level action that also returns use lists,
-// Removes failed servers and Increments use counters; a second top-level
-// action Decrements after the client action ends. Sv stays current — at
-// the cost of write locks on the database entry and extra action
-// envelopes.
+// Removes failed servers and Increments use counters; the Increment call
+// commits that action at the naming node. One Decrement call, with no
+// action of its own, follows the client action. Sv stays current — at
+// the cost of write locks on the database entry and an extra action
+// envelope.
 #include "bench/scheme_common.h"
 
 using namespace gv;
@@ -43,12 +44,12 @@ int main(int argc, char** argv) {
   std::printf("\nExpected shape: stale probes stay LOW and roughly flat in client\n"
               "count (first discoverer Removes the dead server; later clients see a\n"
               "current Sv); the price is Sv write-lock contention growing with\n"
-              "clients and ~3 top-level actions per transaction (bind / client /\n"
-              "decrement).\n");
+              "clients and 2 top-level actions per transaction (bind, client;\n"
+              "the Decrement needs none).\n");
 
   // Sec 6: the multi-object workload the group-view cache targets. Every
   // transaction binds 4 objects; uncached S2 pays per-object GetView +
-  // use-list actions, the cache pays one warm lookup per object and one
+  // use-list calls, the cache pays one warm lookup per object and one
   // batched validate per commit.
   core::Table mo({"view cache", "availability", "median (ms)", "p99 (ms)"});
   Summary lat_off, lat_on;
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
               core::Table::fmt(lat_on.percentile(50)), core::Table::fmt(lat_on.percentile(99))});
   mo.print("4-object transactions, fault-free");
   std::printf("\nExpected shape: the cached median drops well over 20%%: four\n"
-              "GetViews plus four Increment/Decrement action pairs become zero\n"
+              "GetViews plus four GetServer/Increment/Decrement calls become zero\n"
               "naming RPCs at bind plus ONE batched epoch validate at commit.\n");
   json.add_summary("multiobj_uncached", lat_off);
   json.add_summary("multiobj_cached", lat_on);

@@ -2,7 +2,7 @@
 //
 // Functionally scheme S2 — same GetServer/Remove/Increment/Decrement
 // protocol, same use lists — but the binding action is invoked from
-// INSIDE the running client action, folding the three separate action
+// INSIDE the running client action, folding the separate action
 // envelopes of fig 7 into one enclosing structure. We run the same
 // workload as F7 and compare the two enhanced schemes directly.
 #include "bench/scheme_common.h"
