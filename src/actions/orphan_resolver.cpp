@@ -1,0 +1,78 @@
+#include "actions/orphan_resolver.h"
+
+#include <vector>
+
+#include "actions/coordinator_log.h"
+
+namespace gv::actions {
+
+OrphanResolver::OrphanResolver(sim::Node& node, rpc::RpcEndpoint& endpoint, Aged aged,
+                               Apply apply, Swept swept)
+    : node_(node),
+      endpoint_(endpoint),
+      aged_(std::move(aged)),
+      apply_(std::move(apply)),
+      swept_(std::move(swept)) {}
+
+void OrphanResolver::note(const Uid& action, sim::NodeId owner) {
+  Owner& rec = owners_[action];
+  rec.node = owner;
+  rec.last_seen = node_.sim().now();
+}
+
+bool OrphanResolver::inherit(const Uid& child, const Uid& parent) {
+  auto it = owners_.find(child);
+  if (it == owners_.end()) return false;
+  note(parent, it->second.node);
+  owners_.erase(it);
+  return true;
+}
+
+bool OrphanResolver::trigger() {
+  if (running_) return false;
+  running_ = true;
+  node_.sim().spawn([](OrphanResolver& self) -> sim::Task<> {
+    (void)co_await self.sweep();
+    self.running_ = false;
+  }(*this));
+  return true;
+}
+
+sim::Task<std::uint32_t> OrphanResolver::sweep() {
+  std::uint32_t aborted = 0;
+  // Snapshot: the calls below suspend, and phase-2 messages may end
+  // tracked actions meanwhile.
+  const std::vector<std::pair<Uid, Owner>> snapshot(owners_.begin(), owners_.end());
+  const std::uint64_t my_epoch = node_.epoch();
+  for (const auto& [action, owner] : snapshot) {
+    if (!node_.up() || node_.epoch() != my_epoch) co_return aborted;
+    if (!tracks(action)) continue;  // finished meanwhile
+    auto outcome = co_await CoordinatorLog::remote_outcome(endpoint_, owner.node, action);
+    if (!tracks(action)) continue;  // raced a real phase-2
+    if (outcome.ok() && outcome.value() == TxnOutcome::Committed) {
+      co_await apply_(action, Verdict::Committed);
+      continue;
+    }
+    if (outcome.ok() && outcome.value() == TxnOutcome::Aborted) {
+      co_await apply_(action, Verdict::Aborted);
+      ++aborted;
+      continue;
+    }
+    // Unknown outcome: the action may simply still be running.
+    const bool aged = aged_(node_.sim().now() - owner.last_seen);
+    bool dead = false;
+    if (!aged) {
+      auto ping = co_await endpoint_.call(owner.node, "sys", "ping", Buffer{},
+                                          20 * sim::kMillisecond);
+      dead = !ping.ok();
+    }
+    if (!aged && !dead) continue;
+    if (!tracks(action)) continue;  // raced a phase-2 during the ping
+    co_await apply_(action, aged ? Verdict::AgedOut : Verdict::OwnerDead);
+    ++aborted;
+  }
+  if (swept_) swept_(aborted);
+  co_return aborted;
+}
+
+}  // namespace gv::actions

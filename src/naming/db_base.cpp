@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "actions/coordinator_log.h"
 #include "core/metrics.h"
 #include "core/trace.h"
 #include "util/log.h"
@@ -16,91 +15,44 @@ NamingDbBase::NamingDbBase(sim::Node& node, store::ObjectStore& store,
       endpoint_(endpoint),
       db_uid_(db_uid),
       cfg_(cfg),
-      locks_(node.sim()) {
+      locks_(node.sim()),
+      orphans_(
+          node, endpoint,
+          [](sim::SimTime idle) { return idle > kOrphanActionAge; },
+          [this](Uid action, actions::OrphanResolver::Verdict verdict) -> sim::Task<> {
+            using Verdict = actions::OrphanResolver::Verdict;
+            if (verdict == Verdict::Committed) {
+              (void)co_await commit(action);
+              counters_.inc("db.orphan_committed");
+              co_return;
+            }
+            rollback(action);
+            locks_.release_all(action);
+            orphans_.forget(action);
+            counters_.inc(verdict == Verdict::Aborted   ? "db.orphan_decided_abort"
+                          : verdict == Verdict::AgedOut ? "db.orphan_aged_out"
+                                                        : "db.orphan_owner_dead");
+          },
+          [this](std::uint32_t aborted) {
+            if (aborted > 0)
+              core::trace_instant(trace_, "db.orphan_sweep", node_.id(), "naming",
+                                  std::to_string(aborted) + " aborted");
+          }) {
   node_.on_recover([this] {
     // The database is a persistent object: rebuild from the local store.
     // In-flight actions died with the node; their locks and undo records
     // were volatile, so the reloaded committed state is exactly right.
     undo_.clear();
-    owners_.clear();
+    orphans_.clear();
     locks_.reset();
     load_entries(store_.records(db_uid_));
   });
 }
 
 void NamingDbBase::note_activity(const Uid& action, NodeId owner) {
-  auto& rec = owners_[action];
-  rec.node = owner;
-  rec.last_seen = node_.sim().now();
+  orphans_.note(action, owner);
   core::metric_gauge(metrics_, "naming.lock_table_depth",
                      static_cast<double>(locks_.table_depth()));
-}
-
-void NamingDbBase::trigger_orphan_sweep() {
-  if (sweep_in_progress_) return;
-  sweep_in_progress_ = true;
-  node_.sim().spawn([](NamingDbBase& self) -> sim::Task<> {
-    (void)co_await self.sweep_orphans();
-    self.sweep_in_progress_ = false;
-  }(*this));
-}
-
-sim::Task<std::uint32_t> NamingDbBase::sweep_orphans() {
-  std::uint32_t aborted = 0;
-  // Snapshot: the pings below suspend, and commits may mutate owners_.
-  std::vector<std::pair<Uid, ActionOwner>> snapshot(owners_.begin(), owners_.end());
-  const std::uint64_t my_epoch = node_.epoch();
-  for (const auto& [action, owner] : snapshot) {
-    if (!node_.up() || node_.epoch() != my_epoch) co_return aborted;
-    if (owners_.find(action) == owners_.end()) continue;  // finished meanwhile
-    // Ask the coordinator FIRST, for every tracked action: an action can
-    // look orphaned here merely because its phase-2 RPC was lost in
-    // transit, and a decided outcome is safe to apply at any age — doing
-    // so immediately keeps a lost phase-2 from wedging the entry lock
-    // for the full orphan-age window (found by the gv_campaign netchaos
-    // mix). A dead coordinator node answers nothing and we fall through
-    // to the presumed abort, which is then correct (Gray's blocking
-    // case: the decision, if any, died with the volatile log).
-    auto outcome = co_await actions::CoordinatorLog::remote_outcome(endpoint_, owner.node, action);
-    if (owners_.find(action) == owners_.end()) continue;  // raced a real phase-2
-    if (outcome.ok() && outcome.value() == actions::TxnOutcome::Committed) {
-      (void)co_await commit(action);
-      counters_.inc("db.orphan_committed");
-      continue;
-    }
-    if (outcome.ok() && outcome.value() == actions::TxnOutcome::Aborted) {
-      rollback(action);
-      locks_.release_all(action);
-      owners_.erase(action);
-      ++aborted;
-      counters_.inc("db.orphan_decided_abort");
-      continue;
-    }
-    // Unknown outcome: the action may simply still be running (or its
-    // owner keeps no coordinator log). Presume abort only once it
-    // outlives any plausible action lifetime, or its owner (the client
-    // process or its whole node) is provably gone — a failed outcome
-    // call is NOT proof, so liveness comes from a ping.
-    const bool aged = node_.sim().now() - owner.last_seen > kOrphanActionAge;
-    bool dead = false;
-    if (!aged) {
-      auto ping = co_await endpoint_.call(owner.node, "sys", "ping", Buffer{},
-                                          20 * sim::kMillisecond);
-      dead = !ping.ok();
-    }
-    if (!aged && !dead) continue;
-    auto it = owners_.find(action);
-    if (it == owners_.end()) continue;
-    rollback(action);
-    locks_.release_all(action);
-    owners_.erase(it);
-    ++aborted;
-    counters_.inc(aged ? "db.orphan_aged_out" : "db.orphan_owner_dead");
-  }
-  if (aborted > 0)
-    core::trace_instant(trace_, "db.orphan_sweep", node_.id(), "naming",
-                        std::to_string(aborted) + " aborted");
-  co_return aborted;
 }
 
 sim::Task<bool> NamingDbBase::prepare(const Uid&) {
@@ -126,14 +78,14 @@ void NamingDbBase::commit_now(const Uid& txn, const Uid& also) {
     undo_.erase(it);
   }
   for (const Uid& entry : touched) persist_entry(entry);
-  owners_.erase(txn);
+  orphans_.forget(txn);
   locks_.release_all(txn);
   counters_.inc("db.commit");
 }
 
 sim::Task<Status> NamingDbBase::abort(const Uid& txn) {
   rollback(txn);
-  owners_.erase(txn);
+  orphans_.forget(txn);
   locks_.release_all(txn);
   counters_.inc("db.abort");
   co_return ok_status();
@@ -151,17 +103,15 @@ void NamingDbBase::nested_commit(const Uid& child, const Uid& parent) {
     undo_.erase(it);
   }
   // The parent inherits ownership tracking from the child.
-  auto oit = owners_.find(child);
-  if (oit != owners_.end()) {
-    note_activity(parent, oit->second.node);
-    owners_.erase(oit);
-  }
+  if (orphans_.inherit(child, parent))
+    core::metric_gauge(metrics_, "naming.lock_table_depth",
+                       static_cast<double>(locks_.table_depth()));
   counters_.inc("db.nested_commit");
 }
 
 void NamingDbBase::nested_abort(const Uid& child) {
   rollback(child);
-  owners_.erase(child);
+  orphans_.forget(child);
   locks_.release_all(child);
   counters_.inc("db.nested_abort");
 }

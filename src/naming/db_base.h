@@ -23,6 +23,7 @@
 
 #include "actions/atomic_action.h"
 #include "actions/lock_manager.h"
+#include "actions/orphan_resolver.h"
 #include "rpc/rpc.h"
 #include "store/object_store.h"
 #include "util/uid.h"
@@ -75,7 +76,7 @@ class NamingDbBase : public actions::ServerParticipant {
   // Abort every action whose owner is dead or that aged out. Returns the
   // number of orphans aborted. Normally triggered automatically by lock
   // contention; public for tests.
-  sim::Task<std::uint32_t> sweep_orphans();
+  sim::Task<std::uint32_t> sweep_orphans() { return orphans_.sweep(); }
 
  protected:
   ~NamingDbBase() override = default;
@@ -110,7 +111,7 @@ class NamingDbBase : public actions::ServerParticipant {
   static constexpr sim::SimTime kOrphanActionAge = 3 * sim::kSecond;
 
   // Schedule an orphan sweep if none is running (fire-and-forget).
-  void trigger_orphan_sweep();
+  void trigger_orphan_sweep() { (void)orphans_.trigger(); }
 
   sim::Node& node_;
   store::ObjectStore& store_;
@@ -123,13 +124,8 @@ class NamingDbBase : public actions::ServerParticipant {
     std::function<void()> fn;
   };
   std::map<Uid, std::vector<Undo>> undo_;
-  struct ActionOwner {
-    NodeId node = 0;
-    sim::SimTime last_seen = 0;
-  };
-  std::map<Uid, ActionOwner> owners_;
-  bool sweep_in_progress_ = false;
   Counters counters_;
+  actions::OrphanResolver orphans_;
   core::TraceRecorder* trace_ = nullptr;
   core::MetricsRegistry* metrics_ = nullptr;
 };

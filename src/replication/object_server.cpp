@@ -1,6 +1,5 @@
 #include "replication/object_server.h"
 
-#include "actions/coordinator_log.h"
 #include "core/metrics.h"
 #include "core/trace.h"
 #include "util/log.h"
@@ -12,7 +11,16 @@ std::string group_name(const Uid& object) { return "grp:" + object.to_string(); 
 ObjectServerHost::ObjectServerHost(sim::Node& node, rpc::RpcEndpoint& endpoint,
                                    actions::TxnRegistry& txns, rpc::GroupComm& gc,
                                    ClassRegistry& classes)
-    : node_(node), endpoint_(endpoint), gc_(gc), classes_(classes), locks_(node.sim()) {
+    : node_(node),
+      endpoint_(endpoint),
+      gc_(gc),
+      classes_(classes),
+      locks_(node.sim()),
+      orphans_(
+          node, endpoint, [](sim::SimTime idle) { return idle >= kOrphanActionAge; },
+          [this](Uid action, actions::OrphanResolver::Verdict verdict) {
+            return resolve_orphan(action, verdict);
+          }) {
   txns.add(kObjSrvService, this);
   register_rpc();
   node_.on_crash([this] {
@@ -21,7 +29,7 @@ ObjectServerHost::ObjectServerHost(sim::Node& node, rpc::RpcEndpoint& endpoint,
     active_.clear();
     touched_.clear();
     terminated_.clear();
-    owners_.clear();
+    orphans_.clear();
     locks_.reset();
   });
 }
@@ -91,7 +99,7 @@ sim::Task<Result<Buffer>> ObjectServerHost::invoke(Uid object, Uid action,
   auto it = active_.find(object);
   if (it == active_.end()) co_return Err::NotFound;  // passive: activate first
   if (terminated_.get(action) != 0) co_return Err::Aborted;
-  if (owner != sim::kNoNode) note_owner(action, owner);
+  if (owner != sim::kNoNode) orphans_.note(action, owner);
   Status lk = co_await locks_.acquire(lock_name(object), mode, action, kInvokeLockWait,
                                       std::move(ancestors));
   if (!lk.ok()) {
@@ -228,7 +236,7 @@ sim::Task<Status> ObjectServerHost::commit(const Uid& txn) {
     // below and is retired by the mark_committed that follows.
     if (a.modified_by.erase(txn) > 0) ++a.version;
   }
-  owners_.erase(txn);
+  orphans_.forget(txn);
   locks_.release_all(txn);
   counters_.inc("objsrv.txn_commit");
   co_return ok_status();
@@ -246,7 +254,7 @@ sim::Task<Status> ObjectServerHost::abort(const Uid& txn) {
     }
     a.modified_by.erase(txn);
   }
-  owners_.erase(txn);
+  orphans_.forget(txn);
   locks_.release_all(txn);
   counters_.inc("objsrv.txn_abort");
   co_return ok_status();
@@ -254,71 +262,36 @@ sim::Task<Status> ObjectServerHost::abort(const Uid& txn) {
 
 // ------------------------------------------------ orphaned-action resolution
 
-void ObjectServerHost::note_owner(const Uid& action, NodeId owner) {
-  auto& rec = owners_[action];
-  rec.node = owner;
-  rec.last_seen = node_.sim().now();
-}
-
 void ObjectServerHost::trigger_orphan_sweep() {
-  if (orphan_sweep_running_) return;
-  orphan_sweep_running_ = true;
-  node_.sim().spawn([](ObjectServerHost& self) -> sim::Task<> {
-    co_await self.sweep_orphan_actions();
-    self.orphan_sweep_running_ = false;
-  }(*this));
+  if (orphans_.trigger()) counters_.inc("objsrv.orphan_sweep");
 }
 
-sim::Task<> ObjectServerHost::sweep_orphan_actions() {
-  counters_.inc("objsrv.orphan_sweep");
-  std::vector<std::pair<Uid, ActionOwner>> snapshot(owners_.begin(), owners_.end());
-  const std::uint64_t my_epoch = node_.epoch();
-  for (const auto& [action, owner] : snapshot) {
-    if (!node_.up() || node_.epoch() != my_epoch) co_return;
-    if (owners_.find(action) == owners_.end()) continue;  // terminated meanwhile
-    auto outcome =
-        co_await actions::CoordinatorLog::remote_outcome(endpoint_, owner.node, action);
-    if (owners_.find(action) == owners_.end()) continue;  // raced a real phase-2
-    const bool committed = outcome.ok() && outcome.value() == actions::TxnOutcome::Committed;
-    const bool aborted = outcome.ok() && outcome.value() == actions::TxnOutcome::Aborted;
-    // A decided outcome is safe to apply at any age. Presume abort only
-    // for an action that outlived any plausible lifetime or whose owner
-    // node is provably down (a failed outcome call is not proof — the
-    // owner may simply keep no coordinator log); an Unknown from a live
-    // owner means the action is still running.
-    const bool aged = node_.sim().now() - owner.last_seen >= kOrphanActionAge;
-    bool owner_dead = false;
-    if (!committed && !aborted && !aged) {
-      auto ping = co_await endpoint_.call(owner.node, "sys", "ping", Buffer{},
-                                          20 * sim::kMillisecond);
-      owner_dead = !ping.ok();
-      if (owners_.find(action) == owners_.end()) continue;  // raced a phase-2
+sim::Task<> ObjectServerHost::resolve_orphan(Uid action, actions::OrphanResolver::Verdict verdict) {
+  // Objects this action wrote are suspect regardless of outcome: the
+  // replica may have missed the action's effects (or earlier version
+  // bumps) while wedged. Collect them before the cleanup erases the
+  // traces, then retire them so the next activation reloads committed
+  // state from a store.
+  std::vector<Uid> touched;
+  if (auto tit = touched_.find(action); tit != touched_.end())
+    for (const Uid& uid : tit->second) {
+      auto ait = active_.find(uid);
+      if (ait != active_.end() &&
+          (ait->second.before.count(action) > 0 || ait->second.modified_by.count(action) > 0))
+        touched.push_back(uid);
     }
-    if (!committed && !aborted && !(owner_dead || aged)) continue;
-    // Objects this action wrote are suspect regardless of outcome: the
-    // replica may have missed the action's effects (or earlier version
-    // bumps) while wedged. Collect them before the cleanup erases the
-    // traces, then retire them so the next activation reloads committed
-    // state from a store.
-    std::vector<Uid> touched;
-    if (auto tit = touched_.find(action); tit != touched_.end())
-      for (const Uid& uid : tit->second) {
-        auto ait = active_.find(uid);
-        if (ait != active_.end() &&
-            (ait->second.before.count(action) > 0 || ait->second.modified_by.count(action) > 0))
-          touched.push_back(uid);
-      }
-    if (committed) {
-      (void)co_await commit(action);
-      counters_.inc("objsrv.orphan_committed");
-    } else {
-      (void)co_await abort(action);
-      counters_.inc(aborted ? "objsrv.orphan_aborted" : "objsrv.orphan_presumed_abort");
-    }
-    for (const Uid& uid : touched) {
-      active_.erase(uid);
-      counters_.inc("objsrv.orphan_retired");
-    }
+  using Verdict = actions::OrphanResolver::Verdict;
+  if (verdict == Verdict::Committed) {
+    (void)co_await commit(action);
+    counters_.inc("objsrv.orphan_committed");
+  } else {
+    (void)co_await abort(action);
+    counters_.inc(verdict == Verdict::Aborted ? "objsrv.orphan_aborted"
+                                              : "objsrv.orphan_presumed_abort");
+  }
+  for (const Uid& uid : touched) {
+    active_.erase(uid);
+    counters_.inc("objsrv.orphan_retired");
   }
 }
 
@@ -339,11 +312,7 @@ void ObjectServerHost::nested_commit(const Uid& child, const Uid& parent) {
   // The parent inherits the child's locks, so it inherits orphan tracking
   // too: left keyed by the child, a dead client's lock would never be
   // swept.
-  auto oit = owners_.find(child);
-  if (oit != owners_.end()) {
-    note_owner(parent, oit->second.node);
-    owners_.erase(oit);
-  }
+  (void)orphans_.inherit(child, parent);
 }
 
 void ObjectServerHost::nested_abort(const Uid& child) {
@@ -356,7 +325,7 @@ void ObjectServerHost::nested_abort(const Uid& child) {
     }
     a.modified_by.erase(child);
   }
-  owners_.erase(child);
+  orphans_.forget(child);
   locks_.release_all(child);
 }
 

@@ -26,6 +26,7 @@
 
 #include "actions/atomic_action.h"
 #include "actions/lock_manager.h"
+#include "actions/orphan_resolver.h"
 #include "replication/state_machine.h"
 #include "rpc/group_comm.h"
 #include "rpc/rpc.h"
@@ -156,14 +157,9 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // applies it locally, and RETIRES the touched replicas (drops them from
   // active_) so the next activation reloads authoritative state from a
   // store (the paper's recover-by-state-transfer rule).
-  struct ActionOwner {
-    NodeId node = sim::kNoNode;
-    sim::SimTime last_seen = 0;
-  };
   static constexpr sim::SimTime kOrphanActionAge = 1 * sim::kSecond;
-  void note_owner(const Uid& action, NodeId owner);
   void trigger_orphan_sweep();
-  sim::Task<> sweep_orphan_actions();
+  sim::Task<> resolve_orphan(Uid action, actions::OrphanResolver::Verdict verdict);
 
   sim::Node& node_;
   rpc::RpcEndpoint& endpoint_;
@@ -181,9 +177,8 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // aborted) must be refused, not applied under a dead action.
   DenseUidTable<1> terminated_;  // volatile
   std::set<Uid> activation_blocked_;  // volatile; managed by RecoveryDaemon
-  std::map<Uid, ActionOwner> owners_;  // volatile; coordinator node per live action
-  bool orphan_sweep_running_ = false;
   Counters counters_;
+  actions::OrphanResolver orphans_;  // volatile; coordinator node per live action
 };
 
 // The objsrv service's methods, declared once for the registration and
