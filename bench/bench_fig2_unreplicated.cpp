@@ -19,10 +19,10 @@ WorkloadResult run(sim::SimTime mean_uptime, std::uint64_t seed, Summary* latenc
   ReplicaSystem sys{cfg};
   const Uid obj = sys.define_object("obj", "counter", replication::Counter{}.snapshot(), {2},
                                     {3}, ReplicationPolicy::SingleCopyPassive, 1);
-  core::ChaosMonkey chaos{sys.sim(), sys.cluster(),
-                          core::ChaosConfig{.mean_uptime = mean_uptime,
-                                            .mean_downtime = 400 * sim::kMillisecond,
-                                            .victims = {2, 3}}};
+  core::CrashNemesis chaos{sys.sim(), sys.cluster(),
+                           core::CrashNemesisConfig{.mean_uptime = mean_uptime,
+                                                    .mean_downtime = 400 * sim::kMillisecond,
+                                                    .victims = {2, 3}}};
   chaos.start();
   auto* client = sys.client(1);
   WorkloadResult out;

@@ -31,10 +31,10 @@ CellResult run(std::size_t n_stores, std::uint64_t seed, Summary* latency) {
                                     st, ReplicationPolicy::SingleCopyPassive, 1);
   // Only the STORES churn; the single server stays up so the effect of
   // state replication is isolated.
-  core::ChaosMonkey chaos{sys.sim(), sys.cluster(),
-                          core::ChaosConfig{.mean_uptime = 1200 * sim::kMillisecond,
-                                            .mean_downtime = 500 * sim::kMillisecond,
-                                            .victims = st}};
+  core::CrashNemesis chaos{sys.sim(), sys.cluster(),
+                           core::CrashNemesisConfig{.mean_uptime = 1200 * sim::kMillisecond,
+                                                    .mean_downtime = 500 * sim::kMillisecond,
+                                                    .victims = st}};
   chaos.start();
   auto* client = sys.client(1);
   CellResult out;

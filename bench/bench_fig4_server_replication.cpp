@@ -24,10 +24,10 @@ WorkloadResult run(std::size_t k, ReplicationPolicy policy, std::uint64_t seed) 
   for (std::size_t i = 0; i < k; ++i) sv.push_back(static_cast<sim::NodeId>(2 + i));
   const Uid obj = sys.define_object("obj", "counter", replication::Counter{}.snapshot(), sv,
                                     {8}, policy, k);
-  core::ChaosMonkey chaos{sys.sim(), sys.cluster(),
-                          core::ChaosConfig{.mean_uptime = 1200 * sim::kMillisecond,
-                                            .mean_downtime = 600 * sim::kMillisecond,
-                                            .victims = sv}};
+  core::CrashNemesis chaos{sys.sim(), sys.cluster(),
+                           core::CrashNemesisConfig{.mean_uptime = 1200 * sim::kMillisecond,
+                                                    .mean_downtime = 600 * sim::kMillisecond,
+                                                    .victims = sv}};
   chaos.start();
   auto* client = sys.client(1);
   WorkloadResult out;

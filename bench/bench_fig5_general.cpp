@@ -26,10 +26,10 @@ WorkloadResult run(std::size_t n_sv, std::size_t n_st, std::uint64_t seed) {
                                     n_sv > 1 ? ReplicationPolicy::Active
                                              : ReplicationPolicy::SingleCopyPassive,
                                     n_sv);
-  core::ChaosMonkey chaos{sys.sim(), sys.cluster(),
-                          core::ChaosConfig{.mean_uptime = 2500 * sim::kMillisecond,
-                                            .mean_downtime = 500 * sim::kMillisecond,
-                                            .victims = victims}};
+  core::CrashNemesis chaos{sys.sim(), sys.cluster(),
+                           core::CrashNemesisConfig{.mean_uptime = 2500 * sim::kMillisecond,
+                                                    .mean_downtime = 500 * sim::kMillisecond,
+                                                    .victims = victims}};
   chaos.start();
   auto* client = sys.client(1);
   WorkloadResult out;

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/chaos.h"
+#include "core/nemesis.h"
 #include "core/metrics.h"
 #include "core/system.h"
 #include "core/trace.h"

@@ -5,7 +5,7 @@
 //   ./examples/availability_demo
 #include <cstdio>
 
-#include "core/chaos.h"
+#include "core/nemesis.h"
 #include "core/metrics.h"
 #include "core/system.h"
 
@@ -42,10 +42,10 @@ Outcome run_config(std::size_t n_servers, std::size_t n_stores, ReplicationPolic
   const Uid obj = sys.define_object("obj", "counter", replication::Counter{}.snapshot(), sv, st,
                                     policy, n_servers);
 
-  core::ChaosMonkey chaos{sys.sim(), sys.cluster(),
-                          core::ChaosConfig{.mean_uptime = 1500 * sim::kMillisecond,
-                                            .mean_downtime = 600 * sim::kMillisecond,
-                                            .victims = victims}};
+  core::CrashNemesis chaos{sys.sim(), sys.cluster(),
+                           core::CrashNemesisConfig{.mean_uptime = 1500 * sim::kMillisecond,
+                                                    .mean_downtime = 600 * sim::kMillisecond,
+                                                    .victims = victims}};
   chaos.start();
 
   auto* client = sys.client(1);

@@ -5,7 +5,7 @@
 // deterministic simulation —
 //
 //   CrashNemesis         node crash/recover loops (subsumes the original
-//                        ChaosMonkey, which is now an alias)
+//                        ChaosMonkey)
 //   PartitionNemesis     network partition/heal cycles over sim::Network
 //   NetChaosNemesis      bursts of message loss, extra delay and
 //                        duplication (NetConfig knobs)

@@ -7,7 +7,7 @@
 #include <set>
 
 #include "actions/lock_manager.h"
-#include "core/chaos.h"
+#include "core/nemesis.h"
 #include "core/system.h"
 #include "rpc/group_comm.h"
 #include "util/buffer.h"
@@ -217,10 +217,10 @@ TEST_P(MoneyConservation, BalanceMatchesCommittedOps) {
   core::ReplicaSystem sys{cfg};
   const Uid acct = sys.define_object("acct", "bank", replication::BankAccount{}.snapshot(),
                                      {2, 3}, {5, 6, 7}, core::ReplicationPolicy::Active, 2);
-  core::ChaosMonkey chaos{sys.sim(), sys.cluster(),
-                          core::ChaosConfig{.mean_uptime = 900 * sim::kMillisecond,
-                                            .mean_downtime = 400 * sim::kMillisecond,
-                                            .victims = {2, 3, 5, 6, 7}}};
+  core::CrashNemesis chaos{sys.sim(), sys.cluster(),
+                           core::CrashNemesisConfig{.mean_uptime = 900 * sim::kMillisecond,
+                                                    .mean_downtime = 400 * sim::kMillisecond,
+                                                    .victims = {2, 3, 5, 6, 7}}};
   chaos.start();
 
   auto* client = sys.client(1);

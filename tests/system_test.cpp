@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "core/chaos.h"
+#include "core/nemesis.h"
 #include "core/system.h"
 
 namespace gv::core {
@@ -231,10 +231,10 @@ TEST_P(ChaosSweep, InvariantsHoldUnderCrashes) {
   Sys s{cfg};
   Uid a = s.sys.define_object("a", "counter", Counter{}.snapshot(), {1}, {4, 5, 6},
                               ReplicationPolicy::SingleCopyPassive, 1);
-  ChaosMonkey chaos{s.sys.sim(), s.sys.cluster(),
-                    ChaosConfig{.mean_uptime = 800 * sim::kMillisecond,
-                                .mean_downtime = 300 * sim::kMillisecond,
-                                .victims = {4, 5, 6}}};
+  CrashNemesis chaos{s.sys.sim(), s.sys.cluster(),
+                     CrashNemesisConfig{.mean_uptime = 800 * sim::kMillisecond,
+                                        .mean_downtime = 300 * sim::kMillisecond,
+                                        .victims = {4, 5, 6}}};
   chaos.start();
 
   auto* client = s.sys.client(2);
