@@ -52,13 +52,13 @@ CellResult run(int readers, naming::ExcludePolicy policy, std::uint64_t seed) {
         reader_actions.push_back(std::make_unique<AtomicAction>(reader_rt));
         (void)co_await naming::ostdb_get_view(reader_rt.endpoint(), 0, obj,
                                               reader_actions.back()->uid());
-        reader_actions.back()->enlist({0, naming::kOstdbService});
+        reader_actions.back()->enlist({0, naming::kGvdbService});
       }
 
       // The committing client: GetView (read), then Exclude (promotion).
       AtomicAction writer{writer_rt};
       (void)co_await naming::ostdb_get_view(writer_rt.endpoint(), 0, obj, writer.uid());
-      writer.enlist({0, naming::kOstdbService});
+      writer.enlist({0, naming::kGvdbService});
       std::vector<naming::ExcludeItem> drop{{obj, {3}}};
       ++out.attempts;
       Status ex = co_await naming::ostdb_exclude(writer_rt.endpoint(), 0, drop, writer.uid());

@@ -57,13 +57,13 @@ sim::Task<> churn_driver(core::ReplicaSystem& sys, actions::ActionRuntime& rt,
         std::vector<naming::ExcludeItem> items;
         items.push_back(naming::ExcludeItem{obj, {7}});
         Status s = co_await naming::ostdb_exclude(rt.endpoint(), 0, std::move(items), act.uid());
-        act.enlist({0, naming::kOstdbService});
+        act.enlist({0, naming::kGvdbService});
         if (s.ok()) (void)co_await act.commit(); else (void)co_await act.abort();
       }
       {
         actions::AtomicAction act{rt};
         Status s = co_await naming::ostdb_include(rt.endpoint(), 0, obj, 7, act.uid());
-        act.enlist({0, naming::kOstdbService});
+        act.enlist({0, naming::kGvdbService});
         if (s.ok()) (void)co_await act.commit(); else (void)co_await act.abort();
       }
     }

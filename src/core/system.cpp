@@ -36,10 +36,8 @@ ReplicaSystem::ReplicaSystem(SystemConfig cfg)
                                                 *stores_[naming_node()],
                                                 fabric_->endpoint(naming_node()),
                                                 *txns_[naming_node()], cfg_.naming);
-  gvdb_->servers().set_obs(&trace_, &metrics_);
-  gvdb_->states().set_obs(&trace_, &metrics_);
-  janitor_ = std::make_unique<naming::UseListJanitor>(gvdb_->servers(),
-                                                      fabric_->endpoint(naming_node()));
+  gvdb_->set_obs(&trace_, &metrics_);
+  janitor_ = std::make_unique<naming::UseListJanitor>(*gvdb_, fabric_->endpoint(naming_node()));
   if (cfg_.start_janitor) janitor_->start();
 
   if (cfg_.view_cache) {
@@ -101,19 +99,13 @@ Counters ReplicaSystem::aggregate_counters() const {
     merge(const_cast<replication::ObjectServerHost&>(*h).counters());
   for (const auto& r : recovery_)
     merge(const_cast<replication::RecoveryDaemon&>(*r).counters());
-  merge(const_cast<naming::GroupViewDb&>(*gvdb_).servers().counters());
-  merge(const_cast<naming::GroupViewDb&>(*gvdb_).states().counters());
-  // Naming-entry lock traffic, re-namespaced so it is distinguishable
-  // from object-level lock counters.
-  auto merge_prefixed = [&out](const Counters& c, const std::string& prefix) {
-    for (const auto& [name, value] : c.all()) out.inc(prefix + name, value);
-  };
-  merge_prefixed(const_cast<naming::GroupViewDb&>(*gvdb_).servers().locks().counters(),
-                 "osdb.");
-  merge_prefixed(const_cast<naming::GroupViewDb&>(*gvdb_).states().locks().counters(),
-                 "ostdb.");
+  auto& gvdb = const_cast<naming::GroupViewDb&>(*gvdb_);
+  merge(gvdb.counters());
+  // Naming-entry lock traffic (Sv and St entries share one lock table),
+  // re-namespaced so it is distinguishable from object-level lock
+  // counters.
+  for (const auto& [name, value] : gvdb.locks().counters().all()) out.inc("osdb." + name, value);
   merge(const_cast<naming::UseListJanitor&>(*janitor_).counters());
-  merge(const_cast<naming::GroupViewDb&>(*gvdb_).counters());
   for (const auto& c : caches_) merge(const_cast<naming::GroupViewCache&>(*c).counters());
   for (const auto& s : sessions_) {
     merge(const_cast<ClientSession&>(*s).counters());

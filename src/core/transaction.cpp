@@ -11,7 +11,7 @@ ClientSession::ClientSession(ReplicaSystem& sys, NodeId node, naming::Scheme sch
       scheme_(scheme),
       runtime_(sys.endpoint(node), /*uid_seed=*/0xC0DE0000ull + node,
                &sys.coordinator_log_at(node), &sys.trace(), &sys.metrics()),
-      activator_(runtime_, sys.naming_node(), sys.gc(), scheme),
+      activator_(runtime_, sys.naming_node(), scheme),
       commit_(runtime_, sys.naming_node()),
       ginv_(sys.endpoint(node), sys.gc()) {
   cache_ = sys.view_cache_at(node);
@@ -148,21 +148,24 @@ sim::Task<Status> Transaction::abort() {
 
 sim::Task<> Transaction::release_use_lists() {
   // Fig 7: the Decrement runs AFTER the client action has terminated
-  // (commit or abort alike), as one call that needs no client action.
-  // Resend it a few times: a transiently-lost Decrement from a LIVE
-  // client leaks a use-list entry forever, since the janitor only purges
-  // dead clients (found by the gv_campaign netchaos mix). The binding's
-  // token makes the resend harmless when only the reply was lost.
-  for (auto& [uid, binding] : bindings_) {
-    if (binding.cached) continue;  // cached binds never touched use lists
-    Backoff pace{BackoffConfig{50 * sim::kMillisecond, 400 * sim::kMillisecond},
-                 session_.runtime().endpoint().rng().fork()};
-    for (int attempt = 0; attempt < 5; ++attempt) {
-      Status s = co_await session_.activator().binder().unbind(uid, binding.bind);
-      if (s.ok()) break;
-      session_.counters().inc("session.unbind_retry");
-      co_await session_.runtime().endpoint().node().sim().sleep(pace.next());
-    }
+  // (commit or abort alike), as one call for every binding the action
+  // made, needing no client action. Resend it a few times: a transiently
+  // lost Decrement from a LIVE client leaks use-list entries forever,
+  // since the janitor only purges dead clients (found by the gv_campaign
+  // netchaos mix). The bindings' tokens make the resend harmless when
+  // only the reply was lost.
+  std::vector<naming::UseRelease> releases;
+  for (const auto& [uid, binding] : bindings_)
+    if (!binding.cached)  // cached binds never touched use lists
+      releases.push_back(naming::UseRelease{uid, binding.bind.servers, binding.bind.token});
+  if (releases.empty()) co_return;
+  Backoff pace{BackoffConfig{50 * sim::kMillisecond, 400 * sim::kMillisecond},
+               session_.runtime().endpoint().rng().fork()};
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    Status s = co_await session_.activator().binder().unbind(releases);
+    if (s.ok()) break;
+    session_.counters().inc("session.unbind_retry");
+    co_await session_.runtime().endpoint().node().sim().sleep(pace.next());
   }
 }
 

@@ -2,21 +2,21 @@
 // Server database (sec 4.1.2 / 4.1.3, figs 6-8).
 //
 //   StandardNested (S1, fig 6)
-//     GetServer runs as a nested atomic action of the client action. The
-//     read lock on the Sv entry is inherited by the client action and
-//     held until it terminates, so concurrent clients share the entry
-//     but nobody can update it: Sv is static, and every client discovers
-//     crashed servers "the hard way" by probing them at bind time.
+//     GetServer runs under the client action (the paper nests it; the
+//     lock it inherits is the same). The read lock on the Sv entry is
+//     held until the client action terminates, so concurrent clients
+//     share the entry but nobody can update it: Sv is static, and every
+//     client discovers crashed servers "the hard way" by probing them at
+//     bind time.
 //
 //   IndependentTopLevel (S2, fig 7)
-//     Binding runs in its own top-level action, BEFORE the client action:
-//     GetServer (now also returning use lists), probe, Remove failed
-//     servers, Increment use counters, commit. The action's only
-//     participant is the naming database, so its Increment call also
-//     commits it there: a bind costs GetServer + Increment. After the
+//     Binding runs in its own top-level action: GetServer (now also
+//     returning use lists), probe, Remove failed servers, Increment use
+//     counters, commit. The action's only participant is the group view
+//     database, so its Increment call also commits it there. After the
 //     client action terminates one Decrement call, which needs no client
-//     action, drops the binding. Sv stays current at the cost of write
-//     locks on the DB entry.
+//     action, drops every binding the client action made. Sv stays
+//     current at the cost of write locks on the DB entry.
 //
 //   NestedTopLevel (S3, fig 8)
 //     Same operations, but the binding action is a nested top-level
@@ -24,6 +24,12 @@
 //     Decrement likewise). Functionally equivalent to S2; the difference
 //     is structural (fewer separate action envelopes, binding latency
 //     overlapped with the client action) and is visible in the metrics.
+//
+// Every scheme reads Sv together with St(A) in one call (osdb.bind_read):
+// St under the client action, whose commit processing relies on it, and
+// Sv under the binder's action. With the probe that activates a server
+// and joins it to the replica group in one call, and the Increment, a
+// bind costs 3 sequential round trips per object.
 //
 // The binder performs naming-database work and server probing only;
 // actually activating object replicas is the Activator's job
@@ -34,7 +40,7 @@
 #include <vector>
 
 #include "actions/atomic_action.h"
-#include "naming/object_server_db.h"
+#include "naming/group_view_db.h"
 
 namespace gv::naming {
 
@@ -51,6 +57,7 @@ enum class ProbeResult { Ok, Dead, Busy };
 struct BindResult {
   std::vector<NodeId> servers;  // Sv(A)': the bound subset
   std::vector<NodeId> failed;   // probe failures discovered at bind time
+  std::vector<NodeId> st;       // St(A), read-locked under the client action
   Scheme scheme = Scheme::StandardNested;
   // S2/S3: the binding's name on the use lists — the UID of the binder
   // action that recorded it; Decrement drops exactly this binding.
@@ -59,26 +66,25 @@ struct BindResult {
 
 class Binder {
  public:
-  // Probe: attempt to reach/activate a server on `node`; the Activator
-  // supplies the real implementation, tests can script it.
-  using Probe = std::function<sim::Task<ProbeResult>(NodeId node)>;
+  // Probe: attempt to reach/activate a server on `node`, which loads the
+  // object's state from the stores in `st`; the Activator supplies the
+  // real implementation, tests can script it.
+  using Probe = std::function<sim::Task<ProbeResult>(NodeId node, std::vector<NodeId> st)>;
 
   Binder(actions::ActionRuntime& rt, NodeId naming_node, Scheme scheme)
       : rt_(rt), naming_node_(naming_node), scheme_(scheme) {}
 
-  // Bind to up to `want` servers for `object`.
-  //  - S1 requires the enclosing client action (the nested GetServer
-  //    action becomes its child).
-  //  - S2/S3 run their own top-level action; `client_action` is only
-  //    used to assert structure (S2 callers pass nullptr: binding happens
-  //    before the client action starts).
+  // Bind to up to `want` servers for `object`. Every scheme needs the
+  // client action (null: BadRequest): St(A) is read-locked under it, and
+  // S1 holds its Sv read lock under it too. S2/S3 run their own
+  // top-level action besides.
   sim::Task<Result<BindResult>> bind(Uid object, std::size_t want,
                                      actions::AtomicAction* client_action, Probe probe);
 
-  // Release the binding bookkeeping after the client action ended
-  // (S2/S3: one Decrement call, idempotent by the binding's token, so a
-  // caller may resend it; S1: no-op).
-  sim::Task<Status> unbind(Uid object, const BindResult& binding);
+  // Release the bindings' bookkeeping after the client action ended
+  // (S2/S3: one Decrement call for all of them, idempotent by the
+  // bindings' tokens, so a caller may resend it; S1: no-op).
+  sim::Task<Status> unbind(std::vector<UseRelease> bindings);
 
   // Times the binder sends its Increment while every reply is lost.
   static constexpr int kIncrementAttempts = 3;
@@ -89,7 +95,12 @@ class Binder {
  private:
   sim::Task<Result<BindResult>> bind_standard(Uid object, std::size_t want,
                                               actions::AtomicAction& client_action, Probe& probe);
-  sim::Task<Result<BindResult>> bind_enhanced(Uid object, std::size_t want, Probe& probe);
+  sim::Task<Result<BindResult>> bind_enhanced(Uid object, std::size_t want,
+                                              actions::AtomicAction& client_action, Probe& probe);
+  // Probe `candidates` in order until `want` answer Ok.
+  sim::Task<BindResult> probe_servers(const std::vector<NodeId>& candidates, std::size_t want,
+                                      const std::vector<NodeId>& st, Probe& probe,
+                                      const char* dead_counter);
 
   actions::ActionRuntime& rt_;
   NodeId naming_node_;

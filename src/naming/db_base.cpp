@@ -1,7 +1,5 @@
 #include "naming/db_base.h"
 
-#include <set>
-
 #include "core/metrics.h"
 #include "core/trace.h"
 #include "util/log.h"
@@ -66,18 +64,29 @@ sim::Task<Status> NamingDbBase::commit(const Uid& txn) {
   co_return ok_status();
 }
 
-void NamingDbBase::commit_now(const Uid& txn, const Uid& also) {
-  // Persist each touched entry once, while the action still holds its
-  // lock: the entry then holds exactly the committed state. Read-only
-  // actions (GetServer, GetView, validate) have no undo records.
-  std::set<Uid> touched;
-  if (!also.nil()) touched.insert(also);
+sim::Task<Status> NamingDbBase::lock_entry(std::string lock, actions::LockMode mode, Uid action,
+                                           const char* refused) {
+  Status lk = co_await locks_.acquire(std::move(lock), mode, action, cfg_.lock_wait);
+  if (!lk.ok()) {
+    counters_.inc(refused);
+    trigger_orphan_sweep();
+  }
+  co_return lk;
+}
+
+void NamingDbBase::commit_now(const Uid& txn, const Uid& also, EntryParts also_parts) {
+  // Persist each touched entry once, while the action still holds the
+  // locks of the parts it edited: those parts then hold exactly the
+  // committed state. Read-only actions (GetServer, GetView, validate)
+  // have no undo records.
+  std::map<Uid, EntryParts> touched;
+  if (!also.nil()) touched[also] |= also_parts;
   auto it = undo_.find(txn);
   if (it != undo_.end()) {
-    for (const Undo& u : it->second) touched.insert(u.entry);
+    for (const Undo& u : it->second) touched[u.entry] |= u.part;
     undo_.erase(it);
   }
-  for (const Uid& entry : touched) persist_entry(entry);
+  for (const auto& [entry, parts] : touched) persist(entry, parts);
   orphans_.forget(txn);
   locks_.release_all(txn);
   counters_.inc("db.commit");

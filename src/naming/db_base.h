@@ -1,20 +1,21 @@
-// Common machinery for the two naming-and-binding databases (sec 4).
+// The transactional core of the group view database (sec 4, sec 5).
 //
 // The paper builds the naming service "out of one or more persistent
 // objects", so its state transitions are performed under the control of
-// atomic actions (sec 3.1). Concretely each database here is:
+// atomic actions (sec 3.1). Concretely the database is:
 //
-//  * lock-controlled: one lock per object entry (sec 4.1: "each such list
+//  * lock-controlled: locks per object entry (sec 4.1: "each such list
 //    is concurrency controlled independently using locks"), managed by a
 //    LockManager supporting READ / WRITE / EXCLUDE-WRITE;
 //  * transactional: mutations apply immediately under the protecting
-//    lock and push an undo record naming the entry it edits; abort rolls
-//    back, nested commit re-keys undo records and locks to the parent
-//    action (Arjuna recovery-record style);
-//  * persistent: on top-level commit the database writes one stable
-//    record per entry the action touched into the local ObjectStore's
-//    keyed table for this database; a crash reloads the table. An
-//    action that touched nothing writes nothing.
+//    lock and push an undo record naming the entry and the part of it
+//    that it edits; abort rolls back, nested commit re-keys undo records
+//    and locks to the parent action (Arjuna recovery-record style);
+//  * persistent: on top-level commit the database rewrites, in the
+//    local ObjectStore's keyed table, the stable record of each entry
+//    the action touched, taking only the touched parts from memory; a
+//    crash reloads the table. An action that touched nothing writes
+//    nothing.
 #pragma once
 
 #include <functional>
@@ -36,6 +37,10 @@ class MetricsRegistry;
 namespace gv::naming {
 
 using sim::NodeId;
+
+// The parts of one entry that an edit can touch; each has its own lock,
+// so a commit persists only the parts its action edited.
+using EntryParts = std::uint8_t;
 
 struct NamingConfig {
   // How long a database operation waits for an entry lock before giving
@@ -81,25 +86,28 @@ class NamingDbBase : public actions::ServerParticipant {
  protected:
   ~NamingDbBase() override = default;
 
-  void push_undo(const Uid& txn, const Uid& entry, std::function<void()> fn) {
-    undo_[txn].push_back(Undo{entry, std::move(fn)});
+  void push_undo(const Uid& txn, const Uid& entry, EntryParts part, std::function<void()> fn) {
+    undo_[txn].push_back(Undo{entry, part, std::move(fn)});
   }
   void rollback(const Uid& txn);
 
-  // Commit `txn` here and now: write the stable record of each entry it
-  // touched (and of `also`, unless nil), release its locks and forget it.
-  // commit() is this; a single-site action ends through it directly.
-  void commit_now(const Uid& txn, const Uid& also = Uid{});
+  // Commit `txn` here and now: persist the parts of each entry it touched
+  // (and `also_parts` of `also`, unless nil), release its locks and
+  // forget it. commit() is this; a single-site action ends through it
+  // directly.
+  void commit_now(const Uid& txn, const Uid& also = Uid{}, EntryParts also_parts = 0);
 
-  // Write `entry`'s current state as its stable record. Subclasses call
-  // this from create() so registration survives a naming-node crash;
-  // commit() calls it once per entry the committing action touched.
-  void persist_entry(const Uid& entry) { store_.put_record(db_uid_, entry, pack_entry(entry)); }
+  // Acquire `lock` for `action`, waiting at most the configured lock
+  // wait. A refusal is counted under `refused` and triggers an orphan
+  // sweep: the holder may be an action whose client is gone.
+  sim::Task<Status> lock_entry(std::string lock, actions::LockMode mode, Uid action,
+                               const char* refused);
 
-  // Subclass entry (de)hydration for persistence / recovery. Entries are
-  // never deleted, so `pack_entry` is only asked for existing ones;
-  // `load_entries` replaces every entry with the stable records.
-  virtual Buffer pack_entry(const Uid& entry) const = 0;
+  // Rewrite `entry`'s stable record with `parts` taken from memory and
+  // the other parts as last committed. Entries are never deleted, so it
+  // is only asked for existing ones.
+  virtual void persist(const Uid& entry, EntryParts parts) = 0;
+  // Replace every entry with the stable records (crash recovery).
   virtual void load_entries(const std::map<Uid, Buffer>& records) = 0;
 
   // Orphan cleanup (sec 4.1.3: "failure detection and cleanup protocols
@@ -120,7 +128,8 @@ class NamingDbBase : public actions::ServerParticipant {
   NamingConfig cfg_;
   actions::LockManager locks_;
   struct Undo {
-    Uid entry;  // the entry `fn` restores; persisted if the action commits
+    Uid entry;        // the entry `fn` restores; persisted if the action commits
+    EntryParts part;  // the part of it `fn` restores
     std::function<void()> fn;
   };
   std::map<Uid, std::vector<Undo>> undo_;

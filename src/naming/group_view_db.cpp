@@ -13,13 +13,59 @@ constexpr std::size_t kRecentBumpCap = 8;
 
 GroupViewDb::GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEndpoint& endpoint,
                          actions::TxnRegistry& txns, NamingConfig cfg, ExcludePolicy policy)
-    : node_(node),
-      servers_(node, store, endpoint, txns, cfg),
-      states_(node, store, endpoint, txns, cfg, policy) {
-  servers_.set_epoch_listener([this](const Uid& object) { note_invalidation(object); });
-  states_.set_epoch_listener([this](const Uid& object) { note_invalidation(object); });
+    : NamingDbBase(node, store, endpoint, kGvdbUid, cfg), servers_(*this), states_(*this, policy) {
+  txns.add(kGvdbService, this);
   endpoint.set_piggyback_provider([this]() -> const Buffer& { return piggyback_blob(); });
   register_rpc(endpoint);
+}
+
+void GroupViewDb::create_object(const Uid& object, std::vector<NodeId> sv,
+                                std::vector<NodeId> st) {
+  servers_.entries_[object] = ObjectServerDb::Entry{std::move(sv), {}, 1};
+  states_.entries_[object] = ObjectStateDb::Entry{std::move(st), 1};
+  persist(object, kSvPart | kStPart);  // registration must survive a naming-node crash
+  piggyback_stale_ = true;             // a re-created entry restarts its epochs
+}
+
+void GroupViewDb::persist(const Uid& object, EntryParts parts) {
+  // One record per object: the Sv part, then the St part. The parts the
+  // caller did not edit are taken from the stable record: in memory they
+  // may hold another action's uncommitted edits.
+  ObjectServerDb::Entry sv;
+  ObjectStateDb::Entry st;
+  if (parts != (kSvPart | kStPart)) {
+    Buffer old = store_.records(db_uid_).at(object);
+    (void)rpc::decode(old, sv, st);
+  }
+  store_.put_record(db_uid_, object,
+                    rpc::encode((parts & kSvPart) != 0 ? servers_.entries_.at(object) : sv,
+                                (parts & kStPart) != 0 ? states_.entries_.at(object) : st));
+}
+
+void GroupViewDb::load_entries(const std::map<Uid, Buffer>& records) {
+  servers_.entries_.clear();
+  states_.entries_.clear();
+  for (const auto& [object, bytes] : records) {
+    Buffer b = bytes;
+    ObjectServerDb::Entry sv;
+    ObjectStateDb::Entry st;
+    if (!rpc::decode(b, sv, st)) continue;
+    servers_.entries_[object] = std::move(sv);
+    states_.entries_[object] = std::move(st);
+  }
+}
+
+sim::Task<Result<BindView>> GroupViewDb::bind_read(NodeId from, Uid object, Uid client_action,
+                                                   Uid bind_action, bool for_update) {
+  counters_.inc("gvdb.bind_read");
+  note_activity(client_action, from);
+  if (bind_action != client_action) note_activity(bind_action, from);
+  // St first, as GetView preceded GetServer when they were two calls.
+  auto st = co_await states_.get_view(object, client_action);
+  if (!st.ok()) co_return st.error();
+  auto sv = co_await servers_.get_server(object, bind_action, for_update);
+  if (!sv.ok()) co_return sv.error();
+  co_return BindView{std::move(sv).value(), std::move(st).value()};
 }
 
 void GroupViewDb::note_invalidation(const Uid& object) {
@@ -74,8 +120,7 @@ sim::Task<Status> GroupViewDb::validate(NodeId from, Uid action, std::uint64_t i
     counters_.inc("gvdb.validate_stale_incarnation");
     co_return Err::StaleView;
   }
-  servers_.note_activity(action, from);
-  states_.note_activity(action, from);
+  note_activity(action, from);
   for (const ValidateItem& item : items) {
     Status s = co_await servers_.validate_epoch(item.object, item.sv_epoch, action);
     if (!s.ok()) co_return s;
@@ -86,6 +131,12 @@ sim::Task<Status> GroupViewDb::validate(NodeId from, Uid action, std::uint64_t i
 }
 
 void GroupViewDb::register_rpc(rpc::RpcEndpoint& endpoint) {
+  servers_.register_rpc(endpoint);
+  states_.register_rpc(endpoint);
+  endpoint.serve(kOsdbBindRead, [this](NodeId from, Uid object, Uid client_action,
+                                       Uid bind_action, bool for_update) {
+    return bind_read(from, object, client_action, bind_action, for_update);
+  });
   endpoint.serve(kGvdbGetViews,
                  [this](NodeId, std::vector<Uid> objects) { return get_views(objects); });
   endpoint.serve(kGvdbValidate, [this](NodeId from, Uid action, std::uint64_t incarnation,

@@ -1,16 +1,28 @@
 // The group view database.
 //
 // "The two databases have been implemented as a single Arjuna object,
-// referred to as the group view database." (sec 5). This facade owns an
-// ObjectServerDb and an ObjectStateDb colocated on one naming node and
-// provides the combined object-creation entry point. The paper assumes
-// the naming service is always available (sec 3.1); the chaos harness
-// therefore never crashes the naming node, though the databases do
-// persist themselves and recover correctly if it happens.
+// referred to as the group view database." (sec 5). GroupViewDb is that
+// object: one 2PC participant ("gvdb" in its node's TxnRegistry) with one
+// undo log, one lock table, one orphan sweep and one stable record per
+// object. Its two tables — the Object Server table (Sv and use lists,
+// naming/object_server_db.h) and the Object State table (St,
+// naming/object_state_db.h) — keep the paper's operations as methods and
+// their own RPC services ("osdb", "ostdb"). Each entry has two lock
+// names, "sv:" and "st:", so a binder's update lock on Sv never blocks
+// another client's GetView or validate of St. The paper assumes the
+// naming service is always available (sec 3.1); the chaos harness
+// therefore never crashes the naming node, though the database does
+// persist itself and recover correctly if it happens.
+//
+// Calls that span both tables:
+//
+//   osdb.bind_read(object, client, bind, update)
+//                        the binder's one naming read (figs 6-8): St(A)
+//                        read-locked under the client action and Sv(A)
+//                        under the bind action (write-locked for update).
 //
 // For the client-side group-view cache (sec 6: "caching of binding
-// information") the facade additionally exports a combined "gvdb"
-// service:
+// information") it exports a "gvdb" service:
 //
 //   get_views(uids...)   lock-free batched snapshot of Sv(A)+St(A) with
 //                        their view epochs and this node's incarnation;
@@ -25,7 +37,6 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <optional>
 
 #include "naming/object_server_db.h"
@@ -33,7 +44,18 @@
 
 namespace gv::naming {
 
+// The database's 2PC participant name and the cache service's name.
 inline constexpr const char* kGvdbService = "gvdb";
+// Well-known UID naming the store table that holds the per-object
+// stable records.
+inline constexpr Uid kGvdbUid{0xDBull, 1};
+
+// The binder's one naming read: Sv(A) with its use lists, and St(A).
+struct BindView {
+  SvView sv;
+  StView st;
+  GV_WIRE_FIELDS(sv, st)
+};
 
 // One object's Sv(A) and St(A) with their view epochs.
 struct ObjectViews {
@@ -71,8 +93,10 @@ inline constexpr rpc::Rpc<GetViewsReply(std::vector<Uid>)> kGvdbGetViews{kGvdbSe
                                                                          "get_views"};
 inline constexpr rpc::Rpc<void(Uid, std::uint64_t, std::vector<ValidateItem>)> kGvdbValidate{
     kGvdbService, "validate"};
+// (object, client action, bind action, for update)
+inline constexpr rpc::Rpc<BindView(Uid, Uid, Uid, bool)> kOsdbBindRead{kOsdbService, "bind_read"};
 
-class GroupViewDb {
+class GroupViewDb final : public NamingDbBase {
  public:
   GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEndpoint& endpoint,
               actions::TxnRegistry& txns, NamingConfig cfg = {},
@@ -80,15 +104,15 @@ class GroupViewDb {
 
   // Register a new persistent object with its server and store node sets
   // (|Sv| and |St| cardinalities select the regimes of figs 2-5).
-  void create_object(const Uid& object, std::vector<NodeId> sv, std::vector<NodeId> st) {
-    servers_.create(object, std::move(sv));
-    states_.create(object, std::move(st));
-    piggyback_stale_ = true;  // a re-created entry restarts its epochs
-  }
+  void create_object(const Uid& object, std::vector<NodeId> sv, std::vector<NodeId> st);
 
   ObjectServerDb& servers() noexcept { return servers_; }
   ObjectStateDb& states() noexcept { return states_; }
   NodeId node_id() const noexcept { return node_.id(); }
+
+  // The binder's naming read; see the header comment.
+  sim::Task<Result<BindView>> bind_read(NodeId from, Uid object, Uid client_action,
+                                        Uid bind_action, bool for_update);
 
   // The reply-piggyback blob: current incarnation plus the current epochs
   // of recently bumped entries. Empty when nothing changed recently.
@@ -96,16 +120,18 @@ class GroupViewDb {
   // shared by every reply until the next one.
   const Buffer& piggyback_blob();
 
-  Counters& counters() noexcept { return counters_; }
-
  private:
+  friend class ObjectServerDb;
+  friend class ObjectStateDb;
+
+  void persist(const Uid& object, EntryParts parts) override;
+  void load_entries(const std::map<Uid, Buffer>& records) override;
   void note_invalidation(const Uid& object);
   void register_rpc(rpc::RpcEndpoint& endpoint);
   Result<GetViewsReply> get_views(const std::vector<Uid>& objects);
   sim::Task<Status> validate(NodeId from, Uid action, std::uint64_t incarnation,
                              std::vector<ValidateItem> items);
 
-  sim::Node& node_;
   ObjectServerDb servers_;
   ObjectStateDb states_;
   // Recently bumped UIDs, most recent last, deduplicated, bounded.
@@ -115,10 +141,9 @@ class GroupViewDb {
   Buffer piggyback_;
   bool piggyback_stale_ = true;
   std::uint64_t piggyback_epoch_ = 0;
-  Counters counters_;
 };
 
-// Client stubs for the combined service.
+// Client stubs for the calls that span both tables.
 inline sim::Task<Result<GetViewsReply>> gvdb_get_views(rpc::RpcEndpoint& ep, NodeId naming_node,
                                                        std::vector<Uid> objects) {
   return ep.call(naming_node, kGvdbGetViews, objects);
@@ -127,6 +152,11 @@ inline sim::Task<Status> gvdb_validate(rpc::RpcEndpoint& ep, NodeId naming_node,
                                        std::uint64_t incarnation, std::vector<ValidateItem> items,
                                        Uid action) {
   return ep.call(naming_node, kGvdbValidate, action, incarnation, items);
+}
+inline sim::Task<Result<BindView>> osdb_bind_read(rpc::RpcEndpoint& ep, NodeId naming_node,
+                                                  Uid object, Uid client_action, Uid bind_action,
+                                                  bool for_update) {
+  return ep.call(naming_node, kOsdbBindRead, object, client_action, bind_action, for_update);
 }
 
 }  // namespace gv::naming

@@ -74,7 +74,7 @@ class HybridBinder {
   HybridBinder(actions::ActionRuntime& rt, NodeId naming_node)
       : rt_(rt), naming_node_(naming_node) {}
 
-  using Probe = Binder::Probe;
+  using Probe = std::function<sim::Task<ProbeResult>(NodeId node)>;
 
   sim::Task<Result<BindResult>> bind(Uid object, std::size_t want, Probe probe);
 

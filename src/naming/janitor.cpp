@@ -4,7 +4,7 @@
 
 namespace gv::naming {
 
-UseListJanitor::UseListJanitor(ObjectServerDb& db, rpc::RpcEndpoint& endpoint, sim::SimTime period)
+UseListJanitor::UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint, sim::SimTime period)
     : db_(db),
       endpoint_(endpoint),
       detector_(endpoint),
@@ -33,15 +33,15 @@ sim::Task<> UseListJanitor::run(std::uint64_t epoch) {
 sim::Task<std::uint32_t> UseListJanitor::sweep() {
   counters_.inc("janitor.sweep");
   std::uint32_t purged_total = 0;
-  for (NodeId client : db_.clients_in_use()) {
+  for (NodeId client : db_.servers().clients_in_use()) {
     const bool ok = co_await detector_.alive(client);
     if (ok) continue;
     counters_.inc("janitor.dead_client");
     // Purge under an independent top-level action so the repair commits
     // (and persists) regardless of any application activity.
     actions::AtomicAction act{runtime_};
-    auto purged = co_await db_.purge_client(client, act.uid());
-    act.enlist({endpoint_.node_id(), kOsdbService});
+    auto purged = co_await db_.servers().purge_client(client, act.uid());
+    act.enlist({endpoint_.node_id(), kGvdbService});
     if (purged.ok() && (co_await act.commit()).ok()) {
       purged_total += purged.value();
       counters_.inc("janitor.purged", purged.value());

@@ -15,14 +15,14 @@
 #pragma once
 
 #include "actions/atomic_action.h"
-#include "naming/object_server_db.h"
+#include "naming/group_view_db.h"
 #include "rpc/failure_detector.h"
 
 namespace gv::naming {
 
 class UseListJanitor {
  public:
-  UseListJanitor(ObjectServerDb& db, rpc::RpcEndpoint& endpoint,
+  UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint,
                  sim::SimTime period = 100 * sim::kMillisecond);
 
   // Begin periodic sweeps (re-armed automatically after node recovery).
@@ -42,7 +42,7 @@ class UseListJanitor {
 
   bool running_ = false;
 
-  ObjectServerDb& db_;
+  GroupViewDb& db_;
   rpc::RpcEndpoint& endpoint_;
   rpc::FailureDetector detector_;
   actions::ActionRuntime runtime_;

@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "core/metrics.h"
-#include "core/trace.h"
-#include "util/log.h"
+#include "naming/group_view_db.h"
 
 namespace gv::naming {
 
@@ -22,21 +21,8 @@ void restore_tokens(std::vector<Uid>& tokens, const std::vector<Uid>& removed) {
 
 }  // namespace
 
-ObjectServerDb::ObjectServerDb(sim::Node& node, store::ObjectStore& store,
-                               rpc::RpcEndpoint& endpoint, actions::TxnRegistry& txns,
-                               NamingConfig cfg)
-    : NamingDbBase(node, store, endpoint, kOsdbUid, cfg),
-      local_actions_(0xDEC00000ull + node.id()) {
-  txns.add(kOsdbService, this);
-  register_rpc(endpoint);
-}
-
-void ObjectServerDb::create(const Uid& object, std::vector<NodeId> sv) {
-  Entry e;
-  e.sv = std::move(sv);
-  entries_[object] = std::move(e);
-  persist_entry(object);  // registration itself must survive a naming-node crash
-}
+ObjectServerDb::ObjectServerDb(GroupViewDb& db)
+    : db_(db), local_actions_(0xDEC00000ull + db.node_id()) {}
 
 SvView ObjectServerDb::view_of(const Entry& e) const {
   SvView v;
@@ -53,8 +39,8 @@ void ObjectServerDb::bump_epoch(const Uid& object) {
   auto it = entries_.find(object);
   if (it == entries_.end()) return;
   ++it->second.epoch;
-  counters_.inc("osdb.epoch_bump");
-  if (epoch_listener_) epoch_listener_(object);
+  db_.counters_.inc("osdb.epoch_bump");
+  db_.note_invalidation(object);
 }
 
 std::uint64_t ObjectServerDb::epoch_of(const Uid& object) const noexcept {
@@ -71,34 +57,26 @@ Result<SvView> ObjectServerDb::peek_view(const Uid& object) const {
 sim::Task<Status> ObjectServerDb::validate_epoch(Uid object, std::uint64_t epoch, Uid action) {
   auto it = entries_.find(object);
   if (it == entries_.end()) co_return Err::NotFound;
-  Status lk = co_await locks_.acquire(lock_name(object), actions::LockMode::Read, action,
-                                      cfg_.lock_wait);
-  if (!lk.ok()) {
-    counters_.inc("osdb.lock_refused");
-    trigger_orphan_sweep();
-    co_return lk.error();
-  }
+  Status lk = co_await db_.lock_entry(lock_name(object), actions::LockMode::Read, action,
+                                      "osdb.lock_refused");
+  if (!lk.ok()) co_return lk.error();
   auto it2 = entries_.find(object);
   if (it2 == entries_.end()) co_return Err::NotFound;
   if (it2->second.epoch != epoch) {
-    counters_.inc("osdb.validate_stale");
+    db_.counters_.inc("osdb.validate_stale");
     co_return Err::StaleView;
   }
-  counters_.inc("osdb.validate_ok");
+  db_.counters_.inc("osdb.validate_ok");
   co_return ok_status();
 }
 
 sim::Task<Result<SvView>> ObjectServerDb::get_server(Uid object, Uid action, bool for_update) {
-  counters_.inc(for_update ? "osdb.get_server_update" : "osdb.get_server");
+  db_.counters_.inc(for_update ? "osdb.get_server_update" : "osdb.get_server");
   auto it = entries_.find(object);
   if (it == entries_.end()) co_return Err::NotFound;
-  const auto mode = for_update ? actions::LockMode::Write : actions::LockMode::Read;
-  Status lk = co_await locks_.acquire(lock_name(object), mode, action, cfg_.lock_wait);
-  if (!lk.ok()) {
-    counters_.inc("osdb.lock_refused");
-    trigger_orphan_sweep();
-    co_return lk.error();
-  }
+  const auto mode = for_update ? actions::LockMode::ExcludeWrite : actions::LockMode::Read;
+  Status lk = co_await db_.lock_entry(lock_name(object), mode, action, "osdb.lock_refused");
+  if (!lk.ok()) co_return lk.error();
   // Re-find: the entry map may have been edited while we waited.
   auto it2 = entries_.find(object);
   if (it2 == entries_.end()) co_return Err::NotFound;
@@ -106,16 +84,12 @@ sim::Task<Result<SvView>> ObjectServerDb::get_server(Uid object, Uid action, boo
 }
 
 sim::Task<Status> ObjectServerDb::insert(Uid object, NodeId host, Uid action) {
-  counters_.inc("osdb.insert");
+  db_.counters_.inc("osdb.insert");
   auto it = entries_.find(object);
   if (it == entries_.end()) co_return Err::NotFound;
-  Status lk = co_await locks_.acquire(lock_name(object), actions::LockMode::Write, action,
-                                      cfg_.lock_wait);
-  if (!lk.ok()) {
-    counters_.inc("osdb.lock_refused");
-    trigger_orphan_sweep();
-    co_return lk.error();
-  }
+  Status lk = co_await db_.lock_entry(lock_name(object), actions::LockMode::Write, action,
+                                      "osdb.lock_refused");
+  if (!lk.ok()) co_return lk.error();
   Entry& e = entries_.find(object)->second;
   // Sec 4.1.2: Insert is the recovered server node's quiescence check —
   // holding the write lock proves no S1 client is bound (their read locks
@@ -123,14 +97,14 @@ sim::Task<Status> ObjectServerDb::insert(Uid object, NodeId host, Uid action) {
   for (const auto& [server, clients] : e.use)
     for (const auto& [client, tokens] : clients)
       if (!tokens.empty()) {
-        counters_.inc("osdb.insert_not_quiescent");
+        db_.counters_.inc("osdb.insert_not_quiescent");
         co_return Err::NotQuiescent;
       }
   if (std::find(e.sv.begin(), e.sv.end(), host) != e.sv.end())
     co_return ok_status();  // already a member: pure quiescence check
   e.sv.push_back(host);
   bump_epoch(object);
-  push_undo(action, object, [this, object, host] {
+  db_.push_undo(action, object, kSvPart, [this, object, host] {
     auto eit = entries_.find(object);
     if (eit == entries_.end()) return;
     auto& sv = eit->second.sv;
@@ -141,16 +115,12 @@ sim::Task<Status> ObjectServerDb::insert(Uid object, NodeId host, Uid action) {
 }
 
 sim::Task<Status> ObjectServerDb::remove(Uid object, NodeId host, Uid action) {
-  counters_.inc("osdb.remove");
+  db_.counters_.inc("osdb.remove");
   auto it = entries_.find(object);
   if (it == entries_.end()) co_return Err::NotFound;
-  Status lk = co_await locks_.acquire(lock_name(object), actions::LockMode::Write, action,
-                                      cfg_.lock_wait);
-  if (!lk.ok()) {
-    counters_.inc("osdb.lock_refused");
-    trigger_orphan_sweep();
-    co_return lk.error();
-  }
+  Status lk = co_await db_.lock_entry(lock_name(object), actions::LockMode::Write, action,
+                                      "osdb.lock_refused");
+  if (!lk.ok()) co_return lk.error();
   Entry& e = entries_.find(object)->second;
   auto pos = std::find(e.sv.begin(), e.sv.end(), host);
   if (pos == e.sv.end()) co_return ok_status();  // idempotent
@@ -162,7 +132,7 @@ sim::Task<Status> ObjectServerDb::remove(Uid object, NodeId host, Uid action) {
     e.use.erase(uit);
   }
   bump_epoch(object);
-  push_undo(action, object, [this, object, host, index, saved_use] {
+  db_.push_undo(action, object, kSvPart, [this, object, host, index, saved_use] {
     auto eit = entries_.find(object);
     if (eit == entries_.end()) return;
     auto& sv = eit->second.sv;
@@ -176,7 +146,7 @@ sim::Task<Status> ObjectServerDb::remove(Uid object, NodeId host, Uid action) {
 
 Status ObjectServerDb::increment(Uid object, NodeId client, std::vector<NodeId> hosts,
                                  Uid token) {
-  counters_.inc("osdb.increment");
+  db_.counters_.inc("osdb.increment");
   auto it = entries_.find(object);
   if (it == entries_.end()) return Err::NotFound;
   Entry& e = it->second;
@@ -184,55 +154,52 @@ Status ObjectServerDb::increment(Uid object, NodeId client, std::vector<NodeId> 
   for (NodeId host : hosts) {
     const Tokens* tokens = slot(e, host, client);
     if (tokens != nullptr && has_token(*tokens, token)) {
-      counters_.inc("osdb.increment_resent");
+      db_.counters_.inc("osdb.increment_resent");
       return ok_status();
     }
   }
-  // The bind action's write lock pins the view it read; without it the
+  // The bind action's update lock pins the view it read; without it the
   // action is gone from this incarnation and so are its Removes.
-  if (!locks_.holds(lock_name(object), token, actions::LockMode::Write)) {
-    counters_.inc("osdb.increment_refused");
+  if (!db_.locks_.holds(lock_name(object), token, actions::LockMode::ExcludeWrite)) {
+    db_.counters_.inc("osdb.increment_refused");
     return Err::Aborted;
   }
   for (NodeId host : hosts) e.use[host][client].push_back(token);
-  core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
-  commit_now(token, object);
+  core::metric_gauge(db_.metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
+  db_.commit_now(token, object, kSvPart);
   return ok_status();
 }
 
-sim::Task<Status> ObjectServerDb::decrement(Uid object, NodeId client, std::vector<NodeId> hosts,
-                                            Uid token) {
-  counters_.inc("osdb.decrement");
-  if (entries_.find(object) == entries_.end()) co_return Err::NotFound;
-  const std::string lock = lock_name(object);
-  if (locks_.holds(lock, token, actions::LockMode::Read)) {
-    // The bind action itself is still live here (its client gave up on
-    // the Increment): end it, so a late Increment finds nothing to commit.
-    counters_.inc("osdb.decrement_ended_bind");
-    (void)co_await abort(token);
+sim::Task<Status> ObjectServerDb::decrement(NodeId client, std::vector<UseRelease> bindings) {
+  for (const UseRelease& b : bindings) {
+    db_.counters_.inc("osdb.decrement");
+    if (entries_.find(b.object) == entries_.end()) continue;
+    const std::string lock = lock_name(b.object);
+    if (db_.locks_.holds(lock, b.token, actions::LockMode::Read)) {
+      // The bind action itself is still live here (its client gave up on
+      // the Increment): end it, so a late Increment finds nothing to commit.
+      db_.counters_.inc("osdb.decrement_ended_bind");
+      (void)co_await db_.abort(b.token);
+    }
+    const Uid local = local_actions_.next();
+    Status lk = co_await db_.lock_entry(lock, actions::LockMode::Write, local, "osdb.lock_refused");
+    if (!lk.ok()) co_return lk.error();  // the caller resends; done bindings are absent then
+    Entry& e = entries_.find(b.object)->second;
+    bool removed = false;
+    for (NodeId host : b.servers) {
+      Tokens* tokens = slot(e, host, client);
+      if (tokens == nullptr || !has_token(*tokens, b.token)) continue;
+      std::erase(*tokens, b.token);
+      if (tokens->empty()) e.use[host].erase(client);
+      removed = true;
+    }
+    if (removed)
+      db_.persist(b.object, kSvPart);
+    else
+      db_.counters_.inc("osdb.decrement_absent");
+    core::metric_gauge(db_.metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
+    db_.locks_.release_all(local);
   }
-  const Uid local = local_actions_.next();
-  Status lk = co_await locks_.acquire(lock, actions::LockMode::Write, local, cfg_.lock_wait);
-  if (!lk.ok()) {
-    counters_.inc("osdb.lock_refused");
-    trigger_orphan_sweep();
-    co_return lk.error();
-  }
-  Entry& e = entries_.find(object)->second;
-  bool removed = false;
-  for (NodeId host : hosts) {
-    Tokens* tokens = slot(e, host, client);
-    if (tokens == nullptr || !has_token(*tokens, token)) continue;
-    std::erase(*tokens, token);
-    if (tokens->empty()) e.use[host].erase(client);
-    removed = true;
-  }
-  if (removed)
-    persist_entry(object);
-  else
-    counters_.inc("osdb.decrement_absent");
-  core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
-  locks_.release_all(local);
   co_return ok_status();
 }
 
@@ -264,8 +231,8 @@ sim::Task<Result<std::uint32_t>> ObjectServerDb::purge_client(NodeId client, Uid
     }
   }
   for (const Uid& object : affected) {
-    Status lk = co_await locks_.acquire(lock_name(object), actions::LockMode::Write, action,
-                                        cfg_.lock_wait);
+    Status lk = co_await db_.locks_.acquire(lock_name(object), actions::LockMode::Write, action,
+                                            db_.cfg_.lock_wait);
     if (!lk.ok()) continue;  // skip contended entries; janitor will retry
     auto eit = entries_.find(object);
     if (eit == entries_.end()) continue;
@@ -275,13 +242,13 @@ sim::Task<Result<std::uint32_t>> ObjectServerDb::purge_client(NodeId client, Uid
       Tokens tokens = std::move(cit->second);
       clients.erase(cit);
       purged += static_cast<std::uint32_t>(tokens.size());
-      push_undo(action, object, [this, object, server = server, client, tokens] {
+      db_.push_undo(action, object, kSvPart, [this, object, server = server, client, tokens] {
         auto rit = entries_.find(object);
         if (rit != entries_.end()) restore_tokens(rit->second.use[server][client], tokens);
       });
     }
   }
-  counters_.inc("osdb.purged_entries", purged);
+  db_.counters_.inc("osdb.purged_entries", purged);
   co_return purged;
 }
 
@@ -295,34 +262,15 @@ std::vector<NodeId> ObjectServerDb::clients_in_use() const {
   return out;
 }
 
-// ------------------------------------------------------------ persistence
-
-Buffer ObjectServerDb::pack_entry(const Uid& object) const {
-  return rpc::encode(entries_.at(object));
-}
-
-void ObjectServerDb::load_entries(const std::map<Uid, Buffer>& records) {
-  entries_.clear();
-  for (const auto& [object, record] : records) {
-    Buffer b = record;
-    Entry e;
-    if (rpc::decode(b, e)) entries_[object] = std::move(e);
-  }
-}
-
 // --------------------------------------------------------------- RPC glue
 
 void ObjectServerDb::register_rpc(rpc::RpcEndpoint& endpoint) {
-  endpoint.serve(kOsdbGetServer, [this](NodeId from, Uid object, Uid action, bool for_update) {
-    note_activity(action, from);
-    return get_server(object, action, for_update);
-  });
   endpoint.serve(kOsdbInsert, [this](NodeId from, Uid object, NodeId host, Uid action) {
-    note_activity(action, from);
+    db_.note_activity(action, from);
     return insert(object, host, action);
   });
   endpoint.serve(kOsdbRemove, [this](NodeId from, Uid object, NodeId host, Uid action) {
-    note_activity(action, from);
+    db_.note_activity(action, from);
     return remove(object, host, action);
   });
   // Increment and Decrement end or need no action here, so neither
@@ -331,12 +279,11 @@ void ObjectServerDb::register_rpc(rpc::RpcEndpoint& endpoint) {
                  [this](NodeId, Uid object, NodeId client, std::vector<NodeId> hosts, Uid token) {
                    return increment(object, client, std::move(hosts), token);
                  });
-  endpoint.serve(kOsdbDecrement,
-                 [this](NodeId, Uid object, NodeId client, std::vector<NodeId> hosts, Uid token) {
-                   return decrement(object, client, std::move(hosts), token);
-                 });
+  endpoint.serve(kOsdbDecrement, [this](NodeId, NodeId client, std::vector<UseRelease> bindings) {
+    return decrement(client, std::move(bindings));
+  });
   endpoint.serve(kOsdbPurgeClient, [this](NodeId from, NodeId client, Uid action) {
-    note_activity(action, from);
+    db_.note_activity(action, from);
     return purge_client(client, action);
   });
 }

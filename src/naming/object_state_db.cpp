@@ -4,24 +4,12 @@
 
 #include "core/metrics.h"
 #include "core/trace.h"
+#include "naming/group_view_db.h"
 #include "util/log.h"
 
 namespace gv::naming {
 
-ObjectStateDb::ObjectStateDb(sim::Node& node, store::ObjectStore& store,
-                             rpc::RpcEndpoint& endpoint, actions::TxnRegistry& txns,
-                             NamingConfig cfg, ExcludePolicy policy)
-    : NamingDbBase(node, store, endpoint, kOstdbUid, cfg), policy_(policy) {
-  txns.add(kOstdbService, this);
-  register_rpc(endpoint);
-}
-
-void ObjectStateDb::create(const Uid& object, std::vector<NodeId> st) {
-  Entry e;
-  e.st = std::move(st);
-  entries_[object] = std::move(e);
-  persist_entry(object);  // registration itself must survive a naming-node crash
-}
+ObjectStateDb::ObjectStateDb(GroupViewDb& db, ExcludePolicy policy) : db_(db), policy_(policy) {}
 
 std::vector<NodeId> ObjectStateDb::peek(const Uid& object) const {
   auto it = entries_.find(object);
@@ -29,16 +17,12 @@ std::vector<NodeId> ObjectStateDb::peek(const Uid& object) const {
 }
 
 sim::Task<Result<StView>> ObjectStateDb::get_view(Uid object, Uid action) {
-  counters_.inc("ostdb.get_view");
+  db_.counters_.inc("ostdb.get_view");
   auto it = entries_.find(object);
   if (it == entries_.end()) co_return Err::NotFound;
-  Status lk = co_await locks_.acquire(lock_name(object), actions::LockMode::Read, action,
-                                      cfg_.lock_wait);
-  if (!lk.ok()) {
-    counters_.inc("ostdb.lock_refused");
-    trigger_orphan_sweep();
-    co_return lk.error();
-  }
+  Status lk = co_await db_.lock_entry(lock_name(object), actions::LockMode::Read, action,
+                                      "ostdb.lock_refused");
+  if (!lk.ok()) co_return lk.error();
   auto it2 = entries_.find(object);
   if (it2 == entries_.end()) co_return Err::NotFound;
   co_return StView{it2->second.st, it2->second.epoch};
@@ -48,8 +32,8 @@ void ObjectStateDb::bump_epoch(const Uid& object) {
   auto it = entries_.find(object);
   if (it == entries_.end()) return;
   ++it->second.epoch;
-  counters_.inc("ostdb.epoch_bump");
-  if (epoch_listener_) epoch_listener_(object);
+  db_.counters_.inc("ostdb.epoch_bump");
+  db_.note_invalidation(object);
 }
 
 std::uint64_t ObjectStateDb::epoch_of(const Uid& object) const noexcept {
@@ -66,28 +50,24 @@ Result<StView> ObjectStateDb::peek_view(const Uid& object) const {
 sim::Task<Status> ObjectStateDb::validate_epoch(Uid object, std::uint64_t epoch, Uid action) {
   auto it = entries_.find(object);
   if (it == entries_.end()) co_return Err::NotFound;
-  Status lk = co_await locks_.acquire(lock_name(object), actions::LockMode::Read, action,
-                                      cfg_.lock_wait);
-  if (!lk.ok()) {
-    counters_.inc("ostdb.lock_refused");
-    trigger_orphan_sweep();
-    co_return lk.error();
-  }
+  Status lk = co_await db_.lock_entry(lock_name(object), actions::LockMode::Read, action,
+                                      "ostdb.lock_refused");
+  if (!lk.ok()) co_return lk.error();
   auto it2 = entries_.find(object);
   if (it2 == entries_.end()) co_return Err::NotFound;
   if (it2->second.epoch != epoch) {
-    counters_.inc("ostdb.validate_stale");
+    db_.counters_.inc("ostdb.validate_stale");
     co_return Err::StaleView;
   }
-  counters_.inc("ostdb.validate_ok");
+  db_.counters_.inc("ostdb.validate_ok");
   co_return ok_status();
 }
 
 sim::Task<Status> ObjectStateDb::exclude(std::vector<ExcludeItem> items, Uid action) {
-  counters_.inc("ostdb.exclude");
-  auto span = core::trace_span(trace_, "ostdb.exclude", node_.id(), "naming",
+  db_.counters_.inc("ostdb.exclude");
+  auto span = core::trace_span(db_.trace_, "ostdb.exclude", db_.node_.id(), "naming",
                                std::to_string(items.size()) + " items by " + action.to_string());
-  const sim::SimTime t_batch = node_.sim().now();
+  const sim::SimTime t_batch = db_.node_.sim().now();
   const actions::LockMode mode = policy_ == ExcludePolicy::ExcludeWriteLock
                                      ? actions::LockMode::ExcludeWrite
                                      : actions::LockMode::Write;
@@ -95,10 +75,11 @@ sim::Task<Status> ObjectStateDb::exclude(std::vector<ExcludeItem> items, Uid act
     if (entries_.find(item.object) == entries_.end()) co_return Err::NotFound;
     // Sec 4.2.1: the caller usually already holds a read lock from
     // GetView; this is the promotion the exclude-write type exists for.
-    Status lk = co_await locks_.promote(lock_name(item.object), mode, action, cfg_.lock_wait);
+    Status lk = co_await db_.locks_.promote(lock_name(item.object), mode, action,
+                                            db_.cfg_.lock_wait);
     if (!lk.ok()) {
-      counters_.inc("ostdb.exclude_lock_refused");
-      trigger_orphan_sweep();
+      db_.counters_.inc("ostdb.exclude_lock_refused");
+      db_.trigger_orphan_sweep();
       co_return lk.error();
     }
     auto it = entries_.find(item.object);
@@ -113,54 +94,51 @@ sim::Task<Status> ObjectStateDb::exclude(std::vector<ExcludeItem> items, Uid act
       }
     }
     if (!removed.empty()) {
-      counters_.inc("ostdb.excluded_nodes", removed.size());
-      core::metric_gauge(metrics_, "naming.st_size", static_cast<double>(e.st.size()));
+      db_.counters_.inc("ostdb.excluded_nodes", removed.size());
+      core::metric_gauge(db_.metrics_, "naming.st_size", static_cast<double>(e.st.size()));
       bump_epoch(item.object);
       for (NodeId host : removed) {
-        GV_LOG(LogLevel::Debug, node_.sim().now(), "ostdb", "exclude %u from %s by %s", host,
+        GV_LOG(LogLevel::Debug, db_.node_.sim().now(), "ostdb", "exclude %u from %s by %s", host,
                item.object.to_string().c_str(), action.to_string().c_str());
-        core::trace_instant(trace_, "ostdb.excluded", node_.id(), "naming",
+        core::trace_instant(db_.trace_, "ostdb.excluded", db_.node_.id(), "naming",
                             "node " + std::to_string(host) + " from " + item.object.to_string());
       }
-      push_undo(action, item.object, [this, object = item.object, removed, action] {
+      db_.push_undo(action, item.object, kStPart, [this, object = item.object, removed, action] {
         auto eit = entries_.find(object);
         if (eit == entries_.end()) return;
         for (NodeId host : removed) {
-          GV_LOG(LogLevel::Debug, node_.sim().now(), "ostdb", "UNDO exclude: re-add %u to %s (action %s)",
-                 host, object.to_string().c_str(), action.to_string().c_str());
+          GV_LOG(LogLevel::Debug, db_.node_.sim().now(), "ostdb",
+                 "UNDO exclude: re-add %u to %s (action %s)", host, object.to_string().c_str(),
+                 action.to_string().c_str());
           eit->second.st.push_back(host);
         }
         bump_epoch(object);  // the dirty bump was observable; never reuse it
       });
     }
   }
-  core::metric_record(metrics_, "naming.exclude_batch_us",
-                      static_cast<double>(node_.sim().now() - t_batch));
+  core::metric_record(db_.metrics_, "naming.exclude_batch_us",
+                      static_cast<double>(db_.node_.sim().now() - t_batch));
   span.end("ok");
   co_return ok_status();
 }
 
 sim::Task<Status> ObjectStateDb::include(Uid object, NodeId host, Uid action) {
-  counters_.inc("ostdb.include");
+  db_.counters_.inc("ostdb.include");
   auto it = entries_.find(object);
   if (it == entries_.end()) co_return Err::NotFound;
-  Status lk = co_await locks_.acquire(lock_name(object), actions::LockMode::Write, action,
-                                      cfg_.lock_wait);
-  if (!lk.ok()) {
-    counters_.inc("ostdb.lock_refused");
-    trigger_orphan_sweep();
-    co_return lk.error();
-  }
+  Status lk = co_await db_.lock_entry(lock_name(object), actions::LockMode::Write, action,
+                                      "ostdb.lock_refused");
+  if (!lk.ok()) co_return lk.error();
   Entry& e = entries_.find(object)->second;
   if (std::find(e.st.begin(), e.st.end(), host) != e.st.end()) co_return ok_status();
-  GV_LOG(LogLevel::Debug, node_.sim().now(), "ostdb", "include %u into %s by %s", host,
+  GV_LOG(LogLevel::Debug, db_.node_.sim().now(), "ostdb", "include %u into %s by %s", host,
          object.to_string().c_str(), action.to_string().c_str());
-  core::trace_instant(trace_, "ostdb.included", node_.id(), "naming",
+  core::trace_instant(db_.trace_, "ostdb.included", db_.node_.id(), "naming",
                       "node " + std::to_string(host) + " into " + object.to_string());
   e.st.push_back(host);
-  core::metric_gauge(metrics_, "naming.st_size", static_cast<double>(e.st.size()));
+  core::metric_gauge(db_.metrics_, "naming.st_size", static_cast<double>(e.st.size()));
   bump_epoch(object);
-  push_undo(action, object, [this, object, host] {
+  db_.push_undo(action, object, kStPart, [this, object, host] {
     auto eit = entries_.find(object);
     if (eit == entries_.end()) return;
     auto& st = eit->second.st;
@@ -170,30 +148,15 @@ sim::Task<Status> ObjectStateDb::include(Uid object, NodeId host, Uid action) {
   co_return ok_status();
 }
 
-// ------------------------------------------------------------ persistence
-
-Buffer ObjectStateDb::pack_entry(const Uid& object) const {
-  return rpc::encode(entries_.at(object));
-}
-
-void ObjectStateDb::load_entries(const std::map<Uid, Buffer>& records) {
-  entries_.clear();
-  for (const auto& [object, record] : records) {
-    Buffer b = record;
-    Entry e;
-    if (rpc::decode(b, e)) entries_[object] = std::move(e);
-  }
-}
-
 // --------------------------------------------------------------- RPC glue
 
 void ObjectStateDb::register_rpc(rpc::RpcEndpoint& endpoint) {
   endpoint.serve(kOstdbGetView, [this](NodeId from, Uid object, Uid action) {
-    note_activity(action, from);
+    db_.note_activity(action, from);
     return get_view(object, action);
   });
   endpoint.serve(kOstdbExclude, [this](NodeId from, std::vector<ExcludeItem> items, Uid action) {
-    note_activity(action, from);
+    db_.note_activity(action, from);
     return exclude(std::move(items), action);
   });
   endpoint.serve(kOstdbPeek, [this](NodeId, Uid object) -> Result<std::vector<NodeId>> {
@@ -201,7 +164,7 @@ void ObjectStateDb::register_rpc(rpc::RpcEndpoint& endpoint) {
     return peek(object);
   });
   endpoint.serve(kOstdbInclude, [this](NodeId from, Uid object, NodeId host, Uid action) {
-    note_activity(action, from);
+    db_.note_activity(action, from);
     return include(object, host, action);
   });
 }

@@ -1,4 +1,5 @@
-// The Object State database (sec 4.2): UID -> St(A).
+// The Object State table of the group view database (sec 4.2):
+// UID -> St(A).
 //
 // Maintains, per persistent object, the list of nodes whose object
 // stores hold a state of the object. Exported operations:
@@ -19,9 +20,13 @@
 //
 // The ablation benchmark bench_ablation_exclude_lock measures the abort
 // rate difference between the two.
+//
+// The table is not a participant of its own: its entries, locks ("st:"
+// names) and undo records belong to the GroupViewDb that owns it. St has
+// its own lock name so a binder's update lock on Sv never blocks another
+// client's GetView.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,9 +36,11 @@
 
 namespace gv::naming {
 
+class GroupViewDb;
+
 inline constexpr const char* kOstdbService = "ostdb";
-// Store table holding the database's per-entry stable records.
-inline constexpr Uid kOstdbUid{0xDBull, 2};
+// This table's part of an entry (its lock, undo records and record part).
+inline constexpr EntryParts kStPart = 2;
 
 enum class ExcludePolicy { ExcludeWriteLock, PromoteToWrite };
 
@@ -52,13 +59,16 @@ struct StView {
   GV_WIRE_FIELDS(epoch, st)
 };
 
-class ObjectStateDb final : public NamingDbBase {
+class ObjectStateDb {
  public:
-  ObjectStateDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEndpoint& endpoint,
-                actions::TxnRegistry& txns, NamingConfig cfg = {},
-                ExcludePolicy policy = ExcludePolicy::ExcludeWriteLock);
+  struct Entry {  // also the St part of the entry's stable record
+    std::vector<NodeId> st;
+    std::uint64_t epoch = 1;
+    GV_WIRE_FIELDS(epoch, st)
+  };
 
-  void create(const Uid& object, std::vector<NodeId> st);
+  ObjectStateDb(GroupViewDb& db, ExcludePolicy policy);
+
   bool known(const Uid& object) const { return entries_.count(object) > 0; }
 
   sim::Task<Result<StView>> get_view(Uid object, Uid action);
@@ -81,25 +91,18 @@ class ObjectStateDb final : public NamingDbBase {
   // cached view is still current and pinned until the action ends;
   // StaleView = the caller must invalidate and rebind.
   sim::Task<Status> validate_epoch(Uid object, std::uint64_t epoch, Uid action);
-  void set_epoch_listener(std::function<void(const Uid&)> fn) { epoch_listener_ = std::move(fn); }
-
- private:
-  struct Entry {  // also the entry's stable record
-    std::vector<NodeId> st;
-    std::uint64_t epoch = 1;
-    GV_WIRE_FIELDS(epoch, st)
-  };
 
   static std::string lock_name(const Uid& object) { return "st:" + object.to_string(); }
+
+ private:
+  friend class GroupViewDb;
+
   void bump_epoch(const Uid& object);
   void register_rpc(rpc::RpcEndpoint& endpoint);
 
-  Buffer pack_entry(const Uid& object) const override;
-  void load_entries(const std::map<Uid, Buffer>& records) override;
-
+  GroupViewDb& db_;
   std::map<Uid, Entry> entries_;
   ExcludePolicy policy_;
-  std::function<void(const Uid&)> epoch_listener_;
 };
 
 // The ostdb service's methods, declared once for the registration and the

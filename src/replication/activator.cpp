@@ -15,19 +15,27 @@ const char* to_string(ReplicationPolicy p) noexcept {
   return "?";
 }
 
-sim::Task<std::vector<NodeId>> Activator::join_active_group(const ObjectSpec& spec,
-                                                            const std::vector<NodeId>& servers) {
-  const std::string group = group_name(spec.uid);
-  if (gc_.members(group).empty()) gc_.create_group(group, servers);
-  std::vector<NodeId> joined;
-  for (NodeId s : servers) {
-    Status j = co_await objsrv_join_group(rt_.endpoint(), s, spec.uid);
-    if (j.ok())
-      joined.push_back(s);
-    else
-      counters_.inc("activate.join_failed");
+sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId node,
+                                                std::vector<NodeId> st) {
+  // A node that is down, cannot reach any St store, or lacks the class
+  // binary fails the probe and is handled per the binder's scheme. An
+  // active replica must also join the group in the same call: a bound
+  // member that never joined silently misses every invocation, and its
+  // unmodified state can mask a lost write at commit.
+  const bool join = spec.policy == ReplicationPolicy::Active;
+  Status s = co_await objsrv_activate(rt_.endpoint(), node, spec.uid, spec.class_name,
+                                      std::move(st), join);
+  if (s.ok()) co_return naming::ProbeResult::Ok;
+  switch (s.error()) {
+    case Err::NotQuiescent:  // recovering: its Insert will re-admit it
+    case Err::NoReplicas:    // alive, but no store reachable right now
+    case Err::Conflict:      // alive, but refused into the replica group
+      counters_.inc(s.error() == Err::Conflict ? "activate.join_failed"
+                                               : "activate.busy_server_skipped");
+      co_return naming::ProbeResult::Busy;
+    default:
+      co_return naming::ProbeResult::Dead;
   }
-  co_return joined;
 }
 
 // Sec 6 cached bind: serve Sv/St from the client's GroupViewCache — a
@@ -56,22 +64,13 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
     bound.scheme = binder_.scheme();
     for (NodeId node : entry.value().sv) {
       if (bound.servers.size() >= want) break;
-      Status s = co_await objsrv_activate(rt_.endpoint(), node, spec.uid, spec.class_name,
-                                          entry.value().st);
-      if (s.ok()) {
+      const naming::ProbeResult r = co_await probe(spec, node, entry.value().st);
+      if (r == naming::ProbeResult::Ok) {
         bound.servers.push_back(node);
-      } else if (s.error() == Err::NotQuiescent || s.error() == Err::NoReplicas) {
-        counters_.inc("activate.busy_server_skipped");
-      } else {
+      } else if (r == naming::ProbeResult::Dead) {
         bound.failed.push_back(node);
         counters_.inc("activate.cached_probe_failure");
       }
-    }
-    if (spec.policy == ReplicationPolicy::Active && !bound.servers.empty()) {
-      // Keep only servers that acknowledged the group join: a bound
-      // member that never joined silently misses every invocation, and
-      // its unmodified state can mask a lost write at commit.
-      bound.servers = co_await join_active_group(spec, bound.servers);
     }
     if (bound.servers.empty()) {
       // Every cached candidate refused — the view is probably stale.
@@ -106,42 +105,17 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate(ObjectSpec spec,
   if (cache_ != nullptr) co_return co_await bind_and_activate_cached(std::move(spec), action);
   auto span = core::trace_span(rt_.trace(), "activate", rt_.endpoint().node_id(), "activator",
                                spec.uid.to_string());
-  // St(A) is read under the client's action: the read lock both pins the
-  // view for the action's lifetime and is the lock the commit processor
-  // later promotes to EXCLUDE-WRITE if stores fail.
-  sim::Simulator& sim = rt_.endpoint().node().sim();
-  const sim::SimTime t0 = sim.now();
-  auto st = co_await naming::ostdb_get_view(rt_.endpoint(), naming_node_, spec.uid, action.uid());
-  core::metric_record(rt_.metrics(), "naming.getview_us", static_cast<double>(sim.now() - t0));
-  action.enlist({naming_node_, naming::kOstdbService});
-  if (!st.ok()) {
-    counters_.inc("activate.getview_failed");
-    co_return st.error();
-  }
-  core::metric_gauge(rt_.metrics(), "naming.st_size_read",
-                     static_cast<double>(st.value().st.size()));
-
-  // Probe: ask the candidate node to (idempotently) activate the object.
-  // A node that is down, cannot reach any St store, or lacks the class
-  // binary fails the probe and is handled per the binder's scheme.
-  const std::vector<NodeId> st_nodes = st.value().st;
-  auto probe = [this, spec, st_nodes](NodeId node) -> sim::Task<naming::ProbeResult> {
-    Status s = co_await objsrv_activate(rt_.endpoint(), node, spec.uid, spec.class_name, st_nodes);
-    if (s.ok()) co_return naming::ProbeResult::Ok;
-    switch (s.error()) {
-      case Err::NotQuiescent:  // recovering: its Insert will re-admit it
-      case Err::NoReplicas:    // alive, but no store reachable right now
-        co_return naming::ProbeResult::Busy;
-      default:
-        co_return naming::ProbeResult::Dead;
-    }
-  };
-
+  // St(A) is read under the client's action by the binder's naming read:
+  // the read lock both pins the view for the action's lifetime and is the
+  // lock the commit processor later promotes to EXCLUDE-WRITE if stores
+  // fail.
   const std::size_t want =
       spec.policy == ReplicationPolicy::SingleCopyPassive ? 1 : spec.servers_wanted;
-  actions::AtomicAction* client_action =
-      binder_.scheme() == naming::Scheme::StandardNested ? &action : nullptr;
-  auto bound = co_await binder_.bind(spec.uid, want, client_action, probe);
+  auto bound = co_await binder_.bind(
+      spec.uid, want, &action,
+      [this, &spec](NodeId node, std::vector<NodeId> st) -> sim::Task<naming::ProbeResult> {
+        return probe(spec, node, std::move(st));
+      });
   if (!bound.ok()) {
     counters_.inc("activate.bind_failed");
     co_return bound.error();
@@ -149,15 +123,10 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate(ObjectSpec spec,
 
   for (NodeId s : bound.value().servers) action.enlist({s, kObjSrvService});
 
-  if (spec.policy == ReplicationPolicy::Active)
-    (void)co_await join_active_group(spec, bound.value().servers);  // use lists pin the bind;
-                                                                    // lost writes are caught by
-                                                                    // binding.wrote at commit
-
   ActiveBinding out;
   out.spec = std::move(spec);
   out.bind = std::move(bound).value();
-  out.st = st_nodes;
+  out.st = out.bind.st;
   out.primary = out.bind.servers.front();
   counters_.inc("activate.bound");
   co_return out;

@@ -9,11 +9,12 @@
 //   |Sv|>1, |St|=1  replicated servers, single state (fig 4)
 //   |Sv|>1, |St|>1  the general case                 (fig 5)
 //
-// Activation: read St via GetView (a read-locked operation under the
-// client's action), then drive the Binder (which consults the Object
-// Server database under the configured scheme) with a probe that asks
-// candidate server nodes to activate the object — each freshly created
-// server loads the state from any functioning node in St.
+// Activation: drive the Binder, whose one naming read returns St(A)
+// read-locked under the client's action together with Sv(A) under the
+// configured scheme, with a probe that asks candidate server nodes to
+// activate the object — each freshly created server loads the state from
+// any functioning node in St — and, for active replication, to join the
+// object's replica group in the same call.
 //
 // Policies:
 //   SingleCopyPassive  one server; state copied to all St stores at commit
@@ -24,10 +25,8 @@
 
 #include "actions/atomic_action.h"
 #include "naming/binder.h"
-#include "naming/object_state_db.h"
 #include "naming/view_cache.h"
 #include "replication/object_server.h"
-#include "rpc/group_comm.h"
 
 namespace gv::replication {
 
@@ -75,13 +74,12 @@ struct ActiveBinding {
 
 class Activator {
  public:
-  Activator(actions::ActionRuntime& rt, NodeId naming_node, rpc::GroupComm& gc,
-            naming::Scheme scheme)
-      : rt_(rt), naming_node_(naming_node), gc_(gc), binder_(rt, naming_node, scheme) {}
+  Activator(actions::ActionRuntime& rt, NodeId naming_node, naming::Scheme scheme)
+      : rt_(rt), binder_(rt, naming_node, scheme) {}
 
   // Bind to (activating if necessary) the object described by `spec`,
-  // within `action`. Enlists the naming databases and the bound servers'
-  // hosts as participants of `action`.
+  // within `action`. Enlists the group view database and the bound
+  // servers' hosts as participants of `action`.
   sim::Task<Result<ActiveBinding>> bind_and_activate(ObjectSpec spec,
                                                      actions::AtomicAction& action);
 
@@ -94,15 +92,12 @@ class Activator {
  private:
   sim::Task<Result<ActiveBinding>> bind_and_activate_cached(ObjectSpec spec,
                                                             actions::AtomicAction& action);
-  // Joins each server to the object's replica group; returns the subset
-  // that acknowledged the join (a member that never joined will not see
-  // group invocations, so callers that can must drop it from the bind).
-  sim::Task<std::vector<NodeId>> join_active_group(const ObjectSpec& spec,
-                                                   const std::vector<NodeId>& servers);
+  // Ask `node` to activate the object from the stores in `st`, joining
+  // its replica group if the object is actively replicated.
+  sim::Task<naming::ProbeResult> probe(const ObjectSpec& spec, NodeId node,
+                                       std::vector<NodeId> st);
 
   actions::ActionRuntime& rt_;
-  NodeId naming_node_;
-  rpc::GroupComm& gc_;
   naming::Binder binder_;
   naming::GroupViewCache* cache_ = nullptr;
   Counters counters_;

@@ -19,10 +19,9 @@ sim::Task<Status> CommitProcessor::validate_cached_views(
   }
   if (groups.empty()) co_return ok_status();
   counters_.inc("commit.validate_rpcs", groups.size());
-  // The read locks validate acquires live under this action on both
-  // naming databases; enlist them so 2PC termination releases the locks.
-  action.enlist({naming_node_, naming::kOsdbService});
-  action.enlist({naming_node_, naming::kOstdbService});
+  // The read locks validate acquires live under this action at the group
+  // view database; enlist it so 2PC termination releases the locks.
+  action.enlist({naming_node_, naming::kGvdbService});
   for (auto& [incarnation, items] : groups) {
     Status s = co_await naming::gvdb_validate(rt_.endpoint(), naming_node_, incarnation,
                                               std::move(items), action.uid());
@@ -202,8 +201,8 @@ sim::Task<Status> CommitProcessor::stage_object(actions::AtomicAction& action,
     }
   }
   // Enlist every store that accepted the copy, so the 2PC (or the
-  // abort) reaches its shadow; the naming database is already a
-  // participant from GetView.
+  // abort) reaches its shadow; the group view database is already a
+  // participant from the bind's naming read.
   for (NodeId st : copied) action.enlist({st, store::kStoreService});
   if (behind) {
     counters_.inc("commit.staged_state_behind");

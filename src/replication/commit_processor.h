@@ -23,7 +23,7 @@
 #pragma once
 
 #include "actions/atomic_action.h"
-#include "naming/object_state_db.h"
+#include "naming/group_view_db.h"
 #include "replication/activator.h"
 
 namespace gv::replication {

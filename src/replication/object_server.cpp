@@ -35,7 +35,17 @@ ObjectServerHost::ObjectServerHost(sim::Node& node, rpc::RpcEndpoint& endpoint,
 }
 
 sim::Task<Status> ObjectServerHost::activate(Uid object, std::string class_name,
-                                             std::vector<NodeId> st_nodes) {
+                                             std::vector<NodeId> st_nodes, bool join) {
+  Status s = co_await load(object, std::move(class_name), std::move(st_nodes));
+  if (s.ok() && join && !join_group(object)) {
+    counters_.inc("objsrv.join_refused");
+    co_return Err::Conflict;
+  }
+  co_return s;
+}
+
+sim::Task<Status> ObjectServerHost::load(Uid object, std::string class_name,
+                                         std::vector<NodeId> st_nodes) {
   if (active_.count(object) > 0) {
     counters_.inc("objsrv.activate_idempotent");
     co_return ok_status();
@@ -331,9 +341,9 @@ void ObjectServerHost::nested_abort(const Uid& child) {
 
 // -------------------------------------------------------- group delivery
 
-void ObjectServerHost::join_group(const Uid& object) {
-  gc_.join(group_name(object), node_.id(),
-           [this](NodeId from, std::uint64_t, Buffer msg) { on_group_deliver(from, msg); });
+bool ObjectServerHost::join_group(const Uid& object) {
+  return gc_.join(group_name(object), node_.id(),
+                  [this](NodeId from, std::uint64_t, Buffer msg) { on_group_deliver(from, msg); });
 }
 
 void ObjectServerHost::on_group_deliver(NodeId, Buffer msg) {
@@ -361,8 +371,8 @@ void ObjectServerHost::on_group_deliver(NodeId, Buffer msg) {
 
 void ObjectServerHost::register_rpc() {
   endpoint_.serve(kObjsrvActivate,
-                  [this](NodeId, Uid object, std::string cls, std::vector<NodeId> st) {
-                    return activate(object, std::move(cls), std::move(st));
+                  [this](NodeId, Uid object, std::string cls, std::vector<NodeId> st, bool join) {
+                    return activate(object, std::move(cls), std::move(st), join);
                   });
   endpoint_.serve(kObjsrvInvoke, [this](NodeId from, Uid object, Uid action,
                                         std::vector<Uid> ancestors, actions::LockMode mode,
@@ -383,11 +393,6 @@ void ObjectServerHost::register_rpc() {
   });
   endpoint_.serve(kObjsrvIsActive,
                   [this](NodeId, Uid object) -> Result<bool> { return is_active(object); });
-  endpoint_.serve(kObjsrvJoinGroup, [this](NodeId, Uid object) -> Status {
-    if (!is_active(object)) return Err::NotFound;
-    join_group(object);
-    return ok_status();
-  });
   endpoint_.serve(kObjsrvPassivate, [this](NodeId, Uid object) { return passivate(object); });
 }
 

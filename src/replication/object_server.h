@@ -56,8 +56,12 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // ---- local API (RPC methods mirror these) ----------------------------
   // Activate `object` of class `class_name`, loading the latest committed
   // state from one of `st_nodes` (tried in order; suspect/down stores are
-  // skipped). Idempotent if already active.
-  sim::Task<Status> activate(Uid object, std::string class_name, std::vector<NodeId> st_nodes);
+  // skipped). Idempotent if already active. With `join` (active
+  // replication) the server also joins the object's replica group, on
+  // the idempotent path too; a refused join answers Conflict, so the
+  // binder does not bind a member that would miss invocations.
+  sim::Task<Status> activate(Uid object, std::string class_name, std::vector<NodeId> st_nodes,
+                             bool join = false);
 
   // Warm-standby activation for coordinator-cohort: instantiate from a
   // provided snapshot instead of a store read.
@@ -108,7 +112,8 @@ class ObjectServerHost final : public actions::ServerParticipant {
 
   // Join the replica group for `object` (active replication). Invocations
   // delivered through the group are applied exactly like invoke().
-  void join_group(const Uid& object);
+  // False if the group refused the join.
+  bool join_group(const Uid& object);
 
   // ---- ServerParticipant ------------------------------------------------
   sim::Task<bool> prepare(const Uid& txn) override;
@@ -138,6 +143,7 @@ class ObjectServerHost final : public actions::ServerParticipant {
   static constexpr sim::SimTime kInvokeLockWait = 30 * sim::kMillisecond;
 
   static std::string lock_name(const Uid& object) { return "obj:" + object.to_string(); }
+  sim::Task<Status> load(Uid object, std::string class_name, std::vector<NodeId> st_nodes);
   sim::Task<Result<Buffer>> apply_locked(Active& a, Uid object, Uid action,
                                          actions::LockMode mode, const std::string& op,
                                          Buffer args);
@@ -183,7 +189,8 @@ class ObjectServerHost final : public actions::ServerParticipant {
 
 // The objsrv service's methods, declared once for the registration and
 // the client stubs below, which give each argument's meaning.
-inline constexpr rpc::Rpc<void(Uid, std::string, std::vector<NodeId>)> kObjsrvActivate{
+// (object, class, St nodes, join the replica group)
+inline constexpr rpc::Rpc<void(Uid, std::string, std::vector<NodeId>, bool)> kObjsrvActivate{
     kObjSrvService, "activate"};
 inline constexpr rpc::Rpc<Buffer(Uid, Uid, std::vector<Uid>, actions::LockMode, std::string,
                                  Buffer)>
@@ -195,7 +202,6 @@ inline constexpr rpc::Rpc<void(Uid, std::uint64_t)> kObjsrvMarkCommitted{kObjSrv
 inline constexpr rpc::Rpc<void(Uid, std::string, std::uint64_t, Buffer)> kObjsrvCohortCheckpoint{
     kObjSrvService, "cohort_checkpoint"};
 inline constexpr rpc::Rpc<bool(Uid)> kObjsrvIsActive{kObjSrvService, "is_active"};
-inline constexpr rpc::Rpc<void(Uid)> kObjsrvJoinGroup{kObjSrvService, "join_group"};
 inline constexpr rpc::Rpc<void(Uid)> kObjsrvPassivate{kObjSrvService, "passivate"};
 
 // The group-invocation multicast: which client call it answers (the
@@ -227,8 +233,8 @@ inline constexpr rpc::Rpc<void(std::uint64_t, std::uint32_t, Buffer)> kGinvReply
 // holds naming-database locks).
 inline sim::Task<Status> objsrv_activate(rpc::RpcEndpoint& ep, NodeId server, Uid object,
                                          std::string class_name, std::vector<NodeId> st_nodes,
-                                         sim::SimTime timeout = 60 * sim::kMillisecond) {
-  return ep.call(server, timeout, kObjsrvActivate, object, class_name, st_nodes);
+                                         bool join, sim::SimTime timeout = 60 * sim::kMillisecond) {
+  return ep.call(server, timeout, kObjsrvActivate, object, class_name, st_nodes, join);
 }
 inline sim::Task<Result<Buffer>> objsrv_invoke(rpc::RpcEndpoint& ep, NodeId server, Uid object,
                                                Uid action, std::vector<Uid> ancestors,
@@ -254,9 +260,6 @@ inline sim::Task<Result<bool>> objsrv_is_active(rpc::RpcEndpoint& ep, NodeId ser
 }
 inline sim::Task<Status> objsrv_passivate(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
   return ep.call(server, kObjsrvPassivate, object);
-}
-inline sim::Task<Status> objsrv_join_group(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
-  return ep.call(server, kObjsrvJoinGroup, object);
 }
 
 // ----------------------------------------------------------- GroupInvoker

@@ -151,7 +151,7 @@ sim::Task<RecoveryDaemon::PeerScan> RecoveryDaemon::scan_peers(const Uid& object
 sim::Task<bool> RecoveryDaemon::repair_store_object(const Uid& object) {
   actions::AtomicAction act{runtime_};
   auto st = co_await naming::ostdb_get_view(endpoint_, naming_node_, object, act.uid());
-  act.enlist({naming_node_, naming::kOstdbService});
+  act.enlist({naming_node_, naming::kGvdbService});
   if (!st.ok()) {
     (void)co_await act.abort();
     counters_.inc("recovery.getview_failed");
@@ -255,7 +255,7 @@ sim::Task<bool> RecoveryDaemon::repair_store_object(const Uid& object) {
 sim::Task<bool> RecoveryDaemon::reinsert_server(const Uid& object) {
   actions::AtomicAction act{runtime_};
   Status s = co_await naming::osdb_insert(endpoint_, naming_node_, object, node_.id(), act.uid());
-  act.enlist({naming_node_, naming::kOsdbService});
+  act.enlist({naming_node_, naming::kGvdbService});
   if (!s.ok()) {
     (void)co_await act.abort();
     counters_.inc(s.error() == Err::NotQuiescent ? "recovery.insert_not_quiescent"

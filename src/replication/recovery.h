@@ -29,8 +29,7 @@
 #include <set>
 
 #include "actions/atomic_action.h"
-#include "naming/object_server_db.h"
-#include "naming/object_state_db.h"
+#include "naming/group_view_db.h"
 #include "replication/object_server.h"
 #include "store/object_store.h"
 

@@ -1,5 +1,7 @@
 #include "rpc/group_comm.h"
 
+#include <algorithm>
+
 #include "util/log.h"
 
 namespace gv::rpc {
@@ -17,14 +19,22 @@ std::vector<NodeId> GroupComm::members(const std::string& group) const {
   return it == groups_.end() ? std::vector<NodeId>{} : it->second.member_ids;
 }
 
-void GroupComm::join(const std::string& group, NodeId member, Deliver upcall) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) return;
-  if (it->second.members.count(member) > 0) return;  // idempotent re-join
+bool GroupComm::join(const std::string& group, NodeId member, Deliver upcall) {
+  Group& g = groups_[group];
+  if (g.members.count(member) > 0) return true;  // idempotent re-join
+  for (const auto& [other, state] : g.members) {
+    if (cluster_.up(other) && !net_.reachable(member, other)) {
+      counters_.inc("gc.join_refused");
+      return false;
+    }
+  }
+  if (std::find(g.member_ids.begin(), g.member_ids.end(), member) == g.member_ids.end())
+    g.member_ids.push_back(member);
   Member m;
   m.upcall = std::move(upcall);
-  m.next_seq = it->second.next_mcast_seq;  // joins see only later messages
-  it->second.members[member] = std::move(m);
+  m.next_seq = g.next_mcast_seq;  // joins see only later messages
+  g.members[member] = std::move(m);
+  return true;
 }
 
 void GroupComm::multicast(NodeId from, const std::string& group, Buffer msg, McastMode mode) {

@@ -48,14 +48,17 @@ class GroupComm {
 
   using Deliver = std::function<void(NodeId from, std::uint64_t seq, Buffer msg)>;
 
-  // Group membership is explicit; the caller (the activator) creates a
-  // group per activated replicated object.
+  // Create `group` with a fixed initial member list. Object servers need
+  // not: their first join creates the group of an activated object.
   void create_group(const std::string& group, std::vector<NodeId> members);
   void remove_group(const std::string& group);
   std::vector<NodeId> members(const std::string& group) const;
 
-  // Each member registers a delivery upcall for a group.
-  void join(const std::string& group, NodeId member, Deliver upcall);
+  // Each member registers a delivery upcall for a group, joining its
+  // member list (and creating the group) if it is not on it yet. A join
+  // changes the group's view, which its live members must agree to: a
+  // joiner the network cannot connect to one of them is refused (false).
+  bool join(const std::string& group, NodeId member, Deliver upcall);
 
   // Multicast to all members of `group`. In ReliableOrdered mode the
   // message is sequenced and delivered in identical order at every member

@@ -65,6 +65,22 @@ Status ObjectStore::prepare(const Uid& uid, const Uid& txn, std::uint64_t versio
     counters_.inc("store.prepare_stale");
     return Err::Conflict;  // a later state is already committed
   }
+  // Likewise a state prepared by another action, which may be decided
+  // while its phase 2 is lost: a second shadow at its version would be
+  // built on the state it replaces, and whichever installs last loses
+  // the other's update (found by the gv_campaign everything mix). Start
+  // resolving that shadow with its coordinator now, so a retry need not
+  // wait for the reaper.
+  for (auto& [other, set] : shadows_) {
+    auto w = set.writes.find(uid);
+    if (other == txn || w == set.writes.end() || w->second.version < version) continue;
+    counters_.inc("store.prepare_behind_shadow");
+    if (!set.in_doubt && set.coordinator != sim::kNoNode) {
+      set.in_doubt = true;
+      node_.sim().spawn(resolve_in_doubt(node_.epoch()));
+    }
+    return Err::Conflict;
+  }
   if (faults_.fail_prepare_prob > 0 && fault_rng_.bernoulli(faults_.fail_prepare_prob)) {
     counters_.inc("store.fault_prepare_failed");
     return Err::StorageFault;  // injected IO error: the shadow install failed

@@ -6,8 +6,10 @@
 #include <set>
 
 #include "actions/atomic_action.h"
+#include "core/system.h"
 #include "naming/binder.h"
 #include "naming/group_view_db.h"
+#include "replication/state_machine.h"
 #include "rpc/rpc.h"
 #include "sim/simulator.h"
 
@@ -43,7 +45,7 @@ struct Fixture {
   }
 
   Binder::Probe probe() {
-    return [this](NodeId node) -> sim::Task<ProbeResult> {
+    return [this](NodeId node, std::vector<NodeId>) -> sim::Task<ProbeResult> {
       ++probes;
       co_await sim.sleep(sim::kMillisecond);
       co_return dead.count(node) == 0 ? ProbeResult::Ok : ProbeResult::Dead;
@@ -76,7 +78,29 @@ struct Fixture {
     return n;
   }
 
-  bool entry_unlocked() { return gvdb->servers().locks().holder_count("sv:" + obj.to_string()) == 0; }
+  bool entry_unlocked() { return gvdb->locks().holder_count("sv:" + obj.to_string()) == 0; }
+
+  // Sv through the binder's naming read, with both locks under `action`.
+  sim::Task<Result<SvView>> get_server(Uid action) {
+    auto v = co_await osdb_bind_read(rt->endpoint(), 0, obj, action, action, false);
+    if (!v.ok()) co_return v.error();
+    co_return std::move(v).value().sv;
+  }
+
+  // An S2/S3 bind under a client action that ends right after it: St's
+  // read lock lives as long as that action.
+  sim::Task<Result<BindResult>> bind(Binder& binder, Uid object, std::size_t want,
+                                     Binder::Probe probe) {
+    AtomicAction client{*rt};
+    auto r = co_await binder.bind(object, want, &client, std::move(probe));
+    (void)co_await client.commit();
+    co_return r;
+  }
+
+  // The Decrement batch that releases `binding`.
+  std::vector<UseRelease> releases(const BindResult& binding) const {
+    return {UseRelease{obj, binding.servers, binding.token}};
+  }
 };
 
 TEST(BinderS1, BindsFirstKInSvOrder) {
@@ -127,10 +151,10 @@ TEST(BinderS1, DeadServerDiscoveredTheHardWayAndNotRemoved) {
   // Sv unchanged in the database.
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction peek{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, peek.uid());
+    auto v = co_await f.get_server(peek.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) EXPECT_EQ(v.value().sv.size(), 3u);
-    peek.enlist({0, kOsdbService});
+    peek.enlist({0, kGvdbService});
     (void)co_await peek.commit();
   }(f));
 }
@@ -140,21 +164,21 @@ TEST(BinderS2, RemovesDeadServersAndIncrementsUseLists) {
   f.dead = {2};
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    auto r = co_await binder.bind(f.obj, 2, nullptr, f.probe());
+    auto r = co_await f.bind(binder, f.obj, 2, f.probe());
     EXPECT_TRUE(r.ok());
     if (r.ok()) EXPECT_EQ(r.value().servers, (std::vector<NodeId>{3, 4}));
   }(f, binder));
   // The database now reflects the repair and the usage.
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction peek{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, peek.uid());
+    auto v = co_await f.get_server(peek.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv, (std::vector<NodeId>{3, 4}));  // 2 Removed
       EXPECT_TRUE(v.value().in_use(3));
       EXPECT_TRUE(v.value().in_use(4));
     }
-    peek.enlist({0, kOsdbService});
+    peek.enlist({0, kGvdbService});
     (void)co_await peek.commit();
   }(f));
 }
@@ -165,11 +189,11 @@ TEST(BinderS2, SecondClientJoinsActiveGroupOnly) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    auto first = co_await binder.bind(f.obj, 1, nullptr, f.probe());
+    auto first = co_await f.bind(binder, f.obj, 1, f.probe());
     EXPECT_TRUE(first.ok());
     if (first.ok()) EXPECT_EQ(first.value().servers, (std::vector<NodeId>{2}));
     // Second client wants 2 servers but must join the active set {2}.
-    auto second = co_await binder.bind(f.obj, 2, nullptr, f.probe());
+    auto second = co_await f.bind(binder, f.obj, 2, f.probe());
     EXPECT_TRUE(second.ok());
     if (second.ok()) EXPECT_EQ(second.value().servers, (std::vector<NodeId>{2}));
   }(f, binder));
@@ -180,16 +204,16 @@ TEST(BinderS2, UnbindDecrementsToQuiescence) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    auto r = co_await binder.bind(f.obj, 2, nullptr, f.probe());
+    auto r = co_await f.bind(binder, f.obj, 2, f.probe());
     EXPECT_TRUE(r.ok());
     if (!r.ok()) co_return;
-    EXPECT_TRUE((co_await binder.unbind(f.obj, r.value())).ok());
+    EXPECT_TRUE((co_await binder.unbind(f.releases(r.value()))).ok());
     // Quiescent again: a fresh client is free to select any subset.
     AtomicAction peek{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, peek.uid());
+    auto v = co_await f.get_server(peek.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) EXPECT_TRUE(v.value().quiescent());
-    peek.enlist({0, kOsdbService});
+    peek.enlist({0, kGvdbService});
     (void)co_await peek.commit();
   }(f, binder));
 }
@@ -200,17 +224,17 @@ TEST(BinderS2, AllProbesFailStillCommitsRemoves) {
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   Err got = Err::None;
   f.run([](Fixture& f, Binder& binder, Err& got) -> sim::Task<> {
-    auto r = co_await binder.bind(f.obj, 2, nullptr, f.probe());
+    auto r = co_await f.bind(binder, f.obj, 2, f.probe());
     got = r.error();
   }(f, binder, got));
   EXPECT_EQ(got, Err::NoReplicas);
   // The Removes committed so the next client sees an empty (honest) Sv.
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction peek{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, peek.uid());
+    auto v = co_await f.get_server(peek.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) EXPECT_TRUE(v.value().sv.empty());
-    peek.enlist({0, kOsdbService});
+    peek.enlist({0, kGvdbService});
     (void)co_await peek.commit();
   }(f));
 }
@@ -226,7 +250,7 @@ TEST(BinderS3, StructurallySameRepairsAsS2) {
     EXPECT_TRUE(r.ok());
     if (r.ok()) {
       EXPECT_EQ(r.value().servers, (std::vector<NodeId>{2, 4}));
-      (void)co_await binder.unbind(f.obj, r.value());
+      (void)co_await binder.unbind(f.releases(r.value()));
     }
     (void)co_await client.commit();
   }(f, binder));
@@ -236,25 +260,33 @@ TEST(BinderS3, StructurallySameRepairsAsS2) {
 
 // ------------------------------------------- single-site binder actions
 
-// A bind costs GetServer + Increment, an unbind one Decrement: no
-// prepare, no phase 2, no client action around the Decrement.
+// A bind costs one naming read (GetServer with GetView) + Increment, an
+// unbind one Decrement: no prepare, no phase 2, no client action around
+// the Decrement.
 TEST(BinderS2, BindIsTwoCallsAndUnbindOne) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    auto r = co_await binder.bind(f.obj, 2, nullptr, f.probe());
+    AtomicAction client{*f.rt};
+    auto r = co_await binder.bind(f.obj, 2, &client, f.probe());
     EXPECT_TRUE(r.ok());
-    if (!r.ok()) co_return;
-    EXPECT_EQ(r.value().token, (Uid{0xB1D, 1}));  // the bind action's UID
-    EXPECT_EQ(f.net.counters().get("net.send"), 4u);
-    EXPECT_EQ(f.uses_of(1), 2u);
-    EXPECT_TRUE((co_await binder.unbind(f.obj, r.value())).ok());
-    EXPECT_EQ(f.net.counters().get("net.send"), 6u);
-    EXPECT_EQ(f.uses_of(1), 0u);
+    if (r.ok()) {
+      // The bind action's UID: the runtime's second, after the client's.
+      EXPECT_EQ(r.value().token, (Uid{0xB1D, 2}));
+      EXPECT_EQ(r.value().st, (std::vector<NodeId>{2, 3, 4}));
+      EXPECT_EQ(f.net.counters().get("net.send"), 4u);
+      EXPECT_EQ(f.uses_of(1), 2u);
+      EXPECT_TRUE((co_await binder.unbind(f.releases(r.value()))).ok());
+      EXPECT_EQ(f.net.counters().get("net.send"), 6u);
+      EXPECT_EQ(f.uses_of(1), 0u);
+    }
+    (void)co_await client.commit();
   }(f, binder));
   EXPECT_EQ(f.rt->counters().get("action.committed_single_site"), 1u);
-  EXPECT_EQ(f.rt->counters().get("action.begin_top"), 1u);
-  EXPECT_EQ(f.gvdb->servers().counters().get("db.commit"), 1u);
+  // Two top-level actions: the client's and the one bind action.
+  EXPECT_EQ(f.rt->counters().get("action.begin_top"), 2u);
+  // Two commits at the naming node: the Increment's and the client's.
+  EXPECT_EQ(f.gvdb->counters().get("db.commit"), 2u);
 }
 
 // The Increment's reply is lost; the resend finds the token and answers
@@ -263,16 +295,16 @@ TEST(BinderS2, LostIncrementReplyIsResentAndLeavesOneToken) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    Binder::Probe probe = [&f](NodeId) -> sim::Task<ProbeResult> {
+    Binder::Probe probe = [&f](NodeId, std::vector<NodeId>) -> sim::Task<ProbeResult> {
       f.drop_for(0, 1, 20 * sim::kMillisecond);  // the naming node's next reply
       co_return ProbeResult::Ok;
     };
-    auto r = co_await binder.bind(f.obj, 1, nullptr, probe);
+    auto r = co_await f.bind(binder, f.obj, 1, probe);
     EXPECT_TRUE(r.ok());
   }(f, binder));
   EXPECT_EQ(f.uses_of(1), 1u);
   EXPECT_EQ(binder.counters().get("bind.increment_resent"), 1u);
-  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_resent"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_resent"), 1u);
   EXPECT_TRUE(f.entry_unlocked());
 }
 
@@ -282,12 +314,12 @@ TEST(BinderS2, DuplicatedIncrementLeavesOneToken) {
   f.net.config().dup_prob = 1.0;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    auto r = co_await binder.bind(f.obj, 1, nullptr, f.probe());
+    auto r = co_await f.bind(binder, f.obj, 1, f.probe());
     EXPECT_TRUE(r.ok());
   }(f, binder));
   EXPECT_GE(f.net.counters().get("net.duplicated"), 4u);
   EXPECT_EQ(f.uses_of(1), 1u);
-  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.increment"), 1u);
 }
 
 // The naming node restarts after the Increment committed and before its
@@ -297,7 +329,7 @@ TEST(BinderS2, NamingRestartAfterIncrementCommittedAnswersFromToken) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    Binder::Probe probe = [&f](NodeId) -> sim::Task<ProbeResult> {
+    Binder::Probe probe = [&f](NodeId, std::vector<NodeId>) -> sim::Task<ProbeResult> {
       f.drop_for(0, 1, 20 * sim::kMillisecond);
       f.sim.spawn([](Fixture& f) -> sim::Task<> {
         co_await f.sim.sleep(10 * sim::kMillisecond);  // the Increment has committed
@@ -306,11 +338,11 @@ TEST(BinderS2, NamingRestartAfterIncrementCommittedAnswersFromToken) {
       }(f));
       co_return ProbeResult::Ok;
     };
-    auto r = co_await binder.bind(f.obj, 1, nullptr, probe);
+    auto r = co_await f.bind(binder, f.obj, 1, probe);
     EXPECT_TRUE(r.ok());
   }(f, binder));
   EXPECT_EQ(f.uses_of(1), 1u);
-  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_resent"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_resent"), 1u);
 }
 
 // The naming node restarts during the bind's probe: the new incarnation
@@ -321,20 +353,20 @@ TEST(BinderS2, NamingRestartDuringProbeRefusesIncrement) {
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   Err first = Err::None;
   f.run([](Fixture& f, Binder& binder, Err& first) -> sim::Task<> {
-    Binder::Probe probe = [&f](NodeId) -> sim::Task<ProbeResult> {
+    Binder::Probe probe = [&f](NodeId, std::vector<NodeId>) -> sim::Task<ProbeResult> {
       f.cluster.node(0).crash();
       f.cluster.node(0).recover();
       co_return ProbeResult::Ok;
     };
-    auto r = co_await binder.bind(f.obj, 1, nullptr, probe);
+    auto r = co_await f.bind(binder, f.obj, 1, probe);
     first = r.ok() ? Err::None : r.error();
     EXPECT_EQ(f.uses_of(1), 0u);
-    auto again = co_await binder.bind(f.obj, 1, nullptr, f.probe());
+    auto again = co_await f.bind(binder, f.obj, 1, f.probe());
     EXPECT_TRUE(again.ok());
   }(f, binder, first));
   EXPECT_EQ(first, Err::Aborted);
   EXPECT_EQ(f.uses_of(1), 1u);
-  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_refused"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_refused"), 1u);
   EXPECT_TRUE(f.entry_unlocked());
 }
 
@@ -344,17 +376,17 @@ TEST(BinderS2, UnbindResentAfterLostReplyLeavesZero) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    auto r = co_await binder.bind(f.obj, 2, nullptr, f.probe());
+    auto r = co_await f.bind(binder, f.obj, 2, f.probe());
     EXPECT_TRUE(r.ok());
     if (!r.ok()) co_return;
     f.drop_for(0, 1, 20 * sim::kMillisecond);
-    EXPECT_EQ((co_await binder.unbind(f.obj, r.value())).error(), Err::Timeout);
+    EXPECT_EQ((co_await binder.unbind(f.releases(r.value()))).error(), Err::Timeout);
     EXPECT_EQ(f.uses_of(1), 0u);  // it was applied; only the reply was lost
-    EXPECT_TRUE((co_await binder.unbind(f.obj, r.value())).ok());
+    EXPECT_TRUE((co_await binder.unbind(f.releases(r.value()))).ok());
   }(f, binder));
   EXPECT_EQ(f.uses_of(1), 0u);
   EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
-  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.decrement_absent"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.decrement_absent"), 1u);
 }
 
 // Every Increment is lost, so the bind gives up: it aborts its action,
@@ -367,13 +399,13 @@ TEST(BinderS2, GivenUpBindRefusesLateIncrement) {
   f.run([](Fixture& f, Binder& binder, sim::SimTime timeout, Err& got) -> sim::Task<> {
     // Requests to the naming node are lost until the last Increment has
     // gone; the abort that follows gets through.
-    Binder::Probe probe = [&f, timeout](NodeId) -> sim::Task<ProbeResult> {
+    Binder::Probe probe = [&f, timeout](NodeId, std::vector<NodeId>) -> sim::Task<ProbeResult> {
       f.drop_for(1, 0, (Binder::kIncrementAttempts - 1) * timeout + timeout / 2);
       co_return ProbeResult::Ok;
     };
-    auto r = co_await binder.bind(f.obj, 1, nullptr, probe);
+    auto r = co_await f.bind(binder, f.obj, 1, probe);
     got = r.ok() ? Err::None : r.error();
-    const Uid token{0xB1D, 1};  // the bind action: the runtime's first UID
+    const Uid token{0xB1D, 2};  // the bind action: the runtime's second UID
     const std::vector<NodeId> two{2};
     EXPECT_EQ((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, two, token)).error(),
               Err::Aborted);
@@ -391,10 +423,148 @@ TEST(Binder, UnknownObjectFails) {
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   Err got = Err::None;
   f.run([](Fixture& f, Binder& binder, Err& got) -> sim::Task<> {
-    auto r = co_await binder.bind(Uid{9, 9}, 1, nullptr, f.probe());
+    auto r = co_await f.bind(binder, Uid{9, 9}, 1, f.probe());
     got = r.error();
   }(f, binder, got));
   EXPECT_EQ(got, Err::NotFound);
+}
+
+// ------------------------------------------------ one Decrement per action
+
+// Two bindings released by one Decrement whose reply is lost: every slot
+// is already 0, and the resend finds both tokens absent.
+TEST(BinderS2, BatchedDecrementResentAfterLostReplyLeavesZero) {
+  Fixture f;
+  const Uid other{300, 2};
+  f.gvdb->create_object(other, {2, 3}, {2, 3});
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  f.run([](Fixture& f, Binder& binder, Uid other) -> sim::Task<> {
+    auto a = co_await f.bind(binder, f.obj, 2, f.probe());
+    auto b = co_await f.bind(binder, other, 2, f.probe());
+    EXPECT_TRUE(a.ok() && b.ok());
+    if (!a.ok() || !b.ok()) co_return;
+    std::vector<UseRelease> both{UseRelease{f.obj, a.value().servers, a.value().token},
+                                 UseRelease{other, b.value().servers, b.value().token}};
+    f.drop_for(0, 1, 20 * sim::kMillisecond);
+    EXPECT_EQ((co_await binder.unbind(both)).error(), Err::Timeout);
+    EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());  // applied; the reply was lost
+    EXPECT_TRUE((co_await binder.unbind(both)).ok());
+  }(f, binder, other));
+  EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
+  EXPECT_EQ(f.gvdb->counters().get("osdb.decrement"), 4u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.decrement_absent"), 2u);
+}
+
+// Every datagram duplicated: the duplicate Decrement is not applied
+// again, so each token is removed once.
+TEST(BinderS2, DuplicatedBatchedDecrementRemovesEachTokenOnce) {
+  Fixture f;
+  const Uid other{300, 2};
+  f.gvdb->create_object(other, {2, 3}, {2, 3});
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  f.run([](Fixture& f, Binder& binder, Uid other) -> sim::Task<> {
+    auto a = co_await f.bind(binder, f.obj, 1, f.probe());
+    auto b = co_await f.bind(binder, other, 1, f.probe());
+    EXPECT_TRUE(a.ok() && b.ok());
+    if (!a.ok() || !b.ok()) co_return;
+    f.net.config().dup_prob = 1.0;
+    const std::uint64_t dups = f.net.counters().get("net.duplicated");
+    std::vector<UseRelease> both{UseRelease{f.obj, a.value().servers, a.value().token},
+                                 UseRelease{other, b.value().servers, b.value().token}};
+    EXPECT_TRUE((co_await binder.unbind(both)).ok());
+    EXPECT_GE(f.net.counters().get("net.duplicated"), dups + 2);  // request and reply
+  }(f, binder, other));
+  EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
+  EXPECT_EQ(f.gvdb->counters().get("osdb.decrement"), 2u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.decrement_absent"), 0u);
+}
+
+// ------------------------------------------------- binds with activation
+
+using core::ReplicaSystem;
+using core::SystemConfig;
+using replication::ReplicationPolicy;
+
+Buffer i64_buf(std::int64_t v) {
+  Buffer b;
+  b.pack_i64(v);
+  return b;
+}
+
+// Calls of `service.method` this system's nodes made.
+std::uint64_t calls(const ReplicaSystem& sys, const std::string& method) {
+  auto it = sys.metrics().histograms().find("rpc." + method + "_us");
+  return it == sys.metrics().histograms().end() ? 0 : it->second.count();
+}
+
+// A two-object S2 transaction binds each object in 3 round trips — the
+// naming read, activate-and-join, Increment — and releases both bindings
+// with one Decrement.
+TEST(BinderS2, TwoObjectTransactionIsThreeRoundTripsPerObjectAndOneDecrement) {
+  SystemConfig cfg;
+  cfg.nodes = 8;
+  cfg.seed = 5;
+  ReplicaSystem sys{cfg};
+  const Uid a = sys.define_object("a", "counter", replication::Counter{}.snapshot(), {2, 3},
+                                  {5, 6}, ReplicationPolicy::Active, 1);
+  const Uid b = sys.define_object("b", "counter", replication::Counter{}.snapshot(), {3, 4},
+                                  {6, 7}, ReplicationPolicy::Active, 1);
+  bool committed = false;
+  sys.sim().spawn([](ReplicaSystem& sys, Uid a, Uid b, bool& committed) -> sim::Task<> {
+    auto txn = sys.client(1)->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "add", i64_buf(1), core::LockMode::Write)).ok());
+    EXPECT_TRUE((co_await txn->invoke(b, "add", i64_buf(2), core::LockMode::Write)).ok());
+    committed = (co_await txn->commit()).ok();
+  }(sys, a, b, committed));
+  sys.sim().run();
+  EXPECT_TRUE(committed);
+  // Per object: one naming read, one activate, one Increment.
+  EXPECT_EQ(calls(sys, "osdb.bind_read"), 2u);
+  EXPECT_EQ(calls(sys, "objsrv.activate"), 2u);
+  EXPECT_EQ(calls(sys, "osdb.increment"), 2u);
+  EXPECT_EQ(calls(sys, "osdb.decrement"), 1u);
+  // Nothing else goes to the naming node but the client action's 2PC,
+  // and no server is asked to join the group separately.
+  EXPECT_EQ(calls(sys, "ostdb.get_view"), 0u);
+  EXPECT_EQ(calls(sys, "objsrv.join_group"), 0u);
+  Counters all = sys.aggregate_counters();
+  EXPECT_EQ(all.get("gvdb.bind_read"), 2u);
+  EXPECT_EQ(all.get("objsrv.activated"), 2u);
+  EXPECT_EQ(sys.gc().members(replication::group_name(a)), (std::vector<NodeId>{2}));
+  EXPECT_EQ(sys.gc().members(replication::group_name(b)), (std::vector<NodeId>{3}));
+  EXPECT_TRUE(sys.gvdb().servers().clients_in_use().empty());
+}
+
+// A server that activates but cannot join the replica group (the network
+// cuts it off from the member already in the group) fails the probe: the
+// uncached bind leaves it out, and does not Remove it from Sv either.
+TEST(BinderS2, ServerThatCannotJoinTheGroupIsNotBound) {
+  SystemConfig cfg;
+  cfg.nodes = 8;
+  cfg.seed = 6;
+  ReplicaSystem sys{cfg};
+  const Uid a = sys.define_object("a", "counter", replication::Counter{}.snapshot(), {2, 3},
+                                  {5, 6}, ReplicationPolicy::Active, 2);
+  sys.net().set_reachable(2, 3, false);
+  sys.net().set_reachable(3, 2, false);
+  std::vector<NodeId> bound;
+  sys.sim().spawn([](ReplicaSystem& sys, Uid a, std::vector<NodeId>& bound) -> sim::Task<> {
+    auto txn = sys.client(1)->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "add", i64_buf(1), core::LockMode::Write)).ok());
+    bound = txn->bindings().at(a).bind.servers;
+    EXPECT_TRUE((co_await txn->commit()).ok());
+  }(sys, a, bound));
+  sys.sim().run();
+  EXPECT_EQ(bound, (std::vector<NodeId>{2}));
+  EXPECT_TRUE(sys.host_at(3).is_active(a));  // it activated...
+  EXPECT_EQ(sys.gc().members(replication::group_name(a)), (std::vector<NodeId>{2}));  // ...alone
+  Counters all = sys.aggregate_counters();
+  EXPECT_EQ(all.get("objsrv.join_refused"), 1u);
+  EXPECT_EQ(all.get("activate.join_failed"), 1u);
+  EXPECT_EQ(all.get("bind.removed_failed_server"), 0u);
+  auto sv = sys.gvdb().servers().peek_view(a);
+  ASSERT_TRUE(sv.ok());
+  EXPECT_EQ(sv.value().sv, (std::vector<NodeId>{2, 3}));
 }
 
 }  // namespace

@@ -53,14 +53,29 @@ struct Fixture {
   }
 };
 
+// GetServer through the binder's naming read, with the Sv and St locks
+// both under `action`.
+sim::Task<Result<SvView>> get_server(Fixture& f, Uid object, Uid action, bool for_update = false) {
+  auto v = co_await osdb_bind_read(f.rt->endpoint(), 0, object, action, action, for_update);
+  if (!v.ok()) co_return v.error();
+  co_return std::move(v).value().sv;
+}
+
 // A binder action for `client` through `hosts`: GetServer for update,
 // then the Increment that records binding `token` (the action's UID) and
 // commits the action at the naming node.
 sim::Task<Status> record_binding(Fixture& f, Uid object, NodeId client, std::vector<NodeId> hosts,
                                  Uid token) {
-  auto v = co_await osdb_get_server(f.rt->endpoint(), 0, object, token, true);
+  auto v = co_await get_server(f, object, token, true);
   if (!v.ok()) co_return v.error();
   co_return co_await osdb_increment(f.rt->endpoint(), 0, object, client, hosts, token);
+}
+
+// One binding's Decrement.
+sim::Task<Status> decrement(Fixture& f, Uid object, NodeId client, std::vector<NodeId> hosts,
+                            Uid token) {
+  std::vector<UseRelease> bindings{UseRelease{object, std::move(hosts), token}};
+  co_return co_await osdb_decrement(f.rt->endpoint(), 0, client, std::move(bindings));
 }
 
 // Live bindings of `client` on `object`'s use lists, summed over servers.
@@ -79,18 +94,18 @@ TEST(ObjectServerDb, GetServerReturnsSvUnderReadLock) {
   Fixture f;
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction act{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, act.uid());
+    auto v = co_await get_server(f, f.obj, act.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv, (std::vector<NodeId>{2, 3, 4}));
       EXPECT_TRUE(v.value().quiescent());
     }
     // The entry is read-locked by this action until it ends.
-    EXPECT_TRUE(f.gvdb->servers().locks().holds("sv:" + f.obj.to_string(), act.uid(),
+    EXPECT_TRUE(f.gvdb->locks().holds("sv:" + f.obj.to_string(), act.uid(),
                                                 actions::LockMode::Read));
-    act.enlist({0, kOsdbService});
+    act.enlist({0, kGvdbService});
     (void)co_await act.commit();
-    EXPECT_EQ(f.gvdb->servers().locks().holder_count("sv:" + f.obj.to_string()), 0u);
+    EXPECT_EQ(f.gvdb->locks().holder_count("sv:" + f.obj.to_string()), 0u);
   }(f));
 }
 
@@ -98,7 +113,7 @@ TEST(ObjectServerDb, UnknownObjectIsNotFound) {
   Fixture f;
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction act{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, Uid{9, 9}, act.uid());
+    auto v = co_await get_server(f, Uid{9, 9}, act.uid());
     EXPECT_EQ(v.error(), Err::NotFound);
     (void)co_await act.abort();
   }(f));
@@ -110,9 +125,9 @@ TEST(ObjectServerDb, ConcurrentReadersShareTheEntry) {
   for (int i = 0; i < 3; ++i) {
     f.sim.spawn([](Fixture& f, int& ok_count) -> sim::Task<> {
       AtomicAction act{*f.rt};
-      auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, act.uid());
+      auto v = co_await get_server(f, f.obj, act.uid());
       if (v.ok()) ++ok_count;
-      act.enlist({0, kOsdbService});
+      act.enlist({0, kGvdbService});
       (void)co_await act.commit();
     }(f, ok_count));
   }
@@ -125,16 +140,16 @@ TEST(ObjectServerDb, RemoveCommitUpdatesSv) {
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction act{*f.rt};
     EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 3, act.uid())).ok());
-    act.enlist({0, kOsdbService});
+    act.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await act.commit()).ok());
     // A later reader sees the shrunk Sv.
     AtomicAction act2{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, act2.uid());
+    auto v = co_await get_server(f, f.obj, act2.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv, (std::vector<NodeId>{2, 4}));
     }
-    act2.enlist({0, kOsdbService});
+    act2.enlist({0, kGvdbService});
     (void)co_await act2.commit();
   }(f));
 }
@@ -145,16 +160,16 @@ TEST(ObjectServerDb, AbortRollsBackRemoveAndInsert) {
     AtomicAction act{*f.rt};
     EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 3, act.uid())).ok());
     EXPECT_TRUE((co_await osdb_insert(f.rt->endpoint(), 0, f.obj, 5, act.uid())).ok());
-    act.enlist({0, kOsdbService});
+    act.enlist({0, kGvdbService});
     (void)co_await act.abort();
 
     AtomicAction act2{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, act2.uid());
+    auto v = co_await get_server(f, f.obj, act2.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv, (std::vector<NodeId>{2, 3, 4}));
     }
-    act2.enlist({0, kOsdbService});
+    act2.enlist({0, kGvdbService});
     (void)co_await act2.commit();
   }(f));
 }
@@ -166,8 +181,8 @@ TEST(ObjectServerDb, WriteLockBlocksWhileReaderHolds) {
   Err remove_err = Err::None;
   f.run([](Fixture& f, Err& remove_err) -> sim::Task<> {
     AtomicAction reader{*f.rt};
-    (void)co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, reader.uid());
-    reader.enlist({0, kOsdbService});
+    (void)co_await get_server(f, f.obj, reader.uid());
+    reader.enlist({0, kGvdbService});
 
     AtomicAction writer{*f.rt};
     Status s = co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 3, writer.uid());
@@ -185,10 +200,10 @@ TEST(ObjectServerDb, IncrementDecrementMaintainUseLists) {
     std::vector<NodeId> both{2, 3};
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, both, token)).ok());
     // The Increment ended the bind action: its write lock is released.
-    EXPECT_EQ(f.gvdb->servers().locks().holder_count("sv:" + f.obj.to_string()), 0u);
+    EXPECT_EQ(f.gvdb->locks().holder_count("sv:" + f.obj.to_string()), 0u);
 
     AtomicAction a2{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, a2.uid());
+    auto v = co_await get_server(f, f.obj, a2.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_FALSE(v.value().quiescent());
@@ -196,19 +211,19 @@ TEST(ObjectServerDb, IncrementDecrementMaintainUseLists) {
       EXPECT_TRUE(v.value().in_use(3));
       EXPECT_FALSE(v.value().in_use(4));
     }
-    a2.enlist({0, kOsdbService});
+    a2.enlist({0, kGvdbService});
     (void)co_await a2.commit();
 
     // Decrement needs no client action.
-    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, both, token)).ok());
+    EXPECT_TRUE((co_await decrement(f, f.obj, 1, both, token)).ok());
 
     AtomicAction a4{*f.rt};
-    auto v2 = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, a4.uid());
+    auto v2 = co_await get_server(f, f.obj, a4.uid());
     EXPECT_TRUE(v2.ok());
     if (v2.ok()) {
       EXPECT_TRUE(v2.value().quiescent());
     }
-    a4.enlist({0, kOsdbService});
+    a4.enlist({0, kGvdbService});
     (void)co_await a4.commit();
   }(f));
 }
@@ -227,15 +242,15 @@ TEST(ObjectServerDb, InsertRefusedWhileObjectInUse) {
     EXPECT_EQ(s.error(), Err::NotQuiescent);
     // Even a refused operation leaves the entry write-locked by this
     // action; the abort must reach the database to release it.
-    recoverer.enlist({0, kOsdbService});
+    recoverer.enlist({0, kGvdbService});
     (void)co_await recoverer.abort();
 
     // After the user departs, Insert succeeds (as a no-op membership check).
-    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, two, user)).ok());
+    EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, user)).ok());
 
     AtomicAction retry{*f.rt};
     EXPECT_TRUE((co_await osdb_insert(f.rt->endpoint(), 0, f.obj, 3, retry.uid())).ok());
-    retry.enlist({0, kOsdbService});
+    retry.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await retry.commit()).ok());
   }(f));
 }
@@ -248,14 +263,14 @@ TEST(ObjectServerDb, NestedActionInheritsLockToParent) {
     AtomicAction top{*f.rt};
     {
       AtomicAction nested{*f.rt, &top};
-      (void)co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, nested.uid());
-      nested.enlist({0, kOsdbService});
+      (void)co_await get_server(f, f.obj, nested.uid());
+      nested.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await nested.commit()).ok());
     }
     const std::string lock = "sv:" + f.obj.to_string();
-    EXPECT_TRUE(f.gvdb->servers().locks().holds(lock, top.uid(), actions::LockMode::Read));
+    EXPECT_TRUE(f.gvdb->locks().holds(lock, top.uid(), actions::LockMode::Read));
     (void)co_await top.commit();
-    EXPECT_EQ(f.gvdb->servers().locks().holder_count(lock), 0u);
+    EXPECT_EQ(f.gvdb->locks().holder_count(lock), 0u);
   }(f));
 }
 
@@ -275,13 +290,13 @@ TEST(ObjectServerDb, PersistsAcrossNamingNodeCrash) {
 
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction act{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, act.uid());
+    auto v = co_await get_server(f, f.obj, act.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv, (std::vector<NodeId>{2, 3}));
       EXPECT_TRUE(v.value().in_use(2));  // committed use count survived
     }
-    act.enlist({0, kOsdbService});
+    act.enlist({0, kGvdbService});
     (void)co_await act.commit();
   }(f));
 }
@@ -297,12 +312,12 @@ TEST(ObjectServerDb, UncommittedChangesLostOnNamingNodeCrash) {
   f.cluster.node(0).recover();
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction act{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, act.uid());
+    auto v = co_await get_server(f, f.obj, act.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv.size(), 3u);
     }
-    act.enlist({0, kOsdbService});
+    act.enlist({0, kGvdbService});
     (void)co_await act.commit();
   }(f));
 }
@@ -322,14 +337,14 @@ TEST(ObjectStateDb, GetViewExcludeInclude) {
 
     std::vector<ExcludeItem> drop3{{f.obj, {3}}};
     EXPECT_TRUE((co_await ostdb_exclude(f.rt->endpoint(), 0, drop3, act.uid())).ok());
-    act.enlist({0, kOstdbService});
+    act.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await act.commit()).ok());
 
     EXPECT_EQ(f.gvdb->states().peek(f.obj), (std::vector<NodeId>{2, 4}));
 
     AtomicAction act2{*f.rt};
     EXPECT_TRUE((co_await ostdb_include(f.rt->endpoint(), 0, f.obj, 3, act2.uid())).ok());
-    act2.enlist({0, kOstdbService});
+    act2.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await act2.commit()).ok());
     EXPECT_EQ(f.gvdb->states().peek(f.obj).size(), 3u);
   }(f));
@@ -343,7 +358,7 @@ TEST(ObjectStateDb, ExcludeBatchSpansObjects) {
     AtomicAction act{*f.rt};
     std::vector<ExcludeItem> items{{f.obj, {2, 3}}, {obj2, {3}}};
     EXPECT_TRUE((co_await ostdb_exclude(f.rt->endpoint(), 0, items, act.uid())).ok());
-    act.enlist({0, kOstdbService});
+    act.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await act.commit()).ok());
   }(f, obj2));
   EXPECT_EQ(f.gvdb->states().peek(f.obj), (std::vector<NodeId>{4}));
@@ -356,7 +371,7 @@ TEST(ObjectStateDb, ExcludeRolledBackOnAbort) {
     AtomicAction act{*f.rt};
     std::vector<ExcludeItem> items{{f.obj, {2, 3}}};
     (void)co_await ostdb_exclude(f.rt->endpoint(), 0, items, act.uid());
-    act.enlist({0, kOstdbService});
+    act.enlist({0, kGvdbService});
     (void)co_await act.abort();
   }(f));
   auto st = f.gvdb->states().peek(f.obj);
@@ -374,7 +389,7 @@ TEST(ObjectStateDb, ExcludeSharesWithReadersUnderExcludeWritePolicy) {
     // Reader holds the entry (simulating another client mid-action).
     AtomicAction reader{*f.rt};
     (void)co_await ostdb_get_view(f.rt->endpoint(), 0, f.obj, reader.uid());
-    reader.enlist({0, kOstdbService});
+    reader.enlist({0, kGvdbService});
 
     // Committing client: GetView (read) then Exclude (promotion).
     AtomicAction committer{*f.rt};
@@ -382,7 +397,7 @@ TEST(ObjectStateDb, ExcludeSharesWithReadersUnderExcludeWritePolicy) {
     std::vector<ExcludeItem> drop4{{f.obj, {4}}};
     Status s = co_await ostdb_exclude(f.rt->endpoint(), 0, drop4, committer.uid());
     got = s.ok() ? Err::None : s.error();
-    committer.enlist({0, kOstdbService});
+    committer.enlist({0, kGvdbService});
     (void)co_await committer.commit();
     (void)co_await reader.commit();
   }(f, got));
@@ -396,7 +411,7 @@ TEST(ObjectStateDb, ExcludeRefusedUnderPlainWritePolicy) {
   f.run([](Fixture& f, Err& got) -> sim::Task<> {
     AtomicAction reader{*f.rt};
     (void)co_await ostdb_get_view(f.rt->endpoint(), 0, f.obj, reader.uid());
-    reader.enlist({0, kOstdbService});
+    reader.enlist({0, kGvdbService});
 
     AtomicAction committer{*f.rt};
     (void)co_await ostdb_get_view(f.rt->endpoint(), 0, f.obj, committer.uid());
@@ -417,7 +432,7 @@ TEST(ObjectStateDb, TwoConcurrentExcludersConflictEvenWithEwLock) {
     AtomicAction c1{*f.rt};
     std::vector<ExcludeItem> drop2{{f.obj, {2}}};
     EXPECT_TRUE((co_await ostdb_exclude(f.rt->endpoint(), 0, drop2, c1.uid())).ok());
-    c1.enlist({0, kOstdbService});
+    c1.enlist({0, kGvdbService});
 
     AtomicAction c2{*f.rt};
     std::vector<ExcludeItem> drop3{{f.obj, {3}}};
@@ -452,11 +467,9 @@ std::string entry_state(Fixture& f, const Uid& object) {
   return "sv=" + join(sv.value().sv) + " use=" + use + " st=" + join(st);
 }
 
-using StableRecords = std::pair<std::map<Uid, Buffer>, std::map<Uid, Buffer>>;
+using StableRecords = std::map<Uid, Buffer>;
 
-StableRecords stable_records(const Fixture& f) {
-  return {f.naming_store->records(kOsdbUid), f.naming_store->records(kOstdbUid)};
-}
+StableRecords stable_records(const Fixture& f) { return f.naming_store->records(kGvdbUid); }
 
 void crash_naming_node(Fixture& f) {
   f.cluster.node(0).crash();
@@ -493,7 +506,7 @@ TEST(NamingPersistence, CommitDoesNotPersistAnotherActionsUncommittedExclude) {
     EXPECT_TRUE((co_await ostdb_exclude(f.rt->endpoint(), 0, drop4, p.uid())).ok());
     AtomicAction c{*f.rt};
     EXPECT_TRUE((co_await ostdb_include(f.rt->endpoint(), 0, y, 4, c.uid())).ok());
-    c.enlist({0, kOstdbService});
+    c.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await c.commit()).ok());
   }(f, y));
   crash_naming_node(f);
@@ -520,7 +533,7 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
       AtomicAction ex{*f.rt};
       std::vector<ExcludeItem> items{{a, {4}}, {b, {3, 4}}, {c, {2}}};
       EXPECT_TRUE((co_await ostdb_exclude(ep, 0, items, ex.uid())).ok());
-      ex.enlist({0, kOstdbService});
+      ex.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await ex.commit()).ok());
     }
     {  // nested: the child's edits are committed by the parent
@@ -530,18 +543,17 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
         AtomicAction child{*f.rt, &top};
         EXPECT_TRUE((co_await osdb_remove(ep, 0, c, 3, child.uid())).ok());
         EXPECT_TRUE((co_await ostdb_include(ep, 0, c, 2, child.uid())).ok());
-        child.enlist({0, kOsdbService});
-        child.enlist({0, kOstdbService});
+        child.enlist({0, kGvdbService});
         EXPECT_TRUE((co_await child.commit()).ok());
       }
-      top.enlist({0, kOsdbService});
+      top.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await top.commit()).ok());
     }
     {  // the janitor's cleanup of client 5
       AtomicAction purge{*f.rt};
       auto purged = co_await f.gvdb->servers().purge_client(5, purge.uid());
       EXPECT_TRUE(purged.ok() && purged.value() == 2u);
-      purge.enlist({0, kOsdbService});
+      purge.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await purge.commit()).ok());
     }
     {  // edits across both databases, aborted; its late Increment is refused
@@ -550,8 +562,7 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
       EXPECT_TRUE((co_await osdb_remove(ep, 0, a, 3, doomed.uid())).ok());
       std::vector<ExcludeItem> items{{f.obj, {3}}, {c, {4}}};
       EXPECT_TRUE((co_await ostdb_exclude(ep, 0, items, doomed.uid())).ok());
-      doomed.enlist({0, kOsdbService});
-      doomed.enlist({0, kOstdbService});
+      doomed.enlist({0, kGvdbService});
       (void)co_await doomed.abort();
       EXPECT_EQ((co_await osdb_increment(ep, 0, a, 6, two, doomed.uid())).error(), Err::Aborted);
     }
@@ -566,8 +577,7 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
   crash_naming_node(f);
   for (const auto& [object, state] : expected)
     EXPECT_EQ(entry_state(f, object), state) << "after reload: " << object.to_string();
-  EXPECT_EQ(f.naming_store->records(kOsdbUid).size(), 4u);
-  EXPECT_EQ(f.naming_store->records(kOstdbUid).size(), 4u);
+  EXPECT_EQ(f.naming_store->records(kGvdbUid).size(), 4u);  // one record per object
   // The records are the store's private tables, not replicated objects.
   EXPECT_TRUE(f.naming_store->local_objects().empty());
   EXPECT_TRUE(f.naming_store->suspect_objects().empty());
@@ -582,7 +592,7 @@ TEST(NamingPersistence, ReadOnlyActionsWriteNothing) {
   f.run([](Fixture& f) -> sim::Task<> {
     rpc::RpcEndpoint& ep = f.rt->endpoint();
     AtomicAction act{*f.rt};
-    EXPECT_TRUE((co_await osdb_get_server(ep, 0, f.obj, act.uid())).ok());
+    EXPECT_TRUE((co_await get_server(f, f.obj, act.uid())).ok());
     EXPECT_TRUE((co_await ostdb_get_view(ep, 0, f.obj, act.uid())).ok());
     std::vector<Uid> objects{f.obj};
     auto views = co_await gvdb_get_views(ep, 0, objects);
@@ -593,12 +603,10 @@ TEST(NamingPersistence, ReadOnlyActionsWriteNothing) {
       EXPECT_TRUE(
           (co_await gvdb_validate(ep, 0, views.value().incarnation, items, act.uid())).ok());
     }
-    act.enlist({0, kOsdbService});
-    act.enlist({0, kOstdbService});
+    act.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await act.commit()).ok());
   }(f));
-  EXPECT_EQ(f.gvdb->servers().counters().get("db.commit"), 1u);
-  EXPECT_EQ(f.gvdb->states().counters().get("db.commit"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("db.commit"), 1u);  // one participant, both tables
   EXPECT_EQ(f.naming_store->counters().get("store.record_put"), puts);
   EXPECT_TRUE(stable_records(f) == before);
 }
@@ -615,8 +623,8 @@ TEST(ObjectServerDb, AbortedDecrementOfAbsentCountLeavesNoPhantom) {
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction a{*f.rt};
     std::vector<NodeId> two{2};
-    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, two, a.uid())).ok());
-    a.enlist({0, kOsdbService});
+    EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, a.uid())).ok());
+    a.enlist({0, kGvdbService});
     (void)co_await a.abort();
   }(f));
   EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
@@ -634,12 +642,12 @@ TEST(ObjectServerDb, UnbindAfterPurgeLeavesNoPhantom) {
     AtomicAction purge{*f.rt};
     auto purged = co_await f.gvdb->servers().purge_client(1, purge.uid());
     EXPECT_TRUE(purged.ok() && purged.value() == 1u);
-    purge.enlist({0, kOsdbService});
+    purge.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await purge.commit()).ok());
-    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, two, token)).ok());
+    EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, token)).ok());
   }(f));
   EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
-  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.decrement_absent"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.decrement_absent"), 1u);
 }
 
 // An aborted purge restores exactly the tokens it removed: a binding the
@@ -655,10 +663,10 @@ TEST(ObjectServerDb, AbortedPurgeRestoresOnlyItsTokens) {
     AtomicAction purge{*f.rt};
     auto purged = co_await f.gvdb->servers().purge_client(1, purge.uid());
     EXPECT_TRUE(purged.ok() && purged.value() == 2u);
-    purge.enlist({0, kOsdbService});
+    purge.enlist({0, kGvdbService});
     (void)co_await purge.abort();
     EXPECT_EQ(uses_of(f, f.obj, 1), 2u);
-    EXPECT_TRUE((co_await osdb_decrement(f.rt->endpoint(), 0, f.obj, 1, two, first)).ok());
+    EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, first)).ok());
     EXPECT_EQ(uses_of(f, f.obj, 1), 1u);
   }(f));
 }
@@ -679,7 +687,7 @@ TEST(ObjectServerDb, ResentIncrementAnswersFromItsToken) {
     EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, both, token)).ok());
   }(f, token, both));
   EXPECT_EQ(uses_of(f, f.obj, 1), 2u);
-  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_resent"), 2u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_resent"), 2u);
 }
 
 // An Increment for an action this incarnation does not hold is refused
@@ -693,7 +701,7 @@ TEST(ObjectServerDb, IncrementOfAnActionNotHeldIsRefused) {
     std::vector<NodeId> two{2};
     EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, f.rt->new_uid())).error(),
               Err::Aborted);
-    EXPECT_TRUE((co_await osdb_get_server(ep, 0, f.obj, lost, true)).ok());
+    EXPECT_TRUE((co_await get_server(f, f.obj, lost, true)).ok());
     EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 4, lost)).ok());
   }(f, lost));
   crash_naming_node(f);
@@ -702,14 +710,14 @@ TEST(ObjectServerDb, IncrementOfAnActionNotHeldIsRefused) {
     std::vector<NodeId> two{2};
     EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, lost)).error(), Err::Aborted);
     AtomicAction aborted{*f.rt};
-    EXPECT_TRUE((co_await osdb_get_server(ep, 0, f.obj, aborted.uid(), true)).ok());
-    aborted.enlist({0, kOsdbService});
+    EXPECT_TRUE((co_await get_server(f, f.obj, aborted.uid(), true)).ok());
+    aborted.enlist({0, kGvdbService});
     (void)co_await aborted.abort();
     EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, aborted.uid())).error(),
               Err::Aborted);
   }(f, lost));
   EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
-  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.increment_refused"), 3u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_refused"), 3u);
 }
 
 // A Decrement for a bind action still live at the naming node ends that
@@ -721,15 +729,15 @@ TEST(ObjectServerDb, DecrementEndsALiveBindAction) {
     rpc::RpcEndpoint& ep = f.rt->endpoint();
     const Uid token = f.rt->new_uid();
     std::vector<NodeId> two{2};
-    EXPECT_TRUE((co_await osdb_get_server(ep, 0, f.obj, token, true)).ok());
+    EXPECT_TRUE((co_await get_server(f, f.obj, token, true)).ok());
     EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 4, token)).ok());
-    EXPECT_TRUE((co_await osdb_decrement(ep, 0, f.obj, 1, two, token)).ok());
-    EXPECT_EQ(f.gvdb->servers().locks().holder_count("sv:" + f.obj.to_string()), 0u);
+    EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, token)).ok());
+    EXPECT_EQ(f.gvdb->locks().holder_count("sv:" + f.obj.to_string()), 0u);
     EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, token)).error(), Err::Aborted);
-    EXPECT_TRUE((co_await osdb_decrement(ep, 0, f.obj, 1, two, token)).ok());
+    EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, token)).ok());
   }(f));
   EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
-  EXPECT_EQ(f.gvdb->servers().counters().get("osdb.decrement_ended_bind"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.decrement_ended_bind"), 1u);
   crash_naming_node(f);
   EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
 }
@@ -738,7 +746,7 @@ TEST(ObjectServerDb, DecrementEndsALiveBindAction) {
 
 TEST(UseListJanitor, PurgesCrashedClientsEntries) {
   Fixture f;
-  UseListJanitor janitor{f.gvdb->servers(), f.fabric->endpoint(0)};
+  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0)};
   // Client on node 1 binds, then crashes without decrementing.
   f.run([](Fixture& f) -> sim::Task<> {
     std::vector<NodeId> both{2, 3};
@@ -756,7 +764,7 @@ TEST(UseListJanitor, PurgesCrashedClientsEntries) {
 
 TEST(UseListJanitor, LeavesLiveClientsAlone) {
   Fixture f;
-  UseListJanitor janitor{f.gvdb->servers(), f.fabric->endpoint(0)};
+  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0)};
   f.run([](Fixture& f) -> sim::Task<> {
     std::vector<NodeId> two{2};
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, f.rt->new_uid())).ok());
@@ -772,7 +780,7 @@ TEST(UseListJanitor, LeavesLiveClientsAlone) {
 
 TEST(UseListJanitor, PeriodicSweepRunsAutomatically) {
   Fixture f;
-  UseListJanitor janitor{f.gvdb->servers(), f.fabric->endpoint(0), 50 * sim::kMillisecond};
+  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0), 50 * sim::kMillisecond};
   janitor.start();
   // The janitor loop keeps the queue non-empty: drive with run_until.
   f.sim.spawn([](Fixture& f) -> sim::Task<> {
@@ -802,23 +810,23 @@ TEST(OrphanCleanup, DeadClientsActionAbortedOnSweep) {
 
   std::uint32_t swept = 0;
   f.sim.spawn([](Fixture& f, std::uint32_t& swept) -> sim::Task<> {
-    swept = co_await f.gvdb->servers().sweep_orphans();
+    swept = co_await f.gvdb->sweep_orphans();
   }(f, swept));
   f.sim.run();
   EXPECT_EQ(swept, 1u);
-  EXPECT_EQ(f.gvdb->servers().counters().get("db.orphan_owner_dead"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("db.orphan_owner_dead"), 1u);
 
   // The Remove was rolled back and the lock released: a new client can
   // read and write the entry again.
   f.cluster.node(1).recover();
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction act{*f.rt};
-    auto v = co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, act.uid());
+    auto v = co_await get_server(f, f.obj, act.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv.size(), 3u);
     }
-    act.enlist({0, kOsdbService});
+    act.enlist({0, kGvdbService});
     (void)co_await act.commit();
   }(f));
 }
@@ -827,10 +835,10 @@ TEST(OrphanCleanup, LiveClientsActionLeftAlone) {
   Fixture f;
   f.run([](Fixture& f) -> sim::Task<> {
     AtomicAction act{*f.rt};
-    (void)co_await osdb_get_server(f.rt->endpoint(), 0, f.obj, act.uid());
-    std::uint32_t swept = co_await f.gvdb->servers().sweep_orphans();
+    (void)co_await get_server(f, f.obj, act.uid());
+    std::uint32_t swept = co_await f.gvdb->sweep_orphans();
     EXPECT_EQ(swept, 0u);  // owner (node 1) is alive and the action fresh
-    act.enlist({0, kOsdbService});
+    act.enlist({0, kGvdbService});
     (void)co_await act.commit();
   }(f));
 }
@@ -850,11 +858,11 @@ TEST(OrphanCleanup, AgedActionPresumedDeadEvenIfNodeAnswers) {
   f.sim.run_until(f.sim.now() + 5 * sim::kSecond);  // beyond orphan_action_age
   std::uint32_t swept = 0;
   f.sim.spawn([](Fixture& f, std::uint32_t& swept) -> sim::Task<> {
-    swept = co_await f.gvdb->states().sweep_orphans();
+    swept = co_await f.gvdb->sweep_orphans();
   }(f, swept));
   f.sim.run();
   EXPECT_EQ(swept, 1u);
-  EXPECT_EQ(f.gvdb->states().counters().get("db.orphan_aged_out"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("db.orphan_aged_out"), 1u);
   EXPECT_EQ(f.gvdb->states().peek(f.obj).size(), 3u);  // exclude rolled back
 }
 
@@ -875,7 +883,7 @@ TEST(OrphanCleanup, LockConflictTriggersSweepAutomatically) {
     AtomicAction a1{*f.rt};
     Status s1 = co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 4, a1.uid());
     first = s1.ok() ? Err::None : s1.error();
-    a1.enlist({0, kOsdbService});
+    a1.enlist({0, kGvdbService});
     (void)co_await a1.abort();
     // Give the triggered sweep time to ping the (alive) owner and apply
     // the age policy... the owner answers, so this relies on the sweep
@@ -888,21 +896,111 @@ TEST(OrphanCleanup, LockConflictTriggersSweepAutomatically) {
     Status s2 = co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 4, a2.uid());
     if (!s2.ok()) {
       // First post-age attempt may race the sweep; one retry settles it.
-      a2.enlist({0, kOsdbService});
+      a2.enlist({0, kGvdbService});
       (void)co_await a2.abort();
       co_await f.sim.sleep(100 * sim::kMillisecond);
       AtomicAction a3{*f.rt};
       second = co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 4, a3.uid());
-      a3.enlist({0, kOsdbService});
+      a3.enlist({0, kGvdbService});
       (void)co_await a3.commit();
     } else {
       second = s2;
-      a2.enlist({0, kOsdbService});
+      a2.enlist({0, kGvdbService});
       (void)co_await a2.commit();
     }
   }(f, first, second));
   EXPECT_EQ(first, Err::LockRefused);  // orphan still held the lock
   EXPECT_TRUE(second.ok());            // cleaned up by the triggered sweep
+}
+
+// ---------------------------------------------- one group view database
+
+// The binder's update lock is on Sv alone, and compatible with readers:
+// while a bind action holds it, another action's GetView and validate of
+// the same entry are granted at once. A second binder still waits.
+TEST(GroupViewDb, BinderUpdateLockBlocksNoGetViewOrValidate) {
+  Fixture f;
+  f.run([](Fixture& f) -> sim::Task<> {
+    rpc::RpcEndpoint& ep = f.rt->endpoint();
+    AtomicAction client{*f.rt};
+    AtomicAction binder{*f.rt};
+    auto view = co_await osdb_bind_read(ep, 0, f.obj, client.uid(), binder.uid(), true);
+    EXPECT_TRUE(view.ok());
+    EXPECT_TRUE(f.gvdb->locks().holds("sv:" + f.obj.to_string(), binder.uid(),
+                                      actions::LockMode::ExcludeWrite));
+
+    const std::uint64_t waits = f.gvdb->locks().counters().get("lock.conflict_wait");
+    const sim::SimTime t0 = f.sim.now();
+    AtomicAction other{*f.rt};
+    EXPECT_TRUE((co_await ostdb_get_view(ep, 0, f.obj, other.uid())).ok());
+    std::vector<ValidateItem> items{
+        {f.obj, f.gvdb->servers().epoch_of(f.obj), f.gvdb->states().epoch_of(f.obj)}};
+    const std::uint64_t incarnation = f.cluster.node(0).epoch();
+    EXPECT_TRUE((co_await gvdb_validate(ep, 0, incarnation, items, other.uid())).ok());
+    EXPECT_EQ(f.gvdb->locks().counters().get("lock.conflict_wait"), waits);
+    EXPECT_LT(f.sim.now() - t0, NamingConfig{}.lock_wait);
+
+    AtomicAction second{*f.rt};
+    auto refused = co_await osdb_bind_read(ep, 0, f.obj, second.uid(), second.uid(), true);
+    EXPECT_EQ(refused.error(), Err::LockRefused);
+    second.enlist({0, kGvdbService});
+    (void)co_await second.abort();
+
+    // The first binder's Increment still commits, readers and all.
+    const std::vector<NodeId> two{2};
+    EXPECT_TRUE((co_await osdb_increment(ep, 0, f.obj, 1, two, binder.uid())).ok());
+    other.enlist({0, kGvdbService});
+    EXPECT_TRUE((co_await other.commit()).ok());
+    client.enlist({0, kGvdbService});
+    EXPECT_TRUE((co_await client.commit()).ok());
+  }(f));
+  EXPECT_EQ(uses_of(f, f.obj, 1), 1u);
+  EXPECT_EQ(f.gvdb->locks().table_depth(), 0u);
+}
+
+// The naming node restarts between a bind's naming read and its
+// Increment: the new incarnation holds neither lock, so the Increment is
+// refused and records no token; a retried bind succeeds.
+TEST(GroupViewDb, RestartBetweenBindReadAndIncrementRefusesIncrement) {
+  Fixture f;
+  const Uid client = f.rt->new_uid(), first = f.rt->new_uid(), retry = f.rt->new_uid();
+  f.run([](Fixture& f, Uid client, Uid first) -> sim::Task<> {
+    EXPECT_TRUE((co_await osdb_bind_read(f.rt->endpoint(), 0, f.obj, client, first, true)).ok());
+  }(f, client, first));
+  crash_naming_node(f);
+  f.run([](Fixture& f, Uid client, Uid first, Uid retry) -> sim::Task<> {
+    rpc::RpcEndpoint& ep = f.rt->endpoint();
+    const std::vector<NodeId> two{2};
+    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, first)).error(), Err::Aborted);
+    EXPECT_EQ(uses_of(f, f.obj, 1), 0u);
+    EXPECT_EQ(f.gvdb->locks().table_depth(), 0u);
+    EXPECT_TRUE((co_await osdb_bind_read(ep, 0, f.obj, client, retry, true)).ok());
+    EXPECT_TRUE((co_await osdb_increment(ep, 0, f.obj, 1, two, retry)).ok());
+  }(f, client, first, retry));
+  EXPECT_EQ(uses_of(f, f.obj, 1), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_refused"), 1u);
+  crash_naming_node(f);
+  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use=2:1x1 st=2,3,4");
+}
+
+// Sv and St of one object share a stable record. A commit that edited
+// only St(X) must not persist another action's uncommitted edit of Sv(X).
+TEST(NamingPersistence, CommitOfOnePartKeepsTheOtherPartCommitted) {
+  Fixture f;
+  f.run([](Fixture& f) -> sim::Task<> {
+    rpc::RpcEndpoint& ep = f.rt->endpoint();
+    AtomicAction p{*f.rt};
+    EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 4, p.uid())).ok());
+    AtomicAction c{*f.rt};
+    std::vector<ExcludeItem> drop4{{f.obj, {4}}};
+    EXPECT_TRUE((co_await ostdb_exclude(ep, 0, drop4, c.uid())).ok());
+    c.enlist({0, kGvdbService});
+    EXPECT_TRUE((co_await c.commit()).ok());
+    // P never ends: the naming node crashes with its edit in flight.
+  }(f));
+  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3 use= st=2,3");
+  crash_naming_node(f);
+  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3");
 }
 
 }  // namespace

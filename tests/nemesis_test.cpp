@@ -136,7 +136,7 @@ TEST(Nemesis, DoubleFailureJanitorAndOrphanCleanupCompose) {
 
   // The naming orphan sweep is what unblocked the Include: B's action was
   // aborted because its owner node was dead, not because it aged out.
-  EXPECT_GE(sys.gvdb().states().counters().get("db.orphan_owner_dead"), 1u);
+  EXPECT_GE(sys.gvdb().counters().get("db.orphan_owner_dead"), 1u);
 }
 
 // ------------------------------------------------- stale staging state
@@ -182,7 +182,12 @@ TEST(StaleStaging, StoreAheadOfStagedStateAbortsInsteadOfExcluding) {
   }(sys, client, obj, second_committed));
   sys.sim().run_until(2 * sim::kSecond);
 
-  EXPECT_EQ(sys.store_at(5).read(obj).value().version, 1u);  // phase 2 never came
+  // Phase 2 never came to store 5: the second action's prepare there met
+  // the first's pending shadow, was refused, and made store 5 ask the
+  // coordinator, which answered committed.
+  EXPECT_EQ(sys.store_at(5).counters().get("store.prepare_behind_shadow"), 1u);
+  EXPECT_EQ(sys.store_at(5).counters().get("store.in_doubt_committed"), 1u);
+  EXPECT_EQ(sys.store_at(5).read(obj).value().version, 2u);
   EXPECT_FALSE(second_committed);
   // Store 6 keeps the first commit and stays in St.
   auto st = sys.gvdb().states().peek(obj);

@@ -68,7 +68,7 @@ TEST(ViewEpochs, EveryMutatingOpBumpsTheEntryEpoch) {
     {  // Sv: Remove
       AtomicAction act{*f.rt};
       EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 3, act.uid())).ok());
-      act.enlist({0, kOsdbService});
+      act.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await act.commit()).ok());
     }
     const std::uint64_t sv1 = f.gvdb->servers().epoch_of(f.obj);
@@ -77,7 +77,7 @@ TEST(ViewEpochs, EveryMutatingOpBumpsTheEntryEpoch) {
     {  // Sv: Insert
       AtomicAction act{*f.rt};
       EXPECT_TRUE((co_await osdb_insert(f.rt->endpoint(), 0, f.obj, 3, act.uid())).ok());
-      act.enlist({0, kOsdbService});
+      act.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await act.commit()).ok());
     }
     EXPECT_GT(f.gvdb->servers().epoch_of(f.obj), sv1);
@@ -88,7 +88,7 @@ TEST(ViewEpochs, EveryMutatingOpBumpsTheEntryEpoch) {
       items.push_back(ExcludeItem{f.obj, {4}});
       EXPECT_TRUE(
           (co_await ostdb_exclude(f.rt->endpoint(), 0, std::move(items), act.uid())).ok());
-      act.enlist({0, kOstdbService});
+      act.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await act.commit()).ok());
     }
     const std::uint64_t st1 = f.gvdb->states().epoch_of(f.obj);
@@ -97,7 +97,7 @@ TEST(ViewEpochs, EveryMutatingOpBumpsTheEntryEpoch) {
     {  // St: Include
       AtomicAction act{*f.rt};
       EXPECT_TRUE((co_await ostdb_include(f.rt->endpoint(), 0, f.obj, 4, act.uid())).ok());
-      act.enlist({0, kOstdbService});
+      act.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await act.commit()).ok());
     }
     EXPECT_GT(f.gvdb->states().epoch_of(f.obj), st1);
@@ -115,7 +115,7 @@ TEST(ViewEpochs, AbortNeverRewindsAnEpoch) {
     EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 3, act.uid())).ok());
     const std::uint64_t sv_dirty = f.gvdb->servers().epoch_of(f.obj);
     EXPECT_GT(sv_dirty, sv0);
-    act.enlist({0, kOsdbService});
+    act.enlist({0, kGvdbService});
     (void)co_await act.abort();
     // Membership is back, the dirty epoch is not.
     auto v = f.gvdb->servers().peek_view(f.obj);
@@ -151,7 +151,7 @@ TEST(ViewEpochs, PiggybackBlobTracksEveryBumpAndIncarnation) {
       AtomicAction act{*f.rt};
       EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 3, act.uid())).ok());
       expect_current("after a dirty remove");
-      act.enlist({0, kOsdbService});
+      act.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await act.commit()).ok());
     }
     {
@@ -160,7 +160,7 @@ TEST(ViewEpochs, PiggybackBlobTracksEveryBumpAndIncarnation) {
       items.push_back(ExcludeItem{other, {3}});
       EXPECT_TRUE(
           (co_await ostdb_exclude(f.rt->endpoint(), 0, std::move(items), act.uid())).ok());
-      act.enlist({0, kOstdbService});
+      act.enlist({0, kGvdbService});
       (void)co_await act.abort();
       expect_current("after an aborted exclude");
     }
@@ -281,6 +281,7 @@ TEST(ViewCache, WarmBindMakesZeroNamingRpcs) {
   EXPECT_EQ(all.get("osdb.increment"), 0u);
   EXPECT_EQ(all.get("osdb.decrement"), 0u);
   EXPECT_EQ(all.get("ostdb.get_view"), 0u);
+  EXPECT_EQ(all.get("gvdb.bind_read"), 0u);
   // Each commit validates its cached views with exactly one RPC.
   EXPECT_EQ(all.get("commit.validate_rpcs"), 3u);
   EXPECT_EQ(all.get("commit.validate_ok"), 3u);
@@ -413,7 +414,7 @@ TEST(ViewCache, RecoveryReincludeStillInvalidatesWarmCache) {
   }(sys, a, b, obj));
   sys.sim().run();
 
-  EXPECT_GE(sys.gvdb().states().counters().get("ostdb.validate_stale"), 1u);
+  EXPECT_GE(sys.gvdb().counters().get("ostdb.validate_stale"), 1u);
   // Both stores converge on the final committed balance.
   for (sim::NodeId n : {3u, 4u}) {
     BankAccount acct;
@@ -503,6 +504,32 @@ TEST(ViewCache, CacheOnVsOffGivesIdenticalOutcomes) {
   EXPECT_EQ(with_cache.first, without.first);
   EXPECT_EQ(with_cache.second, without.second);
   EXPECT_EQ(with_cache.first.size(), 10u);
+}
+
+// The cached bind joins each server to the replica group in its activate
+// call, as the uncached bind does: a server that activates but cannot
+// join (cut off from the member already in the group) is not bound.
+TEST(ViewCache, ServerThatCannotJoinTheGroupIsNotBound) {
+  ReplicaSystem sys{cached_cfg(8, 13)};
+  const Uid obj = sys.define_object("o", "bank", BankAccount{}.snapshot(), {2, 3}, {4, 5},
+                                    ReplicationPolicy::Active, 2);
+  sys.net().set_reachable(2, 3, false);
+  sys.net().set_reachable(3, 2, false);
+  std::vector<sim::NodeId> bound;
+  sys.sim().spawn([](ReplicaSystem& sys, Uid obj, std::vector<sim::NodeId>& bound) -> sim::Task<> {
+    auto txn = sys.client(1)->begin();
+    EXPECT_TRUE((co_await txn->invoke(obj, "deposit", i64_buf(10), LockMode::Write)).ok());
+    bound = txn->bindings().at(obj).bind.servers;
+    EXPECT_TRUE(txn->bindings().at(obj).cached);
+    EXPECT_TRUE((co_await txn->commit()).ok());
+  }(sys, obj, bound));
+  sys.sim().run();
+  EXPECT_EQ(bound, (std::vector<sim::NodeId>{2}));
+  EXPECT_EQ(sys.gc().members(replication::group_name(obj)), (std::vector<sim::NodeId>{2}));
+  Counters all = sys.aggregate_counters();
+  EXPECT_EQ(all.get("objsrv.join_refused"), 1u);
+  EXPECT_EQ(all.get("activate.join_failed"), 1u);
+  EXPECT_EQ(all.get("activate.cached_probe_failure"), 0u);
 }
 
 }  // namespace

@@ -207,26 +207,30 @@ TEST(WireOracle, GinvReplyRequest) {
   expect_request_prefixes_refused(replication::kGinvReply, wire);
 }
 
+// The bind_read reply: the SvView, then the StView.
 TEST(WireOracle, SvViewReply) {
   naming::SvView v;
   v.sv = {2, 3, 4};
   v.use = {{2, 1, 1}, {3, 5, 2}};
   v.epoch = 6;
+  const naming::StView st{{4, 5}, 3};
   Buffer ref;
   ref.pack_u64(v.epoch);
   ref.pack_u32_vector(u32s(v.sv));
   ref.pack_u32(static_cast<std::uint32_t>(v.use.size()));
   for (const auto& u : v.use) ref.pack_u32(u.server).pack_u32(u.client).pack_u32(u.count);
-  const Buffer wire = reply(v);
+  ref.pack_u64(3).pack_u32_vector({4, 5});
+  const Buffer wire = reply(naming::BindView{v, st});
   EXPECT_EQ(wire, ref);
   Buffer in = wire;
-  auto back = rpc::decode_reply<naming::SvView>(in);
+  auto back = rpc::decode_reply<naming::BindView>(in);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().sv, v.sv);
-  ASSERT_EQ(back.value().use.size(), 2u);
-  EXPECT_EQ(back.value().use[1].client, 5u);
-  EXPECT_EQ(back.value().epoch, 6u);
-  expect_reply_prefixes_refused(naming::kOsdbGetServer, wire);
+  EXPECT_EQ(back.value().sv.sv, v.sv);
+  ASSERT_EQ(back.value().sv.use.size(), 2u);
+  EXPECT_EQ(back.value().sv.use[1].client, 5u);
+  EXPECT_EQ(back.value().sv.epoch, 6u);
+  EXPECT_EQ(back.value().st.st, st.st);
+  expect_reply_prefixes_refused(naming::kOsdbBindRead, wire);
 }
 
 TEST(WireOracle, GetViewsReplyWithFoundAndMissingEntries) {
@@ -326,8 +330,9 @@ TEST(WireOracle, OsdbRecord) {
   }(f, first, second));
   f.sim.run();
 
-  // epoch, Sv, then the use lists grouped by server: server -> clients,
-  // each client's binding tokens as a UID vector.
+  // The object's one record. Its Sv part: epoch, Sv, then the use lists
+  // grouped by server: server -> clients, each client's binding tokens as
+  // a UID vector. Its St part follows: epoch, St.
   const std::map<NodeId, std::map<NodeId, std::vector<Uid>>> use{
       {2, {{1, {first}}, {5, {second}}}}, {3, {{1, {first}}}}};
   Buffer ref;
@@ -339,7 +344,8 @@ TEST(WireOracle, OsdbRecord) {
     ref.pack_u32(static_cast<std::uint32_t>(clients.size()));
     for (const auto& [client, tokens] : clients) ref.pack_u32(client).pack_uid_vector(tokens);
   }
-  const Buffer record = f.store->records(naming::kOsdbUid).at(f.obj);
+  ref.pack_u64(1).pack_u32_vector({2, 3, 4});
+  const Buffer record = f.store->records(naming::kGvdbUid).at(f.obj);
   EXPECT_EQ(record, ref);
 
   // The record reloads whole; a truncated one is dropped on reload.
@@ -348,24 +354,26 @@ TEST(WireOracle, OsdbRecord) {
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view.value().use.size(), 3u);
   for (std::size_t n = 0; n < record.size(); ++n) {
-    f.store->put_record(naming::kOsdbUid, f.obj, prefix(record, n));
+    f.store->put_record(naming::kGvdbUid, f.obj, prefix(record, n));
     f.restart_naming_node();
     EXPECT_FALSE(f.gvdb->servers().known(f.obj)) << "prefix of " << n << " bytes loaded";
   }
 }
 
+// A fresh object's record: an Sv part with no use lists, then the St
+// part.
 TEST(WireOracle, OstdbRecord) {
   NamingFixture f;
   Buffer ref;
-  ref.pack_u64(1);
-  ref.pack_u32_vector({2, 3, 4});
-  const Buffer record = f.store->records(naming::kOstdbUid).at(f.obj);
+  ref.pack_u64(1).pack_u32_vector({2, 3, 4}).pack_u32(0);
+  ref.pack_u64(1).pack_u32_vector({2, 3, 4});
+  const Buffer record = f.store->records(naming::kGvdbUid).at(f.obj);
   EXPECT_EQ(record, ref);
 
   f.restart_naming_node();
   EXPECT_EQ(f.gvdb->states().peek(f.obj), (std::vector<NodeId>{2, 3, 4}));
   for (std::size_t n = 0; n < record.size(); ++n) {
-    f.store->put_record(naming::kOstdbUid, f.obj, prefix(record, n));
+    f.store->put_record(naming::kGvdbUid, f.obj, prefix(record, n));
     f.restart_naming_node();
     EXPECT_FALSE(f.gvdb->states().known(f.obj)) << "prefix of " << n << " bytes loaded";
   }
