@@ -228,4 +228,12 @@ std::size_t LockManager::holder_count(const std::string& resource) const {
   return tit == table_.end() ? 0 : tit->second.holders.size();
 }
 
+bool LockManager::held_for_update(const std::string& resource) const {
+  auto tit = table_.find(resource);
+  if (tit == table_.end()) return false;
+  for (const Holder& h : tit->second.holders)
+    if (h.mode != LockMode::Read) return true;
+  return false;
+}
+
 }  // namespace gv::actions

@@ -82,6 +82,8 @@ class LockManager {
 
   bool holds(const std::string& resource, const Uid& owner, LockMode at_least) const;
   std::size_t holder_count(const std::string& resource) const;
+  // Whether some action holds `resource` in a mode that lets it write.
+  bool held_for_update(const std::string& resource) const;
 
   // Number of resources with live holders or waiters — the lock-table
   // depth gauge the metrics registry samples.

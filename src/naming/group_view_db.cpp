@@ -28,18 +28,22 @@ void GroupViewDb::create_object(const Uid& object, std::vector<NodeId> sv,
 }
 
 void GroupViewDb::persist(const Uid& object, EntryParts parts) {
-  // One record per object: the Sv part, then the St part. The parts the
-  // caller did not edit are taken from the stable record: in memory they
-  // may hold another action's uncommitted edits.
+  // One record per object: the Sv part, then the St part. A part the
+  // caller did not edit comes from memory unless another action holds
+  // its lock for update: then memory may hold that action's uncommitted
+  // edit, and the part comes from the stable record.
+  const bool sv_now = (parts & kSvPart) != 0 ||
+                      !locks_.held_for_update(ObjectServerDb::lock_name(object));
+  const bool st_now = (parts & kStPart) != 0 ||
+                      !locks_.held_for_update(ObjectStateDb::lock_name(object));
   ObjectServerDb::Entry sv;
   ObjectStateDb::Entry st;
-  if (parts != (kSvPart | kStPart)) {
+  if (!sv_now || !st_now) {
     Buffer old = store_.records(db_uid_).at(object);
     (void)rpc::decode(old, sv, st);
   }
-  store_.put_record(db_uid_, object,
-                    rpc::encode((parts & kSvPart) != 0 ? servers_.entries_.at(object) : sv,
-                                (parts & kStPart) != 0 ? states_.entries_.at(object) : st));
+  store_.put_record(db_uid_, object, rpc::encode(sv_now ? servers_.entries_.at(object) : sv,
+                                                 st_now ? states_.entries_.at(object) : st));
 }
 
 void GroupViewDb::load_entries(const std::map<Uid, Buffer>& records) {
@@ -60,7 +64,8 @@ sim::Task<Result<BindView>> GroupViewDb::bind_read(NodeId from, Uid object, Uid 
   counters_.inc("gvdb.bind_read");
   note_activity(client_action, from);
   if (bind_action != client_action) note_activity(bind_action, from);
-  // St first, as GetView preceded GetServer when they were two calls.
+  // St first: a client action's read lock on St waits only for an
+  // Include, never for a binder.
   auto st = co_await states_.get_view(object, client_action);
   if (!st.ok()) co_return st.error();
   auto sv = co_await servers_.get_server(object, bind_action, for_update);
