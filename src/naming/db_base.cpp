@@ -2,7 +2,6 @@
 
 #include "core/metrics.h"
 #include "core/trace.h"
-#include "util/log.h"
 
 namespace gv::naming {
 

@@ -1,8 +1,6 @@
 #include "replication/activator.h"
 
-#include "core/metrics.h"
 #include "core/trace.h"
-#include "util/log.h"
 
 namespace gv::replication {
 
