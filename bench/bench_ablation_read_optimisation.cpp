@@ -7,6 +7,12 @@
 // per transaction class. The optimisation is structural in the commit
 // processor (an unmodified object is skipped), so the measurement shows
 // what it saves: 3 store RPCs + 2PC participation per read-only commit.
+// A read-only action also votes read-only at every participant and so
+// ends at its prepare, with no phase 2 (DESIGN.md sec 17).
+//
+// --json-out=PATH writes BENCH_ablation_read_optimisation.json: the
+// read_commit and write_commit series pool every committed transaction of
+// every read share and seed (sim-time ms), for scripts/bench_gate.py.
 #include "bench/common.h"
 
 using namespace gv;
@@ -21,7 +27,13 @@ struct MixResult {
   std::uint64_t skips = 0;
 };
 
-MixResult run(int read_pct, std::uint64_t seed) {
+// Every committed transaction's latency, across read shares and seeds.
+struct Pooled {
+  Summary read_commit;
+  Summary write_commit;
+};
+
+MixResult run(int read_pct, std::uint64_t seed, Pooled& pooled) {
   SystemConfig cfg;
   cfg.nodes = 10;
   cfg.seed = seed;
@@ -30,8 +42,8 @@ MixResult run(int read_pct, std::uint64_t seed) {
                                     {4, 5, 6}, ReplicationPolicy::SingleCopyPassive, 1);
   auto* client = sys.client(1);
   MixResult out;
-  sys.sim().spawn([](core::ClientSession* client, Uid obj, int read_pct,
-                     MixResult& out) -> sim::Task<> {
+  sys.sim().spawn([](core::ClientSession* client, Uid obj, int read_pct, MixResult& out,
+                     Pooled& pooled) -> sim::Task<> {
     auto& sim = client->runtime().endpoint().node().sim();
     Rng rng{client->runtime().endpoint().node_id() * 7919 + 13};
     for (int i = 0; i < 60; ++i) {
@@ -46,15 +58,18 @@ MixResult run(int read_pct, std::uint64_t seed) {
         r = co_await txn->invoke(obj, "add", i64_buf(1), LockMode::Write);
       if (r.ok() && (co_await txn->commit()).ok()) {
         const double ms = static_cast<double>(sim.now() - start) / sim::kMillisecond;
-        if (is_read)
+        if (is_read) {
           out.read_latency.add(ms);
-        else
+          pooled.read_commit.add(ms);
+        } else {
           out.write_latency.add(ms);
+          pooled.write_commit.add(ms);
+        }
       } else if (!txn->finished()) {
         (void)co_await txn->abort();
       }
     }
-  }(client, obj, read_pct, out));
+  }(client, obj, read_pct, out, pooled));
   sys.sim().run();
   const Counters agg = sys.aggregate_counters();
   out.copies = agg.get("commit.state_copied");
@@ -64,23 +79,22 @@ MixResult run(int read_pct, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string json_out = parse_json_out(argc, argv);
+  Pooled pooled;
   std::printf("A2 / sec 4.2.1 ablation: read-only commit optimisation, |St|=3\n");
   std::printf("60 txns per run, 5 seeds; read-only commits skip the copy-back\n");
   core::Table table({"read %", "state copies", "read-only skips", "read commit (ms)",
                      "write commit (ms)"});
   for (int read_pct : {0, 25, 50, 75, 100}) {
-    MixResult sum;
     std::uint64_t copies = 0, skips = 0;
-    Summary read_lat, write_lat;
+    Summary read_lat, write_lat;  // per-seed means
     for (auto seed : seeds()) {
-      auto r = run(read_pct, seed);
+      auto r = run(read_pct, seed, pooled);
       copies += r.copies;
       skips += r.skips;
-      for (double x : {r.read_latency.mean()})
-        if (r.read_latency.count() > 0) read_lat.add(x);
-      for (double x : {r.write_latency.mean()})
-        if (r.write_latency.count() > 0) write_lat.add(x);
+      if (r.read_latency.count() > 0) read_lat.add(r.read_latency.mean());
+      if (r.write_latency.count() > 0) write_lat.add(r.write_latency.mean());
     }
     table.add_row({std::to_string(read_pct), std::to_string(copies), std::to_string(skips),
                    read_lat.count() ? core::Table::fmt(read_lat.mean()) : "-",
@@ -89,6 +103,11 @@ int main() {
   table.print("copy traffic vs read share");
   std::printf("\nExpected shape: state copies fall linearly to zero as the read share\n"
               "rises; read-only commits run measurably faster than update commits\n"
-              "(no store copies, no Exclude risk, smaller 2PC).\n");
+              "(no store copies, no Exclude risk, no phase 2).\n");
+  BenchJson json("ablation_read_optimisation");
+  json.add_summary("read_commit", pooled.read_commit);
+  json.add_summary("write_commit", pooled.write_commit);
+  if (!json_out.empty() && !json.write(json_out))
+    std::fprintf(stderr, "failed to write %s\n", json_out.c_str());
   return 0;
 }

@@ -77,26 +77,45 @@ sim::Task<Status> AtomicAction::commit_nested() {
 sim::Task<Status> AtomicAction::commit_top_level() {
   const NodeId here = rt_.endpoint().node_id();
   sim::Simulator& sim = rt_.endpoint().node().sim();
-  auto commit_span = core::trace_span(rt_.trace(), "action.commit_2pc", here, "action",
-                                      uid_.to_string());
+  auto commit_span = core::tracing(rt_.trace())
+                         ? core::trace_span(rt_.trace(), "action.commit_2pc", here, "action",
+                                            uid_.to_string())
+                         : core::TraceRecorder::Span{};
   const sim::SimTime t_start = sim.now();
 
-  // Phase 1: all participants must vote yes.
-  auto prepare_span = core::trace_span(rt_.trace(), "action.prepare", here, "action",
-                                       std::to_string(participants_.size()) + " participants");
-  bool all_yes = true;
-  for (const ParticipantRef& p : participants_) {
-    auto vote = co_await rt_.endpoint().call(p.node, kTxnPrepare, p.name, uid_);
-    if (!vote.ok() || !vote.value()) {
-      all_yes = false;
+  // Phase 1, in reverse enlist order: commit processing enlists the stores
+  // last, so in a writing action a store votes first. A participant may
+  // vote read-only (and leave) only while no one has voted yes: in a
+  // writing action the group view database's read locks pin St and Sv
+  // until the stores install. A read-only voter is delisted, so neither
+  // phase 2 nor an abort reaches it.
+  auto prepare_span = core::tracing(rt_.trace())
+                          ? core::trace_span(rt_.trace(), "action.prepare", here, "action",
+                                             std::to_string(participants_.size()) +
+                                                 " participants")
+                          : core::TraceRecorder::Span{};
+  bool all_voted = true;
+  bool any_yes = false;
+  for (std::size_t i = participants_.size(); i-- > 0;) {
+    const ParticipantRef& p = participants_[i];
+    const bool may_leave = !any_yes;
+    auto vote = co_await rt_.endpoint().call(p.node, kTxnPrepare, p.name, uid_, may_leave);
+    if (!vote.ok() || vote.value() == Vote::No) {
+      all_voted = false;
       break;
+    }
+    if (vote.value() == Vote::Yes) {
+      any_yes = true;
+    } else {
+      rt_.counters().inc("action.read_only_vote");
+      participants_.erase(participants_.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
   core::metric_record(rt_.metrics(), "commit.prepare_us",
                       static_cast<double>(sim.now() - t_start));
-  prepare_span.end(all_yes ? "all_yes" : "abort_vote");
+  prepare_span.end(!all_voted ? "abort_vote" : any_yes ? "all_yes" : "read_only");
 
-  if (!all_yes) {
+  if (!all_voted) {
     rt_.counters().inc("action.prepare_failed");
     GV_LOG(LogLevel::Debug, sim.now(), "action", "2pc %s decision=abort (prepare failed)",
            uid_.to_string().c_str());
@@ -117,16 +136,21 @@ sim::Task<Status> AtomicAction::commit_top_level() {
          uid_.to_string().c_str());
   core::trace_instant(rt_.trace(), "action.decision", here, "action", "commit");
 
-  // Phase 2.
-  auto phase2_span = core::trace_span(rt_.trace(), "action.phase2", here, "action");
-  const sim::SimTime t_phase2 = sim.now();
-  for (const ParticipantRef& p : participants_) {
-    auto r = co_await rt_.endpoint().call(p.node, kTxnCommit, p.name, uid_);
-    if (!r.ok()) rt_.counters().inc("action.commit_phase_miss");
+  // Phase 2, to the yes voters in enlist order. Every participant left
+  // at its vote: the action is over.
+  if (participants_.empty()) {
+    rt_.counters().inc("action.no_phase2");
+  } else {
+    auto phase2_span = core::trace_span(rt_.trace(), "action.phase2", here, "action");
+    const sim::SimTime t_phase2 = sim.now();
+    for (const ParticipantRef& p : participants_) {
+      auto r = co_await rt_.endpoint().call(p.node, kTxnCommit, p.name, uid_);
+      if (!r.ok()) rt_.counters().inc("action.commit_phase_miss");
+    }
+    core::metric_record(rt_.metrics(), "commit.phase2_us",
+                        static_cast<double>(sim.now() - t_phase2));
+    phase2_span.end();
   }
-  core::metric_record(rt_.metrics(), "commit.phase2_us",
-                      static_cast<double>(sim.now() - t_phase2));
-  phase2_span.end();
   core::metric_record(rt_.metrics(), "commit.total_us",
                       static_cast<double>(sim.now() - t_start));
   commit_span.end("committed");
@@ -165,12 +189,12 @@ sim::Task<Status> AtomicAction::abort() {
 // -------------------------------------------------------------- registry
 
 TxnRegistry::TxnRegistry(rpc::RpcEndpoint& endpoint) : endpoint_(endpoint) {
-  endpoint_.serve(kTxnPrepare,
-                  [this](NodeId, std::string name, Uid txn) -> sim::Task<Result<bool>> {
-                    ServerParticipant* p = find(name);
-                    if (p == nullptr) co_return Err::BadRequest;
-                    co_return co_await p->prepare(txn);
-                  });
+  endpoint_.serve(kTxnPrepare, [this](NodeId, std::string name, Uid txn,
+                                       bool may_leave) -> sim::Task<Result<Vote>> {
+    ServerParticipant* p = find(name);
+    if (p == nullptr) co_return Err::BadRequest;
+    co_return co_await p->prepare(txn, may_leave);
+  });
   endpoint_.serve(kTxnCommit, [this](NodeId, std::string name, Uid txn) -> sim::Task<Status> {
     ServerParticipant* p = find(name);
     if (p == nullptr) co_return Err::BadRequest;

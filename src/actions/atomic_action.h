@@ -26,6 +26,7 @@
 // are cleaned up by the janitor / failure-detection protocols).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,6 +121,9 @@ class AtomicAction {
   //    durable outcome is decided at the top level).
   //  - top-level: two-phase commit across all participants. Returns
   //    Err::Aborted if any participant voted no or was unreachable.
+  //    Participants are prepared in reverse enlist order, and may vote
+  //    read-only only while none has voted yes; phase 2 (or the abort)
+  //    reaches the yes voters alone (DESIGN.md sec 17).
   sim::Task<Status> commit();
 
   // Abort this action (and conceptually its whole subtree).
@@ -145,12 +149,20 @@ class AtomicAction {
 // --------------------------------------------------------------------
 // Server side.
 
+// A participant's phase-1 answer. ReadOnly is R*'s read-only vote: the
+// participant had nothing to install or undo for the action, so it has
+// released the action's locks and forgotten it, and phase 2 skips it.
+enum class Vote : std::uint8_t { No = 0, Yes = 1, ReadOnly = 2 };
+
 // Interface a transactional service implements so its node's TxnRegistry
 // can drive it through 2PC and nested-action inheritance.
 class ServerParticipant {
  public:
   virtual ~ServerParticipant() = default;
-  virtual sim::Task<bool> prepare(const Uid& txn) = 0;
+  // Vote on `txn`. ReadOnly is allowed only when `may_leave` is set: the
+  // coordinator clears it once any participant has voted Yes, so read
+  // locks that pin what a writer installs stay held until phase 2.
+  virtual sim::Task<Vote> prepare(const Uid& txn, bool may_leave) = 0;
   virtual sim::Task<Status> commit(const Uid& txn) = 0;
   virtual sim::Task<Status> abort(const Uid& txn) = 0;
   virtual void nested_commit(const Uid& child, const Uid& parent) = 0;
@@ -159,8 +171,9 @@ class ServerParticipant {
 
 // The "txn" service's methods, declared once for the coordinator above
 // and the TxnRegistry below. Each names the participant, then the action
-// (nested_commit: the child, then its parent).
-inline constexpr rpc::Rpc<bool(std::string, Uid)> kTxnPrepare{"txn", "prepare"};
+// (nested_commit: the child, then its parent); prepare then says whether
+// the participant may vote ReadOnly.
+inline constexpr rpc::Rpc<Vote(std::string, Uid, bool)> kTxnPrepare{"txn", "prepare"};
 inline constexpr rpc::Rpc<void(std::string, Uid)> kTxnCommit{"txn", "commit"};
 inline constexpr rpc::Rpc<void(std::string, Uid)> kTxnAbort{"txn", "abort"};
 inline constexpr rpc::Rpc<void(std::string, Uid, Uid)> kTxnNestedCommit{"txn", "nested_commit"};

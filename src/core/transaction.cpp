@@ -38,10 +38,11 @@ Transaction::Transaction(ClientSession& session, Transaction* parent)
   begin_at_ = session.runtime().endpoint().node().sim().now();
   // Top-level transactions root a fresh trace tree; nested ones hang off
   // the parent's root so the whole action stays one connected tree.
-  span_ = trace_span_under(session.runtime().trace(),
-                           parent != nullptr ? parent->trace_ctx_ : TraceContext{},
-                           parent != nullptr ? "txn.nested" : "txn", session.node(), "txn",
-                           action_.uid().to_string());
+  if (tracing(session.runtime().trace()))
+    span_ = trace_span_under(session.runtime().trace(),
+                             parent != nullptr ? parent->trace_ctx_ : TraceContext{},
+                             parent != nullptr ? "txn.nested" : "txn", session.node(), "txn",
+                             action_.uid().to_string());
   trace_ctx_ = span_.context();
 }
 
@@ -71,8 +72,10 @@ sim::Task<Result<ActiveBinding*>> Transaction::bound(Uid object) {
 sim::Task<Result<Buffer>> Transaction::invoke(Uid object, std::string op, Buffer args,
                                               LockMode mode) {
   if (finished()) co_return Err::Aborted;
-  auto span = trace_span_under(session_.runtime().trace(), trace_ctx_, "txn.invoke",
-                               session_.node(), "txn", op + " " + object.to_string());
+  auto span = tracing(session_.runtime().trace())
+                  ? trace_span_under(session_.runtime().trace(), trace_ctx_, "txn.invoke",
+                                     session_.node(), "txn", op + " " + object.to_string())
+                  : TraceRecorder::Span{};
   auto b = co_await bound(object);
   if (!b.ok()) co_return b.error();
   ActiveBinding& ab = *b.value();

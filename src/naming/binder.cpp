@@ -19,8 +19,10 @@ const char* to_string(Scheme s) noexcept {
 sim::Task<Result<BindResult>> Binder::bind(Uid object, std::size_t want,
                                            actions::AtomicAction* client_action, Probe probe) {
   counters_.inc("bind.attempts");
-  auto span = core::trace_span(rt_.trace(), "bind", rt_.endpoint().node_id(), "binder",
-                               std::string(to_string(scheme_)) + " " + object.to_string());
+  auto span = core::tracing(rt_.trace())
+                  ? core::trace_span(rt_.trace(), "bind", rt_.endpoint().node_id(), "binder",
+                                     std::string(to_string(scheme_)) + " " + object.to_string())
+                  : core::TraceRecorder::Span{};
   if (client_action == nullptr) co_return Err::BadRequest;
   if (scheme_ == Scheme::StandardNested)
     co_return co_await bind_standard(object, want, *client_action, probe);

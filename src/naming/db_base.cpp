@@ -52,10 +52,16 @@ void NamingDbBase::note_activity(const Uid& action, NodeId owner) {
                      static_cast<double>(locks_.table_depth()));
 }
 
-sim::Task<bool> NamingDbBase::prepare(const Uid&) {
+sim::Task<actions::Vote> NamingDbBase::prepare(const Uid& txn, bool may_leave) {
   // Mutations were validated (locks + entry checks) when buffered; a
-  // naming database can always complete a commit locally.
-  co_return true;
+  // naming database can always complete a commit locally. An action that
+  // only read here (GetView, GetServer, validate) has nothing to persist:
+  // when allowed, it ends here and its read locks go now.
+  if (!may_leave || undo_.count(txn) > 0) co_return actions::Vote::Yes;
+  orphans_.forget(txn);
+  locks_.release_all(txn);
+  counters_.inc("db.read_only_vote");
+  co_return actions::Vote::ReadOnly;
 }
 
 sim::Task<Status> NamingDbBase::commit(const Uid& txn) {

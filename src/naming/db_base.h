@@ -55,7 +55,7 @@ class NamingDbBase : public actions::ServerParticipant {
                Uid db_uid, NamingConfig cfg);
 
   // ---- ServerParticipant -------------------------------------------------
-  sim::Task<bool> prepare(const Uid& txn) override;
+  sim::Task<actions::Vote> prepare(const Uid& txn, bool may_leave) override;
   sim::Task<Status> commit(const Uid& txn) override;
   sim::Task<Status> abort(const Uid& txn) override;
   void nested_commit(const Uid& child, const Uid& parent) override;

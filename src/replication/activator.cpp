@@ -42,8 +42,10 @@ sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId n
 // the cached view has been retired in the meantime.
 sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
     ObjectSpec spec, actions::AtomicAction& action) {
-  auto span = core::trace_span(rt_.trace(), "activate.cached", rt_.endpoint().node_id(),
-                               "activator", spec.uid.to_string());
+  auto span = core::tracing(rt_.trace())
+                  ? core::trace_span(rt_.trace(), "activate.cached", rt_.endpoint().node_id(),
+                                     "activator", spec.uid.to_string())
+                  : core::TraceRecorder::Span{};
   const std::size_t want =
       spec.policy == ReplicationPolicy::SingleCopyPassive ? 1 : spec.servers_wanted;
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -101,8 +103,10 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
 sim::Task<Result<ActiveBinding>> Activator::bind_and_activate(ObjectSpec spec,
                                                               actions::AtomicAction& action) {
   if (cache_ != nullptr) co_return co_await bind_and_activate_cached(std::move(spec), action);
-  auto span = core::trace_span(rt_.trace(), "activate", rt_.endpoint().node_id(), "activator",
-                               spec.uid.to_string());
+  auto span = core::tracing(rt_.trace())
+                  ? core::trace_span(rt_.trace(), "activate", rt_.endpoint().node_id(),
+                                     "activator", spec.uid.to_string())
+                  : core::TraceRecorder::Span{};
   // St(A) is read under the client's action by the binder's naming read:
   // the read lock both pins the view for the action's lifetime and is the
   // lock the commit processor later promotes to EXCLUDE-WRITE if stores

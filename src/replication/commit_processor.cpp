@@ -58,8 +58,10 @@ sim::Task<Status> CommitProcessor::commit(actions::AtomicAction& action,
     co_return reason;
   }
 
-  auto stage_span = core::trace_span(rt_.trace(), "commit.stage", here, "commit",
-                                     std::to_string(bindings.size()) + " objects");
+  auto stage_span = core::tracing(rt_.trace())
+                        ? core::trace_span(rt_.trace(), "commit.stage", here, "commit",
+                                           std::to_string(bindings.size()) + " objects")
+                        : core::TraceRecorder::Span{};
   const sim::SimTime t_stage = sim.now();
   std::vector<naming::ExcludeItem> excludes;
   for (ActiveBinding* b : bindings) {

@@ -219,7 +219,16 @@ Status ObjectServerHost::passivate(const Uid& object) {
 
 // ---------------------------------------------------------- participant
 
-sim::Task<bool> ObjectServerHost::prepare(const Uid&) { co_return true; }
+sim::Task<actions::Vote> ObjectServerHost::prepare(const Uid& txn, bool may_leave) {
+  if (!may_leave || touched_.count(txn) > 0) co_return actions::Vote::Yes;
+  // The action left no before-image here: it ends now. Marking it
+  // terminated refuses an invocation of it still queued for a lock.
+  terminated_.set(txn, 1);
+  orphans_.forget(txn);
+  locks_.release_all(txn);
+  counters_.inc("objsrv.read_only_vote");
+  co_return actions::Vote::ReadOnly;
+}
 
 std::vector<ObjectServerHost::ActiveEntry*> ObjectServerHost::take_touched(const Uid& action) {
   std::vector<ActiveEntry*> out;
@@ -353,8 +362,11 @@ void ObjectServerHost::on_group_deliver(NodeId, Buffer msg) {
   // parented under the client's multicast span so every member of the
   // fan-out hangs off the same invocation node in the trace tree.
   node_.sim().spawn([](ObjectServerHost& self, GroupInvocation g) -> sim::Task<> {
-    auto span = core::trace_span_under(self.endpoint_.trace(), TraceContext{g.trace, g.span},
-                                       "ginv.serve", self.node_.id(), "ginv", g.object.to_string());
+    auto span = core::tracing(self.endpoint_.trace())
+                    ? core::trace_span_under(self.endpoint_.trace(), TraceContext{g.trace, g.span},
+                                             "ginv.serve", self.node_.id(), "ginv",
+                                             g.object.to_string())
+                    : core::TraceRecorder::Span{};
     Result<Buffer> r = co_await self.invoke(g.object, g.action, std::move(g.ancestors), g.mode,
                                             std::move(g.op), std::move(g.args), g.reply_to);
     span.end(r.ok() ? "ok" : to_string(r.error()));
@@ -421,8 +433,10 @@ sim::Task<Result<Buffer>> GroupInvoker::invoke(const std::string& group, Uid obj
                                                actions::LockMode mode, std::string op,
                                                Buffer args, sim::SimTime timeout) {
   const std::uint64_t inv = next_id_++;
-  auto span = core::trace_span(endpoint_.trace(), "ginv.invoke", endpoint_.node_id(), "ginv",
-                               op + " " + object.to_string());
+  auto span = core::tracing(endpoint_.trace())
+                  ? core::trace_span(endpoint_.trace(), "ginv.invoke", endpoint_.node_id(),
+                                     "ginv", op + " " + object.to_string())
+                  : core::TraceRecorder::Span{};
   // The span (or the caller's ambient context when not recording) rides
   // the multicast payload so every member's handler parents under it.
   const TraceContext ctx = current_trace_context();

@@ -116,7 +116,7 @@ class ObjectServerHost final : public actions::ServerParticipant {
   bool join_group(const Uid& object);
 
   // ---- ServerParticipant ------------------------------------------------
-  sim::Task<bool> prepare(const Uid& txn) override;
+  sim::Task<actions::Vote> prepare(const Uid& txn, bool may_leave) override;
   sim::Task<Status> commit(const Uid& txn) override;
   sim::Task<Status> abort(const Uid& txn) override;
   void nested_commit(const Uid& child, const Uid& parent) override;
@@ -178,9 +178,10 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // objects since passivated, retired or re-activated: visitors skip
   // those missing from active_, and a fresh instance holds no undo state.
   std::map<Uid, std::set<Uid>> touched_;  // volatile
-  // Actions already committed/aborted here: an invocation whose lock is
-  // granted after its action terminated (client gave up waiting, then
-  // aborted) must be refused, not applied under a dead action.
+  // Actions already committed/aborted here, or that left at a read-only
+  // vote: an invocation whose lock is granted after its action terminated
+  // (client gave up waiting, then aborted) must be refused, not applied
+  // under a dead action.
   DenseUidTable<1> terminated_;  // volatile
   std::set<Uid> activation_blocked_;  // volatile; managed by RecoveryDaemon
   Counters counters_;

@@ -326,11 +326,11 @@ void ObjectStore::register_rpc() {
 
 // ---------------------------------------------------------- participant
 
-sim::Task<bool> StoreTxnParticipant::prepare(const Uid& txn) {
+sim::Task<actions::Vote> StoreTxnParticipant::prepare(const Uid& txn, bool) {
   // The commit processor only enlists a store it staged writes at, so a
   // missing shadow means the shadow was lost (crash + presumed-abort
   // recovery scan) — vote no. A torn shadow fails verification — vote no.
-  co_return store_.verify_shadow(txn);
+  co_return store_.verify_shadow(txn) ? actions::Vote::Yes : actions::Vote::No;
 }
 
 sim::Task<Status> StoreTxnParticipant::commit(const Uid& txn) {

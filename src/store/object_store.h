@@ -238,20 +238,17 @@ inline sim::Task<Status> ObjectStore::remote_write_direct(rpc::RpcEndpoint& from
 // processing, so prepare() only confirms this incarnation still holds the
 // shadow — a store that crashed after the copy lost nothing stable, but a
 // recovery in between discarded the shadow (presumed abort) and must
-// vote no.
+// vote no. A store never votes read-only: it is enlisted only where a
+// copy landed, so a missing shadow is a lost one.
 class StoreTxnParticipant final : public actions::ServerParticipant {
  public:
   explicit StoreTxnParticipant(ObjectStore& store) : store_(store) {}
 
-  sim::Task<bool> prepare(const Uid& txn) override;
+  sim::Task<actions::Vote> prepare(const Uid& txn, bool may_leave) override;
   sim::Task<Status> commit(const Uid& txn) override;
   sim::Task<Status> abort(const Uid& txn) override;
   void nested_commit(const Uid& child, const Uid& parent) override;
   void nested_abort(const Uid& child) override;
-
-  // True if this action staged writes here (read-only actions vote yes
-  // trivially).
-  bool touched(const Uid& txn) const { return store_.has_shadow(txn); }
 
  private:
   ObjectStore& store_;

@@ -15,15 +15,18 @@ namespace gv::actions {
 namespace {
 
 // A scripted in-memory participant that records the protocol events it
-// sees and can be told how to vote.
+// sees and can be told how to vote. Told to vote ReadOnly, it does so only
+// when the coordinator allows it to leave, and votes Yes otherwise.
 class ScriptedParticipant final : public ServerParticipant {
  public:
-  bool vote = true;
+  Vote vote = Vote::Yes;
   std::vector<std::string> events;
+  std::vector<bool> asked_may_leave;
 
-  sim::Task<bool> prepare(const Uid&) override {
+  sim::Task<Vote> prepare(const Uid&, bool may_leave) override {
     events.push_back("prepare");
-    co_return vote;
+    asked_may_leave.push_back(may_leave);
+    co_return vote == Vote::ReadOnly && !may_leave ? Vote::Yes : vote;
   }
   sim::Task<Status> commit(const Uid&) override {
     events.push_back("commit");
@@ -76,7 +79,7 @@ TEST(AtomicAction, TopLevelCommitRunsTwoPhase) {
 TEST(AtomicAction, NoVoteAbortsEveryone) {
   Fixture f;
   ScriptedParticipant p1, p2;
-  p2.vote = false;
+  p2.vote = Vote::No;
   f.registries[1]->add("svc1", &p1);
   f.registries[2]->add("svc2", &p2);
   Status s = Err::None;
@@ -89,9 +92,91 @@ TEST(AtomicAction, NoVoteAbortsEveryone) {
   }(f, s));
   f.sim.run();
   EXPECT_EQ(s.error(), Err::Aborted);
-  EXPECT_EQ(p1.events, (std::vector<std::string>{"prepare", "abort"}));
-  // p2 voted no and is told to abort as well.
+  // Prepare runs in reverse enlist order: p2's no vote ends phase 1
+  // before p1 is asked, and both are told to abort.
+  EXPECT_EQ(p1.events, (std::vector<std::string>{"abort"}));
   EXPECT_EQ(p2.events, (std::vector<std::string>{"prepare", "abort"}));
+}
+
+// R*'s read-only vote: an action whose every participant voted ReadOnly
+// is over at its prepare, and no txn.commit is sent.
+TEST(AtomicAction, AllReadOnlyActionSendsNoPhase2) {
+  Fixture f;
+  ScriptedParticipant p1, p2;
+  p1.vote = p2.vote = Vote::ReadOnly;
+  f.registries[1]->add("svc1", &p1);
+  f.registries[2]->add("svc2", &p2);
+  Status s = Err::Timeout;
+  f.sim.spawn([](Fixture& f, Status& s) -> sim::Task<> {
+    AtomicAction act{*f.rt};
+    act.enlist({1, "svc1"});
+    act.enlist({2, "svc2"});
+    s = co_await act.commit();
+    EXPECT_EQ(act.state(), ActionState::Committed);
+  }(f, s));
+  f.sim.run();
+  EXPECT_TRUE(s.ok());
+  EXPECT_EQ(p1.events, (std::vector<std::string>{"prepare"}));
+  EXPECT_EQ(p2.events, (std::vector<std::string>{"prepare"}));
+  EXPECT_EQ(p1.asked_may_leave, (std::vector<bool>{true}));
+  EXPECT_EQ(p2.asked_may_leave, (std::vector<bool>{true}));
+  EXPECT_EQ(f.rt->counters().get("action.read_only_vote"), 2u);
+  EXPECT_EQ(f.rt->counters().get("action.no_phase2"), 1u);
+  EXPECT_EQ(f.net.counters().get("net.send"), 4u);  // two prepares and their replies
+}
+
+// Once a participant has voted Yes, no later one may leave: its read
+// locks may pin what the Yes voter installs in phase 2. Phase 2 goes to
+// the Yes voters alone, in enlist order.
+TEST(AtomicAction, NoParticipantMayLeaveAfterAYesVote) {
+  Fixture f;
+  ScriptedParticipant p1, p2, p3;
+  p1.vote = p3.vote = Vote::ReadOnly;
+  f.registries[1]->add("svc1", &p1);
+  f.registries[2]->add("svc2", &p2);
+  f.registries[3]->add("svc3", &p3);
+  Status s = Err::Timeout;
+  f.sim.spawn([](Fixture& f, Status& s) -> sim::Task<> {
+    AtomicAction act{*f.rt};
+    act.enlist({1, "svc1"});
+    act.enlist({2, "svc2"});
+    act.enlist({3, "svc3"});
+    s = co_await act.commit();
+  }(f, s));
+  f.sim.run();
+  EXPECT_TRUE(s.ok());
+  // Reverse enlist order: p3 may leave and does; p2 votes Yes; p1 is then
+  // asked without leave, so it votes Yes and takes part in phase 2.
+  EXPECT_EQ(p3.asked_may_leave, (std::vector<bool>{true}));
+  EXPECT_EQ(p2.asked_may_leave, (std::vector<bool>{true}));
+  EXPECT_EQ(p1.asked_may_leave, (std::vector<bool>{false}));
+  EXPECT_EQ(p3.events, (std::vector<std::string>{"prepare"}));
+  EXPECT_EQ(p2.events, (std::vector<std::string>{"prepare", "commit"}));
+  EXPECT_EQ(p1.events, (std::vector<std::string>{"prepare", "commit"}));
+  EXPECT_EQ(f.rt->counters().get("action.read_only_vote"), 1u);
+  EXPECT_EQ(f.rt->counters().get("action.no_phase2"), 0u);
+}
+
+// A participant that left at its ReadOnly vote has forgotten the action:
+// a later No vote aborts the others without it.
+TEST(AtomicAction, AbortSkipsReadOnlyVoters) {
+  Fixture f;
+  ScriptedParticipant p1, p2;
+  p1.vote = Vote::No;
+  p2.vote = Vote::ReadOnly;
+  f.registries[1]->add("svc1", &p1);
+  f.registries[2]->add("svc2", &p2);
+  Status s = Err::None;
+  f.sim.spawn([](Fixture& f, Status& s) -> sim::Task<> {
+    AtomicAction act{*f.rt};
+    act.enlist({1, "svc1"});
+    act.enlist({2, "svc2"});
+    s = co_await act.commit();
+  }(f, s));
+  f.sim.run();
+  EXPECT_EQ(s.error(), Err::Aborted);
+  EXPECT_EQ(p2.events, (std::vector<std::string>{"prepare"}));
+  EXPECT_EQ(p1.events, (std::vector<std::string>{"prepare", "abort"}));
 }
 
 TEST(AtomicAction, UnreachableParticipantAbortsAction) {

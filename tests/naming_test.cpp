@@ -606,7 +606,12 @@ TEST(NamingPersistence, ReadOnlyActionsWriteNothing) {
     act.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await act.commit()).ok());
   }(f));
-  EXPECT_EQ(f.gvdb->counters().get("db.commit"), 1u);  // one participant, both tables
+  // One participant for both tables, and it only read: it votes
+  // read-only, releases its read locks and needs no phase 2.
+  EXPECT_EQ(f.gvdb->counters().get("db.read_only_vote"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("db.commit"), 0u);
+  EXPECT_EQ(f.rt->counters().get("action.no_phase2"), 1u);
+  EXPECT_EQ(f.gvdb->locks().table_depth(), 0u);  // the read locks are gone
   EXPECT_EQ(f.naming_store->counters().get("store.record_put"), puts);
   EXPECT_TRUE(stable_records(f) == before);
 }

@@ -529,5 +529,58 @@ TEST(ObjectServerIndex, NestedCommitHandsOrphanTrackingToTheParent) {
   EXPECT_TRUE(third.ok()) << to_string(third.error());
 }
 
+// R*'s read-only vote at an object server: an action that left no
+// before-image here ends at its prepare, once the coordinator lets it
+// leave. Its read lock goes at once, so a writer queued behind it is
+// granted before any decision reaches this server, and a late
+// invocation of the finished action is refused.
+TEST(ObjectServerIndex, ReadOnlyVoteReleasesLocksAndRefusesLateInvocations) {
+  IndexSys s;
+  const Uid reader{0xAC7, 1}, writer{0xAC7, 2};
+  s.run([](IndexSys& s, Uid reader, Uid writer) -> sim::Task<> {
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    auto read = co_await s.host.invoke(s.a, reader, {}, LockMode::Read, "balance", Buffer{});
+    EXPECT_TRUE(read.ok());
+    bool wrote = false;
+    s.sys.sim().spawn([](IndexSys& s, Uid writer, bool& wrote) -> sim::Task<> {
+      wrote = (co_await s.deposit(s.a, writer, {}, 5)).ok();
+    }(s, writer, wrote));
+    co_await s.sys.sim().sleep(sim::kMillisecond);
+    EXPECT_FALSE(wrote);  // queued behind the reader's lock
+
+    // Not allowed to leave (some participant voted Yes): it stays.
+    const actions::Vote stay = co_await s.host.prepare(reader, /*may_leave=*/false);
+    EXPECT_EQ(stay, actions::Vote::Yes);
+    co_await s.sys.sim().sleep(sim::kMillisecond);
+    EXPECT_FALSE(wrote);
+
+    const actions::Vote leave = co_await s.host.prepare(reader, /*may_leave=*/true);
+    EXPECT_EQ(leave, actions::Vote::ReadOnly);
+    co_await s.sys.sim().sleep(sim::kMillisecond);
+    EXPECT_TRUE(wrote);  // granted with no commit or abort of the reader
+
+    auto late = co_await s.host.invoke(s.a, reader, {}, LockMode::Read, "balance", Buffer{});
+    EXPECT_EQ(late.error(), Err::Aborted);
+    EXPECT_TRUE((co_await s.host.commit(writer)).ok());
+  }(s, reader, writer));
+  EXPECT_EQ(s.host.counters().get("objsrv.read_only_vote"), 1u);
+  EXPECT_EQ(held_balance(s.host, s.a), 5);
+}
+
+// A server where the action wrote votes Yes even when allowed to leave.
+TEST(ObjectServerIndex, WriterVotesYesWhenAllowedToLeave) {
+  IndexSys s;
+  s.run([](IndexSys& s) -> sim::Task<> {
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    const Uid writer{0xAC7, 1};
+    EXPECT_TRUE((co_await s.deposit(s.a, writer, {}, 3)).ok());
+    const actions::Vote vote = co_await s.host.prepare(writer, /*may_leave=*/true);
+    EXPECT_EQ(vote, actions::Vote::Yes);
+    EXPECT_TRUE((co_await s.host.commit(writer)).ok());
+  }(s));
+  EXPECT_EQ(s.host.counters().get("objsrv.read_only_vote"), 0u);
+  EXPECT_EQ(s.host.status(s.a).version, 2u);
+}
+
 }  // namespace
 }  // namespace gv::replication

@@ -233,12 +233,28 @@ TEST(StoreTxnParticipant, VotesYesWhileShadowSurvivesAsInDoubt) {
   f.stores[0]->prepare(obj, txn, 1, state_of("x"), /*coordinator=*/1);
   f.cluster.node(0).crash();
   f.cluster.node(0).recover();
-  bool vote = false;
-  f.sim.spawn([](StoreTxnParticipant& p, Uid txn, bool& vote) -> sim::Task<> {
-    vote = co_await p.prepare(txn);
+  actions::Vote vote = actions::Vote::No;
+  f.sim.spawn([](StoreTxnParticipant& p, Uid txn, actions::Vote& vote) -> sim::Task<> {
+    vote = co_await p.prepare(txn, /*may_leave=*/true);
   }(p, txn, vote));
   f.sim.run_until(f.sim.now() + 1);
-  EXPECT_TRUE(vote);
+  EXPECT_EQ(vote, actions::Vote::Yes);
+}
+
+// A store is enlisted only where a copy landed, so a missing shadow is a
+// lost one: it votes No even when the coordinator would let it leave.
+TEST(StoreTxnParticipant, LostShadowVotesNoEvenWhenAllowedToLeave) {
+  Fixture f;
+  StoreTxnParticipant p{*f.stores[0]};
+  Uid obj{1, 1}, txn{2, 1};
+  EXPECT_TRUE(f.stores[0]->prepare(obj, txn, 1, state_of("x")).ok());
+  f.stores[0]->drop_shadow(txn);  // as the presumed-abort recovery scan does
+  actions::Vote vote = actions::Vote::ReadOnly;
+  f.sim.spawn([](StoreTxnParticipant& p, Uid txn, actions::Vote& vote) -> sim::Task<> {
+    vote = co_await p.prepare(txn, /*may_leave=*/true);
+  }(p, txn, vote));
+  f.sim.run_until(f.sim.now() + 1);
+  EXPECT_EQ(vote, actions::Vote::No);
 }
 
 TEST(StoreTxnParticipant, CommitIdempotentWhenShadowMissing) {

@@ -292,6 +292,40 @@ TEST(ViewCache, WarmBindMakesZeroNamingRpcs) {
   EXPECT_EQ(acct.balance(), 30);
 }
 
+// Read-only votes keep the paper's lock rule. In a writing action the
+// stores vote Yes first, so the group view database is not let go at its
+// vote: the St read lock that validate took pins the view until phase 2,
+// and an Include queued behind it is granted only after the decision
+// reached the naming node.
+TEST(ViewCache, WritingActionHoldsValidateLocksUntilPhase2) {
+  ReplicaSystem sys{cached_cfg(8, 14)};
+  sys.gvdb().config().lock_wait = sim::kSecond;  // outwait the whole 2PC
+  const Uid obj = sys.define_object("o", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = sys.client(1);
+  sys.sim().spawn([](ClientSession* client, Uid obj) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(obj, "deposit", i64_buf(10), LockMode::Write)).ok());
+    EXPECT_TRUE((co_await txn->commit()).ok());
+  }(client, obj));
+  std::uint64_t naming_commits_at_grant = 0;
+  bool granted = false;
+  sys.sim().spawn([](ReplicaSystem& sys, Uid obj, bool& granted,
+                     std::uint64_t& naming_commits_at_grant) -> sim::Task<> {
+    // Staging has begun, so validate holds St's read lock for the client.
+    while (!sys.store_at(3).has_pending_shadow(obj)) co_await sys.sim().sleep(100);
+    EXPECT_GT(sys.gvdb().locks().holder_count(naming::ObjectStateDb::lock_name(obj)), 0u);
+    const Uid include_action{0x1C1, 1};
+    granted = (co_await sys.gvdb().states().include(obj, 3, include_action)).ok();
+    naming_commits_at_grant = sys.gvdb().counters().get("db.commit");
+    (void)co_await sys.gvdb().abort(include_action);
+  }(sys, obj, granted, naming_commits_at_grant));
+  sys.sim().run();
+  EXPECT_TRUE(granted);
+  EXPECT_EQ(naming_commits_at_grant, 1u);  // the client's phase 2
+  EXPECT_EQ(sys.gvdb().counters().get("db.read_only_vote"), 0u);
+}
+
 // A multi-object transaction that prefetches binds every object off one
 // get_views RPC.
 TEST(ViewCache, PrefetchedMultiObjectTransactionBatchesNaming) {
