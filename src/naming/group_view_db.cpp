@@ -1,19 +1,93 @@
 #include "naming/group_view_db.h"
 
 #include <algorithm>
+#include <type_traits>
+
+#include "core/metrics.h"
+#include "core/trace.h"
+#include "util/log.h"
 
 namespace gv::naming {
 
 namespace {
+
 // Ring capacity: enough to cover the membership churn a client can miss
 // between two of its own naming interactions; larger rings only pad every
 // reply leaving the naming node.
 constexpr std::size_t kRecentBumpCap = 8;
+
+using Tokens = ObjectServerDb::Tokens;
+
+bool has_token(const Tokens& tokens, const Uid& token) {
+  return std::find(tokens.begin(), tokens.end(), token) != tokens.end();
+}
+
+// Add back the tokens an undone edit removed (those not present again).
+void restore_tokens(Tokens& tokens, const Tokens& removed) {
+  for (const Uid& t : removed)
+    if (!has_token(tokens, t)) tokens.push_back(t);
+}
+
+// One client's tokens through one server, or nullptr if none.
+Tokens* slot(ObjectServerDb::Entry& e, NodeId server, NodeId client) {
+  auto uit = e.use.find(server);
+  if (uit == e.use.end()) return nullptr;
+  auto cit = uit->second.find(client);
+  return cit == uit->second.end() ? nullptr : &cit->second;
+}
+
+// Live bindings of an entry, all slots.
+std::uint64_t use_count(const ObjectServerDb::Entry& e) {
+  std::uint64_t n = 0;
+  for (const auto& [server, clients] : e.use)
+    for (const auto& [client, tokens] : clients) n += tokens.size();
+  return n;
+}
+
+template <class Table>
+constexpr bool kIsSv = std::is_same_v<Table, ObjectServerDb>;
+
 }  // namespace
 
 GroupViewDb::GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEndpoint& endpoint,
                          actions::TxnRegistry& txns, NamingConfig cfg, ExcludePolicy policy)
-    : NamingDbBase(node, store, endpoint, kGvdbUid, cfg), servers_(*this), states_(*this, policy) {
+    : node_(node),
+      store_(store),
+      cfg_(cfg),
+      policy_(policy),
+      locks_(node.sim()),
+      orphans_(
+          node, endpoint,
+          [](sim::SimTime idle) { return idle > kOrphanActionAge; },
+          [this](Uid action, actions::OrphanResolver::Verdict verdict) -> sim::Task<> {
+            using Verdict = actions::OrphanResolver::Verdict;
+            if (verdict == Verdict::Committed) {
+              (void)co_await commit(action);
+              counters_.inc("db.orphan_committed");
+              co_return;
+            }
+            rollback(action);
+            locks_.release_all(action);
+            orphans_.forget(action);
+            counters_.inc(verdict == Verdict::Aborted   ? "db.orphan_decided_abort"
+                          : verdict == Verdict::AgedOut ? "db.orphan_aged_out"
+                                                        : "db.orphan_owner_dead");
+          },
+          [this](std::uint32_t aborted) {
+            if (aborted > 0)
+              core::trace_instant(trace_, "db.orphan_sweep", node_.id(), "naming",
+                                  std::to_string(aborted) + " aborted");
+          }),
+      local_actions_(0xDEC00000ull + node.id()) {
+  node_.on_recover([this] {
+    // The database is a persistent object: rebuild from the local store.
+    // In-flight actions died with the node; their locks and undo records
+    // were volatile, so the reloaded committed state is exactly right.
+    undo_.clear();
+    orphans_.clear();
+    locks_.reset();
+    load_entries(store_.records(kGvdbUid));
+  });
   txns.add(kGvdbService, this);
   endpoint.set_piggyback_provider([this]() -> const Buffer& { return piggyback_blob(); });
   register_rpc(endpoint);
@@ -21,11 +95,13 @@ GroupViewDb::GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEnd
 
 void GroupViewDb::create_object(const Uid& object, std::vector<NodeId> sv,
                                 std::vector<NodeId> st) {
-  servers_.entries_[object] = ObjectServerDb::Entry{std::move(sv), {}, 1};
-  states_.entries_[object] = ObjectStateDb::Entry{std::move(st), 1};
+  servers_.entries[object] = ObjectServerDb::Entry{std::move(sv), {}, 1};
+  states_.entries[object] = ObjectStateDb::Entry{std::move(st), 1};
   persist(object, kSvPart | kStPart);  // registration must survive a naming-node crash
   piggyback_stale_ = true;             // a re-created entry restarts its epochs
 }
+
+// ------------------------------------------------------------ persistence
 
 void GroupViewDb::persist(const Uid& object, EntryParts parts) {
   // One record per object: the Sv part, then the St part. A part the
@@ -39,25 +115,154 @@ void GroupViewDb::persist(const Uid& object, EntryParts parts) {
   ObjectServerDb::Entry sv;
   ObjectStateDb::Entry st;
   if (!sv_now || !st_now) {
-    Buffer old = store_.records(db_uid_).at(object);
+    Buffer old = store_.records(kGvdbUid).at(object);
     (void)rpc::decode(old, sv, st);
   }
-  store_.put_record(db_uid_, object, rpc::encode(sv_now ? servers_.entries_.at(object) : sv,
-                                                 st_now ? states_.entries_.at(object) : st));
+  store_.put_record(kGvdbUid, object, rpc::encode(sv_now ? servers_.entries.at(object) : sv,
+                                                  st_now ? states_.entries.at(object) : st));
 }
 
 void GroupViewDb::load_entries(const std::map<Uid, Buffer>& records) {
-  servers_.entries_.clear();
-  states_.entries_.clear();
+  servers_.entries.clear();
+  states_.entries.clear();
   for (const auto& [object, bytes] : records) {
     Buffer b = bytes;
     ObjectServerDb::Entry sv;
     ObjectStateDb::Entry st;
     if (!rpc::decode(b, sv, st)) continue;
-    servers_.entries_[object] = std::move(sv);
-    states_.entries_[object] = std::move(st);
+    servers_.entries[object] = std::move(sv);
+    states_.entries[object] = std::move(st);
   }
 }
+
+// -------------------------------------------------------- the participant
+
+void GroupViewDb::note_activity(const Uid& action, NodeId owner) {
+  orphans_.note(action, owner);
+  core::metric_gauge(metrics_, "naming.lock_table_depth",
+                     static_cast<double>(locks_.table_depth()));
+}
+
+sim::Task<actions::Vote> GroupViewDb::prepare(const Uid& txn, bool may_leave) {
+  // Mutations were validated (locks + entry checks) when buffered; a
+  // naming database can always complete a commit locally. An action that
+  // only read here (GetView, GetServer, validate) has nothing to persist:
+  // when allowed, it ends here and its read locks go now.
+  if (!may_leave || undo_.count(txn) > 0) co_return actions::Vote::Yes;
+  orphans_.forget(txn);
+  locks_.release_all(txn);
+  counters_.inc("db.read_only_vote");
+  co_return actions::Vote::ReadOnly;
+}
+
+sim::Task<Status> GroupViewDb::commit(const Uid& txn) {
+  commit_now(txn);
+  co_return ok_status();
+}
+
+void GroupViewDb::commit_now(const Uid& txn, const Uid& also, EntryParts also_parts) {
+  // Persist each touched entry once, while the action still holds the
+  // locks of the parts it edited: those parts then hold exactly the
+  // committed state. Read-only actions (GetServer, GetView, validate)
+  // have no undo records.
+  std::map<Uid, EntryParts> touched;
+  if (!also.nil()) touched[also] |= also_parts;
+  auto it = undo_.find(txn);
+  if (it != undo_.end()) {
+    for (const Undo& u : it->second) touched[u.entry] |= u.part;
+    undo_.erase(it);
+  }
+  for (const auto& [entry, parts] : touched) persist(entry, parts);
+  orphans_.forget(txn);
+  locks_.release_all(txn);
+  counters_.inc("db.commit");
+}
+
+sim::Task<Status> GroupViewDb::abort(const Uid& txn) {
+  rollback(txn);
+  orphans_.forget(txn);
+  locks_.release_all(txn);
+  counters_.inc("db.abort");
+  co_return ok_status();
+}
+
+void GroupViewDb::nested_commit(const Uid& child, const Uid& parent) {
+  locks_.transfer(child, parent);
+  auto it = undo_.find(child);
+  if (it != undo_.end()) {
+    auto& dst = undo_[parent];
+    // Append: rollback runs in reverse, so the child's undos (appended
+    // last) are undone first — correct nesting order.
+    dst.insert(dst.end(), std::make_move_iterator(it->second.begin()),
+               std::make_move_iterator(it->second.end()));
+    undo_.erase(it);
+  }
+  // The parent inherits ownership tracking from the child.
+  if (orphans_.inherit(child, parent))
+    core::metric_gauge(metrics_, "naming.lock_table_depth",
+                       static_cast<double>(locks_.table_depth()));
+  counters_.inc("db.nested_commit");
+}
+
+void GroupViewDb::nested_abort(const Uid& child) {
+  rollback(child);
+  orphans_.forget(child);
+  locks_.release_all(child);
+  counters_.inc("db.nested_abort");
+}
+
+void GroupViewDb::rollback(const Uid& txn) {
+  auto it = undo_.find(txn);
+  if (it == undo_.end()) return;
+  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) rit->fn();
+  undo_.erase(it);
+}
+
+template <class Table>
+sim::Task<Result<typename Table::Entry*>> GroupViewDb::lock_entry(Table& table, Uid object,
+                                                                  actions::LockMode mode,
+                                                                  Uid action) {
+  if (!table.known(object)) co_return Err::NotFound;
+  Status lk = co_await locks_.acquire(Table::lock_name(object), mode, action, cfg_.lock_wait);
+  if (!lk.ok()) {
+    counters_.inc(kIsSv<Table> ? "osdb.lock_refused" : "ostdb.lock_refused");
+    (void)orphans_.trigger();
+    co_return lk.error();
+  }
+  auto it = table.entries.find(object);
+  if (it == table.entries.end()) co_return Err::NotFound;
+  co_return &it->second;
+}
+
+template <class Table>
+sim::Task<Status> GroupViewDb::check_epoch(Table& table, Uid object, std::uint64_t epoch,
+                                           Uid action) {
+  auto e = co_await lock_entry(table, object, actions::LockMode::Read, action);
+  if (!e.ok()) co_return e.error();
+  if (e.value()->epoch != epoch) {
+    counters_.inc(kIsSv<Table> ? "osdb.validate_stale" : "ostdb.validate_stale");
+    co_return Err::StaleView;
+  }
+  counters_.inc(kIsSv<Table> ? "osdb.validate_ok" : "ostdb.validate_ok");
+  co_return ok_status();
+}
+
+void GroupViewDb::bump_epoch(const Uid& object, EntryParts part) {
+  const bool sv = part == kSvPart;
+  std::uint64_t* epoch = nullptr;
+  if (sv) {
+    if (auto it = servers_.entries.find(object); it != servers_.entries.end())
+      epoch = &it->second.epoch;
+  } else if (auto it = states_.entries.find(object); it != states_.entries.end()) {
+    epoch = &it->second.epoch;
+  }
+  if (epoch == nullptr) return;
+  ++*epoch;
+  counters_.inc(sv ? "osdb.epoch_bump" : "ostdb.epoch_bump");
+  note_invalidation(object);
+}
+
+// ----------------------------------------- the Object Server table (osdb)
 
 sim::Task<Result<BindView>> GroupViewDb::bind_read(NodeId from, Uid object, Uid client_action,
                                                    Uid bind_action, bool for_update) {
@@ -66,12 +271,254 @@ sim::Task<Result<BindView>> GroupViewDb::bind_read(NodeId from, Uid object, Uid 
   if (bind_action != client_action) note_activity(bind_action, from);
   // St first: a client action's read lock on St waits only for an
   // Include, never for a binder.
-  auto st = co_await states_.get_view(object, client_action);
+  auto st = co_await get_view(object, client_action);
   if (!st.ok()) co_return st.error();
-  auto sv = co_await servers_.get_server(object, bind_action, for_update);
+  // GetServer.
+  counters_.inc(for_update ? "osdb.get_server_update" : "osdb.get_server");
+  const auto mode = for_update ? actions::LockMode::ExcludeWrite : actions::LockMode::Read;
+  auto sv = co_await lock_entry(servers_, object, mode, bind_action);
   if (!sv.ok()) co_return sv.error();
-  co_return BindView{std::move(sv).value(), std::move(st).value()};
+  co_return BindView{ObjectServerDb::view_of(*sv.value()), std::move(st).value()};
 }
+
+sim::Task<Status> GroupViewDb::insert(Uid object, NodeId host, Uid action) {
+  counters_.inc("osdb.insert");
+  auto found = co_await lock_entry(servers_, object, actions::LockMode::Write, action);
+  if (!found.ok()) co_return found.error();
+  ObjectServerDb::Entry& e = *found.value();
+  // Sec 4.1.2: Insert is the recovered server node's quiescence check —
+  // holding the write lock proves no S1 client is bound (their read locks
+  // would conflict); with use lists we additionally require them empty.
+  if (use_count(e) > 0) {
+    counters_.inc("osdb.insert_not_quiescent");
+    co_return Err::NotQuiescent;
+  }
+  if (std::find(e.sv.begin(), e.sv.end(), host) != e.sv.end())
+    co_return ok_status();  // already a member: pure quiescence check
+  e.sv.push_back(host);
+  bump_epoch(object, kSvPart);
+  push_undo(action, object, kSvPart, [this, object, host] {
+    auto eit = servers_.entries.find(object);
+    if (eit == servers_.entries.end()) return;
+    auto& sv = eit->second.sv;
+    sv.erase(std::remove(sv.begin(), sv.end(), host), sv.end());
+    bump_epoch(object, kSvPart);
+  });
+  co_return ok_status();
+}
+
+sim::Task<Status> GroupViewDb::remove(Uid object, NodeId host, Uid action) {
+  counters_.inc("osdb.remove");
+  auto found = co_await lock_entry(servers_, object, actions::LockMode::Write, action);
+  if (!found.ok()) co_return found.error();
+  ObjectServerDb::Entry& e = *found.value();
+  auto pos = std::find(e.sv.begin(), e.sv.end(), host);
+  if (pos == e.sv.end()) co_return ok_status();  // idempotent
+  const std::size_t index = static_cast<std::size_t>(pos - e.sv.begin());
+  e.sv.erase(pos);
+  std::map<NodeId, Tokens> saved_use;
+  if (auto uit = e.use.find(host); uit != e.use.end()) {
+    saved_use = std::move(uit->second);
+    e.use.erase(uit);
+  }
+  bump_epoch(object, kSvPart);
+  push_undo(action, object, kSvPart, [this, object, host, index, saved_use] {
+    auto eit = servers_.entries.find(object);
+    if (eit == servers_.entries.end()) return;
+    auto& sv = eit->second.sv;
+    sv.insert(sv.begin() + static_cast<long>(std::min(index, sv.size())), host);
+    for (const auto& [client, tokens] : saved_use)
+      restore_tokens(eit->second.use[host][client], tokens);
+    bump_epoch(object, kSvPart);
+  });
+  co_return ok_status();
+}
+
+Status GroupViewDb::increment(Uid object, NodeId client, std::vector<NodeId> hosts, Uid token) {
+  counters_.inc("osdb.increment");
+  auto it = servers_.entries.find(object);
+  if (it == servers_.entries.end()) return Err::NotFound;
+  ObjectServerDb::Entry& e = it->second;
+  // A resend of an Increment that already committed: the token says so.
+  for (NodeId host : hosts) {
+    const Tokens* tokens = slot(e, host, client);
+    if (tokens != nullptr && has_token(*tokens, token)) {
+      counters_.inc("osdb.increment_resent");
+      return ok_status();
+    }
+  }
+  // The bind action's update lock pins the view it read; without it the
+  // action is gone from this incarnation and so are its Removes.
+  if (!locks_.holds(ObjectServerDb::lock_name(object), token, actions::LockMode::ExcludeWrite)) {
+    counters_.inc("osdb.increment_refused");
+    return Err::Aborted;
+  }
+  for (NodeId host : hosts) e.use[host][client].push_back(token);
+  core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
+  commit_now(token, object, kSvPart);
+  return ok_status();
+}
+
+sim::Task<Status> GroupViewDb::decrement(NodeId client, std::vector<UseRelease> bindings) {
+  for (const UseRelease& b : bindings) {
+    counters_.inc("osdb.decrement");
+    if (!servers_.known(b.object)) continue;
+    if (locks_.holds(ObjectServerDb::lock_name(b.object), b.token, actions::LockMode::Read)) {
+      // The bind action itself is still live here (its client gave up on
+      // the Increment): end it, so a late Increment finds nothing to commit.
+      counters_.inc("osdb.decrement_ended_bind");
+      (void)co_await abort(b.token);
+    }
+    const Uid local = local_actions_.next();
+    auto found = co_await lock_entry(servers_, b.object, actions::LockMode::Write, local);
+    if (!found.ok()) co_return found.error();  // the caller resends; done bindings are absent then
+    ObjectServerDb::Entry& e = *found.value();
+    bool removed = false;
+    for (NodeId host : b.servers) {
+      Tokens* tokens = slot(e, host, client);
+      if (tokens == nullptr || !has_token(*tokens, b.token)) continue;
+      std::erase(*tokens, b.token);
+      if (tokens->empty()) e.use[host].erase(client);
+      removed = true;
+    }
+    if (removed)
+      persist(b.object, kSvPart);
+    else
+      counters_.inc("osdb.decrement_absent");
+    core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
+    locks_.release_all(local);
+  }
+  co_return ok_status();
+}
+
+sim::Task<Result<std::uint32_t>> GroupViewDb::purge_client(NodeId client, Uid action) {
+  std::uint32_t purged = 0;
+  // Snapshot the affected objects first; we lock and edit one at a time.
+  std::vector<Uid> affected;
+  for (const auto& [object, e] : servers_.entries) {
+    for (const auto& [server, clients] : e.use) {
+      auto cit = clients.find(client);
+      if (cit != clients.end() && !cit->second.empty()) {
+        affected.push_back(object);
+        break;
+      }
+    }
+  }
+  for (const Uid& object : affected) {
+    Status lk = co_await locks_.acquire(ObjectServerDb::lock_name(object),
+                                        actions::LockMode::Write, action, cfg_.lock_wait);
+    if (!lk.ok()) continue;  // skip contended entries; janitor will retry
+    auto eit = servers_.entries.find(object);
+    if (eit == servers_.entries.end()) continue;
+    for (auto& [server, clients] : eit->second.use) {
+      auto cit = clients.find(client);
+      if (cit == clients.end()) continue;
+      Tokens tokens = std::move(cit->second);
+      clients.erase(cit);
+      purged += static_cast<std::uint32_t>(tokens.size());
+      push_undo(action, object, kSvPart, [this, object, server = server, client, tokens] {
+        auto rit = servers_.entries.find(object);
+        if (rit != servers_.entries.end())
+          restore_tokens(rit->second.use[server][client], tokens);
+      });
+    }
+  }
+  counters_.inc("osdb.purged_entries", purged);
+  co_return purged;
+}
+
+// ----------------------------------------- the Object State table (ostdb)
+
+sim::Task<Result<StView>> GroupViewDb::get_view(Uid object, Uid action) {
+  counters_.inc("ostdb.get_view");
+  auto found = co_await lock_entry(states_, object, actions::LockMode::Read, action);
+  if (!found.ok()) co_return found.error();
+  co_return StView{found.value()->st, found.value()->epoch};
+}
+
+sim::Task<Status> GroupViewDb::exclude(std::vector<ExcludeItem> items, Uid action) {
+  counters_.inc("ostdb.exclude");
+  auto span = core::trace_span(trace_, "ostdb.exclude", node_.id(), "naming",
+                               std::to_string(items.size()) + " items by " + action.to_string());
+  const sim::SimTime t_batch = node_.sim().now();
+  const actions::LockMode mode = policy_ == ExcludePolicy::ExcludeWriteLock
+                                     ? actions::LockMode::ExcludeWrite
+                                     : actions::LockMode::Write;
+  for (const ExcludeItem& item : items) {
+    if (!states_.known(item.object)) co_return Err::NotFound;
+    // Sec 4.2.1: the caller usually already holds a read lock from
+    // GetView; this is the promotion the exclude-write type exists for.
+    Status lk = co_await locks_.promote(ObjectStateDb::lock_name(item.object), mode, action,
+                                        cfg_.lock_wait);
+    if (!lk.ok()) {
+      counters_.inc("ostdb.exclude_lock_refused");
+      (void)orphans_.trigger();
+      co_return lk.error();
+    }
+    auto it = states_.entries.find(item.object);
+    if (it == states_.entries.end()) co_return Err::NotFound;
+    ObjectStateDb::Entry& e = it->second;
+    std::vector<NodeId> removed;
+    for (NodeId host : item.nodes) {
+      auto pos = std::find(e.st.begin(), e.st.end(), host);
+      if (pos != e.st.end()) {
+        e.st.erase(pos);
+        removed.push_back(host);
+      }
+    }
+    if (!removed.empty()) {
+      counters_.inc("ostdb.excluded_nodes", removed.size());
+      core::metric_gauge(metrics_, "naming.st_size", static_cast<double>(e.st.size()));
+      bump_epoch(item.object, kStPart);
+      for (NodeId host : removed) {
+        GV_LOG(LogLevel::Debug, node_.sim().now(), "ostdb", "exclude %u from %s by %s", host,
+               item.object.to_string().c_str(), action.to_string().c_str());
+        core::trace_instant(trace_, "ostdb.excluded", node_.id(), "naming",
+                            "node " + std::to_string(host) + " from " + item.object.to_string());
+      }
+      push_undo(action, item.object, kStPart, [this, object = item.object, removed, action] {
+        auto eit = states_.entries.find(object);
+        if (eit == states_.entries.end()) return;
+        for (NodeId host : removed) {
+          GV_LOG(LogLevel::Debug, node_.sim().now(), "ostdb",
+                 "UNDO exclude: re-add %u to %s (action %s)", host, object.to_string().c_str(),
+                 action.to_string().c_str());
+          eit->second.st.push_back(host);
+        }
+        bump_epoch(object, kStPart);
+      });
+    }
+  }
+  core::metric_record(metrics_, "naming.exclude_batch_us",
+                      static_cast<double>(node_.sim().now() - t_batch));
+  span.end("ok");
+  co_return ok_status();
+}
+
+sim::Task<Status> GroupViewDb::include(Uid object, NodeId host, Uid action) {
+  counters_.inc("ostdb.include");
+  auto found = co_await lock_entry(states_, object, actions::LockMode::Write, action);
+  if (!found.ok()) co_return found.error();
+  ObjectStateDb::Entry& e = *found.value();
+  if (std::find(e.st.begin(), e.st.end(), host) != e.st.end()) co_return ok_status();
+  GV_LOG(LogLevel::Debug, node_.sim().now(), "ostdb", "include %u into %s by %s", host,
+         object.to_string().c_str(), action.to_string().c_str());
+  core::trace_instant(trace_, "ostdb.included", node_.id(), "naming",
+                      "node " + std::to_string(host) + " into " + object.to_string());
+  e.st.push_back(host);
+  core::metric_gauge(metrics_, "naming.st_size", static_cast<double>(e.st.size()));
+  bump_epoch(object, kStPart);
+  push_undo(action, object, kStPart, [this, object, host] {
+    auto eit = states_.entries.find(object);
+    if (eit == states_.entries.end()) return;
+    auto& st = eit->second.st;
+    st.erase(std::remove(st.begin(), st.end(), host), st.end());
+    bump_epoch(object, kStPart);
+  });
+  co_return ok_status();
+}
+
+// ------------------------------------------------ the cache service (gvdb)
 
 void GroupViewDb::note_invalidation(const Uid& object) {
   auto it = std::find(recent_bumps_.begin(), recent_bumps_.end(), object);
@@ -97,8 +544,6 @@ const Buffer& GroupViewDb::piggyback_blob() {
   }
   return piggyback_;
 }
-
-// ---------------------------------------------------------------- RPC glue
 
 Result<GetViewsReply> GroupViewDb::get_views(const std::vector<Uid>& objects) {
   counters_.inc("gvdb.get_views");
@@ -127,17 +572,54 @@ sim::Task<Status> GroupViewDb::validate(NodeId from, Uid action, std::uint64_t i
   }
   note_activity(action, from);
   for (const ValidateItem& item : items) {
-    Status s = co_await servers_.validate_epoch(item.object, item.sv_epoch, action);
+    Status s = co_await check_epoch(servers_, item.object, item.sv_epoch, action);
     if (!s.ok()) co_return s;
-    s = co_await states_.validate_epoch(item.object, item.st_epoch, action);
+    s = co_await check_epoch(states_, item.object, item.st_epoch, action);
     if (!s.ok()) co_return s;
   }
   co_return ok_status();
 }
 
+// --------------------------------------------------------------- RPC glue
+
 void GroupViewDb::register_rpc(rpc::RpcEndpoint& endpoint) {
-  servers_.register_rpc(endpoint);
-  states_.register_rpc(endpoint);
+  endpoint.serve(kOsdbInsert, [this](NodeId from, Uid object, NodeId host, Uid action) {
+    note_activity(action, from);
+    return insert(object, host, action);
+  });
+  endpoint.serve(kOsdbRemove, [this](NodeId from, Uid object, NodeId host, Uid action) {
+    note_activity(action, from);
+    return remove(object, host, action);
+  });
+  // Increment and Decrement end or need no action here, so neither
+  // records activity: a refused or resent call must not leave an owner.
+  endpoint.serve(kOsdbIncrement,
+                 [this](NodeId, Uid object, NodeId client, std::vector<NodeId> hosts, Uid token) {
+                   return increment(object, client, std::move(hosts), token);
+                 });
+  endpoint.serve(kOsdbDecrement, [this](NodeId, NodeId client, std::vector<UseRelease> bindings) {
+    return decrement(client, std::move(bindings));
+  });
+  endpoint.serve(kOsdbPurgeClient, [this](NodeId from, NodeId client, Uid action) {
+    note_activity(action, from);
+    return purge_client(client, action);
+  });
+  endpoint.serve(kOstdbGetView, [this](NodeId from, Uid object, Uid action) {
+    note_activity(action, from);
+    return get_view(object, action);
+  });
+  endpoint.serve(kOstdbExclude, [this](NodeId from, std::vector<ExcludeItem> items, Uid action) {
+    note_activity(action, from);
+    return exclude(std::move(items), action);
+  });
+  endpoint.serve(kOstdbPeek, [this](NodeId, Uid object) -> Result<std::vector<NodeId>> {
+    if (!states_.known(object)) return Err::NotFound;
+    return states_.peek(object);
+  });
+  endpoint.serve(kOstdbInclude, [this](NodeId from, Uid object, NodeId host, Uid action) {
+    note_activity(action, from);
+    return include(object, host, action);
+  });
   endpoint.serve(kOsdbBindRead, [this](NodeId from, Uid object, Uid client_action,
                                        Uid bind_action, bool for_update) {
     return bind_read(from, object, client_action, bind_action, for_update);

@@ -1,46 +1,67 @@
-// The group view database.
+// The group view database (sec 4, sec 5).
 //
 // "The two databases have been implemented as a single Arjuna object,
 // referred to as the group view database." (sec 5). GroupViewDb is that
-// object: one 2PC participant ("gvdb" in its node's TxnRegistry) with one
-// undo log, one lock table, one orphan sweep and one stable record per
-// object. Its two tables — the Object Server table (Sv and use lists,
+// object, and the one place that runs actions on it. It holds two plain
+// tables — the Object Server table (Sv and use lists,
 // naming/object_server_db.h) and the Object State table (St,
-// naming/object_state_db.h) — keep the paper's operations as methods and
-// their own RPC services ("osdb", "ostdb"). Each entry has two lock
-// names, "sv:" and "st:", so a binder's update lock on Sv never blocks
-// another client's GetView or validate of St. The paper assumes the
-// naming service is always available (sec 3.1); the chaos harness
-// therefore never crashes the naming node, though the database does
-// persist itself and recover correctly if it happens.
+// naming/object_state_db.h) — and performs the paper's operations on
+// them under the control of atomic actions (sec 3.1):
 //
-// Calls that span both tables:
+//  * lock-controlled: each entry has two lock names, "sv:" and "st:"
+//    (sec 4.1: "each such list is concurrency controlled independently
+//    using locks"), so a binder's update lock on Sv never blocks another
+//    client's GetView or validate of St; one LockManager supports READ /
+//    WRITE / EXCLUDE-WRITE;
+//  * transactional: it is one 2PC participant ("gvdb" in its node's
+//    TxnRegistry). Mutations apply immediately under the protecting lock
+//    and push an undo record naming the entry and the part of it that
+//    they edit; abort rolls back, nested commit re-keys undo records and
+//    locks to the parent action (Arjuna recovery-record style);
+//  * persistent: on top-level commit it rewrites, in the local
+//    ObjectStore's keyed table, the one stable record of each object the
+//    action touched, taking only the touched parts from memory; a crash
+//    reloads the table. An action that touched nothing writes nothing.
 //
-//   osdb.bind_read(object, client, bind, update)
-//                        the binder's one naming read (figs 6-8): St(A)
-//                        read-locked under the client action and Sv(A)
-//                        under the bind action (write-locked for update).
+// Services and the operations they serve:
 //
-// For the client-side group-view cache (sec 6: "caching of binding
-// information") it exports a "gvdb" service:
-//
-//   get_views(uids...)   lock-free batched snapshot of Sv(A)+St(A) with
-//                        their view epochs and this node's incarnation;
-//                        one RPC fills a whole cache prefetch.
-//   validate(items...)   commit-time staleness check: read-locks every
-//                        named entry under the committing action and
-//                        compares epochs; StaleView forces rebind.
+//   osdb   Insert, Remove, Increment, Decrement, PurgeClient (sec 4.1,
+//          4.1.3), and bind_read(object, client, bind, update): the
+//          binder's one naming read (figs 6-8) — St(A) read-locked under
+//          the client action and GetServer's Sv(A) under the bind action
+//          (write-locked for update).
+//   ostdb  GetView, Exclude, Include (sec 4.2), and a lock-free peek.
+//   gvdb   For the client-side group-view cache (sec 6: "caching of
+//          binding information"): get_views(uids...), a lock-free batched
+//          snapshot of Sv(A)+St(A) with their view epochs and this node's
+//          incarnation, and validate(items...), the commit-time staleness
+//          check that read-locks every named entry and compares epochs.
 //
 // It also feeds a small ring of recently invalidated UIDs that the RPC
 // layer piggybacks on every reply leaving this node, so client caches
-// learn of membership changes without any additional messages.
+// learn of membership changes without any additional messages. The paper
+// assumes the naming service is always available (sec 3.1); the chaos
+// harness therefore never crashes the naming node, though the database
+// does persist itself and recover correctly if it happens.
 #pragma once
 
 #include <deque>
+#include <functional>
+#include <map>
 #include <optional>
+#include <vector>
 
+#include "actions/atomic_action.h"
+#include "actions/lock_manager.h"
+#include "actions/orphan_resolver.h"
 #include "naming/object_server_db.h"
 #include "naming/object_state_db.h"
+#include "store/object_store.h"
+
+namespace gv::core {
+class TraceRecorder;
+class MetricsRegistry;
+}  // namespace gv::core
 
 namespace gv::naming {
 
@@ -49,6 +70,33 @@ inline constexpr const char* kGvdbService = "gvdb";
 // Well-known UID naming the store table that holds the per-object
 // stable records.
 inline constexpr Uid kGvdbUid{0xDBull, 1};
+
+// The parts of one entry that an edit can touch; each has its own lock,
+// so a commit persists only the parts its action edited.
+using EntryParts = std::uint8_t;
+inline constexpr EntryParts kSvPart = 1;  // ObjectServerDb's entry, lock "sv:"
+inline constexpr EntryParts kStPart = 2;  // ObjectStateDb's entry, lock "st:"
+
+struct NamingConfig {
+  // How long a database operation waits for an entry lock before giving
+  // up with LockRefused (the caller's action then aborts). Kept below the
+  // RPC call timeout so the caller learns the precise reason.
+  sim::SimTime lock_wait = 30 * sim::kMillisecond;
+};
+
+// Exclude is the paper's subtle case (sec 4.2.1): it happens during
+// commit processing while the committing client's server typically holds
+// only a READ lock on the entry — and other clients may share that read
+// lock. The database therefore supports two exclusion policies:
+//
+//   PromoteToWrite   — the classic scheme: promote read -> write; refused
+//                      whenever the entry is shared (the client aborts);
+//   ExcludeWriteLock — the paper's fix: promote to the type-specific
+//                      EXCLUDE-WRITE lock, compatible with readers.
+//
+// The ablation benchmark bench_ablation_exclude_lock measures the abort
+// rate difference between the two.
+enum class ExcludePolicy { ExcludeWriteLock, PromoteToWrite };
 
 // The binder's one naming read: Sv(A) with its use lists, and St(A).
 struct BindView {
@@ -96,7 +144,7 @@ inline constexpr rpc::Rpc<void(Uid, std::uint64_t, std::vector<ValidateItem>)> k
 // (object, client action, bind action, for update)
 inline constexpr rpc::Rpc<BindView(Uid, Uid, Uid, bool)> kOsdbBindRead{kOsdbService, "bind_read"};
 
-class GroupViewDb final : public NamingDbBase {
+class GroupViewDb final : public actions::ServerParticipant {
  public:
   GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEndpoint& endpoint,
               actions::TxnRegistry& txns, NamingConfig cfg = {},
@@ -106,13 +154,82 @@ class GroupViewDb final : public NamingDbBase {
   // (|Sv| and |St| cardinalities select the regimes of figs 2-5).
   void create_object(const Uid& object, std::vector<NodeId> sv, std::vector<NodeId> st);
 
-  ObjectServerDb& servers() noexcept { return servers_; }
-  ObjectStateDb& states() noexcept { return states_; }
-  NodeId node_id() const noexcept { return node_.id(); }
+  const ObjectServerDb& servers() const noexcept { return servers_; }
+  const ObjectStateDb& states() const noexcept { return states_; }
 
-  // The binder's naming read; see the header comment.
+  // ---- ServerParticipant -------------------------------------------------
+  sim::Task<actions::Vote> prepare(const Uid& txn, bool may_leave) override;
+  sim::Task<Status> commit(const Uid& txn) override;
+  sim::Task<Status> abort(const Uid& txn) override;
+  void nested_commit(const Uid& child, const Uid& parent) override;
+  void nested_abort(const Uid& child) override;
+
+  // ---- the paper's operations (local API; the RPC glue mirrors these) ---
+  // Every operation but Increment and Decrement names the atomic action
+  // it runs under; locks are owned by that action and held until it ends
+  // (or are inherited by its parent if it is nested). This is what makes
+  // scheme S1 (fig 6) hold the read lock for the whole client action
+  // while S2/S3 (figs 7, 8) — which pass a short independent top-level
+  // action — release it immediately.
+
+  // The binder's naming read: GetView(A) under `client_action`, then
+  // GetServer(A) under `bind_action`. `for_update` takes Sv's update lock
+  // instead of a read lock: the enhanced schemes (figs 7/8) always follow
+  // GetServer with Increment/Remove, and taking the update lock up front
+  // avoids the promotion deadlock two concurrent binders would otherwise
+  // create (both sharing read locks, both refused promotion). The update
+  // lock is EXCLUDE-WRITE, as for Exclude (sec 4.2.1): exclusive among
+  // updaters, but compatible with readers, so a binder never blocks a
+  // validate; its Remove still promotes to WRITE.
   sim::Task<Result<BindView>> bind_read(NodeId from, Uid object, Uid client_action,
                                         Uid bind_action, bool for_update);
+  // Insert doubles as the recovered server node's quiescence check.
+  sim::Task<Status> insert(Uid object, NodeId host, Uid action);
+  sim::Task<Status> remove(Uid object, NodeId host, Uid action);
+  // Increment: record binding `token` for `client` on every host's use
+  // list, then commit the bind action `token` here, together with any
+  // Removes it made: the binder's action ends in this call (DESIGN.md
+  // §15). The action must still hold the entry's update lock (GetServer
+  // for update); one this incarnation no longer holds — aborted, swept as
+  // an orphan, lost in a crash — is refused with Aborted and nothing
+  // changes. A resend whose token is already recorded answers OK.
+  Status increment(Uid object, NodeId client, std::vector<NodeId> hosts, Uid token);
+  // Decrement: drop each named binding of `client` from its use lists
+  // and persist the entry, under a local action of its own (no client
+  // action). A token that is absent, or an unknown object, is skipped. If
+  // a bind action is still live here it is rolled back first, so its late
+  // Increment is refused.
+  sim::Task<Status> decrement(NodeId client, std::vector<UseRelease> bindings);
+  // Cleanup hook for the janitor (sec 4.1.3: "failure detection and
+  // cleanup protocols will be required"): drop every use-list entry of a
+  // crashed client, across all objects. Runs under `action`; returns the
+  // number of bindings dropped.
+  sim::Task<Result<std::uint32_t>> purge_client(NodeId client, Uid action);
+  sim::Task<Result<StView>> get_view(Uid object, Uid action);
+  sim::Task<Status> exclude(std::vector<ExcludeItem> items, Uid action);
+  sim::Task<Status> include(Uid object, NodeId host, Uid action);
+
+  actions::LockManager& locks() noexcept { return locks_; }
+  Counters& counters() noexcept { return counters_; }
+  NamingConfig& config() noexcept { return cfg_; }
+
+  // Attach the System's observability sinks (both nullable).
+  void set_obs(core::TraceRecorder* trace, core::MetricsRegistry* metrics) noexcept {
+    trace_ = trace;
+    metrics_ = metrics;
+  }
+
+  // Number of actions with live undo records (diagnostics).
+  std::size_t active_actions() const noexcept { return undo_.size(); }
+
+  // Record that `action`, owned by a client on `owner`, touched this
+  // database (called by the RPC glue; drives orphan detection).
+  void note_activity(const Uid& action, NodeId owner);
+
+  // Abort every action whose owner is dead or that aged out. Returns the
+  // number of orphans aborted. Normally triggered automatically by lock
+  // contention; public for tests.
+  sim::Task<std::uint32_t> sweep_orphans() { return orphans_.sweep(); }
 
   // The reply-piggyback blob: current incarnation plus the current epochs
   // of recently bumped entries. Empty when nothing changed recently.
@@ -121,19 +238,73 @@ class GroupViewDb final : public NamingDbBase {
   const Buffer& piggyback_blob();
 
  private:
-  friend class ObjectServerDb;
-  friend class ObjectStateDb;
+  struct Undo {
+    Uid entry;        // the entry `fn` restores; persisted if the action commits
+    EntryParts part;  // the part of it `fn` restores
+    std::function<void()> fn;
+  };
 
-  void persist(const Uid& object, EntryParts parts) override;
-  void load_entries(const std::map<Uid, Buffer>& records) override;
+  // Orphan cleanup (sec 4.1.3: "failure detection and cleanup protocols
+  // will be required"): an action whose client node no longer answers
+  // pings, or that has been idle longer than this, is presumed dead and
+  // aborted locally (rollback + lock release). Without it a client that
+  // crashes mid-action wedges the entry locks it held forever. Sweeps
+  // are event-driven: each refused lock wait triggers one.
+  static constexpr sim::SimTime kOrphanActionAge = 3 * sim::kSecond;
+
+  void push_undo(const Uid& txn, const Uid& entry, EntryParts part, std::function<void()> fn) {
+    undo_[txn].push_back(Undo{entry, part, std::move(fn)});
+  }
+  void rollback(const Uid& txn);
+  // Commit `txn` here and now: persist the parts of each entry it touched
+  // (and `also_parts` of `also`, unless nil), release its locks and
+  // forget it. commit() is this; a single-site action ends through it
+  // directly.
+  void commit_now(const Uid& txn, const Uid& also = Uid{}, EntryParts also_parts = 0);
+  // Find `object`'s entry in `table`, lock it in `mode` for `action`
+  // (waiting at most the configured lock wait) and find it again: a
+  // crash recovery may reload the table while the action waits. A refusal
+  // is counted under the table's "lock_refused" and triggers an orphan
+  // sweep: the holder may be an action whose client is gone.
+  template <class Table>
+  sim::Task<Result<typename Table::Entry*>> lock_entry(Table& table, Uid object,
+                                                       actions::LockMode mode, Uid action);
+  // Read-lock `object`'s entry in `table` under `action` and compare the
+  // caller's cached epoch against the current one. Ok = still current
+  // (and the lock now pins it until the action ends); StaleView = the
+  // caller must rebind.
+  template <class Table>
+  sim::Task<Status> check_epoch(Table& table, Uid object, std::uint64_t epoch, Uid action);
+  // Advance the view epoch of `object`'s `part` and queue the object for
+  // the reply piggyback. Every edit of Sv or St and every rollback of one
+  // bumps: a dirty bump was observable, so an epoch is never reused.
+  void bump_epoch(const Uid& object, EntryParts part);
+  // Rewrite `object`'s stable record with `parts` taken from memory and
+  // the other parts as last committed. Entries are never deleted, so it
+  // is only asked for existing ones.
+  void persist(const Uid& object, EntryParts parts);
+  // Replace every entry with the stable records (crash recovery).
+  void load_entries(const std::map<Uid, Buffer>& records);
   void note_invalidation(const Uid& object);
   void register_rpc(rpc::RpcEndpoint& endpoint);
   Result<GetViewsReply> get_views(const std::vector<Uid>& objects);
   sim::Task<Status> validate(NodeId from, Uid action, std::uint64_t incarnation,
                              std::vector<ValidateItem> items);
 
+  sim::Node& node_;
+  store::ObjectStore& store_;
+  NamingConfig cfg_;
+  ExcludePolicy policy_;
+  actions::LockManager locks_;
+  std::map<Uid, std::vector<Undo>> undo_;
+  Counters counters_;
+  actions::OrphanResolver orphans_;
+  core::TraceRecorder* trace_ = nullptr;
+  core::MetricsRegistry* metrics_ = nullptr;
   ObjectServerDb servers_;
   ObjectStateDb states_;
+  // Owners of the locks Decrement takes, one fresh UID per binding.
+  UidGenerator local_actions_;
   // Recently bumped UIDs, most recent last, deduplicated, bounded.
   std::deque<Uid> recent_bumps_;
   // piggyback_blob()'s bytes, valid while !piggyback_stale_ and the node

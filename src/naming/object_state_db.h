@@ -1,48 +1,26 @@
 // The Object State table of the group view database (sec 4.2):
 // UID -> St(A).
 //
-// Maintains, per persistent object, the list of nodes whose object
-// stores hold a state of the object. Exported operations:
-//
-//   GetView(A)                         read; returns St(A)
-//   Exclude(<A1,nodes1>, <A2,nodes2>…) batch removal of failed stores
-//   Include(A, host)                   re-admission after recovery
-//
-// Exclude is the paper's subtle case (sec 4.2.1): it happens during
-// commit processing while the committing client's server typically holds
-// only a READ lock on the entry — and other clients may share that read
-// lock. The database therefore supports two exclusion policies:
-//
-//   PromoteToWrite   — the classic scheme: promote read -> write; refused
-//                      whenever the entry is shared (the client aborts);
-//   ExcludeWriteLock — the paper's fix: promote to the type-specific
-//                      EXCLUDE-WRITE lock, compatible with readers.
-//
-// The ablation benchmark bench_ablation_exclude_lock measures the abort
-// rate difference between the two.
-//
-// The table is not a participant of its own: its entries, locks ("st:"
-// names) and undo records belong to the GroupViewDb that owns it. St has
-// its own lock name so a binder's update lock on Sv never blocks another
-// client's GetView.
+// Holds, per persistent object, the list of nodes whose object stores
+// hold a state of the object. The table is plain state with lock-free
+// queries. The paper's operations on it (GetView, Exclude, Include) are
+// actions, so the GroupViewDb that owns the table runs them, under its
+// locks ("st:" names) and undo log; the "ostdb" service below is theirs.
+// St has its own lock name so a binder's update lock on Sv never blocks
+// another client's GetView.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "naming/db_base.h"
 #include "rpc/rpc.h"
 
 namespace gv::naming {
 
-class GroupViewDb;
+using sim::NodeId;
 
 inline constexpr const char* kOstdbService = "ostdb";
-// This table's part of an entry (its lock, undo records and record part).
-inline constexpr EntryParts kStPart = 2;
-
-enum class ExcludePolicy { ExcludeWriteLock, PromoteToWrite };
 
 // One object's exclusion request inside a batched Exclude call.
 struct ExcludeItem {
@@ -67,42 +45,29 @@ class ObjectStateDb {
     GV_WIRE_FIELDS(epoch, st)
   };
 
-  ObjectStateDb(GroupViewDb& db, ExcludePolicy policy);
-
-  bool known(const Uid& object) const { return entries_.count(object) > 0; }
-
-  sim::Task<Result<StView>> get_view(Uid object, Uid action);
-  sim::Task<Status> exclude(std::vector<ExcludeItem> items, Uid action);
-  sim::Task<Status> include(Uid object, NodeId host, Uid action);
+  bool known(const Uid& object) const { return entries.count(object) > 0; }
 
   // Direct peek for recovery daemons / assertions (no lock, no action).
   // Also exported as the lock-free "peek" RPC so a store partitioned away
   // (excluded while alive) can notice its own absence from St after the
   // partition heals and trigger re-Include without a crash/recovery cycle.
-  std::vector<NodeId> peek(const Uid& object) const;
-
-  ExcludePolicy policy() const noexcept { return policy_; }
-  void set_policy(ExcludePolicy p) noexcept { policy_ = p; }
-
-  // ---- view-epoch support (GroupViewCache) -----------------------------
-  std::uint64_t epoch_of(const Uid& object) const noexcept;
-  Result<StView> peek_view(const Uid& object) const;
-  // Read-lock the entry under `action`, then compare epochs. Ok = the
-  // cached view is still current and pinned until the action ends;
-  // StaleView = the caller must invalidate and rebind.
-  sim::Task<Status> validate_epoch(Uid object, std::uint64_t epoch, Uid action);
+  std::vector<NodeId> peek(const Uid& object) const {
+    auto it = entries.find(object);
+    return it == entries.end() ? std::vector<NodeId>{} : it->second.st;
+  }
+  std::uint64_t epoch_of(const Uid& object) const noexcept {
+    auto it = entries.find(object);
+    return it == entries.end() ? 0 : it->second.epoch;
+  }
+  Result<StView> peek_view(const Uid& object) const {
+    auto it = entries.find(object);
+    if (it == entries.end()) return Err::NotFound;
+    return StView{it->second.st, it->second.epoch};
+  }
 
   static std::string lock_name(const Uid& object) { return "st:" + object.to_string(); }
 
- private:
-  friend class GroupViewDb;
-
-  void bump_epoch(const Uid& object);
-  void register_rpc(rpc::RpcEndpoint& endpoint);
-
-  GroupViewDb& db_;
-  std::map<Uid, Entry> entries_;
-  ExcludePolicy policy_;
+  std::map<Uid, Entry> entries;
 };
 
 // The ostdb service's methods, declared once for the registration and the

@@ -551,7 +551,7 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
     }
     {  // the janitor's cleanup of client 5
       AtomicAction purge{*f.rt};
-      auto purged = co_await f.gvdb->servers().purge_client(5, purge.uid());
+      auto purged = co_await f.gvdb->purge_client(5, purge.uid());
       EXPECT_TRUE(purged.ok() && purged.value() == 2u);
       purge.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await purge.commit()).ok());
@@ -645,7 +645,7 @@ TEST(ObjectServerDb, UnbindAfterPurgeLeavesNoPhantom) {
     std::vector<NodeId> two{2};
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, token)).ok());
     AtomicAction purge{*f.rt};
-    auto purged = co_await f.gvdb->servers().purge_client(1, purge.uid());
+    auto purged = co_await f.gvdb->purge_client(1, purge.uid());
     EXPECT_TRUE(purged.ok() && purged.value() == 1u);
     purge.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await purge.commit()).ok());
@@ -666,7 +666,7 @@ TEST(ObjectServerDb, AbortedPurgeRestoresOnlyItsTokens) {
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, second)).ok());
     EXPECT_EQ(uses_of(f, f.obj, 1), 2u);
     AtomicAction purge{*f.rt};
-    auto purged = co_await f.gvdb->servers().purge_client(1, purge.uid());
+    auto purged = co_await f.gvdb->purge_client(1, purge.uid());
     EXPECT_TRUE(purged.ok() && purged.value() == 2u);
     purge.enlist({0, kGvdbService});
     (void)co_await purge.abort();

@@ -323,10 +323,10 @@ TEST(WireOracle, OsdbRecord) {
   const Uid first{7, 7}, second{7, 8};
   f.sim.spawn([](NamingFixture& f, Uid first, Uid second) -> sim::Task<> {
     // Two bind actions, each ended by its Increment.
-    EXPECT_TRUE((co_await f.gvdb->servers().get_server(f.obj, first, true)).ok());
-    EXPECT_TRUE(f.gvdb->servers().increment(f.obj, 1, {2, 3}, first).ok());
-    EXPECT_TRUE((co_await f.gvdb->servers().get_server(f.obj, second, true)).ok());
-    EXPECT_TRUE(f.gvdb->servers().increment(f.obj, 5, {2}, second).ok());
+    EXPECT_TRUE((co_await f.gvdb->bind_read(1, f.obj, first, first, true)).ok());
+    EXPECT_TRUE(f.gvdb->increment(f.obj, 1, {2, 3}, first).ok());
+    EXPECT_TRUE((co_await f.gvdb->bind_read(5, f.obj, second, second, true)).ok());
+    EXPECT_TRUE(f.gvdb->increment(f.obj, 5, {2}, second).ok());
   }(f, first, second));
   f.sim.run();
 
