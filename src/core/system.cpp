@@ -97,8 +97,10 @@ Counters ReplicaSystem::aggregate_counters() const {
   for (const auto& s : stores_) merge(const_cast<store::ObjectStore&>(*s).counters());
   for (const auto& h : hosts_)
     merge(const_cast<replication::ObjectServerHost&>(*h).counters());
-  for (const auto& r : recovery_)
+  for (const auto& r : recovery_) {
     merge(const_cast<replication::RecoveryDaemon&>(*r).counters());
+    merge(const_cast<replication::RecoveryDaemon&>(*r).runtime().counters());
+  }
   auto& gvdb = const_cast<naming::GroupViewDb&>(*gvdb_);
   merge(gvdb.counters());
   // Naming-entry lock traffic (Sv and St entries share one lock table),
@@ -106,6 +108,7 @@ Counters ReplicaSystem::aggregate_counters() const {
   // counters.
   for (const auto& [name, value] : gvdb.locks().counters().all()) out.inc("osdb." + name, value);
   merge(const_cast<naming::UseListJanitor&>(*janitor_).counters());
+  merge(const_cast<naming::UseListJanitor&>(*janitor_).runtime().counters());
   for (const auto& c : caches_) merge(const_cast<naming::GroupViewCache&>(*c).counters());
   for (const auto& s : sessions_) {
     merge(const_cast<ClientSession&>(*s).counters());

@@ -36,6 +36,8 @@ class UseListJanitor {
   sim::Task<std::uint32_t> sweep();
 
   Counters& counters() noexcept { return counters_; }
+  // The purge actions' runtime (its action.* counters join the System's).
+  actions::ActionRuntime& runtime() noexcept { return runtime_; }
 
  private:
   sim::Task<> run(std::uint64_t epoch);

@@ -345,6 +345,29 @@ TEST(Recovery, ExcludedStoreRefreshesAndRejoins) {
   EXPECT_EQ(r.value().version, 2u);
 }
 
+// The repair's actions run in the recovery daemon's own runtime; the
+// system's aggregate counts them beside the client's.
+TEST(Recovery, AggregateCountsRepairActions) {
+  Sys s;
+  Uid obj = s.sys.define_object("ctr", "counter", Counter{}.snapshot(), {2}, {3, 4},
+                                ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  s.run([](ReplicaSystem& sys, core::ClientSession* client, Uid obj) -> sim::Task<> {
+    sys.cluster().node(4).crash();
+    auto txn = client->begin();
+    (void)co_await txn->invoke(obj, "add", i64_buf(7), LockMode::Write);
+    EXPECT_TRUE((co_await txn->commit()).ok());  // node 4 excluded here
+    sys.cluster().node(4).recover();
+  }(s.sys, client, obj));
+  s.sys.sim().run();  // the repair refreshes node 4 and Includes it
+
+  const std::uint64_t by_client = client->runtime().counters().get("action.committed_top");
+  const std::uint64_t by_repair =
+      s.sys.recovery_at(4).runtime().counters().get("action.committed_top");
+  EXPECT_GE(by_repair, 1u);
+  EXPECT_EQ(s.sys.aggregate_counters().get("action.committed_top"), by_client + by_repair);
+}
+
 // A store that crashed WITHOUT missing anything validates quickly and
 // keeps serving (it is never excluded).
 TEST(Recovery, CleanCrashValidatesWithoutRefresh) {
