@@ -10,6 +10,7 @@ OrphanResolver::OrphanResolver(sim::Node& node, rpc::RpcEndpoint& endpoint, Aged
                                Apply apply, Swept swept)
     : node_(node),
       endpoint_(endpoint),
+      detector_(endpoint),
       aged_(std::move(aged)),
       apply_(std::move(apply)),
       swept_(std::move(swept)) {}
@@ -61,11 +62,7 @@ sim::Task<std::uint32_t> OrphanResolver::sweep() {
     // Unknown outcome: the action may simply still be running.
     const bool aged = aged_(node_.sim().now() - owner.last_seen);
     bool dead = false;
-    if (!aged) {
-      auto ping = co_await endpoint_.call(owner.node, "sys", "ping", Buffer{},
-                                          20 * sim::kMillisecond);
-      dead = !ping.ok();
-    }
+    if (!aged) dead = !co_await detector_.alive(owner.node);
     if (!aged && !dead) continue;
     if (!tracks(action)) continue;  // raced a phase-2 during the ping
     co_await apply_(action, aged ? Verdict::AgedOut : Verdict::OwnerDead);

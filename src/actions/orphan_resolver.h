@@ -26,6 +26,7 @@
 #include <functional>
 #include <map>
 
+#include "rpc/failure_detector.h"
 #include "rpc/rpc.h"
 #include "sim/task.h"
 #include "util/uid.h"
@@ -70,6 +71,7 @@ class OrphanResolver {
 
   sim::Node& node_;
   rpc::RpcEndpoint& endpoint_;
+  rpc::FailureDetector detector_;
   Aged aged_;
   Apply apply_;
   Swept swept_;

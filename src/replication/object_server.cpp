@@ -403,9 +403,6 @@ void ObjectServerHost::register_rpc() {
                                                   std::uint64_t version, Buffer snapshot) {
     return activate_from_snapshot(object, cls, version, std::move(snapshot));
   });
-  endpoint_.serve(kObjsrvIsActive,
-                  [this](NodeId, Uid object) -> Result<bool> { return is_active(object); });
-  endpoint_.serve(kObjsrvPassivate, [this](NodeId, Uid object) { return passivate(object); });
 }
 
 // ------------------------------------------------------------ GroupInvoker

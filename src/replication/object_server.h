@@ -202,8 +202,6 @@ inline constexpr rpc::Rpc<void(Uid, std::uint64_t)> kObjsrvMarkCommitted{kObjSrv
                                                                          "mark_committed"};
 inline constexpr rpc::Rpc<void(Uid, std::string, std::uint64_t, Buffer)> kObjsrvCohortCheckpoint{
     kObjSrvService, "cohort_checkpoint"};
-inline constexpr rpc::Rpc<bool(Uid)> kObjsrvIsActive{kObjSrvService, "is_active"};
-inline constexpr rpc::Rpc<void(Uid)> kObjsrvPassivate{kObjSrvService, "passivate"};
 
 // The group-invocation multicast: which client call it answers (the
 // invocation id and the node to reply to), the caller's trace context,
@@ -255,12 +253,6 @@ inline sim::Task<Status> objsrv_cohort_checkpoint(rpc::RpcEndpoint& ep, NodeId s
                                                   Uid object, std::string class_name,
                                                   std::uint64_t version, Buffer snapshot) {
   return ep.call(server, kObjsrvCohortCheckpoint, object, class_name, version, snapshot);
-}
-inline sim::Task<Result<bool>> objsrv_is_active(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
-  return ep.call(server, kObjsrvIsActive, object);
-}
-inline sim::Task<Status> objsrv_passivate(rpc::RpcEndpoint& ep, NodeId server, Uid object) {
-  return ep.call(server, kObjsrvPassivate, object);
 }
 
 // ----------------------------------------------------------- GroupInvoker
