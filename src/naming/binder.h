@@ -89,6 +89,13 @@ class Binder {
   // Times the binder sends its Increment while every reply is lost.
   static constexpr int kIncrementAttempts = 3;
 
+  // Probe `candidates` in order until `want` answer Ok; each Dead one is
+  // counted under `dead_counter`, each Busy one under
+  // bind.busy_server_skipped. The cached bind probes through this too.
+  sim::Task<BindResult> probe_servers(const std::vector<NodeId>& candidates, std::size_t want,
+                                      const std::vector<NodeId>& st, Probe& probe,
+                                      const char* dead_counter);
+
   Scheme scheme() const noexcept { return scheme_; }
   Counters& counters() noexcept { return counters_; }
 
@@ -97,10 +104,6 @@ class Binder {
                                               actions::AtomicAction& client_action, Probe& probe);
   sim::Task<Result<BindResult>> bind_enhanced(Uid object, std::size_t want,
                                               actions::AtomicAction& client_action, Probe& probe);
-  // Probe `candidates` in order until `want` answer Ok.
-  sim::Task<BindResult> probe_servers(const std::vector<NodeId>& candidates, std::size_t want,
-                                      const std::vector<NodeId>& st, Probe& probe,
-                                      const char* dead_counter);
 
   actions::ActionRuntime& rt_;
   NodeId naming_node_;

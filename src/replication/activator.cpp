@@ -48,6 +48,9 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
                   : core::TraceRecorder::Span{};
   const std::size_t want =
       spec.policy == ReplicationPolicy::SingleCopyPassive ? 1 : spec.servers_wanted;
+  naming::Binder::Probe prober = [this, &spec](NodeId node, std::vector<NodeId> st) {
+    return probe(spec, node, std::move(st));
+  };
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto entry = co_await cache_->get_or_fetch(spec.uid);
     if (!entry.ok()) {
@@ -60,18 +63,8 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
     // same fixed selection every scheme uses). No Remove/Increment: a
     // retired candidate costs a failed probe here and an epoch mismatch
     // at commit, not a naming write.
-    naming::BindResult bound;
-    bound.scheme = binder_.scheme();
-    for (NodeId node : entry.value().sv) {
-      if (bound.servers.size() >= want) break;
-      const naming::ProbeResult r = co_await probe(spec, node, entry.value().st);
-      if (r == naming::ProbeResult::Ok) {
-        bound.servers.push_back(node);
-      } else if (r == naming::ProbeResult::Dead) {
-        bound.failed.push_back(node);
-        counters_.inc("activate.cached_probe_failure");
-      }
-    }
+    naming::BindResult bound = co_await binder_.probe_servers(
+        entry.value().sv, want, entry.value().st, prober, "activate.cached_probe_failure");
     if (bound.servers.empty()) {
       // Every cached candidate refused — the view is probably stale.
       // Drop it and refetch once before giving up.
