@@ -187,56 +187,35 @@ sim::Task<bool> RecoveryDaemon::repair_store_object(const Uid& object) {
       counters_.inc("recovery.include_refused");
       co_return false;  // stays suspect; retried on the next pass
     }
-
-    PeerScan scan = co_await scan_peers(object, st_nodes);
-    if (scan.pending) {
-      (void)co_await act.abort();
-      counters_.inc("recovery.pending_commit_wait");
-      co_return false;
-    }
-    if (scan.node == sim::kNoNode) {
-      // Nobody reachable holds a current state: we cannot prove our copy
-      // is the latest. Abort the Include and stay suspect.
-      (void)co_await act.abort();
-      counters_.inc("recovery.no_peer");
-      co_return false;
-    }
-    if (scan.version > store_.version(object).value_or(0)) {
-      auto latest = co_await store::ObjectStore::remote_read(endpoint_, scan.node, object);
-      if (!latest.ok()) {
-        (void)co_await act.abort();
-        counters_.inc("recovery.refresh_failed");
-        co_return false;
-      }
-      (void)store_.write_direct(object, latest.value().version,
-                                std::move(latest.value().state));
-      counters_.inc("recovery.refreshed");
-      refreshed = true;
-    }
-    counters_.inc("recovery.included");
-  } else {
-    // Still a member: any in-flight commit's copy set includes us (its
-    // GetView read the entry with us present), so we only need to catch
-    // up on anything committed while we were down.
-    PeerScan scan = co_await scan_peers(object, st_nodes);
-    if (scan.pending) {
-      (void)co_await act.abort();
-      counters_.inc("recovery.pending_commit_wait");
-      co_return false;
-    }
-    if (scan.node != sim::kNoNode && scan.version > store_.version(object).value_or(0)) {
-      auto latest = co_await store::ObjectStore::remote_read(endpoint_, scan.node, object);
-      if (!latest.ok()) {
-        (void)co_await act.abort();
-        counters_.inc("recovery.refresh_failed");
-        co_return false;
-      }
-      (void)store_.write_direct(object, latest.value().version,
-                                std::move(latest.value().state));
-      counters_.inc("recovery.refreshed");
-      refreshed = true;
-    }
   }
+  // A member needs only to catch up on anything committed while it was
+  // down: any in-flight commit's copy set includes it (its GetView read
+  // the entry with it present).
+  PeerScan scan = co_await scan_peers(object, st_nodes);
+  if (scan.pending) {
+    (void)co_await act.abort();
+    counters_.inc("recovery.pending_commit_wait");
+    co_return false;
+  }
+  if (!member && scan.node == sim::kNoNode) {
+    // Nobody reachable holds a current state: we cannot prove our copy
+    // is the latest. Abort the Include and stay suspect.
+    (void)co_await act.abort();
+    counters_.inc("recovery.no_peer");
+    co_return false;
+  }
+  if (scan.node != sim::kNoNode && scan.version > store_.version(object).value_or(0)) {
+    auto latest = co_await store::ObjectStore::remote_read(endpoint_, scan.node, object);
+    if (!latest.ok()) {
+      (void)co_await act.abort();
+      counters_.inc("recovery.refresh_failed");
+      co_return false;
+    }
+    (void)store_.write_direct(object, latest.value().version, std::move(latest.value().state));
+    counters_.inc("recovery.refreshed");
+    refreshed = true;
+  }
+  if (!member) counters_.inc("recovery.included");
 
   Status committed = co_await act.commit();
   if (!committed.ok()) {
