@@ -47,6 +47,13 @@ std::uint64_t use_count(const ObjectServerDb::Entry& e) {
 template <class Table>
 constexpr bool kIsSv = std::is_same_v<Table, ObjectServerDb>;
 
+// The view epoch of `object`'s entry in `table`, or nullptr if unknown.
+template <class Table>
+std::uint64_t* epoch_slot(Table& table, const Uid& object) {
+  auto it = table.entries.find(object);
+  return it == table.entries.end() ? nullptr : &it->second.epoch;
+}
+
 }  // namespace
 
 GroupViewDb::GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEndpoint& endpoint,
@@ -249,13 +256,7 @@ sim::Task<Status> GroupViewDb::check_epoch(Table& table, Uid object, std::uint64
 
 void GroupViewDb::bump_epoch(const Uid& object, EntryParts part) {
   const bool sv = part == kSvPart;
-  std::uint64_t* epoch = nullptr;
-  if (sv) {
-    if (auto it = servers_.entries.find(object); it != servers_.entries.end())
-      epoch = &it->second.epoch;
-  } else if (auto it = states_.entries.find(object); it != states_.entries.end()) {
-    epoch = &it->second.epoch;
-  }
+  std::uint64_t* epoch = sv ? epoch_slot(servers_, object) : epoch_slot(states_, object);
   if (epoch == nullptr) return;
   ++*epoch;
   counters_.inc(sv ? "osdb.epoch_bump" : "ostdb.epoch_bump");
