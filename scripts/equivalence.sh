@@ -5,14 +5,17 @@
 #   - the replay corpus (scripts/replay_corpus.sh, 360 cells);
 #   - the full 750-cell campaign summary, classic;
 #   - the full 750-cell campaign summary, --cache;
-#   - the --smoke --metrics-out JSONL.
+#   - the --smoke --metrics-out JSONL;
+#   - the --json-out files of the five figure and ablation benches that
+#     CI gates (bench_fig6/7/8, bench_ablation_view_cache,
+#     bench_ablation_read_optimisation).
 #
 #   scripts/equivalence.sh BASE_REF [WORKDIR]
 #
 # Commit the change first: HEAD is built as committed, so uncommitted
 # edits are not compared. WORKDIR (default: a fresh temporary directory)
 # keeps both builds and their outputs. JOBS sets the build parallelism
-# (default 4). Exits 0 if all four outputs match, 1 on any difference,
+# (default 4). Exits 0 if all nine outputs match, 1 on any difference,
 # 2 on bad usage or a failed build.
 set -euo pipefail
 
@@ -27,20 +30,32 @@ work=${2:-$(mktemp -d)}
 jobs=${JOBS:-4}
 mkdir -p "$work"
 
-# build NAME REF: export REF into WORKDIR/NAME-src and build gv_campaign.
+# The benches CI runs with --json-out, each with the name of its file.
+benches=(
+  "bench_fig6_standard_actions BENCH_fig6.json"
+  "bench_fig7_independent_toplevel BENCH_fig7.json"
+  "bench_fig8_nested_toplevel BENCH_fig8.json"
+  "bench_ablation_view_cache BENCH_ablation_view_cache.json"
+  "bench_ablation_read_optimisation BENCH_ablation_read_optimisation.json"
+)
+targets=(gv_campaign)
+for b in "${benches[@]}"; do targets+=("${b%% *}"); done
+
+# build NAME REF: export REF into WORKDIR/NAME-src and build gv_campaign
+# and the benches.
 build() {
   local src="$work/$1-src" out="$work/$1-build"
   rm -rf "$src"
   mkdir -p "$src"
   git -C "$repo" archive "$2" | tar -x -C "$src"
   cmake -S "$src" -B "$out" -DCMAKE_BUILD_TYPE=Release > "$work/$1-build.log" 2>&1 &&
-    cmake --build "$out" --target gv_campaign -j "$jobs" >> "$work/$1-build.log" 2>&1 || {
+    cmake --build "$out" --target "${targets[@]}" -j "$jobs" >> "$work/$1-build.log" 2>&1 || {
     echo "$1 ($2) failed to build; see $work/$1-build.log" >&2
     exit 2
   }
 }
 
-# outputs NAME: write the four outputs of NAME's build into WORKDIR/NAME-out.
+# outputs NAME: write the nine outputs of NAME's build into WORKDIR/NAME-out.
 # A campaign with violations exits 1; its output is still compared.
 outputs() {
   local campaign="$work/$1-build/bench/gv_campaign" out="$work/$1-out"
@@ -49,6 +64,9 @@ outputs() {
   "$campaign" > "$out/campaign.txt" 2>&1 || true
   "$campaign" --cache > "$out/campaign_cache.txt" 2>&1 || true
   "$campaign" --smoke --metrics-out "$out/smoke.jsonl" > /dev/null 2>&1 || true
+  for b in "${benches[@]}"; do
+    "$work/$1-build/bench/${b%% *}" --json-out="$out/${b##* }" > /dev/null 2>&1 || true
+  done
 }
 
 echo "base ${base:0:12}, head ${head:0:12}, in $work"
@@ -58,7 +76,9 @@ outputs base
 outputs head
 
 status=0
-for f in corpus.txt campaign.txt campaign_cache.txt smoke.jsonl; do
+files=(corpus.txt campaign.txt campaign_cache.txt smoke.jsonl)
+for b in "${benches[@]}"; do files+=("${b##* }"); done
+for f in "${files[@]}"; do
   if cmp -s "$work/base-out/$f" "$work/head-out/$f"; then
     echo "same     $f"
   else
