@@ -34,140 +34,107 @@ bool LockManager::grantable(const Entry& e, const Uid& owner, LockMode mode,
   return true;
 }
 
+void LockManager::note(const Uid& owner, const std::string& resource) {
+  auto& resources = owned_[owner];
+  if (std::find(resources.begin(), resources.end(), resource) == resources.end())
+    resources.push_back(resource);
+}
+
+void LockManager::grant(Entry& e, const std::string& resource, const Uid& owner, LockMode mode,
+                        bool promotion) {
+  auto holder = promotion ? std::find_if(e.holders.begin(), e.holders.end(),
+                                         [&](const Holder& h) { return h.owner == owner; })
+                          : e.holders.end();
+  if (holder != e.holders.end())
+    holder->mode = mode;
+  else
+    e.holders.push_back({owner, mode});
+  note(owner, resource);
+  GV_LOG(LogLevel::Trace, sim_.now(), "lock", "%s %s %s to %s", promotion ? "promote" : "grant",
+         to_string(mode), resource.c_str(), owner.to_string().c_str());
+}
+
+LockManager::Waiters::iterator LockManager::finish(Entry& e, Waiters::iterator w, Status s) {
+  auto p = w->promise;
+  sim_.cancel(w->timer_id);
+  auto next = e.waiters.erase(w);
+  p.set_value(s);
+  return next;
+}
+
 sim::Task<Status> LockManager::acquire(std::string resource, LockMode mode, Uid owner,
                                        sim::SimTime timeout, std::vector<Uid> ancestors) {
   Entry& e = table_[resource];
-
-  // Re-entrancy / implicit promotion.
-  for (Holder& h : e.holders) {
-    if (h.owner == owner) {
-      if (stronger_or_equal(h.mode, mode)) {
-        counters_.inc("lock.reentrant");
-        co_return ok_status();
-      }
-      co_return co_await promote(std::move(resource), mode, owner, timeout);
-    }
-  }
-
-  // FIFO fairness: even a compatible request queues behind earlier
-  // waiters, preventing reader streams from starving writers.
-  if (e.waiters.empty() && grantable(e, owner, mode, ancestors)) {
-    e.holders.push_back({owner, mode});
-    counters_.inc("lock.granted_immediate");
-    GV_LOG(LogLevel::Trace, sim_.now(), "lock", "grant %s %s to %s", to_string(mode),
-           resource.c_str(), owner.to_string().c_str());
+  auto held = std::find_if(e.holders.begin(), e.holders.end(),
+                           [&](const Holder& h) { return h.owner == owner; });
+  const bool promotion = held != e.holders.end();
+  if (promotion && stronger_or_equal(held->mode, mode)) {
+    counters_.inc("lock.reentrant");
     co_return ok_status();
   }
-  counters_.inc("lock.conflict_wait");
-  co_return co_await enqueue(std::move(resource), mode, owner, /*is_promotion=*/false, timeout,
-                             std::move(ancestors));
-}
-
-sim::Task<Status> LockManager::promote(std::string resource, LockMode to, Uid owner,
-                                       sim::SimTime timeout) {
-  Entry& e = table_[resource];
-  auto it = std::find_if(e.holders.begin(), e.holders.end(),
-                         [&](const Holder& h) { return h.owner == owner; });
-  if (it == e.holders.end()) {
-    // Not holding anything: promote degenerates to acquire.
-    co_return co_await acquire(std::move(resource), to, owner, timeout);
-  }
-  if (stronger_or_equal(it->mode, to)) co_return ok_status();
-
-  if (grantable(e, owner, to, {})) {
-    it->mode = to;
-    counters_.inc(to == LockMode::ExcludeWrite ? "lock.promoted_ew" : "lock.promoted");
-    GV_LOG(LogLevel::Trace, sim_.now(), "lock", "promote %s %s to %s", to_string(to),
-           resource.c_str(), owner.to_string().c_str());
+  // A promotion conflicts with every other holder, its family included.
+  // A new request queues behind earlier waiters even when compatible
+  // (FIFO fairness: reader streams cannot starve writers); a promotion
+  // waits in the same queue, tagged so pump() upgrades it first.
+  if (promotion) ancestors.clear();
+  if ((promotion || e.waiters.empty()) && grantable(e, owner, mode, ancestors)) {
+    counters_.inc(!promotion                         ? "lock.granted_immediate"
+                  : mode == LockMode::ExcludeWrite ? "lock.promoted_ew"
+                                                     : "lock.promoted");
+    grant(e, resource, owner, mode, promotion);
     co_return ok_status();
   }
-  // Promotions wait at the FRONT conceptually; we still use the shared
-  // queue but tag the waiter so pump() can upgrade in place.
-  counters_.inc("lock.promotion_wait");
-  co_return co_await enqueue(std::move(resource), to, owner, /*is_promotion=*/true, timeout, {});
-}
-
-sim::Task<Status> LockManager::enqueue(std::string resource, LockMode mode, Uid owner,
-                                       bool is_promotion, sim::SimTime timeout,
-                                       std::vector<Uid> ancestors) {
-  Entry& e = table_[resource];
+  counters_.inc(promotion ? "lock.promotion_wait" : "lock.conflict_wait");
   sim::SimPromise<Status> promise{sim_};
   auto future = promise.future();
   const std::uint64_t timer = sim_.schedule(timeout, [this, resource, owner, mode] {
-    auto tit = table_.find(resource);
-    if (tit == table_.end()) return;
-    auto& waiters = tit->second.waiters;
-    for (auto wit = waiters.begin(); wit != waiters.end(); ++wit) {
-      if (wit->owner == owner && wit->mode == mode) {
-        auto p = wit->promise;
-        waiters.erase(wit);
-        counters_.inc("lock.refused_timeout");
-        p.set_value(Err::LockRefused);
-        return;
-      }
+    Entry& e = table_.at(resource);  // the waiter is still queued: finish() stops this timer
+    auto mine = [&](const auto& x) { return x.owner == owner; };
+    auto wit = std::find_if(e.waiters.begin(), e.waiters.end(),
+                            [&](const Waiter& w) { return mine(w) && w.mode == mode; });
+    counters_.inc("lock.refused_timeout");
+    finish(e, wit, Err::LockRefused);
+    // Unindex the resource unless the owner still holds it (a promotion
+    // that timed out) or has another request queued on it.
+    if (std::none_of(e.holders.begin(), e.holders.end(), mine) &&
+        std::none_of(e.waiters.begin(), e.waiters.end(), mine)) {
+      auto oit = owned_.find(owner);
+      std::erase(oit->second, resource);
+      if (oit->second.empty()) owned_.erase(oit);
     }
   });
-  e.waiters.push_back(Waiter{owner, mode, is_promotion, std::move(ancestors), promise, timer});
+  e.waiters.push_back(Waiter{owner, mode, promotion, std::move(ancestors), promise, timer});
+  note(owner, resource);
   co_return co_await future;
+}
+
+void LockManager::cancel_waits(Entry& e, const Uid& owner) {
+  for (auto wit = e.waiters.begin(); wit != e.waiters.end();) {
+    if (wit->owner != owner) {
+      ++wit;
+      continue;
+    }
+    counters_.inc("lock.cancelled");
+    wit = finish(e, wit, Err::Aborted);
+  }
 }
 
 void LockManager::pump(const std::string& resource) {
   auto tit = table_.find(resource);
   if (tit == table_.end()) return;
   Entry& e = tit->second;
-
-  bool progressed = true;
-  while (progressed && !e.waiters.empty()) {
-    progressed = false;
-    // Promotions first (they already hold the resource and block others).
-    for (auto wit = e.waiters.begin(); wit != e.waiters.end(); ++wit) {
-      if (!wit->is_promotion) continue;
-      if (!grantable(e, wit->owner, wit->mode, wit->ancestors)) continue;
-      auto holder = std::find_if(e.holders.begin(), e.holders.end(),
-                                 [&](const Holder& h) { return h.owner == wit->owner; });
-      if (holder != e.holders.end())
-        holder->mode = wit->mode;
-      else
-        e.holders.push_back({wit->owner, wit->mode});
-      auto p = wit->promise;
-      GV_LOG(LogLevel::Trace, sim_.now(), "lock", "promote %s %s to %s", to_string(wit->mode),
-             resource.c_str(), wit->owner.to_string().c_str());
-      sim_.cancel(wit->timer_id);
-      e.waiters.erase(wit);
-      p.set_value(ok_status());
-      progressed = true;
-      break;
-    }
-    if (progressed) continue;
-
-    // Then the FIFO head (and any immediately following compatible ones).
-    Waiter& head = e.waiters.front();
-    if (grantable(e, head.owner, head.mode, head.ancestors)) {
-      e.holders.push_back({head.owner, head.mode});
-      auto p = head.promise;
-      GV_LOG(LogLevel::Trace, sim_.now(), "lock", "grant %s %s to %s", to_string(head.mode),
-             resource.c_str(), head.owner.to_string().c_str());
-      sim_.cancel(head.timer_id);
-      e.waiters.pop_front();
-      p.set_value(ok_status());
-      progressed = true;
-    }
+  auto ready = [&](const Waiter& w) { return grantable(e, w.owner, w.mode, w.ancestors); };
+  while (!e.waiters.empty()) {
+    // Promotions first (they already hold the resource and block
+    // others), then the FIFO head.
+    auto next = std::find_if(e.waiters.begin(), e.waiters.end(),
+                             [&](const Waiter& w) { return w.is_promotion && ready(w); });
+    if (next == e.waiters.end()) next = e.waiters.begin();
+    if (!ready(*next)) break;
+    grant(e, resource, next->owner, next->mode, next->is_promotion);
+    finish(e, next, ok_status());
   }
   if (e.holders.empty() && e.waiters.empty()) table_.erase(tit);
-}
-
-void LockManager::release(const std::string& resource, const Uid& owner) {
-  auto tit = table_.find(resource);
-  if (tit == table_.end()) return;
-  auto& holders = tit->second.holders;
-  const std::size_t before = holders.size();
-  holders.erase(std::remove_if(holders.begin(), holders.end(),
-                               [&](const Holder& h) { return h.owner == owner; }),
-                holders.end());
-  if (holders.size() != before)
-    GV_LOG(LogLevel::Trace, sim_.now(), "lock", "release %s by %s", resource.c_str(),
-           owner.to_string().c_str());
-  pump(resource);
 }
 
 void LockManager::reset() {
@@ -175,52 +142,53 @@ void LockManager::reset() {
   for (auto& [res, e] : table_)
     for (auto& w : e.waiters) sim_.cancel(w.timer_id);
   table_.clear();
+  owned_.clear();
 }
 
 void LockManager::release_all(const Uid& owner) {
-  // Collect first: pump() may erase empty entries.
-  std::vector<std::string> touched;
-  for (auto& [res, e] : table_) {
-    for (const Holder& h : e.holders) {
-      if (h.owner == owner) {
-        touched.push_back(res);
-        break;
-      }
-    }
+  auto index = owned_.extract(owner);
+  if (index.empty()) return;
+  for (const std::string& res : index.mapped()) {
+    Entry& e = table_.at(res);  // indexed: the entry exists
+    cancel_waits(e, owner);
+    if (std::erase_if(e.holders, [&](const Holder& h) { return h.owner == owner; }) > 0)
+      GV_LOG(LogLevel::Trace, sim_.now(), "lock", "release %s by %s", res.c_str(),
+             owner.to_string().c_str());
+    pump(res);
   }
-  for (const auto& res : touched) release(res, owner);
 }
 
 void LockManager::transfer(const Uid& child, const Uid& parent) {
-  for (auto& [res, e] : table_) {
-    Holder* parent_holder = nullptr;
-    Holder* child_holder = nullptr;
-    for (Holder& h : e.holders) {
-      if (h.owner == parent) parent_holder = &h;
-      if (h.owner == child) child_holder = &h;
+  auto index = owned_.extract(child);
+  if (index.empty()) return;
+  auto of = [](const Uid& u) { return [u](const Holder& h) { return h.owner == u; }; };
+  for (const std::string& res : index.mapped()) {
+    Entry& e = table_.at(res);  // indexed: the entry exists
+    cancel_waits(e, child);
+    auto child_holder = std::find_if(e.holders.begin(), e.holders.end(), of(child));
+    if (child_holder != e.holders.end()) {
+      GV_LOG(LogLevel::Trace, sim_.now(), "lock", "transfer %s %s -> %s", res.c_str(),
+             child.to_string().c_str(), parent.to_string().c_str());
+      auto parent_holder = std::find_if(e.holders.begin(), e.holders.end(), of(parent));
+      if (parent_holder == e.holders.end()) {
+        child_holder->owner = parent;
+      } else {
+        if (!stronger_or_equal(parent_holder->mode, child_holder->mode))
+          parent_holder->mode = child_holder->mode;
+        std::erase_if(e.holders, of(child));
+      }
+      note(parent, res);
     }
-    if (!child_holder) continue;
-    GV_LOG(LogLevel::Trace, sim_.now(), "lock", "transfer %s %s -> %s", res.c_str(),
-           child.to_string().c_str(), parent.to_string().c_str());
-    if (parent_holder) {
-      if (!stronger_or_equal(parent_holder->mode, child_holder->mode))
-        parent_holder->mode = child_holder->mode;
-      auto& holders = e.holders;
-      holders.erase(std::remove_if(holders.begin(), holders.end(),
-                                   [&](const Holder& h) { return h.owner == child; }),
-                    holders.end());
-    } else {
-      child_holder->owner = parent;
-    }
+    pump(res);  // a cancelled wait, or a holder now of the waiters' family, may unblock some
   }
 }
 
 bool LockManager::holds(const std::string& resource, const Uid& owner, LockMode at_least) const {
   auto tit = table_.find(resource);
-  if (tit == table_.end()) return false;
-  for (const Holder& h : tit->second.holders)
-    if (h.owner == owner && stronger_or_equal(h.mode, at_least)) return true;
-  return false;
+  return tit != table_.end() &&
+         std::any_of(tit->second.holders.begin(), tit->second.holders.end(), [&](const Holder& h) {
+           return h.owner == owner && stronger_or_equal(h.mode, at_least);
+         });
 }
 
 std::size_t LockManager::holder_count(const std::string& resource) const {
@@ -230,10 +198,9 @@ std::size_t LockManager::holder_count(const std::string& resource) const {
 
 bool LockManager::held_for_update(const std::string& resource) const {
   auto tit = table_.find(resource);
-  if (tit == table_.end()) return false;
-  for (const Holder& h : tit->second.holders)
-    if (h.mode != LockMode::Read) return true;
-  return false;
+  return tit != table_.end() &&
+         std::any_of(tit->second.holders.begin(), tit->second.holders.end(),
+                     [](const Holder& h) { return h.mode != LockMode::Read; });
 }
 
 }  // namespace gv::actions

@@ -15,6 +15,13 @@
 // Conflicting requests wait in FIFO order up to a timeout; a timeout
 // yields LockRefused and the caller's action is expected to abort —
 // this doubles as the deadlock-resolution mechanism.
+//
+// Each owner has an index of the resources it holds or waits on, in the
+// order it first asked for each. Ending an owner walks only that index:
+// release_all releases in that order (so waiters on its resources resume
+// in the owner's acquisition order, whatever the table's layout), and
+// first ends the owner's own queued requests with Aborted — an action
+// that has ended must never be granted a lock it waited for.
 #pragma once
 
 #include <cstdint>
@@ -50,9 +57,12 @@ class LockManager {
 
   static constexpr sim::SimTime kDefaultTimeout = 100 * sim::kMillisecond;
 
-  // Acquire `mode` on `resource` for action `owner`. Re-entrant: if the
-  // owner already holds an equal-or-stronger mode this is a no-op; if it
-  // holds a weaker mode this is a promotion (same rules as promote()).
+  // Acquire `mode` on `resource` for action `owner`, waiting (FIFO) up
+  // to `timeout`. Re-entrant: if the owner already holds an
+  // equal-or-stronger mode this is a no-op; if it holds a weaker mode
+  // this is a promotion, which succeeds iff no OTHER holder conflicts
+  // with `mode`: Read->ExcludeWrite succeeds alongside other readers;
+  // Read->Write does not.
   //
   // `ancestors` (optional) are the owner's enclosing actions: Arjuna lock
   // inheritance lets a nested action acquire a lock its ancestor holds —
@@ -61,23 +71,19 @@ class LockManager {
                             sim::SimTime timeout = kDefaultTimeout,
                             std::vector<Uid> ancestors = {});
 
-  // Promote the owner's existing lock to `to`. Succeeds iff no OTHER
-  // holder conflicts with `to`. Read->ExcludeWrite succeeds alongside
-  // other readers; Read->Write does not. Waits (FIFO) up to timeout.
-  sim::Task<Status> promote(std::string resource, LockMode to, Uid owner,
-                            sim::SimTime timeout = kDefaultTimeout);
-
-  // Release all locks held by `owner` (action end), waking waiters.
+  // End `owner` (action end): in the owner's acquisition order, resolve
+  // each of its queued requests with Aborted and release each lock it
+  // holds, waking the waiters behind.
   void release_all(const Uid& owner);
 
   // Drop every lock and waiter (node crash: lock state is volatile).
   void reset();
 
-  // Release the owner's lock on a single resource.
-  void release(const std::string& resource, const Uid& owner);
-
   // Nested-action commit: every lock held by `child` becomes held by
-  // `parent` (merging modes: parent keeps the stronger).
+  // `parent` (merging modes: parent keeps the stronger). A resource the
+  // parent already holds keeps its place in the parent's order; the
+  // child's others follow the parent's, in the child's order. The
+  // child's queued requests end with Aborted, as in release_all.
   void transfer(const Uid& child, const Uid& parent);
 
   bool holds(const std::string& resource, const Uid& owner, LockMode at_least) const;
@@ -104,20 +110,32 @@ class LockManager {
     sim::SimPromise<Status> promise;
     std::uint64_t timer_id;
   };
+  using Waiters = std::deque<Waiter>;
   struct Entry {
     std::vector<Holder> holders;
-    std::deque<Waiter> waiters;
+    Waiters waiters;
   };
 
   static bool stronger_or_equal(LockMode a, LockMode b) noexcept;
   bool grantable(const Entry& e, const Uid& owner, LockMode mode,
                  const std::vector<Uid>& ancestors) const;
+  // Give `owner` `mode` on `resource`, index it and log it: a promotion
+  // raises the owner's holder, a grant adds one.
+  void grant(Entry& e, const std::string& resource, const Uid& owner, LockMode mode,
+             bool promotion);
+  // Index `resource` under `owner` unless it is there already.
+  void note(const Uid& owner, const std::string& resource);
+  // Dequeue `w`, stop its timer and resolve it with `s`; the next waiter.
+  Waiters::iterator finish(Entry& e, Waiters::iterator w, Status s);
+  // Resolve every request `owner` has queued on `e` with Aborted.
+  void cancel_waits(Entry& e, const Uid& owner);
   void pump(const std::string& resource);  // grant eligible waiters
-  sim::Task<Status> enqueue(std::string resource, LockMode mode, Uid owner, bool is_promotion,
-                            sim::SimTime timeout, std::vector<Uid> ancestors);
 
   sim::Simulator& sim_;
   std::unordered_map<std::string, Entry> table_;
+  // owner -> the resources it holds or waits on, in the order it first
+  // asked for each.
+  std::unordered_map<Uid, std::vector<std::string>> owned_;
   Counters counters_;
 };
 

@@ -231,6 +231,7 @@ sim::Task<Result<typename Table::Entry*>> GroupViewDb::lock_entry(Table& table, 
                                                                   Uid action) {
   if (!table.known(object)) co_return Err::NotFound;
   Status lk = co_await locks_.acquire(Table::lock_name(object), mode, action, cfg_.lock_wait);
+  if (lk.error() == Err::Aborted) co_return Err::Aborted;  // the action ended while it waited
   if (!lk.ok()) {
     counters_.inc(kIsSv<Table> ? "osdb.lock_refused" : "ostdb.lock_refused");
     (void)orphans_.trigger();
@@ -406,12 +407,10 @@ sim::Task<Result<std::uint32_t>> GroupViewDb::purge_client(NodeId client, Uid ac
     }
   }
   for (const Uid& object : affected) {
-    Status lk = co_await locks_.acquire(ObjectServerDb::lock_name(object),
-                                        actions::LockMode::Write, action, cfg_.lock_wait);
-    if (!lk.ok()) continue;  // skip contended entries; janitor will retry
-    auto eit = servers_.entries.find(object);
-    if (eit == servers_.entries.end()) continue;
-    for (auto& [server, clients] : eit->second.use) {
+    auto found = co_await lock_entry(servers_, object, actions::LockMode::Write, action);
+    if (found.error() == Err::Aborted) co_return Err::Aborted;
+    if (!found.ok()) continue;  // skip contended entries; janitor will retry
+    for (auto& [server, clients] : found.value()->use) {
       auto cit = clients.find(client);
       if (cit == clients.end()) continue;
       Tokens tokens = std::move(cit->second);
@@ -446,19 +445,11 @@ sim::Task<Status> GroupViewDb::exclude(std::vector<ExcludeItem> items, Uid actio
                                      ? actions::LockMode::ExcludeWrite
                                      : actions::LockMode::Write;
   for (const ExcludeItem& item : items) {
-    if (!states_.known(item.object)) co_return Err::NotFound;
     // Sec 4.2.1: the caller usually already holds a read lock from
     // GetView; this is the promotion the exclude-write type exists for.
-    Status lk = co_await locks_.promote(ObjectStateDb::lock_name(item.object), mode, action,
-                                        cfg_.lock_wait);
-    if (!lk.ok()) {
-      counters_.inc("ostdb.exclude_lock_refused");
-      (void)orphans_.trigger();
-      co_return lk.error();
-    }
-    auto it = states_.entries.find(item.object);
-    if (it == states_.entries.end()) co_return Err::NotFound;
-    ObjectStateDb::Entry& e = it->second;
+    auto found = co_await lock_entry(states_, item.object, mode, action);
+    if (!found.ok()) co_return found.error();
+    ObjectStateDb::Entry& e = *found.value();
     std::vector<NodeId> removed;
     for (NodeId host : item.nodes) {
       auto pos = std::find(e.st.begin(), e.st.end(), host);

@@ -265,7 +265,8 @@ class GroupViewDb final : public actions::ServerParticipant {
   // (waiting at most the configured lock wait) and find it again: a
   // crash recovery may reload the table while the action waits. A refusal
   // is counted under the table's "lock_refused" and triggers an orphan
-  // sweep: the holder may be an action whose client is gone.
+  // sweep: the holder may be an action whose client is gone. A wait the
+  // action's own end cancelled answers Aborted, and is neither.
   template <class Table>
   sim::Task<Result<typename Table::Entry*>> lock_entry(Table& table, Uid object,
                                                        actions::LockMode mode, Uid action);

@@ -112,6 +112,7 @@ sim::Task<Result<Buffer>> ObjectServerHost::invoke(Uid object, Uid action,
   if (owner != sim::kNoNode) orphans_.note(action, owner);
   Status lk = co_await locks_.acquire(lock_name(object), mode, action, kInvokeLockWait,
                                       std::move(ancestors));
+  if (lk.error() == Err::Aborted) co_return Err::Aborted;  // the action ended while it waited
   if (!lk.ok()) {
     counters_.inc("objsrv.lock_refused");
     // The holder may be an action whose phase-2 never reached this node;
@@ -120,9 +121,9 @@ sim::Task<Result<Buffer>> ObjectServerHost::invoke(Uid object, Uid action,
     co_return lk.error();
   }
   // Re-check after the wait: the object may have been passivated, or the
-  // action terminated while we were queued for the lock.
+  // action ended between the grant and this resumption (ending it
+  // released the lock).
   if (terminated_.get(action) != 0) {
-    locks_.release(lock_name(object), action);
     counters_.inc("objsrv.refused_dead_action");
     co_return Err::Aborted;
   }

@@ -18,9 +18,8 @@
 #pragma once
 
 #include <map>
+#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "actions/atomic_action.h"
@@ -184,8 +183,9 @@ class ObjectStore {
   StoreFaultConfig faults_;
   Rng fault_rng_{0xFA017};
 
-  // VOLATILE: rebuilt on recovery.
-  std::unordered_set<Uid> suspects_;
+  // VOLATILE: rebuilt on recovery. Ordered, so recovery repairs objects
+  // in UID order.
+  std::set<Uid> suspects_;
 
   Counters counters_;
 };

@@ -32,7 +32,7 @@ struct Fixture {
     Status out = Err::Timeout;
     sim.spawn([](LockManager& lm, std::string res, LockMode m, Uid owner,
                  Status& out) -> sim::Task<> {
-      out = co_await lm.promote(std::move(res), m, owner);
+      out = co_await lm.acquire(std::move(res), m, owner);
     }(lm, res, m, owner, out));
     sim.run();
     return out;
@@ -166,7 +166,7 @@ TEST(LockManager, PromotionWaitsForReaderToLeave) {
   f.sim.spawn([](Fixture& f, Status& promo) -> sim::Task<> {
     (void)co_await f.lm.acquire("r", LockMode::Read, f.a);
     (void)co_await f.lm.acquire("r", LockMode::Read, f.b);
-    promo = co_await f.lm.promote("r", LockMode::Write, f.a, 300 * kMillisecond);
+    promo = co_await f.lm.acquire("r", LockMode::Write, f.a, 300 * kMillisecond);
   }(f, promo));
   f.sim.schedule(20 * kMillisecond, [&] { f.lm.release_all(f.b); });
   f.sim.run();
@@ -207,6 +207,97 @@ TEST(LockManager, ReleaseAllWakesWaitersAcrossResources) {
   f.sim.run();
   EXPECT_TRUE(s1.ok());
   EXPECT_TRUE(s2.ok());
+}
+
+// Ending an action ends its waits (ROADMAP item 15): a request queued by
+// an action that has since ended resolves with Aborted and is never
+// granted, so the lock is left to no one.
+TEST(LockManager, ReleaseAllEndsTheOwnersQueuedRequests) {
+  Fixture f;
+  EXPECT_TRUE(f.acquire_now("r", LockMode::Write, f.a).ok());
+  Status got = Err::None;
+  f.sim.spawn([](Fixture& f, Status& got) -> sim::Task<> {
+    got = co_await f.lm.acquire("r", LockMode::Write, f.b, 100 * kMillisecond);
+  }(f, got));
+  f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(f.b); });
+  f.sim.schedule(20 * kMillisecond, [&] { f.lm.release_all(f.a); });
+  f.sim.run();
+  EXPECT_EQ(got.error(), Err::Aborted);
+  EXPECT_FALSE(f.lm.holds("r", f.b, LockMode::Read));
+  EXPECT_EQ(f.lm.holder_count("r"), 0u);
+  EXPECT_EQ(f.lm.table_depth(), 0u);
+}
+
+// A cancelled request at the head of the queue no longer blocks the
+// compatible request behind it.
+TEST(LockManager, CancelledRequestUnblocksTheQueueBehindIt) {
+  Fixture f;
+  EXPECT_TRUE(f.acquire_now("r", LockMode::Read, f.a).ok());
+  Status writer = Err::None, reader = Err::None;
+  sim::SimTime reader_at = 0;
+  f.sim.spawn([](Fixture& f, Status& s) -> sim::Task<> {
+    s = co_await f.lm.acquire("r", LockMode::Write, f.b, 300 * kMillisecond);
+  }(f, writer));
+  f.sim.spawn([](Fixture& f, Status& s, sim::SimTime& at) -> sim::Task<> {
+    s = co_await f.lm.acquire("r", LockMode::Read, f.c, 300 * kMillisecond);
+    at = f.sim.now();
+  }(f, reader, reader_at));
+  f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(f.b); });
+  f.sim.run();
+  EXPECT_EQ(writer.error(), Err::Aborted);
+  EXPECT_TRUE(reader.ok());
+  EXPECT_EQ(reader_at, 10 * kMillisecond);
+  EXPECT_TRUE(f.lm.holds("r", f.c, LockMode::Read));
+}
+
+// Wait on `res` for `owner` and record the resource once granted.
+sim::Task<> wait_for(Fixture& f, std::string res, Uid owner, std::vector<std::string>& resumed) {
+  Status s = co_await f.lm.acquire(res, LockMode::Write, owner, 300 * kMillisecond);
+  if (s.ok()) resumed.push_back(res);
+}
+
+// release_all releases in the owner's acquisition order, whatever the
+// table's layout: the waiters resume in that order. "k2" comes before
+// "k1" in the table's hash order.
+TEST(LockManager, ReleaseAllResumesWaitersInAcquisitionOrder) {
+  Fixture f;
+  EXPECT_TRUE(f.acquire_now("k1", LockMode::Write, f.a).ok());
+  EXPECT_TRUE(f.acquire_now("k2", LockMode::Write, f.a).ok());
+  std::vector<std::string> resumed;
+  f.sim.spawn(wait_for(f, std::string{"k2"}, f.c, resumed));
+  f.sim.spawn(wait_for(f, std::string{"k1"}, f.b, resumed));
+  f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(f.a); });
+  f.sim.run();
+  EXPECT_EQ(resumed, (std::vector<std::string>{"k1", "k2"}));
+}
+
+// transfer keeps the parent's place for a resource both hold and puts
+// the child's other resources after the parent's, in the child's order.
+TEST(LockManager, TransferKeepsTheParentsOrderThenTheChilds) {
+  Fixture f;
+  const Uid parent{9, 1}, child{9, 2};
+  EXPECT_TRUE(f.acquire_now("p1", LockMode::Read, parent).ok());
+  EXPECT_TRUE(f.acquire_now("p2", LockMode::Read, parent).ok());
+  Status shared = Err::None;
+  f.sim.spawn([](Fixture& f, Uid parent, Uid child, Status& shared) -> sim::Task<> {
+    std::vector<Uid> family{parent};
+    (void)co_await f.lm.acquire("c1", LockMode::Write, child);
+    shared = co_await f.lm.acquire("p2", LockMode::Write, child, LockManager::kDefaultTimeout,
+                                   family);
+    (void)co_await f.lm.acquire("c0", LockMode::Write, child);
+  }(f, parent, child, shared));
+  f.sim.run();
+  ASSERT_TRUE(shared.ok());
+  f.lm.transfer(child, parent);
+  EXPECT_TRUE(f.lm.holds("p2", parent, LockMode::Write));
+  EXPECT_EQ(f.lm.holder_count("p2"), 1u);
+  std::vector<std::string> resumed;
+  const std::vector<std::string> order{"c0", "c1", "p2", "p1"};
+  for (std::size_t i = 0; i < order.size(); ++i)
+    f.sim.spawn(wait_for(f, order[i], Uid{8, i + 1}, resumed));
+  f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(parent); });
+  f.sim.run();
+  EXPECT_EQ(resumed, (std::vector<std::string>{"p1", "p2", "c1", "c0"}));
 }
 
 TEST(LockManager, TimeoutResolvesDeadlock) {

@@ -747,6 +747,31 @@ TEST(ObjectServerDb, DecrementEndsALiveBindAction) {
   EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
 }
 
+// An abort that overtakes its action's own queued Insert ends the wait
+// (ROADMAP item 15): the Insert answers Aborted, changes nothing and
+// leaves the entry unlocked, and no refusal is counted.
+TEST(ObjectServerDb, AbortEndsTheActionsQueuedInsert) {
+  Fixture f;
+  Status inserted = Err::None;
+  f.run([](Fixture& f, Status& inserted) -> sim::Task<> {
+    AtomicAction holder{*f.rt};
+    EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 3, holder.uid())).ok());
+    holder.enlist({0, kGvdbService});
+    AtomicAction late{*f.rt};
+    late.enlist({0, kGvdbService});
+    f.sim.spawn([](Fixture& f, Uid late, Status& inserted) -> sim::Task<> {
+      inserted = co_await osdb_insert(f.rt->endpoint(), 0, f.obj, 5, late);
+    }(f, late.uid(), inserted));
+    co_await f.sim.sleep(5 * sim::kMillisecond);
+    (void)co_await late.abort();
+    (void)co_await holder.abort();
+  }(f, inserted));
+  EXPECT_EQ(inserted.error(), Err::Aborted);
+  EXPECT_EQ(f.gvdb->locks().holder_count("sv:" + f.obj.to_string()), 0u);
+  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
+  EXPECT_EQ(f.gvdb->counters().get("osdb.lock_refused"), 0u);
+}
+
 // ----------------------------------------------------------- Janitor
 
 TEST(UseListJanitor, PurgesCrashedClientsEntries) {
