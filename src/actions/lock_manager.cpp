@@ -15,6 +15,11 @@ const char* to_string(LockMode m) noexcept {
   return "?";
 }
 
+std::string to_string(const LockKey& key) {
+  static constexpr const char* kPrefix[] = {"obj:", "sv:", "st:"};
+  return kPrefix[key.part] + key.object.to_string();
+}
+
 bool LockManager::stronger_or_equal(LockMode a, LockMode b) noexcept {
   if (a == b) return true;
   if (a == LockMode::Write) return true;           // Write dominates all
@@ -34,13 +39,13 @@ bool LockManager::grantable(const Entry& e, const Uid& owner, LockMode mode,
   return true;
 }
 
-void LockManager::note(const Uid& owner, const std::string& resource) {
-  auto& resources = owned_[owner];
-  if (std::find(resources.begin(), resources.end(), resource) == resources.end())
-    resources.push_back(resource);
+void LockManager::note(const Uid& owner, const LockKey& key) {
+  auto& keys = owned_[owner];
+  if (std::find(keys.begin(), keys.end(), key) == keys.end())
+    keys.push_back(key);
 }
 
-void LockManager::grant(Entry& e, const std::string& resource, const Uid& owner, LockMode mode,
+void LockManager::grant(Entry& e, const LockKey& key, const Uid& owner, LockMode mode,
                         bool promotion) {
   auto holder = promotion ? std::find_if(e.holders.begin(), e.holders.end(),
                                          [&](const Holder& h) { return h.owner == owner; })
@@ -49,9 +54,9 @@ void LockManager::grant(Entry& e, const std::string& resource, const Uid& owner,
     holder->mode = mode;
   else
     e.holders.push_back({owner, mode});
-  note(owner, resource);
+  note(owner, key);
   GV_LOG(LogLevel::Trace, sim_.now(), "lock", "%s %s %s to %s", promotion ? "promote" : "grant",
-         to_string(mode), resource.c_str(), owner.to_string().c_str());
+         to_string(mode), to_string(key).c_str(), owner.to_string().c_str());
 }
 
 LockManager::Waiters::iterator LockManager::finish(Entry& e, Waiters::iterator w, Status s) {
@@ -62,9 +67,9 @@ LockManager::Waiters::iterator LockManager::finish(Entry& e, Waiters::iterator w
   return next;
 }
 
-sim::Task<Status> LockManager::acquire(std::string resource, LockMode mode, Uid owner,
+sim::Task<Status> LockManager::acquire(LockKey key, LockMode mode, Uid owner,
                                        sim::SimTime timeout, std::vector<Uid> ancestors) {
-  Entry& e = table_[resource];
+  Entry& e = table_[key];
   auto held = std::find_if(e.holders.begin(), e.holders.end(),
                            [&](const Holder& h) { return h.owner == owner; });
   const bool promotion = held != e.holders.end();
@@ -81,14 +86,14 @@ sim::Task<Status> LockManager::acquire(std::string resource, LockMode mode, Uid 
     counters_.inc(!promotion                         ? "lock.granted_immediate"
                   : mode == LockMode::ExcludeWrite ? "lock.promoted_ew"
                                                      : "lock.promoted");
-    grant(e, resource, owner, mode, promotion);
+    grant(e, key, owner, mode, promotion);
     co_return ok_status();
   }
   counters_.inc(promotion ? "lock.promotion_wait" : "lock.conflict_wait");
   sim::SimPromise<Status> promise{sim_};
   auto future = promise.future();
-  const std::uint64_t timer = sim_.schedule(timeout, [this, resource, owner, mode] {
-    Entry& e = table_.at(resource);  // the waiter is still queued: finish() stops this timer
+  const std::uint64_t timer = sim_.schedule(timeout, [this, key, owner, mode] {
+    Entry& e = table_.at(key);  // the waiter is still queued: finish() stops this timer
     auto mine = [&](const auto& x) { return x.owner == owner; };
     auto wit = std::find_if(e.waiters.begin(), e.waiters.end(),
                             [&](const Waiter& w) { return mine(w) && w.mode == mode; });
@@ -99,12 +104,12 @@ sim::Task<Status> LockManager::acquire(std::string resource, LockMode mode, Uid 
     if (std::none_of(e.holders.begin(), e.holders.end(), mine) &&
         std::none_of(e.waiters.begin(), e.waiters.end(), mine)) {
       auto oit = owned_.find(owner);
-      std::erase(oit->second, resource);
+      std::erase(oit->second, key);
       if (oit->second.empty()) owned_.erase(oit);
     }
   });
   e.waiters.push_back(Waiter{owner, mode, promotion, std::move(ancestors), promise, timer});
-  note(owner, resource);
+  note(owner, key);
   co_return co_await future;
 }
 
@@ -119,8 +124,8 @@ void LockManager::cancel_waits(Entry& e, const Uid& owner) {
   }
 }
 
-void LockManager::pump(const std::string& resource) {
-  auto tit = table_.find(resource);
+void LockManager::pump(const LockKey& key) {
+  auto tit = table_.find(key);
   if (tit == table_.end()) return;
   Entry& e = tit->second;
   auto ready = [&](const Waiter& w) { return grantable(e, w.owner, w.mode, w.ancestors); };
@@ -131,7 +136,7 @@ void LockManager::pump(const std::string& resource) {
                              [&](const Waiter& w) { return w.is_promotion && ready(w); });
     if (next == e.waiters.end()) next = e.waiters.begin();
     if (!ready(*next)) break;
-    grant(e, resource, next->owner, next->mode, next->is_promotion);
+    grant(e, key, next->owner, next->mode, next->is_promotion);
     finish(e, next, ok_status());
   }
   if (e.holders.empty() && e.waiters.empty()) table_.erase(tit);
@@ -139,7 +144,7 @@ void LockManager::pump(const std::string& resource) {
 
 void LockManager::reset() {
   // Cancel pending timeout timers so their lambdas become no-ops.
-  for (auto& [res, e] : table_)
+  for (auto& [key, e] : table_)
     for (auto& w : e.waiters) sim_.cancel(w.timer_id);
   table_.clear();
   owned_.clear();
@@ -148,13 +153,13 @@ void LockManager::reset() {
 void LockManager::release_all(const Uid& owner) {
   auto index = owned_.extract(owner);
   if (index.empty()) return;
-  for (const std::string& res : index.mapped()) {
-    Entry& e = table_.at(res);  // indexed: the entry exists
+  for (const LockKey& key : index.mapped()) {
+    Entry& e = table_.at(key);  // indexed: the entry exists
     cancel_waits(e, owner);
     if (std::erase_if(e.holders, [&](const Holder& h) { return h.owner == owner; }) > 0)
-      GV_LOG(LogLevel::Trace, sim_.now(), "lock", "release %s by %s", res.c_str(),
+      GV_LOG(LogLevel::Trace, sim_.now(), "lock", "release %s by %s", to_string(key).c_str(),
              owner.to_string().c_str());
-    pump(res);
+    pump(key);
   }
 }
 
@@ -162,12 +167,12 @@ void LockManager::transfer(const Uid& child, const Uid& parent) {
   auto index = owned_.extract(child);
   if (index.empty()) return;
   auto of = [](const Uid& u) { return [u](const Holder& h) { return h.owner == u; }; };
-  for (const std::string& res : index.mapped()) {
-    Entry& e = table_.at(res);  // indexed: the entry exists
+  for (const LockKey& key : index.mapped()) {
+    Entry& e = table_.at(key);  // indexed: the entry exists
     cancel_waits(e, child);
     auto child_holder = std::find_if(e.holders.begin(), e.holders.end(), of(child));
     if (child_holder != e.holders.end()) {
-      GV_LOG(LogLevel::Trace, sim_.now(), "lock", "transfer %s %s -> %s", res.c_str(),
+      GV_LOG(LogLevel::Trace, sim_.now(), "lock", "transfer %s %s -> %s", to_string(key).c_str(),
              child.to_string().c_str(), parent.to_string().c_str());
       auto parent_holder = std::find_if(e.holders.begin(), e.holders.end(), of(parent));
       if (parent_holder == e.holders.end()) {
@@ -177,27 +182,27 @@ void LockManager::transfer(const Uid& child, const Uid& parent) {
           parent_holder->mode = child_holder->mode;
         std::erase_if(e.holders, of(child));
       }
-      note(parent, res);
+      note(parent, key);
     }
-    pump(res);  // a cancelled wait, or a holder now of the waiters' family, may unblock some
+    pump(key);  // a cancelled wait, or a holder now of the waiters' family, may unblock some
   }
 }
 
-bool LockManager::holds(const std::string& resource, const Uid& owner, LockMode at_least) const {
-  auto tit = table_.find(resource);
+bool LockManager::holds(const LockKey& key, const Uid& owner, LockMode at_least) const {
+  auto tit = table_.find(key);
   return tit != table_.end() &&
          std::any_of(tit->second.holders.begin(), tit->second.holders.end(), [&](const Holder& h) {
            return h.owner == owner && stronger_or_equal(h.mode, at_least);
          });
 }
 
-std::size_t LockManager::holder_count(const std::string& resource) const {
-  auto tit = table_.find(resource);
+std::size_t LockManager::holder_count(const LockKey& key) const {
+  auto tit = table_.find(key);
   return tit == table_.end() ? 0 : tit->second.holders.size();
 }
 
-bool LockManager::held_for_update(const std::string& resource) const {
-  auto tit = table_.find(resource);
+bool LockManager::held_for_update(const LockKey& key) const {
+  auto tit = table_.find(key);
   return tit != table_.end() &&
          std::any_of(tit->second.holders.begin(), tit->second.holders.end(),
                      [](const Holder& h) { return h.mode != LockMode::Read; });

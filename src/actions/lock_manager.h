@@ -24,8 +24,10 @@
 // that has ended must never be granted a lock it waited for.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -51,13 +53,31 @@ constexpr bool compatible(LockMode held, LockMode requested) noexcept {
   return false;  // Write conflicts with everything; EW conflicts with EW/Write
 }
 
+// What a lock covers: one part of one object. An object server locks
+// the whole object; the group view database locks the Sv and St lists of
+// an entry separately (sec 4.1: "each such list is concurrency
+// controlled independently using locks").
+using LockPart = std::uint8_t;
+inline constexpr LockPart kObjectPart = 0;  // logged as "obj:<uid>"
+inline constexpr LockPart kSvPart = 1;      // logged as "sv:<uid>"
+inline constexpr LockPart kStPart = 2;      // logged as "st:<uid>"
+
+struct LockKey {
+  Uid object;
+  LockPart part = kObjectPart;
+  friend std::strong_ordering operator<=>(const LockKey&, const LockKey&) = default;
+};
+
+// The key as logs spell it; built only when a log line is written.
+std::string to_string(const LockKey& key);
+
 class LockManager {
  public:
   explicit LockManager(sim::Simulator& sim) : sim_(sim) {}
 
   static constexpr sim::SimTime kDefaultTimeout = 100 * sim::kMillisecond;
 
-  // Acquire `mode` on `resource` for action `owner`, waiting (FIFO) up
+  // Acquire `mode` on `key` for action `owner`, waiting (FIFO) up
   // to `timeout`. Re-entrant: if the owner already holds an
   // equal-or-stronger mode this is a no-op; if it holds a weaker mode
   // this is a promotion, which succeeds iff no OTHER holder conflicts
@@ -67,7 +87,7 @@ class LockManager {
   // `ancestors` (optional) are the owner's enclosing actions: Arjuna lock
   // inheritance lets a nested action acquire a lock its ancestor holds —
   // holders from the family never conflict with the request.
-  sim::Task<Status> acquire(std::string resource, LockMode mode, Uid owner,
+  sim::Task<Status> acquire(LockKey key, LockMode mode, Uid owner,
                             sim::SimTime timeout = kDefaultTimeout,
                             std::vector<Uid> ancestors = {});
 
@@ -86,10 +106,10 @@ class LockManager {
   // child's queued requests end with Aborted, as in release_all.
   void transfer(const Uid& child, const Uid& parent);
 
-  bool holds(const std::string& resource, const Uid& owner, LockMode at_least) const;
-  std::size_t holder_count(const std::string& resource) const;
-  // Whether some action holds `resource` in a mode that lets it write.
-  bool held_for_update(const std::string& resource) const;
+  bool holds(const LockKey& key, const Uid& owner, LockMode at_least) const;
+  std::size_t holder_count(const LockKey& key) const;
+  // Whether some action holds `key` in a mode that lets it write.
+  bool held_for_update(const LockKey& key) const;
 
   // Number of resources with live holders or waiters — the lock-table
   // depth gauge the metrics registry samples.
@@ -119,23 +139,23 @@ class LockManager {
   static bool stronger_or_equal(LockMode a, LockMode b) noexcept;
   bool grantable(const Entry& e, const Uid& owner, LockMode mode,
                  const std::vector<Uid>& ancestors) const;
-  // Give `owner` `mode` on `resource`, index it and log it: a promotion
+  // Give `owner` `mode` on `key`, index it and log it: a promotion
   // raises the owner's holder, a grant adds one.
-  void grant(Entry& e, const std::string& resource, const Uid& owner, LockMode mode,
+  void grant(Entry& e, const LockKey& key, const Uid& owner, LockMode mode,
              bool promotion);
-  // Index `resource` under `owner` unless it is there already.
-  void note(const Uid& owner, const std::string& resource);
+  // Index `key` under `owner` unless it is there already.
+  void note(const Uid& owner, const LockKey& key);
   // Dequeue `w`, stop its timer and resolve it with `s`; the next waiter.
   Waiters::iterator finish(Entry& e, Waiters::iterator w, Status s);
   // Resolve every request `owner` has queued on `e` with Aborted.
   void cancel_waits(Entry& e, const Uid& owner);
-  void pump(const std::string& resource);  // grant eligible waiters
+  void pump(const LockKey& key);  // grant eligible waiters
 
   sim::Simulator& sim_;
-  std::unordered_map<std::string, Entry> table_;
+  std::map<LockKey, Entry> table_;
   // owner -> the resources it holds or waits on, in the order it first
   // asked for each.
-  std::unordered_map<Uid, std::vector<std::string>> owned_;
+  std::unordered_map<Uid, std::vector<LockKey>> owned_;
   Counters counters_;
 };
 

@@ -115,10 +115,8 @@ void GroupViewDb::persist(const Uid& object, EntryParts parts) {
   // caller did not edit comes from memory unless another action holds
   // its lock for update: then memory may hold that action's uncommitted
   // edit, and the part comes from the stable record.
-  const bool sv_now = (parts & kSvPart) != 0 ||
-                      !locks_.held_for_update(ObjectServerDb::lock_name(object));
-  const bool st_now = (parts & kStPart) != 0 ||
-                      !locks_.held_for_update(ObjectStateDb::lock_name(object));
+  const bool sv_now = (parts & kSvPart) != 0 || !locks_.held_for_update({object, kSvPart});
+  const bool st_now = (parts & kStPart) != 0 || !locks_.held_for_update({object, kStPart});
   ObjectServerDb::Entry sv;
   ObjectStateDb::Entry st;
   if (!sv_now || !st_now) {
@@ -230,7 +228,8 @@ sim::Task<Result<typename Table::Entry*>> GroupViewDb::lock_entry(Table& table, 
                                                                   actions::LockMode mode,
                                                                   Uid action) {
   if (!table.known(object)) co_return Err::NotFound;
-  Status lk = co_await locks_.acquire(Table::lock_name(object), mode, action, cfg_.lock_wait);
+  const actions::LockKey key{object, kIsSv<Table> ? kSvPart : kStPart};
+  Status lk = co_await locks_.acquire(key, mode, action, cfg_.lock_wait);
   if (lk.error() == Err::Aborted) co_return Err::Aborted;  // the action ended while it waited
   if (!lk.ok()) {
     counters_.inc(kIsSv<Table> ? "osdb.lock_refused" : "ostdb.lock_refused");
@@ -351,7 +350,7 @@ Status GroupViewDb::increment(Uid object, NodeId client, std::vector<NodeId> hos
   }
   // The bind action's update lock pins the view it read; without it the
   // action is gone from this incarnation and so are its Removes.
-  if (!locks_.holds(ObjectServerDb::lock_name(object), token, actions::LockMode::ExcludeWrite)) {
+  if (!locks_.holds({object, kSvPart}, token, actions::LockMode::ExcludeWrite)) {
     counters_.inc("osdb.increment_refused");
     return Err::Aborted;
   }
@@ -365,7 +364,7 @@ sim::Task<Status> GroupViewDb::decrement(NodeId client, std::vector<UseRelease> 
   for (const UseRelease& b : bindings) {
     counters_.inc("osdb.decrement");
     if (!servers_.known(b.object)) continue;
-    if (locks_.holds(ObjectServerDb::lock_name(b.object), b.token, actions::LockMode::Read)) {
+    if (locks_.holds({b.object, kSvPart}, b.token, actions::LockMode::Read)) {
       // The bind action itself is still live here (its client gave up on
       // the Increment): end it, so a late Increment finds nothing to commit.
       counters_.inc("osdb.decrement_ended_bind");

@@ -8,7 +8,7 @@
 // naming/object_state_db.h) — and performs the paper's operations on
 // them under the control of atomic actions (sec 3.1):
 //
-//  * lock-controlled: each entry has two lock names, "sv:" and "st:"
+//  * lock-controlled: each entry has two lock keys, Sv and St
 //    (sec 4.1: "each such list is concurrency controlled independently
 //    using locks"), so a binder's update lock on Sv never blocks another
 //    client's GetView or validate of St; one LockManager supports READ /
@@ -71,11 +71,11 @@ inline constexpr const char* kGvdbService = "gvdb";
 // stable records.
 inline constexpr Uid kGvdbUid{0xDBull, 1};
 
-// The parts of one entry that an edit can touch; each has its own lock,
-// so a commit persists only the parts its action edited.
+// The parts of one entry an edit can touch, as bits; each is also the
+// part of its lock key, so a commit persists only the parts it edited.
 using EntryParts = std::uint8_t;
-inline constexpr EntryParts kSvPart = 1;  // ObjectServerDb's entry, lock "sv:"
-inline constexpr EntryParts kStPart = 2;  // ObjectStateDb's entry, lock "st:"
+using actions::kStPart;
+using actions::kSvPart;
 
 struct NamingConfig {
   // How long a database operation waits for an entry lock before giving

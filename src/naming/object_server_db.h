@@ -12,7 +12,7 @@
 // The table is plain state with lock-free queries. The paper's operations
 // on it (GetServer, Insert, Remove, Increment, Decrement, PurgeClient) are
 // actions, so the GroupViewDb that owns the table runs them, under its
-// locks ("sv:" names) and undo log; the "osdb" service below is theirs.
+// locks (kSvPart keys) and undo log; the "osdb" service below is theirs.
 #pragma once
 
 #include <map>
@@ -84,7 +84,6 @@ class ObjectServerDb {
   std::vector<NodeId> clients_in_use() const;
 
   static SvView view_of(const Entry& e);
-  static std::string lock_name(const Uid& object) { return "sv:" + object.to_string(); }
 
   std::map<Uid, Entry> entries;
 };

@@ -5,8 +5,8 @@
 // hold a state of the object. The table is plain state with lock-free
 // queries. The paper's operations on it (GetView, Exclude, Include) are
 // actions, so the GroupViewDb that owns the table runs them, under its
-// locks ("st:" names) and undo log; the "ostdb" service below is theirs.
-// St has its own lock name so a binder's update lock on Sv never blocks
+// locks (kStPart keys) and undo log; the "ostdb" service below is theirs.
+// St has its own lock key so a binder's update lock on Sv never blocks
 // another client's GetView.
 #pragma once
 
@@ -64,8 +64,6 @@ class ObjectStateDb {
     if (it == entries.end()) return Err::NotFound;
     return StView{it->second.st, it->second.epoch};
   }
-
-  static std::string lock_name(const Uid& object) { return "st:" + object.to_string(); }
 
   std::map<Uid, Entry> entries;
 };

@@ -110,8 +110,8 @@ sim::Task<Result<Buffer>> ObjectServerHost::invoke(Uid object, Uid action,
   if (it == active_.end()) co_return Err::NotFound;  // passive: activate first
   if (terminated_.get(action) != 0) co_return Err::Aborted;
   if (owner != sim::kNoNode) orphans_.note(action, owner);
-  Status lk = co_await locks_.acquire(lock_name(object), mode, action, kInvokeLockWait,
-                                      std::move(ancestors));
+  Status lk = co_await locks_.acquire({object, actions::kObjectPart}, mode, action,
+                                      kInvokeLockWait, std::move(ancestors));
   if (lk.error() == Err::Aborted) co_return Err::Aborted;  // the action ended while it waited
   if (!lk.ok()) {
     counters_.inc("objsrv.lock_refused");
@@ -211,7 +211,7 @@ void ObjectServerHost::mark_committed(const Uid& object, std::uint64_t new_versi
 Status ObjectServerHost::passivate(const Uid& object) {
   auto it = active_.find(object);
   if (it == active_.end()) return ok_status();
-  if (!it->second.before.empty() || locks_.holder_count(lock_name(object)) > 0)
+  if (!it->second.before.empty() || locks_.holder_count({object, actions::kObjectPart}) > 0)
     return Err::NotQuiescent;
   active_.erase(it);
   counters_.inc("objsrv.passivated");

@@ -142,7 +142,6 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // client always learns LockRefused instead of timing out blind.
   static constexpr sim::SimTime kInvokeLockWait = 30 * sim::kMillisecond;
 
-  static std::string lock_name(const Uid& object) { return "obj:" + object.to_string(); }
   sim::Task<Status> load(Uid object, std::string class_name, std::vector<NodeId> st_nodes);
   sim::Task<Result<Buffer>> apply_locked(Active& a, Uid object, Uid action,
                                          actions::LockMode mode, const std::string& op,

@@ -78,7 +78,7 @@ struct Fixture {
     return n;
   }
 
-  bool entry_unlocked() { return gvdb->locks().holder_count("sv:" + obj.to_string()) == 0; }
+  bool entry_unlocked() { return gvdb->locks().holder_count({obj, kSvPart}) == 0; }
 
   // Sv through the binder's naming read, with both locks under `action`.
   sim::Task<Result<SvView>> get_server(Uid action) {

@@ -13,24 +13,29 @@ namespace {
 
 using sim::kMillisecond;
 
+// The resources the tests lock, one object each.
+const LockKey kR{Uid{50, 1}}, kX{Uid{50, 2}}, kY{Uid{50, 3}}, kZ{Uid{50, 4}}, kP{Uid{50, 5}},
+    kQ{Uid{50, 6}}, kStA{Uid{50, 7}, kStPart}, kK1{Uid{50, 8}}, kK2{Uid{50, 9}},
+    kP1{Uid{50, 10}}, kP2{Uid{50, 11}}, kC0{Uid{50, 12}}, kC1{Uid{50, 13}};
+
 struct Fixture {
   sim::Simulator sim{7};
   LockManager lm{sim};
   Uid a{1, 1}, b{1, 2}, c{1, 3};
 
   // Run an acquire to completion synchronously (no contention expected).
-  Status acquire_now(const std::string& res, LockMode m, const Uid& owner) {
+  Status acquire_now(const LockKey& res, LockMode m, const Uid& owner) {
     Status out = Err::Timeout;
-    sim.spawn([](LockManager& lm, std::string res, LockMode m, Uid owner,
+    sim.spawn([](LockManager& lm, LockKey res, LockMode m, Uid owner,
                  Status& out) -> sim::Task<> {
       out = co_await lm.acquire(std::move(res), m, owner);
     }(lm, res, m, owner, out));
     sim.run();
     return out;
   }
-  Status promote_now(const std::string& res, LockMode m, const Uid& owner) {
+  Status promote_now(const LockKey& res, LockMode m, const Uid& owner) {
     Status out = Err::Timeout;
-    sim.spawn([](LockManager& lm, std::string res, LockMode m, Uid owner,
+    sim.spawn([](LockManager& lm, LockKey res, LockMode m, Uid owner,
                  Status& out) -> sim::Task<> {
       out = co_await lm.acquire(std::move(res), m, owner);
     }(lm, res, m, owner, out));
@@ -68,36 +73,36 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LockManager, SharedReaders) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("r", LockMode::Read, f.a).ok());
-  EXPECT_TRUE(f.acquire_now("r", LockMode::Read, f.b).ok());
-  EXPECT_EQ(f.lm.holder_count("r"), 2u);
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Read, f.a).ok());
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Read, f.b).ok());
+  EXPECT_EQ(f.lm.holder_count(kR), 2u);
 }
 
 TEST(LockManager, WriterExcludesReader) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("r", LockMode::Write, f.a).ok());
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Write, f.a).ok());
   // b waits, then times out.
-  EXPECT_EQ(f.acquire_now("r", LockMode::Read, f.b).error(), Err::LockRefused);
+  EXPECT_EQ(f.acquire_now(kR, LockMode::Read, f.b).error(), Err::LockRefused);
 }
 
 TEST(LockManager, WaiterGrantedOnRelease) {
   Fixture f;
   Status got = Err::Timeout;
   f.sim.spawn([](Fixture& f, Status& got) -> sim::Task<> {
-    (void)co_await f.lm.acquire("r", LockMode::Write, f.a);
-    got = co_await f.lm.acquire("r", LockMode::Write, f.b, 200 * kMillisecond);
+    (void)co_await f.lm.acquire(kR, LockMode::Write, f.a);
+    got = co_await f.lm.acquire(kR, LockMode::Write, f.b, 200 * kMillisecond);
   }(f, got));
   f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(f.a); });
   f.sim.run();
   EXPECT_TRUE(got.ok());
-  EXPECT_TRUE(f.lm.holds("r", f.b, LockMode::Write));
+  EXPECT_TRUE(f.lm.holds(kR, f.b, LockMode::Write));
 }
 
 TEST(LockManager, FifoFairnessWriterNotStarved) {
   Fixture f;
   std::vector<int> grant_order;
   f.sim.spawn([](Fixture& f, std::vector<int>& order) -> sim::Task<> {
-    (void)co_await f.lm.acquire("r", LockMode::Read, f.a);  // reader holds
+    (void)co_await f.lm.acquire(kR, LockMode::Read, f.a);  // reader holds
     co_return;
     (void)order;
   }(f, grant_order));
@@ -106,11 +111,11 @@ TEST(LockManager, FifoFairnessWriterNotStarved) {
   // the queue even though it is compatible with the holder.
   Status writer = Err::Timeout, reader = Err::Timeout;
   f.sim.spawn([](Fixture& f, Status& s, std::vector<int>& order) -> sim::Task<> {
-    s = co_await f.lm.acquire("r", LockMode::Write, f.b, 500 * kMillisecond);
+    s = co_await f.lm.acquire(kR, LockMode::Write, f.b, 500 * kMillisecond);
     order.push_back(1);
   }(f, writer, grant_order));
   f.sim.spawn([](Fixture& f, Status& s, std::vector<int>& order) -> sim::Task<> {
-    s = co_await f.lm.acquire("r", LockMode::Read, f.c, 500 * kMillisecond);
+    s = co_await f.lm.acquire(kR, LockMode::Read, f.c, 500 * kMillisecond);
     order.push_back(2);
   }(f, reader, grant_order));
   f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(f.a); });
@@ -124,10 +129,10 @@ TEST(LockManager, FifoFairnessWriterNotStarved) {
 
 TEST(LockManager, Reentrant) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("r", LockMode::Write, f.a).ok());
-  EXPECT_TRUE(f.acquire_now("r", LockMode::Read, f.a).ok());  // weaker: no-op
-  EXPECT_TRUE(f.acquire_now("r", LockMode::Write, f.a).ok());
-  EXPECT_EQ(f.lm.holder_count("r"), 1u);
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Write, f.a).ok());
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Read, f.a).ok());  // weaker: no-op
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Write, f.a).ok());
+  EXPECT_EQ(f.lm.holder_count(kR), 1u);
 }
 
 // The crux of sec 4.2.1: with the object shared by several readers, a
@@ -135,73 +140,73 @@ TEST(LockManager, Reentrant) {
 // succeeds.
 TEST(LockManager, PromotionToWriteRefusedUnderSharing) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("st.A", LockMode::Read, f.a).ok());
-  EXPECT_TRUE(f.acquire_now("st.A", LockMode::Read, f.b).ok());
-  EXPECT_EQ(f.promote_now("st.A", LockMode::Write, f.a).error(), Err::LockRefused);
+  EXPECT_TRUE(f.acquire_now(kStA, LockMode::Read, f.a).ok());
+  EXPECT_TRUE(f.acquire_now(kStA, LockMode::Read, f.b).ok());
+  EXPECT_EQ(f.promote_now(kStA, LockMode::Write, f.a).error(), Err::LockRefused);
 }
 
 TEST(LockManager, PromotionToExcludeWriteSharesWithReaders) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("st.A", LockMode::Read, f.a).ok());
-  EXPECT_TRUE(f.acquire_now("st.A", LockMode::Read, f.b).ok());
-  EXPECT_TRUE(f.promote_now("st.A", LockMode::ExcludeWrite, f.a).ok());
-  EXPECT_TRUE(f.lm.holds("st.A", f.a, LockMode::ExcludeWrite));
+  EXPECT_TRUE(f.acquire_now(kStA, LockMode::Read, f.a).ok());
+  EXPECT_TRUE(f.acquire_now(kStA, LockMode::Read, f.b).ok());
+  EXPECT_TRUE(f.promote_now(kStA, LockMode::ExcludeWrite, f.a).ok());
+  EXPECT_TRUE(f.lm.holds(kStA, f.a, LockMode::ExcludeWrite));
   // The other reader is untouched.
-  EXPECT_TRUE(f.lm.holds("st.A", f.b, LockMode::Read));
+  EXPECT_TRUE(f.lm.holds(kStA, f.b, LockMode::Read));
   // But a second committer cannot also hold exclude-write.
-  EXPECT_EQ(f.promote_now("st.A", LockMode::ExcludeWrite, f.b).error(), Err::LockRefused);
+  EXPECT_EQ(f.promote_now(kStA, LockMode::ExcludeWrite, f.b).error(), Err::LockRefused);
 }
 
 TEST(LockManager, ExcludeWriteBlocksPlainWrite) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("r", LockMode::ExcludeWrite, f.a).ok());
-  EXPECT_EQ(f.acquire_now("r", LockMode::Write, f.b).error(), Err::LockRefused);
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::ExcludeWrite, f.a).ok());
+  EXPECT_EQ(f.acquire_now(kR, LockMode::Write, f.b).error(), Err::LockRefused);
   // New readers may still join.
-  EXPECT_TRUE(f.acquire_now("r", LockMode::Read, f.c).ok());
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Read, f.c).ok());
 }
 
 TEST(LockManager, PromotionWaitsForReaderToLeave) {
   Fixture f;
   Status promo = Err::Timeout;
   f.sim.spawn([](Fixture& f, Status& promo) -> sim::Task<> {
-    (void)co_await f.lm.acquire("r", LockMode::Read, f.a);
-    (void)co_await f.lm.acquire("r", LockMode::Read, f.b);
-    promo = co_await f.lm.acquire("r", LockMode::Write, f.a, 300 * kMillisecond);
+    (void)co_await f.lm.acquire(kR, LockMode::Read, f.a);
+    (void)co_await f.lm.acquire(kR, LockMode::Read, f.b);
+    promo = co_await f.lm.acquire(kR, LockMode::Write, f.a, 300 * kMillisecond);
   }(f, promo));
   f.sim.schedule(20 * kMillisecond, [&] { f.lm.release_all(f.b); });
   f.sim.run();
   EXPECT_TRUE(promo.ok());
-  EXPECT_TRUE(f.lm.holds("r", f.a, LockMode::Write));
+  EXPECT_TRUE(f.lm.holds(kR, f.a, LockMode::Write));
 }
 
 TEST(LockManager, TransferToParentMergesModes) {
   Fixture f;
   Uid parent{9, 1}, child{9, 2};
-  EXPECT_TRUE(f.acquire_now("x", LockMode::Read, parent).ok());
-  EXPECT_TRUE(f.acquire_now("y", LockMode::Write, child).ok());
+  EXPECT_TRUE(f.acquire_now(kX, LockMode::Read, parent).ok());
+  EXPECT_TRUE(f.acquire_now(kY, LockMode::Write, child).ok());
   // Child also promoted x beyond the parent's mode.
-  EXPECT_TRUE(f.acquire_now("z", LockMode::ExcludeWrite, child).ok());
+  EXPECT_TRUE(f.acquire_now(kZ, LockMode::ExcludeWrite, child).ok());
   f.lm.transfer(child, parent);
-  EXPECT_TRUE(f.lm.holds("y", parent, LockMode::Write));
-  EXPECT_TRUE(f.lm.holds("z", parent, LockMode::ExcludeWrite));
-  EXPECT_FALSE(f.lm.holds("y", child, LockMode::Read));
-  EXPECT_EQ(f.lm.holder_count("x"), 1u);
+  EXPECT_TRUE(f.lm.holds(kY, parent, LockMode::Write));
+  EXPECT_TRUE(f.lm.holds(kZ, parent, LockMode::ExcludeWrite));
+  EXPECT_FALSE(f.lm.holds(kY, child, LockMode::Read));
+  EXPECT_EQ(f.lm.holder_count(kX), 1u);
 }
 
 TEST(LockManager, ReleaseAllWakesWaitersAcrossResources) {
   Fixture f;
   Status s1 = Err::Timeout, s2 = Err::Timeout;
   f.sim.spawn([](Fixture& f, Status& s1, Status& s2) -> sim::Task<> {
-    (void)co_await f.lm.acquire("p", LockMode::Write, f.a);
-    (void)co_await f.lm.acquire("q", LockMode::Write, f.a);
+    (void)co_await f.lm.acquire(kP, LockMode::Write, f.a);
+    (void)co_await f.lm.acquire(kQ, LockMode::Write, f.a);
     co_await f.sim.sleep(0);
-    s1 = co_await f.lm.acquire("p", LockMode::Write, f.b, 300 * kMillisecond);
+    s1 = co_await f.lm.acquire(kP, LockMode::Write, f.b, 300 * kMillisecond);
     co_return;
     (void)s2;
   }(f, s1, s2));
   f.sim.spawn([](Fixture& f, Status& s2) -> sim::Task<> {
     co_await f.sim.sleep(1 * kMillisecond);
-    s2 = co_await f.lm.acquire("q", LockMode::Write, f.c, 300 * kMillisecond);
+    s2 = co_await f.lm.acquire(kQ, LockMode::Write, f.c, 300 * kMillisecond);
   }(f, s2));
   f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(f.a); });
   f.sim.run();
@@ -214,17 +219,17 @@ TEST(LockManager, ReleaseAllWakesWaitersAcrossResources) {
 // granted, so the lock is left to no one.
 TEST(LockManager, ReleaseAllEndsTheOwnersQueuedRequests) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("r", LockMode::Write, f.a).ok());
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Write, f.a).ok());
   Status got = Err::None;
   f.sim.spawn([](Fixture& f, Status& got) -> sim::Task<> {
-    got = co_await f.lm.acquire("r", LockMode::Write, f.b, 100 * kMillisecond);
+    got = co_await f.lm.acquire(kR, LockMode::Write, f.b, 100 * kMillisecond);
   }(f, got));
   f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(f.b); });
   f.sim.schedule(20 * kMillisecond, [&] { f.lm.release_all(f.a); });
   f.sim.run();
   EXPECT_EQ(got.error(), Err::Aborted);
-  EXPECT_FALSE(f.lm.holds("r", f.b, LockMode::Read));
-  EXPECT_EQ(f.lm.holder_count("r"), 0u);
+  EXPECT_FALSE(f.lm.holds(kR, f.b, LockMode::Read));
+  EXPECT_EQ(f.lm.holder_count(kR), 0u);
   EXPECT_EQ(f.lm.table_depth(), 0u);
 }
 
@@ -232,14 +237,14 @@ TEST(LockManager, ReleaseAllEndsTheOwnersQueuedRequests) {
 // compatible request behind it.
 TEST(LockManager, CancelledRequestUnblocksTheQueueBehindIt) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("r", LockMode::Read, f.a).ok());
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Read, f.a).ok());
   Status writer = Err::None, reader = Err::None;
   sim::SimTime reader_at = 0;
   f.sim.spawn([](Fixture& f, Status& s) -> sim::Task<> {
-    s = co_await f.lm.acquire("r", LockMode::Write, f.b, 300 * kMillisecond);
+    s = co_await f.lm.acquire(kR, LockMode::Write, f.b, 300 * kMillisecond);
   }(f, writer));
   f.sim.spawn([](Fixture& f, Status& s, sim::SimTime& at) -> sim::Task<> {
-    s = co_await f.lm.acquire("r", LockMode::Read, f.c, 300 * kMillisecond);
+    s = co_await f.lm.acquire(kR, LockMode::Read, f.c, 300 * kMillisecond);
     at = f.sim.now();
   }(f, reader, reader_at));
   f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(f.b); });
@@ -247,28 +252,28 @@ TEST(LockManager, CancelledRequestUnblocksTheQueueBehindIt) {
   EXPECT_EQ(writer.error(), Err::Aborted);
   EXPECT_TRUE(reader.ok());
   EXPECT_EQ(reader_at, 10 * kMillisecond);
-  EXPECT_TRUE(f.lm.holds("r", f.c, LockMode::Read));
+  EXPECT_TRUE(f.lm.holds(kR, f.c, LockMode::Read));
 }
 
 // Wait on `res` for `owner` and record the resource once granted.
-sim::Task<> wait_for(Fixture& f, std::string res, Uid owner, std::vector<std::string>& resumed) {
+sim::Task<> wait_for(Fixture& f, LockKey res, Uid owner, std::vector<LockKey>& resumed) {
   Status s = co_await f.lm.acquire(res, LockMode::Write, owner, 300 * kMillisecond);
   if (s.ok()) resumed.push_back(res);
 }
 
 // release_all releases in the owner's acquisition order, whatever the
-// table's layout: the waiters resume in that order. "k2" comes before
-// "k1" in the table's hash order.
+// table's layout: the waiters resume in that order. A hash table walks
+// kK2, the later insertion, first.
 TEST(LockManager, ReleaseAllResumesWaitersInAcquisitionOrder) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("k1", LockMode::Write, f.a).ok());
-  EXPECT_TRUE(f.acquire_now("k2", LockMode::Write, f.a).ok());
-  std::vector<std::string> resumed;
-  f.sim.spawn(wait_for(f, std::string{"k2"}, f.c, resumed));
-  f.sim.spawn(wait_for(f, std::string{"k1"}, f.b, resumed));
+  EXPECT_TRUE(f.acquire_now(kK1, LockMode::Write, f.a).ok());
+  EXPECT_TRUE(f.acquire_now(kK2, LockMode::Write, f.a).ok());
+  std::vector<LockKey> resumed;
+  f.sim.spawn(wait_for(f, kK2, f.c, resumed));
+  f.sim.spawn(wait_for(f, kK1, f.b, resumed));
   f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(f.a); });
   f.sim.run();
-  EXPECT_EQ(resumed, (std::vector<std::string>{"k1", "k2"}));
+  EXPECT_EQ(resumed, (std::vector<LockKey>{kK1, kK2}));
 }
 
 // transfer keeps the parent's place for a resource both hold and puts
@@ -276,28 +281,28 @@ TEST(LockManager, ReleaseAllResumesWaitersInAcquisitionOrder) {
 TEST(LockManager, TransferKeepsTheParentsOrderThenTheChilds) {
   Fixture f;
   const Uid parent{9, 1}, child{9, 2};
-  EXPECT_TRUE(f.acquire_now("p1", LockMode::Read, parent).ok());
-  EXPECT_TRUE(f.acquire_now("p2", LockMode::Read, parent).ok());
+  EXPECT_TRUE(f.acquire_now(kP1, LockMode::Read, parent).ok());
+  EXPECT_TRUE(f.acquire_now(kP2, LockMode::Read, parent).ok());
   Status shared = Err::None;
   f.sim.spawn([](Fixture& f, Uid parent, Uid child, Status& shared) -> sim::Task<> {
     std::vector<Uid> family{parent};
-    (void)co_await f.lm.acquire("c1", LockMode::Write, child);
-    shared = co_await f.lm.acquire("p2", LockMode::Write, child, LockManager::kDefaultTimeout,
+    (void)co_await f.lm.acquire(kC1, LockMode::Write, child);
+    shared = co_await f.lm.acquire(kP2, LockMode::Write, child, LockManager::kDefaultTimeout,
                                    family);
-    (void)co_await f.lm.acquire("c0", LockMode::Write, child);
+    (void)co_await f.lm.acquire(kC0, LockMode::Write, child);
   }(f, parent, child, shared));
   f.sim.run();
   ASSERT_TRUE(shared.ok());
   f.lm.transfer(child, parent);
-  EXPECT_TRUE(f.lm.holds("p2", parent, LockMode::Write));
-  EXPECT_EQ(f.lm.holder_count("p2"), 1u);
-  std::vector<std::string> resumed;
-  const std::vector<std::string> order{"c0", "c1", "p2", "p1"};
+  EXPECT_TRUE(f.lm.holds(kP2, parent, LockMode::Write));
+  EXPECT_EQ(f.lm.holder_count(kP2), 1u);
+  std::vector<LockKey> resumed;
+  const std::vector<LockKey> order{kC0, kC1, kP2, kP1};
   for (std::size_t i = 0; i < order.size(); ++i)
     f.sim.spawn(wait_for(f, order[i], Uid{8, i + 1}, resumed));
   f.sim.schedule(10 * kMillisecond, [&] { f.lm.release_all(parent); });
   f.sim.run();
-  EXPECT_EQ(resumed, (std::vector<std::string>{"p1", "p2", "c1", "c0"}));
+  EXPECT_EQ(resumed, (std::vector<LockKey>{kP1, kP2, kC1, kC0}));
 }
 
 TEST(LockManager, TimeoutResolvesDeadlock) {
@@ -305,14 +310,14 @@ TEST(LockManager, TimeoutResolvesDeadlock) {
   Fixture f;
   Status sa = Err::None, sb = Err::None;
   f.sim.spawn([](Fixture& f, Status& sa) -> sim::Task<> {
-    (void)co_await f.lm.acquire("x", LockMode::Write, f.a);
+    (void)co_await f.lm.acquire(kX, LockMode::Write, f.a);
     co_await f.sim.sleep(1 * kMillisecond);
-    sa = co_await f.lm.acquire("y", LockMode::Write, f.a, 50 * kMillisecond);
+    sa = co_await f.lm.acquire(kY, LockMode::Write, f.a, 50 * kMillisecond);
   }(f, sa));
   f.sim.spawn([](Fixture& f, Status& sb) -> sim::Task<> {
-    (void)co_await f.lm.acquire("y", LockMode::Write, f.b);
+    (void)co_await f.lm.acquire(kY, LockMode::Write, f.b);
     co_await f.sim.sleep(1 * kMillisecond);
-    sb = co_await f.lm.acquire("x", LockMode::Write, f.b, 50 * kMillisecond);
+    sb = co_await f.lm.acquire(kX, LockMode::Write, f.b, 50 * kMillisecond);
   }(f, sb));
   f.sim.run();
   // At least one must have been refused; with equal timeouts, both are.
@@ -322,10 +327,10 @@ TEST(LockManager, TimeoutResolvesDeadlock) {
 
 TEST(LockManager, HoldsChecksStrength) {
   Fixture f;
-  EXPECT_TRUE(f.acquire_now("r", LockMode::ExcludeWrite, f.a).ok());
-  EXPECT_TRUE(f.lm.holds("r", f.a, LockMode::Read));          // EW >= Read
-  EXPECT_TRUE(f.lm.holds("r", f.a, LockMode::ExcludeWrite));
-  EXPECT_FALSE(f.lm.holds("r", f.a, LockMode::Write));        // EW < Write
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::ExcludeWrite, f.a).ok());
+  EXPECT_TRUE(f.lm.holds(kR, f.a, LockMode::Read));          // EW >= Read
+  EXPECT_TRUE(f.lm.holds(kR, f.a, LockMode::ExcludeWrite));
+  EXPECT_FALSE(f.lm.holds(kR, f.a, LockMode::Write));        // EW < Write
 }
 
 }  // namespace

@@ -101,11 +101,10 @@ TEST(ObjectServerDb, GetServerReturnsSvUnderReadLock) {
       EXPECT_TRUE(v.value().quiescent());
     }
     // The entry is read-locked by this action until it ends.
-    EXPECT_TRUE(f.gvdb->locks().holds("sv:" + f.obj.to_string(), act.uid(),
-                                                actions::LockMode::Read));
+    EXPECT_TRUE(f.gvdb->locks().holds({f.obj, kSvPart}, act.uid(), actions::LockMode::Read));
     act.enlist({0, kGvdbService});
     (void)co_await act.commit();
-    EXPECT_EQ(f.gvdb->locks().holder_count("sv:" + f.obj.to_string()), 0u);
+    EXPECT_EQ(f.gvdb->locks().holder_count({f.obj, kSvPart}), 0u);
   }(f));
 }
 
@@ -200,7 +199,7 @@ TEST(ObjectServerDb, IncrementDecrementMaintainUseLists) {
     std::vector<NodeId> both{2, 3};
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, both, token)).ok());
     // The Increment ended the bind action: its write lock is released.
-    EXPECT_EQ(f.gvdb->locks().holder_count("sv:" + f.obj.to_string()), 0u);
+    EXPECT_EQ(f.gvdb->locks().holder_count({f.obj, kSvPart}), 0u);
 
     AtomicAction a2{*f.rt};
     auto v = co_await get_server(f, f.obj, a2.uid());
@@ -267,7 +266,7 @@ TEST(ObjectServerDb, NestedActionInheritsLockToParent) {
       nested.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await nested.commit()).ok());
     }
-    const std::string lock = "sv:" + f.obj.to_string();
+    const actions::LockKey lock{f.obj, kSvPart};
     EXPECT_TRUE(f.gvdb->locks().holds(lock, top.uid(), actions::LockMode::Read));
     (void)co_await top.commit();
     EXPECT_EQ(f.gvdb->locks().holder_count(lock), 0u);
@@ -737,7 +736,7 @@ TEST(ObjectServerDb, DecrementEndsALiveBindAction) {
     EXPECT_TRUE((co_await get_server(f, f.obj, token, true)).ok());
     EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 4, token)).ok());
     EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, token)).ok());
-    EXPECT_EQ(f.gvdb->locks().holder_count("sv:" + f.obj.to_string()), 0u);
+    EXPECT_EQ(f.gvdb->locks().holder_count({f.obj, kSvPart}), 0u);
     EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, token)).error(), Err::Aborted);
     EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, token)).ok());
   }(f));
@@ -767,7 +766,7 @@ TEST(ObjectServerDb, AbortEndsTheActionsQueuedInsert) {
     (void)co_await holder.abort();
   }(f, inserted));
   EXPECT_EQ(inserted.error(), Err::Aborted);
-  EXPECT_EQ(f.gvdb->locks().holder_count("sv:" + f.obj.to_string()), 0u);
+  EXPECT_EQ(f.gvdb->locks().holder_count({f.obj, kSvPart}), 0u);
   EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
   EXPECT_EQ(f.gvdb->counters().get("osdb.lock_refused"), 0u);
 }
@@ -956,7 +955,7 @@ TEST(GroupViewDb, BinderUpdateLockBlocksNoGetViewOrValidate) {
     AtomicAction binder{*f.rt};
     auto view = co_await osdb_bind_read(ep, 0, f.obj, client.uid(), binder.uid(), true);
     EXPECT_TRUE(view.ok());
-    EXPECT_TRUE(f.gvdb->locks().holds("sv:" + f.obj.to_string(), binder.uid(),
+    EXPECT_TRUE(f.gvdb->locks().holds({f.obj, kSvPart}, binder.uid(),
                                       actions::LockMode::ExcludeWrite));
 
     const std::uint64_t waits = f.gvdb->locks().counters().get("lock.conflict_wait");

@@ -132,7 +132,8 @@ TEST_P(LockSchedule, GrantsNeverViolateCompatibility) {
       for (int round = 0; round < 15; ++round) {
         co_await sim.sleep(rng.uniform(5 * sim::kMillisecond));
         const auto mode = static_cast<actions::LockMode>(rng.uniform(3));
-        Status s = co_await lm.acquire("res", mode, me, 20 * sim::kMillisecond);
+        Status s =
+            co_await lm.acquire(actions::LockKey{Uid{50, 1}}, mode, me, 20 * sim::kMillisecond);
         if (s.ok()) {
           granted.push_back({me, mode});
           check();

@@ -538,7 +538,7 @@ TEST(ObjectServerIndex, NestedCommitHandsOrphanTrackingToTheParent) {
   }(s, top, child, second));
   // Refused while the dead client holds the lock; the refusal sweeps.
   EXPECT_EQ(second.error(), Err::LockRefused);
-  EXPECT_EQ(s.host.locks().holder_count("obj:" + s.a.to_string()), 0u);
+  EXPECT_EQ(s.host.locks().holder_count({s.a, actions::kObjectPart}), 0u);
 
   EXPECT_EQ(s.host.counters().get("objsrv.orphan_presumed_abort"), 1u);
 

@@ -314,7 +314,7 @@ TEST(ViewCache, WritingActionHoldsValidateLocksUntilPhase2) {
                      std::uint64_t& naming_commits_at_grant) -> sim::Task<> {
     // Staging has begun, so validate holds St's read lock for the client.
     while (!sys.store_at(3).has_pending_shadow(obj)) co_await sys.sim().sleep(100);
-    EXPECT_GT(sys.gvdb().locks().holder_count(naming::ObjectStateDb::lock_name(obj)), 0u);
+    EXPECT_GT(sys.gvdb().locks().holder_count({obj, naming::kStPart}), 0u);
     const Uid include_action{0x1C1, 1};
     granted = (co_await sys.gvdb().include(obj, 3, include_action)).ok();
     naming_commits_at_grant = sys.gvdb().counters().get("db.commit");
