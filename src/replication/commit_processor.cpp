@@ -182,13 +182,13 @@ sim::Task<Status> CommitProcessor::stage_object(actions::AtomicAction& action,
   std::vector<NodeId> copied, failed;
   bool behind = false;
   for (NodeId st : binding.st) {
-    // The client node coordinates this 2PC: record it with the shadow so
-    // a store left holding an undecided slot (crash, or a lost phase-2
-    // RPC) can ask the coordinator log for the outcome instead of
-    // presuming abort.
-    Status s = co_await store::ObjectStore::remote_prepare(
-        rt_.endpoint(), st, binding.spec.uid, action.uid(), new_version,
-        state.value().snapshot, rt_.endpoint().node_id());
+    // The client node coordinates this 2PC: the store records the caller
+    // with the shadow, so a store left holding an undecided slot (crash,
+    // or a lost phase-2 RPC) can ask the coordinator log for the outcome
+    // instead of presuming abort.
+    Status s = co_await store::ObjectStore::remote_prepare(rt_.endpoint(), st, binding.spec.uid,
+                                                           action.uid(), new_version,
+                                                           state.value().snapshot);
     if (s.ok()) {
       copied.push_back(st);
       counters_.inc("commit.state_copied");

@@ -307,7 +307,6 @@ std::vector<Uid> ObjectStore::suspect_objects() const {
 
 void ObjectStore::register_rpc() {
   endpoint_.serve(kStoreRead, [this](NodeId, Uid uid) { return read(uid); });
-  endpoint_.serve(kStoreVersion, [this](NodeId, Uid uid) { return version(uid); });
   endpoint_.serve(kStoreProbe, [this](NodeId, Uid uid) -> Result<Probe> {
     return Probe{version(uid).value_or(0), has_pending_shadow(uid)};
   });
@@ -316,11 +315,6 @@ void ObjectStore::register_rpc() {
     // The caller is the coordinator (the commit processor runs on the
     // client node).
     return prepare(uid, txn, ver, std::move(state), from);
-  });
-  endpoint_.serve(kStoreCommit, [this](NodeId, Uid txn) { return commit(txn); });
-  endpoint_.serve(kStoreAbort, [this](NodeId, Uid txn) { return abort(txn); });
-  endpoint_.serve(kStoreWriteDirect, [this](NodeId, Uid uid, std::uint64_t ver, Buffer state) {
-    return write_direct(uid, ver, std::move(state));
   });
 }
 

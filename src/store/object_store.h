@@ -63,7 +63,7 @@ class ObjectStore {
  public:
   ObjectStore(sim::Node& node, rpc::RpcEndpoint& endpoint);
 
-  // ---- local (same-node) API; the RPC methods below wrap these --------
+  // ---- local (same-node) API; read, probe and prepare are also RPCs ---
   Result<VersionedState> read(const Uid& uid) const;
   Result<std::uint64_t> version(const Uid& uid) const;
   // `coordinator` identifies the node coordinating `txn`: a shadow that
@@ -139,8 +139,6 @@ class ObjectStore {
   // Read the committed state of `uid` from store node `dest`.
   static sim::Task<Result<VersionedState>> remote_read(rpc::RpcEndpoint& from, NodeId dest,
                                                        Uid uid);
-  static sim::Task<Result<std::uint64_t>> remote_version(rpc::RpcEndpoint& from, NodeId dest,
-                                                         Uid uid);
   // Committed version (0 if absent) plus whether a shadow for `uid` is
   // pending at `dest` — the recovery scan's view of a peer.
   struct Probe {
@@ -150,12 +148,7 @@ class ObjectStore {
   };
   static sim::Task<Result<Probe>> remote_probe(rpc::RpcEndpoint& from, NodeId dest, Uid uid);
   static sim::Task<Status> remote_prepare(rpc::RpcEndpoint& from, NodeId dest, Uid uid, Uid txn,
-                                          std::uint64_t version, Buffer state,
-                                          NodeId coordinator = sim::kNoNode);
-  static sim::Task<Status> remote_commit(rpc::RpcEndpoint& from, NodeId dest, Uid txn);
-  static sim::Task<Status> remote_abort(rpc::RpcEndpoint& from, NodeId dest, Uid txn);
-  static sim::Task<Status> remote_write_direct(rpc::RpcEndpoint& from, NodeId dest, Uid uid,
-                                               std::uint64_t version, Buffer state);
+                                          std::uint64_t version, Buffer state);
 
  private:
   void register_rpc();
@@ -193,43 +186,22 @@ class ObjectStore {
 // The store service's methods, declared once for the registration and
 // the client stubs. A prepare's caller is the action's coordinator.
 inline constexpr rpc::Rpc<VersionedState(Uid)> kStoreRead{kStoreService, "read"};
-inline constexpr rpc::Rpc<std::uint64_t(Uid)> kStoreVersion{kStoreService, "version"};
 inline constexpr rpc::Rpc<ObjectStore::Probe(Uid)> kStoreProbe{kStoreService, "probe"};
 inline constexpr rpc::Rpc<void(Uid, Uid, std::uint64_t, Buffer)> kStorePrepare{kStoreService,
                                                                                "prepare"};
-inline constexpr rpc::Rpc<void(Uid)> kStoreCommit{kStoreService, "commit"};
-inline constexpr rpc::Rpc<void(Uid)> kStoreAbort{kStoreService, "abort"};
-inline constexpr rpc::Rpc<void(Uid, std::uint64_t, Buffer)> kStoreWriteDirect{kStoreService,
-                                                                              "write_direct"};
 
 inline sim::Task<Result<VersionedState>> ObjectStore::remote_read(rpc::RpcEndpoint& from,
                                                                   NodeId dest, Uid uid) {
   return from.call(dest, kStoreRead, uid);
 }
-inline sim::Task<Result<std::uint64_t>> ObjectStore::remote_version(rpc::RpcEndpoint& from,
-                                                                    NodeId dest, Uid uid) {
-  return from.call(dest, kStoreVersion, uid);
-}
 inline sim::Task<Result<ObjectStore::Probe>> ObjectStore::remote_probe(rpc::RpcEndpoint& from,
                                                                        NodeId dest, Uid uid) {
   return from.call(dest, kStoreProbe, uid);
 }
-// The coordinator travels implicitly: the RPC sender IS the coordinator.
 inline sim::Task<Status> ObjectStore::remote_prepare(rpc::RpcEndpoint& from, NodeId dest, Uid uid,
-                                                     Uid txn, std::uint64_t version, Buffer state,
-                                                     NodeId) {
+                                                     Uid txn, std::uint64_t version,
+                                                     Buffer state) {
   return from.call(dest, kStorePrepare, uid, txn, version, state);
-}
-inline sim::Task<Status> ObjectStore::remote_commit(rpc::RpcEndpoint& from, NodeId dest, Uid txn) {
-  return from.call(dest, kStoreCommit, txn);
-}
-inline sim::Task<Status> ObjectStore::remote_abort(rpc::RpcEndpoint& from, NodeId dest, Uid txn) {
-  return from.call(dest, kStoreAbort, txn);
-}
-inline sim::Task<Status> ObjectStore::remote_write_direct(rpc::RpcEndpoint& from, NodeId dest,
-                                                          Uid uid, std::uint64_t version,
-                                                          Buffer state) {
-  return from.call(dest, kStoreWriteDirect, uid, version, state);
 }
 
 // Adapter enrolling the store in client-coordinated 2PC. Registered in

@@ -171,16 +171,14 @@ TEST(ObjectStore, RemoteReadWriteRoundTrip) {
   bool done = false;
   f.sim.spawn([](Fixture& f, Uid obj, bool& done) -> sim::Task<> {
     auto& ep = f.fabric->endpoint(0);
-    Buffer s;
-    s.pack_string("hello");
-    EXPECT_TRUE((co_await ObjectStore::remote_write_direct(ep, 1, obj, 1, std::move(s))).ok());
+    EXPECT_TRUE(f.stores[1]->write_direct(obj, 1, state_of("hello")).ok());
     auto r = co_await ObjectStore::remote_read(ep, 1, obj);
     EXPECT_TRUE(r.ok());
     if (r.ok()) {
       EXPECT_EQ(r.value().version, 1u);
       EXPECT_EQ(r.value().state.unpack_string().value(), "hello");
     }
-    auto v = co_await ObjectStore::remote_version(ep, 1, obj);
+    auto v = f.stores[1]->version(obj);
     EXPECT_TRUE(v.ok());
     if (v.ok()) EXPECT_EQ(v.value(), 1u);
     done = true;
@@ -198,7 +196,8 @@ TEST(ObjectStore, RemoteTwoPhaseAcrossNodes) {
     Buffer s;
     s.pack_string("2pc");
     EXPECT_TRUE((co_await ObjectStore::remote_prepare(ep, 2, obj, txn, 1, std::move(s))).ok());
-    EXPECT_TRUE((co_await ObjectStore::remote_commit(ep, 2, txn)).ok());
+    StoreTxnParticipant participant{*f.stores[2]};
+    EXPECT_TRUE((co_await participant.commit(txn)).ok());
     auto r = co_await ObjectStore::remote_read(ep, 2, obj);
     EXPECT_TRUE(r.ok());
     done = true;
