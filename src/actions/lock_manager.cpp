@@ -41,8 +41,7 @@ bool LockManager::grantable(const Entry& e, const Uid& owner, LockMode mode,
 
 void LockManager::note(const Uid& owner, const LockKey& key) {
   auto& keys = owned_[owner];
-  if (std::find(keys.begin(), keys.end(), key) == keys.end())
-    keys.push_back(key);
+  if (std::find(keys.begin(), keys.end(), key) == keys.end()) keys.push_back(key);
 }
 
 void LockManager::grant(Entry& e, const LockKey& key, const Uid& owner, LockMode mode,

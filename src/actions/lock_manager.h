@@ -141,8 +141,7 @@ class LockManager {
                  const std::vector<Uid>& ancestors) const;
   // Give `owner` `mode` on `key`, index it and log it: a promotion
   // raises the owner's holder, a grant adds one.
-  void grant(Entry& e, const LockKey& key, const Uid& owner, LockMode mode,
-             bool promotion);
+  void grant(Entry& e, const LockKey& key, const Uid& owner, LockMode mode, bool promotion);
   // Index `key` under `owner` unless it is there already.
   void note(const Uid& owner, const LockKey& key);
   // Dequeue `w`, stop its timer and resolve it with `s`; the next waiter.

@@ -223,7 +223,7 @@ Status ObjectServerHost::passivate(const Uid& object) {
 sim::Task<actions::Vote> ObjectServerHost::prepare(const Uid& txn, bool may_leave) {
   if (!may_leave || touched_.count(txn) > 0) co_return actions::Vote::Yes;
   // The action left no before-image here: it ends now. Marking it
-  // terminated refuses an invocation of it still queued for a lock.
+  // terminated refuses a late invocation of it.
   terminated_.set(txn, 1);
   orphans_.forget(txn);
   locks_.release_all(txn);

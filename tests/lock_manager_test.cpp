@@ -15,7 +15,7 @@ using sim::kMillisecond;
 
 // The resources the tests lock, one object each.
 const LockKey kR{Uid{50, 1}}, kX{Uid{50, 2}}, kY{Uid{50, 3}}, kZ{Uid{50, 4}}, kP{Uid{50, 5}},
-    kQ{Uid{50, 6}}, kStA{Uid{50, 7}, kStPart}, kK1{Uid{50, 8}}, kK2{Uid{50, 9}},
+    kQ{Uid{50, 6}}, kStA{Uid{50, 7}, kStPart}, kK1{Uid{50, 9}}, kK2{Uid{50, 8}},
     kP1{Uid{50, 10}}, kP2{Uid{50, 11}}, kC0{Uid{50, 12}}, kC1{Uid{50, 13}};
 
 struct Fixture {
@@ -28,19 +28,14 @@ struct Fixture {
     Status out = Err::Timeout;
     sim.spawn([](LockManager& lm, LockKey res, LockMode m, Uid owner,
                  Status& out) -> sim::Task<> {
-      out = co_await lm.acquire(std::move(res), m, owner);
+      out = co_await lm.acquire(res, m, owner);
     }(lm, res, m, owner, out));
     sim.run();
     return out;
   }
+  // A promotion is an acquire by a holder of a weaker mode.
   Status promote_now(const LockKey& res, LockMode m, const Uid& owner) {
-    Status out = Err::Timeout;
-    sim.spawn([](LockManager& lm, LockKey res, LockMode m, Uid owner,
-                 Status& out) -> sim::Task<> {
-      out = co_await lm.acquire(std::move(res), m, owner);
-    }(lm, res, m, owner, out));
-    sim.run();
-    return out;
+    return acquire_now(res, m, owner);
   }
 };
 
@@ -262,8 +257,9 @@ sim::Task<> wait_for(Fixture& f, LockKey res, Uid owner, std::vector<LockKey>& r
 }
 
 // release_all releases in the owner's acquisition order, whatever the
-// table's layout: the waiters resume in that order. A hash table walks
-// kK2, the later insertion, first.
+// table's layout: the waiters resume in that order. Both a key-ordered
+// table and a hash table walk kK2 first: it is the smaller key and the
+// later insertion.
 TEST(LockManager, ReleaseAllResumesWaitersInAcquisitionOrder) {
   Fixture f;
   EXPECT_TRUE(f.acquire_now(kK1, LockMode::Write, f.a).ok());
