@@ -20,7 +20,8 @@ constexpr std::size_t kRequestOverhead = 1 + 8 * 5 + 4;
 
 RpcEndpoint::RpcEndpoint(sim::Node& node, sim::Network& net, RpcConfig cfg)
     : node_(node), net_(net), cfg_(cfg), rng_(node.sim().rng().fork()) {
-  net_.register_handler(node_.id(), [this](NodeId from, Buffer msg) { on_message(from, msg); });
+  net_.register_handler(node_.id(),
+                        [this](NodeId from, Buffer msg) { on_message(from, std::move(msg)); });
 
   // Built-in bind/ping service: returns the current incarnation epoch.
   register_method("sys", "ping", [this](NodeId, Buffer) -> sim::Task<Result<Buffer>> {
