@@ -15,6 +15,8 @@ using namespace gv::bench;
 
 namespace {
 
+constexpr Uid kGroup{0, 1};  // the multicast group
+
 struct McastStats {
   Summary latency_ms;       // send -> delivery, per delivered copy
   std::uint64_t sent = 0;   // messages multicast
@@ -31,11 +33,11 @@ McastStats run(std::size_t group_size, rpc::McastMode mode, std::uint64_t seed) 
 
   std::vector<sim::NodeId> members;
   for (std::size_t i = 1; i <= group_size; ++i) members.push_back(static_cast<sim::NodeId>(i));
-  gc.create_group("g", members);
+  gc.create_group(kGroup, members);
 
   McastStats stats;
   for (sim::NodeId m : members) {
-    gc.join("g", m, [&stats, &simu](sim::NodeId, std::uint64_t, Buffer msg) {
+    gc.join(kGroup, m, [&stats, &simu](sim::NodeId, std::uint64_t, Buffer msg) {
       auto sent_at = msg.unpack_u64();
       if (sent_at.ok())
         stats.latency_ms.add(static_cast<double>(simu.now() - sent_at.value()) /
@@ -49,7 +51,7 @@ McastStats run(std::size_t group_size, rpc::McastMode mode, std::uint64_t seed) 
     for (int i = 0; i < 300; ++i) {
       Buffer msg;
       msg.pack_u64(simu.now());
-      gc.multicast(0, "g", std::move(msg), mode);
+      gc.multicast(0, kGroup, std::move(msg), mode);
       ++stats.sent;
       co_await simu.sleep(2 * sim::kMillisecond);
     }

@@ -34,12 +34,13 @@ Divergence run(double loss_prob, rpc::McastMode mode, std::uint64_t seed, int ro
   rpc::GroupComm gc{simu, cluster, net};
 
   replication::EventLog a1, a2;
-  gc.create_group("GA", {1, 2});
+  const Uid ga{0, 1};  // the client group GA
+  gc.create_group(ga, {1, 2});
   bool modified;
-  gc.join("GA", 1, [&a1, &modified](sim::NodeId, std::uint64_t, Buffer msg) {
+  gc.join(ga, 1, [&a1, &modified](sim::NodeId, std::uint64_t, Buffer msg) {
     (void)a1.apply("append", std::move(msg), modified);
   });
-  gc.join("GA", 2, [&a2, &modified](sim::NodeId, std::uint64_t, Buffer msg) {
+  gc.join(ga, 2, [&a2, &modified](sim::NodeId, std::uint64_t, Buffer msg) {
     (void)a2.apply("append", std::move(msg), modified);
   });
 
@@ -50,7 +51,7 @@ Divergence run(double loss_prob, rpc::McastMode mode, std::uint64_t seed, int ro
     // is observationally the same hazard.)
     Buffer reply;
     reply.pack_string("reply-" + std::to_string(round));
-    gc.multicast(0, "GA", std::move(reply), mode);
+    gc.multicast(0, ga, std::move(reply), mode);
     simu.run();
     ++out.rounds;
     if (a1.checksum() != a2.checksum()) {

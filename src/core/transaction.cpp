@@ -93,9 +93,9 @@ sim::Task<Result<Buffer>> Transaction::invoke(Uid object, std::string op, Buffer
   Result<Buffer> r = Err::NoReplicas;
   if (ab.spec.policy == ReplicationPolicy::Active) {
     // Multicast to the replica group; first reply wins (sec 2.3(2)(i)).
-    r = co_await session_.group_invoker().invoke(
-        replication::group_name(object), object, action_.uid(), std::move(ancestors), mode,
-        std::move(op), std::move(args), session_.system().config().rpc.call_timeout);
+    r = co_await session_.group_invoker().invoke(object, action_.uid(), std::move(ancestors),
+                                                 mode, std::move(op), std::move(args),
+                                                 session_.system().config().rpc.call_timeout);
   } else {
     // Single-copy passive / coordinator-cohort: invoke the primary.
     r = co_await replication::objsrv_invoke(session_.runtime().endpoint(), ab.primary, object,

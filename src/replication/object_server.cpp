@@ -6,8 +6,6 @@
 
 namespace gv::replication {
 
-std::string group_name(const Uid& object) { return "grp:" + object.to_string(); }
-
 ObjectServerHost::ObjectServerHost(sim::Node& node, rpc::RpcEndpoint& endpoint,
                                    actions::TxnRegistry& txns, rpc::GroupComm& gc,
                                    ClassRegistry& classes)
@@ -352,7 +350,7 @@ void ObjectServerHost::nested_abort(const Uid& child) {
 // -------------------------------------------------------- group delivery
 
 bool ObjectServerHost::join_group(const Uid& object) {
-  return gc_.join(group_name(object), node_.id(),
+  return gc_.join(object, node_.id(),
                   [this](NodeId from, std::uint64_t, Buffer msg) { on_group_deliver(from, msg); });
 }
 
@@ -426,10 +424,9 @@ GroupInvoker::GroupInvoker(rpc::RpcEndpoint& endpoint, rpc::GroupComm& gc)
   });
 }
 
-sim::Task<Result<Buffer>> GroupInvoker::invoke(const std::string& group, Uid object, Uid action,
-                                               std::vector<Uid> ancestors,
-                                               actions::LockMode mode, std::string op,
-                                               Buffer args, sim::SimTime timeout) {
+sim::Task<Result<Buffer>> GroupInvoker::invoke(Uid object, Uid action, std::vector<Uid> ancestors,
+                                               actions::LockMode mode, std::string op, Buffer args,
+                                               sim::SimTime timeout) {
   const std::uint64_t inv = next_id_++;
   auto span = core::tracing(endpoint_.trace())
                   ? core::trace_span(endpoint_.trace(), "ginv.invoke", endpoint_.node_id(),
@@ -455,7 +452,7 @@ sim::Task<Result<Buffer>> GroupInvoker::invoke(const std::string& group, Uid obj
   const GroupInvocation msg{inv,    endpoint_.node_id(), ctx.trace,      ctx.span,
                             object, action,              std::move(ancestors), mode,
                             std::move(op), std::move(args)};
-  gc_.multicast(endpoint_.node_id(), group, rpc::encode(msg), rpc::McastMode::ReliableOrdered);
+  gc_.multicast(endpoint_.node_id(), object, rpc::encode(msg), rpc::McastMode::ReliableOrdered);
   counters_.inc("ginv.multicast");
 
   Result<Buffer> result = co_await future;

@@ -39,9 +39,6 @@ using sim::NodeId;
 
 inline constexpr const char* kObjSrvService = "objsrv";
 
-// Name of the replica group for an active-replicated object.
-std::string group_name(const Uid& object);
-
 struct ObjectStatus {
   bool active = false;
   std::uint64_t version = 0;
@@ -262,9 +259,8 @@ class GroupInvoker {
  public:
   GroupInvoker(rpc::RpcEndpoint& endpoint, rpc::GroupComm& gc);
 
-  sim::Task<Result<Buffer>> invoke(const std::string& group, Uid object, Uid action,
-                                   std::vector<Uid> ancestors, actions::LockMode mode,
-                                   std::string op, Buffer args,
+  sim::Task<Result<Buffer>> invoke(Uid object, Uid action, std::vector<Uid> ancestors,
+                                   actions::LockMode mode, std::string op, Buffer args,
                                    sim::SimTime timeout = 50 * sim::kMillisecond);
 
   Counters& counters() noexcept { return counters_; }

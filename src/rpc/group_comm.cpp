@@ -6,20 +6,20 @@
 
 namespace gv::rpc {
 
-void GroupComm::create_group(const std::string& group, std::vector<NodeId> members) {
+void GroupComm::create_group(const Uid& group, std::vector<NodeId> members) {
   Group g;
   g.member_ids = std::move(members);
   groups_[group] = std::move(g);
 }
 
-void GroupComm::remove_group(const std::string& group) { groups_.erase(group); }
+void GroupComm::remove_group(const Uid& group) { groups_.erase(group); }
 
-std::vector<NodeId> GroupComm::members(const std::string& group) const {
+std::vector<NodeId> GroupComm::members(const Uid& group) const {
   auto it = groups_.find(group);
   return it == groups_.end() ? std::vector<NodeId>{} : it->second.member_ids;
 }
 
-bool GroupComm::join(const std::string& group, NodeId member, Deliver upcall) {
+bool GroupComm::join(const Uid& group, NodeId member, Deliver upcall) {
   Group& g = groups_[group];
   if (g.members.count(member) > 0) return true;  // idempotent re-join
   for (const auto& [other, state] : g.members) {
@@ -37,7 +37,7 @@ bool GroupComm::join(const std::string& group, NodeId member, Deliver upcall) {
   return true;
 }
 
-void GroupComm::multicast(NodeId from, const std::string& group, Buffer msg, McastMode mode) {
+void GroupComm::multicast(NodeId from, const Uid& group, Buffer msg, McastMode mode) {
   auto git = groups_.find(group);
   if (git == groups_.end()) return;
   if (!cluster_.up(from)) return;  // fail-silent sender
@@ -54,9 +54,8 @@ void GroupComm::multicast(NodeId from, const std::string& group, Buffer msg, Mca
         continue;
       }
       const sim::SimTime latency = net_.sample_latency();
-      const std::string gname = group;
-      sim_.schedule(latency, [this, gname, m, from, msg]() mutable {
-        auto it = groups_.find(gname);
+      sim_.schedule(latency, [this, group, m, from, msg]() mutable {
+        auto it = groups_.find(group);
         if (it == groups_.end()) return;
         auto mit = it->second.members.find(m);
         if (mit == it->second.members.end() || !cluster_.up(m)) return;
@@ -74,14 +73,13 @@ void GroupComm::multicast(NodeId from, const std::string& group, Buffer msg, Mca
   const std::uint64_t seq = git->second.next_mcast_seq++;
   for (NodeId m : git->second.member_ids) {
     const sim::SimTime latency = net_.sample_latency();
-    const std::string gname = group;
-    sim_.schedule(latency, [this, gname, m, from, seq, msg]() mutable {
-      deliver_ordered(gname, m, from, seq, std::move(msg));
+    sim_.schedule(latency, [this, group, m, from, seq, msg]() mutable {
+      deliver_ordered(group, m, from, seq, std::move(msg));
     });
   }
 }
 
-void GroupComm::deliver_ordered(const std::string& group, NodeId member, NodeId from,
+void GroupComm::deliver_ordered(const Uid& group, NodeId member, NodeId from,
                                 std::uint64_t seq, Buffer msg) {
   auto git = groups_.find(group);
   if (git == groups_.end()) return;
@@ -119,7 +117,7 @@ void GroupComm::deliver_ordered(const std::string& group, NodeId member, NodeId 
   }
 }
 
-void GroupComm::multicast_partial(NodeId from, const std::string& group, Buffer msg,
+void GroupComm::multicast_partial(NodeId from, const Uid& group, Buffer msg,
                                   std::size_t copies) {
   auto git = groups_.find(group);
   if (git == groups_.end()) return;
@@ -128,9 +126,8 @@ void GroupComm::multicast_partial(NodeId from, const std::string& group, Buffer 
   for (NodeId m : git->second.member_ids) {
     if (sent++ >= copies) break;
     const sim::SimTime latency = net_.sample_latency();
-    const std::string gname = group;
-    sim_.schedule(latency, [this, gname, m, from, msg]() mutable {
-      auto it = groups_.find(gname);
+    sim_.schedule(latency, [this, group, m, from, msg]() mutable {
+      auto it = groups_.find(group);
       if (it == groups_.end()) return;
       auto mit = it->second.members.find(m);
       if (mit == it->second.members.end() || !cluster_.up(m)) return;

@@ -21,7 +21,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "util/buffer.h"
 #include "util/stats.h"
 #include "util/trace_context.h"
+#include "util/uid.h"
 
 namespace gv::rpc {
 
@@ -49,27 +49,28 @@ class GroupComm {
   using Deliver = std::function<void(NodeId from, std::uint64_t seq, Buffer msg)>;
 
   // Create `group` with a fixed initial member list. Object servers need
-  // not: their first join creates the group of an activated object.
-  void create_group(const std::string& group, std::vector<NodeId> members);
-  void remove_group(const std::string& group);
-  std::vector<NodeId> members(const std::string& group) const;
+  // not: their first join creates the group of an activated object, named
+  // by the object's UID.
+  void create_group(const Uid& group, std::vector<NodeId> members);
+  void remove_group(const Uid& group);
+  std::vector<NodeId> members(const Uid& group) const;
 
   // Each member registers a delivery upcall for a group, joining its
   // member list (and creating the group) if it is not on it yet. A join
   // changes the group's view, which its live members must agree to: a
   // joiner the network cannot connect to one of them is refused (false).
-  bool join(const std::string& group, NodeId member, Deliver upcall);
+  bool join(const Uid& group, NodeId member, Deliver upcall);
 
   // Multicast to all members of `group`. In ReliableOrdered mode the
   // message is sequenced and delivered in identical order at every member
   // functioning at delivery time. In Unreliable mode each copy is an
   // independent Network datagram (loss applies per copy).
-  void multicast(NodeId from, const std::string& group, Buffer msg, McastMode mode);
+  void multicast(NodeId from, const Uid& group, Buffer msg, McastMode mode);
 
   // Deterministic fault injection for tests: deliver to only the first
   // `copies` members, simulating the sender crashing mid-delivery (Fig 1:
   // "B fails during delivery of the reply").
-  void multicast_partial(NodeId from, const std::string& group, Buffer msg, std::size_t copies);
+  void multicast_partial(NodeId from, const Uid& group, Buffer msg, std::size_t copies);
 
   Counters& counters() noexcept { return counters_; }
 
@@ -94,13 +95,13 @@ class GroupComm {
     std::uint64_t next_mcast_seq = 1;
   };
 
-  void deliver_ordered(const std::string& group, NodeId member, NodeId from, std::uint64_t seq,
+  void deliver_ordered(const Uid& group, NodeId member, NodeId from, std::uint64_t seq,
                        Buffer msg);
 
   sim::Simulator& sim_;
   sim::Cluster& cluster_;
   sim::Network& net_;
-  std::unordered_map<std::string, Group> groups_;
+  std::unordered_map<Uid, Group> groups_;
   Counters counters_;
 };
 

@@ -532,8 +532,8 @@ TEST(BinderS2, TwoObjectTransactionIsThreeRoundTripsPerObjectAndOneDecrement) {
   Counters all = sys.aggregate_counters();
   EXPECT_EQ(all.get("gvdb.bind_read"), 2u);
   EXPECT_EQ(all.get("objsrv.activated"), 2u);
-  EXPECT_EQ(sys.gc().members(replication::group_name(a)), (std::vector<NodeId>{2}));
-  EXPECT_EQ(sys.gc().members(replication::group_name(b)), (std::vector<NodeId>{3}));
+  EXPECT_EQ(sys.gc().members(a), (std::vector<NodeId>{2}));
+  EXPECT_EQ(sys.gc().members(b), (std::vector<NodeId>{3}));
   EXPECT_TRUE(sys.gvdb().servers().clients_in_use().empty());
 }
 
@@ -559,7 +559,7 @@ TEST(BinderS2, ServerThatCannotJoinTheGroupIsNotBound) {
   sys.sim().run();
   EXPECT_EQ(bound, (std::vector<NodeId>{2}));
   EXPECT_TRUE(sys.host_at(3).is_active(a));  // it activated...
-  EXPECT_EQ(sys.gc().members(replication::group_name(a)), (std::vector<NodeId>{2}));  // ...alone
+  EXPECT_EQ(sys.gc().members(a), (std::vector<NodeId>{2}));  // ...alone
   Counters all = sys.aggregate_counters();
   EXPECT_EQ(all.get("objsrv.join_refused"), 1u);
   EXPECT_EQ(all.get("activate.join_failed"), 1u);

@@ -166,10 +166,11 @@ TEST_P(GroupOrder, TotalOrderIsPrefixConsistent) {
   rpc::GroupComm gc{sim, cluster, net};
 
   const std::vector<sim::NodeId> members{1, 2, 3, 4};
-  gc.create_group("g", members);
+  const Uid group{0, 1};
+  gc.create_group(group, members);
   std::vector<std::vector<std::uint32_t>> logs(6);
   for (auto m : members)
-    gc.join("g", m, [&logs, m](sim::NodeId, std::uint64_t, Buffer msg) {
+    gc.join(group, m, [&logs, m](sim::NodeId, std::uint64_t, Buffer msg) {
       logs[m].push_back(msg.unpack_u32().value());
     });
 
@@ -177,7 +178,7 @@ TEST_P(GroupOrder, TotalOrderIsPrefixConsistent) {
   for (std::uint32_t i = 0; i < 60; ++i) {
     Buffer b;
     b.pack_u32(i);
-    gc.multicast(static_cast<sim::NodeId>(rng.uniform(6)), "g", std::move(b),
+    gc.multicast(static_cast<sim::NodeId>(rng.uniform(6)), group, std::move(b),
                  rpc::McastMode::ReliableOrdered);
     // Random member crash mid-stream (~10%): it must be dropped from the
     // view, and the SURVIVORS' logs must stay consistent.

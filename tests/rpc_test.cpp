@@ -214,6 +214,8 @@ TEST(Rpc, ClientCrashAbandonsOutstandingCall) {
 
 // ------------------------------------------------------------ GroupComm
 
+const Uid kGroup{0, 1};
+
 struct GroupFixture : Fixture {
   GroupComm gc{sim, cluster, net};
   GroupFixture() : Fixture(5) {}
@@ -221,10 +223,10 @@ struct GroupFixture : Fixture {
 
 TEST(GroupComm, OrderedDeliveryIdenticalAtAllMembers) {
   GroupFixture f;
-  f.gc.create_group("g", {1, 2, 3});
+  f.gc.create_group(kGroup, {1, 2, 3});
   std::vector<std::vector<std::uint32_t>> logs(4);
   for (NodeId m : {1u, 2u, 3u}) {
-    f.gc.join("g", m, [&logs, m](NodeId, std::uint64_t, Buffer msg) {
+    f.gc.join(kGroup, m, [&logs, m](NodeId, std::uint64_t, Buffer msg) {
       logs[m].push_back(msg.unpack_u32().value());
     });
   }
@@ -233,7 +235,7 @@ TEST(GroupComm, OrderedDeliveryIdenticalAtAllMembers) {
   for (std::uint32_t i = 0; i < 20; ++i) {
     Buffer b;
     b.pack_u32(i);
-    f.gc.multicast(i % 2 ? 0 : 4, "g", std::move(b), McastMode::ReliableOrdered);
+    f.gc.multicast(i % 2 ? 0 : 4, kGroup, std::move(b), McastMode::ReliableOrdered);
   }
   f.sim.run();
   EXPECT_EQ(logs[1].size(), 20u);
@@ -244,11 +246,11 @@ TEST(GroupComm, OrderedDeliveryIdenticalAtAllMembers) {
 TEST(GroupComm, UnreliableModeCanDropCopies) {
   GroupFixture f;
   f.net.config().loss_prob = 0.4;
-  f.gc.create_group("g", {1, 2});
+  f.gc.create_group(kGroup, {1, 2});
   int delivered = 0;
   for (NodeId m : {1u, 2u})
-    f.gc.join("g", m, [&delivered](NodeId, std::uint64_t, Buffer) { ++delivered; });
-  for (int i = 0; i < 500; ++i) f.gc.multicast(0, "g", Buffer{}, McastMode::Unreliable);
+    f.gc.join(kGroup, m, [&delivered](NodeId, std::uint64_t, Buffer) { ++delivered; });
+  for (int i = 0; i < 500; ++i) f.gc.multicast(0, kGroup, Buffer{}, McastMode::Unreliable);
   f.sim.run();
   // ~60% of 1000 copies should arrive.
   EXPECT_GT(delivered, 400);
@@ -257,11 +259,11 @@ TEST(GroupComm, UnreliableModeCanDropCopies) {
 
 TEST(GroupComm, PartialMulticastDeliversPrefixOnly) {
   GroupFixture f;
-  f.gc.create_group("g", {1, 2, 3});
+  f.gc.create_group(kGroup, {1, 2, 3});
   std::vector<int> got(4, 0);
   for (NodeId m : {1u, 2u, 3u})
-    f.gc.join("g", m, [&got, m](NodeId, std::uint64_t, Buffer) { ++got[m]; });
-  f.gc.multicast_partial(0, "g", Buffer{}, 1);  // only the first member
+    f.gc.join(kGroup, m, [&got, m](NodeId, std::uint64_t, Buffer) { ++got[m]; });
+  f.gc.multicast_partial(0, kGroup, Buffer{}, 1);  // only the first member
   f.sim.run();
   EXPECT_EQ(got[1], 1);
   EXPECT_EQ(got[2], 0);
@@ -270,17 +272,17 @@ TEST(GroupComm, PartialMulticastDeliversPrefixOnly) {
 
 TEST(GroupComm, CrashedMemberDroppedFromView) {
   GroupFixture f;
-  f.gc.create_group("g", {1, 2});
+  f.gc.create_group(kGroup, {1, 2});
   std::vector<int> got(3, 0);
   for (NodeId m : {1u, 2u})
-    f.gc.join("g", m, [&got, m](NodeId, std::uint64_t, Buffer) { ++got[m]; });
-  f.gc.multicast(0, "g", Buffer{}, McastMode::ReliableOrdered);
+    f.gc.join(kGroup, m, [&got, m](NodeId, std::uint64_t, Buffer) { ++got[m]; });
+  f.gc.multicast(0, kGroup, Buffer{}, McastMode::ReliableOrdered);
   f.cluster.node(2).crash();
   f.sim.run();
   // Member 2 was down at delivery: dropped from the view; later recovery
   // without rejoin must deliver nothing.
   f.cluster.node(2).recover();
-  f.gc.multicast(0, "g", Buffer{}, McastMode::ReliableOrdered);
+  f.gc.multicast(0, kGroup, Buffer{}, McastMode::ReliableOrdered);
   f.sim.run();
   EXPECT_EQ(got[1], 2);
   EXPECT_EQ(got[2], 0);

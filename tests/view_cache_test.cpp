@@ -559,7 +559,7 @@ TEST(ViewCache, ServerThatCannotJoinTheGroupIsNotBound) {
   }(sys, obj, bound));
   sys.sim().run();
   EXPECT_EQ(bound, (std::vector<sim::NodeId>{2}));
-  EXPECT_EQ(sys.gc().members(replication::group_name(obj)), (std::vector<sim::NodeId>{2}));
+  EXPECT_EQ(sys.gc().members(obj), (std::vector<sim::NodeId>{2}));
   Counters all = sys.aggregate_counters();
   EXPECT_EQ(all.get("objsrv.join_refused"), 1u);
   EXPECT_EQ(all.get("activate.join_failed"), 1u);
