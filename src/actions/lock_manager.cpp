@@ -106,6 +106,7 @@ sim::Task<Status> LockManager::acquire(LockKey key, LockMode mode, Uid owner,
       std::erase(oit->second, key);
       if (oit->second.empty()) owned_.erase(oit);
     }
+    pump(key);  // the requests queued behind this one may be grantable now
   });
   e.waiters.push_back(Waiter{owner, mode, promotion, std::move(ancestors), promise, timer});
   note(owner, key);

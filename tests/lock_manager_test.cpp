@@ -250,6 +250,28 @@ TEST(LockManager, CancelledRequestUnblocksTheQueueBehindIt) {
   EXPECT_TRUE(f.lm.holds(kR, f.c, LockMode::Read));
 }
 
+// A request that times out leaves the queue like a cancelled one: the
+// compatible reader behind the refused writer is granted at once, not at
+// the next release or at its own timeout.
+TEST(LockManager, TimedOutRequestUnblocksTheQueueBehindIt) {
+  Fixture f;
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Read, f.a).ok());
+  Status writer = Err::None, reader = Err::None;
+  sim::SimTime reader_at = 0;
+  f.sim.spawn([](Fixture& f, Status& s) -> sim::Task<> {
+    s = co_await f.lm.acquire(kR, LockMode::Write, f.b, 10 * kMillisecond);
+  }(f, writer));
+  f.sim.spawn([](Fixture& f, Status& s, sim::SimTime& at) -> sim::Task<> {
+    s = co_await f.lm.acquire(kR, LockMode::Read, f.c, 100 * kMillisecond);
+    at = f.sim.now();
+  }(f, reader, reader_at));
+  f.sim.run();
+  EXPECT_EQ(writer.error(), Err::LockRefused);
+  EXPECT_TRUE(reader.ok());
+  EXPECT_EQ(reader_at, 10 * kMillisecond);
+  EXPECT_TRUE(f.lm.holds(kR, f.c, LockMode::Read));
+}
+
 // Wait on `res` for `owner` and record the resource once granted.
 sim::Task<> wait_for(Fixture& f, LockKey res, Uid owner, std::vector<LockKey>& resumed) {
   Status s = co_await f.lm.acquire(res, LockMode::Write, owner, 300 * kMillisecond);
