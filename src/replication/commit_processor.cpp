@@ -64,22 +64,21 @@ sim::Task<Status> CommitProcessor::commit(actions::AtomicAction& action,
                         : core::TraceRecorder::Span{};
   const sim::SimTime t_stage = sim.now();
   std::vector<naming::ExcludeItem> excludes;
-  for (ActiveBinding* b : bindings) {
-    Status staged = co_await stage_object(action, *b, excludes);
-    if (!staged.ok()) {
-      counters_.inc("commit.stage_failed");
-      stage_span.end("failed");
-      Status aborted = co_await action.abort();
-      if (staged.error() == Err::Conflict) {
-        // The bound replicas missed a commit that a store holds. Once the
-        // abort has released them, retire them (the mark_committed rule
-        // for a replica behind the group), so the next bind reloads.
-        for (NodeId server : b->bind.servers)
-          (void)co_await objsrv_mark_committed(rt_.endpoint(), server, b->spec.uid,
-                                               b->staged_version);
-      }
-      co_return aborted;
+  ActiveBinding* behind = nullptr;
+  Status staged = co_await stage(action, bindings, excludes, behind);
+  if (!staged.ok()) {
+    counters_.inc("commit.stage_failed");
+    stage_span.end("failed");
+    Status aborted = co_await action.abort();
+    if (staged.error() == Err::Conflict) {
+      // The bound replicas missed a commit that a store holds. Once the
+      // abort has released them, retire them (the mark_committed rule
+      // for a replica behind the group), so the next bind reloads.
+      for (NodeId server : behind->bind.servers)
+        (void)co_await objsrv_mark_committed(rt_.endpoint(), server, behind->spec.uid,
+                                             behind->staged_version);
     }
+    co_return aborted;
   }
 
   // Retire every store that failed a copy, across ALL objects, with ONE
@@ -129,12 +128,90 @@ sim::Task<Status> CommitProcessor::commit(actions::AtomicAction& action,
   co_return ok_status();
 }
 
-sim::Task<Status> CommitProcessor::stage_object(actions::AtomicAction& action,
-                                                ActiveBinding& binding,
-                                                std::vector<naming::ExcludeItem>& excludes) {
-  // 1. Fetch the (possibly new) state from a live bound server. Probe
-  // EVERY bound server: replicas that crashed hold nothing durable, and
-  // leaving them enlisted would make the 2PC abort a failure the
+sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
+                                         const std::vector<ActiveBinding*>& bindings,
+                                         std::vector<naming::ExcludeItem>& excludes,
+                                         ActiveBinding*& behind) {
+  // 1. Fetch every object's new state.
+  struct Copy {
+    ActiveBinding* binding;
+    std::vector<NodeId> copied, failed;
+    bool behind = false;
+  };
+  std::vector<Copy> copies;
+  for (ActiveBinding* b : bindings) {
+    Status fetched = co_await fetch_state(action, *b);
+    if (!fetched.ok()) co_return fetched;
+    if (b->staged_version != 0) copies.push_back(Copy{b, {}, {}});
+  }
+
+  // 2. Copy (prepare) the new states to every store in each object's
+  // St(A): one call per store, in node order, carrying every object that
+  // store holds. The client node coordinates this 2PC: the store records
+  // the caller with the shadow, so a store left holding an undecided slot
+  // (crash, or a lost phase-2 RPC) can ask the coordinator log for the
+  // outcome instead of presuming abort.
+  std::map<NodeId, std::vector<Copy*>> by_store;
+  for (Copy& c : copies)
+    for (NodeId st : c.binding->st) by_store[st].push_back(&c);
+  for (auto& [st, held] : by_store) {
+    std::vector<store::StagedWrite> writes;
+    writes.reserve(held.size());
+    for (const Copy* c : held)
+      writes.push_back(store::StagedWrite{c->binding->spec.uid, c->binding->staged_version,
+                                          c->binding->staged_snapshot});
+    auto errs = co_await store::ObjectStore::remote_prepare(rt_.endpoint(), st, action.uid(),
+                                                            writes);
+    // A failed call, or a reply that does not answer every write, fails
+    // each of this store's writes.
+    const bool answered = errs.ok() && errs.value().size() == held.size();
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      const Err e = answered ? static_cast<Err>(errs.value()[i]) : Err::StorageFault;
+      if (e == Err::None) {
+        held[i]->copied.push_back(st);
+        counters_.inc("commit.state_copied");
+      } else if (e == Err::Conflict) {
+        // The store already holds this version or a later one: it is not
+        // the store that failed but the state being staged that is stale.
+        // Excluding it would retire the only holders of a committed update.
+        held[i]->behind = true;
+      } else {
+        held[i]->failed.push_back(st);
+        counters_.inc("commit.state_copy_failed");
+      }
+    }
+  }
+
+  // 3. Judge each object's copies. First enlist every store that accepted
+  // any copy, so the 2PC (or the abort) reaches every shadow; the group
+  // view database is already a participant from the bind's naming read.
+  for (const Copy& c : copies)
+    for (NodeId st : c.copied) action.enlist({st, store::kStoreService});
+  for (Copy& c : copies) {
+    if (c.behind) {
+      counters_.inc("commit.staged_state_behind");
+      behind = c.binding;
+      co_return Err::Conflict;
+    }
+    // No store holds the new state: the object cannot commit.
+    if (c.copied.empty()) {
+      counters_.inc("commit.no_store_available");
+      co_return Err::NoReplicas;
+    }
+    // Queue the failed stores for exclusion from St(A); the caller
+    // batches the Excludes of every staged object into one RPC.
+    if (!c.failed.empty()) {
+      counters_.inc("commit.state_copy_failed_stores", c.failed.size());
+      excludes.push_back(naming::ExcludeItem{c.binding->spec.uid, std::move(c.failed)});
+    }
+  }
+  co_return ok_status();
+}
+
+sim::Task<Status> CommitProcessor::fetch_state(actions::AtomicAction& action,
+                                               ActiveBinding& binding) {
+  // Probe EVERY bound server: replicas that crashed hold nothing durable,
+  // and leaving them enlisted would make the 2PC abort a failure the
   // replication policy exists to mask (sec 3.2: up to k-1 server
   // failures are masked).
   Result<ObjectServerHost::StateForCommit> state = Err::NoReplicas;
@@ -159,7 +236,7 @@ sim::Task<Status> CommitProcessor::stage_object(actions::AtomicAction& action,
   }
   if (!state.ok()) co_return state.error();  // every bound server gone: abort
 
-  // 2. Read-only optimisation (sec 4.2.1): unmodified objects need no
+  // Read-only optimisation (sec 4.2.1): unmodified objects need no
   // copy-back and no store participation at all. But the client records
   // whether IT issued a successful write (binding.wrote): if it did and
   // no probed replica holds the modified state, every replica that
@@ -175,56 +252,8 @@ sim::Task<Status> CommitProcessor::stage_object(actions::AtomicAction& action,
     binding.staged_version = 0;
     co_return ok_status();
   }
-
-  const std::uint64_t new_version = state.value().version + 1;
-  binding.staged_version = new_version;
-  // 3. Copy (prepare) the new state to every store in St(A).
-  std::vector<NodeId> copied, failed;
-  bool behind = false;
-  for (NodeId st : binding.st) {
-    // The client node coordinates this 2PC: the store records the caller
-    // with the shadow, so a store left holding an undecided slot (crash,
-    // or a lost phase-2 RPC) can ask the coordinator log for the outcome
-    // instead of presuming abort.
-    Status s = co_await store::ObjectStore::remote_prepare(rt_.endpoint(), st, binding.spec.uid,
-                                                           action.uid(), new_version,
-                                                           state.value().snapshot);
-    if (s.ok()) {
-      copied.push_back(st);
-      counters_.inc("commit.state_copied");
-    } else if (s.error() == Err::Conflict) {
-      // The store already holds this version or a later one: it is not
-      // the store that failed but the state being staged that is stale.
-      // Excluding it would retire the only holders of a committed update.
-      behind = true;
-    } else {
-      failed.push_back(st);
-      counters_.inc("commit.state_copy_failed");
-    }
-  }
-  // Enlist every store that accepted the copy, so the 2PC (or the
-  // abort) reaches its shadow; the group view database is already a
-  // participant from the bind's naming read.
-  for (NodeId st : copied) action.enlist({st, store::kStoreService});
-  if (behind) {
-    counters_.inc("commit.staged_state_behind");
-    co_return Err::Conflict;
-  }
-
-  // 4. No store holds the new state: the object cannot commit.
-  if (copied.empty()) {
-    counters_.inc("commit.no_store_available");
-    co_return Err::NoReplicas;
-  }
-
-  // 5. Queue the failed stores for exclusion from St(A); the caller
-  // batches the Excludes of every staged object into one RPC.
-  if (!failed.empty()) {
-    counters_.inc("commit.state_copy_failed_stores", failed.size());
-    excludes.push_back(naming::ExcludeItem{binding.spec.uid, std::move(failed)});
-  }
-
-  binding.staged_snapshot = state.value().snapshot;
+  binding.staged_version = state.value().version + 1;
+  binding.staged_snapshot = std::move(state.value().snapshot);
   co_return ok_status();
 }
 

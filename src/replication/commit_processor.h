@@ -6,7 +6,8 @@
 //     of its bound servers (the read-only optimisation skips objects the
 //     action did not modify — no copying necessary).
 //  2. Copy the new state (version v+1) to the object stores of ALL nodes
-//     in St(A) — as stable shadow writes keyed by the action.
+//     in St(A) — as stable shadow writes keyed by the action. Each store
+//     gets one prepare per action, carrying every object it holds.
 //  3. Nodes for which the copy failed must be EXCLUDED from St(A): the
 //     read lock the action holds on the St entry is promoted (to
 //     EXCLUDE-WRITE under the paper's policy, to WRITE under the ablation
@@ -50,11 +51,18 @@ class CommitProcessor {
   // gvdb.validate RPC (per naming-node incarnation seen, normally one).
   sim::Task<Status> validate_cached_views(actions::AtomicAction& action,
                                           const std::vector<ActiveBinding*>& bindings);
-  // Stage one object; store-copy failures are APPENDED to `excludes`
-  // rather than excluded immediately, so the caller can retire every
-  // failed store across all objects with a single batched Exclude.
-  sim::Task<Status> stage_object(actions::AtomicAction& action, ActiveBinding& binding,
-                                 std::vector<naming::ExcludeItem>& excludes);
+  // Stage every object: fetch each new state, prepare it at its stores
+  // with one call per store, then judge each object's copies. Stores that
+  // failed a copy are APPENDED to `excludes`, so the caller retires every
+  // one across all objects with a single batched Exclude. A failure is
+  // the caller's to abort on; Err::Conflict sets `behind` to the object
+  // whose staged state a store already holds, or holds a newer one of.
+  sim::Task<Status> stage(actions::AtomicAction& action,
+                          const std::vector<ActiveBinding*>& bindings,
+                          std::vector<naming::ExcludeItem>& excludes, ActiveBinding*& behind);
+  // Fetch one object's new state from its freshest bound replica and set
+  // binding.staged_version (0: not modified) and staged_snapshot.
+  sim::Task<Status> fetch_state(actions::AtomicAction& action, ActiveBinding& binding);
 
   actions::ActionRuntime& rt_;
   NodeId naming_node_;

@@ -310,11 +310,17 @@ void ObjectStore::register_rpc() {
   endpoint_.serve(kStoreProbe, [this](NodeId, Uid uid) -> Result<Probe> {
     return Probe{version(uid).value_or(0), has_pending_shadow(uid)};
   });
-  endpoint_.serve(kStorePrepare, [this](NodeId from, Uid uid, Uid txn, std::uint64_t ver,
-                                        Buffer state) {
+  endpoint_.serve(kStorePrepare, [this](NodeId from, Uid txn, std::vector<StagedWrite> writes)
+                                     -> Result<std::vector<std::uint32_t>> {
     // The caller is the coordinator (the commit processor runs on the
     // client node).
-    return prepare(uid, txn, ver, std::move(state), from);
+    std::vector<std::uint32_t> errs;
+    errs.reserve(writes.size());
+    for (StagedWrite& w : writes) {
+      Status s = prepare(w.uid, txn, w.version, std::move(w.state), from);
+      errs.push_back(static_cast<std::uint32_t>(s.ok() ? Err::None : s.error()));
+    }
+    return errs;
   });
 }
 

@@ -41,6 +41,15 @@ struct VersionedState {
   GV_WIRE_FIELDS(version, state)
 };
 
+// One object's new state in a batched prepare: its shadow write at
+// `version` under the preparing action.
+struct StagedWrite {
+  Uid uid;
+  std::uint64_t version = 0;
+  Buffer state;
+  GV_WIRE_FIELDS(uid, version, state)
+};
+
 // Stable-storage fault injection (nemesis hook). Probabilities are
 // evaluated per prepare(): `fail_prepare_prob` models an IO error that
 // refuses the shadow install outright (the commit processor then
@@ -147,8 +156,12 @@ class ObjectStore {
     GV_WIRE_FIELDS(version, pending)
   };
   static sim::Task<Result<Probe>> remote_probe(rpc::RpcEndpoint& from, NodeId dest, Uid uid);
-  static sim::Task<Status> remote_prepare(rpc::RpcEndpoint& from, NodeId dest, Uid uid, Uid txn,
-                                          std::uint64_t version, Buffer state);
+  // Prepare every write of `txn` at `dest` in one call: each runs
+  // through prepare() in order, and the reply holds one Err per write (as
+  // a u32; Err::None where the shadow landed). The handler does not
+  // suspend, so a crash of `dest` lands before or after the whole batch.
+  static sim::Task<Result<std::vector<std::uint32_t>>> remote_prepare(
+      rpc::RpcEndpoint& from, NodeId dest, Uid txn, const std::vector<StagedWrite>& writes);
 
  private:
   void register_rpc();
@@ -187,8 +200,8 @@ class ObjectStore {
 // the client stubs. A prepare's caller is the action's coordinator.
 inline constexpr rpc::Rpc<VersionedState(Uid)> kStoreRead{kStoreService, "read"};
 inline constexpr rpc::Rpc<ObjectStore::Probe(Uid)> kStoreProbe{kStoreService, "probe"};
-inline constexpr rpc::Rpc<void(Uid, Uid, std::uint64_t, Buffer)> kStorePrepare{kStoreService,
-                                                                               "prepare"};
+inline constexpr rpc::Rpc<std::vector<std::uint32_t>(Uid, std::vector<StagedWrite>)> kStorePrepare{
+    kStoreService, "prepare"};
 
 inline sim::Task<Result<VersionedState>> ObjectStore::remote_read(rpc::RpcEndpoint& from,
                                                                   NodeId dest, Uid uid) {
@@ -198,10 +211,9 @@ inline sim::Task<Result<ObjectStore::Probe>> ObjectStore::remote_probe(rpc::RpcE
                                                                        NodeId dest, Uid uid) {
   return from.call(dest, kStoreProbe, uid);
 }
-inline sim::Task<Status> ObjectStore::remote_prepare(rpc::RpcEndpoint& from, NodeId dest, Uid uid,
-                                                     Uid txn, std::uint64_t version,
-                                                     Buffer state) {
-  return from.call(dest, kStorePrepare, uid, txn, version, state);
+inline sim::Task<Result<std::vector<std::uint32_t>>> ObjectStore::remote_prepare(
+    rpc::RpcEndpoint& from, NodeId dest, Uid txn, const std::vector<StagedWrite>& writes) {
+  return from.call(dest, kStorePrepare, txn, writes);
 }
 
 // Adapter enrolling the store in client-coordinated 2PC. Registered in

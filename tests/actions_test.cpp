@@ -342,9 +342,10 @@ TEST(AtomicAction, StoreParticipantEndToEnd) {
       AtomicAction nested{*f.rt, &top};
       Buffer st;
       st.pack_string("nested-write");
-      EXPECT_TRUE((co_await store::ObjectStore::remote_prepare(ep, 1, obj, nested.uid(), 1,
-                                                               std::move(st)))
-                      .ok());
+      const std::vector<store::StagedWrite> writes{store::StagedWrite{obj, 1, std::move(st)}};
+      auto errs = co_await store::ObjectStore::remote_prepare(ep, 1, nested.uid(), writes);
+      EXPECT_TRUE(errs.ok());
+      EXPECT_EQ(errs.value_or({}), (std::vector<std::uint32_t>{0}));
       nested.enlist({1, store::kStoreService});
       EXPECT_TRUE((co_await nested.commit()).ok());
     }
@@ -369,7 +370,8 @@ TEST(AtomicAction, StoreParticipantAbortLeavesNoTrace) {
     AtomicAction act{*f.rt};
     Buffer st;
     st.pack_string("doomed");
-    (void)co_await store::ObjectStore::remote_prepare(ep, 1, obj, act.uid(), 1, std::move(st));
+    const std::vector<store::StagedWrite> writes{store::StagedWrite{obj, 1, std::move(st)}};
+    (void)co_await store::ObjectStore::remote_prepare(ep, 1, act.uid(), writes);
     act.enlist({1, store::kStoreService});
     (void)co_await act.abort();
   }(f, obj));

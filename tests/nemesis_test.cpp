@@ -203,6 +203,49 @@ TEST(StaleStaging, StoreAheadOfStagedStateAbortsInsteadOfExcluding) {
   EXPECT_FALSE(sys.host_at(2).is_active(obj));
 }
 
+// ------------------------------------------------- a dead store at commit
+
+// A store that is down when an action commits costs the staging one
+// call timeout, whatever the number of objects it holds: the action
+// sends it one prepare carrying both objects. Both objects then Exclude
+// it in one batched ostdb.exclude, and commit at the other two stores.
+TEST(DeadStore, TwoObjectCommitSpendsOneTimeoutAndOneExclude) {
+  SystemConfig cfg;
+  cfg.nodes = 8;
+  cfg.seed = 12;
+  ReplicaSystem sys{cfg};
+  const Uid a = sys.define_object("a", "counter", Counter{}.snapshot(), {2}, {5, 6, 7},
+                                  ReplicationPolicy::SingleCopyPassive, 1);
+  const Uid b = sys.define_object("b", "counter", Counter{}.snapshot(), {2}, {5, 6, 7},
+                                  ReplicationPolicy::SingleCopyPassive, 1);
+  bool committed = false;
+  sys.sim().spawn([](ReplicaSystem& sys, Uid a, Uid b, bool& committed) -> sim::Task<> {
+    auto txn = sys.client(1)->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "add", i64_buf(1), LockMode::Write)).ok());
+    EXPECT_TRUE((co_await txn->invoke(b, "add", i64_buf(2), LockMode::Write)).ok());
+    sys.cluster().node(6).crash();
+    committed = (co_await txn->commit()).ok();
+  }(sys, a, b, committed));
+  sys.sim().run_until(2 * sim::kSecond);
+  EXPECT_TRUE(committed);
+
+  const auto& h = sys.metrics().histograms();
+  auto stage = h.find("commit.stage_us");
+  ASSERT_NE(stage, h.end());
+  ASSERT_EQ(stage->second.count(), 1u);
+  const auto timeout = static_cast<double>(sys.config().rpc.call_timeout);
+  EXPECT_GE(stage->second.max(), timeout);
+  EXPECT_LT(stage->second.max(), 2 * timeout);
+  auto excludes = h.find("rpc.ostdb.exclude_us");
+  ASSERT_NE(excludes, h.end());
+  EXPECT_EQ(excludes->second.count(), 1u);
+  for (const Uid& obj : {a, b}) {
+    EXPECT_EQ(sys.gvdb().states().peek(obj), (std::vector<sim::NodeId>{5, 7}));
+    EXPECT_EQ(sys.store_at(5).read(obj).value().version, 2u);
+    EXPECT_EQ(sys.store_at(7).read(obj).value().version, 2u);
+  }
+}
+
 // ---------------------------------------------------------------- auditor
 
 TEST(Auditor, FlagsEscapedViewState) {

@@ -314,6 +314,37 @@ TEST(Replication, ReadOnlyOptimisationSkipsStores) {
   EXPECT_EQ(s.sys.store_at(3).read(obj).value().version, 1u);
 }
 
+// Commit sends each St store one prepare per action, carrying every
+// object that store holds: two objects on the same three stores cost
+// three prepare round trips, not six. Calls are counted by their latency
+// samples.
+TEST(Replication, OnePreparePerStoreCarriesEveryObject) {
+  Sys s;
+  Uid a = s.sys.define_object("a", "counter", Counter{}.snapshot(), {2}, {3, 4, 5},
+                              ReplicationPolicy::SingleCopyPassive, 1);
+  Uid b = s.sys.define_object("b", "counter", Counter{}.snapshot(), {2}, {3, 4, 5},
+                              ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  Status outcome = Err::Aborted;
+  s.run([](core::ClientSession* client, Uid a, Uid b, Status& outcome) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "add", i64_buf(1), LockMode::Write)).ok());
+    EXPECT_TRUE((co_await txn->invoke(b, "add", i64_buf(2), LockMode::Write)).ok());
+    outcome = co_await txn->commit();
+  }(client, a, b, outcome));
+  EXPECT_TRUE(outcome.ok());
+  const auto& h = s.sys.metrics().histograms();
+  auto prepares = h.find("rpc.store.prepare_us");
+  ASSERT_NE(prepares, h.end());
+  EXPECT_EQ(prepares->second.count(), 3u);
+  EXPECT_EQ(client->commit_processor().counters().get("commit.state_copied"), 6u);
+  for (sim::NodeId st : {3u, 4u, 5u}) {
+    EXPECT_EQ(s.sys.store_at(st).read(a).value().version, 2u);
+    EXPECT_EQ(s.sys.store_at(st).read(b).value().version, 2u);
+    EXPECT_EQ(s.sys.store_at(st).counters().get("store.prepare"), 2u);
+  }
+}
+
 // ---------------------------------------------------------- recovery
 
 // A store node crashes, misses a commit (gets excluded), recovers,

@@ -195,7 +195,9 @@ TEST(ObjectStore, RemoteTwoPhaseAcrossNodes) {
     auto& ep = f.fabric->endpoint(0);
     Buffer s;
     s.pack_string("2pc");
-    EXPECT_TRUE((co_await ObjectStore::remote_prepare(ep, 2, obj, txn, 1, std::move(s))).ok());
+    const std::vector<StagedWrite> writes{StagedWrite{obj, 1, std::move(s)}};
+    auto errs = co_await ObjectStore::remote_prepare(ep, 2, txn, writes);
+    EXPECT_EQ(errs.value_or({}), (std::vector<std::uint32_t>{0}));
     StoreTxnParticipant participant{*f.stores[2]};
     EXPECT_TRUE((co_await participant.commit(txn)).ok());
     auto r = co_await ObjectStore::remote_read(ep, 2, obj);
@@ -205,6 +207,38 @@ TEST(ObjectStore, RemoteTwoPhaseAcrossNodes) {
   f.sim.run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(f.stores[2]->contains(obj));
+}
+
+// A batched prepare runs each write through prepare() and answers per
+// write: a write behind the committed version is refused without
+// refusing the others.
+TEST(ObjectStore, BatchedPrepareAnswersPerWrite) {
+  Fixture f;
+  Uid a{1, 1}, b{1, 2}, c{1, 3}, txn{2, 1};
+  ASSERT_TRUE(f.stores[2]->write_direct(b, 3, state_of("b3")).ok());
+  Result<std::vector<std::uint32_t>> errs = Err::Timeout;
+  f.sim.spawn([](Fixture& f, Uid a, Uid b, Uid c, Uid txn,
+                 Result<std::vector<std::uint32_t>>& errs) -> sim::Task<> {
+    const std::vector<StagedWrite> writes{StagedWrite{a, 1, state_of("a1")},
+                                          StagedWrite{b, 3, state_of("b3'")},
+                                          StagedWrite{c, 1, state_of("c1")}};
+    errs = co_await ObjectStore::remote_prepare(f.fabric->endpoint(0), 2, txn, writes);
+  }(f, a, b, c, txn, errs));
+  f.sim.run();
+  ASSERT_TRUE(errs.ok());
+  EXPECT_EQ(errs.value(), (std::vector<std::uint32_t>{static_cast<std::uint32_t>(Err::None),
+                                                      static_cast<std::uint32_t>(Err::Conflict),
+                                                      static_cast<std::uint32_t>(Err::None)}));
+  EXPECT_EQ(f.stores[2]->counters().get("store.prepare"), 2u);
+  EXPECT_EQ(f.stores[2]->counters().get("store.prepare_stale"), 1u);
+  EXPECT_TRUE(f.stores[2]->has_pending_shadow(a));
+  EXPECT_FALSE(f.stores[2]->has_pending_shadow(b));
+  EXPECT_TRUE(f.stores[2]->has_pending_shadow(c));
+  // The two accepted writes commit together.
+  ASSERT_TRUE(f.stores[2]->commit(txn).ok());
+  EXPECT_EQ(f.stores[2]->version(a).value_or(0), 1u);
+  EXPECT_EQ(f.stores[2]->version(b).value_or(0), 3u);
+  EXPECT_EQ(f.stores[2]->version(c).value_or(0), 1u);
 }
 
 TEST(ObjectStore, RemoteReadFromCrashedNodeTimesOut) {

@@ -134,11 +134,25 @@ TEST(WireOracle, StoreReadReply) {
 
 TEST(WireOracle, StorePrepareRequest) {
   Buffer ref;
-  ref.pack_uid(Uid{1, 2}).pack_uid(Uid{3, 4}).pack_u64(9).pack_bytes(bytes({5, 6}));
+  ref.pack_uid(Uid{3, 4}).pack_u32(2);
+  ref.pack_uid(Uid{1, 2}).pack_u64(9).pack_bytes(bytes({5, 6}));
+  ref.pack_uid(Uid{1, 3}).pack_u64(4).pack_bytes(bytes({7}));
   const Buffer wire =
-      request(store::kStorePrepare, Uid{1, 2}, Uid{3, 4}, 9, bytes({5, 6}));
+      request(store::kStorePrepare, Uid{3, 4},
+              {store::StagedWrite{Uid{1, 2}, 9, bytes({5, 6})},
+               store::StagedWrite{Uid{1, 3}, 4, bytes({7})}});
   EXPECT_EQ(wire, ref);
   expect_request_prefixes_refused(store::kStorePrepare, wire);
+}
+
+TEST(WireOracle, StorePrepareReply) {
+  const std::vector<std::uint32_t> errs{static_cast<std::uint32_t>(Err::None),
+                                        static_cast<std::uint32_t>(Err::Conflict)};
+  Buffer ref;
+  ref.pack_u32_vector(errs);
+  const Buffer wire = reply(errs);
+  EXPECT_EQ(wire, ref);
+  expect_reply_prefixes_refused(store::kStorePrepare, wire);
 }
 
 TEST(WireOracle, TxnNestedCommitRequest) {
