@@ -12,8 +12,10 @@
 #
 #   scripts/equivalence.sh BASE_REF [WORKDIR]
 #
-# Commit the change first: HEAD is built as committed, so uncommitted
-# edits are not compared. WORKDIR (default: a fresh temporary directory)
+# When a campaign summary differs, its per-mix rows (mix, scheme, commit%,
+# violations) are printed for base and head side by side, a moved row
+# marked "*". Commit the change first: HEAD is built as committed, so
+# uncommitted edits are not compared. WORKDIR (default: a fresh temporary directory)
 # keeps both builds and their outputs. JOBS sets the build parallelism
 # (default 4). Exits 0 if all nine outputs match, 1 on any difference,
 # 2 on bad usage or a failed build.
@@ -69,6 +71,18 @@ outputs() {
   done
 }
 
+# rows BASE HEAD: the per-mix rows of two campaign summaries side by side.
+rows() {
+  printf '         %-10s %-6s %8s %5s | %8s %5s\n' mix scheme commit% viol commit% viol
+  awk 'NF == 6 && $3 ~ /^[0-9]+$/ && $4 ~ /%$/ {
+         key = $1 " " $2
+         if (FILENAME == ARGV[1]) { commit[key] = $4; viol[key] = $6; next }
+         moved = commit[key] != $4 || viol[key] != $6
+         printf "         %-10s %-6s %8s %5s | %8s %5s%s\n", $1, $2, commit[key], viol[key], $4, $6,
+                moved ? "  *" : ""
+       }' "$1" "$2"
+}
+
 echo "base ${base:0:12}, head ${head:0:12}, in $work"
 build base "$base"
 build head "$head"
@@ -83,6 +97,7 @@ for f in "${files[@]}"; do
     echo "same     $f"
   else
     echo "DIFFERS  $f"
+    if [[ $f == campaign*.txt ]]; then rows "$work/base-out/$f" "$work/head-out/$f"; fi
     status=1
   fi
 done

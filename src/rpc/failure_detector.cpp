@@ -3,9 +3,8 @@
 namespace gv::rpc {
 
 sim::Task<bool> FailureDetector::alive(NodeId target) {
-  Result<Buffer> r =
-      co_await endpoint_.call(target, "sys", "ping", Buffer{}, ping_timeout_);
-  co_return r.ok();
+  Result<std::uint64_t> epoch = co_await endpoint_.call(target, ping_timeout_, kSysPing);
+  co_return epoch.ok();
 }
 
 }  // namespace gv::rpc

@@ -23,12 +23,7 @@ RpcEndpoint::RpcEndpoint(sim::Node& node, sim::Network& net, RpcConfig cfg)
   net_.register_handler(node_.id(),
                         [this](NodeId from, Buffer msg) { on_message(from, std::move(msg)); });
 
-  // Built-in bind/ping service: returns the current incarnation epoch.
-  register_method("sys", "ping", [this](NodeId, Buffer) -> sim::Task<Result<Buffer>> {
-    Buffer out;
-    out.pack_u64(node_.epoch());
-    co_return out;
-  });
+  serve(kSysPing, [this](NodeId) -> Result<std::uint64_t> { return node_.epoch(); });
 
   // Process-kill semantics: when this node crashes, every in-flight
   // outgoing call is abandoned WITHOUT resolving its future — the calling
@@ -76,17 +71,6 @@ void RpcEndpoint::register_op(const OpName& op_name, Method fn) {
   methods_[op] = std::move(fn);
 }
 
-void RpcEndpoint::unregister_service(const std::string& service) {
-  const std::string prefix = service + ".";
-  for (auto it = methods_.begin(); it != methods_.end();) {
-    const auto name = op_names_.find(it->first);
-    if (name != op_names_.end() && name->second.rfind(prefix, 0) == 0)
-      it = methods_.erase(it);
-    else
-      ++it;
-  }
-}
-
 const std::string& RpcEndpoint::op_name(std::uint64_t op) const {
   static const std::string kUnknown = "?";
   auto it = op_names_.find(op);
@@ -98,9 +82,8 @@ sim::Task<Result<Buffer>> RpcEndpoint::call(NodeId dest, std::string service, st
   return call(dest, std::move(service), std::move(method), std::move(args), cfg_.call_timeout);
 }
 
-sim::SimFuture<Result<Buffer>> RpcEndpoint::send_request(NodeId dest, std::uint64_t wire_epoch,
-                                                         std::uint64_t op, Buffer args,
-                                                         sim::SimTime timeout) {
+RpcEndpoint::OpenCall RpcEndpoint::open_call(std::uint64_t wire_epoch, std::uint64_t op,
+                                             const Buffer& args, sim::SimTime timeout) {
   // Propagate the ambient context (the caller's span when recording, its
   // inherited context otherwise) so the server parents its handler.
   const TraceContext ctx = current_trace_context();
@@ -126,8 +109,7 @@ sim::SimFuture<Result<Buffer>> RpcEndpoint::send_request(NodeId dest, std::uint6
       .pack_u64(ctx.span)
       .pack_u64(op)
       .pack_bytes(args);
-  net_.send(node_.id(), dest, std::move(msg));
-  return future;
+  return OpenCall{std::move(msg), std::move(future)};
 }
 
 void RpcEndpoint::record_latency(const OpName& name, sim::SimTime t0) {
@@ -157,35 +139,22 @@ sim::Task<Result<Buffer>> RpcEndpoint::call(NodeId dest, std::string service, st
       timeout);
 }
 
-sim::Task<Result<Buffer>> RpcEndpoint::call_bound(Binding& binding, std::string service,
-                                                  std::string method, Buffer args) {
-  if (!binding.valid()) co_return Err::BindingBroken;
-  if (!node_.up()) co_return Err::NodeDown;
-
-  const OpName name{service.c_str(), method.c_str(), op_hash(service, method)};
-  auto span = call_span(name, "bound dest=", binding.server);
-  const sim::SimTime t0 = node_.sim().now();
-  // Expected incarnation, +1 so that 0 means none.
-  Result<Buffer> result = co_await send_request(binding.server, binding.epoch + 1, name.op,
-                                                std::move(args), cfg_.call_timeout);
-  record_latency(name, t0);
-  if (!result.ok() && (result.error() == Err::Timeout || result.error() == Err::BindingBroken ||
-                       result.error() == Err::NodeDown)) {
-    // The server incarnation is gone or unreachable; per sec 3.1 the
-    // binding is broken for the remainder of the action.
-    binding.broken = true;
-    if (core::tracing(trace_))
-      core::trace_instant(trace_, "rpc.binding_broken", node_.id(), "rpc", service + "." + method);
-  }
-  span.end(result.ok() ? "ok" : to_string(result.error()));
-  co_return result;
+void RpcEndpoint::check_binding(Binding& binding, const OpName& name,
+                                const Result<Buffer>& reply) {
+  if (reply.ok() || (reply.error() != Err::Timeout && reply.error() != Err::BindingBroken &&
+                     reply.error() != Err::NodeDown))
+    return;
+  // The server incarnation is gone or unreachable; per sec 3.1 the binding
+  // is broken for the remainder of the action.
+  binding.broken = true;
+  if (core::tracing(trace_))
+    core::trace_instant(trace_, "rpc.binding_broken", node_.id(), "rpc",
+                        std::string(name.service) + "." + name.method);
 }
 
 sim::Task<Result<Binding>> RpcEndpoint::bind(NodeId server) {
-  Result<Buffer> r = co_await call(server, "sys", "ping", Buffer{});
-  if (!r.ok()) co_return r.error();
-  auto epoch = r.value().unpack_u64();
-  if (!epoch.ok()) co_return Err::BadRequest;
+  Result<std::uint64_t> epoch = co_await call(server, kSysPing);
+  if (!epoch.ok()) co_return epoch.error();
   co_return Binding{server, epoch.value(), false};
 }
 

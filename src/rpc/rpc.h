@@ -18,7 +18,8 @@
 // server node crashes, the binding is broken and STAYS broken for the
 // remainder of the client's atomic action, even if the node recovers —
 // the recovered node holds pre-crash state and must run the recovery
-// protocol (sec 4.2) before serving again.
+// protocol (sec 4.2) before serving again. A bound call is a typed call
+// that carries the epoch it expects.
 #pragma once
 
 #include <cassert>
@@ -104,6 +105,10 @@ struct Rpc<R(A...)> {
       : name{service, method, op_hash(service, method)} {}
   OpName name;
 };
+
+// The built-in bind/ping service every endpoint serves: the node's current
+// incarnation epoch.
+inline constexpr Rpc<std::uint64_t()> kSysPing{"sys", "ping"};
 
 // A handler's result as its reply body.
 template <typename R>
@@ -220,7 +225,6 @@ class RpcEndpoint {
   // Register "service.method". Re-registration replaces (used after
   // recovery when services restart).
   void register_method(const std::string& service, const std::string& method, Method fn);
-  void unregister_service(const std::string& service);
 
   // Serve the declared method `m` with `fn(NodeId from, A... args)`, its
   // parameters taken by value. `fn` returns Result<R> when it finishes
@@ -259,13 +263,16 @@ class RpcEndpoint {
     return call_op<R>(dest, m.name, encode(args...), timeout);
   }
 
-  Rng& rng() noexcept { return rng_; }
+  // Bound call (sec 3.1) of the declared method `m`: refuses at once with
+  // BindingBroken if the binding is already broken, and breaks it when
+  // the server incarnation it was made against is gone or unreachable.
+  template <typename R, typename... A>
+  sim::Task<Result<R>> call_bound(Binding& binding, const Rpc<R(A...)>& m,
+                                  const std::type_identity_t<A>&... args) {
+    return call_op<R>(binding.server, m.name, encode(args...), cfg_.call_timeout, &binding);
+  }
 
-  // Bound call (sec 3.1): refuses immediately with BindingBroken if the
-  // server incarnation the binding was made against is gone; marks the
-  // binding broken on timeout.
-  sim::Task<Result<Buffer>> call_bound(Binding& binding, std::string service, std::string method,
-                                       Buffer args);
+  Rng& rng() noexcept { return rng_; }
 
   // Create a binding against the server node's *current* incarnation.
   // Fails if the node is down (from this node's perspective: we must be
@@ -303,17 +310,28 @@ class RpcEndpoint {
 
  private:
   void register_op(const OpName& name, Method fn);
-  // An unbound call of `name`, its reply decoded as R.
+  // A call of `name`, bound when `binding` is not null, its reply decoded
+  // as R.
   template <typename R>
-  sim::Task<Result<R>> call_op(NodeId dest, OpName name, Buffer args, sim::SimTime timeout);
+  sim::Task<Result<R>> call_op(NodeId dest, OpName name, Buffer args, sim::SimTime timeout,
+                               Binding* binding = nullptr);
   // The client-side span of a call ("rpc.<service>.<method>"); inert when
   // not tracing.
   core::TraceRecorder::Span call_span(const OpName& name, const char* what, NodeId dest);
-  // Arm the timeout, register the call and send the request datagram;
-  // the future resolves with the reply or Err::Timeout.
-  sim::SimFuture<Result<Buffer>> send_request(NodeId dest, std::uint64_t wire_epoch,
-                                              std::uint64_t op, Buffer args,
-                                              sim::SimTime timeout);
+  // A call opened by open_call: its request datagram, still to be sent,
+  // and the future that resolves with the reply or Err::Timeout.
+  struct OpenCall {
+    Buffer request;
+    sim::SimFuture<Result<Buffer>> reply;
+  };
+  // Register a call in outstanding_ with its timeout armed, and frame its
+  // request. `wire_epoch` is the server incarnation a bound call expects,
+  // plus one (0: unbound).
+  OpenCall open_call(std::uint64_t wire_epoch, std::uint64_t op, const Buffer& args,
+                     sim::SimTime timeout);
+  // Mark a bound call's binding broken (sec 3.1) when its reply shows the
+  // server incarnation gone or unreachable.
+  void check_binding(Binding& binding, const OpName& name, const Result<Buffer>& reply);
   // Record a finished call's latency in "rpc.<service>.<method>_us".
   void record_latency(const OpName& name, sim::SimTime t0);
   void on_message(NodeId from, Buffer msg);
@@ -348,13 +366,17 @@ class RpcEndpoint {
 
 template <typename R>
 sim::Task<Result<R>> RpcEndpoint::call_op(NodeId dest, OpName name, Buffer args,
-                                          sim::SimTime timeout) {
+                                          sim::SimTime timeout, Binding* binding) {
+  if (binding != nullptr && !binding->valid()) co_return Err::BindingBroken;
   if (!node_.up()) co_return Err::NodeDown;
-  auto span = call_span(name, "dest=", dest);
+  auto span = call_span(name, binding != nullptr ? "bound dest=" : "dest=", dest);
   const sim::SimTime t0 = node_.sim().now();
-  // No epoch expectation: an unbound call.
-  Result<Buffer> reply = co_await send_request(dest, 0, name.op, std::move(args), timeout);
+  const std::uint64_t wire_epoch = binding != nullptr ? binding->epoch + 1 : 0;
+  OpenCall call = open_call(wire_epoch, name.op, args, timeout);
+  net_.send(node_.id(), dest, std::move(call.request));
+  Result<Buffer> reply = co_await call.reply;
   record_latency(name, t0);
+  if (binding != nullptr) check_binding(*binding, name, reply);
   span.end(reply.ok() ? "ok" : to_string(reply.error()));
   if (!reply.ok()) co_return reply.error();
   co_return decode_reply<R>(reply.value());

@@ -26,16 +26,15 @@ struct Fixture {
   RpcEndpoint& ep(NodeId id) { return fabric->endpoint(id); }
 };
 
-// Registers an "echo" service on `server` that doubles a u32.
+// "math.double": doubles a u32. Its request and reply are the bytes of one
+// pack_u32, so the untyped calls below reach it too.
+constexpr Rpc<std::uint32_t(std::uint32_t)> kDouble{"math", "double"};
+
+// Serves kDouble on `server`.
 void register_doubler(Fixture& f, NodeId server) {
-  f.ep(server).register_method("math", "double",
-                               [](NodeId, Buffer args) -> sim::Task<Result<Buffer>> {
-                                 auto v = args.unpack_u32();
-                                 if (!v.ok()) co_return Err::BadRequest;
-                                 Buffer out;
-                                 out.pack_u32(v.value() * 2);
-                                 co_return out;
-                               });
+  f.ep(server).serve(kDouble, [](NodeId, std::uint32_t v) -> Result<std::uint32_t> {
+    return v * 2;
+  });
 }
 
 TEST(Rpc, BasicRequestReply) {
@@ -122,12 +121,10 @@ TEST(Rpc, BindThenCallBound) {
     auto b = co_await f.ep(0).bind(1);
     EXPECT_TRUE(b.ok());
     if (!b.ok()) co_return;
-    Buffer args;
-    args.pack_u32(8);
-    auto r = co_await f.ep(0).call_bound(b.value(), "math", "double", std::move(args));
+    auto r = co_await f.ep(0).call_bound(b.value(), kDouble, 8);
     EXPECT_TRUE(r.ok());
     if (!r.ok()) co_return;
-    got = r.value().unpack_u32().value();
+    got = r.value();
   }(f, got));
   f.sim.run();
   EXPECT_EQ(got, 16u);
@@ -159,14 +156,10 @@ TEST(Rpc, BindingStaysBrokenAfterRecovery) {
     // Crash + instant recovery: the node is up again but in a new epoch.
     f.cluster.node(1).crash();
     f.cluster.node(1).recover();
-    Buffer args;
-    args.pack_u32(1);
-    auto r1 = co_await f.ep(0).call_bound(binding, "math", "double", std::move(args));
+    auto r1 = co_await f.ep(0).call_bound(binding, kDouble, 1);
     errs.push_back(r1.error());
     // The binding is now marked broken; further calls refuse locally.
-    Buffer args2;
-    args2.pack_u32(1);
-    auto r2 = co_await f.ep(0).call_bound(binding, "math", "double", std::move(args2));
+    auto r2 = co_await f.ep(0).call_bound(binding, kDouble, 1);
     errs.push_back(r2.error());
     EXPECT_TRUE(binding.broken);
   }(f, errs));
@@ -186,9 +179,7 @@ TEST(Rpc, BoundCallTimeoutBreaksBinding) {
     if (!b.ok()) co_return;
     Binding binding = b.value();
     f.cluster.node(1).crash();
-    Buffer args;
-    args.pack_u32(1);
-    auto r = co_await f.ep(0).call_bound(binding, "math", "double", std::move(args));
+    auto r = co_await f.ep(0).call_bound(binding, kDouble, 1);
     EXPECT_EQ(r.error(), Err::Timeout);
     broken = binding.broken;
   }(f, broken));
