@@ -116,7 +116,6 @@ Counters ReplicaSystem::aggregate_counters() const {
     merge(const_cast<ClientSession&>(*s).activator().counters());
     merge(const_cast<ClientSession&>(*s).activator().binder().counters());
     merge(const_cast<ClientSession&>(*s).commit_processor().counters());
-    merge(const_cast<ClientSession&>(*s).group_invoker().counters());
   }
   return out;
 }

@@ -12,8 +12,7 @@ ClientSession::ClientSession(ReplicaSystem& sys, NodeId node, naming::Scheme sch
       runtime_(sys.endpoint(node), /*uid_seed=*/0xC0DE0000ull + node,
                &sys.coordinator_log_at(node), &sys.trace(), &sys.metrics()),
       activator_(runtime_, sys.naming_node(), scheme),
-      commit_(runtime_, sys.naming_node()),
-      ginv_(sys.endpoint(node), sys.gc()) {
+      commit_(runtime_, sys.naming_node()) {
   cache_ = sys.view_cache_at(node);
   activator_.set_view_cache(cache_);
   commit_.set_view_cache(cache_);
@@ -93,9 +92,9 @@ sim::Task<Result<Buffer>> Transaction::invoke(Uid object, std::string op, Buffer
   Result<Buffer> r = Err::NoReplicas;
   if (ab.spec.policy == ReplicationPolicy::Active) {
     // Multicast to the replica group; first reply wins (sec 2.3(2)(i)).
-    r = co_await session_.group_invoker().invoke(object, action_.uid(), std::move(ancestors),
-                                                 mode, std::move(op), std::move(args),
-                                                 session_.system().config().rpc.call_timeout);
+    r = co_await session_.runtime().endpoint().call_group(session_.system().gc(), object,
+                                                          replication::kObjsrvInvoke, object,
+                                                          action_.uid(), ancestors, mode, op, args);
   } else {
     // Single-copy passive / coordinator-cohort: invoke the primary.
     r = co_await replication::objsrv_invoke(session_.runtime().endpoint(), ab.primary, object,

@@ -1,11 +1,11 @@
 // Client-side programming model: sessions and transactions.
 //
 // A ClientSession lives on one client node and owns the per-client
-// machinery (action runtime, binder/activator with a scheme, group
-// invoker, commit processor). A Transaction is one top-level atomic
-// action: objects are bound on first use, invocations route by the
-// object's replication policy, and commit() runs the full commit
-// processing of sec 2.3(3) followed by use-list release.
+// machinery (action runtime, binder/activator with a scheme, commit
+// processor). A Transaction is one top-level atomic action: objects are
+// bound on first use, invocations route by the object's replication
+// policy, and commit() runs the full commit processing of sec 2.3(3)
+// followed by use-list release.
 //
 //   auto txn = session->begin();
 //   auto r = co_await txn->invoke(acct, "withdraw", args, LockMode::Write);
@@ -50,7 +50,6 @@ class ClientSession {
   actions::ActionRuntime& runtime() noexcept { return runtime_; }
   replication::Activator& activator() noexcept { return activator_; }
   replication::CommitProcessor& commit_processor() noexcept { return commit_; }
-  replication::GroupInvoker& group_invoker() noexcept { return ginv_; }
   ReplicaSystem& system() noexcept { return sys_; }
 
   Counters& counters() noexcept { return counters_; }
@@ -62,7 +61,6 @@ class ClientSession {
   actions::ActionRuntime runtime_;
   replication::Activator activator_;
   replication::CommitProcessor commit_;
-  replication::GroupInvoker ginv_;
   naming::GroupViewCache* cache_ = nullptr;  // owned by the system; may be null
   Counters counters_;
 };

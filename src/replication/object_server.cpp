@@ -1,7 +1,5 @@
 #include "replication/object_server.h"
 
-#include "core/metrics.h"
-#include "core/trace.h"
 #include "util/log.h"
 
 namespace gv::replication {
@@ -350,32 +348,9 @@ void ObjectServerHost::nested_abort(const Uid& child) {
 // -------------------------------------------------------- group delivery
 
 bool ObjectServerHost::join_group(const Uid& object) {
-  return gc_.join(object, node_.id(),
-                  [this](NodeId from, std::uint64_t, Buffer msg) { on_group_deliver(from, msg); });
-}
-
-void ObjectServerHost::on_group_deliver(NodeId, Buffer msg) {
-  GroupInvocation g;
-  if (!rpc::decode(msg, g)) return;
-  // Apply and reply point-to-point; the handler runs as its own process,
-  // parented under the client's multicast span so every member of the
-  // fan-out hangs off the same invocation node in the trace tree.
-  node_.sim().spawn([](ObjectServerHost& self, GroupInvocation g) -> sim::Task<> {
-    auto span = core::tracing(self.endpoint_.trace())
-                    ? core::trace_span_under(self.endpoint_.trace(), TraceContext{g.trace, g.span},
-                                             "ginv.serve", self.node_.id(), "ginv",
-                                             g.object.to_string())
-                    : core::TraceRecorder::Span{};
-    Result<Buffer> r = co_await self.invoke(g.object, g.action, std::move(g.ancestors), g.mode,
-                                            std::move(g.op), std::move(g.args), g.reply_to);
-    span.end(r.ok() ? "ok" : to_string(r.error()));
-    // Built before the co_await below: GCC 12 miscompiles a ?: operand
-    // inside the arguments of a co_await-ed call (double free).
-    const auto err = static_cast<std::uint32_t>(r.ok() ? Err::None : r.error());
-    const Buffer result = r.ok() ? std::move(r).value() : Buffer{};
-    // One-way notification; errors are irrelevant (client takes first).
-    (void)co_await self.endpoint_.call(g.reply_to, kGinvReply, g.id, err, result);
-  }(*this, std::move(g)));
+  return gc_.join(object, node_.id(), [this](NodeId from, std::uint64_t, Buffer msg) {
+    endpoint_.receive(from, std::move(msg));
+  });
 }
 
 // --------------------------------------------------------------- RPC glue
@@ -402,65 +377,6 @@ void ObjectServerHost::register_rpc() {
                                                   std::uint64_t version, Buffer snapshot) {
     return activate_from_snapshot(object, cls, version, std::move(snapshot));
   });
-}
-
-// ------------------------------------------------------------ GroupInvoker
-
-GroupInvoker::GroupInvoker(rpc::RpcEndpoint& endpoint, rpc::GroupComm& gc)
-    : endpoint_(endpoint), gc_(gc) {
-  endpoint_.serve(kGinvReply, [this](NodeId, std::uint64_t inv, std::uint32_t err,
-                                     Buffer payload) -> Status {
-    auto it = pending_.find(inv);
-    if (it == pending_.end()) {
-      counters_.inc("ginv.late_reply");
-      return ok_status();
-    }
-    counters_.inc("ginv.reply");
-    if (static_cast<Err>(err) == Err::None)
-      it->second.set_value(std::move(payload));
-    else
-      it->second.set_value(static_cast<Err>(err));
-    return ok_status();
-  });
-}
-
-sim::Task<Result<Buffer>> GroupInvoker::invoke(Uid object, Uid action, std::vector<Uid> ancestors,
-                                               actions::LockMode mode, std::string op, Buffer args,
-                                               sim::SimTime timeout) {
-  const std::uint64_t inv = next_id_++;
-  auto span = core::tracing(endpoint_.trace())
-                  ? core::trace_span(endpoint_.trace(), "ginv.invoke", endpoint_.node_id(),
-                                     "ginv", op + " " + object.to_string())
-                  : core::TraceRecorder::Span{};
-  // The span (or the caller's ambient context when not recording) rides
-  // the multicast payload so every member's handler parents under it.
-  const TraceContext ctx = current_trace_context();
-  const sim::SimTime t0 = endpoint_.node().sim().now();
-  sim::SimPromise<Result<Buffer>> promise{endpoint_.node().sim()};
-  auto future = promise.future();
-  pending_.emplace(inv, promise);
-  endpoint_.node().sim().schedule(timeout, [this, inv] {
-    auto it = pending_.find(inv);
-    if (it == pending_.end()) return;
-    auto p = it->second;
-    pending_.erase(it);
-    counters_.inc("ginv.timeout");
-    core::trace_instant(endpoint_.trace(), "ginv.timeout", endpoint_.node_id(), "ginv");
-    p.set_value(Err::Timeout);
-  });
-
-  const GroupInvocation msg{inv,    endpoint_.node_id(), ctx.trace,      ctx.span,
-                            object, action,              std::move(ancestors), mode,
-                            std::move(op), std::move(args)};
-  gc_.multicast(endpoint_.node_id(), object, rpc::encode(msg), rpc::McastMode::ReliableOrdered);
-  counters_.inc("ginv.multicast");
-
-  Result<Buffer> result = co_await future;
-  pending_.erase(inv);
-  core::metric_record(endpoint_.metrics(), "ginv.invoke_us",
-                      static_cast<double>(endpoint_.node().sim().now() - t0));
-  span.end(result.ok() ? "ok" : to_string(result.error()));
-  co_return result;
 }
 
 }  // namespace gv::replication

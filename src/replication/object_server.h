@@ -9,12 +9,13 @@
 // re-key locks and undo data to the parent, top-level commit/abort
 // release them.
 //
-// Active replication runs through the group-invocation path: the client
-// multicasts an invocation to the object's replica group (reliable,
-// totally ordered — sec 2.3) and each functioning member applies it and
-// replies point-to-point; the client takes the first reply. A replica
-// that crashes simply stops replying and is dropped from the delivery
-// view; the client masks the failure as long as one member survives.
+// Active replication invokes through a group call (RpcEndpoint::call_group):
+// the client multicasts the objsrv.invoke request to the object's replica
+// group (reliable, totally ordered — sec 2.3), each functioning member
+// serves it like a point-to-point invocation and replies, and the client
+// takes the first reply. A replica that crashes simply stops replying and
+// is dropped from the delivery view; the client masks the failure as long
+// as one member survives.
 //
 // All of this state is VOLATILE: a node crash destroys every activated
 // object (their latest committed states live in the object stores).
@@ -107,9 +108,10 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // instance. Refused while any action holds its lock or has undo data.
   Status passivate(const Uid& object);
 
-  // Join the replica group for `object` (active replication). Invocations
-  // delivered through the group are applied exactly like invoke().
-  // False if the group refused the join.
+  // Join the replica group for `object` (active replication). Requests
+  // delivered through the group go to the endpoint's request path, so they
+  // are served exactly like point-to-point ones. False if the group
+  // refused the join.
   bool join_group(const Uid& object);
 
   // ---- ServerParticipant ------------------------------------------------
@@ -143,7 +145,6 @@ class ObjectServerHost final : public actions::ServerParticipant {
   sim::Task<Result<Buffer>> apply_locked(Active& a, Uid object, Uid action,
                                          actions::LockMode mode, const std::string& op,
                                          Buffer args);
-  void on_group_deliver(NodeId from, Buffer msg);
   void register_rpc();
   // Remove `action` from the touched-object index, returning those of its
   // objects that are still active.
@@ -199,27 +200,6 @@ inline constexpr rpc::Rpc<void(Uid, std::uint64_t)> kObjsrvMarkCommitted{kObjSrv
 inline constexpr rpc::Rpc<void(Uid, std::string, std::uint64_t, Buffer)> kObjsrvCohortCheckpoint{
     kObjSrvService, "cohort_checkpoint"};
 
-// The group-invocation multicast: which client call it answers (the
-// invocation id and the node to reply to), the caller's trace context,
-// then the invocation itself.
-struct GroupInvocation {
-  std::uint64_t id = 0;
-  NodeId reply_to = sim::kNoNode;
-  std::uint64_t trace = 0;
-  std::uint64_t span = 0;
-  Uid object;
-  Uid action;
-  std::vector<Uid> ancestors;
-  actions::LockMode mode = actions::LockMode::Read;
-  std::string op;
-  Buffer args;
-  GV_WIRE_FIELDS(id, reply_to, trace, span, object, action, ancestors, mode, op, args)
-};
-
-// "ginv.reply": a member's answer to a group invocation (the invocation
-// id, its Err as a u32, and the operation's result when that is None).
-inline constexpr rpc::Rpc<void(std::uint64_t, std::uint32_t, Buffer)> kGinvReply{"ginv", "reply"};
-
 // --------------------------------------------------------- client stubs
 
 // `timeout` bounds the probe round-trip: activation doubles as the
@@ -250,27 +230,5 @@ inline sim::Task<Status> objsrv_cohort_checkpoint(rpc::RpcEndpoint& ep, NodeId s
                                                   std::uint64_t version, Buffer snapshot) {
   return ep.call(server, kObjsrvCohortCheckpoint, object, class_name, version, snapshot);
 }
-
-// ----------------------------------------------------------- GroupInvoker
-// Client-side collector for active-replication invocations: multicasts
-// the operation to the replica group and resolves with the FIRST reply
-// (all correct replies are identical by determinism).
-class GroupInvoker {
- public:
-  GroupInvoker(rpc::RpcEndpoint& endpoint, rpc::GroupComm& gc);
-
-  sim::Task<Result<Buffer>> invoke(Uid object, Uid action, std::vector<Uid> ancestors,
-                                   actions::LockMode mode, std::string op, Buffer args,
-                                   sim::SimTime timeout = 50 * sim::kMillisecond);
-
-  Counters& counters() noexcept { return counters_; }
-
- private:
-  rpc::RpcEndpoint& endpoint_;
-  rpc::GroupComm& gc_;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, sim::SimPromise<Result<Buffer>>> pending_;
-  Counters counters_;
-};
 
 }  // namespace gv::replication

@@ -21,7 +21,7 @@ constexpr std::size_t kRequestOverhead = 1 + 8 * 5 + 4;
 RpcEndpoint::RpcEndpoint(sim::Node& node, sim::Network& net, RpcConfig cfg)
     : node_(node), net_(net), cfg_(cfg), rng_(node.sim().rng().fork()) {
   net_.register_handler(node_.id(),
-                        [this](NodeId from, Buffer msg) { on_message(from, std::move(msg)); });
+                        [this](NodeId from, Buffer msg) { receive(from, std::move(msg)); });
 
   serve(kSysPing, [this](NodeId) -> Result<std::uint64_t> { return node_.epoch(); });
 
@@ -125,11 +125,20 @@ void RpcEndpoint::record_latency(const OpName& name, sim::SimTime t0) {
   it->second->record(static_cast<double>(node_.sim().now() - t0));
 }
 
+void RpcEndpoint::record_group_latency(sim::SimTime t0) {
+  core::metric_record(metrics_, "ginv.invoke_us", static_cast<double>(node_.sim().now() - t0));
+}
+
 core::TraceRecorder::Span RpcEndpoint::call_span(const OpName& name, const char* what,
                                                  NodeId dest) {
   if (!core::tracing(trace_)) return {};
   return core::trace_span(trace_, std::string("rpc.") + name.service + "." + name.method,
                           node_.id(), "rpc", what + std::to_string(dest));
+}
+
+core::TraceRecorder::Span RpcEndpoint::group_span(const Uid& group) {
+  if (!core::tracing(trace_)) return {};
+  return core::trace_span(trace_, "ginv.invoke", node_.id(), "ginv", "group=" + group.to_string());
 }
 
 sim::Task<Result<Buffer>> RpcEndpoint::call(NodeId dest, std::string service, std::string method,
@@ -158,7 +167,7 @@ sim::Task<Result<Binding>> RpcEndpoint::bind(NodeId server) {
   co_return Binding{server, epoch.value(), false};
 }
 
-void RpcEndpoint::on_message(NodeId from, Buffer msg) {
+void RpcEndpoint::receive(NodeId from, Buffer msg) {
   auto kind = msg.unpack_u8();
   auto req_id = msg.unpack_u64();
   if (!kind.ok() || !req_id.ok()) return;  // malformed datagram: drop
@@ -236,7 +245,11 @@ void RpcEndpoint::send_reply(NodeId to, std::uint64_t req_id, const Result<Buffe
 
 void RpcEndpoint::on_reply(NodeId from, std::uint64_t req_id, Buffer msg) {
   auto it = outstanding_.find(req_id);
-  if (it == outstanding_.end()) return;  // late or duplicate reply: drop
+  if (it == outstanding_.end()) {
+    // Late or duplicate, or a group call's reply after the first: drop.
+    if (metrics_ != nullptr) metrics_->counters().inc("rpc.late_reply");
+    return;
+  }
   auto promise = it->second.first;
   node_.sim().cancel(it->second.second);
   outstanding_.erase(it);

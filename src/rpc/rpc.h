@@ -20,6 +20,12 @@
 // the recovered node holds pre-crash state and must run the recovery
 // protocol (sec 4.2) before serving again. A bound call is a typed call
 // that carries the epoch it expects.
+//
+// Group invocations (sec 2.3(2)(i)) are calls too: call_group multicasts
+// the same request, reliable and totally ordered, to a replica group.
+// Each member's group upcall hands it to its endpoint's request path, so
+// it is served, deduplicated and answered like any request; the first
+// reply answers the call and later ones are dropped as late.
 #pragma once
 
 #include <cassert>
@@ -35,6 +41,7 @@
 #include <vector>
 
 #include "core/trace.h"
+#include "rpc/group_comm.h"
 #include "rpc/wire.h"
 #include "sim/future.h"
 #include "sim/network.h"
@@ -272,6 +279,20 @@ class RpcEndpoint {
     return call_op<R>(binding.server, m.name, encode(args...), cfg_.call_timeout, &binding);
   }
 
+  // Group invocation of the declared method `m` on every member of
+  // `group`; the first reply answers it. Spanned "ginv.invoke", timed in
+  // "ginv.invoke_us".
+  template <typename R, typename... A>
+  sim::Task<Result<R>> call_group(GroupComm& gc, Uid group, const Rpc<R(A...)>& m,
+                                  const std::type_identity_t<A>&... args) {
+    return group_op<R>(gc, group, m.name, encode(args...));
+  }
+
+  // Take a datagram addressed to this endpoint: a request runs its
+  // handler, a reply resolves the call awaiting it. The network hands
+  // every datagram here, and a replica group member its group's requests.
+  void receive(NodeId from, Buffer msg);
+
   Rng& rng() noexcept { return rng_; }
 
   // Create a binding against the server node's *current* incarnation.
@@ -315,9 +336,12 @@ class RpcEndpoint {
   template <typename R>
   sim::Task<Result<R>> call_op(NodeId dest, OpName name, Buffer args, sim::SimTime timeout,
                                Binding* binding = nullptr);
-  // The client-side span of a call ("rpc.<service>.<method>"); inert when
-  // not tracing.
+  template <typename R>
+  sim::Task<Result<R>> group_op(GroupComm& gc, Uid group, OpName name, Buffer args);
+  // The client-side span of a call ("rpc.<service>.<method>") or a group
+  // call ("ginv.invoke"); inert when not tracing.
   core::TraceRecorder::Span call_span(const OpName& name, const char* what, NodeId dest);
+  core::TraceRecorder::Span group_span(const Uid& group);
   // A call opened by open_call: its request datagram, still to be sent,
   // and the future that resolves with the reply or Err::Timeout.
   struct OpenCall {
@@ -332,9 +356,10 @@ class RpcEndpoint {
   // Mark a bound call's binding broken (sec 3.1) when its reply shows the
   // server incarnation gone or unreachable.
   void check_binding(Binding& binding, const OpName& name, const Result<Buffer>& reply);
-  // Record a finished call's latency in "rpc.<service>.<method>_us".
+  // Record a finished call's latency in "rpc.<service>.<method>_us", or a
+  // group call's in "ginv.invoke_us".
   void record_latency(const OpName& name, sim::SimTime t0);
-  void on_message(NodeId from, Buffer msg);
+  void record_group_latency(sim::SimTime t0);
   void on_request(NodeId from, std::uint64_t req_id, Buffer msg);
   void on_reply(NodeId from, std::uint64_t req_id, Buffer msg);
   sim::Task<> run_handler(NodeId from, std::uint64_t req_id, std::uint64_t op, Buffer args,
@@ -377,6 +402,20 @@ sim::Task<Result<R>> RpcEndpoint::call_op(NodeId dest, OpName name, Buffer args,
   Result<Buffer> reply = co_await call.reply;
   record_latency(name, t0);
   if (binding != nullptr) check_binding(*binding, name, reply);
+  span.end(reply.ok() ? "ok" : to_string(reply.error()));
+  if (!reply.ok()) co_return reply.error();
+  co_return decode_reply<R>(reply.value());
+}
+
+template <typename R>
+sim::Task<Result<R>> RpcEndpoint::group_op(GroupComm& gc, Uid group, OpName name, Buffer args) {
+  if (!node_.up()) co_return Err::NodeDown;
+  auto span = group_span(group);
+  const sim::SimTime t0 = node_.sim().now();
+  OpenCall call = open_call(0, name.op, args, cfg_.call_timeout);
+  gc.multicast(node_.id(), group, std::move(call.request), McastMode::ReliableOrdered);
+  Result<Buffer> reply = co_await call.reply;
+  record_group_latency(t0);
   span.end(reply.ok() ? "ok" : to_string(reply.error()));
   if (!reply.ok()) co_return reply.error();
   co_return decode_reply<R>(reply.value());

@@ -239,6 +239,35 @@ TEST(Replication, ActiveReplicasStayIdentical) {
   EXPECT_EQ(snap3.checksum(), snap4.checksum());
 }
 
+// A group invocation is one ordered multicast of the objsrv.invoke request
+// and one reply datagram from each member (sec 2.3(2)(i)): the first reply
+// answers the call and the second is dropped as late.
+TEST(Replication, GroupCallSendsOneReplyPerMember) {
+  Sys s;
+  Uid obj = s.sys.define_object("ctr", "counter", Counter{}.snapshot(), {2, 3}, {4},
+                                ReplicationPolicy::Active, 2);
+  auto* client = s.sys.client(1);
+  std::uint64_t sends = 0;
+  std::uint64_t late = 0;
+  s.run([](ReplicaSystem& sys, core::ClientSession* client, Uid obj, std::uint64_t& sends,
+           std::uint64_t& late) -> sim::Task<> {
+    auto txn = client->begin();
+    // The first invocation binds and activates both members; let its last
+    // reply land before counting.
+    EXPECT_TRUE((co_await txn->invoke(obj, "add", i64_buf(1), LockMode::Write)).ok());
+    co_await sys.sim().sleep(10 * sim::kMillisecond);
+    const std::uint64_t sends0 = sys.aggregate_counters().get("net.send");
+    const std::uint64_t late0 = sys.metrics().counters().get("rpc.late_reply");
+    EXPECT_TRUE((co_await txn->invoke(obj, "add", i64_buf(1), LockMode::Write)).ok());
+    co_await sys.sim().sleep(10 * sim::kMillisecond);
+    sends = sys.aggregate_counters().get("net.send") - sends0;
+    late = sys.metrics().counters().get("rpc.late_reply") - late0;
+    EXPECT_TRUE((co_await txn->commit()).ok());
+  }(s.sys, client, obj, sends, late));
+  EXPECT_EQ(sends, 2u);
+  EXPECT_EQ(late, 1u);
+}
+
 // Coordinator-cohort: the cohorts receive checkpoints at commit; after a
 // coordinator crash the next transaction is served by a warm cohort
 // without touching the stores.

@@ -248,10 +248,10 @@ TEST(TracePropagation, GroupMulticastFanOutStaysConnected) {
 
   const TraceEvent* invoke = find_begin(sys.trace(), "ginv.invoke");
   ASSERT_NE(invoke, nullptr);
-  // Every member of the replica group applied the invocation under the
-  // SAME multicast span: the fan-out is one node in the tree, not two
+  // Every member of the replica group served the invocation under the
+  // SAME group call span: the fan-out is one node in the tree, not two
   // disconnected handler roots.
-  const auto serves = all_begins(sys.trace(), "ginv.serve");
+  const auto serves = all_begins(sys.trace(), "rpc.serve.objsrv.invoke");
   ASSERT_EQ(serves.size(), 2u);
   std::set<sim::NodeId> nodes;
   for (const TraceEvent* s : serves) {

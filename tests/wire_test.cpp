@@ -184,43 +184,6 @@ TEST(WireOracle, ObjsrvStateForCommitReply) {
   expect_reply_prefixes_refused(replication::kObjsrvStateForCommit, wire);
 }
 
-TEST(WireOracle, GroupInvocation) {
-  const std::vector<Uid> ancestors{Uid{8, 1}};
-  Buffer ref;
-  ref.pack_u64(42).pack_u32(3);
-  ref.pack_u64(1001).pack_u64(1002);
-  ref.pack_uid(Uid{1, 1}).pack_uid(Uid{2, 2});
-  ref.pack_uid_vector(ancestors);
-  ref.pack_u8(static_cast<std::uint8_t>(actions::LockMode::Read)).pack_string("get").pack_bytes(
-      Buffer{});
-  const replication::GroupInvocation g{
-      42, 3, 1001, 1002, Uid{1, 1}, Uid{2, 2}, ancestors, actions::LockMode::Read, "get", {}};
-  const Buffer wire = exact(rpc::encode(g));
-  EXPECT_EQ(wire, ref);
-  Buffer in = wire;
-  replication::GroupInvocation back;
-  ASSERT_TRUE(rpc::decode(in, back));
-  EXPECT_EQ(back.id, 42u);
-  EXPECT_EQ(back.reply_to, 3u);
-  EXPECT_EQ(back.span, 1002u);
-  EXPECT_EQ(back.ancestors, ancestors);
-  EXPECT_EQ(back.op, "get");
-  for (std::size_t n = 0; n < wire.size(); ++n) {
-    Buffer cut = prefix(wire, n);
-    replication::GroupInvocation partial;
-    EXPECT_FALSE(rpc::decode(cut, partial)) << "prefix of " << n << " bytes decoded";
-  }
-}
-
-TEST(WireOracle, GinvReplyRequest) {
-  Buffer ref;
-  ref.pack_u64(42).pack_u32(static_cast<std::uint32_t>(Err::LockRefused)).pack_bytes(Buffer{});
-  const Buffer wire = request(replication::kGinvReply, 42,
-                              static_cast<std::uint32_t>(Err::LockRefused), Buffer{});
-  EXPECT_EQ(wire, ref);
-  expect_request_prefixes_refused(replication::kGinvReply, wire);
-}
-
 // The bind_read reply: the SvView, then the StView.
 TEST(WireOracle, SvViewReply) {
   naming::SvView v;
