@@ -6,7 +6,13 @@ CoordinatorLog::CoordinatorLog(rpc::RpcEndpoint& endpoint) {
   endpoint.serve(kTxncOutcome, [this](sim::NodeId, Uid txn) -> Result<TxnOutcome> {
     return outcome(txn);
   });
-  endpoint.node().on_crash([this] { outcomes_.clear(); });
+  endpoint.serve(kTxncShadowOutcome, [this](sim::NodeId from, Uid txn) -> Result<TxnOutcome> {
+    return shadow_outcome(txn, from);
+  });
+  endpoint.node().on_crash([this] {
+    outcomes_.clear();
+    excluded_.clear();
+  });
 }
 
 }  // namespace gv::actions

@@ -16,6 +16,9 @@
 // and count (the affected client never saw its commit() return).
 #pragma once
 
+#include <set>
+#include <utility>
+
 #include "rpc/rpc.h"
 #include "util/uid.h"
 #include "util/uid_table.h"
@@ -27,6 +30,9 @@ constexpr TxnOutcome wire_last(TxnOutcome) { return TxnOutcome::Aborted; }
 
 // "txnc.outcome": the coordinator's decision on an action.
 inline constexpr rpc::Rpc<TxnOutcome(Uid)> kTxncOutcome{"txnc", "outcome"};
+// "txnc.shadow_outcome": the decision as it applies to the calling
+// store's shadow of the action (see CoordinatorLog::record_excluded).
+inline constexpr rpc::Rpc<TxnOutcome(Uid)> kTxncShadowOutcome{"txnc", "shadow_outcome"};
 
 class CoordinatorLog {
  public:
@@ -38,16 +44,33 @@ class CoordinatorLog {
   }
   TxnOutcome outcome(const Uid& txn) const { return static_cast<TxnOutcome>(outcomes_.get(txn)); }
 
+  // `txn` Excluded `store` from St and did not enlist it, so the store
+  // takes no part in its 2PC. The store may still hold a shadow of `txn`
+  // (its prepare landed but the reply was lost); installing it would put
+  // the new state outside St. So the store hears Aborted whatever the
+  // decision.
+  void record_excluded(const Uid& txn, sim::NodeId store) { excluded_.emplace(txn, store); }
+  TxnOutcome shadow_outcome(const Uid& txn, sim::NodeId store) const {
+    return excluded_.count({txn, store}) > 0 ? TxnOutcome::Aborted : outcome(txn);
+  }
+
   // Ask the coordinator on `coordinator_node` for the outcome of `txn`.
   static sim::Task<Result<TxnOutcome>> remote_outcome(rpc::RpcEndpoint& from,
                                                       sim::NodeId coordinator_node, Uid txn) {
     return from.call(coordinator_node, kTxncOutcome, txn);
+  }
+  // Ask the same for the caller's store shadow of `txn`.
+  static sim::Task<Result<TxnOutcome>> remote_shadow_outcome(rpc::RpcEndpoint& from,
+                                                             sim::NodeId coordinator_node,
+                                                             Uid txn) {
+    return from.call(coordinator_node, kTxncShadowOutcome, txn);
   }
 
  private:
   // Two bits per action the node ever decided: S2 makes every naming
   // operation its own top-level action, so this grows with the run.
   DenseUidTable<2> outcomes_;  // volatile by design
+  std::set<std::pair<Uid, sim::NodeId>> excluded_;  // volatile, like outcomes_
 };
 
 }  // namespace gv::actions

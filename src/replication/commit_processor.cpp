@@ -1,5 +1,8 @@
 #include "replication/commit_processor.h"
 
+#include <set>
+
+#include "actions/coordinator_log.h"
 #include "core/metrics.h"
 #include "core/trace.h"
 #include "store/object_store.h"
@@ -185,8 +188,13 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
   // 3. Judge each object's copies. First enlist every store that accepted
   // any copy, so the 2PC (or the abort) reaches every shadow; the group
   // view database is already a participant from the bind's naming read.
+  std::set<NodeId> enlisted;
   for (const Copy& c : copies)
-    for (NodeId st : c.copied) action.enlist({st, store::kStoreService});
+    for (NodeId st : c.copied) {
+      action.enlist({st, store::kStoreService});
+      enlisted.insert(st);
+    }
+  actions::CoordinatorLog* log = rt_.coordinator_log();
   for (Copy& c : copies) {
     if (c.behind) {
       counters_.inc("commit.staged_state_behind");
@@ -202,6 +210,11 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
     // batches the Excludes of every staged object into one RPC.
     if (!c.failed.empty()) {
       counters_.inc("commit.state_copy_failed_stores", c.failed.size());
+      // A failed store that holds no enlisted copy gets no phase 2, but
+      // may hold a shadow whose reply was lost: it must never install it.
+      if (log != nullptr)
+        for (NodeId st : c.failed)
+          if (enlisted.count(st) == 0) log->record_excluded(action.uid(), st);
       excludes.push_back(naming::ExcludeItem{c.binding->spec.uid, std::move(c.failed)});
     }
   }

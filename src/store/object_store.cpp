@@ -125,7 +125,8 @@ sim::Task<> ObjectStore::resolve_in_doubt(std::uint64_t epoch) {
       Backoff pace{BackoffConfig{100 * sim::kMillisecond, 500 * sim::kMillisecond},
                    endpoint_.rng().fork()};
       for (int attempt = 0; attempt < 10; ++attempt) {
-        auto r = co_await actions::CoordinatorLog::remote_outcome(endpoint_, coordinator, txn);
+        auto r =
+            co_await actions::CoordinatorLog::remote_shadow_outcome(endpoint_, coordinator, txn);
         if (r.ok() && r.value() != actions::TxnOutcome::Unknown) {
           outcome = r.value();
           break;

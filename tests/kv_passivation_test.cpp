@@ -223,5 +223,39 @@ TEST(CoordinatorLog, EndToEndInDoubtCommitRecovered) {
   EXPECT_EQ(r.value().version, 2u);  // the decided commit was NOT lost
 }
 
+// A store whose prepare reply was lost holds the new state's shadow, but
+// the commit processor Excluded it from St and enlisted no copy of it, so
+// no phase 2 reaches it. When it recovers and asks the coordinator about
+// its in-doubt shadow, it must hear Aborted: installing the committed
+// state there would put it outside St.
+TEST(CoordinatorLog, ExcludedStoreDiscardsItsInDoubtShadow) {
+  Sys s{SystemConfig{.nodes = 8}};
+  Uid obj = s.sys.define_object("c", "counter", replication::Counter{}.snapshot(), {2}, {3, 4},
+                                ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  s.sys.net().set_reachable(4, 1, false);  // store 4's replies to the client are lost
+
+  bool committed = false;
+  s.run([](core::ClientSession* client, Uid obj, bool& committed) -> sim::Task<> {
+    auto txn = client->begin();
+    Buffer one;
+    one.pack_i64(1);
+    (void)co_await txn->invoke(obj, "add", std::move(one), LockMode::Write);
+    committed = (co_await txn->commit()).ok();
+  }(client, obj, committed));
+  ASSERT_TRUE(committed);
+  EXPECT_EQ(s.sys.gvdb().states().peek(obj), (std::vector<sim::NodeId>{3}));
+  EXPECT_TRUE(s.sys.store_at(4).has_pending_shadow(obj));  // the prepare landed
+
+  s.sys.net().set_reachable(4, 1, true);
+  s.sys.cluster().node(4).crash();
+  s.sys.cluster().node(4).recover();
+  s.sys.sim().run();
+
+  EXPECT_EQ(s.sys.store_at(4).counters().get("store.in_doubt_committed"), 0u);
+  EXPECT_EQ(s.sys.store_at(4).counters().get("store.in_doubt_aborted"), 1u);
+  EXPECT_FALSE(s.sys.store_at(4).has_pending_shadow(obj));
+}
+
 }  // namespace
 }  // namespace gv
