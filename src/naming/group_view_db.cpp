@@ -392,7 +392,12 @@ sim::Task<Status> GroupViewDb::decrement(NodeId client, std::vector<UseRelease> 
   co_return ok_status();
 }
 
-sim::Task<Result<std::uint32_t>> GroupViewDb::purge_client(NodeId client, Uid action) {
+sim::Task<Result<std::uint32_t>> GroupViewDb::purge_client(NodeId client, Uid action,
+                                                           NodeId owner) {
+  // Tracked here, not in the RPC glue: the janitor calls this locally, and
+  // an untracked action whose phase 2 is lost would hold its Sv locks
+  // for the rest of the run.
+  note_activity(action, owner);
   std::uint32_t purged = 0;
   // Snapshot the affected objects first; we lock and edit one at a time.
   std::vector<Uid> affected;
@@ -592,8 +597,7 @@ void GroupViewDb::register_rpc(rpc::RpcEndpoint& endpoint) {
     return decrement(client, std::move(bindings));
   });
   endpoint.serve(kOsdbPurgeClient, [this](NodeId from, NodeId client, Uid action) {
-    note_activity(action, from);
-    return purge_client(client, action);
+    return purge_client(client, action, from);
   });
   endpoint.serve(kOstdbGetView, [this](NodeId from, Uid object, Uid action) {
     note_activity(action, from);

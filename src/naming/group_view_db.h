@@ -202,9 +202,9 @@ class GroupViewDb final : public actions::ServerParticipant {
   sim::Task<Status> decrement(NodeId client, std::vector<UseRelease> bindings);
   // Cleanup hook for the janitor (sec 4.1.3: "failure detection and
   // cleanup protocols will be required"): drop every use-list entry of a
-  // crashed client, across all objects. Runs under `action`; returns the
-  // number of bindings dropped.
-  sim::Task<Result<std::uint32_t>> purge_client(NodeId client, Uid action);
+  // crashed client, across all objects. Runs under `action`, owned by a
+  // coordinator on `owner`; returns the number of bindings dropped.
+  sim::Task<Result<std::uint32_t>> purge_client(NodeId client, Uid action, NodeId owner);
   sim::Task<Result<StView>> get_view(Uid object, Uid action);
   sim::Task<Status> exclude(std::vector<ExcludeItem> items, Uid action);
   sim::Task<Status> include(Uid object, NodeId host, Uid action);

@@ -40,7 +40,7 @@ sim::Task<std::uint32_t> UseListJanitor::sweep() {
     // Purge under an independent top-level action so the repair commits
     // (and persists) regardless of any application activity.
     actions::AtomicAction act{runtime_};
-    auto purged = co_await db_.purge_client(client, act.uid());
+    auto purged = co_await db_.purge_client(client, act.uid(), endpoint_.node_id());
     act.enlist({endpoint_.node_id(), kGvdbService});
     if (purged.ok() && (co_await act.commit()).ok()) {
       purged_total += purged.value();

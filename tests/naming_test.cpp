@@ -550,7 +550,7 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
     }
     {  // the janitor's cleanup of client 5
       AtomicAction purge{*f.rt};
-      auto purged = co_await f.gvdb->purge_client(5, purge.uid());
+      auto purged = co_await f.gvdb->purge_client(5, purge.uid(), 1);
       EXPECT_TRUE(purged.ok() && purged.value() == 2u);
       purge.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await purge.commit()).ok());
@@ -644,7 +644,7 @@ TEST(ObjectServerDb, UnbindAfterPurgeLeavesNoPhantom) {
     std::vector<NodeId> two{2};
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, token)).ok());
     AtomicAction purge{*f.rt};
-    auto purged = co_await f.gvdb->purge_client(1, purge.uid());
+    auto purged = co_await f.gvdb->purge_client(1, purge.uid(), 1);
     EXPECT_TRUE(purged.ok() && purged.value() == 1u);
     purge.enlist({0, kGvdbService});
     EXPECT_TRUE((co_await purge.commit()).ok());
@@ -665,7 +665,7 @@ TEST(ObjectServerDb, AbortedPurgeRestoresOnlyItsTokens) {
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, second)).ok());
     EXPECT_EQ(uses_of(f, f.obj, 1), 2u);
     AtomicAction purge{*f.rt};
-    auto purged = co_await f.gvdb->purge_client(1, purge.uid());
+    auto purged = co_await f.gvdb->purge_client(1, purge.uid(), 1);
     EXPECT_TRUE(purged.ok() && purged.value() == 2u);
     purge.enlist({0, kGvdbService});
     (void)co_await purge.abort();
@@ -805,6 +805,36 @@ TEST(UseListJanitor, LeavesLiveClientsAlone) {
   }(janitor, purged));
   EXPECT_EQ(purged, 0u);
   EXPECT_EQ(f.gvdb->servers().clients_in_use(), (std::vector<NodeId>{1}));
+}
+
+// The janitor purges under its own action through a local call. When
+// that action's phase 2, a message to its own node, is lost, the orphan
+// sweep must still find the action and end it: otherwise it holds the Sv
+// write lock for the rest of the run, and no later purge or bind of the
+// object gets it.
+TEST(UseListJanitor, LostPurgeCommitIsSweptAsAnOrphan) {
+  Fixture f;
+  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0)};
+  f.run([](Fixture& f) -> sim::Task<> {
+    std::vector<NodeId> two{2};
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, f.rt->new_uid())).ok());
+  }(f));
+  f.cluster.node(1).crash();
+
+  f.net.set_reachable(0, 0, false);  // the janitor's 2PC messages to itself are lost
+  f.run([](UseListJanitor& j) -> sim::Task<> { (void)co_await j.sweep(); }(janitor));
+  f.net.set_reachable(0, 0, true);
+  f.sim.run_until(f.sim.now() + 5 * sim::kSecond);  // beyond the naming orphan age
+  f.run([](Fixture& f) -> sim::Task<> { (void)co_await f.gvdb->sweep_orphans(); }(f));
+  EXPECT_EQ(f.gvdb->locks().table_depth(), 0u);
+
+  // The purge was rolled back with its action; the next sweep redoes it.
+  std::uint32_t purged = 0;
+  f.run([](UseListJanitor& j, std::uint32_t& purged) -> sim::Task<> {
+    purged = co_await j.sweep();
+  }(janitor, purged));
+  EXPECT_EQ(purged, 1u);
+  EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
 }
 
 TEST(UseListJanitor, PeriodicSweepRunsAutomatically) {
