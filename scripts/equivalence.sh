@@ -3,7 +3,8 @@
 # (each a clean export of the commit, Release) and compare byte for byte
 #
 #   - the replay corpus (scripts/replay_corpus.sh, 360 cells);
-#   - the full 750-cell campaign summary, classic;
+#   - the full 750-cell campaign summary, classic, and its per-cell
+#     --metrics-out JSONL;
 #   - the full 750-cell campaign summary, --cache;
 #   - the --smoke --metrics-out JSONL;
 #   - the --json-out files of the five figure and ablation benches that
@@ -14,10 +15,12 @@
 #
 # When a campaign summary differs, its per-mix rows (mix, scheme, commit%,
 # violations) are printed for base and head side by side, a moved row
-# marked "*". Commit the change first: HEAD is built as committed, so
-# uncommitted edits are not compared. WORKDIR (default: a fresh temporary directory)
-# keeps both builds and their outputs. JOBS sets the build parallelism
-# (default 4). Exits 0 if all nine outputs match, 1 on any difference,
+# marked "*"; when the per-cell JSONL differs, the number of cells that
+# moved and the first of their labels. Commit the change first: HEAD is
+# built as committed, so uncommitted edits are not compared. WORKDIR
+# (default: a fresh temporary directory) keeps both builds and their
+# outputs. JOBS sets the build parallelism
+# (default 4). Exits 0 if all ten outputs match, 1 on any difference,
 # 2 on bad usage or a failed build.
 set -euo pipefail
 
@@ -57,13 +60,13 @@ build() {
   }
 }
 
-# outputs NAME: write the nine outputs of NAME's build into WORKDIR/NAME-out.
+# outputs NAME: write the ten outputs of NAME's build into WORKDIR/NAME-out.
 # A campaign with violations exits 1; its output is still compared.
 outputs() {
   local campaign="$work/$1-build/bench/gv_campaign" out="$work/$1-out"
   mkdir -p "$out"
   "$repo/scripts/replay_corpus.sh" "$work/$1-build" "$out/corpus.txt"
-  "$campaign" > "$out/campaign.txt" 2>&1 || true
+  "$campaign" --metrics-out "$out/campaign.jsonl" > "$out/campaign.txt" 2>&1 || true
   "$campaign" --cache > "$out/campaign_cache.txt" 2>&1 || true
   "$campaign" --smoke --metrics-out "$out/smoke.jsonl" > /dev/null 2>&1 || true
   for b in "${benches[@]}"; do
@@ -83,6 +86,12 @@ rows() {
        }' "$1" "$2"
 }
 
+# cells BASE HEAD: the labels of the campaign cells whose metrics differ.
+cells() {
+  { diff <(sort "$1") <(sort "$2") || true; } |
+    awk '/^[<>] / { sub(/^[<>] \{"label":"/, ""); sub(/".*/, ""); print }' | sort -u
+}
+
 echo "base ${base:0:12}, head ${head:0:12}, in $work"
 build base "$base"
 build head "$head"
@@ -90,7 +99,7 @@ outputs base
 outputs head
 
 status=0
-files=(corpus.txt campaign.txt campaign_cache.txt smoke.jsonl)
+files=(corpus.txt campaign.txt campaign.jsonl campaign_cache.txt smoke.jsonl)
 for b in "${benches[@]}"; do files+=("${b##* }"); done
 for f in "${files[@]}"; do
   if cmp -s "$work/base-out/$f" "$work/head-out/$f"; then
@@ -98,6 +107,10 @@ for f in "${files[@]}"; do
   else
     echo "DIFFERS  $f"
     if [[ $f == campaign*.txt ]]; then rows "$work/base-out/$f" "$work/head-out/$f"; fi
+    if [[ $f == campaign.jsonl ]]; then
+      moved=$(cells "$work/base-out/$f" "$work/head-out/$f")
+      echo "         $(echo "$moved" | grep -c .) cells moved: $(echo "$moved" | head -8 | tr '\n' ' ')"
+    fi
     status=1
   fi
 done
