@@ -1,5 +1,6 @@
 #include "replication/commit_processor.h"
 
+#include <algorithm>
 #include <set>
 
 #include "actions/coordinator_log.h"
@@ -135,17 +136,49 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
                                          const std::vector<ActiveBinding*>& bindings,
                                          std::vector<naming::ExcludeItem>& excludes,
                                          ActiveBinding*& behind) {
-  // 1. Fetch every object's new state.
+  // 1. Fetch every object's new state: one call to each bound server, in
+  // first-seen order (binding order, then each binding's server order),
+  // carrying every object bound there. answers[i][j] is what binding i's
+  // j-th bound server said of it; a slot stays a failure unless the
+  // server's reply answered that object.
+  using Answer = Result<ObjectServerHost::StateForCommit>;
+  std::vector<std::vector<Answer>> answers(bindings.size());
+  std::vector<NodeId> servers;
+  for (std::size_t i = 0; i < bindings.size(); ++i) {
+    answers[i].assign(bindings[i]->bind.servers.size(), Answer{Err::Timeout});
+    for (NodeId server : bindings[i]->bind.servers)
+      if (std::find(servers.begin(), servers.end(), server) == servers.end())
+        servers.push_back(server);
+  }
+  for (NodeId server : servers) {
+    std::vector<std::pair<std::size_t, std::size_t>> asked;  // (binding, server slot)
+    std::vector<Uid> objects;
+    for (std::size_t i = 0; i < bindings.size(); ++i) {
+      const auto& bound = bindings[i]->bind.servers;
+      for (std::size_t j = 0; j < bound.size(); ++j)
+        if (bound[j] == server) {
+          asked.emplace_back(i, j);
+          objects.push_back(bindings[i]->spec.uid);
+        }
+    }
+    auto r = co_await objsrv_state_for_commit(rt_.endpoint(), server, action.uid(), objects);
+    // A failed call, or a reply that does not answer every object, fails
+    // each of this server's answers.
+    if (!r.ok() || r.value().size() != asked.size()) continue;
+    for (std::size_t k = 0; k < asked.size(); ++k)
+      if (r.value()[k].err == static_cast<std::uint32_t>(Err::None))
+        answers[asked[k].first][asked[k].second] = std::move(r.value()[k]);
+  }
   struct Copy {
     ActiveBinding* binding;
     std::vector<NodeId> copied, failed;
     bool behind = false;
   };
   std::vector<Copy> copies;
-  for (ActiveBinding* b : bindings) {
-    Status fetched = co_await fetch_state(action, *b);
-    if (!fetched.ok()) co_return fetched;
-    if (b->staged_version != 0) copies.push_back(Copy{b, {}, {}});
+  for (std::size_t i = 0; i < bindings.size(); ++i) {
+    Status judged = judge_state(action, *bindings[i], std::move(answers[i]));
+    if (!judged.ok()) co_return judged;
+    if (bindings[i]->staged_version != 0) copies.push_back(Copy{bindings[i], {}, {}});
   }
 
   // 2. Copy (prepare) the new states to every store in each object's
@@ -221,16 +254,15 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
   co_return ok_status();
 }
 
-sim::Task<Status> CommitProcessor::fetch_state(actions::AtomicAction& action,
-                                               ActiveBinding& binding) {
-  // Probe EVERY bound server: replicas that crashed hold nothing durable,
-  // and leaving them enlisted would make the 2PC abort a failure the
-  // replication policy exists to mask (sec 3.2: up to k-1 server
+Status CommitProcessor::judge_state(actions::AtomicAction& action, ActiveBinding& binding,
+                                    std::vector<Result<ObjectServerHost::StateForCommit>> answers) {
+  // Every bound server was asked: replicas that crashed hold nothing
+  // durable, and leaving them enlisted would make the 2PC abort a failure
+  // the replication policy exists to mask (sec 3.2: up to k-1 server
   // failures are masked).
   Result<ObjectServerHost::StateForCommit> state = Err::NoReplicas;
-  for (NodeId server : binding.bind.servers) {
-    auto r = co_await objsrv_state_for_commit(rt_.endpoint(), server, binding.spec.uid,
-                                              action.uid());
+  for (std::size_t j = 0; j < answers.size(); ++j) {
+    auto& r = answers[j];
     if (r.ok()) {
       // Take the FRESHEST replica, not the first to answer: a member that
       // missed a best-effort mark_committed (or a whole phase-2) reports a
@@ -244,10 +276,10 @@ sim::Task<Status> CommitProcessor::fetch_state(actions::AtomicAction& action,
       if (fresher) state = std::move(r);
     } else {
       counters_.inc("commit.server_unreachable");
-      action.delist({server, kObjSrvService});
+      action.delist({binding.bind.servers[j], kObjSrvService});
     }
   }
-  if (!state.ok()) co_return state.error();  // every bound server gone: abort
+  if (!state.ok()) return state.error();  // every bound server gone: abort
 
   // Read-only optimisation (sec 4.2.1): unmodified objects need no
   // copy-back and no store participation at all. But the client records
@@ -259,15 +291,15 @@ sim::Task<Status> CommitProcessor::fetch_state(actions::AtomicAction& action,
   if (!state.value().modified) {
     if (binding.wrote) {
       counters_.inc("commit.modified_replica_lost");
-      co_return Err::NoReplicas;
+      return Err::NoReplicas;
     }
     counters_.inc("commit.read_only_skip");
     binding.staged_version = 0;
-    co_return ok_status();
+    return ok_status();
   }
   binding.staged_version = state.value().version + 1;
   binding.staged_snapshot = std::move(state.value().snapshot);
-  co_return ok_status();
+  return ok_status();
 }
 
 }  // namespace gv::replication

@@ -4,7 +4,8 @@
 //
 //  1. For each object the action modified, obtain the new state from one
 //     of its bound servers (the read-only optimisation skips objects the
-//     action did not modify — no copying necessary).
+//     action did not modify — no copying necessary). Each bound server
+//     gets one call per action, carrying every object bound there.
 //  2. Copy the new state (version v+1) to the object stores of ALL nodes
 //     in St(A) — as stable shadow writes keyed by the action. Each store
 //     gets one prepare per action, carrying every object it holds.
@@ -51,8 +52,9 @@ class CommitProcessor {
   // gvdb.validate RPC (per naming-node incarnation seen, normally one).
   sim::Task<Status> validate_cached_views(actions::AtomicAction& action,
                                           const std::vector<ActiveBinding*>& bindings);
-  // Stage every object: fetch each new state, prepare it at its stores
-  // with one call per store, then judge each object's copies. Stores that
+  // Stage every object: fetch the new states with one call per bound
+  // server, prepare them at their stores with one call per store, then
+  // judge each object's copies. Stores that
   // failed a copy are APPENDED to `excludes`, so the caller retires every
   // one across all objects with a single batched Exclude. A failure is
   // the caller's to abort on; Err::Conflict sets `behind` to the object
@@ -60,9 +62,11 @@ class CommitProcessor {
   sim::Task<Status> stage(actions::AtomicAction& action,
                           const std::vector<ActiveBinding*>& bindings,
                           std::vector<naming::ExcludeItem>& excludes, ActiveBinding*& behind);
-  // Fetch one object's new state from its freshest bound replica and set
+  // Judge one object's answers, one per bound server in order: take the
+  // freshest replica, delist each server that failed, and set
   // binding.staged_version (0: not modified) and staged_snapshot.
-  sim::Task<Status> fetch_state(actions::AtomicAction& action, ActiveBinding& binding);
+  Status judge_state(actions::AtomicAction& action, ActiveBinding& binding,
+                     std::vector<Result<ObjectServerHost::StateForCommit>> answers);
 
   actions::ActionRuntime& rt_;
   NodeId naming_node_;

@@ -366,8 +366,19 @@ void ObjectServerHost::register_rpc() {
     return invoke(object, action, std::move(ancestors), mode, std::move(op), std::move(args),
                   from);
   });
-  endpoint_.serve(kObjsrvStateForCommit,
-                  [this](NodeId, Uid object, Uid txn) { return state_for_commit(object, txn); });
+  endpoint_.serve(kObjsrvStateForCommit, [this](NodeId, Uid txn, std::vector<Uid> objects)
+                                            -> Result<std::vector<StateForCommit>> {
+    std::vector<StateForCommit> answers;
+    answers.reserve(objects.size());
+    for (const Uid& object : objects) {
+      auto r = state_for_commit(object, txn);
+      if (r.ok())
+        answers.push_back(std::move(r).value());
+      else
+        answers.emplace_back().err = static_cast<std::uint32_t>(r.error());
+    }
+    return answers;
+  });
   endpoint_.serve(kObjsrvMarkCommitted,
                   [this](NodeId, Uid object, std::uint64_t version) -> Status {
                     mark_committed(object, version);

@@ -92,11 +92,14 @@ class ObjectServerHost final : public actions::ServerParticipant {
                                    NodeId owner = sim::kNoNode);
 
   // Commit processing support: current state + whether `txn` modified it.
+  // In the batched reply each object's answer carries its own `err` (an
+  // Err, as a u32; Err::None where the other fields answer).
   struct StateForCommit {
+    std::uint32_t err = 0;
     std::uint64_t version = 0;
     bool modified = false;
     Buffer snapshot;
-    GV_WIRE_FIELDS(version, modified, snapshot)
+    GV_WIRE_FIELDS(err, version, modified, snapshot)
   };
   Result<StateForCommit> state_for_commit(const Uid& object, const Uid& txn) const;
 
@@ -193,8 +196,9 @@ inline constexpr rpc::Rpc<void(Uid, std::string, std::vector<NodeId>, bool)> kOb
 inline constexpr rpc::Rpc<Buffer(Uid, Uid, std::vector<Uid>, actions::LockMode, std::string,
                                  Buffer)>
     kObjsrvInvoke{kObjSrvService, "invoke"};
-inline constexpr rpc::Rpc<ObjectServerHost::StateForCommit(Uid, Uid)> kObjsrvStateForCommit{
-    kObjSrvService, "state_for_commit"};
+// (action, the objects it bound here) -> one answer per object, in order
+inline constexpr rpc::Rpc<std::vector<ObjectServerHost::StateForCommit>(Uid, std::vector<Uid>)>
+    kObjsrvStateForCommit{kObjSrvService, "state_for_commit"};
 inline constexpr rpc::Rpc<void(Uid, std::uint64_t)> kObjsrvMarkCommitted{kObjSrvService,
                                                                          "mark_committed"};
 inline constexpr rpc::Rpc<void(Uid, std::string, std::uint64_t, Buffer)> kObjsrvCohortCheckpoint{
@@ -217,9 +221,9 @@ inline sim::Task<Result<Buffer>> objsrv_invoke(rpc::RpcEndpoint& ep, NodeId serv
                                                Buffer args) {
   return ep.call(server, kObjsrvInvoke, object, action, ancestors, mode, op, args);
 }
-inline sim::Task<Result<ObjectServerHost::StateForCommit>> objsrv_state_for_commit(
-    rpc::RpcEndpoint& ep, NodeId server, Uid object, Uid txn) {
-  return ep.call(server, kObjsrvStateForCommit, object, txn);
+inline sim::Task<Result<std::vector<ObjectServerHost::StateForCommit>>> objsrv_state_for_commit(
+    rpc::RpcEndpoint& ep, NodeId server, Uid txn, const std::vector<Uid>& objects) {
+  return ep.call(server, kObjsrvStateForCommit, txn, objects);
 }
 inline sim::Task<Status> objsrv_mark_committed(rpc::RpcEndpoint& ep, NodeId server, Uid object,
                                                std::uint64_t new_version) {

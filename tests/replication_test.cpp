@@ -374,6 +374,34 @@ TEST(Replication, OnePreparePerStoreCarriesEveryObject) {
   }
 }
 
+// Staging sends each bound server one state_for_commit per action,
+// carrying every object bound there: two objects on server 2 cost one
+// round trip, not two, and both still commit.
+TEST(Replication, OneStateForCommitPerServerCarriesEveryObject) {
+  Sys s;
+  Uid a = s.sys.define_object("a", "counter", Counter{}.snapshot(), {2}, {3, 4},
+                              ReplicationPolicy::SingleCopyPassive, 1);
+  Uid b = s.sys.define_object("b", "counter", Counter{}.snapshot(), {2}, {3, 4},
+                              ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  Status outcome = Err::Aborted;
+  s.run([](core::ClientSession* client, Uid a, Uid b, Status& outcome) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "add", i64_buf(1), LockMode::Write)).ok());
+    EXPECT_TRUE((co_await txn->invoke(b, "add", i64_buf(2), LockMode::Write)).ok());
+    outcome = co_await txn->commit();
+  }(client, a, b, outcome));
+  EXPECT_TRUE(outcome.ok());
+  const auto& h = s.sys.metrics().histograms();
+  auto fetches = h.find("rpc.objsrv.state_for_commit_us");
+  ASSERT_NE(fetches, h.end());
+  EXPECT_EQ(fetches->second.count(), 1u);
+  for (sim::NodeId st : {3u, 4u}) {
+    EXPECT_EQ(s.sys.store_at(st).read(a).value().version, 2u);
+    EXPECT_EQ(s.sys.store_at(st).read(b).value().version, 2u);
+  }
+}
+
 // ---------------------------------------------------------- recovery
 
 // A store node crashes, misses a commit (gets excluded), recovers,

@@ -175,11 +175,29 @@ TEST(WireOracle, ObjsrvInvokeRequest) {
   expect_request_prefixes_refused(replication::kObjsrvInvoke, wire);
 }
 
-TEST(WireOracle, ObjsrvStateForCommitReply) {
-  const replication::ObjectServerHost::StateForCommit sfc{4, true, bytes({7, 7})};
+// The action, then the objects it bound at the server.
+TEST(WireOracle, ObjsrvStateForCommitRequest) {
+  const std::vector<Uid> objects{Uid{1, 2}, Uid{1, 3}};
   Buffer ref;
-  ref.pack_u64(4).pack_bool(true).pack_bytes(bytes({7, 7}));
-  const Buffer wire = reply(sfc);
+  ref.pack_uid(Uid{3, 4}).pack_uid_vector(objects);
+  const Buffer wire = request(replication::kObjsrvStateForCommit, Uid{3, 4}, objects);
+  EXPECT_EQ(wire, ref);
+  expect_request_prefixes_refused(replication::kObjsrvStateForCommit, wire);
+}
+
+// One answer per object, each with its own Err.
+TEST(WireOracle, ObjsrvStateForCommitReply) {
+  using StateForCommit = replication::ObjectServerHost::StateForCommit;
+  const std::vector<StateForCommit> answers{
+      StateForCommit{static_cast<std::uint32_t>(Err::None), 4, true, bytes({7, 7})},
+      StateForCommit{static_cast<std::uint32_t>(Err::Inconsistent), 0, false, Buffer{}}};
+  Buffer ref;
+  ref.pack_u32(2);
+  ref.pack_u32(static_cast<std::uint32_t>(Err::None)).pack_u64(4).pack_bool(true);
+  ref.pack_bytes(bytes({7, 7}));
+  ref.pack_u32(static_cast<std::uint32_t>(Err::Inconsistent)).pack_u64(0).pack_bool(false);
+  ref.pack_bytes(Buffer{});
+  const Buffer wire = reply(answers);
   EXPECT_EQ(wire, ref);
   expect_reply_prefixes_refused(replication::kObjsrvStateForCommit, wire);
 }
