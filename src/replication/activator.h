@@ -64,6 +64,9 @@ struct ActiveBinding {
   // cohort checkpoints after commit).
   std::uint64_t staged_version = 0;
   Buffer staged_snapshot;
+  // The bound servers whose state phase 2 does not move onto
+  // staged_version; mark_committed retires them after the commit.
+  std::vector<NodeId> servers_behind;
 
   // Set by Transaction::invoke on the first successful write-mode call:
   // the client KNOWS this action modified the object, so a commit-time

@@ -116,7 +116,7 @@ sim::Task<Status> CommitProcessor::commit(actions::AtomicAction& action,
   auto post_span = core::trace_span(rt_.trace(), "commit.post", here, "commit");
   for (ActiveBinding* b : bindings) {
     if (b->staged_version == 0) continue;  // read-only: nothing changed
-    for (NodeId server : b->bind.servers)
+    for (NodeId server : b->servers_behind)
       (void)co_await objsrv_mark_committed(rt_.endpoint(), server, b->spec.uid,
                                            b->staged_version);
     if (b->spec.policy == ReplicationPolicy::CoordinatorCohort) {
@@ -260,26 +260,24 @@ Status CommitProcessor::judge_state(actions::AtomicAction& action, ActiveBinding
   // durable, and leaving them enlisted would make the 2PC abort a failure
   // the replication policy exists to mask (sec 3.2: up to k-1 server
   // failures are masked).
-  Result<ObjectServerHost::StateForCommit> state = Err::NoReplicas;
+  ObjectServerHost::StateForCommit* state = nullptr;
   for (std::size_t j = 0; j < answers.size(); ++j) {
-    auto& r = answers[j];
-    if (r.ok()) {
+    if (answers[j].ok()) {
       // Take the FRESHEST replica, not the first to answer: a member that
       // missed a best-effort mark_committed (or a whole phase-2) reports a
       // stale version, and staging from it computes a new_version the
       // stores already hold — the install silently no-ops and the commit
       // is lost (found by the gv_campaign netchaos mix).
-      const bool fresher =
-          !state.ok() || r.value().version > state.value().version ||
-          (r.value().version == state.value().version && r.value().modified &&
-           !state.value().modified);
-      if (fresher) state = std::move(r);
+      auto& r = answers[j].value();
+      const bool fresher = state == nullptr || r.version > state->version ||
+                           (r.version == state->version && r.modified && !state->modified);
+      if (fresher) state = &r;
     } else {
       counters_.inc("commit.server_unreachable");
       action.delist({binding.bind.servers[j], kObjSrvService});
     }
   }
-  if (!state.ok()) return state.error();  // every bound server gone: abort
+  if (state == nullptr) return Err::NoReplicas;  // every bound server gone: abort
 
   // Read-only optimisation (sec 4.2.1): unmodified objects need no
   // copy-back and no store participation at all. But the client records
@@ -288,7 +286,7 @@ Status CommitProcessor::judge_state(actions::AtomicAction& action, ActiveBinding
   // executed the write is unreachable or dead — committing here would
   // silently drop the write (gv_campaign netchaos, seed 1011). Abort and
   // let the client retry against live replicas instead.
-  if (!state.value().modified) {
+  if (!state->modified) {
     if (binding.wrote) {
       counters_.inc("commit.modified_replica_lost");
       return Err::NoReplicas;
@@ -297,8 +295,18 @@ Status CommitProcessor::judge_state(actions::AtomicAction& action, ActiveBinding
     binding.staged_version = 0;
     return ok_status();
   }
-  binding.staged_version = state.value().version + 1;
-  binding.staged_snapshot = std::move(state.value().snapshot);
+  binding.staged_version = state->version + 1;
+  // Phase 2 moves a replica that answered modified at the staged state's
+  // version onto staged_version (ObjectServerHost::commit). Every other
+  // bound server is behind, and mark_committed retires it after the
+  // commit.
+  binding.servers_behind.clear();
+  for (std::size_t j = 0; j < answers.size(); ++j) {
+    const bool current = answers[j].ok() && answers[j].value().modified &&
+                         answers[j].value().version == state->version;
+    if (!current) binding.servers_behind.push_back(binding.bind.servers[j]);
+  }
+  binding.staged_snapshot = std::move(state->snapshot);
   return ok_status();
 }
 

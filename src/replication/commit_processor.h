@@ -19,7 +19,8 @@
 //     with no consistent St left: the action aborts.
 //  5. Two-phase commit over all participants (stores, naming databases,
 //     object server hosts) decides the outcome.
-//  6. Post-commit: surviving servers learn the new committed version;
+//  6. Post-commit: a bound server that phase 2 did not move onto the new
+//     version (it answered staging behind, or not at all) is retired;
 //     coordinator-cohort objects checkpoint the committed state to their
 //     cohorts (warm standbys).
 #pragma once

@@ -103,8 +103,9 @@ class ObjectServerHost final : public actions::ServerParticipant {
   };
   Result<StateForCommit> state_for_commit(const Uid& object, const Uid& txn) const;
 
-  // Called (remotely) by the commit processor after a successful commit
-  // so the server's cached version matches the stores.
+  // Called (remotely) by the commit processor after a successful commit,
+  // at each bound server that phase 2 does not move onto `new_version`:
+  // a replica behind it is retired.
   void mark_committed(const Uid& object, std::uint64_t new_version);
 
   // Passivate a quiescent object (sec 2.3(3)): destroys the in-memory

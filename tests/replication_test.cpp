@@ -402,6 +402,35 @@ TEST(Replication, OneStateForCommitPerServerCarriesEveryObject) {
   }
 }
 
+// After a commit, mark_committed goes only to a bound replica that phase
+// 2 does not move onto the new version. Replica 3 is put one version
+// behind replica 2; both apply the next write. The commit stages from
+// replica 2, retires replica 3, and sends replica 2 nothing.
+TEST(Replication, MarkCommittedOnlyToAReplicaBehind) {
+  Sys s;
+  Uid obj = s.sys.define_object("ctr", "counter", Counter{}.snapshot(), {2, 3}, {4},
+                                ReplicationPolicy::Active, 2);
+  auto* client = s.sys.client(1);
+  auto add_one = [](core::ClientSession* client, Uid obj) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(obj, "add", i64_buf(1), LockMode::Write)).ok());
+    EXPECT_TRUE((co_await txn->commit()).ok());
+  };
+  s.run(add_one(client, obj));  // both replicas at version 2
+  EXPECT_EQ(s.sys.host_at(3).status(obj).version, 2u);
+  ASSERT_TRUE(s.sys.host_at(3).activate_from_snapshot(obj, "counter", 1, Counter{}.snapshot()).ok());
+
+  s.run(add_one(client, obj));
+  const auto& h = s.sys.metrics().histograms();
+  auto marks = h.find("rpc.objsrv.mark_committed_us");
+  ASSERT_NE(marks, h.end());
+  EXPECT_EQ(marks->second.count(), 1u);  // replica 3 only, after the second commit
+  EXPECT_EQ(s.sys.host_at(3).counters().get("objsrv.stale_retired"), 1u);
+  EXPECT_FALSE(s.sys.host_at(3).is_active(obj));
+  EXPECT_EQ(s.sys.host_at(2).status(obj).version, 3u);
+  EXPECT_EQ(s.sys.store_at(4).read(obj).value().version, 3u);
+}
+
 // ---------------------------------------------------------- recovery
 
 // A store node crashes, misses a commit (gets excluded), recovers,
