@@ -1,6 +1,5 @@
 #include "replication/commit_processor.h"
 
-#include <algorithm>
 #include <set>
 
 #include "actions/coordinator_log.h"
@@ -138,36 +137,27 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
                                          ActiveBinding*& behind) {
   // 1. Fetch every object's new state: one call to each bound server, in
   // first-seen order (binding order, then each binding's server order),
-  // carrying every object bound there. answers[i][j] is what binding i's
-  // j-th bound server said of it; a slot stays a failure unless the
-  // server's reply answered that object.
-  using Answer = Result<ObjectServerHost::StateForCommit>;
-  std::vector<std::vector<Answer>> answers(bindings.size());
-  std::vector<NodeId> servers;
-  for (std::size_t i = 0; i < bindings.size(); ++i) {
-    answers[i].assign(bindings[i]->bind.servers.size(), Answer{Err::Timeout});
-    for (NodeId server : bindings[i]->bind.servers)
-      if (std::find(servers.begin(), servers.end(), server) == servers.end())
-        servers.push_back(server);
-  }
-  for (NodeId server : servers) {
-    std::vector<std::pair<std::size_t, std::size_t>> asked;  // (binding, server slot)
+  // carrying every object bound there in binding order. The answers are
+  // then read back in that same order.
+  struct Fetch {
+    NodeId server;
     std::vector<Uid> objects;
-    for (std::size_t i = 0; i < bindings.size(); ++i) {
-      const auto& bound = bindings[i]->bind.servers;
-      for (std::size_t j = 0; j < bound.size(); ++j)
-        if (bound[j] == server) {
-          asked.emplace_back(i, j);
-          objects.push_back(bindings[i]->spec.uid);
-        }
-    }
-    auto r = co_await objsrv_state_for_commit(rt_.endpoint(), server, action.uid(), objects);
+    std::vector<ObjectServerHost::StateForCommit> answers;  // empty: the call failed
+    std::size_t next = 0;                                   // the next answer to judge
+  };
+  std::vector<Fetch> fetches;
+  auto fetch_at = [&fetches](NodeId server) -> Fetch& {
+    for (Fetch& f : fetches)
+      if (f.server == server) return f;
+    return fetches.emplace_back(Fetch{server, {}, {}});
+  };
+  for (const ActiveBinding* b : bindings)
+    for (NodeId server : b->bind.servers) fetch_at(server).objects.push_back(b->spec.uid);
+  for (Fetch& f : fetches) {
+    auto r = co_await objsrv_state_for_commit(rt_.endpoint(), f.server, action.uid(), f.objects);
     // A failed call, or a reply that does not answer every object, fails
     // each of this server's answers.
-    if (!r.ok() || r.value().size() != asked.size()) continue;
-    for (std::size_t k = 0; k < asked.size(); ++k)
-      if (r.value()[k].err == static_cast<std::uint32_t>(Err::None))
-        answers[asked[k].first][asked[k].second] = std::move(r.value()[k]);
+    if (r.ok() && r.value().size() == f.objects.size()) f.answers = std::move(r).value();
   }
   struct Copy {
     ActiveBinding* binding;
@@ -175,10 +165,17 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
     bool behind = false;
   };
   std::vector<Copy> copies;
-  for (std::size_t i = 0; i < bindings.size(); ++i) {
-    Status judged = judge_state(action, *bindings[i], std::move(answers[i]));
+  for (ActiveBinding* b : bindings) {
+    std::vector<ObjectServerHost::StateForCommit*> answers;  // per bound server; null: failed
+    for (NodeId server : b->bind.servers) {
+      Fetch& f = fetch_at(server);
+      auto* a = f.answers.empty() ? nullptr : &f.answers[f.next++];
+      answers.push_back(a != nullptr && a->err == static_cast<std::uint32_t>(Err::None) ? a
+                                                                                         : nullptr);
+    }
+    Status judged = judge_state(action, *b, answers);
     if (!judged.ok()) co_return judged;
-    if (bindings[i]->staged_version != 0) copies.push_back(Copy{bindings[i], {}, {}});
+    if (b->staged_version != 0) copies.push_back(Copy{b, {}, {}});
   }
 
   // 2. Copy (prepare) the new states to every store in each object's
@@ -254,24 +251,25 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
   co_return ok_status();
 }
 
-Status CommitProcessor::judge_state(actions::AtomicAction& action, ActiveBinding& binding,
-                                    std::vector<Result<ObjectServerHost::StateForCommit>> answers) {
+Status CommitProcessor::judge_state(
+    actions::AtomicAction& action, ActiveBinding& binding,
+    const std::vector<ObjectServerHost::StateForCommit*>& answers) {
   // Every bound server was asked: replicas that crashed hold nothing
   // durable, and leaving them enlisted would make the 2PC abort a failure
   // the replication policy exists to mask (sec 3.2: up to k-1 server
   // failures are masked).
   ObjectServerHost::StateForCommit* state = nullptr;
   for (std::size_t j = 0; j < answers.size(); ++j) {
-    if (answers[j].ok()) {
+    ObjectServerHost::StateForCommit* r = answers[j];
+    if (r != nullptr) {
       // Take the FRESHEST replica, not the first to answer: a member that
       // missed a best-effort mark_committed (or a whole phase-2) reports a
       // stale version, and staging from it computes a new_version the
       // stores already hold — the install silently no-ops and the commit
       // is lost (found by the gv_campaign netchaos mix).
-      auto& r = answers[j].value();
-      const bool fresher = state == nullptr || r.version > state->version ||
-                           (r.version == state->version && r.modified && !state->modified);
-      if (fresher) state = &r;
+      const bool fresher = state == nullptr || r->version > state->version ||
+                           (r->version == state->version && r->modified && !state->modified);
+      if (fresher) state = r;
     } else {
       counters_.inc("commit.server_unreachable");
       action.delist({binding.bind.servers[j], kObjSrvService});
@@ -302,8 +300,8 @@ Status CommitProcessor::judge_state(actions::AtomicAction& action, ActiveBinding
   // commit.
   binding.servers_behind.clear();
   for (std::size_t j = 0; j < answers.size(); ++j) {
-    const bool current = answers[j].ok() && answers[j].value().modified &&
-                         answers[j].value().version == state->version;
+    const bool current =
+        answers[j] != nullptr && answers[j]->modified && answers[j]->version == state->version;
     if (!current) binding.servers_behind.push_back(binding.bind.servers[j]);
   }
   binding.staged_snapshot = std::move(state->snapshot);

@@ -63,11 +63,12 @@ class CommitProcessor {
   sim::Task<Status> stage(actions::AtomicAction& action,
                           const std::vector<ActiveBinding*>& bindings,
                           std::vector<naming::ExcludeItem>& excludes, ActiveBinding*& behind);
-  // Judge one object's answers, one per bound server in order: take the
-  // freshest replica, delist each server that failed, and set
-  // binding.staged_version (0: not modified) and staged_snapshot.
+  // Judge one object's answers, one per bound server in order (null: the
+  // server failed it): take the freshest replica, delist each server that
+  // failed, and set binding.staged_version (0: not modified),
+  // staged_snapshot and servers_behind.
   Status judge_state(actions::AtomicAction& action, ActiveBinding& binding,
-                     std::vector<Result<ObjectServerHost::StateForCommit>> answers);
+                     const std::vector<ObjectServerHost::StateForCommit*>& answers);
 
   actions::ActionRuntime& rt_;
   NodeId naming_node_;
