@@ -170,8 +170,8 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
     for (NodeId server : b->bind.servers) {
       Fetch& f = fetch_at(server);
       auto* a = f.answers.empty() ? nullptr : &f.answers[f.next++];
-      answers.push_back(a != nullptr && a->err == static_cast<std::uint32_t>(Err::None) ? a
-                                                                                         : nullptr);
+      const bool failed = a == nullptr || a->err != static_cast<std::uint32_t>(Err::None);
+      answers.push_back(failed ? nullptr : a);
     }
     Status judged = judge_state(action, *b, answers);
     if (!judged.ok()) co_return judged;
