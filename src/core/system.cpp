@@ -25,7 +25,7 @@ ReplicaSystem::ReplicaSystem(SystemConfig cfg)
         cluster_.node(id), fabric_->endpoint(id), *txns_.back(), gc_, classes_));
     recovery_.push_back(std::make_unique<replication::RecoveryDaemon>(
         cluster_.node(id), fabric_->endpoint(id), *stores_.back(), naming_node(),
-        hosts_.back().get()));
+        hosts_.back().get(), coord_logs_.back().get()));
     recovery_.back()->runtime().set_obs(&trace_, &metrics_);
     if (cfg_.start_store_reaper) stores_.back()->start_reaper();
     if (cfg_.start_view_probe && id != naming_node())
@@ -37,7 +37,8 @@ ReplicaSystem::ReplicaSystem(SystemConfig cfg)
                                                 fabric_->endpoint(naming_node()),
                                                 *txns_[naming_node()], cfg_.naming);
   gvdb_->set_obs(&trace_, &metrics_);
-  janitor_ = std::make_unique<naming::UseListJanitor>(*gvdb_, fabric_->endpoint(naming_node()));
+  janitor_ = std::make_unique<naming::UseListJanitor>(*gvdb_, fabric_->endpoint(naming_node()),
+                                                      coord_logs_[naming_node()].get());
   if (cfg_.start_janitor) janitor_->start();
 
   if (cfg_.view_cache) {

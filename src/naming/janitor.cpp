@@ -4,11 +4,12 @@
 
 namespace gv::naming {
 
-UseListJanitor::UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint, sim::SimTime period)
+UseListJanitor::UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint,
+                               actions::CoordinatorLog* log, sim::SimTime period)
     : db_(db),
       endpoint_(endpoint),
       detector_(endpoint),
-      runtime_(endpoint, /*uid_seed=*/0x7A17),
+      runtime_(endpoint, /*uid_seed=*/0x7A17, log),
       period_(period) {
   endpoint_.node().on_recover([this] {
     if (running_) endpoint_.node().sim().spawn(run(endpoint_.node().epoch()));

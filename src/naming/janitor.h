@@ -22,7 +22,9 @@ namespace gv::naming {
 
 class UseListJanitor {
  public:
-  UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint,
+  // `log` is the naming node's coordinator log: it records the purge
+  // actions' decisions, so the orphan sweep can learn that one committed.
+  UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint, actions::CoordinatorLog* log,
                  sim::SimTime period = 100 * sim::kMillisecond);
 
   // Begin periodic sweeps (re-armed automatically after node recovery).

@@ -11,13 +11,13 @@ namespace gv::replication {
 
 RecoveryDaemon::RecoveryDaemon(sim::Node& node, rpc::RpcEndpoint& endpoint,
                                store::ObjectStore& store, NodeId naming_node,
-                               ObjectServerHost* host)
+                               ObjectServerHost* host, actions::CoordinatorLog* log)
     : node_(node),
       endpoint_(endpoint),
       store_(store),
       naming_node_(naming_node),
       host_(host),
-      runtime_(endpoint, /*uid_seed=*/0x4EC0 + node.id()) {
+      runtime_(endpoint, /*uid_seed=*/0x4EC0 + node.id(), log) {
   node_.on_recover([this] {
     // Synchronously gate served objects BEFORE anything else can run:
     // until the Insert quiescence check re-admits this node, it must not

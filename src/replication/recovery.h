@@ -41,9 +41,12 @@ class RecoveryDaemon {
  public:
   // `host` may be null (store-only nodes); when present, activation of
   // served objects is blocked across recovery until Insert re-admits the
-  // node (sec 4.1.2).
+  // node (sec 4.1.2). `log` is the node's coordinator log: it records the
+  // repair actions' decisions, so a participant's orphan sweep can learn
+  // that one committed.
   RecoveryDaemon(sim::Node& node, rpc::RpcEndpoint& endpoint, store::ObjectStore& store,
-                 NodeId naming_node, ObjectServerHost* host = nullptr);
+                 NodeId naming_node, ObjectServerHost* host = nullptr,
+                 actions::CoordinatorLog* log = nullptr);
 
   // Declare that this node is a potential server for `object` (stable
   // configuration, set at object-creation time). Drives the Insert step.

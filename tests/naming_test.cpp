@@ -10,6 +10,7 @@
 #include <string>
 
 #include "actions/atomic_action.h"
+#include "actions/coordinator_log.h"
 #include "naming/group_view_db.h"
 #include "naming/janitor.h"
 #include "rpc/rpc.h"
@@ -30,6 +31,7 @@ struct Fixture {
   std::unique_ptr<actions::TxnRegistry> naming_txns;
   std::unique_ptr<store::ObjectStore> naming_store;
   std::unique_ptr<GroupViewDb> gvdb;
+  std::unique_ptr<actions::CoordinatorLog> naming_log;  // the janitor's
   std::unique_ptr<ActionRuntime> rt;  // a client runtime on node 1
 
   Uid obj{100, 1};
@@ -41,6 +43,7 @@ struct Fixture {
     naming_store = std::make_unique<store::ObjectStore>(cluster.node(0), fabric->endpoint(0));
     gvdb = std::make_unique<GroupViewDb>(cluster.node(0), *naming_store, fabric->endpoint(0),
                                          *naming_txns, NamingConfig{}, policy);
+    naming_log = std::make_unique<actions::CoordinatorLog>(fabric->endpoint(0));
     rt = std::make_unique<ActionRuntime>(fabric->endpoint(1), 0xC11);
     gvdb->create_object(obj, {2, 3, 4}, {2, 3, 4});
   }
@@ -775,7 +778,7 @@ TEST(ObjectServerDb, AbortEndsTheActionsQueuedInsert) {
 
 TEST(UseListJanitor, PurgesCrashedClientsEntries) {
   Fixture f;
-  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0)};
+  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0), f.naming_log.get()};
   // Client on node 1 binds, then crashes without decrementing.
   f.run([](Fixture& f) -> sim::Task<> {
     std::vector<NodeId> both{2, 3};
@@ -793,7 +796,7 @@ TEST(UseListJanitor, PurgesCrashedClientsEntries) {
 
 TEST(UseListJanitor, LeavesLiveClientsAlone) {
   Fixture f;
-  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0)};
+  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0), f.naming_log.get()};
   f.run([](Fixture& f) -> sim::Task<> {
     std::vector<NodeId> two{2};
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, f.rt->new_uid())).ok());
@@ -814,7 +817,7 @@ TEST(UseListJanitor, LeavesLiveClientsAlone) {
 // object gets it.
 TEST(UseListJanitor, LostPurgeCommitIsSweptAsAnOrphan) {
   Fixture f;
-  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0)};
+  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0), f.naming_log.get()};
   f.run([](Fixture& f) -> sim::Task<> {
     std::vector<NodeId> two{2};
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, f.rt->new_uid())).ok());
@@ -837,9 +840,75 @@ TEST(UseListJanitor, LostPurgeCommitIsSweptAsAnOrphan) {
   EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
 }
 
+// Hands the group view database's 2PC calls through. After a Yes vote it
+// cuts node 0's link to itself: the vote's reply, already sent, lands,
+// and the phase 2 that follows it is lost. The link comes back before the
+// coordinator times that phase 2 out; the next two sends (the orphan
+// sweep's outcome call and its reply) get through, and every self-send
+// after them, a ping included, is lost.
+class LosePhase2AndPing final : public actions::ServerParticipant {
+ public:
+  explicit LosePhase2AndPing(Fixture& f) : f_(f) {}
+  sim::Task<actions::Vote> prepare(const Uid& txn, bool may_leave) override {
+    const actions::Vote v = co_await f_.gvdb->prepare(txn, may_leave);
+    if (v == actions::Vote::Yes) f_.sim.spawn(cut_links(f_));
+    co_return v;
+  }
+  sim::Task<Status> commit(const Uid& txn) override { return f_.gvdb->commit(txn); }
+  sim::Task<Status> abort(const Uid& txn) override { return f_.gvdb->abort(txn); }
+  void nested_commit(const Uid& child, const Uid& parent) override {
+    f_.gvdb->nested_commit(child, parent);
+  }
+  void nested_abort(const Uid& child) override { f_.gvdb->nested_abort(child); }
+
+ private:
+  static sim::Task<> cut_links(Fixture& f) {
+    co_await f.sim.sleep(100);  // under the 500 us network floor
+    f.net.set_reachable(0, 0, false);
+    co_await f.sim.sleep(10 * sim::kMillisecond);  // the phase 2 is sent and lost
+    f.net.set_reachable(0, 0, true);
+    const std::uint64_t sends = f.net.counters().get("net.send");
+    while (f.net.counters().get("net.send") < sends + 2) co_await f.sim.sleep(50);
+    f.net.set_reachable(0, 0, false);
+    co_await f.sim.sleep(sim::kSecond);
+    f.net.set_reachable(0, 0, true);
+  }
+
+  Fixture& f_;
+};
+
+// The janitor's purge commits, but its phase 2 to its own node is lost.
+// The orphan sweep that ends the janitor's pass must learn the commit
+// from the naming node's coordinator log: a purge that committed is never
+// rolled back, even when the ping that would decide an unknown outcome is
+// lost.
+TEST(UseListJanitor, CommittedPurgeSurvivesALostSelfPing) {
+  Fixture f;
+  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0), f.naming_log.get()};
+  LosePhase2AndPing gate{f};
+  f.naming_txns->add(kGvdbService, &gate);
+  f.run([](Fixture& f) -> sim::Task<> {
+    std::vector<NodeId> two{2};
+    EXPECT_TRUE((co_await record_binding(f, f.obj, 1, two, f.rt->new_uid())).ok());
+  }(f));
+  f.cluster.node(1).crash();
+
+  std::uint32_t purged = 0;
+  f.run([](UseListJanitor& j, std::uint32_t& purged) -> sim::Task<> {
+    purged = co_await j.sweep();
+  }(janitor, purged));
+  EXPECT_EQ(purged, 1u);
+  EXPECT_EQ(janitor.runtime().counters().get("action.commit_phase_miss"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("db.orphan_owner_dead"), 0u);
+  EXPECT_EQ(f.gvdb->counters().get("db.orphan_committed"), 1u);
+  EXPECT_EQ(f.gvdb->locks().table_depth(), 0u);
+  EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
+}
+
 TEST(UseListJanitor, PeriodicSweepRunsAutomatically) {
   Fixture f;
-  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0), 50 * sim::kMillisecond};
+  UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0), f.naming_log.get(),
+                         50 * sim::kMillisecond};
   janitor.start();
   // The janitor loop keeps the queue non-empty: drive with run_until.
   f.sim.spawn([](Fixture& f) -> sim::Task<> {
