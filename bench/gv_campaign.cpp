@@ -94,8 +94,8 @@ void add_mix(NemesisSuite& suite, const std::string& mix, ReplicaSystem& sys) {
     suite.add(std::make_unique<StorageFaultNemesis>(
         sys.sim(), [&sys](sim::NodeId n) -> store::ObjectStore& { return sys.store_at(n); },
         cfg));
-    // Torn shadows only matter across a crash; pair storage faults with
-    // crashes so the recovery-scan path is actually exercised.
+    // Pair storage faults with store crashes, so the shadows a crash
+    // leaves in doubt meet the failed and torn writes too.
     if (!all)
       suite.add(std::make_unique<CrashNemesis>(
           sys.sim(), sys.cluster(),

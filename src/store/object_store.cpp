@@ -17,24 +17,10 @@ ObjectStore::ObjectStore(sim::Node& node, rpc::RpcEndpoint& endpoint)
     suspects_.clear();
   });
   node_.on_recover([this] {
-    // Recovery scan. A torn shadow (injected stable-storage fault) fails
-    // its checksum here: the slot never held a complete state, so it is
-    // discarded — NOT treated as in-doubt — and the prepare() this store
-    // acknowledged is lost. The object stays SUSPECT (marked below), so
-    // the recovery protocol refreshes it from a peer before it is served
-    // again; a coordinator that decided commit meanwhile finds this
-    // store's commit() returning NotFound, which phase 2 tolerates.
-    for (auto it = shadows_.begin(); it != shadows_.end();) {
-      if (it->second.torn) {
-        counters_.inc("store.torn_shadow_detected");
-        it = shadows_.erase(it);
-        continue;
-      }
-      ++it;
-    }
-    // Remaining shadows are IN-DOUBT: this store voted yes and never
-    // learned the outcome. Presuming abort here would LOSE a commit the
-    // coordinator already decided; resolve by asking it.
+    // Recovery scan. Every shadow is IN-DOUBT: this store voted yes and
+    // never learned the outcome (a torn write was refused when it was
+    // written, so every shadow here is whole). Presuming abort here would
+    // LOSE a commit the coordinator already decided; resolve by asking it.
     for (auto& [txn, set] : shadows_) {
       set.in_doubt = true;
       counters_.inc("store.in_doubt_shadow");
@@ -85,14 +71,17 @@ Status ObjectStore::prepare(const Uid& uid, const Uid& txn, std::uint64_t versio
     counters_.inc("store.fault_prepare_failed");
     return Err::StorageFault;  // injected IO error: the shadow install failed
   }
+  // The write is read back against its checksum before it is answered,
+  // so a tear fails the write here and the torn slot is not kept: every
+  // shadow this store acknowledged is whole.
+  if (faults_.torn_shadow_prob > 0 && fault_rng_.bernoulli(faults_.torn_shadow_prob)) {
+    counters_.inc("store.fault_torn_shadow");
+    return Err::StorageFault;
+  }
   ShadowSet& set = shadows_[txn];
   if (set.writes.empty()) set.created_at = node_.sim().now();
   set.coordinator = coordinator;
   set.writes[uid] = VersionedState{version, std::move(state)};
-  if (faults_.torn_shadow_prob > 0 && fault_rng_.bernoulli(faults_.torn_shadow_prob)) {
-    counters_.inc("store.fault_torn_shadow");
-    set.torn = true;
-  }
   counters_.inc("store.prepare");
   return ok_status();
 }
@@ -212,22 +201,11 @@ bool ObjectStore::has_pending_shadow(const Uid& uid) const {
   return false;
 }
 
-bool ObjectStore::verify_shadow(const Uid& txn) {
-  auto it = shadows_.find(txn);
-  if (it == shadows_.end()) return false;
-  if (it->second.torn) {
-    counters_.inc("store.torn_vote_no");
-    return false;
-  }
-  return true;
-}
-
 void ObjectStore::rekey_shadow(const Uid& child, const Uid& parent) {
   auto it = shadows_.find(child);
   if (it == shadows_.end()) return;
   ShadowSet& dst = shadows_[parent];
   if (dst.writes.empty()) dst.created_at = it->second.created_at;
-  dst.torn = dst.torn || it->second.torn;  // a tear taints the whole slot
   for (auto& [uid, vs] : it->second.writes) {
     // Child wrote after (within) the parent: the child's state is newer.
     dst.writes[uid] = std::move(vs);
@@ -328,10 +306,10 @@ void ObjectStore::register_rpc() {
 // ---------------------------------------------------------- participant
 
 sim::Task<actions::Vote> StoreTxnParticipant::prepare(const Uid& txn, bool) {
-  // The commit processor only enlists a store it staged writes at, so a
-  // missing shadow means the shadow was lost (crash + presumed-abort
-  // recovery scan) — vote no. A torn shadow fails verification — vote no.
-  co_return store_.verify_shadow(txn) ? actions::Vote::Yes : actions::Vote::No;
+  // A store is enlisted only where a shadow landed, so a missing shadow
+  // means it was lost (presumed abort by the reaper or a recovery) —
+  // vote no.
+  co_return store_.has_shadow(txn) ? actions::Vote::Yes : actions::Vote::No;
 }
 
 sim::Task<Status> StoreTxnParticipant::commit(const Uid& txn) {

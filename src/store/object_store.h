@@ -52,12 +52,11 @@ struct StagedWrite {
 
 // Stable-storage fault injection (nemesis hook). Probabilities are
 // evaluated per prepare(): `fail_prepare_prob` models an IO error that
-// refuses the shadow install outright (the commit processor then
-// Excludes this store like an unreachable one); `torn_shadow_prob`
-// models a shadow write that reports success but lands torn on disk —
-// harmless unless the node crashes before commit, at which point the
-// recovery scan's checksum detects the tear and discards the slot
-// instead of treating it as in-doubt.
+// refuses the shadow install outright; `torn_shadow_prob` models a shadow
+// write that lands torn on disk, which the store finds when it reads the
+// write back against its checksum, before answering. Either way the
+// write is answered StorageFault and not kept, and the commit processor
+// Excludes this store like an unreachable one.
 struct StoreFaultConfig {
   double fail_prepare_prob = 0.0;
   double torn_shadow_prob = 0.0;
@@ -93,11 +92,6 @@ class ObjectStore {
   // local_objects(): their owner validates them itself by reloading.
   void put_record(const Uid& table, const Uid& key, Buffer value);
   const std::map<Uid, Buffer>& records(const Uid& table) const;
-
-  // 2PC vote: the shadow must exist AND verify against its checksum — a
-  // torn slot is detected here at the latest, so a tear can only ever
-  // abort an action or divert it to the recovery path, never commit.
-  bool verify_shadow(const Uid& txn);
 
   // True if any shadow slot holds a write for `uid`: the object's next
   // version may be decided-but-not-installed, so the committed version
@@ -174,7 +168,6 @@ class ObjectStore {
     sim::SimTime created_at = 0;
     NodeId coordinator = sim::kNoNode;
     bool in_doubt = false;  // survived a crash after voting yes
-    bool torn = false;      // injected torn write; fatal only across a crash
   };
 
   sim::Task<> resolve_in_doubt(std::uint64_t epoch);

@@ -246,6 +246,43 @@ TEST(DeadStore, TwoObjectCommitSpendsOneTimeoutAndOneExclude) {
   }
 }
 
+// ------------------------------------------------- a torn shadow write
+
+// A shadow write that lands torn is found when the store writes it: the
+// store answers that write StorageFault, so staging Excludes the store
+// like one whose copy failed, and the action commits at the others. The
+// torn write is not kept, so a crash before phase 2 leaves no shadow of
+// it for recovery to resolve.
+TEST(TornShadow, TornWriteIsRefusedAndItsStoreExcluded) {
+  SystemConfig cfg;
+  cfg.nodes = 8;
+  cfg.seed = 13;
+  ReplicaSystem sys{cfg};
+  const Uid obj = sys.define_object("o", "counter", Counter{}.snapshot(), {2}, {5, 6},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  sys.store_at(6).set_faults(store::StoreFaultConfig{0.0, 1.0}, /*seed=*/7);
+  bool committed = false;
+  sys.sim().spawn([](ReplicaSystem& sys, Uid obj, bool& committed) -> sim::Task<> {
+    auto txn = sys.client(1)->begin();
+    EXPECT_TRUE((co_await txn->invoke(obj, "add", i64_buf(1), LockMode::Write)).ok());
+    committed = (co_await txn->commit()).ok();
+  }(sys, obj, committed));
+  sys.sim().run_until(2 * sim::kSecond);
+
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(sys.store_at(6).counters().get("store.fault_torn_shadow"), 1u);
+  EXPECT_EQ(sys.gvdb().states().peek(obj), (std::vector<sim::NodeId>{5}));
+  EXPECT_EQ(sys.store_at(5).read(obj).value().version, 2u);
+  EXPECT_FALSE(sys.store_at(6).has_pending_shadow(obj));
+
+  sys.store_at(6).clear_faults();
+  sys.cluster().node(6).crash();
+  sys.cluster().node(6).recover();
+  sys.sim().run_until(sys.sim().now() + 2 * sim::kSecond);
+  EXPECT_EQ(sys.store_at(6).counters().get("store.in_doubt_shadow"), 0u);
+  EXPECT_EQ(sys.store_at(6).counters().get("store.in_doubt_committed"), 0u);
+}
+
 // ---------------------------------------------------------------- auditor
 
 TEST(Auditor, FlagsEscapedViewState) {
