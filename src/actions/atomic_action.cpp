@@ -38,9 +38,17 @@ void AtomicAction::enlist(ParticipantRef ref) {
     participants_.push_back(std::move(ref));
 }
 
+void AtomicAction::voted_yes(const ParticipantRef& ref) {
+  const bool enlisted =
+      std::find(participants_.begin(), participants_.end(), ref) != participants_.end();
+  if (enlisted && std::find(voted_.begin(), voted_.end(), ref) == voted_.end())
+    voted_.push_back(ref);
+}
+
 void AtomicAction::delist(const ParticipantRef& ref) {
   participants_.erase(std::remove(participants_.begin(), participants_.end(), ref),
                       participants_.end());
+  voted_.erase(std::remove(voted_.begin(), voted_.end(), ref), voted_.end());
 }
 
 sim::Task<Status> AtomicAction::commit() {
@@ -68,7 +76,9 @@ sim::Task<Status> AtomicAction::commit_nested() {
     }
   }
   for (ParticipantRef& p : participants_) parent_->enlist(std::move(p));
+  for (const ParticipantRef& p : voted_) parent_->voted_yes(p);
   participants_.clear();
+  voted_.clear();
   state_ = ActionState::Committed;
   rt_.counters().inc("action.committed_nested");
   co_return ok_status();
@@ -83,21 +93,23 @@ sim::Task<Status> AtomicAction::commit_top_level() {
                          : core::TraceRecorder::Span{};
   const sim::SimTime t_start = sim.now();
 
-  // Phase 1, in reverse enlist order: commit processing enlists the stores
-  // last, so in a writing action a store votes first. A participant may
-  // vote read-only (and leave) only while no one has voted yes: in a
-  // writing action the group view database's read locks pin St and Sv
-  // until the stores install. A read-only voter is delisted, so neither
-  // phase 2 nor an abort reaches it.
+  // Phase 1 asks, in reverse enlist order, every participant that has not
+  // voted yet. In a writing action the stores and bound servers voted Yes
+  // in their staging replies, so only the group view database is asked. A
+  // participant may vote read-only (and leave) only while no one has
+  // voted yes: in a writing action the group view database's read locks
+  // pin St and Sv until the stores install. A read-only voter is
+  // delisted, so neither phase 2 nor an abort reaches it.
   auto prepare_span = core::tracing(rt_.trace())
                           ? core::trace_span(rt_.trace(), "action.prepare", here, "action",
                                              std::to_string(participants_.size()) +
                                                  " participants")
                           : core::TraceRecorder::Span{};
   bool all_voted = true;
-  bool any_yes = false;
+  bool any_yes = !voted_.empty();
   for (std::size_t i = participants_.size(); i-- > 0;) {
     const ParticipantRef& p = participants_[i];
+    if (std::find(voted_.begin(), voted_.end(), p) != voted_.end()) continue;
     const bool may_leave = !any_yes;
     auto vote = co_await rt_.endpoint().call(p.node, kTxnPrepare, p.name, uid_, may_leave);
     if (!vote.ok() || vote.value() == Vote::No) {

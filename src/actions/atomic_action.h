@@ -111,6 +111,12 @@ class AtomicAction {
   // Enlist a remote participant (deduplicated).
   void enlist(ParticipantRef ref);
 
+  // Record that an enlisted participant already voted Yes, in the reply
+  // carrying its last work for this action: the implicit yes vote
+  // (DESIGN.md sec 22). Phase 1 does not ask it; phase 2 or the abort
+  // still reaches it. A participant not enlisted (or delisted) is ignored.
+  void voted_yes(const ParticipantRef& ref);
+
   // Remove a participant (e.g. a crashed object server whose state is
   // volatile: it holds nothing durable this action needs to decide, and
   // including it in the 2PC would needlessly abort a maskable failure).
@@ -121,9 +127,9 @@ class AtomicAction {
   //    durable outcome is decided at the top level).
   //  - top-level: two-phase commit across all participants. Returns
   //    Err::Aborted if any participant voted no or was unreachable.
-  //    Participants are prepared in reverse enlist order, and may vote
-  //    read-only only while none has voted yes; phase 2 (or the abort)
-  //    reaches the yes voters alone (DESIGN.md sec 17).
+  //    Participants not yet voted are prepared in reverse enlist order,
+  //    and may vote read-only only while none has voted yes; phase 2 (or
+  //    the abort) reaches the yes voters alone (DESIGN.md secs 17, 22).
   sim::Task<Status> commit();
 
   // Abort this action (and conceptually its whole subtree).
@@ -144,6 +150,7 @@ class AtomicAction {
   Uid uid_;
   ActionState state_ = ActionState::Running;
   std::vector<ParticipantRef> participants_;
+  std::vector<ParticipantRef> voted_;  // the implicit yes voters among them
 };
 
 // --------------------------------------------------------------------

@@ -216,12 +216,16 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
   }
 
   // 3. Judge each object's copies. First enlist every store that accepted
-  // any copy, so the 2PC (or the abort) reaches every shadow; the group
-  // view database is already a participant from the bind's naming read.
+  // any copy, so phase 2 (or the abort) reaches every shadow. Its accepted
+  // shadow write is its Yes vote: a shadow is stable and names its
+  // coordinator (DESIGN.md sec 22). The group view database is already a
+  // participant from the bind's naming read.
   std::set<NodeId> enlisted;
   for (const Copy& c : copies)
     for (NodeId st : c.copied) {
-      action.enlist({st, store::kStoreService});
+      const actions::ParticipantRef store{st, store::kStoreService};
+      action.enlist(store);
+      action.voted_yes(store);
       enlisted.insert(st);
     }
   actions::CoordinatorLog* log = rt_.coordinator_log();
@@ -248,6 +252,13 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
       excludes.push_back(naming::ExcludeItem{c.binding->spec.uid, std::move(c.failed)});
     }
   }
+  // In a writing action a server is never allowed to leave, so it could
+  // only vote Yes: every bound server still enlisted (judge_state delisted
+  // each one that failed an answer) has voted in its state_for_commit
+  // reply. One unreachable later holds nothing durable and is masked
+  // (sec 3.2).
+  if (!copies.empty())
+    for (const Fetch& f : fetches) action.voted_yes({f.server, kObjSrvService});
   co_return ok_status();
 }
 

@@ -18,7 +18,9 @@
 //  4. If no store accepted the copy, the object would become unavailable
 //     with no consistent St left: the action aborts.
 //  5. Two-phase commit over all participants (stores, naming databases,
-//     object server hosts) decides the outcome.
+//     object server hosts) decides the outcome. In a writing action the
+//     stores and bound servers voted Yes in their staging replies, so
+//     phase 1 asks only the naming database.
 //  6. Post-commit: a bound server that phase 2 did not move onto the new
 //     version (it answered staging behind, or not at all) is retired;
 //     coordinator-cohort objects checkpoint the committed state to their

@@ -211,12 +211,13 @@ inline sim::Task<Result<std::vector<std::uint32_t>>> ObjectStore::remote_prepare
 
 // Adapter enrolling the store in client-coordinated 2PC. Registered in
 // the node's TxnRegistry under kStoreService. Prepare work (the stable
-// shadow write) already happened via remote_prepare during commit
-// processing, so prepare() only confirms this incarnation still holds the
-// shadow — a store that crashed after the copy lost nothing stable, but a
-// recovery in between discarded the shadow (presumed abort) and must
-// vote no. A store never votes read-only: it is enlisted only where a
-// copy landed, so a missing shadow is a lost one.
+// shadow write) happens via remote_prepare during commit processing, and
+// its accepted write is the store's Yes vote: the commit processor enlists
+// the store as already voted, so phase 1 does not ask it (DESIGN.md sec
+// 22). A store asked anyway (one enlisted by hand) confirms it still holds
+// the shadow: one lost to presumed abort votes no. A store never votes
+// read-only: it is enlisted only where a copy landed, so a missing shadow
+// is a lost one.
 class StoreTxnParticipant final : public actions::ServerParticipant {
  public:
   explicit StoreTxnParticipant(ObjectStore& store) : store_(store) {}

@@ -179,6 +179,53 @@ TEST(AtomicAction, AbortSkipsReadOnlyVoters) {
   EXPECT_EQ(p1.events, (std::vector<std::string>{"prepare", "abort"}));
 }
 
+// A participant that voted Yes in the reply carrying its last work (an
+// implicit yes vote) gets no txn.prepare, but phase 2 and an abort still
+// reach it. Its vote counts from the start, so every participant that is
+// asked is asked without leave. A nested action's vote is inherited.
+TEST(AtomicAction, ImplicitYesVoterGetsNoPrepare) {
+  Fixture f;
+  ScriptedParticipant p1, p2, p3;
+  p1.vote = Vote::ReadOnly;
+  p3.vote = Vote::No;
+  f.registries[1]->add("svc1", &p1);
+  f.registries[2]->add("svc2", &p2);
+  f.registries[3]->add("svc3", &p3);
+  Status committed = Err::Timeout, aborted = Err::None;
+  f.sim.spawn([](Fixture& f, Status& committed, Status& aborted) -> sim::Task<> {
+    AtomicAction writer{*f.rt};
+    writer.enlist({1, "svc1"});
+    writer.enlist({2, "svc2"});
+    writer.voted_yes({2, "svc2"});
+    writer.voted_yes({3, "svc3"});  // not enlisted: ignored
+    committed = co_await writer.commit();
+
+    AtomicAction refused{*f.rt};
+    refused.enlist({2, "svc2"});
+    refused.voted_yes({2, "svc2"});
+    refused.enlist({3, "svc3"});
+    aborted = co_await refused.commit();
+
+    AtomicAction top{*f.rt};
+    {
+      AtomicAction nested{*f.rt, &top};
+      nested.enlist({2, "svc2"});
+      nested.voted_yes({2, "svc2"});
+      EXPECT_TRUE((co_await nested.commit()).ok());
+    }
+    EXPECT_TRUE((co_await top.commit()).ok());
+  }(f, committed, aborted));
+  f.sim.run();
+  EXPECT_TRUE(committed.ok());
+  EXPECT_EQ(aborted.error(), Err::Aborted);
+  EXPECT_EQ(p1.asked_may_leave, (std::vector<bool>{false}));
+  EXPECT_EQ(p1.events, (std::vector<std::string>{"prepare", "commit"}));
+  EXPECT_EQ(p2.events,
+            (std::vector<std::string>{"commit", "abort", "nested_commit", "commit"}));
+  EXPECT_EQ(p3.asked_may_leave, (std::vector<bool>{false}));
+  EXPECT_EQ(p3.events, (std::vector<std::string>{"prepare", "abort"}));
+}
+
 TEST(AtomicAction, UnreachableParticipantAbortsAction) {
   Fixture f;
   ScriptedParticipant p1;

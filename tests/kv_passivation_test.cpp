@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "actions/coordinator_log.h"
+#include "core/audit.h"
 #include "core/system.h"
 
 namespace gv {
@@ -221,6 +222,46 @@ TEST(CoordinatorLog, EndToEndInDoubtCommitRecovered) {
   auto r = s.sys.store_at(4).read(obj);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().version, 2u);  // the decided commit was NOT lost
+}
+
+// A store's accepted shadow write is its Yes vote, so a store that
+// crashes between its staging reply and phase 2 no longer aborts the
+// action: the action commits, and the store, on recovery, learns the
+// decision from the coordinator log and installs the state.
+TEST(CoordinatorLog, StoreCrashAfterStagingStillInstalls) {
+  Sys s{SystemConfig{.nodes = 8}};
+  Uid obj = s.sys.define_object("c", "counter", replication::Counter{}.snapshot(), {2}, {3, 4},
+                                ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  core::InvariantAuditor audit{s.sys};
+  audit.track(obj);
+
+  // The moment store 4 accepts the shadow write (it answers in the same
+  // event), kill it: its reply is on the wire, and phase 2 cannot reach it.
+  s.sys.sim().spawn([](core::ReplicaSystem& sys) -> sim::Task<> {
+    while (sys.store_at(4).counters().get("store.prepare") < 1) co_await sys.sim().sleep(50);
+    sys.cluster().node(4).crash();
+  }(s.sys));
+
+  bool committed = false;
+  s.sys.sim().spawn([](core::ClientSession* client, Uid obj, bool& committed) -> sim::Task<> {
+    auto txn = client->begin();
+    Buffer one;
+    one.pack_i64(1);
+    (void)co_await txn->invoke(obj, "add", std::move(one), LockMode::Write);
+    committed = (co_await txn->commit()).ok();
+  }(client, obj, committed));
+  s.sys.sim().run_until(s.sys.sim().now() + 2 * sim::kSecond);
+  ASSERT_TRUE(committed);
+  EXPECT_EQ(s.sys.store_at(3).read(obj).value().version, 2u);
+  EXPECT_EQ(s.sys.store_at(4).version(obj).value_or(0), 1u);  // not yet installed
+
+  s.sys.cluster().node(4).recover();
+  s.sys.sim().run();
+  EXPECT_EQ(s.sys.store_at(4).counters().get("store.in_doubt_committed"), 1u);
+  EXPECT_EQ(s.sys.store_at(4).version(obj).value_or(0), 2u);
+  EXPECT_EQ(s.sys.gvdb().states().peek(obj), (std::vector<sim::NodeId>{3, 4}));
+  EXPECT_EQ(audit.check_now(/*quiescent=*/true), 0u) << audit.report();
 }
 
 // A store whose prepare reply was lost holds the new state's shadow, but

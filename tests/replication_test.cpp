@@ -402,6 +402,36 @@ TEST(Replication, OneStateForCommitPerServerCarriesEveryObject) {
   }
 }
 
+// In a writing action the stores vote Yes in their staging replies and
+// the bound server in its state_for_commit reply, so phase 1 sends one
+// txn.prepare: to the group view database. Phase 2 still reaches all
+// five participants.
+TEST(Replication, WritingCommitSendsOnePrepare) {
+  Sys s;
+  std::vector<Uid> objs;
+  for (const char* name : {"a", "b", "c", "d"})
+    objs.push_back(s.sys.define_object(name, "counter", Counter{}.snapshot(), {2}, {3, 4, 5},
+                                       ReplicationPolicy::SingleCopyPassive, 1));
+  auto* client = s.sys.client(1);
+  Status outcome = Err::Aborted;
+  s.run([](core::ClientSession* client, std::vector<Uid> objs, Status& outcome) -> sim::Task<> {
+    auto txn = client->begin();
+    for (const Uid& obj : objs)
+      EXPECT_TRUE((co_await txn->invoke(obj, "add", i64_buf(1), LockMode::Write)).ok());
+    outcome = co_await txn->commit();
+  }(client, objs, outcome));
+  EXPECT_TRUE(outcome.ok());
+  const auto& h = s.sys.metrics().histograms();
+  auto prepares = h.find("rpc.txn.prepare_us");
+  ASSERT_NE(prepares, h.end());
+  EXPECT_EQ(prepares->second.count(), 1u);
+  auto commits = h.find("rpc.txn.commit_us");
+  ASSERT_NE(commits, h.end());
+  EXPECT_EQ(commits->second.count(), 5u);
+  for (const Uid& obj : objs)
+    for (sim::NodeId st : {3u, 4u, 5u}) EXPECT_EQ(s.sys.store_at(st).read(obj).value().version, 2u);
+}
+
 // After a commit, mark_committed goes only to a bound replica that phase
 // 2 does not move onto the new version. Replica 3 is put one version
 // behind replica 2; both apply the next write. The commit stages from
