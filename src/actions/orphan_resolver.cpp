@@ -44,9 +44,7 @@ sim::Task<std::uint32_t> OrphanResolver::sweep() {
   // Snapshot: the calls below suspend, and phase-2 messages may end
   // tracked actions meanwhile.
   const std::vector<std::pair<Uid, Owner>> snapshot(owners_.begin(), owners_.end());
-  const std::uint64_t my_epoch = node_.epoch();
   for (const auto& [action, owner] : snapshot) {
-    if (!node_.up() || node_.epoch() != my_epoch) co_return aborted;
     if (!tracks(action)) continue;  // finished meanwhile
     auto outcome = co_await CoordinatorLog::remote_outcome(endpoint_, owner.node, action);
     if (!tracks(action)) continue;  // raced a real phase-2

@@ -167,7 +167,7 @@ sim::Task<> Transaction::release_use_lists() {
     Status s = co_await session_.activator().binder().unbind(releases);
     if (s.ok()) break;
     session_.counters().inc("session.unbind_retry");
-    co_await session_.runtime().endpoint().node().sim().sleep(pace.next());
+    co_await session_.runtime().endpoint().node().sleep(pace.next());
   }
 }
 

@@ -10,25 +10,11 @@ UseListJanitor::UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint,
       endpoint_(endpoint),
       detector_(endpoint),
       runtime_(endpoint, /*uid_seed=*/0x7A17, log),
-      period_(period) {
-  endpoint_.node().on_recover([this] {
-    if (running_) endpoint_.node().sim().spawn(run(endpoint_.node().epoch()));
-  });
-}
+      period_(period) {}
 
 void UseListJanitor::start() {
-  if (running_) return;
-  running_ = true;
-  endpoint_.node().sim().spawn(run(endpoint_.node().epoch()));
-}
-
-sim::Task<> UseListJanitor::run(std::uint64_t epoch) {
-  auto& node = endpoint_.node();
-  while (running_ && node.up() && node.epoch() == epoch) {
-    co_await node.sim().sleep(period_);
-    if (!running_ || !node.up() || node.epoch() != epoch) co_return;
-    (void)co_await sweep();
-  }
+  if (running()) return;
+  duty_ = &endpoint_.node().every(period_, [this]() -> sim::Task<> { (void)co_await sweep(); });
 }
 
 sim::Task<std::uint32_t> UseListJanitor::sweep() {

@@ -27,12 +27,15 @@ class UseListJanitor {
   UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint, actions::CoordinatorLog* log,
                  sim::SimTime period = 100 * sim::kMillisecond);
 
-  // Begin periodic sweeps (re-armed automatically after node recovery).
-  // The loop keeps the simulator's event queue non-empty, so drive the
-  // simulation with run_until(), or call stop() before a final run().
+  // Begin periodic sweeps, a duty of the naming node (re-armed after its
+  // recovery). The duty keeps the simulator's event queue non-empty, so
+  // drive the simulation with run_until(), or call stop() before a final
+  // run().
   void start();
-  void stop() noexcept { running_ = false; }
-  bool running() const noexcept { return running_; }
+  void stop() noexcept {
+    if (duty_ != nullptr) duty_->stop();
+  }
+  bool running() const noexcept { return duty_ != nullptr && duty_->running(); }
 
   // One sweep, usable directly from tests. Returns purged entry count.
   sim::Task<std::uint32_t> sweep();
@@ -42,9 +45,7 @@ class UseListJanitor {
   actions::ActionRuntime& runtime() noexcept { return runtime_; }
 
  private:
-  sim::Task<> run(std::uint64_t epoch);
-
-  bool running_ = false;
+  sim::Node::Duty* duty_ = nullptr;
 
   GroupViewDb& db_;
   rpc::RpcEndpoint& endpoint_;

@@ -26,11 +26,11 @@ RecoveryDaemon::RecoveryDaemon(sim::Node& node, rpc::RpcEndpoint& endpoint,
     if (host_ != nullptr)
       for (const Uid& object : serves_) host_->block_activation(object);
     reinserted_.clear();
-    node_.sim().spawn(repair_loop(node_.epoch()));
+    node_.sim().spawn(repair_loop());
   });
 }
 
-sim::Task<> RecoveryDaemon::repair_loop(std::uint64_t epoch) {
+sim::Task<> RecoveryDaemon::repair_loop() {
   // Keep repairing until everything local is validated and this node is
   // re-admitted as a server — transient failures (contended entry locks,
   // unreachable peers, non-quiescent objects) resolve with time. Bounded
@@ -40,13 +40,11 @@ sim::Task<> RecoveryDaemon::repair_loop(std::uint64_t epoch) {
   Backoff pace{BackoffConfig{100 * sim::kMillisecond, 2 * sim::kSecond},
                endpoint_.rng().fork()};
   for (int attempt = 0; attempt < 100; ++attempt) {
-    if (!node_.up() || node_.epoch() != epoch) co_return;
     (void)co_await repair();
-    if (!node_.up() || node_.epoch() != epoch) co_return;
     const bool clean =
         store_.suspect_objects().empty() && reinserted_.size() == serves_.size();
     if (clean) co_return;
-    co_await node_.sim().sleep(pace.next());
+    co_await node_.sleep(pace.next());
   }
   counters_.inc("recovery.gave_up");
 }
@@ -54,7 +52,6 @@ sim::Task<> RecoveryDaemon::repair_loop(std::uint64_t epoch) {
 sim::Task<std::uint32_t> RecoveryDaemon::probe_views() {
   std::uint32_t demoted = 0;
   for (const Uid& object : store_.local_objects()) {
-    if (!node_.up()) co_return demoted;
     if (store_.suspect(object)) continue;  // already in the repair pipeline
     auto st = co_await naming::ostdb_peek(endpoint_, naming_node_, object);
     if (!st.ok()) continue;  // naming node unreachable; probe again later
@@ -74,25 +71,13 @@ sim::Task<std::uint32_t> RecoveryDaemon::probe_views() {
   // leftovers from an earlier pass that could not re-Include yet (e.g.
   // the partition had not healed); those are skipped above as already
   // suspect and would otherwise never be retried.
-  if (node_.up() && !store_.suspect_objects().empty()) (void)co_await repair();
+  if (!store_.suspect_objects().empty()) (void)co_await repair();
   co_return demoted;
 }
 
 void RecoveryDaemon::start_view_probe(sim::SimTime period) {
-  if (view_probe_running_) return;
-  view_probe_running_ = true;
-  node_.sim().spawn(view_probe_loop(node_.epoch(), period));
-  node_.on_recover([this, period] {
-    if (view_probe_running_) node_.sim().spawn(view_probe_loop(node_.epoch(), period));
-  });
-}
-
-sim::Task<> RecoveryDaemon::view_probe_loop(std::uint64_t epoch, sim::SimTime period) {
-  while (view_probe_running_ && node_.up() && node_.epoch() == epoch) {
-    co_await node_.sim().sleep(period);
-    if (!view_probe_running_ || !node_.up() || node_.epoch() != epoch) co_return;
-    (void)co_await probe_views();
-  }
+  if (view_probe_ != nullptr && view_probe_->running()) return;
+  view_probe_ = &node_.every(period, [this]() -> sim::Task<> { (void)co_await probe_views(); });
 }
 
 sim::Task<std::uint32_t> RecoveryDaemon::repair() {
@@ -111,7 +96,6 @@ sim::Task<std::uint32_t> RecoveryDaemon::repair() {
   for (const Uid& object : store_.suspect_objects()) {
     const bool was_refreshed = co_await repair_store_object(object);
     if (was_refreshed) ++refreshed;
-    if (!node_.up()) co_return refreshed;  // crashed again mid-repair
   }
 
   // Server role: re-announce ourselves via Insert (quiescence check).
@@ -119,7 +103,6 @@ sim::Task<std::uint32_t> RecoveryDaemon::repair() {
   // repair loop retries until the object falls quiet.
   for (const Uid& object : serves_) {
     if (reinserted_.count(object) > 0) continue;
-    if (!node_.up()) co_return refreshed;
     const bool done = co_await reinsert_server(object);
     if (done) reinserted_.insert(object);
   }

@@ -64,12 +64,14 @@ class RecoveryDaemon {
   // for every locally stored, non-suspect object; if this node has been
   // excluded, the object is demoted to SUSPECT and a repair pass runs the
   // normal validate-and-Include path. Returns the number of objects
-  // demoted. start_view_probe arms a periodic probe (epoch-guarded, like
-  // the reaper it re-arms on recovery and keeps the event queue
+  // demoted. start_view_probe arms it as a periodic duty of the node
+  // (like the reaper it re-arms on recovery and keeps the event queue
   // non-empty; stop with stop_view_probe).
   sim::Task<std::uint32_t> probe_views();
   void start_view_probe(sim::SimTime period = 500 * sim::kMillisecond);
-  void stop_view_probe() noexcept { view_probe_running_ = false; }
+  void stop_view_probe() noexcept {
+    if (view_probe_ != nullptr) view_probe_->stop();
+  }
 
   Counters& counters() noexcept { return counters_; }
   // Repair passes run as their own top-level actions; the owning System
@@ -96,8 +98,7 @@ class RecoveryDaemon {
   sim::Task<bool> repair_store_object(const Uid& object);
   sim::Task<bool> reinsert_server(const Uid& object);
 
-  sim::Task<> repair_loop(std::uint64_t epoch);
-  sim::Task<> view_probe_loop(std::uint64_t epoch, sim::SimTime period);
+  sim::Task<> repair_loop();
 
   sim::Node& node_;
   rpc::RpcEndpoint& endpoint_;
@@ -107,7 +108,7 @@ class RecoveryDaemon {
   actions::ActionRuntime runtime_;
   std::set<Uid> serves_;      // stable config: objects this node can serve
   std::set<Uid> reinserted_;  // volatile: Insert done this incarnation
-  bool view_probe_running_ = false;
+  sim::Node::Duty* view_probe_ = nullptr;
   Counters counters_;
 };
 

@@ -21,6 +21,10 @@
 // protocol (sec 4.2) before serving again. A bound call is a typed call
 // that carries the epoch it expects.
 //
+// A call belongs to its calling node (sim/node.h's incarnation rule): a
+// crash of that node abandons it, its caller never resumed, whether the
+// crash comes before the reply or between the reply and the resumption.
+//
 // Group invocations (sec 2.3(2)(i)) are calls too: call_group multicasts
 // the same request, reliable and totally ordered, to a replica group.
 // Each member's group upcall hands it to its endpoint's request path, so
@@ -399,7 +403,7 @@ sim::Task<Result<R>> RpcEndpoint::call_op(NodeId dest, OpName name, Buffer args,
   const std::uint64_t wire_epoch = binding != nullptr ? binding->epoch + 1 : 0;
   OpenCall call = open_call(wire_epoch, name.op, args, timeout);
   net_.send(node_.id(), dest, std::move(call.request));
-  Result<Buffer> reply = co_await call.reply;
+  Result<Buffer> reply = co_await call.reply.on(node_);
   record_latency(name, t0);
   if (binding != nullptr) check_binding(*binding, name, reply);
   span.end(reply.ok() ? "ok" : to_string(reply.error()));
@@ -414,7 +418,7 @@ sim::Task<Result<R>> RpcEndpoint::group_op(GroupComm& gc, Uid group, OpName name
   const sim::SimTime t0 = node_.sim().now();
   OpenCall call = open_call(0, name.op, args, cfg_.call_timeout);
   gc.multicast(node_.id(), group, std::move(call.request), McastMode::ReliableOrdered);
-  Result<Buffer> reply = co_await call.reply;
+  Result<Buffer> reply = co_await call.reply.on(node_);
   record_group_latency(t0);
   span.end(reply.ok() ? "ok" : to_string(reply.error()));
   if (!reply.ok()) co_return reply.error();

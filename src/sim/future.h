@@ -7,14 +7,19 @@
 // layer wants.
 //
 // Resumption is scheduled through the Simulator as a zero-delay event
-// rather than inline, so resolvers never re-enter consumer stacks.
+// rather than inline, so resolvers never re-enter consumer stacks. A
+// coroutine of a node awaits with on(node): its resumption then follows
+// the node's incarnation rule (sim/node.h), so a crash between the
+// resolution and the resumption abandons it.
 #pragma once
 
 #include <coroutine>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <utility>
 
+#include "sim/node.h"
 #include "sim/simulator.h"
 
 namespace gv::sim {
@@ -35,7 +40,9 @@ class SimPromise {
     state_->value.emplace(std::move(value));
     if (state_->waiter) {
       auto h = std::exchange(state_->waiter, nullptr);
-      state_->sim->schedule(0, [h] { h.resume(); });
+      state_->sim->schedule(0, [h, node = state_->node, epoch = state_->epoch] {
+        if (node == nullptr || node->current(epoch)) h.resume();
+      });
     }
     return true;
   }
@@ -49,6 +56,8 @@ class SimPromise {
     Simulator* sim;
     std::optional<T> value;
     std::coroutine_handle<> waiter;
+    const Node* node = nullptr;  // set by on(): the waiter's node
+    std::uint64_t epoch = 0;     // ... and its incarnation
   };
   std::shared_ptr<State> state_;
 };
@@ -76,6 +85,14 @@ class [[nodiscard]] SimFuture {
       }
     };
     return Awaiter{state_, current_trace_context()};
+  }
+
+  // Await as a coroutine of `node`, in its current incarnation
+  // (`co_await f.on(node)`).
+  const SimFuture& on(const Node& node) const noexcept {
+    state_->node = &node;
+    state_->epoch = node.epoch();
+    return *this;
   }
 
  private:

@@ -22,6 +22,25 @@ void Node::recover() {
   for (auto& fn : recover_listeners_) fn();
 }
 
+Node::Duty& Node::every(SimTime period, std::function<Task<>()> run) {
+  Duty& duty = *duties_.emplace_back(new Duty(period, std::move(run)));
+  on_recover([this, &duty] {
+    if (duty.running_) arm(duty);
+  });
+  if (up_) arm(duty);
+  return duty;
+}
+
+void Node::arm(Duty& duty) {
+  sim_.schedule(duty.period_, [this, &duty, epoch = epoch_] {
+    if (!duty.running_ || !current(epoch)) return;
+    sim_.spawn([](Node& node, Duty& duty, std::uint64_t epoch) -> Task<> {
+      co_await duty.run_();
+      if (duty.running_ && node.current(epoch)) node.arm(duty);
+    }(*this, duty, epoch));
+  });
+}
+
 NodeId Cluster::add_node() {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::make_unique<Node>(sim_, id));

@@ -7,8 +7,15 @@
 // recovery protocol. Each (re)incarnation bumps an epoch counter, which is
 // how broken bindings are detected (sec 3.1: a binding to a server that
 // crashed stays broken even after the node recovers).
+//
+// A crash also ends the node's coroutines (DESIGN.md sec 23): one that
+// waits on the node resumes only if the node is still up in the
+// incarnation it waited in (current()), and is abandoned otherwise. Node
+// sleeps, RPC and group calls (SimFuture::on) and lock waits follow this
+// rule; a periodic duty (every()) waits between runs as a timer.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -34,6 +41,9 @@ class Node {
   // Incarnation number; bumped on every crash. A binding created in epoch
   // e is broken iff the node's current epoch != e or the node is down.
   std::uint64_t epoch() const noexcept { return epoch_; }
+  // The incarnation rule: may a coroutine that waited on this node in
+  // incarnation `epoch` resume now?
+  bool current(std::uint64_t epoch) const noexcept { return up_ && epoch_ == epoch; }
 
   void crash();
   void recover();
@@ -43,12 +53,54 @@ class Node {
   void on_crash(std::function<void()> fn) { crash_listeners_.push_back(std::move(fn)); }
   void on_recover(std::function<void()> fn) { recover_listeners_.push_back(std::move(fn)); }
 
+  // Awaitable: Simulator::sleep for a coroutine of this node. The same
+  // timer event fires, but a crash meanwhile abandons the coroutine.
+  auto sleep(SimTime delay) {
+    struct Awaiter {
+      Node* node;
+      SimTime delay;
+      TraceContext ctx = current_trace_context();
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        node->sim_.schedule(delay, [node = node, h, epoch = node->epoch_] {
+          if (node->current(epoch)) h.resume();
+        });
+      }
+      void await_resume() const noexcept { set_current_trace_context(ctx); }
+    };
+    return Awaiter{this, delay};
+  }
+
+  // A periodic duty (see every()); stop() ends it: no run starts after.
+  class Duty {
+   public:
+    void stop() noexcept { running_ = false; }
+    bool running() const noexcept { return running_; }
+
+   private:
+    friend class Node;
+    Duty(SimTime period, std::function<Task<>()> run) : period_(period), run_(std::move(run)) {}
+    SimTime period_;
+    std::function<Task<>()> run_;
+    bool running_ = true;
+  };
+
+  // Run `run` every `period` while this node is up, each run a period
+  // after the previous one finished. Between runs the duty is a timer,
+  // not a suspended coroutine; a crashed incarnation's timer fires and
+  // starts nothing. Recovery re-arms it, from a recover listener
+  // registered here. The node owns the duty.
+  Duty& every(SimTime period, std::function<Task<>()> run);
+
   Simulator& sim() noexcept { return sim_; }
 
   // Statistics used by experiment harnesses.
   std::uint64_t crash_count() const noexcept { return crash_count_; }
 
  private:
+  // Schedule `duty`'s next run one period from now, in this incarnation.
+  void arm(Duty& duty);
+
   Simulator& sim_;
   NodeId id_;
   bool up_ = true;
@@ -56,6 +108,7 @@ class Node {
   std::uint64_t crash_count_ = 0;
   std::vector<std::function<void()>> crash_listeners_;
   std::vector<std::function<void()>> recover_listeners_;
+  std::vector<std::unique_ptr<Duty>> duties_;
 };
 
 // The set of workstations making up the system.

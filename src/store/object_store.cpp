@@ -27,7 +27,7 @@ ObjectStore::ObjectStore(sim::Node& node, rpc::RpcEndpoint& endpoint)
     }
     // Every object is suspect until the recovery protocol validates it.
     for (const auto& [uid, vs] : committed_) suspects_.insert(uid);
-    if (!shadows_.empty()) node_.sim().spawn(resolve_in_doubt(node_.epoch()));
+    if (!shadows_.empty()) node_.sim().spawn(resolve_in_doubt());
   });
 }
 
@@ -63,7 +63,7 @@ Status ObjectStore::prepare(const Uid& uid, const Uid& txn, std::uint64_t versio
     counters_.inc("store.prepare_behind_shadow");
     if (!set.in_doubt && set.coordinator != sim::kNoNode) {
       set.in_doubt = true;
-      node_.sim().spawn(resolve_in_doubt(node_.epoch()));
+      node_.sim().spawn(resolve_in_doubt());
     }
     return Err::Conflict;
   }
@@ -93,14 +93,13 @@ std::size_t ObjectStore::in_doubt_count() const {
   return n;
 }
 
-sim::Task<> ObjectStore::resolve_in_doubt(std::uint64_t epoch) {
+sim::Task<> ObjectStore::resolve_in_doubt() {
   // Snapshot the in-doubt txn ids; commits/aborts may arrive meanwhile.
   std::vector<Uid> pending;
   for (const auto& [txn, set] : shadows_)
     if (set.in_doubt) pending.push_back(txn);
 
   for (const Uid& txn : pending) {
-    if (!node_.up() || node_.epoch() != epoch) co_return;
     auto it = shadows_.find(txn);
     if (it == shadows_.end() || !it->second.in_doubt) continue;  // resolved meanwhile
     const NodeId coordinator = it->second.coordinator;
@@ -120,8 +119,7 @@ sim::Task<> ObjectStore::resolve_in_doubt(std::uint64_t epoch) {
           outcome = r.value();
           break;
         }
-        co_await node_.sim().sleep(pace.next());
-        if (!node_.up() || node_.epoch() != epoch) co_return;
+        co_await node_.sleep(pace.next());
         // A phase-2 RPC may have resolved it while we slept.
         if (shadows_.find(txn) == shadows_.end()) break;
       }
@@ -247,27 +245,15 @@ std::size_t ObjectStore::reap_orphan_shadows(sim::SimTime min_age) {
     core::trace_instant(endpoint_.trace(), "store.shadow_reaped", node_.id(), "store",
                         std::to_string(reaped) + " presumed abort");
   }
-  if (need_resolve) node_.sim().spawn(resolve_in_doubt(node_.epoch()));
+  if (need_resolve) node_.sim().spawn(resolve_in_doubt());
   return reaped;
 }
 
 void ObjectStore::start_reaper(sim::SimTime period, sim::SimTime min_age) {
-  if (reaper_running_) return;
-  reaper_running_ = true;
-  struct Loop {
-    static sim::Task<> run(ObjectStore& self, sim::SimTime period, sim::SimTime min_age,
-                           std::uint64_t epoch) {
-      while (self.reaper_running_ && self.node_.up() && self.node_.epoch() == epoch) {
-        co_await self.node_.sim().sleep(period);
-        if (!self.reaper_running_ || !self.node_.up() || self.node_.epoch() != epoch) co_return;
-        (void)self.reap_orphan_shadows(min_age);
-      }
-    }
-  };
-  node_.sim().spawn(Loop::run(*this, period, min_age, node_.epoch()));
-  node_.on_recover([this, period, min_age] {
-    if (reaper_running_)
-      node_.sim().spawn(Loop::run(*this, period, min_age, node_.epoch()));
+  if (reaper_ != nullptr && reaper_->running()) return;
+  reaper_ = &node_.every(period, [this, min_age]() -> sim::Task<> {
+    (void)reap_orphan_shadows(min_age);
+    co_return;
   });
 }
 

@@ -107,13 +107,16 @@ class ObjectStore {
   // Orphan cleanup: a coordinator that died between prepare and commit
   // leaves a shadow nobody will ever decide. Presume abort for shadows
   // older than `min_age`; returns the number discarded. start_reaper
-  // arms a periodic sweep (survives node recovery; stop with
-  // stop_reaper; like the janitor it keeps the event queue non-empty).
+  // arms it as a periodic duty of the node (re-armed after recovery; stop
+  // with stop_reaper; like the janitor it keeps the event queue
+  // non-empty).
   // In-doubt shadows are exempt: their outcome is being resolved.
   std::size_t reap_orphan_shadows(sim::SimTime min_age);
   void start_reaper(sim::SimTime period = 500 * sim::kMillisecond,
                     sim::SimTime min_age = 2 * sim::kSecond);
-  void stop_reaper() noexcept { reaper_running_ = false; }
+  void stop_reaper() noexcept {
+    if (reaper_ != nullptr) reaper_->stop();
+  }
 
   // Recovery bookkeeping.
   std::size_t in_doubt_count() const;
@@ -170,7 +173,7 @@ class ObjectStore {
     bool in_doubt = false;  // survived a crash after voting yes
   };
 
-  sim::Task<> resolve_in_doubt(std::uint64_t epoch);
+  sim::Task<> resolve_in_doubt();
 
   // STABLE storage: survives crashes.
   std::map<Uid, VersionedState> committed_;
@@ -178,7 +181,7 @@ class ObjectStore {
   // Shadow slots: stable, but discarded by the recovery scan (presumed
   // abort) or the orphan reaper. txn -> pending writes.
   std::map<Uid, ShadowSet> shadows_;
-  bool reaper_running_ = false;
+  sim::Node::Duty* reaper_ = nullptr;
   StoreFaultConfig faults_;
   Rng fault_rng_{0xFA017};
 

@@ -203,6 +203,58 @@ TEST(Rpc, ClientCrashAbandonsOutstandingCall) {
   EXPECT_FALSE(resumed);
 }
 
+// Serves kDouble on `server`, and crashes `client` in the instant the
+// reply reaches it, just after the delivery. With a jitter-free network
+// the reply lands one base latency after it is sent; the crash is
+// scheduled for that instant by an event that runs once the reply is
+// sent, so it is queued behind the delivery but ahead of the resumption
+// the delivery schedules.
+void serve_and_crash_caller_on_reply(Fixture& f, NodeId server, NodeId client) {
+  f.net.config().jitter_mean_us = 0;
+  f.ep(server).serve(kDouble, [&f, client](NodeId, std::uint32_t v) -> Result<std::uint32_t> {
+    f.sim.schedule(0, [&f, client] {
+      f.sim.schedule(f.net.config().base_latency, [&f, client] { f.cluster.node(client).crash(); });
+    });
+    return v * 2;
+  });
+}
+
+// A crash ends its node's coroutines (DESIGN.md sec 23), even when the
+// reply was delivered in the same instant, just before the crash.
+TEST(Rpc, ReplyInTheInstantOfTheCallersCrashDoesNotResumeIt) {
+  Fixture f;
+  serve_and_crash_caller_on_reply(f, 1, 0);
+  bool resumed = false;
+  f.sim.spawn([](Fixture& f, bool& resumed) -> sim::Task<> {
+    (void)co_await f.ep(0).call(1, kDouble, 21);
+    resumed = true;  // must never run: the client process died
+  }(f, resumed));
+  f.sim.run();
+  EXPECT_EQ(f.net.counters().get("net.deliver"), 2u);  // the reply did arrive
+  EXPECT_FALSE(f.cluster.node(0).up());
+  EXPECT_FALSE(resumed);
+}
+
+TEST(Rpc, GroupReplyInTheInstantOfTheCallersCrashDoesNotResumeIt) {
+  Fixture f;
+  GroupComm gc{f.sim, f.cluster, f.net};
+  const Uid group{0, 1};
+  gc.create_group(group, {1});
+  gc.join(group, 1, [&f](NodeId from, std::uint64_t, Buffer msg) {
+    f.ep(1).receive(from, std::move(msg));
+  });
+  serve_and_crash_caller_on_reply(f, 1, 0);
+  bool resumed = false;
+  f.sim.spawn([](Fixture& f, GroupComm& gc, Uid group, bool& resumed) -> sim::Task<> {
+    (void)co_await f.ep(0).call_group(gc, group, kDouble, 21);
+    resumed = true;
+  }(f, gc, group, resumed));
+  f.sim.run();
+  EXPECT_EQ(f.net.counters().get("net.deliver"), 1u);  // the reply; the request went by multicast
+  EXPECT_FALSE(f.cluster.node(0).up());
+  EXPECT_FALSE(resumed);
+}
+
 // ------------------------------------------------------------ GroupComm
 
 const Uid kGroup{0, 1};

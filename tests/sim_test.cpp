@@ -232,6 +232,60 @@ TEST(Node, CrashWipesAndBumpsEpoch) {
   EXPECT_EQ(n.crash_count(), 1u);
 }
 
+// A crash ends its node's coroutines (DESIGN.md sec 23): a node sleep
+// that spans a crash and a recovery is abandoned, where a Simulator sleep
+// of the same length wakes in the new incarnation. Its timer still fires.
+TEST(Node, SleepAcrossCrashAndRecoveryDoesNotResume) {
+  Simulator sim;
+  Cluster cluster{sim};
+  Node& n = cluster.node(cluster.add_node());
+  bool node_woke = false, sim_woke = false, later_woke = false;
+  sim.spawn([](Node& n, bool& woke) -> Task<> {
+    co_await n.sleep(100);
+    woke = true;
+  }(n, node_woke));
+  sim.spawn([](Simulator& sim, bool& woke) -> Task<> {
+    co_await sim.sleep(100);
+    woke = true;
+  }(sim, sim_woke));
+  sim.schedule(10, [&n] { n.crash(); });
+  sim.schedule(20, [&n] { n.recover(); });
+  // A sleep begun in the new incarnation wakes as usual.
+  sim.schedule(30, [&] {
+    sim.spawn([](Node& n, bool& woke) -> Task<> {
+      co_await n.sleep(100);
+      woke = true;
+    }(n, later_woke));
+  });
+  EXPECT_EQ(sim.run(), 6u);  // every timer fired
+  EXPECT_FALSE(node_woke);
+  EXPECT_TRUE(sim_woke);
+  EXPECT_TRUE(later_woke);
+}
+
+// A periodic duty runs a period after its previous run finished. A crash
+// mid-run abandons that run, and a crash mid-wait leaves a timer that
+// starts nothing; each recovery re-arms the duty, and stop() ends it.
+TEST(Node, PeriodicDutyIsEndedByACrashAndRearmedByRecovery) {
+  Simulator sim;
+  Cluster cluster{sim};
+  Node& n = cluster.node(cluster.add_node());
+  std::vector<SimTime> runs;
+  Node::Duty& duty = n.every(100, [&]() -> Task<> {
+    runs.push_back(sim.now());
+    co_await n.sleep(10);
+  });
+  sim.schedule(215, [&n] { n.crash(); });  // mid-run
+  sim.schedule(300, [&n] { n.recover(); });
+  sim.schedule(450, [&n] { n.crash(); });  // mid-wait
+  sim.schedule(460, [&n] { n.recover(); });
+  sim.schedule(600, [&duty] { duty.stop(); });
+  sim.run();
+  EXPECT_EQ(runs, (std::vector<SimTime>{100, 210, 400, 560}));
+  EXPECT_FALSE(duty.running());
+  EXPECT_EQ(sim.now(), 670u);  // the last timer fired, and started nothing
+}
+
 // -------------------------------------------------------------- Network
 
 struct NetFixture {
