@@ -6,10 +6,8 @@
 
 namespace gv::actions {
 
-OrphanResolver::OrphanResolver(sim::Node& node, rpc::RpcEndpoint& endpoint, Aged aged,
-                               Apply apply, Swept swept)
-    : node_(node),
-      endpoint_(endpoint),
+OrphanResolver::OrphanResolver(rpc::RpcEndpoint& endpoint, Aged aged, Apply apply, Swept swept)
+    : endpoint_(endpoint),
       detector_(endpoint),
       aged_(std::move(aged)),
       apply_(std::move(apply)),
@@ -18,7 +16,7 @@ OrphanResolver::OrphanResolver(sim::Node& node, rpc::RpcEndpoint& endpoint, Aged
 void OrphanResolver::note(const Uid& action, sim::NodeId owner) {
   Owner& rec = owners_[action];
   rec.node = owner;
-  rec.last_seen = node_.sim().now();
+  rec.last_seen = endpoint_.node().sim().now();
 }
 
 bool OrphanResolver::inherit(const Uid& child, const Uid& parent) {
@@ -32,7 +30,7 @@ bool OrphanResolver::inherit(const Uid& child, const Uid& parent) {
 bool OrphanResolver::trigger() {
   if (running_) return false;
   running_ = true;
-  node_.sim().spawn([](OrphanResolver& self) -> sim::Task<> {
+  endpoint_.node().sim().spawn([](OrphanResolver& self) -> sim::Task<> {
     (void)co_await self.sweep();
     self.running_ = false;
   }(*this));
@@ -58,7 +56,7 @@ sim::Task<std::uint32_t> OrphanResolver::sweep() {
       continue;
     }
     // Unknown outcome: the action may simply still be running.
-    const bool aged = aged_(node_.sim().now() - owner.last_seen);
+    const bool aged = aged_(endpoint_.node().sim().now() - owner.last_seen);
     bool dead = false;
     if (!aged) dead = !co_await detector_.alive(owner.node);
     if (!aged && !dead) continue;

@@ -44,8 +44,7 @@ class OrphanResolver {
   // Called when a sweep completes, with the number of actions it aborted.
   using Swept = std::function<void(std::uint32_t aborted)>;
 
-  OrphanResolver(sim::Node& node, rpc::RpcEndpoint& endpoint, Aged aged, Apply apply,
-                 Swept swept = {});
+  OrphanResolver(rpc::RpcEndpoint& endpoint, Aged aged, Apply apply, Swept swept = {});
 
   // Record that `action`, owned by a client on `owner`, was just active.
   void note(const Uid& action, sim::NodeId owner);
@@ -69,7 +68,6 @@ class OrphanResolver {
     sim::SimTime last_seen = 0;
   };
 
-  sim::Node& node_;
   rpc::RpcEndpoint& endpoint_;
   rpc::FailureDetector detector_;
   Aged aged_;

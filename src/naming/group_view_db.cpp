@@ -64,8 +64,7 @@ GroupViewDb::GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEnd
       policy_(policy),
       locks_(node.sim()),
       orphans_(
-          node, endpoint,
-          [](sim::SimTime idle) { return idle > kOrphanActionAge; },
+          endpoint, [](sim::SimTime idle) { return idle > kOrphanActionAge; },
           [this](Uid action, actions::OrphanResolver::Verdict verdict) -> sim::Task<> {
             using Verdict = actions::OrphanResolver::Verdict;
             if (verdict == Verdict::Committed) {

@@ -13,7 +13,7 @@ UseListJanitor::UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint,
       period_(period) {}
 
 void UseListJanitor::start() {
-  if (running()) return;
+  if (duty_ != nullptr && duty_->running) return;
   duty_ = &endpoint_.node().every(period_, [this]() -> sim::Task<> { (void)co_await sweep(); });
 }
 

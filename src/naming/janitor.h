@@ -27,15 +27,13 @@ class UseListJanitor {
   UseListJanitor(GroupViewDb& db, rpc::RpcEndpoint& endpoint, actions::CoordinatorLog* log,
                  sim::SimTime period = 100 * sim::kMillisecond);
 
-  // Begin periodic sweeps, a duty of the naming node (re-armed after its
-  // recovery). The duty keeps the simulator's event queue non-empty, so
-  // drive the simulation with run_until(), or call stop() before a final
-  // run().
+  // Begin periodic sweeps (a duty of the node, re-armed after recovery).
+  // The duty keeps the simulator's event queue non-empty, so drive the
+  // simulation with run_until(), or call stop() before a final run().
   void start();
   void stop() noexcept {
-    if (duty_ != nullptr) duty_->stop();
+    if (duty_ != nullptr) duty_->running = false;
   }
-  bool running() const noexcept { return duty_ != nullptr && duty_->running(); }
 
   // One sweep, usable directly from tests. Returns purged entry count.
   sim::Task<std::uint32_t> sweep();
@@ -45,13 +43,12 @@ class UseListJanitor {
   actions::ActionRuntime& runtime() noexcept { return runtime_; }
 
  private:
-  sim::Node::Duty* duty_ = nullptr;
-
   GroupViewDb& db_;
   rpc::RpcEndpoint& endpoint_;
   rpc::FailureDetector detector_;
   actions::ActionRuntime runtime_;
   sim::SimTime period_;
+  sim::Node::Duty* duty_ = nullptr;
   Counters counters_;
 };
 

@@ -13,7 +13,7 @@ ObjectServerHost::ObjectServerHost(sim::Node& node, rpc::RpcEndpoint& endpoint,
       classes_(classes),
       locks_(node.sim()),
       orphans_(
-          node, endpoint, [](sim::SimTime idle) { return idle >= kOrphanActionAge; },
+          endpoint, [](sim::SimTime idle) { return idle >= kOrphanActionAge; },
           [this](Uid action, actions::OrphanResolver::Verdict verdict) {
             return resolve_orphan(action, verdict);
           }) {

@@ -76,7 +76,7 @@ sim::Task<std::uint32_t> RecoveryDaemon::probe_views() {
 }
 
 void RecoveryDaemon::start_view_probe(sim::SimTime period) {
-  if (view_probe_ != nullptr && view_probe_->running()) return;
+  if (view_probe_ != nullptr && view_probe_->running) return;
   view_probe_ = &node_.every(period, [this]() -> sim::Task<> { (void)co_await probe_views(); });
 }
 

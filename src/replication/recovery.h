@@ -64,13 +64,13 @@ class RecoveryDaemon {
   // for every locally stored, non-suspect object; if this node has been
   // excluded, the object is demoted to SUSPECT and a repair pass runs the
   // normal validate-and-Include path. Returns the number of objects
-  // demoted. start_view_probe arms it as a periodic duty of the node
-  // (like the reaper it re-arms on recovery and keeps the event queue
-  // non-empty; stop with stop_view_probe).
+  // demoted. start_view_probe arms a periodic probe (like the reaper it
+  // re-arms on recovery and keeps the event queue non-empty; stop with
+  // stop_view_probe).
   sim::Task<std::uint32_t> probe_views();
   void start_view_probe(sim::SimTime period = 500 * sim::kMillisecond);
   void stop_view_probe() noexcept {
-    if (view_probe_ != nullptr) view_probe_->stop();
+    if (view_probe_ != nullptr) view_probe_->running = false;
   }
 
   Counters& counters() noexcept { return counters_; }

@@ -19,11 +19,8 @@
 // remainder of the client's atomic action, even if the node recovers —
 // the recovered node holds pre-crash state and must run the recovery
 // protocol (sec 4.2) before serving again. A bound call is a typed call
-// that carries the epoch it expects.
-//
-// A call belongs to its calling node (sim/node.h's incarnation rule): a
-// crash of that node abandons it, its caller never resumed, whether the
-// crash comes before the reply or between the reply and the resumption.
+// that carries the epoch it expects. A crash of the calling node abandons
+// a call, even between its reply and the caller's resumption (sim/node.h).
 //
 // Group invocations (sec 2.3(2)(i)) are calls too: call_group multicasts
 // the same request, reliable and totally ordered, to a replica group.

@@ -8,9 +8,7 @@
 //
 // Resumption is scheduled through the Simulator as a zero-delay event
 // rather than inline, so resolvers never re-enter consumer stacks. A
-// coroutine of a node awaits with on(node): its resumption then follows
-// the node's incarnation rule (sim/node.h), so a crash between the
-// resolution and the resumption abandons it.
+// node's coroutine awaits with on(node), under sim/node.h's crash rule.
 #pragma once
 
 #include <coroutine>
@@ -87,8 +85,7 @@ class [[nodiscard]] SimFuture {
     return Awaiter{state_, current_trace_context()};
   }
 
-  // Await as a coroutine of `node`, in its current incarnation
-  // (`co_await f.on(node)`).
+  // `co_await f.on(node)`: await as a coroutine of `node`.
   const SimFuture& on(const Node& node) const noexcept {
     state_->node = &node;
     state_->epoch = node.epoch();

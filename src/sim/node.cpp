@@ -23,20 +23,20 @@ void Node::recover() {
 }
 
 Node::Duty& Node::every(SimTime period, std::function<Task<>()> run) {
-  Duty& duty = *duties_.emplace_back(new Duty(period, std::move(run)));
+  Duty& duty = *duties_.emplace_back(std::make_unique<Duty>(Duty{period, std::move(run)}));
   on_recover([this, &duty] {
-    if (duty.running_) arm(duty);
+    if (duty.running) arm(duty);
   });
   if (up_) arm(duty);
   return duty;
 }
 
 void Node::arm(Duty& duty) {
-  sim_.schedule(duty.period_, [this, &duty, epoch = epoch_] {
-    if (!duty.running_ || !current(epoch)) return;
+  sim_.schedule(duty.period, [this, &duty, epoch = epoch_] {
+    if (!duty.running || !current(epoch)) return;
     sim_.spawn([](Node& node, Duty& duty, std::uint64_t epoch) -> Task<> {
-      co_await duty.run_();
-      if (duty.running_ && node.current(epoch)) node.arm(duty);
+      co_await duty.run();
+      if (duty.running && node.current(epoch)) node.arm(duty);
     }(*this, duty, epoch));
   });
 }

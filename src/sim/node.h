@@ -10,12 +10,9 @@
 //
 // A crash also ends the node's coroutines (DESIGN.md sec 23): one that
 // waits on the node resumes only if the node is still up in the
-// incarnation it waited in (current()), and is abandoned otherwise. Node
-// sleeps, RPC and group calls (SimFuture::on) and lock waits follow this
-// rule; a periodic duty (every()) waits between runs as a timer.
+// incarnation it waited in (current()), and is abandoned otherwise.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,8 +38,7 @@ class Node {
   // Incarnation number; bumped on every crash. A binding created in epoch
   // e is broken iff the node's current epoch != e or the node is down.
   std::uint64_t epoch() const noexcept { return epoch_; }
-  // The incarnation rule: may a coroutine that waited on this node in
-  // incarnation `epoch` resume now?
+  // The incarnation rule: may a coroutine that waited in `epoch` resume?
   bool current(std::uint64_t epoch) const noexcept { return up_ && epoch_ == epoch; }
 
   void crash();
@@ -56,40 +52,19 @@ class Node {
   // Awaitable: Simulator::sleep for a coroutine of this node. The same
   // timer event fires, but a crash meanwhile abandons the coroutine.
   auto sleep(SimTime delay) {
-    struct Awaiter {
-      Node* node;
-      SimTime delay;
-      TraceContext ctx = current_trace_context();
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        node->sim_.schedule(delay, [node = node, h, epoch = node->epoch_] {
-          if (node->current(epoch)) h.resume();
-        });
-      }
-      void await_resume() const noexcept { set_current_trace_context(ctx); }
-    };
-    return Awaiter{this, delay};
+    return sim_.sleep(delay, [this, epoch = epoch_] { return current(epoch); });
   }
 
-  // A periodic duty (see every()); stop() ends it: no run starts after.
-  class Duty {
-   public:
-    void stop() noexcept { running_ = false; }
-    bool running() const noexcept { return running_; }
-
-   private:
-    friend class Node;
-    Duty(SimTime period, std::function<Task<>()> run) : period_(period), run_(std::move(run)) {}
-    SimTime period_;
-    std::function<Task<>()> run_;
-    bool running_ = true;
+  // A periodic duty (see every()); clearing `running` stops it.
+  struct Duty {
+    SimTime period;
+    std::function<Task<>()> run;
+    bool running = true;
   };
 
   // Run `run` every `period` while this node is up, each run a period
   // after the previous one finished. Between runs the duty is a timer,
-  // not a suspended coroutine; a crashed incarnation's timer fires and
-  // starts nothing. Recovery re-arms it, from a recover listener
-  // registered here. The node owns the duty.
+  // not a suspended coroutine, and recovery re-arms it.
   Duty& every(SimTime period, std::function<Task<>()> run);
 
   Simulator& sim() noexcept { return sim_; }
@@ -98,8 +73,7 @@ class Node {
   std::uint64_t crash_count() const noexcept { return crash_count_; }
 
  private:
-  // Schedule `duty`'s next run one period from now, in this incarnation.
-  void arm(Duty& duty);
+  void arm(Duty& duty);  // the next run, one period from now
 
   Simulator& sim_;
   NodeId id_;

@@ -46,19 +46,25 @@ class Simulator {
   // Awaitable: suspend the current coroutine for `delay` simulated time.
   // The trace context is captured at suspension and restored at
   // resumption, so the sleeping coroutine keeps its own causal context.
-  auto sleep(SimTime delay) {
+  // It resumes only if `may_resume()` then holds (Node::sleep's rule).
+  template <typename Gate>
+  auto sleep(SimTime delay, Gate may_resume) {
     struct Awaiter {
       Simulator* sim;
       SimTime delay;
+      Gate may_resume;
       TraceContext ctx = current_trace_context();
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        sim->schedule(delay, [h] { h.resume(); });
+        sim->schedule(delay, [h, may_resume = may_resume] {
+          if (may_resume()) h.resume();
+        });
       }
       void await_resume() const noexcept { set_current_trace_context(ctx); }
     };
-    return Awaiter{this, delay};
+    return Awaiter{this, delay, std::move(may_resume)};
   }
+  auto sleep(SimTime delay) { return sleep(delay, [] { return true; }); }
 
   // Run until the event queue drains or `limit` is reached. Returns the
   // number of events processed. run_until never runs an event scheduled

@@ -250,7 +250,7 @@ std::size_t ObjectStore::reap_orphan_shadows(sim::SimTime min_age) {
 }
 
 void ObjectStore::start_reaper(sim::SimTime period, sim::SimTime min_age) {
-  if (reaper_ != nullptr && reaper_->running()) return;
+  if (reaper_ != nullptr && reaper_->running) return;
   reaper_ = &node_.every(period, [this, min_age]() -> sim::Task<> {
     (void)reap_orphan_shadows(min_age);
     co_return;

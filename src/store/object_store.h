@@ -107,15 +107,14 @@ class ObjectStore {
   // Orphan cleanup: a coordinator that died between prepare and commit
   // leaves a shadow nobody will ever decide. Presume abort for shadows
   // older than `min_age`; returns the number discarded. start_reaper
-  // arms it as a periodic duty of the node (re-armed after recovery; stop
-  // with stop_reaper; like the janitor it keeps the event queue
-  // non-empty).
+  // arms a periodic sweep (survives node recovery; stop with
+  // stop_reaper; like the janitor it keeps the event queue non-empty).
   // In-doubt shadows are exempt: their outcome is being resolved.
   std::size_t reap_orphan_shadows(sim::SimTime min_age);
   void start_reaper(sim::SimTime period = 500 * sim::kMillisecond,
                     sim::SimTime min_age = 2 * sim::kSecond);
   void stop_reaper() noexcept {
-    if (reaper_ != nullptr) reaper_->stop();
+    if (reaper_ != nullptr) reaper_->running = false;
   }
 
   // Recovery bookkeeping.
