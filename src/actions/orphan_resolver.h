@@ -49,7 +49,11 @@ class OrphanResolver {
   // Record that `action`, owned by a client on `owner`, was just active.
   void note(const Uid& action, sim::NodeId owner);
   void forget(const Uid& action) { owners_.erase(action); }
-  void clear() { owners_.clear(); }
+  // After a crash: forget every action and the sweep the crash ended.
+  void clear() {
+    owners_.clear();
+    running_ = false;
+  }
   bool tracks(const Uid& action) const { return owners_.count(action) > 0; }
   // Nested commit: the parent inherits the child's owner. False if the
   // child was not tracked.

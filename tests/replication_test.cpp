@@ -699,6 +699,42 @@ TEST(ObjectServerIndex, NestedCommitHandsOrphanTrackingToTheParent) {
   EXPECT_TRUE(third.ok()) << to_string(third.error());
 }
 
+// A crash ends a running orphan sweep: its outcome call is abandoned with
+// the incarnation. The sweep after recovery must still run, or one orphan
+// wedges its object for good.
+TEST(ObjectServerIndex, CrashMidSweepLeavesLaterSweepsRunning) {
+  IndexSys s;
+  Status wedged = ok_status();
+  s.run([](IndexSys& s, Status& wedged) -> sim::Task<> {
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    auto r = co_await s.host.invoke(s.a, Uid{0xAC7, 1}, {}, LockMode::Write, "deposit",
+                                    i64_buf(5), /*owner=*/1);
+    EXPECT_TRUE(r.ok());
+    // Refused behind the live client's action: the refusal starts a
+    // sweep, whose outcome call to node 1 is in flight when node 2 dies.
+    EXPECT_EQ((co_await s.deposit(s.a, Uid{0xAC7, 2}, {}, 1)).error(), Err::LockRefused);
+    EXPECT_EQ(s.host.counters().get("objsrv.orphan_sweep"), 1u);
+    s.sys.cluster().node(2).crash();
+    s.sys.cluster().node(2).recover();
+    co_await s.sys.sim().sleep(sim::kSecond);  // recovery re-admits the server
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    // An orphan: its client dies holding the write lock.
+    r = co_await s.host.invoke(s.a, Uid{0xAC7, 3}, {}, LockMode::Write, "deposit", i64_buf(5),
+                               /*owner=*/1);
+    EXPECT_TRUE(r.ok());
+    s.sys.cluster().node(1).crash();
+    EXPECT_EQ((co_await s.deposit(s.a, Uid{0xAC7, 4}, {}, 1)).error(), Err::LockRefused);
+    co_await s.sys.sim().sleep(2 * sim::kSecond);
+    // The sweep retired the replica the orphan wrote; reloaded from its
+    // store, the object serves the next action.
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    wedged = co_await s.deposit(s.a, Uid{0xAC7, 5}, {}, 1);
+  }(s, wedged));
+  EXPECT_EQ(s.host.counters().get("objsrv.orphan_sweep"), 2u);
+  EXPECT_EQ(s.host.counters().get("objsrv.orphan_presumed_abort"), 1u);
+  EXPECT_TRUE(wedged.ok()) << to_string(wedged.error());
+}
+
 // R*'s read-only vote at an object server: an action that left no
 // before-image here ends at its prepare, once the coordinator lets it
 // leave. Its read lock goes at once, so a writer queued behind it is
