@@ -136,11 +136,10 @@ sim::Task<Status> AtomicAction::commit_top_level() {
   }
 
   // Decision point. The decision is recorded in the node's coordinator
-  // log so participants that crash before phase 2 reaches them can
-  // resolve their in-doubt prepared state by asking us. (The log itself
-  // is volatile: if this whole node dies here, the decision is lost and
-  // participants presume abort — the classic 2PC blocking case, resolved
-  // conservatively.)
+  // log so participants that phase 2 does not reach can resolve their
+  // in-doubt prepared state by asking us. The log is stable storage, so
+  // the decision outlives a crash of this node, even one in the middle
+  // of phase 2.
   state_ = ActionState::Committed;
   if (rt_.coordinator_log() != nullptr) rt_.coordinator_log()->record(uid_, true);
   rt_.counters().inc("action.committed_top");

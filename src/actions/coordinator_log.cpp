@@ -9,10 +9,6 @@ CoordinatorLog::CoordinatorLog(rpc::RpcEndpoint& endpoint) {
   endpoint.serve(kTxncShadowOutcome, [this](sim::NodeId from, Uid txn) -> Result<TxnOutcome> {
     return shadow_outcome(txn, from);
   });
-  endpoint.node().on_crash([this] {
-    outcomes_.clear();
-    excluded_.clear();
-  });
 }
 
 }  // namespace gv::actions

@@ -8,12 +8,12 @@
 // coordinator.
 //
 // One CoordinatorLog lives per node and answers the "txnc.outcome" RPC
-// for every action coordinated from that node. The log is volatile: if
-// the coordinator node itself crashed, its in-flight decisions die with
-// it and Unknown (-> presume abort) is the right answer — a coordinator
-// that crashed AFTER deciding but before any participant learned the
-// decision is the unavoidable blocking case, which we resolve as abort
-// and count (the affected client never saw its commit() return).
+// for every action coordinated from that node. The log is stable: phase 2
+// reaches one participant at a time, so a coordinator that crashes in the
+// middle of it has told only some of them, and the rest must still learn
+// the decision after it recovers (presumed-abort 2PC force-writes its
+// commit record for the same reason). An action the node never decided
+// reads Unknown, which a participant presumes aborted once it stays so.
 #pragma once
 
 #include <set>
@@ -67,10 +67,10 @@ class CoordinatorLog {
   }
 
  private:
-  // Two bits per action the node ever decided: S2 makes every naming
-  // operation its own top-level action, so this grows with the run.
-  DenseUidTable<2> outcomes_;  // volatile by design
-  std::set<std::pair<Uid, sim::NodeId>> excluded_;  // volatile, like outcomes_
+  // Stable. Two bits per action the node ever decided: S2 makes every
+  // naming operation its own top-level action, so this grows with the run.
+  DenseUidTable<2> outcomes_;
+  std::set<std::pair<Uid, sim::NodeId>> excluded_;
 };
 
 }  // namespace gv::actions

@@ -14,8 +14,8 @@
 //      call is NOT proof: the owner may keep no coordinator log).
 //
 // A dead coordinator node answers nothing and the sweep falls through to
-// the presumed abort, which is then correct (Gray's blocking case: the
-// decision, if any, died with the volatile log). Sweeps are event-driven:
+// the presumed abort. That is Gray's blocking case: a decision, if one
+// was made, waits in the dead node's stable log. Sweeps are event-driven:
 // owners trigger one on each refused lock wait.
 //
 // Each owner supplies only its age rule, the step that applies a verdict

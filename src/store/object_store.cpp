@@ -107,9 +107,9 @@ sim::Task<> ObjectStore::resolve_in_doubt() {
     actions::TxnOutcome outcome = actions::TxnOutcome::Unknown;
     if (coordinator != sim::kNoNode) {
       // Unknown from a LIVE coordinator can mean "still deciding": retry
-      // with backoff; only a persistent Unknown (coordinator lost the
-      // record, i.e. it crashed before deciding, or the action was
-      // abandoned) becomes a presumed abort.
+      // with backoff; only a persistent Unknown (the coordinator never
+      // decided: it crashed first, or the action was abandoned) becomes
+      // a presumed abort.
       Backoff pace{BackoffConfig{100 * sim::kMillisecond, 500 * sim::kMillisecond},
                    endpoint_.rng().fork()};
       for (int attempt = 0; attempt < 10; ++attempt) {

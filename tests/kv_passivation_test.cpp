@@ -165,19 +165,23 @@ TEST(CoordinatorLog, RecordsAndAnswersOutcomes) {
   EXPECT_EQ(got[2], actions::TxnOutcome::Unknown);
 }
 
-TEST(CoordinatorLog, VolatileAcrossCrash) {
+TEST(CoordinatorLog, StableAcrossCrash) {
   sim::Simulator sim{3};
   sim::Cluster cluster{sim};
   cluster.add_nodes(2);
   sim::Network net{sim, cluster};
   rpc::RpcFabric fabric{cluster, net};
   actions::CoordinatorLog log{fabric.endpoint(0)};
-  Uid txn{1, 1};
+  const Uid txn{1, 1};
   log.record(txn, true);
+  log.record_excluded(txn, 1);
   cluster.node(0).crash();
   cluster.node(0).recover();
-  // The decision died with the incarnation: participants presume abort.
-  EXPECT_EQ(log.outcome(txn), actions::TxnOutcome::Unknown);
+  // The decisions outlive the incarnation that made them: a participant
+  // that missed phase 2 still learns them.
+  EXPECT_EQ(log.outcome(txn), actions::TxnOutcome::Committed);
+  EXPECT_EQ(log.shadow_outcome(txn, 1), actions::TxnOutcome::Aborted);
+  EXPECT_EQ(log.shadow_outcome(txn, 2), actions::TxnOutcome::Committed);
 }
 
 // End-to-end regression for the in-doubt window: the sole store crashes
@@ -262,6 +266,73 @@ TEST(CoordinatorLog, StoreCrashAfterStagingStillInstalls) {
   EXPECT_EQ(s.sys.store_at(4).version(obj).value_or(0), 2u);
   EXPECT_EQ(s.sys.gvdb().states().peek(obj), (std::vector<sim::NodeId>{3, 4}));
   EXPECT_EQ(audit.check_now(/*quiescent=*/true), 0u) << audit.report();
+}
+
+// Phase 2 reaches one participant at a time, so a coordinator that dies in
+// the middle of it has told only some of them the decision. Its log of
+// decisions is stable: the stores that missed phase 2 ask the recovered
+// coordinator about their in-doubt shadows, hear Committed and install,
+// so the next writer builds on the committed +1 that a reader saw.
+TEST(CoordinatorLog, DecidedCommitSurvivesCoordinatorCrash) {
+  SystemConfig cfg{.nodes = 8};
+  cfg.start_janitor = true;
+  cfg.start_store_reaper = true;
+  Sys s{cfg};
+  Uid obj = s.sys.define_object("c", "counter", replication::Counter{}.snapshot(), {2}, {3, 4},
+                                ReplicationPolicy::SingleCopyPassive, 1);
+  sim::Simulator& sim = s.sys.sim();
+
+  // The moment server 2 applies phase 2, kill the client, which is the
+  // coordinator: phase 2 has yet to reach the stores.
+  sim.spawn([](core::ReplicaSystem& sys) -> sim::Task<> {
+    while (sys.host_at(2).counters().get("objsrv.txn_commit") < 1) co_await sys.sim().sleep(50);
+    sys.cluster().node(1).crash();
+    co_await sys.sim().sleep(500 * sim::kMillisecond);
+    sys.cluster().node(1).recover();
+  }(s.sys));
+  // Adds `delta`, keeping the sum it read, and commits.
+  struct Add {
+    std::int64_t sum = -1;
+    bool committed = false;
+  };
+  auto add = [](core::ClientSession* client, Uid obj, std::int64_t delta,
+                Add& out) -> sim::Task<> {
+    auto txn = client->begin();
+    Buffer arg;
+    arg.pack_i64(delta);
+    auto r = co_await txn->invoke(obj, "add", std::move(arg), LockMode::Write);
+    if (!r.ok()) co_return;
+    out.sum = r.value().unpack_i64().value();
+    out.committed = (co_await txn->commit()).ok();
+  };
+  Add first, written;
+  std::int64_t read = -1;
+  sim.spawn(add(s.sys.client(1), obj, 1, first));
+  sim.run_until(sim.now() + sim::kSecond);
+  EXPECT_FALSE(first.committed);  // the client died before its commit() returned
+  EXPECT_EQ(s.sys.store_at(3).version(obj).value_or(0), 1u);
+  EXPECT_EQ(s.sys.store_at(4).version(obj).value_or(0), 1u);
+
+  sim.spawn([](core::ClientSession* client, Uid obj, std::int64_t& read) -> sim::Task<> {
+    auto txn = client->begin();
+    auto r = co_await txn->invoke(obj, "read", Buffer{}, LockMode::Read);
+    if (r.ok() && (co_await txn->commit()).ok()) read = r.value().unpack_i64().value();
+  }(s.sys.client(5), obj, read));
+  // The stores' reapers find the aged shadows and ask the coordinator.
+  sim.run_until(sim.now() + 4 * sim::kSecond);
+  EXPECT_EQ(read, 1);
+  for (sim::NodeId store : {3u, 4u}) {
+    EXPECT_EQ(s.sys.store_at(store).counters().get("store.in_doubt_committed"), 1u) << store;
+    EXPECT_EQ(s.sys.store_at(store).version(obj).value_or(0), 2u) << store;
+  }
+
+  s.sys.cluster().node(2).crash();
+  s.sys.cluster().node(2).recover();
+  sim.run_until(sim.now() + sim::kSecond);
+  sim.spawn(add(s.sys.client(6), obj, 10, written));
+  sim.run_until(sim.now() + 2 * sim::kSecond);
+  EXPECT_EQ(written.sum, 11);
+  EXPECT_TRUE(written.committed);
 }
 
 // A store whose prepare reply was lost holds the new state's shadow, but
