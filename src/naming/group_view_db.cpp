@@ -93,6 +93,7 @@ GroupViewDb::GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEnd
     orphans_.clear();
     locks_.reset();
     load_entries(store_.records(kGvdbUid));
+    piggyback_stale_ = true;  // a new incarnation, and reloaded epochs
   });
   txns.add(kGvdbService, this);
   endpoint.set_piggyback_provider([this]() -> const Buffer& { return piggyback_blob(); });
@@ -524,19 +525,14 @@ void GroupViewDb::note_invalidation(const Uid& object) {
 }
 
 const Buffer& GroupViewDb::piggyback_blob() {
-  if (!piggyback_stale_ && piggyback_epoch_ == node_.epoch()) return piggyback_;
+  if (!piggyback_stale_) return piggyback_;
   piggyback_stale_ = false;
-  piggyback_epoch_ = node_.epoch();
   piggyback_.clear();
   if (recent_bumps_.empty()) return piggyback_;
-  piggyback_.reserve(8 + 1 + recent_bumps_.size() * (16 + 8 + 8));
-  piggyback_.pack_u64(node_.epoch());
-  piggyback_.pack_u8(static_cast<std::uint8_t>(recent_bumps_.size()));
-  for (const Uid& object : recent_bumps_) {
-    piggyback_.pack_uid(object);
-    piggyback_.pack_u64(servers_.epoch_of(object));
-    piggyback_.pack_u64(states_.epoch_of(object));
-  }
+  Piggyback p{node_.epoch(), {}};
+  for (const Uid& object : recent_bumps_)
+    p.bumps.push_back({object, servers_.epoch_of(object), states_.epoch_of(object)});
+  piggyback_ = rpc::encode(p);
   return piggyback_;
 }
 

@@ -135,6 +135,14 @@ struct ValidateItem {
   GV_WIRE_FIELDS(object, sv_epoch, st_epoch)
 };
 
+// The reply piggyback (sec 6): the naming node's incarnation and the
+// current epochs of recently bumped entries, as validate items.
+struct Piggyback {
+  std::uint64_t incarnation = 0;
+  std::vector<ValidateItem> bumps;
+  GV_WIRE_FIELDS(incarnation, bumps)
+};
+
 // The gvdb service's methods, declared once for the registration and the
 // client stubs below. validate takes (action, incarnation, items).
 inline constexpr rpc::Rpc<GetViewsReply(std::vector<Uid>)> kGvdbGetViews{kGvdbService,
@@ -231,10 +239,9 @@ class GroupViewDb final : public actions::ServerParticipant {
   // contention; public for tests.
   sim::Task<std::uint32_t> sweep_orphans() { return orphans_.sweep(); }
 
-  // The reply-piggyback blob: current incarnation plus the current epochs
-  // of recently bumped entries. Empty when nothing changed recently.
-  // Built once per change (an epoch bump or a new node incarnation) and
-  // shared by every reply until the next one.
+  // The encoded Piggyback every reply of this node carries; empty when
+  // nothing changed recently. Built once per change (an epoch bump or a
+  // recovery) and shared by every reply until the next one.
   const Buffer& piggyback_blob();
 
  private:
@@ -308,11 +315,9 @@ class GroupViewDb final : public actions::ServerParticipant {
   UidGenerator local_actions_;
   // Recently bumped UIDs, most recent last, deduplicated, bounded.
   std::deque<Uid> recent_bumps_;
-  // piggyback_blob()'s bytes, valid while !piggyback_stale_ and the node
-  // is still in incarnation piggyback_epoch_ (a recovery reloads epochs).
+  // piggyback_blob()'s bytes, valid while !piggyback_stale_.
   Buffer piggyback_;
   bool piggyback_stale_ = true;
-  std::uint64_t piggyback_epoch_ = 0;
 };
 
 // Client stubs for the calls that span both tables.

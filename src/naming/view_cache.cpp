@@ -100,20 +100,14 @@ sim::Task<Status> GroupViewCache::fetch(std::vector<Uid> objects) {
 }
 
 void GroupViewCache::apply_piggyback(NodeId from, Buffer blob) {
-  if (from != naming_node_) return;
-  auto incarnation = blob.unpack_u64();
-  auto n = blob.unpack_u8();
-  if (!incarnation.ok() || !n.ok()) return;
-  for (std::uint8_t i = 0; i < n.value(); ++i) {
-    auto object = blob.unpack_uid();
-    auto sv_epoch = blob.unpack_u64();
-    auto st_epoch = blob.unpack_u64();
-    if (!object.ok() || !sv_epoch.ok() || !st_epoch.ok()) return;
-    auto it = entries_.find(object.value());
+  Piggyback p;
+  if (from != naming_node_ || !rpc::decode(blob, p)) return;
+  for (const ValidateItem& bump : p.bumps) {
+    auto it = entries_.find(bump.object);
     if (it == entries_.end()) continue;
     const Entry& e = it->second;
-    if (e.incarnation != incarnation.value() || e.sv_epoch != sv_epoch.value() ||
-        e.st_epoch != st_epoch.value()) {
+    if (e.incarnation != p.incarnation || e.sv_epoch != bump.sv_epoch ||
+        e.st_epoch != bump.st_epoch) {
       entries_.erase(it);
       counters_.inc("cache.piggyback_invalidated");
     }

@@ -61,7 +61,8 @@ class GroupViewCache {
   void invalidate(const Uid& object);
   void clear();
 
-  // Reply-piggyback sink (wired to RpcEndpoint::set_piggyback_sink).
+  // Reply-piggyback sink (wired to RpcEndpoint::set_piggyback_sink). A
+  // blob that does not decode is ignored.
   void apply_piggyback(NodeId from, Buffer blob);
 
   NodeId naming_node() const noexcept { return naming_node_; }

@@ -135,12 +135,12 @@ TEST(ViewEpochs, PiggybackBlobTracksEveryBumpAndIncarnation) {
   const std::function<void(const char*)> expect_current = [&f](const char* when) {
     Buffer blob = f.gvdb->piggyback_blob();
     ASSERT_FALSE(blob.empty()) << when;
-    EXPECT_EQ(blob.unpack_u64().value(), f.cluster.node(0).epoch()) << when;
-    const std::uint8_t n = blob.unpack_u8().value();
-    for (std::uint8_t i = 0; i < n; ++i) {
-      const Uid object = blob.unpack_uid().value();
-      EXPECT_EQ(blob.unpack_u64().value(), f.gvdb->servers().epoch_of(object)) << when;
-      EXPECT_EQ(blob.unpack_u64().value(), f.gvdb->states().epoch_of(object)) << when;
+    Piggyback p;
+    ASSERT_TRUE(rpc::decode(blob, p)) << when;
+    EXPECT_EQ(p.incarnation, f.cluster.node(0).epoch()) << when;
+    for (const ValidateItem& bump : p.bumps) {
+      EXPECT_EQ(bump.sv_epoch, f.gvdb->servers().epoch_of(bump.object)) << when;
+      EXPECT_EQ(bump.st_epoch, f.gvdb->states().epoch_of(bump.object)) << when;
     }
     EXPECT_EQ(blob.remaining(), 0u) << when;
   };

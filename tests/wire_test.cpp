@@ -251,6 +251,29 @@ TEST(WireOracle, GetViewsReplyWithFoundAndMissingEntries) {
   expect_reply_prefixes_refused(naming::kGvdbGetViews, wire);
 }
 
+TEST(WireOracle, ReplyPiggyback) {
+  const naming::Piggyback p{3, {{Uid{1, 1}, 4, 5}, {Uid{1, 2}, 6, 7}}};
+  Buffer ref;
+  ref.pack_u64(3).pack_u32(2);
+  ref.pack_uid(Uid{1, 1}).pack_u64(4).pack_u64(5);
+  ref.pack_uid(Uid{1, 2}).pack_u64(6).pack_u64(7);
+  const Buffer wire = exact(rpc::encode(p));
+  EXPECT_EQ(wire, ref);
+  naming::Piggyback back;
+  Buffer in = wire;
+  ASSERT_TRUE(rpc::decode(in, back));
+  EXPECT_EQ(back.incarnation, 3u);
+  ASSERT_EQ(back.bumps.size(), 2u);
+  EXPECT_EQ(back.bumps[1].object, (Uid{1, 2}));
+  EXPECT_EQ(back.bumps[1].sv_epoch, 6u);
+  EXPECT_EQ(back.bumps[1].st_epoch, 7u);
+  for (std::size_t n = 0; n < wire.size(); ++n) {
+    Buffer cut = prefix(wire, n);
+    naming::Piggyback out;
+    EXPECT_FALSE(rpc::decode(cut, out)) << "prefix of " << n << " bytes decoded";
+  }
+}
+
 TEST(WireOracle, ValidateBatchRequest) {
   const std::vector<naming::ValidateItem> items{{Uid{1, 1}, 3, 4}, {Uid{1, 2}, 5, 6}};
   Buffer ref;
