@@ -54,7 +54,6 @@ class MetricsRegistry {
   const gv::Counters& counters() const noexcept { return counters_; }
 
   const std::map<std::string, gv::Histogram>& histograms() const noexcept { return histograms_; }
-  const std::map<std::string, Gauge>& gauges() const noexcept { return gauges_; }
 
   // clear() drops every metric and bumps generation(), so a component
   // holding Histogram pointers from this registry knows to re-resolve.

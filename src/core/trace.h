@@ -65,7 +65,6 @@ class TraceRecorder {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   void enable(std::size_t capacity = kDefaultCapacity);
-  void disable() noexcept { enabled_ = false; }
   bool enabled() const noexcept { return enabled_; }
 
   // RAII span handle. Inert (no-op) when default-constructed or begun on

@@ -227,9 +227,6 @@ class GroupViewDb final : public actions::ServerParticipant {
     metrics_ = metrics;
   }
 
-  // Number of actions with live undo records (diagnostics).
-  std::size_t active_actions() const noexcept { return undo_.size(); }
-
   // Record that `action`, owned by a client on `owner`, touched this
   // database (called by the RPC glue; drives orphan detection).
   void note_activity(const Uid& action, NodeId owner);

@@ -76,9 +76,6 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // The RecoveryDaemon blocks on recovery and unblocks after Insert.
   void block_activation(const Uid& object) { activation_blocked_.insert(object); }
   void unblock_activation(const Uid& object) { activation_blocked_.erase(object); }
-  bool activation_blocked(const Uid& object) const {
-    return activation_blocked_.count(object) > 0;
-  }
 
   // Apply `op` under `mode` lock owned by `action`. `ancestors` is the
   // action's enclosing chain (outermost last) for Arjuna lock

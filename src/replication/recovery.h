@@ -92,9 +92,6 @@ class RecoveryDaemon {
   };
   sim::Task<PeerScan> scan_peers(const Uid& object, const std::vector<NodeId>& st);
 
-  // Orphan shadows older than this are presumed aborted at the start of a
-  // repair pass (matches ObjectStore::start_reaper's default min_age).
-  static constexpr sim::SimTime kOrphanShadowAge = 2 * sim::kSecond;
   sim::Task<bool> repair_store_object(const Uid& object);
   sim::Task<bool> reinsert_server(const Uid& object);
 

@@ -12,8 +12,6 @@ void GroupComm::create_group(const Uid& group, std::vector<NodeId> members) {
   groups_[group] = std::move(g);
 }
 
-void GroupComm::remove_group(const Uid& group) { groups_.erase(group); }
-
 std::vector<NodeId> GroupComm::members(const Uid& group) const {
   auto it = groups_.find(group);
   return it == groups_.end() ? std::vector<NodeId>{} : it->second.member_ids;

@@ -52,7 +52,6 @@ class GroupComm {
   // not: their first join creates the group of an activated object, named
   // by the object's UID.
   void create_group(const Uid& group, std::vector<NodeId> members);
-  void remove_group(const Uid& group);
   std::vector<NodeId> members(const Uid& group) const;
 
   // Each member registers a delivery upcall for a group, joining its

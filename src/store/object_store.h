@@ -109,10 +109,12 @@ class ObjectStore {
   // older than `min_age`; returns the number discarded. start_reaper
   // arms a periodic sweep (survives node recovery; stop with
   // stop_reaper; like the janitor it keeps the event queue non-empty).
-  // In-doubt shadows are exempt: their outcome is being resolved.
+  // In-doubt shadows are exempt: their outcome is being resolved. A
+  // recovery pass reaps at the reaper's default age.
+  static constexpr sim::SimTime kOrphanShadowAge = 2 * sim::kSecond;
   std::size_t reap_orphan_shadows(sim::SimTime min_age);
   void start_reaper(sim::SimTime period = 500 * sim::kMillisecond,
-                    sim::SimTime min_age = 2 * sim::kSecond);
+                    sim::SimTime min_age = kOrphanShadowAge);
   void stop_reaper() noexcept {
     if (reaper_ != nullptr) reaper_->running = false;
   }
