@@ -82,7 +82,7 @@ sim::Task<Status> GroupViewCache::fetch(std::vector<Uid> objects) {
     }
     for (const Uid& object : mine) {
       auto it = inflight_.find(object);
-      if (it == inflight_.end()) continue;  // cleared by a crash mid-fetch
+      if (it == inflight_.end()) continue;  // clear() ran mid-fetch
       auto waiters = std::move(it->second);
       inflight_.erase(it);
       Status s = !r.ok()              ? Status{r.error()}
