@@ -90,7 +90,7 @@ sim::Task<std::uint32_t> RecoveryDaemon::repair() {
   // Presume abort for aged orphan shadows up front: the pending-shadow
   // guard below must not wait forever on a shadow whose coordinator died
   // before deciding (in-doubt shadows are exempt inside the reaper).
-  (void)store_.reap_orphan_shadows(store::ObjectStore::kOrphanShadowAge);
+  (void)store_.reap_orphan_shadows();
 
   // Store role: validate / refresh each suspect object.
   for (const Uid& object : store_.suspect_objects()) {

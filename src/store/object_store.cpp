@@ -14,7 +14,9 @@ ObjectStore::ObjectStore(sim::Node& node, rpc::RpcEndpoint& endpoint)
 
   node_.on_crash([this] {
     // Volatile state only; committed_, tables_ and shadows_ are stable.
+    // The crash ended any running resolver.
     suspects_.clear();
+    resolving_ = false;
   });
   node_.on_recover([this] {
     // Recovery scan. Every shadow is IN-DOUBT: this store voted yes and
@@ -27,7 +29,7 @@ ObjectStore::ObjectStore(sim::Node& node, rpc::RpcEndpoint& endpoint)
     }
     // Every object is suspect until the recovery protocol validates it.
     for (const auto& [uid, vs] : committed_) suspects_.insert(uid);
-    if (!shadows_.empty()) node_.sim().spawn(resolve_in_doubt());
+    if (!shadows_.empty()) trigger_resolve();
   });
 }
 
@@ -61,9 +63,9 @@ Status ObjectStore::prepare(const Uid& uid, const Uid& txn, std::uint64_t versio
     auto w = set.writes.find(uid);
     if (other == txn || w == set.writes.end() || w->second.version < version) continue;
     counters_.inc("store.prepare_behind_shadow");
-    if (!set.in_doubt && set.coordinator != sim::kNoNode) {
+    if (set.coordinator != sim::kNoNode) {
       set.in_doubt = true;
-      node_.sim().spawn(resolve_in_doubt());
+      trigger_resolve();
     }
     return Err::Conflict;
   }
@@ -93,6 +95,15 @@ std::size_t ObjectStore::in_doubt_count() const {
   return n;
 }
 
+void ObjectStore::trigger_resolve() {
+  if (resolving_) return;
+  resolving_ = true;
+  node_.sim().spawn([](ObjectStore& self) -> sim::Task<> {
+    co_await self.resolve_in_doubt();
+    self.resolving_ = false;
+  }(*this));
+}
+
 sim::Task<> ObjectStore::resolve_in_doubt() {
   // Snapshot the in-doubt txn ids; commits/aborts may arrive meanwhile.
   std::vector<Uid> pending;
@@ -105,11 +116,13 @@ sim::Task<> ObjectStore::resolve_in_doubt() {
     const NodeId coordinator = it->second.coordinator;
 
     actions::TxnOutcome outcome = actions::TxnOutcome::Unknown;
+    bool unanswered = false;
     if (coordinator != sim::kNoNode) {
       // Unknown from a LIVE coordinator can mean "still deciding": retry
       // with backoff; only a persistent Unknown (the coordinator never
       // decided: it crashed first, or the action was abandoned) becomes
-      // a presumed abort.
+      // a presumed abort. A call that goes unanswered proves nothing:
+      // the coordinator's stable log may hold Committed.
       Backoff pace{BackoffConfig{100 * sim::kMillisecond, 500 * sim::kMillisecond},
                    endpoint_.rng().fork()};
       for (int attempt = 0; attempt < 10; ++attempt) {
@@ -119,6 +132,7 @@ sim::Task<> ObjectStore::resolve_in_doubt() {
           outcome = r.value();
           break;
         }
+        if (!r.ok()) unanswered = true;
         co_await node_.sleep(pace.next());
         // A phase-2 RPC may have resolved it while we slept.
         if (shadows_.find(txn) == shadows_.end()) break;
@@ -127,14 +141,20 @@ sim::Task<> ObjectStore::resolve_in_doubt() {
     // Re-find: the wait may have resolved it through a phase-2 RPC.
     it = shadows_.find(txn);
     if (it == shadows_.end()) continue;
+    if (unanswered && outcome == actions::TxnOutcome::Unknown) {
+      // Stay in doubt (2PC blocks here); the next trigger asks again.
+      counters_.inc("store.in_doubt_unanswered");
+      continue;
+    }
     if (outcome == actions::TxnOutcome::Committed) {
       counters_.inc("store.in_doubt_committed");
       core::trace_instant(endpoint_.trace(), "store.in_doubt_resolved", node_.id(), "store",
                           txn.to_string() + " committed");
       (void)commit(txn);
     } else {
-      // Aborted, or Unknown after retries: presume abort (the blocking
-      // compromise; counted so experiments can see it).
+      // Aborted, or Unknown answered through every retry (or no known
+      // coordinator to ask): presume abort, counted so experiments can
+      // see it.
       counters_.inc(outcome == actions::TxnOutcome::Aborted ? "store.in_doubt_aborted"
                                                             : "store.in_doubt_presumed_abort");
       (void)abort(txn);
@@ -211,16 +231,17 @@ void ObjectStore::rekey_shadow(const Uid& child, const Uid& parent) {
   shadows_.erase(child);
 }
 
-std::size_t ObjectStore::reap_orphan_shadows(sim::SimTime min_age) {
+std::size_t ObjectStore::reap_orphan_shadows() {
   const sim::SimTime now = node_.sim().now();
   std::size_t reaped = 0;
-  bool need_resolve = false;
+  bool in_doubt = false;
   for (auto it = shadows_.begin(); it != shadows_.end();) {
     if (it->second.in_doubt) {
-      ++it;  // being resolved via the coordinator; never reap blindly
+      in_doubt = true;  // resolved via the coordinator; never reap blindly
+      ++it;
       continue;
     }
-    if (now - it->second.created_at < min_age) {
+    if (now - it->second.created_at < kOrphanShadowAge) {
       ++it;
       continue;
     }
@@ -233,7 +254,7 @@ std::size_t ObjectStore::reap_orphan_shadows(sim::SimTime min_age) {
       // with no recorded coordinator is reaped blindly.
       it->second.in_doubt = true;
       counters_.inc("store.orphan_made_in_doubt");
-      need_resolve = true;
+      in_doubt = true;
       ++it;
       continue;
     }
@@ -245,14 +266,14 @@ std::size_t ObjectStore::reap_orphan_shadows(sim::SimTime min_age) {
     core::trace_instant(endpoint_.trace(), "store.shadow_reaped", node_.id(), "store",
                         std::to_string(reaped) + " presumed abort");
   }
-  if (need_resolve) node_.sim().spawn(resolve_in_doubt());
+  if (in_doubt) trigger_resolve();
   return reaped;
 }
 
-void ObjectStore::start_reaper(sim::SimTime period, sim::SimTime min_age) {
+void ObjectStore::start_reaper() {
   if (reaper_ != nullptr && reaper_->running) return;
-  reaper_ = &node_.every(period, [this, min_age]() -> sim::Task<> {
-    (void)reap_orphan_shadows(min_age);
+  reaper_ = &node_.every(kReaperPeriod, [this]() -> sim::Task<> {
+    (void)reap_orphan_shadows();
     co_return;
   });
 }
@@ -293,7 +314,7 @@ void ObjectStore::register_rpc() {
 
 sim::Task<actions::Vote> StoreTxnParticipant::prepare(const Uid& txn, bool) {
   // A store is enlisted only where a shadow landed, so a missing shadow
-  // means it was lost (presumed abort by the reaper or a recovery) —
+  // means it was lost (reaped, or presumed aborted by the resolver) —
   // vote no.
   co_return store_.has_shadow(txn) ? actions::Vote::Yes : actions::Vote::No;
 }

@@ -4,8 +4,9 @@
 // States are versioned: each top-level action that modifies an object
 // installs version v+1. Writes from commit processing are two-phase —
 // prepare() lands the new state in a stable shadow slot keyed by the
-// action UID; commit() installs it; abort() (or a recovery scan: presumed
-// abort) discards it. Checkpoints and recovery refreshes use the
+// action UID; commit() installs it; abort() discards it. A shadow whose
+// phase 2 never came is resolved by asking its coordinator (see
+// reap_orphan_shadows). Checkpoints and recovery refreshes use the
 // single-phase write_direct().
 //
 // Crash semantics: committed states and shadow slots live on stable
@@ -76,7 +77,7 @@ class ObjectStore {
   Result<std::uint64_t> version(const Uid& uid) const;
   // `coordinator` identifies the node coordinating `txn`: a shadow that
   // survives a crash is IN-DOUBT and is resolved by asking that node
-  // (presume abort only if it does not know / is itself gone).
+  // (presume abort only if it answers that it does not know).
   Status prepare(const Uid& uid, const Uid& txn, std::uint64_t version, Buffer state,
                  NodeId coordinator = sim::kNoNode);
   Status commit(const Uid& txn);
@@ -104,17 +105,18 @@ class ObjectStore {
   void rekey_shadow(const Uid& child, const Uid& parent);
   void drop_shadow(const Uid& txn) { shadows_.erase(txn); }
 
-  // Orphan cleanup: a coordinator that died between prepare and commit
-  // leaves a shadow nobody will ever decide. Presume abort for shadows
-  // older than `min_age`; returns the number discarded. start_reaper
-  // arms a periodic sweep (survives node recovery; stop with
-  // stop_reaper; like the janitor it keeps the event queue non-empty).
-  // In-doubt shadows are exempt: their outcome is being resolved. A
-  // recovery pass reaps at the reaper's default age.
+  // Orphan cleanup: a shadow older than kOrphanShadowAge may be an
+  // orphan. One with a recorded coordinator is made IN-DOUBT (its phase 2
+  // may have been lost after a commit); one without is reaped, presumed
+  // aborted. Returns the number reaped. Each pass with an in-doubt shadow
+  // triggers the resolver, so a shadow left in doubt is asked about
+  // again. start_reaper runs a pass every kReaperPeriod (survives node
+  // recovery; stop with stop_reaper; like the janitor it keeps the event
+  // queue non-empty). A recovery pass also reaps first.
   static constexpr sim::SimTime kOrphanShadowAge = 2 * sim::kSecond;
-  std::size_t reap_orphan_shadows(sim::SimTime min_age);
-  void start_reaper(sim::SimTime period = 500 * sim::kMillisecond,
-                    sim::SimTime min_age = kOrphanShadowAge);
+  static constexpr sim::SimTime kReaperPeriod = 500 * sim::kMillisecond;
+  std::size_t reap_orphan_shadows();
+  void start_reaper();
   void stop_reaper() noexcept {
     if (reaper_ != nullptr) reaper_->running = false;
   }
@@ -171,18 +173,25 @@ class ObjectStore {
     std::map<Uid, VersionedState> writes;
     sim::SimTime created_at = 0;
     NodeId coordinator = sim::kNoNode;
-    bool in_doubt = false;  // survived a crash after voting yes
+    bool in_doubt = false;  // outcome to be asked of the coordinator
   };
 
+  // Start resolve_in_doubt unless it is already running; a crash ends a
+  // running one. Every in-doubt trigger comes here.
+  void trigger_resolve();
+  // Ask each in-doubt shadow's coordinator for its outcome, with retries.
+  // A shadow whose coordinator never answered stays in doubt.
   sim::Task<> resolve_in_doubt();
 
   // STABLE storage: survives crashes.
   std::map<Uid, VersionedState> committed_;
   std::map<Uid, std::map<Uid, Buffer>> tables_;  // table -> key -> record
-  // Shadow slots: stable, but discarded by the recovery scan (presumed
-  // abort) or the orphan reaper. txn -> pending writes.
+  // Shadow slots: stable; installed or discarded by phase 2, by the
+  // in-doubt resolver, or (no known coordinator) by the orphan reaper.
+  // txn -> pending writes.
   std::map<Uid, ShadowSet> shadows_;
   sim::Node::Duty* reaper_ = nullptr;
+  bool resolving_ = false;  // volatile: a resolve_in_doubt is running
   StoreFaultConfig faults_;
   Rng fault_rng_{0xFA017};
 

@@ -3,6 +3,8 @@
 // behaviours not covered by the store-level in-doubt tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "actions/coordinator_log.h"
 #include "core/audit.h"
 #include "core/system.h"
@@ -272,8 +274,10 @@ TEST(CoordinatorLog, StoreCrashAfterStagingStillInstalls) {
 // the middle of it has told only some of them the decision. Its log of
 // decisions is stable: the stores that missed phase 2 ask the recovered
 // coordinator about their in-doubt shadows, hear Committed and install,
-// so the next writer builds on the committed +1 that a reader saw.
-TEST(CoordinatorLog, DecidedCommitSurvivesCoordinatorCrash) {
+// so the next writer builds on the committed +1 that a reader saw. The
+// coordinator stays down for `down`; a store that hears nothing from it
+// meanwhile keeps its shadow in doubt and asks again.
+void decided_commit_survives_coordinator_crash(sim::SimTime down) {
   SystemConfig cfg{.nodes = 8};
   cfg.start_janitor = true;
   cfg.start_store_reaper = true;
@@ -284,12 +288,12 @@ TEST(CoordinatorLog, DecidedCommitSurvivesCoordinatorCrash) {
 
   // The moment server 2 applies phase 2, kill the client, which is the
   // coordinator: phase 2 has yet to reach the stores.
-  sim.spawn([](core::ReplicaSystem& sys) -> sim::Task<> {
+  sim.spawn([](core::ReplicaSystem& sys, sim::SimTime down) -> sim::Task<> {
     while (sys.host_at(2).counters().get("objsrv.txn_commit") < 1) co_await sys.sim().sleep(50);
     sys.cluster().node(1).crash();
-    co_await sys.sim().sleep(500 * sim::kMillisecond);
+    co_await sys.sim().sleep(down);
     sys.cluster().node(1).recover();
-  }(s.sys));
+  }(s.sys, down));
   // Adds `delta`, keeping the sum it read, and commits.
   struct Add {
     std::int64_t sum = -1;
@@ -318,11 +322,14 @@ TEST(CoordinatorLog, DecidedCommitSurvivesCoordinatorCrash) {
     auto r = co_await txn->invoke(obj, "read", Buffer{}, LockMode::Read);
     if (r.ok() && (co_await txn->commit()).ok()) read = r.value().unpack_i64().value();
   }(s.sys.client(5), obj, read));
-  // The stores' reapers find the aged shadows and ask the coordinator.
-  sim.run_until(sim.now() + 4 * sim::kSecond);
+  // The stores' reapers find the aged shadows and ask the coordinator
+  // until it has recovered and answers.
+  sim.run_until(sim.now() + std::max(4 * sim::kSecond, down + 3 * sim::kSecond));
   EXPECT_EQ(read, 1);
   for (sim::NodeId store : {3u, 4u}) {
     EXPECT_EQ(s.sys.store_at(store).counters().get("store.in_doubt_committed"), 1u) << store;
+    EXPECT_EQ(s.sys.store_at(store).counters().get("store.in_doubt_presumed_abort"), 0u)
+        << store;
     EXPECT_EQ(s.sys.store_at(store).version(obj).value_or(0), 2u) << store;
   }
 
@@ -333,6 +340,16 @@ TEST(CoordinatorLog, DecidedCommitSurvivesCoordinatorCrash) {
   sim.run_until(sim.now() + 2 * sim::kSecond);
   EXPECT_EQ(written.sum, 11);
   EXPECT_TRUE(written.committed);
+}
+
+TEST(CoordinatorLog, DecidedCommitSurvivesCoordinatorCrash) {
+  decided_commit_survives_coordinator_crash(500 * sim::kMillisecond);
+}
+
+// Down for longer than a store's in-doubt retries last: the store must not
+// presume abort of a shadow whose coordinator never answered.
+TEST(CoordinatorLog, DecidedCommitSurvivesLongCoordinatorOutage) {
+  decided_commit_survives_coordinator_crash(10 * sim::kSecond);
 }
 
 // A store whose prepare reply was lost holds the new state's shadow, but

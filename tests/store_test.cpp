@@ -143,6 +143,46 @@ TEST(ObjectStore, InDoubtShadowAbortsWhenCoordinatorSaysSo) {
   EXPECT_EQ(f.stores[0]->counters().get("store.in_doubt_aborted"), 1u);
 }
 
+TEST(ObjectStore, InDoubtShadowPresumedAbortedWhenCoordinatorAnswersUnknown) {
+  // A live coordinator that never decided the action answers Unknown
+  // through every retry: the store presumes abort.
+  Fixture f;
+  actions::CoordinatorLog coord{f.fabric->endpoint(2)};
+  Uid obj{1, 1}, txn{2, 1};
+  EXPECT_TRUE(f.stores[0]->prepare(obj, txn, 2, state_of("undecided"), /*coordinator=*/2).ok());
+  f.cluster.node(0).crash();
+  f.cluster.node(0).recover();
+  f.sim.run();
+  EXPECT_FALSE(f.stores[0]->has_shadow(txn));
+  EXPECT_EQ(f.stores[0]->counters().get("store.in_doubt_presumed_abort"), 1u);
+}
+
+TEST(ObjectStore, InDoubtShadowStaysWhileCoordinatorSilent) {
+  // A coordinator that never answers may hold Committed in its stable
+  // log: the shadow stays in doubt, and the next trigger asks again.
+  Fixture f;
+  actions::CoordinatorLog coord{f.fabric->endpoint(2)};
+  Uid obj{1, 1}, txn{2, 1};
+  EXPECT_TRUE(f.stores[0]->write_direct(obj, 1, state_of("v1")).ok());
+  EXPECT_TRUE(f.stores[0]->prepare(obj, txn, 2, state_of("v2"), /*coordinator=*/2).ok());
+  coord.record(txn, /*committed=*/true);
+  f.cluster.node(2).crash();
+  f.cluster.node(0).crash();
+  f.cluster.node(0).recover();
+  f.sim.run();
+  EXPECT_TRUE(f.stores[0]->has_shadow(txn));
+  EXPECT_EQ(f.stores[0]->in_doubt_count(), 1u);
+  EXPECT_EQ(f.stores[0]->counters().get("store.in_doubt_unanswered"), 1u);
+  EXPECT_EQ(f.stores[0]->counters().get("store.in_doubt_presumed_abort"), 0u);
+
+  f.cluster.node(2).recover();
+  EXPECT_EQ(f.stores[0]->reap_orphan_shadows(), 0u);  // triggers the resolver
+  f.sim.run();
+  EXPECT_FALSE(f.stores[0]->has_shadow(txn));
+  EXPECT_EQ(f.stores[0]->version(obj).value(), 2u);
+  EXPECT_EQ(f.stores[0]->counters().get("store.in_doubt_committed"), 1u);
+}
+
 TEST(ObjectStore, SuspectListMatchesLocalObjects) {
   Fixture f;
   f.stores[0]->write_direct(Uid{1, 1}, 1, state_of("x"));
@@ -281,7 +321,7 @@ TEST(StoreTxnParticipant, LostShadowVotesNoEvenWhenAllowedToLeave) {
   StoreTxnParticipant p{*f.stores[0]};
   Uid obj{1, 1}, txn{2, 1};
   EXPECT_TRUE(f.stores[0]->prepare(obj, txn, 1, state_of("x")).ok());
-  f.stores[0]->drop_shadow(txn);  // as the presumed-abort recovery scan does
+  f.stores[0]->drop_shadow(txn);  // as a presumed abort does
   actions::Vote vote = actions::Vote::ReadOnly;
   f.sim.spawn([](StoreTxnParticipant& p, Uid txn, actions::Vote& vote) -> sim::Task<> {
     vote = co_await p.prepare(txn, /*may_leave=*/true);
@@ -308,8 +348,8 @@ TEST(ObjectStore, OrphanShadowReapedAfterTimeout) {
   Uid obj{1, 1}, txn{2, 1};
   f.stores[0]->prepare(obj, txn, 1, state_of("orphan"));
   EXPECT_TRUE(f.stores[0]->has_shadow(txn));
-  f.sim.run_until(3 * sim::kSecond);
-  EXPECT_EQ(f.stores[0]->reap_orphan_shadows(2 * sim::kSecond), 1u);
+  f.sim.run_until(ObjectStore::kOrphanShadowAge + sim::kSecond);
+  EXPECT_EQ(f.stores[0]->reap_orphan_shadows(), 1u);
   EXPECT_FALSE(f.stores[0]->has_shadow(txn));
   EXPECT_EQ(f.stores[0]->commit(txn).error(), Err::NotFound);
 }
@@ -319,7 +359,8 @@ TEST(ObjectStore, YoungShadowSurvivesReaper) {
   Uid obj{1, 1}, txn{2, 1};
   f.sim.run_until(1 * sim::kSecond);
   f.stores[0]->prepare(obj, txn, 1, state_of("young"));
-  EXPECT_EQ(f.stores[0]->reap_orphan_shadows(2 * sim::kSecond), 0u);
+  f.sim.run_until(f.sim.now() + ObjectStore::kOrphanShadowAge - 1);
+  EXPECT_EQ(f.stores[0]->reap_orphan_shadows(), 0u);
   EXPECT_TRUE(f.stores[0]->has_shadow(txn));
   EXPECT_TRUE(f.stores[0]->commit(txn).ok());
 }
@@ -327,9 +368,9 @@ TEST(ObjectStore, YoungShadowSurvivesReaper) {
 TEST(ObjectStore, PeriodicReaperRunsAndStops) {
   Fixture f;
   Uid obj{1, 1}, txn{2, 1};
-  f.stores[0]->start_reaper(200 * sim::kMillisecond, 500 * sim::kMillisecond);
+  f.stores[0]->start_reaper();
   f.stores[0]->prepare(obj, txn, 1, state_of("orphan"));
-  f.sim.run_until(2 * sim::kSecond);
+  f.sim.run_until(ObjectStore::kOrphanShadowAge + 2 * ObjectStore::kReaperPeriod);
   EXPECT_FALSE(f.stores[0]->has_shadow(txn));
   EXPECT_GE(f.stores[0]->counters().get("store.reaped_orphan_shadows"), 1u);
   f.stores[0]->stop_reaper();
