@@ -20,10 +20,10 @@
 //    simply as constructing a new root AtomicAction — the type system
 //    does not tie an action to the lexical scope it was started in.
 //
-// Failure model: the coordinator is the client process; if the client
-// crashes mid-protocol, participants that prepared but never heard the
-// outcome presume abort (stores discard shadows on recovery; lock owners
-// are cleaned up by the janitor / failure-detection protocols).
+// Failure model: the coordinator is the client process. If it crashes
+// mid-protocol, participants that prepared but never heard the outcome
+// ask its node's stable coordinator log (stores keep such shadows in
+// doubt until it answers; lock owners are resolved by orphan sweeps).
 #pragma once
 
 #include <cstdint>

@@ -11,7 +11,8 @@ OrphanResolver::OrphanResolver(rpc::RpcEndpoint& endpoint, Aged aged, Apply appl
       detector_(endpoint),
       aged_(std::move(aged)),
       apply_(std::move(apply)),
-      swept_(std::move(swept)) {}
+      swept_(std::move(swept)),
+      sweep_job_(endpoint.node().job([this]() -> sim::Task<> { (void)co_await sweep(); })) {}
 
 void OrphanResolver::note(const Uid& action, sim::NodeId owner) {
   Owner& rec = owners_[action];
@@ -24,16 +25,6 @@ bool OrphanResolver::inherit(const Uid& child, const Uid& parent) {
   if (it == owners_.end()) return false;
   note(parent, it->second.node);
   owners_.erase(it);
-  return true;
-}
-
-bool OrphanResolver::trigger() {
-  if (running_) return false;
-  running_ = true;
-  endpoint_.node().sim().spawn([](OrphanResolver& self) -> sim::Task<> {
-    (void)co_await self.sweep();
-    self.running_ = false;
-  }(*this));
   return true;
 }
 

@@ -16,7 +16,8 @@
 // A dead coordinator node answers nothing and the sweep falls through to
 // the presumed abort. That is Gray's blocking case: a decision, if one
 // was made, waits in the dead node's stable log. Sweeps are event-driven:
-// owners trigger one on each refused lock wait.
+// owners trigger one on each refused lock wait. A triggered sweep is a
+// job of the endpoint's node (sim::Node::Job), so a crash ends it.
 //
 // Each owner supplies only its age rule, the step that applies a verdict
 // and its counters; the sweep itself is shared.
@@ -49,11 +50,8 @@ class OrphanResolver {
   // Record that `action`, owned by a client on `owner`, was just active.
   void note(const Uid& action, sim::NodeId owner);
   void forget(const Uid& action) { owners_.erase(action); }
-  // After a crash: forget every action and the sweep the crash ended.
-  void clear() {
-    owners_.clear();
-    running_ = false;
-  }
+  // After a crash: forget every action.
+  void clear() { owners_.clear(); }
   bool tracks(const Uid& action) const { return owners_.count(action) > 0; }
   // Nested commit: the parent inherits the child's owner. False if the
   // child was not tracked.
@@ -61,7 +59,7 @@ class OrphanResolver {
 
   // Start a sweep unless a triggered one is already running
   // (fire-and-forget). Returns whether it started one.
-  bool trigger();
+  bool trigger() { return sweep_job_.start(); }
 
   // Resolve every tracked action; returns the number it aborted.
   sim::Task<std::uint32_t> sweep();
@@ -78,7 +76,7 @@ class OrphanResolver {
   Apply apply_;
   Swept swept_;
   std::map<Uid, Owner> owners_;
-  bool running_ = false;
+  sim::Node::Job& sweep_job_;
 };
 
 }  // namespace gv::actions

@@ -29,7 +29,7 @@ ReplicaSystem::ReplicaSystem(SystemConfig cfg)
     recovery_.back()->runtime().set_obs(&trace_, &metrics_);
     if (cfg_.start_store_reaper) stores_.back()->start_reaper();
     if (cfg_.start_view_probe && id != naming_node())
-      recovery_.back()->start_view_probe(cfg_.view_probe_period);
+      recovery_.back()->start_view_probe();
   }
 
   gvdb_ = std::make_unique<naming::GroupViewDb>(cluster_.node(naming_node()),

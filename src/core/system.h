@@ -69,14 +69,13 @@ struct SystemConfig {
   bool start_janitor = false;
   // Periodic loops below follow the same rule: off by default so plain
   // run() drains; enable for chaos workloads driven with run_until().
-  // Orphan-shadow reaper on every store, every 500 ms (presume abort for
-  // shadows whose coordinator died undecided).
+  // Orphan-shadow reaper on every store, every 500 ms (asks an aged
+  // shadow's coordinator for the outcome its phase 2 never brought).
   bool start_store_reaper = false;
-  // Partition-heal view probe on every store node: notices this node was
-  // Excluded from an St while it stayed up (no crash, so the recovery
-  // hook never fired) and drives re-Include once the partition heals.
+  // Partition-heal view probe on every store node, every 500 ms: drives
+  // re-Include of a store Excluded from an St while it stayed up (no
+  // crash, so the recovery hook never fired) once the partition heals.
   bool start_view_probe = false;
-  sim::SimTime view_probe_period = 500 * sim::kMillisecond;
   // Causal tracing (core/trace.h). Off by default; the TraceContext is
   // propagated either way, so flipping this cannot change event order —
   // only whether spans are recorded. `trace_ring` bounds memory: the

@@ -602,10 +602,6 @@ void GroupViewDb::register_rpc(rpc::RpcEndpoint& endpoint) {
     note_activity(action, from);
     return exclude(std::move(items), action);
   });
-  endpoint.serve(kOstdbPeek, [this](NodeId, Uid object) -> Result<std::vector<NodeId>> {
-    if (!states_.known(object)) return Err::NotFound;
-    return states_.peek(object);
-  });
   endpoint.serve(kOstdbInclude, [this](NodeId from, Uid object, NodeId host, Uid action) {
     note_activity(action, from);
     return include(object, host, action);

@@ -30,11 +30,12 @@
 //          binder's one naming read (figs 6-8) — St(A) read-locked under
 //          the client action and GetServer's Sv(A) under the bind action
 //          (write-locked for update).
-//   ostdb  GetView, Exclude, Include (sec 4.2), and a lock-free peek.
+//   ostdb  GetView, Exclude, Include (sec 4.2).
 //   gvdb   For the client-side group-view cache (sec 6: "caching of
 //          binding information"): get_views(uids...), a lock-free batched
 //          snapshot of Sv(A)+St(A) with their view epochs and this node's
-//          incarnation, and validate(items...), the commit-time staleness
+//          incarnation (also read by the stores' partition-heal view
+//          probe), and validate(items...), the commit-time staleness
 //          check that read-locks every named entry and compares epochs.
 //
 // It also feeds a small ring of recently invalidated UIDs that the RPC

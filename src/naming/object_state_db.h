@@ -47,10 +47,8 @@ class ObjectStateDb {
 
   bool known(const Uid& object) const { return entries.count(object) > 0; }
 
-  // Direct peek for recovery daemons / assertions (no lock, no action).
-  // Also exported as the lock-free "peek" RPC so a store partitioned away
-  // (excluded while alive) can notice its own absence from St after the
-  // partition heals and trigger re-Include without a crash/recovery cycle.
+  // Direct peek for local readers: the auditor, tests and examples (no
+  // lock, no action). Remote readers use the batched gvdb.get_views.
   std::vector<NodeId> peek(const Uid& object) const {
     auto it = entries.find(object);
     return it == entries.end() ? std::vector<NodeId>{} : it->second.st;
@@ -74,7 +72,6 @@ inline constexpr rpc::Rpc<StView(Uid, Uid)> kOstdbGetView{kOstdbService, "get_vi
 inline constexpr rpc::Rpc<void(std::vector<ExcludeItem>, Uid)> kOstdbExclude{kOstdbService,
                                                                              "exclude"};
 inline constexpr rpc::Rpc<void(Uid, NodeId, Uid)> kOstdbInclude{kOstdbService, "include"};
-inline constexpr rpc::Rpc<std::vector<NodeId>(Uid)> kOstdbPeek{kOstdbService, "peek"};
 
 // Client stubs.
 inline sim::Task<Result<StView>> ostdb_get_view(rpc::RpcEndpoint& ep, NodeId naming_node,
@@ -88,12 +85,6 @@ inline sim::Task<Status> ostdb_exclude(rpc::RpcEndpoint& ep, NodeId naming_node,
 inline sim::Task<Status> ostdb_include(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
                                        NodeId host, Uid action) {
   return ep.call(naming_node, kOstdbInclude, object, host, action);
-}
-// Lock-free St(A) snapshot (no action, no lock): advisory only — may be
-// stale the instant it returns. Used by the partition-heal view probe.
-inline sim::Task<Result<std::vector<NodeId>>> ostdb_peek(rpc::RpcEndpoint& ep,
-                                                         NodeId naming_node, Uid object) {
-  return ep.call(naming_node, kOstdbPeek, object);
 }
 
 }  // namespace gv::naming

@@ -17,7 +17,8 @@ RecoveryDaemon::RecoveryDaemon(sim::Node& node, rpc::RpcEndpoint& endpoint,
       store_(store),
       naming_node_(naming_node),
       host_(host),
-      runtime_(endpoint, /*uid_seed=*/0x4EC0 + node.id(), log) {
+      runtime_(endpoint, /*uid_seed=*/0x4EC0 + node.id(), log),
+      repairer_(node.job([this] { return repair_loop(); })) {
   node_.on_recover([this] {
     // Synchronously gate served objects BEFORE anything else can run:
     // until the Insert quiescence check re-admits this node, it must not
@@ -25,8 +26,8 @@ RecoveryDaemon::RecoveryDaemon(sim::Node& node, rpc::RpcEndpoint& endpoint,
     // store-loaded state would miss its effects).
     if (host_ != nullptr)
       for (const Uid& object : serves_) host_->block_activation(object);
-    reinserted_.clear();
-    node_.sim().spawn(repair_loop());
+    to_insert_ = serves_;
+    (void)repairer_.start();
   });
 }
 
@@ -39,57 +40,51 @@ sim::Task<> RecoveryDaemon::repair_loop() {
   // hit the naming node in lockstep on every pass.
   Backoff pace{BackoffConfig{100 * sim::kMillisecond, 2 * sim::kSecond},
                endpoint_.rng().fork()};
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    (void)co_await repair();
-    const bool clean =
-        store_.suspect_objects().empty() && reinserted_.size() == serves_.size();
-    if (clean) co_return;
-    co_await node_.sleep(pace.next());
+  bool clean = false;
+  for (int attempt = 0; attempt < 100 && !clean; ++attempt) {
+    co_await repair();
+    clean = store_.suspect_objects().empty() && to_insert_.empty();
+    if (!clean) co_await node_.sleep(pace.next());
   }
-  counters_.inc("recovery.gave_up");
+  if (!clean) counters_.inc("recovery.gave_up");
 }
 
-sim::Task<std::uint32_t> RecoveryDaemon::probe_views() {
-  std::uint32_t demoted = 0;
-  for (const Uid& object : store_.local_objects()) {
-    if (store_.suspect(object)) continue;  // already in the repair pipeline
-    auto st = co_await naming::ostdb_peek(endpoint_, naming_node_, object);
-    if (!st.ok()) continue;  // naming node unreachable; probe again later
-    const bool member =
-        std::find(st.value().begin(), st.value().end(), node_.id()) != st.value().end();
-    if (member) continue;
+sim::Task<> RecoveryDaemon::probe_views() {
+  std::vector<Uid> objects;
+  for (const Uid& object : store_.local_objects())
+    if (!store_.suspect(object)) objects.push_back(object);  // else being repaired
+  if (objects.empty()) co_return;
+  auto views = co_await naming::gvdb_get_views(endpoint_, naming_node_, std::move(objects));
+  if (!views.ok()) co_return;  // naming node unreachable; probe again later
+  for (const naming::ViewFill& fill : views.value().views) {
+    if (!fill.view || std::ranges::count(fill.view->st, node_.id()) > 0) continue;
     // Excluded while alive (partition, transient unreachability). Demote
     // to SUSPECT — the store stops serving the possibly-stale state — and
-    // let the standard repair path validate, refresh, and re-Include.
-    store_.mark_suspect(object);
+    // let the repair loop validate, refresh, and re-Include.
+    store_.mark_suspect(fill.object);
     counters_.inc("recovery.probe_demoted");
     core::trace_instant(runtime_.trace(), "recovery.probe_demoted", node_.id(), "recovery",
-                        object.to_string());
-    ++demoted;
+                        fill.object.to_string());
   }
-  // Repair whenever anything is suspect — this pass's demotions AND
-  // leftovers from an earlier pass that could not re-Include yet (e.g.
-  // the partition had not healed); those are skipped above as already
-  // suspect and would otherwise never be retried.
-  if (!store_.suspect_objects().empty()) (void)co_await repair();
-  co_return demoted;
+  // Also restarts the loop for leftovers of one that gave up.
+  if (!store_.suspect_objects().empty()) (void)repairer_.start();
 }
 
-void RecoveryDaemon::start_view_probe(sim::SimTime period) {
+void RecoveryDaemon::start_view_probe() {
   if (view_probe_ != nullptr && view_probe_->running) return;
-  view_probe_ = &node_.every(period, [this]() -> sim::Task<> { (void)co_await probe_views(); });
+  view_probe_ = &node_.every(kViewProbePeriod, [this] { return probe_views(); });
 }
 
-sim::Task<std::uint32_t> RecoveryDaemon::repair() {
+sim::Task<> RecoveryDaemon::repair() {
   counters_.inc("recovery.pass");
   auto span = core::trace_span(runtime_.trace(), "recovery.repair", node_.id(), "recovery",
                                std::to_string(store_.suspect_objects().size()) + " suspect");
   const sim::SimTime t0 = node_.sim().now();
   std::uint32_t refreshed = 0;
 
-  // Presume abort for aged orphan shadows up front: the pending-shadow
-  // guard below must not wait forever on a shadow whose coordinator died
-  // before deciding (in-doubt shadows are exempt inside the reaper).
+  // Reap aged orphan shadows up front, which also starts the in-doubt
+  // resolver: the pending-shadow guard below waits until each shadow is
+  // decided, and must not wait on one that nobody is asking about.
   (void)store_.reap_orphan_shadows();
 
   // Store role: validate / refresh each suspect object.
@@ -101,15 +96,11 @@ sim::Task<std::uint32_t> RecoveryDaemon::repair() {
   // Server role: re-announce ourselves via Insert (quiescence check).
   // NotQuiescent / lock conflicts simply mean clients are busy; the
   // repair loop retries until the object falls quiet.
-  for (const Uid& object : serves_) {
-    if (reinserted_.count(object) > 0) continue;
-    const bool done = co_await reinsert_server(object);
-    if (done) reinserted_.insert(object);
-  }
+  for (const Uid& object : std::vector<Uid>(to_insert_.begin(), to_insert_.end()))
+    if (co_await reinsert_server(object)) to_insert_.erase(object);
   core::metric_record(runtime_.metrics(), "recovery.repair_us",
                       static_cast<double>(node_.sim().now() - t0));
   span.end(std::to_string(refreshed) + " refreshed");
-  co_return refreshed;
 }
 
 // Scan the given St members for the highest committed version held by a

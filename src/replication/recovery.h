@@ -22,8 +22,9 @@
 //  a server node" — the write lock doubles as a quiescence check, so the
 //  Insert retries while clients are using the object.
 //
-// The daemon arms itself on the node's recovery hook; each repair runs
-// as its own top-level atomic action.
+// One repair loop drives both roles, started by the recovery hook and by
+// the view probe (DESIGN.md sec 24); each object's repair runs as its own
+// top-level atomic action.
 #pragma once
 
 #include <set>
@@ -52,23 +53,16 @@ class RecoveryDaemon {
   // configuration, set at object-creation time). Drives the Insert step.
   void add_served_object(const Uid& object) { serves_.insert(object); }
 
-  // Run one full repair pass; normally triggered automatically on
-  // recovery but callable from tests. Returns the number of objects
-  // refreshed from peers.
-  sim::Task<std::uint32_t> repair();
-
   // Partition-liveness probe (DESIGN.md sec 8 gap): a store that never
   // crashed but was partitioned away gets Excluded from St(A) by
   // committing clients, and nothing would ever re-Include it — the
-  // recovery hook only fires on crash/recovery. probe_views() peeks St
-  // for every locally stored, non-suspect object; if this node has been
-  // excluded, the object is demoted to SUSPECT and a repair pass runs the
-  // normal validate-and-Include path. Returns the number of objects
-  // demoted. start_view_probe arms a periodic probe (like the reaper it
-  // re-arms on recovery and keeps the event queue non-empty; stop with
-  // stop_view_probe).
-  sim::Task<std::uint32_t> probe_views();
-  void start_view_probe(sim::SimTime period = 500 * sim::kMillisecond);
+  // recovery hook only fires on crash/recovery. Every kViewProbePeriod
+  // the probe reads St(A) of all local, non-suspect objects in one
+  // gvdb.get_views call, demotes each object whose St lacks this node to
+  // SUSPECT and starts the repair loop. Like the reaper it re-arms on
+  // recovery and keeps the event queue non-empty until stop_view_probe.
+  static constexpr sim::SimTime kViewProbePeriod = 500 * sim::kMillisecond;
+  void start_view_probe();
   void stop_view_probe() noexcept {
     if (view_probe_ != nullptr) view_probe_->running = false;
   }
@@ -92,10 +86,11 @@ class RecoveryDaemon {
   };
   sim::Task<PeerScan> scan_peers(const Uid& object, const std::vector<NodeId>& st);
 
+  sim::Task<> repair_loop();  // runs as repairer_
+  sim::Task<> repair();       // one pass
+  sim::Task<> probe_views();
   sim::Task<bool> repair_store_object(const Uid& object);
   sim::Task<bool> reinsert_server(const Uid& object);
-
-  sim::Task<> repair_loop();
 
   sim::Node& node_;
   rpc::RpcEndpoint& endpoint_;
@@ -103,8 +98,9 @@ class RecoveryDaemon {
   NodeId naming_node_;
   ObjectServerHost* host_;
   actions::ActionRuntime runtime_;
-  std::set<Uid> serves_;      // stable config: objects this node can serve
-  std::set<Uid> reinserted_;  // volatile: Insert done this incarnation
+  std::set<Uid> serves_;     // stable config: objects this node can serve
+  std::set<Uid> to_insert_;  // volatile: Inserts owed this incarnation
+  sim::Node::Job& repairer_;
   sim::Node::Duty* view_probe_ = nullptr;
   Counters counters_;
 };

@@ -41,6 +41,22 @@ void Node::arm(Duty& duty) {
   });
 }
 
+Node::Job& Node::job(std::function<Task<>()> run) {
+  Job& job = *jobs_.emplace_back(std::make_unique<Job>(Job{*this, std::move(run)}));
+  on_crash([&job] { job.running = false; });
+  return job;
+}
+
+bool Node::Job::start() {
+  if (running) return false;
+  running = true;
+  node.sim().spawn([](Job& job) -> Task<> {
+    co_await job.run();
+    job.running = false;
+  }(*this));
+  return true;
+}
+
 NodeId Cluster::add_node() {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::make_unique<Node>(sim_, id));

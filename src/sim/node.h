@@ -67,6 +67,17 @@ class Node {
   // not a suspended coroutine, and recovery re-arms it.
   Duty& every(SimTime period, std::function<Task<>()> run);
 
+  // A job run on demand: start() runs it unless a run is still going,
+  // and says whether it started one. A crash ends the running run.
+  struct Job {
+    Node& node;
+    std::function<Task<>()> run;
+    bool running = false;
+    bool start();
+  };
+
+  Job& job(std::function<Task<>()> run);
+
   Simulator& sim() noexcept { return sim_; }
 
   // Statistics used by experiment harnesses.
@@ -83,6 +94,7 @@ class Node {
   std::vector<std::function<void()>> crash_listeners_;
   std::vector<std::function<void()>> recover_listeners_;
   std::vector<std::unique_ptr<Duty>> duties_;
+  std::vector<std::unique_ptr<Job>> jobs_;
 };
 
 // The set of workstations making up the system.

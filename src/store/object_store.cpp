@@ -9,14 +9,14 @@
 namespace gv::store {
 
 ObjectStore::ObjectStore(sim::Node& node, rpc::RpcEndpoint& endpoint)
-    : node_(node), endpoint_(endpoint) {
+    : node_(node),
+      endpoint_(endpoint),
+      resolver_(node.job([this] { return resolve_in_doubt(); })) {
   register_rpc();
 
   node_.on_crash([this] {
     // Volatile state only; committed_, tables_ and shadows_ are stable.
-    // The crash ended any running resolver.
     suspects_.clear();
-    resolving_ = false;
   });
   node_.on_recover([this] {
     // Recovery scan. Every shadow is IN-DOUBT: this store voted yes and
@@ -29,7 +29,7 @@ ObjectStore::ObjectStore(sim::Node& node, rpc::RpcEndpoint& endpoint)
     }
     // Every object is suspect until the recovery protocol validates it.
     for (const auto& [uid, vs] : committed_) suspects_.insert(uid);
-    if (!shadows_.empty()) trigger_resolve();
+    if (!shadows_.empty()) (void)resolver_.start();
   });
 }
 
@@ -65,7 +65,7 @@ Status ObjectStore::prepare(const Uid& uid, const Uid& txn, std::uint64_t versio
     counters_.inc("store.prepare_behind_shadow");
     if (set.coordinator != sim::kNoNode) {
       set.in_doubt = true;
-      trigger_resolve();
+      (void)resolver_.start();
     }
     return Err::Conflict;
   }
@@ -95,15 +95,6 @@ std::size_t ObjectStore::in_doubt_count() const {
   return n;
 }
 
-void ObjectStore::trigger_resolve() {
-  if (resolving_) return;
-  resolving_ = true;
-  node_.sim().spawn([](ObjectStore& self) -> sim::Task<> {
-    co_await self.resolve_in_doubt();
-    self.resolving_ = false;
-  }(*this));
-}
-
 sim::Task<> ObjectStore::resolve_in_doubt() {
   // Snapshot the in-doubt txn ids; commits/aborts may arrive meanwhile.
   std::vector<Uid> pending;
@@ -119,10 +110,10 @@ sim::Task<> ObjectStore::resolve_in_doubt() {
     bool unanswered = false;
     if (coordinator != sim::kNoNode) {
       // Unknown from a LIVE coordinator can mean "still deciding": retry
-      // with backoff; only a persistent Unknown (the coordinator never
-      // decided: it crashed first, or the action was abandoned) becomes
-      // a presumed abort. A call that goes unanswered proves nothing:
-      // the coordinator's stable log may hold Committed.
+      // with backoff; only an Unknown answered every time (the coordinator
+      // never decided: it crashed first, or the action was abandoned)
+      // becomes a presumed abort. Silence proves nothing: the
+      // coordinator's stable log may hold Committed.
       Backoff pace{BackoffConfig{100 * sim::kMillisecond, 500 * sim::kMillisecond},
                    endpoint_.rng().fork()};
       for (int attempt = 0; attempt < 10; ++attempt) {
@@ -132,7 +123,7 @@ sim::Task<> ObjectStore::resolve_in_doubt() {
           outcome = r.value();
           break;
         }
-        if (!r.ok()) unanswered = true;
+        unanswered |= !r.ok();
         co_await node_.sleep(pace.next());
         // A phase-2 RPC may have resolved it while we slept.
         if (shadows_.find(txn) == shadows_.end()) break;
@@ -141,23 +132,19 @@ sim::Task<> ObjectStore::resolve_in_doubt() {
     // Re-find: the wait may have resolved it through a phase-2 RPC.
     it = shadows_.find(txn);
     if (it == shadows_.end()) continue;
-    if (unanswered && outcome == actions::TxnOutcome::Unknown) {
-      // Stay in doubt (2PC blocks here); the next trigger asks again.
-      counters_.inc("store.in_doubt_unanswered");
-      continue;
-    }
     if (outcome == actions::TxnOutcome::Committed) {
       counters_.inc("store.in_doubt_committed");
       core::trace_instant(endpoint_.trace(), "store.in_doubt_resolved", node_.id(), "store",
                           txn.to_string() + " committed");
       (void)commit(txn);
-    } else {
-      // Aborted, or Unknown answered through every retry (or no known
-      // coordinator to ask): presume abort, counted so experiments can
-      // see it.
+    } else if (outcome == actions::TxnOutcome::Aborted || !unanswered) {
+      // A presumed abort (no coordinator to ask, or Unknown answered every
+      // time) is counted so experiments can see it.
       counters_.inc(outcome == actions::TxnOutcome::Aborted ? "store.in_doubt_aborted"
                                                             : "store.in_doubt_presumed_abort");
       (void)abort(txn);
+    } else {
+      counters_.inc("store.in_doubt_unanswered");  // stays; the next trigger asks again
     }
   }
 }
@@ -266,7 +253,7 @@ std::size_t ObjectStore::reap_orphan_shadows() {
     core::trace_instant(endpoint_.trace(), "store.shadow_reaped", node_.id(), "store",
                         std::to_string(reaped) + " presumed abort");
   }
-  if (in_doubt) trigger_resolve();
+  if (in_doubt) (void)resolver_.start();
   return reaped;
 }
 

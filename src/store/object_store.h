@@ -4,10 +4,9 @@
 // States are versioned: each top-level action that modifies an object
 // installs version v+1. Writes from commit processing are two-phase —
 // prepare() lands the new state in a stable shadow slot keyed by the
-// action UID; commit() installs it; abort() discards it. A shadow whose
-// phase 2 never came is resolved by asking its coordinator (see
-// reap_orphan_shadows). Checkpoints and recovery refreshes use the
-// single-phase write_direct().
+// action UID; commit() installs it; abort() discards it; one whose phase
+// 2 never came is resolved with its coordinator. Checkpoints and recovery
+// refreshes use the single-phase write_direct().
 //
 // Crash semantics: committed states and shadow slots live on stable
 // storage and survive crashes; on recovery every locally stored object is
@@ -105,14 +104,11 @@ class ObjectStore {
   void rekey_shadow(const Uid& child, const Uid& parent);
   void drop_shadow(const Uid& txn) { shadows_.erase(txn); }
 
-  // Orphan cleanup: a shadow older than kOrphanShadowAge may be an
-  // orphan. One with a recorded coordinator is made IN-DOUBT (its phase 2
-  // may have been lost after a commit); one without is reaped, presumed
-  // aborted. Returns the number reaped. Each pass with an in-doubt shadow
-  // triggers the resolver, so a shadow left in doubt is asked about
-  // again. start_reaper runs a pass every kReaperPeriod (survives node
-  // recovery; stop with stop_reaper; like the janitor it keeps the event
-  // queue non-empty). A recovery pass also reaps first.
+  // Orphan cleanup: a shadow older than kOrphanShadowAge with a recorded
+  // coordinator is made IN-DOUBT (its phase 2 may have been lost after a
+  // commit); one without is reaped. Returns the number reaped. A pass
+  // with an in-doubt shadow starts the resolver. start_reaper runs a pass
+  // every kReaperPeriod until stop_reaper, re-armed on recovery.
   static constexpr sim::SimTime kOrphanShadowAge = 2 * sim::kSecond;
   static constexpr sim::SimTime kReaperPeriod = 500 * sim::kMillisecond;
   std::size_t reap_orphan_shadows();
@@ -139,10 +135,8 @@ class ObjectStore {
     fault_rng_.reseed(seed);
   }
   void clear_faults() { faults_ = StoreFaultConfig{}; }
-  const StoreFaultConfig& faults() const noexcept { return faults_; }
 
   Counters& counters() noexcept { return counters_; }
-  NodeId node_id() const noexcept { return node_.id(); }
 
   // ---- remote client helpers (run on any node) -------------------------
   // Read the committed state of `uid` from store node `dest`.
@@ -176,22 +170,18 @@ class ObjectStore {
     bool in_doubt = false;  // outcome to be asked of the coordinator
   };
 
-  // Start resolve_in_doubt unless it is already running; a crash ends a
-  // running one. Every in-doubt trigger comes here.
-  void trigger_resolve();
-  // Ask each in-doubt shadow's coordinator for its outcome, with retries.
-  // A shadow whose coordinator never answered stays in doubt.
+  // Ask each in-doubt shadow's coordinator, with retries; a shadow it
+  // never answers about stays in doubt. Runs as resolver_.
   sim::Task<> resolve_in_doubt();
+  sim::Node::Job& resolver_;
 
   // STABLE storage: survives crashes.
   std::map<Uid, VersionedState> committed_;
   std::map<Uid, std::map<Uid, Buffer>> tables_;  // table -> key -> record
-  // Shadow slots: stable; installed or discarded by phase 2, by the
-  // in-doubt resolver, or (no known coordinator) by the orphan reaper.
-  // txn -> pending writes.
+  // Shadow slots: stable; ended by phase 2, the in-doubt resolver or the
+  // orphan reaper. txn -> pending writes.
   std::map<Uid, ShadowSet> shadows_;
   sim::Node::Duty* reaper_ = nullptr;
-  bool resolving_ = false;  // volatile: a resolve_in_doubt is running
   StoreFaultConfig faults_;
   Rng fault_rng_{0xFA017};
 

@@ -103,7 +103,6 @@ TEST(Partition, ViewProbeReIncludesHealedStoreWithoutCrashCycle) {
   SystemConfig cfg;
   cfg.nodes = 8;
   cfg.start_view_probe = true;
-  cfg.view_probe_period = 200 * sim::kMillisecond;
   Sys s{cfg};
   Uid obj = s.sys.define_object("o", "counter", Counter{}.snapshot(), {2}, {3, 4},
                                 ReplicationPolicy::SingleCopyPassive, 1);
@@ -131,6 +130,62 @@ TEST(Partition, ViewProbeReIncludesHealedStoreWithoutCrashCycle) {
   // The whole point: no crash/recovery cycle was needed.
   EXPECT_EQ(s.sys.cluster().node(4).crash_count(), crashes_before);
   EXPECT_GE(s.sys.recovery_at(4).counters().get("recovery.probe_demoted"), 1u);
+}
+
+// The probe reads St for every object of its store in one naming call
+// per pass, so the calls follow the passes, not the objects.
+TEST(Partition, ViewProbeAsksNamingOncePerPass) {
+  SystemConfig cfg;
+  cfg.nodes = 8;
+  cfg.start_view_probe = true;
+  Sys s{cfg};
+  constexpr std::size_t kObjects = 8;
+  std::vector<Uid> objs;
+  for (std::size_t i = 0; i < kObjects; ++i)
+    objs.push_back(s.sys.define_object("o" + std::to_string(i), "counter",
+                                       Counter{}.snapshot(), {2}, {3, 4},
+                                       ReplicationPolicy::SingleCopyPassive, 1));
+  auto* client = s.sys.client(1);
+  s.sys.sim().spawn([](ReplicaSystem& sys, ClientSession* client,
+                       std::vector<Uid> objs) -> sim::Task<> {
+    auto txn = client->begin();
+    for (const Uid& obj : objs) (void)co_await txn->invoke(obj, "add", i64_buf(1), LockMode::Write);
+    sys.net().partition({4}, {0, 1, 2, 3, 5, 6, 7});
+    EXPECT_TRUE((co_await txn->commit()).ok());
+  }(s.sys, client, objs));
+  s.sys.sim().run_until(1 * sim::kSecond);
+  for (const Uid& obj : objs)
+    EXPECT_EQ(s.sys.gvdb().states().peek(obj), (std::vector<sim::NodeId>{3}));
+
+  s.sys.net().heal();
+  constexpr sim::SimTime kHorizon = 4 * sim::kSecond;
+  s.sys.sim().run_until(kHorizon);
+  for (const Uid& obj : objs) {
+    auto st = s.sys.gvdb().states().peek(obj);
+    std::sort(st.begin(), st.end());
+    EXPECT_EQ(st, (std::vector<sim::NodeId>{3, 4}));
+    EXPECT_EQ(s.sys.store_at(4).read(obj).value().version, 2u);
+  }
+  // Stores 3 and 4 probe; each pass starts a period after the last one
+  // ended. Nothing else calls get_views: the view cache is off.
+  constexpr std::uint64_t kMaxPasses = kHorizon / replication::RecoveryDaemon::kViewProbePeriod;
+  const auto& latencies = s.sys.metrics().histograms();
+  const auto get_views = latencies.find("rpc.gvdb.get_views_us");
+  const std::uint64_t calls = get_views == latencies.end() ? 0 : get_views->second.count();
+  EXPECT_GE(calls, 2 * (kMaxPasses - 2));
+  EXPECT_LE(calls, 2 * kMaxPasses);
+
+  // Once every store is back in St only the probes call anyone: over a
+  // quiet window, all RPCs together still follow the passes.
+  auto all_calls = [&latencies] {
+    std::uint64_t n = 0;
+    for (const auto& [name, h] : latencies)
+      if (name.rfind("rpc.", 0) == 0) n += h.count();
+    return n;
+  };
+  const std::uint64_t before = all_calls();
+  s.sys.sim().run_until(2 * kHorizon);
+  EXPECT_LE(all_calls() - before, 2 * kMaxPasses);
 }
 
 TEST(Partition, MinorityServerReplicaDroppedMajorityContinues) {

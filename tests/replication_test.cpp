@@ -529,6 +529,52 @@ TEST(Recovery, CleanCrashValidatesWithoutRefresh) {
   EXPECT_GE(s.sys.recovery_at(4).counters().get("recovery.validated"), 1u);
 }
 
+// The recovery hook and the view probe drive one repair loop: a probe
+// that fires while a long pass is running starts no second pass over the
+// same suspects, so each Excluded object is Included exactly once.
+TEST(Recovery, OneRepairRunsAtATime) {
+  SystemConfig cfg;
+  cfg.start_view_probe = true;
+  Sys s{cfg};
+  // Enough objects that one pass over them outlasts two probe periods.
+  constexpr std::size_t kObjects = 128;
+  std::vector<Uid> objs;
+  for (std::size_t i = 0; i < kObjects; ++i)
+    objs.push_back(s.sys.define_object("ctr" + std::to_string(i), "counter",
+                                       Counter{}.snapshot(), {2}, {3, 4},
+                                       ReplicationPolicy::SingleCopyPassive, 1));
+  s.sys.cluster().node(4).crash();
+  s.sys.sim().spawn([](core::ClientSession* client, std::vector<Uid> objs) -> sim::Task<> {
+    auto txn = client->begin();
+    for (const Uid& obj : objs) (void)co_await txn->invoke(obj, "add", i64_buf(1), LockMode::Write);
+    EXPECT_TRUE((co_await txn->commit()).ok());  // node 4 excluded from every St
+  }(s.sys.client(1), objs));
+  s.sys.sim().run_until(2 * sim::kSecond);
+  for (const Uid& obj : objs)
+    ASSERT_EQ(s.sys.gvdb().states().peek(obj), (std::vector<sim::NodeId>{3}));
+
+  const sim::SimTime recovered_at = s.sys.sim().now();
+  s.sys.cluster().node(4).recover();
+  s.sys.sim().run_until(recovered_at + 5 * sim::kSecond);
+  for (sim::NodeId n = 0; n < s.sys.cluster().size(); ++n) s.sys.recovery_at(n).stop_view_probe();
+  s.sys.sim().run();
+
+  const auto& recovery = s.sys.recovery_at(4).counters();
+  // The first pass outlasted the probe period, so probes ran during it.
+  EXPECT_GT(s.sys.metrics().histograms().at("recovery.repair_us").max(),
+            static_cast<double>(2 * RecoveryDaemon::kViewProbePeriod));
+  EXPECT_EQ(s.sys.gvdb().counters().get("ostdb.include"), kObjects);
+  EXPECT_EQ(recovery.get("recovery.include_refused"), 0u);
+  EXPECT_EQ(recovery.get("recovery.included"), kObjects);
+  EXPECT_EQ(recovery.get("recovery.validated"), kObjects);
+  for (const Uid& obj : objs) {
+    auto st = s.sys.gvdb().states().peek(obj);
+    std::sort(st.begin(), st.end());
+    EXPECT_EQ(st, (std::vector<sim::NodeId>{3, 4}));
+    EXPECT_EQ(s.sys.store_at(4).read(obj).value().version, 2u);
+  }
+}
+
 // A recovered server node re-runs Insert before serving (sec 4.1.2).
 TEST(Recovery, RecoveredServerReinserts) {
   Sys s;
