@@ -21,7 +21,7 @@ Detached drive(Task<> task) { co_await std::move(task); }
 
 }  // namespace
 
-std::uint64_t Simulator::schedule(SimTime delay, std::function<void()> fn) {
+std::uint64_t Simulator::schedule(SimTime delay, Event fn) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -42,7 +42,7 @@ std::uint64_t Simulator::schedule(SimTime delay, std::function<void()> fn) {
 
 void Simulator::release(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  s.fn = nullptr;
+  s.fn.reset();
   ++s.gen;
   free_slots_.push_back(slot);
 }
@@ -65,7 +65,7 @@ bool Simulator::pop_and_run() {
   if (s.gen != key.gen) return false;  // cancelled
   // Take the closure out before running it: it may schedule events, which
   // can grow the slab and move `s`.
-  std::function<void()> fn = std::move(s.fn);
+  Event fn = std::move(s.fn);
   const TraceContext ctx = s.ctx;
   release(key.slot);
   now_ = key.at;

@@ -6,9 +6,11 @@
 // sequence number, and all randomness flows from the simulator's Rng tree.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/task.h"
@@ -24,6 +26,79 @@ constexpr SimTime kMicrosecond = 1;
 constexpr SimTime kMillisecond = 1000;
 constexpr SimTime kSecond = 1000 * 1000;
 
+// A scheduled event's closure: a move-only callable that holds closures
+// of up to kInline bytes in place and larger ones on the heap. A
+// resumption (handle, node, incarnation), a gated sleep and a datagram
+// delivery (endpoints and the Buffer) all fit, so scheduling them
+// allocates nothing.
+class Event {
+ public:
+  static constexpr std::size_t kInline = 48;
+
+  Event() noexcept = default;
+  template <typename F, typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Event>>>
+  Event(F&& fn) {  // NOLINT: implicit, like std::function
+    using Fn = std::decay_t<F>;
+    if constexpr (fits<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
+      ops_ = &kHeapOps<Fn>;
+    }
+  }
+  Event(Event&& other) noexcept { take(other); }
+  Event& operator=(Event&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  Event(const Event&) = delete;
+  Event& operator=(const Event&) = delete;
+  ~Event() { reset(); }
+
+  explicit operator bool() const noexcept { return ops_ != nullptr; }
+  void operator()() { ops_->call(buf_); }
+  void reset() noexcept {
+    if (ops_ != nullptr) std::exchange(ops_, nullptr)->destroy(buf_);
+  }
+
+ private:
+  struct Ops {
+    void (*call)(void*);
+    void (*move)(void* to, void* from) noexcept;  // leaves `from` destroyed
+    void (*destroy)(void*) noexcept;
+  };
+  template <typename Fn>
+  static constexpr bool fits = sizeof(Fn) <= kInline &&
+                               alignof(Fn) <= alignof(std::max_align_t) &&
+                               std::is_nothrow_move_constructible_v<Fn>;
+  template <typename Fn>
+  static constexpr Ops kInlineOps{
+      [](void* p) { (*static_cast<Fn*>(p))(); },
+      [](void* to, void* from) noexcept {
+        ::new (to) Fn(std::move(*static_cast<Fn*>(from)));
+        static_cast<Fn*>(from)->~Fn();
+      },
+      [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); }};
+  template <typename Fn>
+  static constexpr Ops kHeapOps{
+      [](void* p) { (**static_cast<Fn**>(p))(); },
+      [](void* to, void* from) noexcept { ::new (to) Fn*(*static_cast<Fn**>(from)); },
+      [](void* p) noexcept { delete *static_cast<Fn**>(p); }};
+
+  void take(Event& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->move(buf_, other.buf_);
+    ops_ = std::exchange(other.ops_, nullptr);
+  }
+
+  alignas(std::max_align_t) unsigned char buf_[kInline];
+  const Ops* ops_ = nullptr;
+};
+
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
@@ -36,7 +111,7 @@ class Simulator {
 
   // Schedule `fn` to run `delay` after now. Returns an event id usable
   // with cancel(); cancelling an event that already ran is a no-op.
-  std::uint64_t schedule(SimTime delay, std::function<void()> fn);
+  std::uint64_t schedule(SimTime delay, Event fn);
   void cancel(std::uint64_t event_id);
 
   // Launch a detached coroutine process. It runs until its first
@@ -91,7 +166,7 @@ class Simulator {
     }
   };
   struct Slot {
-    std::function<void()> fn;
+    Event fn;
     TraceContext ctx;  // causal context captured at schedule time
     std::uint32_t gen = 0;
   };
