@@ -45,6 +45,16 @@ void AtomicAction::voted_yes(const ParticipantRef& ref) {
     voted_.push_back(ref);
 }
 
+void AtomicAction::voted_read_only(const ParticipantRef& ref) {
+  if (std::find(participants_.begin(), participants_.end(), ref) == participants_.end()) return;
+  rt_.counters().inc("action.read_only_vote");
+  delist(ref);
+}
+
+bool AtomicAction::sole_participant(const ParticipantRef& ref) const {
+  return participants_.size() == 1 && participants_.front() == ref;
+}
+
 void AtomicAction::delist(const ParticipantRef& ref) {
   participants_.erase(std::remove(participants_.begin(), participants_.end(), ref),
                       participants_.end());

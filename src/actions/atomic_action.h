@@ -117,6 +117,15 @@ class AtomicAction {
   // still reaches it. A participant not enlisted (or delisted) is ignored.
   void voted_yes(const ParticipantRef& ref);
 
+  // Record that an enlisted participant voted ReadOnly in the reply
+  // carrying its last work for this action: it ended the action there
+  // and left, so it is delisted, and neither phase 2 nor an abort
+  // reaches it (DESIGN.md sec 25).
+  void voted_read_only(const ParticipantRef& ref);
+
+  // True if `ref` is enlisted and every other participant has left.
+  bool sole_participant(const ParticipantRef& ref) const;
+
   // Remove a participant (e.g. a crashed object server whose state is
   // volatile: it holds nothing durable this action needs to decide, and
   // including it in the 2PC would needlessly abort a maskable failure).

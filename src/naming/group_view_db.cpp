@@ -149,15 +149,19 @@ void GroupViewDb::note_activity(const Uid& action, NodeId owner) {
 }
 
 sim::Task<actions::Vote> GroupViewDb::prepare(const Uid& txn, bool may_leave) {
+  co_return vote(txn, may_leave);
+}
+
+actions::Vote GroupViewDb::vote(const Uid& txn, bool may_leave) {
   // Mutations were validated (locks + entry checks) when buffered; a
   // naming database can always complete a commit locally. An action that
   // only read here (GetView, GetServer, validate) has nothing to persist:
   // when allowed, it ends here and its read locks go now.
-  if (!may_leave || undo_.count(txn) > 0) co_return actions::Vote::Yes;
+  if (!may_leave || undo_.count(txn) > 0) return actions::Vote::Yes;
   orphans_.forget(txn);
   locks_.release_all(txn);
   counters_.inc("db.read_only_vote");
-  co_return actions::Vote::ReadOnly;
+  return actions::Vote::ReadOnly;
 }
 
 sim::Task<Status> GroupViewDb::commit(const Uid& txn) {
@@ -551,8 +555,10 @@ Result<GetViewsReply> GroupViewDb::get_views(const std::vector<Uid>& objects) {
   return out;
 }
 
-sim::Task<Status> GroupViewDb::validate(NodeId from, Uid action, std::uint64_t incarnation,
-                                        std::vector<ValidateItem> items) {
+sim::Task<Result<actions::Vote>> GroupViewDb::validate(NodeId from, Uid action,
+                                                       std::uint64_t incarnation,
+                                                       std::vector<ValidateItem> items,
+                                                       bool may_leave) {
   counters_.inc("gvdb.validate");
   // An entry epoch is only meaningful within one incarnation of this
   // node: in-memory bumps die with a crash, so a view cached against a
@@ -564,11 +570,11 @@ sim::Task<Status> GroupViewDb::validate(NodeId from, Uid action, std::uint64_t i
   note_activity(action, from);
   for (const ValidateItem& item : items) {
     Status s = co_await check_epoch(servers_, item.object, item.sv_epoch, action);
-    if (!s.ok()) co_return s;
+    if (!s.ok()) co_return s.error();
     s = co_await check_epoch(states_, item.object, item.st_epoch, action);
-    if (!s.ok()) co_return s;
+    if (!s.ok()) co_return s.error();
   }
-  co_return ok_status();
+  co_return vote(action, may_leave);
 }
 
 // --------------------------------------------------------------- RPC glue
@@ -613,8 +619,8 @@ void GroupViewDb::register_rpc(rpc::RpcEndpoint& endpoint) {
   endpoint.serve(kGvdbGetViews,
                  [this](NodeId, std::vector<Uid> objects) { return get_views(objects); });
   endpoint.serve(kGvdbValidate, [this](NodeId from, Uid action, std::uint64_t incarnation,
-                                       std::vector<ValidateItem> items) {
-    return validate(from, action, incarnation, std::move(items));
+                                       std::vector<ValidateItem> items, bool may_leave) {
+    return validate(from, action, incarnation, std::move(items), may_leave);
   });
 }
 

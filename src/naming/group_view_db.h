@@ -36,7 +36,9 @@
 //          snapshot of Sv(A)+St(A) with their view epochs and this node's
 //          incarnation (also read by the stores' partition-heal view
 //          probe), and validate(items...), the commit-time staleness
-//          check that read-locks every named entry and compares epochs.
+//          check that read-locks every named entry and compares epochs;
+//          sent last by a read-only action, it also carries the
+//          database's vote (DESIGN.md sec 25).
 //
 // It also feeds a small ring of recently invalidated UIDs that the RPC
 // layer piggybacks on every reply leaving this node, so client caches
@@ -145,11 +147,12 @@ struct Piggyback {
 };
 
 // The gvdb service's methods, declared once for the registration and the
-// client stubs below. validate takes (action, incarnation, items).
+// client stubs below. validate takes (action, incarnation, items, may
+// leave) and answers the database's vote.
 inline constexpr rpc::Rpc<GetViewsReply(std::vector<Uid>)> kGvdbGetViews{kGvdbService,
                                                                          "get_views"};
-inline constexpr rpc::Rpc<void(Uid, std::uint64_t, std::vector<ValidateItem>)> kGvdbValidate{
-    kGvdbService, "validate"};
+inline constexpr rpc::Rpc<actions::Vote(Uid, std::uint64_t, std::vector<ValidateItem>, bool)>
+    kGvdbValidate{kGvdbService, "validate"};
 // (object, client action, bind action, for update)
 inline constexpr rpc::Rpc<BindView(Uid, Uid, Uid, bool)> kOsdbBindRead{kOsdbService, "bind_read"};
 
@@ -261,6 +264,9 @@ class GroupViewDb final : public actions::ServerParticipant {
     undo_[txn].push_back(Undo{entry, part, std::move(fn)});
   }
   void rollback(const Uid& txn);
+  // `txn`'s vote: ReadOnly, ending it here and releasing its locks, when
+  // `may_leave` and it has nothing to persist; Yes otherwise.
+  actions::Vote vote(const Uid& txn, bool may_leave);
   // Commit `txn` here and now: persist the parts of each entry it touched
   // (and `also_parts` of `also`, unless nil), release its locks and
   // forget it. commit() is this; a single-site action ends through it
@@ -294,8 +300,8 @@ class GroupViewDb final : public actions::ServerParticipant {
   void note_invalidation(const Uid& object);
   void register_rpc(rpc::RpcEndpoint& endpoint);
   Result<GetViewsReply> get_views(const std::vector<Uid>& objects);
-  sim::Task<Status> validate(NodeId from, Uid action, std::uint64_t incarnation,
-                             std::vector<ValidateItem> items);
+  sim::Task<Result<actions::Vote>> validate(NodeId from, Uid action, std::uint64_t incarnation,
+                                            std::vector<ValidateItem> items, bool may_leave);
 
   sim::Node& node_;
   store::ObjectStore& store_;
@@ -323,10 +329,13 @@ inline sim::Task<Result<GetViewsReply>> gvdb_get_views(rpc::RpcEndpoint& ep, Nod
                                                        std::vector<Uid> objects) {
   return ep.call(naming_node, kGvdbGetViews, objects);
 }
-inline sim::Task<Status> gvdb_validate(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                       std::uint64_t incarnation, std::vector<ValidateItem> items,
-                                       Uid action) {
-  return ep.call(naming_node, kGvdbValidate, action, incarnation, items);
+// With `may_leave` a validated action that did no other work here ends
+// here, and the answer is ReadOnly.
+inline sim::Task<Result<actions::Vote>> gvdb_validate(rpc::RpcEndpoint& ep, NodeId naming_node,
+                                                      std::uint64_t incarnation,
+                                                      std::vector<ValidateItem> items, Uid action,
+                                                      bool may_leave = false) {
+  return ep.call(naming_node, kGvdbValidate, action, incarnation, items, may_leave);
 }
 inline sim::Task<Result<BindView>> osdb_bind_read(rpc::RpcEndpoint& ep, NodeId naming_node,
                                                   Uid object, Uid client_action, Uid bind_action,

@@ -14,16 +14,19 @@ const char* to_string(ReplicationPolicy p) noexcept {
 }
 
 sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId node,
-                                                std::vector<NodeId> st) {
+                                                std::vector<NodeId> st, Activated& activated) {
   // A node that is down, cannot reach any St store, or lacks the class
   // binary fails the probe and is handled per the binder's scheme. An
   // active replica must also join the group in the same call: a bound
   // member that never joined silently misses every invocation, and its
   // unmodified state can mask a lost write at commit.
   const bool join = spec.policy == ReplicationPolicy::Active;
-  Status s = co_await objsrv_activate(rt_.endpoint(), node, spec.uid, spec.class_name,
-                                      std::move(st), join);
-  if (s.ok()) co_return naming::ProbeResult::Ok;
+  auto s = co_await objsrv_activate(rt_.endpoint(), node, spec.uid, spec.class_name,
+                                    std::move(st), join);
+  if (s.ok()) {
+    activated[node] = s.value();
+    co_return naming::ProbeResult::Ok;
+  }
   switch (s.error()) {
     case Err::NotQuiescent:  // recovering: its Insert will re-admit it
     case Err::NoReplicas:    // alive, but no store reachable right now
@@ -34,6 +37,11 @@ sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId n
     default:
       co_return naming::ProbeResult::Dead;
   }
+}
+
+void Activator::record_incarnations(ActiveBinding& out, const Activated& activated) {
+  out.incarnations.clear();
+  for (NodeId server : out.bind.servers) out.incarnations.push_back(activated.at(server));
 }
 
 // Sec 6 cached bind: serve Sv/St from the client's GroupViewCache — a
@@ -48,8 +56,9 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
                   : core::TraceRecorder::Span{};
   const std::size_t want =
       spec.policy == ReplicationPolicy::SingleCopyPassive ? 1 : spec.servers_wanted;
-  naming::Binder::Probe prober = [this, &spec](NodeId node, std::vector<NodeId> st) {
-    return probe(spec, node, std::move(st));
+  Activated activated;
+  naming::Binder::Probe prober = [this, &spec, &activated](NodeId node, std::vector<NodeId> st) {
+    return probe(spec, node, std::move(st), activated);
   };
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto entry = co_await cache_->get_or_fetch(spec.uid);
@@ -84,6 +93,7 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
     out.spec = std::move(spec);
     out.bind = std::move(bound);
     out.primary = out.bind.servers.front();
+    record_incarnations(out, activated);
     counters_.inc("activate.bound_cached");
     span.end("ok");
     co_return out;
@@ -106,10 +116,12 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate(ObjectSpec spec,
   // fail.
   const std::size_t want =
       spec.policy == ReplicationPolicy::SingleCopyPassive ? 1 : spec.servers_wanted;
+  Activated activated;
   auto bound = co_await binder_.bind(
       spec.uid, want, &action,
-      [this, &spec](NodeId node, std::vector<NodeId> st) -> sim::Task<naming::ProbeResult> {
-        return probe(spec, node, std::move(st));
+      [this, &spec, &activated](NodeId node,
+                                std::vector<NodeId> st) -> sim::Task<naming::ProbeResult> {
+        return probe(spec, node, std::move(st), activated);
       });
   if (!bound.ok()) {
     counters_.inc("activate.bind_failed");
@@ -123,6 +135,7 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate(ObjectSpec spec,
   out.bind = std::move(bound).value();
   out.st = out.bind.st;
   out.primary = out.bind.servers.front();
+  record_incarnations(out, activated);
   counters_.inc("activate.bound");
   co_return out;
 }

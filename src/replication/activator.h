@@ -23,6 +23,8 @@
 //                      receive checkpoints at commit and stand by warm
 #pragma once
 
+#include <map>
+
 #include "actions/atomic_action.h"
 #include "naming/binder.h"
 #include "naming/view_cache.h"
@@ -47,6 +49,9 @@ struct ObjectSpec {
 struct ActiveBinding {
   ObjectSpec spec;
   naming::BindResult bind;      // bound servers (Sv')
+  // Per bound server, in bind.servers order: the incarnation that
+  // activated the object. Staging is a call bound to it (sec 3.1).
+  std::vector<std::uint64_t> incarnations;
   std::vector<NodeId> st;       // St(A) as read under the action
   NodeId primary = sim::kNoNode;  // invocation target (passive / CC)
 
@@ -95,10 +100,15 @@ class Activator {
  private:
   sim::Task<Result<ActiveBinding>> bind_and_activate_cached(ObjectSpec spec,
                                                             actions::AtomicAction& action);
+  // One bind's successful probes: each server's incarnation.
+  using Activated = std::map<NodeId, std::uint64_t>;
   // Ask `node` to activate the object from the stores in `st`, joining
-  // its replica group if the object is actively replicated.
+  // its replica group if the object is actively replicated; a success
+  // is appended to `activated`.
   sim::Task<naming::ProbeResult> probe(const ObjectSpec& spec, NodeId node,
-                                       std::vector<NodeId> st);
+                                       std::vector<NodeId> st, Activated& activated);
+  // Fill `out.incarnations` from its bound servers' activations.
+  static void record_incarnations(ActiveBinding& out, const Activated& activated);
 
   actions::ActionRuntime& rt_;
   naming::Binder binder_;

@@ -1,5 +1,6 @@
 #include "replication/commit_processor.h"
 
+#include <algorithm>
 #include <set>
 
 #include "actions/coordinator_log.h"
@@ -11,7 +12,7 @@
 namespace gv::replication {
 
 sim::Task<Status> CommitProcessor::validate_cached_views(
-    actions::AtomicAction& action, const std::vector<ActiveBinding*>& bindings) {
+    actions::AtomicAction& action, const std::vector<ActiveBinding*>& bindings, bool last) {
   // Group items by the naming-node incarnation their fill was served by;
   // normally that is a single group and a single RPC.
   std::map<std::uint64_t, std::vector<naming::ValidateItem>> groups;
@@ -24,12 +25,17 @@ sim::Task<Status> CommitProcessor::validate_cached_views(
   counters_.inc("commit.validate_rpcs", groups.size());
   // The read locks validate acquires live under this action at the group
   // view database; enlist it so 2PC termination releases the locks.
-  action.enlist({naming_node_, naming::kGvdbService});
+  const actions::ParticipantRef gvdb{naming_node_, naming::kGvdbService};
+  action.enlist(gvdb);
+  std::size_t left = groups.size();
   for (auto& [incarnation, items] : groups) {
-    Status s = co_await naming::gvdb_validate(rt_.endpoint(), naming_node_, incarnation,
-                                              std::move(items), action.uid());
-    if (!s.ok()) {
-      if (s.error() == Err::StaleView) {
+    // Sent last, when every other participant has left, the final call
+    // lets the database end the action too.
+    const bool may_leave = last && --left == 0 && action.sole_participant(gvdb);
+    auto vote = co_await naming::gvdb_validate(rt_.endpoint(), naming_node_, incarnation,
+                                               std::move(items), action.uid(), may_leave);
+    if (!vote.ok()) {
+      if (vote.error() == Err::StaleView) {
         // Retired view: drop every cached entry this action relied on so
         // the retry refetches, then report staleness distinctly.
         counters_.inc("commit.validate_stale");
@@ -39,8 +45,11 @@ sim::Task<Status> CommitProcessor::validate_cached_views(
       } else {
         counters_.inc("commit.validate_failed");
       }
-      co_return s;
+      const Err reason = vote.error();
+      (void)co_await action.abort();
+      co_return reason;
     }
+    if (vote.value() == actions::Vote::ReadOnly) action.voted_read_only(gvdb);
   }
   counters_.inc("commit.validate_ok");
   co_return ok_status();
@@ -51,14 +60,17 @@ sim::Task<Status> CommitProcessor::commit(actions::AtomicAction& action,
   const NodeId here = rt_.endpoint().node_id();
   sim::Simulator& sim = rt_.endpoint().node().sim();
 
-  // 0. Cached binds skipped the naming service entirely; before staging
-  // anything against their views, prove those views are still current
-  // (and pin them, via the validate read locks, until the action ends).
-  Status valid = co_await validate_cached_views(action, bindings);
-  if (!valid.ok()) {
-    const Err reason = valid.error();
-    (void)co_await action.abort();
-    co_return reason;
+  // A reader is an action that wrote nothing. Its bound servers may vote
+  // ReadOnly in their staging replies, and its cached views are validated
+  // last (DESIGN.md sec 25). A writer's cached binds skipped the naming
+  // service entirely, so before staging anything against their views it
+  // proves them still current (and pins them, via the validate read
+  // locks, until the action ends).
+  const bool reader =
+      std::none_of(bindings.begin(), bindings.end(), [](const ActiveBinding* b) { return b->wrote; });
+  if (!reader) {
+    Status valid = co_await validate_cached_views(action, bindings, /*last=*/false);
+    if (!valid.ok()) co_return valid;
   }
 
   auto stage_span = core::tracing(rt_.trace())
@@ -68,7 +80,7 @@ sim::Task<Status> CommitProcessor::commit(actions::AtomicAction& action,
   const sim::SimTime t_stage = sim.now();
   std::vector<naming::ExcludeItem> excludes;
   ActiveBinding* behind = nullptr;
-  Status staged = co_await stage(action, bindings, excludes, behind);
+  Status staged = co_await stage(action, bindings, reader, excludes, behind);
   if (!staged.ok()) {
     counters_.inc("commit.stage_failed");
     stage_span.end("failed");
@@ -82,6 +94,13 @@ sim::Task<Status> CommitProcessor::commit(actions::AtomicAction& action,
                                              behind->staged_version);
     }
     co_return aborted;
+  }
+  if (reader) {
+    Status valid = co_await validate_cached_views(action, bindings, /*last=*/true);
+    if (!valid.ok()) {
+      stage_span.end("stale");
+      co_return valid;
+    }
   }
 
   // Retire every store that failed a copy, across ALL objects, with ONE
@@ -133,31 +152,42 @@ sim::Task<Status> CommitProcessor::commit(actions::AtomicAction& action,
 
 sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
                                          const std::vector<ActiveBinding*>& bindings,
+                                         bool may_leave,
                                          std::vector<naming::ExcludeItem>& excludes,
                                          ActiveBinding*& behind) {
-  // 1. Fetch every object's new state: one call to each bound server, in
-  // first-seen order (binding order, then each binding's server order),
-  // carrying every object bound there in binding order. The answers are
-  // then read back in that same order.
+  // 1. Fetch every object's new state: one call to each bound server
+  // incarnation, in first-seen order (binding order, then each binding's
+  // server order), carrying every object bound there in binding order.
+  // The answers are then read back in that same order. The call is bound
+  // to the incarnation that activated the objects, so a server that
+  // crashed since cannot answer for reads it lost; its reply is its vote.
   struct Fetch {
-    NodeId server;
+    rpc::Binding server;
     std::vector<Uid> objects;
     std::vector<ObjectServerHost::StateForCommit> answers;  // empty: the call failed
     std::size_t next = 0;                                   // the next answer to judge
   };
   std::vector<Fetch> fetches;
-  auto fetch_at = [&fetches](NodeId server) -> Fetch& {
+  auto fetch_at = [&fetches](NodeId server, std::uint64_t incarnation) -> Fetch& {
     for (Fetch& f : fetches)
-      if (f.server == server) return f;
-    return fetches.emplace_back(Fetch{server, {}, {}});
+      if (f.server.server == server && f.server.epoch == incarnation) return f;
+    return fetches.emplace_back(Fetch{rpc::Binding{server, incarnation}, {}, {}});
   };
   for (const ActiveBinding* b : bindings)
-    for (NodeId server : b->bind.servers) fetch_at(server).objects.push_back(b->spec.uid);
+    for (std::size_t j = 0; j < b->bind.servers.size(); ++j)
+      fetch_at(b->bind.servers[j], b->incarnations[j]).objects.push_back(b->spec.uid);
   for (Fetch& f : fetches) {
-    auto r = co_await objsrv_state_for_commit(rt_.endpoint(), f.server, action.uid(), f.objects);
+    auto r = co_await objsrv_state_for_commit(rt_.endpoint(), f.server, action.uid(), f.objects,
+                                              may_leave);
     // A failed call, or a reply that does not answer every object, fails
-    // each of this server's answers.
-    if (r.ok() && r.value().size() == f.objects.size()) f.answers = std::move(r).value();
+    // each of this server's answers; judge_state delists the server.
+    if (!r.ok() || r.value().answers.size() != f.objects.size()) continue;
+    f.answers = std::move(r.value().answers);
+    const actions::ParticipantRef server{f.server.server, kObjSrvService};
+    if (r.value().vote == actions::Vote::ReadOnly)
+      action.voted_read_only(server);
+    else
+      action.voted_yes(server);
   }
   struct Copy {
     ActiveBinding* binding;
@@ -167,8 +197,8 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
   std::vector<Copy> copies;
   for (ActiveBinding* b : bindings) {
     std::vector<ObjectServerHost::StateForCommit*> answers;  // per bound server; null: failed
-    for (NodeId server : b->bind.servers) {
-      Fetch& f = fetch_at(server);
+    for (std::size_t j = 0; j < b->bind.servers.size(); ++j) {
+      Fetch& f = fetch_at(b->bind.servers[j], b->incarnations[j]);
       auto* a = f.answers.empty() ? nullptr : &f.answers[f.next++];
       const bool failed = a == nullptr || a->err != static_cast<std::uint32_t>(Err::None);
       answers.push_back(failed ? nullptr : a);
@@ -252,13 +282,6 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
       excludes.push_back(naming::ExcludeItem{c.binding->spec.uid, std::move(c.failed)});
     }
   }
-  // In a writing action a server is never allowed to leave, so it could
-  // only vote Yes: every bound server still enlisted (judge_state delisted
-  // each one that failed an answer) has voted in its state_for_commit
-  // reply. One unreachable later holds nothing durable and is masked
-  // (sec 3.2).
-  if (!copies.empty())
-    for (const Fetch& f : fetches) action.voted_yes({f.server, kObjSrvService});
   co_return ok_status();
 }
 

@@ -20,7 +20,10 @@
 //  5. Two-phase commit over all participants (stores, naming databases,
 //     object server hosts) decides the outcome. In a writing action the
 //     stores and bound servers voted Yes in their staging replies, so
-//     phase 1 asks only the naming database.
+//     phase 1 asks only the naming database. In a read-only action each
+//     bound server votes ReadOnly in its staging reply and leaves, and a
+//     cached bind's validate, sent last, ends the action at the naming
+//     database too: the commit is two calls and no phase 2.
 //  6. Post-commit: a bound server that phase 2 did not move onto the new
 //     version (it answered staging behind, or not at all) is retired;
 //     coordinator-cohort objects checkpoint the committed state to their
@@ -53,17 +56,23 @@ class CommitProcessor {
  private:
   // Validate every cached binding's view epochs in one batched
   // gvdb.validate RPC (per naming-node incarnation seen, normally one).
+  // Sent `last`, after every other call of the action, the database may
+  // leave when it is the sole participant left. On failure the action is
+  // aborted and the reason returned.
   sim::Task<Status> validate_cached_views(actions::AtomicAction& action,
-                                          const std::vector<ActiveBinding*>& bindings);
-  // Stage every object: fetch the new states with one call per bound
-  // server, prepare them at their stores with one call per store, then
-  // judge each object's copies. Stores that
+                                          const std::vector<ActiveBinding*>& bindings,
+                                          bool last);
+  // Stage every object: fetch the new states with one bound call per
+  // bound server, prepare them at their stores with one call per store,
+  // then judge each object's copies. Each server votes in its reply;
+  // with `may_leave` one that holds no write of the action votes
+  // ReadOnly and is delisted. Stores that
   // failed a copy are APPENDED to `excludes`, so the caller retires every
   // one across all objects with a single batched Exclude. A failure is
   // the caller's to abort on; Err::Conflict sets `behind` to the object
   // whose staged state a store already holds, or holds a newer one of.
   sim::Task<Status> stage(actions::AtomicAction& action,
-                          const std::vector<ActiveBinding*>& bindings,
+                          const std::vector<ActiveBinding*>& bindings, bool may_leave,
                           std::vector<naming::ExcludeItem>& excludes, ActiveBinding*& behind);
   // Judge one object's answers, one per bound server in order (null: the
   // server failed it): take the freshest replica, delist each server that

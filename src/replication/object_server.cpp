@@ -30,14 +30,16 @@ ObjectServerHost::ObjectServerHost(sim::Node& node, rpc::RpcEndpoint& endpoint,
   });
 }
 
-sim::Task<Status> ObjectServerHost::activate(Uid object, std::string class_name,
-                                             std::vector<NodeId> st_nodes, bool join) {
+sim::Task<Result<std::uint64_t>> ObjectServerHost::activate(Uid object, std::string class_name,
+                                                            std::vector<NodeId> st_nodes,
+                                                            bool join) {
   Status s = co_await load(object, std::move(class_name), std::move(st_nodes));
-  if (s.ok() && join && !join_group(object)) {
+  if (!s.ok()) co_return s.error();
+  if (join && !join_group(object)) {
     counters_.inc("objsrv.join_refused");
     co_return Err::Conflict;
   }
-  co_return s;
+  co_return node_.epoch();
 }
 
 sim::Task<Status> ObjectServerHost::load(Uid object, std::string class_name,
@@ -104,7 +106,7 @@ sim::Task<Result<Buffer>> ObjectServerHost::invoke(Uid object, Uid action,
                                                    Buffer args, NodeId owner) {
   auto it = active_.find(object);
   if (it == active_.end()) co_return Err::NotFound;  // passive: activate first
-  if (terminated_.get(action) != 0) co_return Err::Aborted;
+  if (ended(action)) co_return Err::Aborted;
   if (owner != sim::kNoNode) orphans_.note(action, owner);
   Status lk = co_await locks_.acquire({object, actions::kObjectPart}, mode, action,
                                       kInvokeLockWait, std::move(ancestors));
@@ -119,13 +121,16 @@ sim::Task<Result<Buffer>> ObjectServerHost::invoke(Uid object, Uid action,
   // Re-check after the wait: the object may have been passivated, or the
   // action ended between the grant and this resumption (ending it
   // released the lock).
-  if (terminated_.get(action) != 0) {
-    counters_.inc("objsrv.refused_dead_action");
-    co_return Err::Aborted;
-  }
+  if (ended(action)) co_return Err::Aborted;
   auto it2 = active_.find(object);
   if (it2 == active_.end()) co_return Err::NotFound;
   co_return co_await apply_locked(it2->second, object, action, mode, op, std::move(args));
+}
+
+bool ObjectServerHost::ended(const Uid& action) {
+  if (terminated_.get(action) == 0) return false;
+  counters_.inc("objsrv.refused_dead_action");
+  return true;
 }
 
 sim::Task<Result<Buffer>> ObjectServerHost::apply_locked(Active& a, Uid object, Uid action,
@@ -183,6 +188,29 @@ Result<ObjectServerHost::StateForCommit> ObjectServerHost::state_for_commit(
   return out;
 }
 
+ObjectServerHost::Staging ObjectServerHost::stage(const Uid& txn, const std::vector<Uid>& objects,
+                                                  bool may_leave) {
+  Staging out;
+  out.answers.reserve(objects.size());
+  for (const Uid& object : objects) {
+    auto r = state_for_commit(object, txn);
+    if (r.ok())
+      out.answers.push_back(std::move(r).value());
+    else
+      out.answers.emplace_back().err = static_cast<std::uint32_t>(r.error());
+  }
+  if (may_leave && touched_.count(txn) == 0) {
+    // The action left no before-image here: it ends now. Marking it
+    // terminated refuses a late invocation of it.
+    terminated_.set(txn, 1);
+    orphans_.forget(txn);
+    locks_.release_all(txn);
+    counters_.inc("objsrv.read_only_vote");
+    out.vote = actions::Vote::ReadOnly;
+  }
+  return out;
+}
+
 void ObjectServerHost::mark_committed(const Uid& object, std::uint64_t new_version) {
   auto it = active_.find(object);
   if (it == active_.end() || it->second.version >= new_version) return;
@@ -216,15 +244,8 @@ Status ObjectServerHost::passivate(const Uid& object) {
 
 // ---------------------------------------------------------- participant
 
-sim::Task<actions::Vote> ObjectServerHost::prepare(const Uid& txn, bool may_leave) {
-  if (!may_leave || touched_.count(txn) > 0) co_return actions::Vote::Yes;
-  // The action left no before-image here: it ends now. Marking it
-  // terminated refuses a late invocation of it.
-  terminated_.set(txn, 1);
-  orphans_.forget(txn);
-  locks_.release_all(txn);
-  counters_.inc("objsrv.read_only_vote");
-  co_return actions::Vote::ReadOnly;
+sim::Task<actions::Vote> ObjectServerHost::prepare(const Uid&, bool) {
+  co_return actions::Vote::Yes;
 }
 
 std::vector<ObjectServerHost::ActiveEntry*> ObjectServerHost::take_touched(const Uid& action) {
@@ -366,19 +387,11 @@ void ObjectServerHost::register_rpc() {
     return invoke(object, action, std::move(ancestors), mode, std::move(op), std::move(args),
                   from);
   });
-  endpoint_.serve(kObjsrvStateForCommit, [this](NodeId, Uid txn, std::vector<Uid> objects)
-                                            -> Result<std::vector<StateForCommit>> {
-    std::vector<StateForCommit> answers;
-    answers.reserve(objects.size());
-    for (const Uid& object : objects) {
-      auto r = state_for_commit(object, txn);
-      if (r.ok())
-        answers.push_back(std::move(r).value());
-      else
-        answers.emplace_back().err = static_cast<std::uint32_t>(r.error());
-    }
-    return answers;
-  });
+  endpoint_.serve(kObjsrvStateForCommit,
+                  [this](NodeId, Uid txn, std::vector<Uid> objects,
+                         bool may_leave) -> Result<Staging> {
+                    return stage(txn, objects, may_leave);
+                  });
   endpoint_.serve(kObjsrvMarkCommitted,
                   [this](NodeId, Uid object, std::uint64_t version) -> Status {
                     mark_committed(object, version);

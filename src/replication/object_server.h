@@ -57,9 +57,11 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // skipped). Idempotent if already active. With `join` (active
   // replication) the server also joins the object's replica group, on
   // the idempotent path too; a refused join answers Conflict, so the
-  // binder does not bind a member that would miss invocations.
-  sim::Task<Status> activate(Uid object, std::string class_name, std::vector<NodeId> st_nodes,
-                             bool join = false);
+  // binder does not bind a member that would miss invocations. Answers
+  // this node's incarnation, which the client's bound calls then name
+  // (sec 3.1).
+  sim::Task<Result<std::uint64_t>> activate(Uid object, std::string class_name,
+                                            std::vector<NodeId> st_nodes, bool join = false);
 
   // Warm-standby activation for coordinator-cohort: instantiate from a
   // provided snapshot instead of a store read.
@@ -100,6 +102,19 @@ class ObjectServerHost final : public actions::ServerParticipant {
   };
   Result<StateForCommit> state_for_commit(const Uid& object, const Uid& txn) const;
 
+  // One server's staging reply to a committing action: an answer per
+  // object asked, in order, and the server's vote. With `may_leave` (the
+  // client wrote nothing), an action that left no before-image here ends
+  // here and votes ReadOnly (R*'s read-only vote): it is marked
+  // terminated, so a late invocation is refused, and its locks go now.
+  // Otherwise the reply is a Yes vote (DESIGN.md secs 22, 25).
+  struct Staging {
+    std::vector<StateForCommit> answers;
+    actions::Vote vote = actions::Vote::Yes;
+    GV_WIRE_FIELDS(answers, vote)
+  };
+  Staging stage(const Uid& txn, const std::vector<Uid>& objects, bool may_leave);
+
   // Called (remotely) by the commit processor after a successful commit,
   // at each bound server that phase 2 does not move onto `new_version`:
   // a replica behind it is retired.
@@ -116,6 +131,9 @@ class ObjectServerHost final : public actions::ServerParticipant {
   bool join_group(const Uid& object);
 
   // ---- ServerParticipant ------------------------------------------------
+  // A server votes in its staging reply, so the coordinator asks none
+  // (DESIGN.md sec 25); one asked anyway holds only volatile state and
+  // votes Yes.
   sim::Task<actions::Vote> prepare(const Uid& txn, bool may_leave) override;
   sim::Task<Status> commit(const Uid& txn) override;
   sim::Task<Status> abort(const Uid& txn) override;
@@ -147,6 +165,9 @@ class ObjectServerHost final : public actions::ServerParticipant {
                                          actions::LockMode mode, const std::string& op,
                                          Buffer args);
   void register_rpc();
+  // True, and counted, when `action` already ended here: an invocation
+  // of it is refused.
+  bool ended(const Uid& action);
   // Remove `action` from the touched-object index, returning those of its
   // objects that are still active.
   using ActiveEntry = std::map<Uid, Active>::value_type;
@@ -188,14 +209,15 @@ class ObjectServerHost final : public actions::ServerParticipant {
 
 // The objsrv service's methods, declared once for the registration and
 // the client stubs below, which give each argument's meaning.
-// (object, class, St nodes, join the replica group)
-inline constexpr rpc::Rpc<void(Uid, std::string, std::vector<NodeId>, bool)> kObjsrvActivate{
-    kObjSrvService, "activate"};
+// (object, class, St nodes, join the replica group) -> the server's incarnation
+inline constexpr rpc::Rpc<std::uint64_t(Uid, std::string, std::vector<NodeId>, bool)>
+    kObjsrvActivate{kObjSrvService, "activate"};
 inline constexpr rpc::Rpc<Buffer(Uid, Uid, std::vector<Uid>, actions::LockMode, std::string,
                                  Buffer)>
     kObjsrvInvoke{kObjSrvService, "invoke"};
-// (action, the objects it bound here) -> one answer per object, in order
-inline constexpr rpc::Rpc<std::vector<ObjectServerHost::StateForCommit>(Uid, std::vector<Uid>)>
+// (action, the objects it bound here, may leave) -> one answer per
+// object, in order, and the server's vote
+inline constexpr rpc::Rpc<ObjectServerHost::Staging(Uid, std::vector<Uid>, bool)>
     kObjsrvStateForCommit{kObjSrvService, "state_for_commit"};
 inline constexpr rpc::Rpc<void(Uid, std::uint64_t)> kObjsrvMarkCommitted{kObjSrvService,
                                                                          "mark_committed"};
@@ -208,9 +230,9 @@ inline constexpr rpc::Rpc<void(Uid, std::string, std::uint64_t, Buffer)> kObjsrv
 // binder's failure detector, so it must not inherit a generous data-path
 // RPC deadline (a dead candidate would stall binding while the caller
 // holds naming-database locks).
-inline sim::Task<Status> objsrv_activate(rpc::RpcEndpoint& ep, NodeId server, Uid object,
-                                         std::string class_name, std::vector<NodeId> st_nodes,
-                                         bool join, sim::SimTime timeout = 60 * sim::kMillisecond) {
+inline sim::Task<Result<std::uint64_t>> objsrv_activate(
+    rpc::RpcEndpoint& ep, NodeId server, Uid object, std::string class_name,
+    std::vector<NodeId> st_nodes, bool join, sim::SimTime timeout = 60 * sim::kMillisecond) {
   return ep.call(server, timeout, kObjsrvActivate, object, class_name, st_nodes, join);
 }
 inline sim::Task<Result<Buffer>> objsrv_invoke(rpc::RpcEndpoint& ep, NodeId server, Uid object,
@@ -219,9 +241,12 @@ inline sim::Task<Result<Buffer>> objsrv_invoke(rpc::RpcEndpoint& ep, NodeId serv
                                                Buffer args) {
   return ep.call(server, kObjsrvInvoke, object, action, ancestors, mode, op, args);
 }
-inline sim::Task<Result<std::vector<ObjectServerHost::StateForCommit>>> objsrv_state_for_commit(
-    rpc::RpcEndpoint& ep, NodeId server, Uid txn, const std::vector<Uid>& objects) {
-  return ep.call(server, kObjsrvStateForCommit, txn, objects);
+// Bound to the server incarnation that activated the objects: a server
+// that crashed since answers BindingBroken, never for reads it lost.
+inline sim::Task<Result<ObjectServerHost::Staging>> objsrv_state_for_commit(
+    rpc::RpcEndpoint& ep, rpc::Binding& server, Uid txn, const std::vector<Uid>& objects,
+    bool may_leave) {
+  return ep.call_bound(server, kObjsrvStateForCommit, txn, objects, may_leave);
 }
 inline sim::Task<Status> objsrv_mark_committed(rpc::RpcEndpoint& ep, NodeId server, Uid object,
                                                std::uint64_t new_version) {

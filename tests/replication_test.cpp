@@ -781,11 +781,11 @@ TEST(ObjectServerIndex, CrashMidSweepLeavesLaterSweepsRunning) {
   EXPECT_TRUE(wedged.ok()) << to_string(wedged.error());
 }
 
-// R*'s read-only vote at an object server: an action that left no
-// before-image here ends at its prepare, once the coordinator lets it
-// leave. Its read lock goes at once, so a writer queued behind it is
-// granted before any decision reaches this server, and a late
-// invocation of the finished action is refused.
+// R*'s read-only vote at an object server, cast in its staging reply:
+// an action that left no before-image here ends at state_for_commit,
+// once the coordinator lets it leave. Its read lock goes at once, so a
+// writer queued behind it is granted before any decision reaches this
+// server, and a late invocation of the finished action is refused.
 TEST(ObjectServerIndex, ReadOnlyVoteReleasesLocksAndRefusesLateInvocations) {
   IndexSys s;
   const Uid reader{0xAC7, 1}, writer{0xAC7, 2};
@@ -800,14 +800,16 @@ TEST(ObjectServerIndex, ReadOnlyVoteReleasesLocksAndRefusesLateInvocations) {
     co_await s.sys.sim().sleep(sim::kMillisecond);
     EXPECT_FALSE(wrote);  // queued behind the reader's lock
 
-    // Not allowed to leave (some participant voted Yes): it stays.
-    const actions::Vote stay = co_await s.host.prepare(reader, /*may_leave=*/false);
-    EXPECT_EQ(stay, actions::Vote::Yes);
+    // Not allowed to leave (the client wrote): its reply votes Yes.
+    const auto stay = s.host.stage(reader, {s.a}, /*may_leave=*/false);
+    EXPECT_EQ(stay.vote, actions::Vote::Yes);
     co_await s.sys.sim().sleep(sim::kMillisecond);
     EXPECT_FALSE(wrote);
 
-    const actions::Vote leave = co_await s.host.prepare(reader, /*may_leave=*/true);
-    EXPECT_EQ(leave, actions::Vote::ReadOnly);
+    const auto leave = s.host.stage(reader, {s.a}, /*may_leave=*/true);
+    EXPECT_EQ(leave.vote, actions::Vote::ReadOnly);
+    EXPECT_EQ(leave.answers.size(), 1u);
+    EXPECT_FALSE(leave.answers.empty() || leave.answers[0].modified);
     co_await s.sys.sim().sleep(sim::kMillisecond);
     EXPECT_TRUE(wrote);  // granted with no commit or abort of the reader
 
@@ -816,6 +818,7 @@ TEST(ObjectServerIndex, ReadOnlyVoteReleasesLocksAndRefusesLateInvocations) {
     EXPECT_TRUE((co_await s.host.commit(writer)).ok());
   }(s, reader, writer));
   EXPECT_EQ(s.host.counters().get("objsrv.read_only_vote"), 1u);
+  EXPECT_EQ(s.host.counters().get("objsrv.refused_dead_action"), 1u);
   EXPECT_EQ(held_balance(s.host, s.a), 5);
 }
 
@@ -826,12 +829,237 @@ TEST(ObjectServerIndex, WriterVotesYesWhenAllowedToLeave) {
     EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
     const Uid writer{0xAC7, 1};
     EXPECT_TRUE((co_await s.deposit(s.a, writer, {}, 3)).ok());
-    const actions::Vote vote = co_await s.host.prepare(writer, /*may_leave=*/true);
-    EXPECT_EQ(vote, actions::Vote::Yes);
+    const auto staging = s.host.stage(writer, {s.a}, /*may_leave=*/true);
+    EXPECT_EQ(staging.vote, actions::Vote::Yes);
+    EXPECT_EQ(staging.answers.size(), 1u);
+    EXPECT_TRUE(!staging.answers.empty() && staging.answers[0].modified);
     EXPECT_TRUE((co_await s.host.commit(writer)).ok());
   }(s));
   EXPECT_EQ(s.host.counters().get("objsrv.read_only_vote"), 0u);
   EXPECT_EQ(s.host.status(s.a).version, 2u);
+}
+
+// ------------------------------------------------------ commit shapes
+
+// The calls `node` sent from `since` on, in order, by their span names
+// ("rpc.<service>.<method>").
+std::vector<std::string> calls_from(const core::TraceRecorder& rec, sim::NodeId node,
+                                    sim::SimTime since) {
+  std::vector<std::string> out;
+  for (const core::TraceEvent& ev : rec.events())
+    if (ev.kind == core::TraceKind::Begin && ev.node == node && ev.at >= since &&
+        ev.name.rfind("rpc.", 0) == 0 && ev.name.rfind("rpc.serve.", 0) != 0)
+      out.push_back(ev.name);
+  return out;
+}
+
+SystemConfig shape_cfg(bool view_cache, naming::Scheme scheme, std::uint64_t seed) {
+  SystemConfig cfg;
+  cfg.seed = seed;
+  cfg.view_cache = view_cache;
+  cfg.scheme = scheme;
+  return cfg;
+}
+
+// Bind `obj` in a transaction of `client`, read it, and commit; returns
+// the calls the client sent while committing, and the outcome.
+struct Committed {
+  std::vector<std::string> calls;
+  Status outcome = Err::Aborted;
+};
+Committed read_and_commit(Sys& s, core::ClientSession* client, Uid obj, bool write_too = false,
+                          Uid other = Uid{}) {
+  Committed out;
+  s.run([](Sys& s, core::ClientSession* client, Uid obj, bool write_too, Uid other,
+           Committed& out) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(obj, "balance", Buffer{}, LockMode::Read)).ok());
+    if (write_too)
+      EXPECT_TRUE((co_await txn->invoke(other, "deposit", i64_buf(1), LockMode::Write)).ok());
+    const sim::SimTime t0 = s.sys.sim().now();
+    out.outcome = co_await txn->commit();
+    out.calls = calls_from(s.sys.trace(), client->node(), t0);
+  }(s, client, obj, write_too, other, out));
+  return out;
+}
+
+// A cached read-only action ends in two calls: the bound server votes
+// ReadOnly in its state_for_commit reply, and validate, sent last, ends
+// the action at the group view database. No txn.prepare, no phase 2.
+TEST(CommitShape, CachedReadOnlyIsStateForCommitThenValidate) {
+  Sys s{shape_cfg(true, naming::Scheme::IndependentTopLevel, 41)};
+  s.sys.trace().enable();
+  const Uid obj = s.sys.define_object("o", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                      ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  const Committed c = read_and_commit(s, client, obj);
+  EXPECT_TRUE(c.outcome.ok());
+  EXPECT_EQ(c.calls,
+            (std::vector<std::string>{"rpc.objsrv.state_for_commit", "rpc.gvdb.validate"}));
+  EXPECT_EQ(client->runtime().counters().get("action.no_phase2"), 1u);
+  EXPECT_EQ(client->runtime().counters().get("action.read_only_vote"), 2u);
+  EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.read_only_vote"), 1u);
+  EXPECT_EQ(s.sys.gvdb().counters().get("db.read_only_vote"), 1u);
+  EXPECT_EQ(s.sys.gvdb().locks().holder_count({obj, naming::kStPart}), 0u);
+  EXPECT_EQ(s.sys.gvdb().locks().holder_count({obj, naming::kSvPart}), 0u);
+}
+
+// An uncached S2 read-only action's client action holds St's read lock
+// from the bind, so the group view database is a participant: after the
+// server's ReadOnly vote, one prepare with leave ends it there, then the
+// Decrement releases the use lists.
+TEST(CommitShape, UncachedS2ReadOnlyIsStateForCommitThenOnePrepare) {
+  Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 42)};
+  s.sys.trace().enable();
+  const Uid obj = s.sys.define_object("o", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                      ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  const Committed c = read_and_commit(s, client, obj);
+  EXPECT_TRUE(c.outcome.ok());
+  EXPECT_EQ(c.calls, (std::vector<std::string>{"rpc.objsrv.state_for_commit", "rpc.txn.prepare",
+                                                "rpc.osdb.decrement"}));
+  EXPECT_EQ(client->runtime().counters().get("action.no_phase2"), 1u);
+  EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.read_only_vote"), 1u);
+  EXPECT_EQ(s.sys.gvdb().counters().get("db.read_only_vote"), 1u);
+}
+
+// S1 holds GetServer's read lock under the client action too; the group
+// view database still leaves at its prepare.
+TEST(CommitShape, S1ReadOnlyEndsNamingWithALeavingPrepare) {
+  Sys s{shape_cfg(false, naming::Scheme::StandardNested, 43)};
+  s.sys.trace().enable();
+  const Uid obj = s.sys.define_object("o", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                      ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  const Committed c = read_and_commit(s, client, obj);
+  EXPECT_TRUE(c.outcome.ok());
+  EXPECT_EQ(c.calls,
+            (std::vector<std::string>{"rpc.objsrv.state_for_commit", "rpc.txn.prepare"}));
+  EXPECT_EQ(client->runtime().counters().get("action.no_phase2"), 1u);
+  EXPECT_EQ(s.sys.gvdb().counters().get("db.read_only_vote"), 1u);
+  EXPECT_EQ(s.sys.gvdb().locks().holder_count({obj, naming::kSvPart}), 0u);
+}
+
+// An action that reads one object and writes another is a writer: it
+// keeps validate, then staging, then the group view database's prepare,
+// and phase 2 reaches every participant.
+TEST(CommitShape, ReaderOfOneWriterOfAnotherKeepsValidateStagePrepare) {
+  Sys s{shape_cfg(true, naming::Scheme::IndependentTopLevel, 44)};
+  s.sys.trace().enable();
+  const Uid a = s.sys.define_object("a", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  const Uid b = s.sys.define_object("b", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  const Committed c = read_and_commit(s, client, a, /*write_too=*/true, b);
+  EXPECT_TRUE(c.outcome.ok());
+  EXPECT_EQ(c.calls, (std::vector<std::string>{
+                         "rpc.gvdb.validate", "rpc.objsrv.state_for_commit", "rpc.store.prepare",
+                         "rpc.store.prepare", "rpc.txn.prepare", "rpc.txn.commit",
+                         "rpc.txn.commit", "rpc.txn.commit", "rpc.txn.commit"}));
+  EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.read_only_vote"), 0u);
+  EXPECT_EQ(s.sys.gvdb().counters().get("db.read_only_vote"), 0u);
+  for (sim::NodeId st : {3u, 4u}) EXPECT_EQ(s.sys.store_at(st).read(b).value().version, 2u);
+}
+
+// Validate goes last in a read-only action, after the server has left.
+// A stale view still aborts the action: it has no effects, its locks at
+// the group view database go with the abort, and the cached entry is
+// dropped so a retry rebinds.
+TEST(CommitShape, ValidateLastStaleViewAbortsWithNoEffects) {
+  Sys s{shape_cfg(true, naming::Scheme::IndependentTopLevel, 45)};
+  const Uid obj = s.sys.define_object("o", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                      ReplicationPolicy::SingleCopyPassive, 1);
+  auto* a = s.sys.client(1);
+  auto* b = s.sys.client(5);
+  Status stale = ok_status();
+  s.run([](Sys& s, core::ClientSession* a, core::ClientSession* b, Uid obj,
+           Status& stale) -> sim::Task<> {
+    {  // Warm A's cache.
+      auto txn = a->begin();
+      EXPECT_TRUE((co_await txn->invoke(obj, "deposit", i64_buf(100), LockMode::Write)).ok());
+      EXPECT_TRUE((co_await txn->commit()).ok());
+    }
+    s.sys.cluster().node(4).crash();
+    {  // B's commit fails the copy to 4 and Excludes it (an St epoch bump).
+      auto txn = b->begin();
+      EXPECT_TRUE((co_await txn->invoke(obj, "deposit", i64_buf(10), LockMode::Write)).ok());
+      EXPECT_TRUE((co_await txn->commit()).ok());
+    }
+    auto txn = a->begin();
+    EXPECT_TRUE((co_await txn->invoke(obj, "balance", Buffer{}, LockMode::Read)).ok());
+    stale = co_await txn->commit();
+  }(s, a, b, obj, stale));
+  EXPECT_EQ(stale.error(), Err::StaleView);
+  EXPECT_EQ(a->commit_processor().counters().get("commit.validate_stale"), 1u);
+  EXPECT_EQ(s.sys.view_cache_at(1)->lookup(obj), nullptr);
+  // The server left at its ReadOnly vote, before validate.
+  EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.read_only_vote"), 1u);
+  EXPECT_EQ(s.sys.gvdb().locks().holder_count({obj, naming::kStPart}), 0u);
+  EXPECT_EQ(s.sys.gvdb().locks().holder_count({obj, naming::kSvPart}), 0u);
+  EXPECT_EQ(s.sys.host_at(2).locks().holder_count({obj, actions::kObjectPart}), 0u);
+  EXPECT_EQ(s.sys.store_at(3).read(obj).value().version, 3u);
+  EXPECT_EQ(held_balance(s.sys.host_at(2), obj), 110);
+}
+
+// A late invocation of an action whose server already voted ReadOnly in
+// its staging reply is refused there.
+TEST(CommitShape, LateInvocationAfterReadOnlyVoteIsRefused) {
+  Sys s{shape_cfg(true, naming::Scheme::IndependentTopLevel, 46)};
+  const Uid obj = s.sys.define_object("o", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                      ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  Result<Buffer> late = Buffer{};
+  s.run([](Sys& s, core::ClientSession* client, Uid obj, Result<Buffer>& late) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(obj, "balance", Buffer{}, LockMode::Read)).ok());
+    const Uid action = txn->action().uid();
+    EXPECT_TRUE((co_await txn->commit()).ok());
+    late = co_await objsrv_invoke(client->runtime().endpoint(), 2, obj, action, {},
+                                  LockMode::Read, "balance", Buffer{});
+  }(s, client, obj, late));
+  EXPECT_EQ(late.error(), Err::Aborted);
+  EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.read_only_vote"), 1u);
+  EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.refused_dead_action"), 1u);
+}
+
+// The read-only vote must come from the server incarnation that served
+// the reads (sec 3.1). A reads X at server 2; server 2 crashes and
+// recovers, losing A's read lock; B re-activates X there, writes X and Y
+// and commits; A then reads Y, after B's write. A read X before B and Y
+// after it, so A must not commit. Its staging call for X is bound to the
+// incarnation that activated X for A, so the recovered server answers
+// BindingBroken and cannot vote.
+TEST(CommitShape, ReadsOfACrashedServerIncarnationDoNotCommit) {
+  Sys s{shape_cfg(true, naming::Scheme::IndependentTopLevel, 47)};
+  const Uid x = s.sys.define_object("x", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  const Uid y = s.sys.define_object("y", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  auto* a = s.sys.client(1);
+  auto* b = s.sys.client(5);
+  Status outcome = ok_status();
+  s.run([](Sys& s, core::ClientSession* a, core::ClientSession* b, Uid x, Uid y,
+           Status& outcome) -> sim::Task<> {
+    auto reader = a->begin();
+    EXPECT_TRUE((co_await reader->invoke(x, "balance", Buffer{}, LockMode::Read)).ok());
+    s.sys.cluster().node(2).crash();
+    co_await s.sys.sim().sleep(10 * sim::kMillisecond);
+    s.sys.cluster().node(2).recover();
+    co_await s.sys.sim().sleep(2 * sim::kSecond);  // its recovery re-admits it
+    {
+      auto writer = b->begin();
+      EXPECT_TRUE((co_await writer->invoke(x, "deposit", i64_buf(7), LockMode::Write)).ok());
+      EXPECT_TRUE((co_await writer->invoke(y, "deposit", i64_buf(7), LockMode::Write)).ok());
+      EXPECT_TRUE((co_await writer->commit()).ok());
+    }
+    auto read_y = co_await reader->invoke(y, "balance", Buffer{}, LockMode::Read);
+    EXPECT_TRUE(read_y.ok());
+    if (read_y.ok()) EXPECT_EQ(read_y.value().unpack_i64().value(), 7);
+    outcome = co_await reader->commit();
+  }(s, a, b, x, y, outcome));
+  EXPECT_FALSE(outcome.ok());
+  EXPECT_EQ(a->commit_processor().counters().get("commit.server_unreachable"), 1u);
 }
 
 }  // namespace

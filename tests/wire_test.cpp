@@ -175,29 +175,32 @@ TEST(WireOracle, ObjsrvInvokeRequest) {
   expect_request_prefixes_refused(replication::kObjsrvInvoke, wire);
 }
 
-// The action, then the objects it bound at the server.
+// The action, the objects it bound at the server, then whether the
+// server may leave.
 TEST(WireOracle, ObjsrvStateForCommitRequest) {
   const std::vector<Uid> objects{Uid{1, 2}, Uid{1, 3}};
   Buffer ref;
-  ref.pack_uid(Uid{3, 4}).pack_uid_vector(objects);
-  const Buffer wire = request(replication::kObjsrvStateForCommit, Uid{3, 4}, objects);
+  ref.pack_uid(Uid{3, 4}).pack_uid_vector(objects).pack_bool(true);
+  const Buffer wire = request(replication::kObjsrvStateForCommit, Uid{3, 4}, objects, true);
   EXPECT_EQ(wire, ref);
   expect_request_prefixes_refused(replication::kObjsrvStateForCommit, wire);
 }
 
-// One answer per object, each with its own Err.
+// One answer per object, each with its own Err, then the server's vote.
 TEST(WireOracle, ObjsrvStateForCommitReply) {
   using StateForCommit = replication::ObjectServerHost::StateForCommit;
-  const std::vector<StateForCommit> answers{
-      StateForCommit{static_cast<std::uint32_t>(Err::None), 4, true, bytes({7, 7})},
-      StateForCommit{static_cast<std::uint32_t>(Err::Inconsistent), 0, false, Buffer{}}};
+  const replication::ObjectServerHost::Staging staging{
+      {StateForCommit{static_cast<std::uint32_t>(Err::None), 4, true, bytes({7, 7})},
+       StateForCommit{static_cast<std::uint32_t>(Err::Inconsistent), 0, false, Buffer{}}},
+      actions::Vote::ReadOnly};
   Buffer ref;
   ref.pack_u32(2);
   ref.pack_u32(static_cast<std::uint32_t>(Err::None)).pack_u64(4).pack_bool(true);
   ref.pack_bytes(bytes({7, 7}));
   ref.pack_u32(static_cast<std::uint32_t>(Err::Inconsistent)).pack_u64(0).pack_bool(false);
   ref.pack_bytes(Buffer{});
-  const Buffer wire = reply(answers);
+  ref.pack_u8(static_cast<std::uint8_t>(actions::Vote::ReadOnly));
+  const Buffer wire = reply(staging);
   EXPECT_EQ(wire, ref);
   expect_reply_prefixes_refused(replication::kObjsrvStateForCommit, wire);
 }
@@ -282,7 +285,8 @@ TEST(WireOracle, ValidateBatchRequest) {
   ref.pack_u32(static_cast<std::uint32_t>(items.size()));
   for (const auto& item : items)
     ref.pack_uid(item.object).pack_u64(item.sv_epoch).pack_u64(item.st_epoch);
-  const Buffer wire = request(naming::kGvdbValidate, Uid{9, 9}, 2, items);
+  ref.pack_bool(false);
+  const Buffer wire = request(naming::kGvdbValidate, Uid{9, 9}, 2, items, false);
   EXPECT_EQ(wire, ref);
   expect_request_prefixes_refused(naming::kGvdbValidate, wire);
 }
