@@ -117,10 +117,12 @@ sim::Task<Status> AtomicAction::commit_top_level() {
                           : core::TraceRecorder::Span{};
   bool all_voted = true;
   bool any_yes = !voted_.empty();
+  bool asked = false;
   for (std::size_t i = participants_.size(); i-- > 0;) {
     const ParticipantRef& p = participants_[i];
     if (std::find(voted_.begin(), voted_.end(), p) != voted_.end()) continue;
     const bool may_leave = !any_yes;
+    asked = true;
     auto vote = co_await rt_.endpoint().call(p.node, kTxnPrepare, p.name, uid_, may_leave);
     if (!vote.ok() || vote.value() == Vote::No) {
       all_voted = false;
@@ -133,8 +135,11 @@ sim::Task<Status> AtomicAction::commit_top_level() {
       participants_.erase(participants_.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
-  core::metric_record(rt_.metrics(), "commit.prepare_us",
-                      static_cast<double>(sim.now() - t_start));
+  // Like commit.phase2_us, sampled only when a phase 1 ran: an action
+  // whose participants all voted in their work replies asks no one.
+  if (asked)
+    core::metric_record(rt_.metrics(), "commit.prepare_us",
+                        static_cast<double>(sim.now() - t_start));
   prepare_span.end(!all_voted ? "abort_vote" : any_yes ? "all_yes" : "read_only");
 
   if (!all_voted) {
