@@ -874,8 +874,9 @@ Committed read_and_commit(Sys& s, core::ClientSession* client, Uid obj, bool wri
            Committed& out) -> sim::Task<> {
     auto txn = client->begin();
     EXPECT_TRUE((co_await txn->invoke(obj, "balance", Buffer{}, LockMode::Read)).ok());
-    if (write_too)
+    if (write_too) {
       EXPECT_TRUE((co_await txn->invoke(other, "deposit", i64_buf(1), LockMode::Write)).ok());
+    }
     const sim::SimTime t0 = s.sys.sim().now();
     out.outcome = co_await txn->commit();
     out.calls = calls_from(s.sys.trace(), client->node(), t0);
@@ -1010,14 +1011,14 @@ TEST(CommitShape, LateInvocationAfterReadOnlyVoteIsRefused) {
                                       ReplicationPolicy::SingleCopyPassive, 1);
   auto* client = s.sys.client(1);
   Result<Buffer> late = Buffer{};
-  s.run([](Sys& s, core::ClientSession* client, Uid obj, Result<Buffer>& late) -> sim::Task<> {
+  s.run([](core::ClientSession* client, Uid obj, Result<Buffer>& late) -> sim::Task<> {
     auto txn = client->begin();
     EXPECT_TRUE((co_await txn->invoke(obj, "balance", Buffer{}, LockMode::Read)).ok());
     const Uid action = txn->action().uid();
     EXPECT_TRUE((co_await txn->commit()).ok());
     late = co_await objsrv_invoke(client->runtime().endpoint(), 2, obj, action, {},
                                   LockMode::Read, "balance", Buffer{});
-  }(s, client, obj, late));
+  }(client, obj, late));
   EXPECT_EQ(late.error(), Err::Aborted);
   EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.read_only_vote"), 1u);
   EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.refused_dead_action"), 1u);
@@ -1055,7 +1056,9 @@ TEST(CommitShape, ReadsOfACrashedServerIncarnationDoNotCommit) {
     }
     auto read_y = co_await reader->invoke(y, "balance", Buffer{}, LockMode::Read);
     EXPECT_TRUE(read_y.ok());
-    if (read_y.ok()) EXPECT_EQ(read_y.value().unpack_i64().value(), 7);
+    if (read_y.ok()) {
+      EXPECT_EQ(read_y.value().unpack_i64().value(), 7);
+    }
     outcome = co_await reader->commit();
   }(s, a, b, x, y, outcome));
   EXPECT_FALSE(outcome.ok());
