@@ -59,7 +59,6 @@ class Event {
   Event& operator=(const Event&) = delete;
   ~Event() { reset(); }
 
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
   void operator()() { ops_->call(buf_); }
   void reset() noexcept {
     if (ops_ != nullptr) std::exchange(ops_, nullptr)->destroy(buf_);

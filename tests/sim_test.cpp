@@ -2,6 +2,7 @@
 // futures, node crash/recover semantics, and the network failure model.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/future.h"
@@ -92,6 +93,32 @@ TEST(Simulator, NestedSchedulingFromEvents) {
   });
   sim.run();
   EXPECT_EQ(times, (std::vector<SimTime>{5, 10}));
+}
+
+// An event's closure, held in place (up to Event::kInline bytes) or on
+// the heap, is destroyed exactly once whether it runs or is cancelled,
+// also after the slab grew and moved it; a move-only closure schedules.
+TEST(Simulator, ClosuresInPlaceOrOnTheHeapAreDestroyedOnce) {
+  Simulator sim;
+  const auto token = std::make_shared<int>(0);
+  struct Big {
+    std::shared_ptr<int> token;
+    char pad[Event::kInline];
+  };
+  int ran = 0;
+  std::vector<std::uint64_t> cancelled;
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t small = sim.schedule(1, [token, &ran] { ++ran; });
+    const std::uint64_t big = sim.schedule(1, [big = Big{token, {}}, &ran] { ++ran; });
+    sim.schedule(1, [once = std::make_unique<int>(1), &ran] { ran += *once; });
+    if (i % 2 == 0) cancelled.insert(cancelled.end(), {small, big});
+  }
+  EXPECT_EQ(token.use_count(), 1 + 2 * 64);
+  for (std::uint64_t id : cancelled) sim.cancel(id);
+  EXPECT_EQ(token.use_count(), 1 + 64);
+  sim.run();
+  EXPECT_EQ(ran, 32 + 32 + 64);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // ----------------------------------------------------------------- Task
