@@ -1,11 +1,10 @@
 // Experiment F7 (Figure 7): independent top-level actions.
 //
-// Binding runs in its own top-level action that also returns use lists,
-// Removes failed servers and Increments use counters; the Increment call
-// commits that action at the naming node. One Decrement call, with no
-// action of its own, follows the client action. Sv stays current — at
-// the cost of write locks on the database entry and an extra action
-// envelope.
+// Binding runs in its own top-level action, one osdb.bind call at the
+// naming node that reads Sv with its use lists, Removes the servers a
+// previous probe found dead, Increments use counters and commits. One
+// Decrement call, with no action of its own, follows the client action.
+// Sv stays current — at the cost of write locks on the database entry.
 #include "bench/scheme_common.h"
 
 using namespace gv;
@@ -69,9 +68,9 @@ int main(int argc, char** argv) {
   mo.add_row({"on", core::Table::fmt_pct(wl_on.availability()),
               core::Table::fmt(lat_on.percentile(50)), core::Table::fmt(lat_on.percentile(99))});
   mo.print("4-object transactions, fault-free");
-  std::printf("\nExpected shape: the cached median drops well over 20%%: four\n"
-              "GetViews plus four GetServer/Increment/Decrement calls become zero\n"
-              "naming RPCs at bind plus ONE batched epoch validate at commit.\n");
+  std::printf("\nExpected shape: the cached median is lower: four osdb.bind\n"
+              "calls and a Decrement become zero naming RPCs at bind plus ONE\n"
+              "batched epoch validate at commit.\n");
   json.add_summary("multiobj_uncached", lat_off);
   json.add_summary("multiobj_cached", lat_on);
   json.add_scalar("multiobj_uncached_availability", wl_off.availability());

@@ -183,15 +183,6 @@ sim::Task<Status> AtomicAction::commit_top_level() {
   co_return ok_status();
 }
 
-void AtomicAction::committed_at_participant() {
-  state_ = ActionState::Committed;
-  if (rt_.coordinator_log() != nullptr) rt_.coordinator_log()->record(uid_, true);
-  rt_.counters().inc("action.committed_top");
-  rt_.counters().inc("action.committed_single_site");
-  core::trace_instant(rt_.trace(), "action.decision", rt_.endpoint().node_id(), "action",
-                      "commit at participant");
-}
-
 sim::Task<Status> AtomicAction::abort() {
   if (state_ == ActionState::Aborted) co_return Err::Aborted;
   state_ = ActionState::Aborted;

@@ -144,12 +144,6 @@ class AtomicAction {
   // Abort this action (and conceptually its whole subtree).
   sim::Task<Status> abort();
 
-  // One-phase commit of a single-site top-level action: its only
-  // participant committed it in the call that carried its last operation
-  // (the binder's Increment). Records the decision as commit() would,
-  // and sends nothing.
-  void committed_at_participant();
-
  private:
   sim::Task<Status> commit_top_level();
   sim::Task<Status> commit_nested();

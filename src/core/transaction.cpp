@@ -61,11 +61,21 @@ sim::Task<Result<ActiveBinding*>> Transaction::bound(Uid object) {
   }
   auto spec = session_.system().spec_of(object);
   if (!spec.ok()) co_return spec.error();
-  auto binding = co_await session_.activator().bind_and_activate(spec.value(), action_);
+  const replication::Activator::Contacted known = contacted();
+  auto binding = co_await session_.activator().bind_and_activate(spec.value(), action_, known);
   if (!binding.ok()) co_return binding.error();
   auto [pos, inserted] = bindings_.emplace(object, std::move(binding).value());
   (void)inserted;
   co_return &pos->second;
+}
+
+replication::Activator::Contacted Transaction::contacted() const {
+  replication::Activator::Contacted out;
+  for (const Transaction* t = this; t != nullptr; t = t->parent_)
+    for (const auto& [uid, b] : t->bindings_)
+      for (std::size_t j = 0; j < b.bind.servers.size(); ++j)
+        out.emplace(b.bind.servers[j], b.incarnations[j]);
+  return out;
 }
 
 sim::Task<Result<Buffer>> Transaction::invoke(Uid object, std::string op, Buffer args,
@@ -89,12 +99,51 @@ sim::Task<Result<Buffer>> Transaction::invoke(Uid object, std::string op, Buffer
   for (const actions::AtomicAction* p = action_.parent(); p != nullptr; p = p->parent())
     ancestors.push_back(p->uid());
 
+  // The first invocation at a server incarnation the action already
+  // depends on activates the object there (DESIGN.md sec 26). A refusal
+  // comes before anything is applied: when the object's replica group
+  // has other members the operation goes through the group instead;
+  // otherwise the object is re-bound, avoiding that server.
+  std::vector<sim::NodeId> avoid;
+  while (ab.activate_on_invoke) {
+    rpc::Binding server{ab.primary, ab.incarnations.front()};
+    replication::Activation activation{ab.spec.class_name, ab.st,
+                                       ab.spec.policy == ReplicationPolicy::Active};
+    Result<Buffer> first = co_await replication::objsrv_invoke_activating(
+        session_.runtime().endpoint(), server, object, action_.uid(), ancestors, mode, op, args,
+        std::move(activation));
+    const Err refused = first.ok() ? Err::None : first.error();
+    if (refused == Err::NotSoleMember) {
+      session_.counters().inc("session.activate_group_call");
+      ab.activate_on_invoke = false;
+      break;
+    }
+    if (refused != Err::NotQuiescent && refused != Err::NoReplicas && refused != Err::Conflict) {
+      if (first.ok()) {
+        ab.activate_on_invoke = false;
+        if (mode == LockMode::Write) ab.wrote = true;
+      }
+      co_return first;
+    }
+    session_.counters().inc("session.activate_rebind");
+    avoid.push_back(ab.primary);
+    const replication::Activator::Contacted known = contacted();
+    naming::Rebind rebind{avoid, ab.bind.token};
+    auto again =
+        co_await session_.activator().bind_and_activate(ab.spec, action_, known, std::move(rebind));
+    if (!again.ok()) co_return again.error();
+    ab = std::move(again).value();
+    for (sim::NodeId s : ab.bind.servers) action_.enlist({s, replication::kObjSrvService});
+  }
+
   Result<Buffer> r = Err::NoReplicas;
   if (ab.spec.policy == ReplicationPolicy::Active) {
     // Multicast to the replica group; first reply wins (sec 2.3(2)(i)).
+    const std::optional<replication::Activation> none;
     r = co_await session_.runtime().endpoint().call_group(session_.system().gc(), object,
                                                           replication::kObjsrvInvoke, object,
-                                                          action_.uid(), ancestors, mode, op, args);
+                                                          action_.uid(), ancestors, mode, op,
+                                                          args, none);
   } else {
     // Single-copy passive / coordinator-cohort: invoke the primary.
     r = co_await replication::objsrv_invoke(session_.runtime().endpoint(), ab.primary, object,

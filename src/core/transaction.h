@@ -93,6 +93,9 @@ class Transaction {
  private:
   Transaction(ClientSession& session, Transaction* parent);
   sim::Task<Result<ActiveBinding*>> bound(Uid object);
+  // The servers this action and its ancestors hold bindings at, each
+  // with the incarnation recorded for it.
+  replication::Activator::Contacted contacted() const;
   sim::Task<> release_use_lists();
 
   ClientSession& session_;

@@ -17,7 +17,8 @@ const char* to_string(Scheme s) noexcept {
 }
 
 sim::Task<Result<BindResult>> Binder::bind(Uid object, std::size_t want,
-                                           actions::AtomicAction* client_action, Probe probe) {
+                                           actions::AtomicAction* client_action, Probe probe,
+                                           Rebind rebind) {
   counters_.inc("bind.attempts");
   auto span = core::tracing(rt_.trace())
                   ? core::trace_span(rt_.trace(), "bind", rt_.endpoint().node_id(), "binder",
@@ -25,8 +26,8 @@ sim::Task<Result<BindResult>> Binder::bind(Uid object, std::size_t want,
                   : core::TraceRecorder::Span{};
   if (client_action == nullptr) co_return Err::BadRequest;
   if (scheme_ == Scheme::StandardNested)
-    co_return co_await bind_standard(object, want, *client_action, probe);
-  co_return co_await bind_enhanced(object, want, *client_action, probe);
+    co_return co_await bind_standard(object, want, *client_action, probe, rebind);
+  co_return co_await bind_enhanced(object, want, *client_action, probe, std::move(rebind));
 }
 
 sim::Task<BindResult> Binder::probe_servers(const std::vector<NodeId>& candidates,
@@ -55,13 +56,12 @@ sim::Task<BindResult> Binder::probe_servers(const std::vector<NodeId>& candidate
 
 sim::Task<Result<BindResult>> Binder::bind_standard(Uid object, std::size_t want,
                                                     actions::AtomicAction& client_action,
-                                                    Probe& probe) {
+                                                    Probe& probe, const Rebind& rebind) {
   // Fig 6: GetServer's read lock lasts until the client action ends. One
   // read takes it together with St's, both under the client action.
   sim::Simulator& sim = rt_.endpoint().node().sim();
   const sim::SimTime t0 = sim.now();
-  auto view = co_await osdb_bind_read(rt_.endpoint(), naming_node_, object, client_action.uid(),
-                                      client_action.uid(), false);
+  auto view = co_await osdb_bind_read(rt_.endpoint(), naming_node_, object, client_action.uid());
   core::metric_record(rt_.metrics(), "naming.getserver_us",
                       static_cast<double>(sim.now() - t0));
   client_action.enlist({naming_node_, kGvdbService});
@@ -75,8 +75,12 @@ sim::Task<Result<BindResult>> Binder::bind_standard(Uid object, std::size_t want
   // Fixed selection algorithm: walk Sv in database order. Sv is the
   // *static* set of potential servers, so dead nodes are discovered only
   // by failing to bind to them — the scheme's documented shortcoming.
-  BindResult out = co_await probe_servers(view.value().sv.sv, want, view.value().st.st, probe,
-                                          "bind.hard_way_failure");
+  std::vector<NodeId> candidates = view.value().sv.sv;
+  std::erase_if(candidates, [&rebind](NodeId node) {
+    return std::find(rebind.avoid.begin(), rebind.avoid.end(), node) != rebind.avoid.end();
+  });
+  BindResult out =
+      co_await probe_servers(candidates, want, view.value().st.st, probe, "bind.hard_way_failure");
   if (out.servers.empty()) {
     counters_.inc("bind.no_replicas");
     co_return Err::NoReplicas;
@@ -85,85 +89,104 @@ sim::Task<Result<BindResult>> Binder::bind_standard(Uid object, std::size_t want
   co_return out;
 }
 
+sim::Task<Result<BindReply>> Binder::bind_call(Uid object, std::size_t want,
+                                               const Uid& client_action, const Uid& token,
+                                               const std::vector<NodeId>& avoid,
+                                               const std::vector<NodeId>& remove,
+                                               const Uid& release) {
+  Result<BindReply> reply = Err::Timeout;
+  for (int attempt = 0; attempt < kBindAttempts && reply.error() == Err::Timeout; ++attempt) {
+    if (attempt > 0) counters_.inc("bind.resent");
+    reply = co_await osdb_bind(rt_.endpoint(), naming_node_, object, client_action, token,
+                               static_cast<std::uint32_t>(want), avoid, remove, release);
+  }
+  co_return reply;
+}
+
 sim::Task<Result<BindResult>> Binder::bind_enhanced(Uid object, std::size_t want,
                                                     actions::AtomicAction& client_action,
-                                                    Probe& probe) {
-  // Figs 7/8: an independent (or nested) top-level action updates the
-  // database while binding, keeping Sv current.
-  actions::AtomicAction act{rt_};
+                                                    Probe& probe, Rebind rebind) {
+  // Figs 7/8: a top-level binder action updates the database while
+  // binding, keeping Sv current. It is one osdb.bind, which picks the
+  // servers (in-use ones first, sec 4.1.3(i)), Increments them under a
+  // fresh token and commits. A server that then fails its probe is
+  // Removed (Dead) or avoided (Busy) by one more osdb.bind, which also
+  // releases the binding it replaces.
   counters_.inc(scheme_ == Scheme::IndependentTopLevel ? "bind.independent_action"
                                                        : "bind.nested_toplevel_action");
-  // Write lock up front (update-mode read): this action WILL Increment
-  // and possibly Remove; starting with a shared read lock would deadlock
-  // two concurrent binders at promotion time. St's read lock goes to the
-  // client action, which never waits for the binder's: the two are
-  // distinct locks of the entry.
   sim::Simulator& sim = rt_.endpoint().node().sim();
-  const sim::SimTime t0 = sim.now();
-  auto view = co_await osdb_bind_read(rt_.endpoint(), naming_node_, object, client_action.uid(),
-                                      act.uid(), true);
-  core::metric_record(rt_.metrics(), "naming.getserver_us",
-                      static_cast<double>(sim.now() - t0));
-  client_action.enlist({naming_node_, kGvdbService});
-  act.enlist({naming_node_, kGvdbService});
-  if (!view.ok()) {
-    (void)co_await act.abort();
-    counters_.inc("bind.getserver_failed");
-    co_return view.error();
-  }
-  const SvView& sv = view.value().sv;
-  core::metric_gauge(rt_.metrics(), "naming.sv_size", static_cast<double>(sv.sv.size()));
-
-  // Candidate order: if any use list is non-empty the object is already
-  // active — bind only to servers with non-zero counters (sec 4.1.3(i));
-  // otherwise we are free to select any subset of Sv.
-  std::vector<NodeId> candidates;
-  if (!sv.quiescent()) {
-    counters_.inc("bind.join_active_group");
-    for (NodeId node : sv.sv)
-      if (sv.in_use(node)) candidates.push_back(node);
-  } else {
-    candidates = sv.sv;
-  }
-  BindResult out = co_await probe_servers(candidates, want, view.value().st.st, probe,
-                                          "bind.probe_failure");
-
-  // Remove the failed servers so later clients never retry them; then
-  // record our presence in the use lists. The Increment commits the
-  // action at the naming node, Removes included, so the call's reply is
-  // the action's outcome. It is idempotent by the token, so a call whose
-  // reply was lost is sent again.
-  for (NodeId node : out.failed) {
-    Status s = co_await osdb_remove(rt_.endpoint(), naming_node_, object, node, act.uid());
-    if (s.ok()) counters_.inc("bind.removed_failed_server");
-  }
-  out.token = act.uid();
-  Status s = Err::Timeout;
-  for (int attempt = 0; attempt < kIncrementAttempts && s.error() == Err::Timeout; ++attempt) {
-    if (attempt > 0) counters_.inc("bind.increment_resent");
-    s = co_await osdb_increment(rt_.endpoint(), naming_node_, object, rt_.endpoint().node_id(),
-                                out.servers, out.token);
-  }
-  if (!s.ok()) {
-    // Refused (the naming node no longer holds the action) or no reply
-    // at all. Abort, so a late Increment is refused; with no reply the
-    // Increment may have committed, so drop its binding too.
-    (void)co_await act.abort();
-    if (s.error() == Err::Timeout && !out.servers.empty()) {
-      const std::vector<UseRelease> mine{UseRelease{object, out.servers, out.token}};
-      for (int attempt = 0; attempt < kIncrementAttempts; ++attempt)
-        if ((co_await unbind(mine)).ok()) break;
+  BindResult out;
+  out.scheme = scheme_;
+  std::vector<NodeId> remove;
+  std::vector<NodeId> probed_ok;
+  Uid release = rebind.release;
+  for (;;) {
+    const Uid token = rt_.new_uid();
+    const sim::SimTime t0 = sim.now();
+    auto reply =
+        co_await bind_call(object, want, client_action.uid(), token, rebind.avoid, remove, release);
+    core::metric_record(rt_.metrics(), "naming.getserver_us",
+                        static_cast<double>(sim.now() - t0));
+    client_action.enlist({naming_node_, kGvdbService});
+    if (!reply.ok()) {
+      // Nothing was recorded but, with no reply at all, this call's own
+      // binding; the one it was to release is still recorded. Drop both.
+      std::vector<Uid> drop;
+      if (reply.error() == Err::Timeout) drop.push_back(token);
+      if (!release.nil()) drop.push_back(release);
+      co_await drop_bindings(object, std::move(drop));
+      counters_.inc("bind.getserver_failed");
+      co_return reply.error();
     }
-    counters_.inc("bind.action_aborted");
-    co_return s.error();
+    counters_.inc("bind.removed_failed_server", remove.size());
+    remove.clear();
+    if (reply.value().active) counters_.inc("bind.join_active_group");
+    out.st = reply.value().st.st;
+    out.token = token;
+    out.servers.clear();
+    bool all_ok = true;
+    for (NodeId node : reply.value().servers) {
+      if (std::find(probed_ok.begin(), probed_ok.end(), node) != probed_ok.end()) {
+        out.servers.push_back(node);
+        continue;
+      }
+      switch (co_await probe(node, out.st)) {
+        case ProbeResult::Ok:
+          probed_ok.push_back(node);
+          out.servers.push_back(node);
+          break;
+        case ProbeResult::Dead:
+          out.failed.push_back(node);
+          remove.push_back(node);
+          counters_.inc("bind.probe_failure");
+          all_ok = false;
+          break;
+        case ProbeResult::Busy:
+          rebind.avoid.push_back(node);
+          counters_.inc("bind.busy_server_skipped");
+          all_ok = false;
+          break;
+      }
+    }
+    if (all_ok) break;
+    release = token;  // replaced by the next call's binding
   }
-  act.committed_at_participant();
   if (out.servers.empty()) {
     counters_.inc("bind.no_replicas");
     co_return Err::NoReplicas;  // the Removes still committed above
   }
   counters_.inc("bind.bound");
   co_return out;
+}
+
+sim::Task<> Binder::drop_bindings(Uid object, std::vector<Uid> tokens) {
+  if (tokens.empty()) co_return;
+  std::vector<UseRelease> drop;
+  for (const Uid& token : tokens) drop.push_back(UseRelease{object, {}, token});
+  for (int attempt = 0; attempt < kBindAttempts; ++attempt)
+    if ((co_await osdb_decrement(rt_.endpoint(), naming_node_, rt_.endpoint().node_id(), drop))
+            .ok())
+      break;
 }
 
 sim::Task<Status> Binder::unbind(std::vector<UseRelease> bindings) {

@@ -10,10 +10,14 @@
 //     bind time.
 //
 //   IndependentTopLevel (S2, fig 7)
-//     Binding runs in its own top-level action: GetServer (now also
-//     returning use lists), probe, Remove failed servers, Increment use
-//     counters, commit. The action's only participant is the group view
-//     database, so its Increment call also commits it there. After the
+//     Binding runs in its own top-level action, named by a fresh token,
+//     and that action is one call to the naming node (osdb.bind,
+//     DESIGN.md sec 26): GetServer, Remove of the servers a previous
+//     attempt found dead, the pick of servers, their Increment and the
+//     commit all happen there, so Sv's lock is held for no round trip.
+//     The binder then probes the servers it was given; one that fails
+//     sends one more osdb.bind, which Removes it (Dead) or avoids it
+//     (Busy) and releases the failed binding in the same call. After the
 //     client action terminates one Decrement call, which needs no client
 //     action, drops every binding the client action made. Sv stays
 //     current at the cost of write locks on the DB entry.
@@ -22,14 +26,14 @@
 //     Same operations, but the binding action is a nested top-level
 //     action invoked from INSIDE the running client action (and the
 //     Decrement likewise). Functionally equivalent to S2; the difference
-//     is structural (fewer separate action envelopes, binding latency
-//     overlapped with the client action) and is visible in the metrics.
+//     is structural, and with the binder action inside one call the two
+//     send the same messages.
 //
-// Every scheme reads Sv together with St(A) in one call (osdb.bind_read):
-// St under the client action, whose commit processing relies on it, and
-// Sv under the binder's action. With the probe that activates a server
-// and joins it to the replica group in one call, and the Increment, a
-// bind costs 3 sequential round trips per object.
+// Every scheme reads St(A) under the client action, whose commit
+// processing relies on it, in the same call that reads Sv. A bind is
+// one naming call; the probe that activates a server and joins it to the
+// replica group runs at most once per server an action contacts (the
+// Activator skips it for a server the action already depends on).
 //
 // The binder performs naming-database work and server probing only;
 // actually activating object replicas is the Activator's job
@@ -64,6 +68,13 @@ struct BindResult {
   Uid token;
 };
 
+// What a bind must not reuse: servers to skip, and (S2/S3) the binding
+// it replaces, released in the same naming call.
+struct Rebind {
+  std::vector<NodeId> avoid;
+  Uid release;
+};
+
 class Binder {
  public:
   // Probe: attempt to reach/activate a server on `node`, which loads the
@@ -74,24 +85,24 @@ class Binder {
   Binder(actions::ActionRuntime& rt, NodeId naming_node, Scheme scheme)
       : rt_(rt), naming_node_(naming_node), scheme_(scheme) {}
 
-  // Bind to up to `want` servers for `object`. Every scheme needs the
-  // client action (null: BadRequest): St(A) is read-locked under it, and
-  // S1 holds its Sv read lock under it too. S2/S3 run their own
-  // top-level action besides.
+  // Bind to up to `want` servers for `object`, none of `rebind.avoid`.
+  // Every scheme needs the client action (null: BadRequest): St(A) is
+  // read-locked under it, and S1 holds its Sv read lock under it too.
   sim::Task<Result<BindResult>> bind(Uid object, std::size_t want,
-                                     actions::AtomicAction* client_action, Probe probe);
+                                     actions::AtomicAction* client_action, Probe probe,
+                                     Rebind rebind = {});
 
   // Release the bindings' bookkeeping after the client action ended
   // (S2/S3: one Decrement call for all of them, idempotent by the
   // bindings' tokens, so a caller may resend it; S1: no-op).
   sim::Task<Status> unbind(std::vector<UseRelease> bindings);
 
-  // Times the binder sends its Increment while every reply is lost.
-  static constexpr int kIncrementAttempts = 3;
+  // Times the binder sends one osdb.bind while every reply is lost.
+  static constexpr int kBindAttempts = 3;
 
   // Probe `candidates` in order until `want` answer Ok; each Dead one is
   // counted under `dead_counter`, each Busy one under
-  // bind.busy_server_skipped. The cached bind probes through this too.
+  // bind.busy_server_skipped. S1 and the cached bind probe through this.
   sim::Task<BindResult> probe_servers(const std::vector<NodeId>& candidates, std::size_t want,
                                       const std::vector<NodeId>& st, Probe& probe,
                                       const char* dead_counter);
@@ -101,9 +112,18 @@ class Binder {
 
  private:
   sim::Task<Result<BindResult>> bind_standard(Uid object, std::size_t want,
-                                              actions::AtomicAction& client_action, Probe& probe);
+                                              actions::AtomicAction& client_action, Probe& probe,
+                                              const Rebind& rebind);
   sim::Task<Result<BindResult>> bind_enhanced(Uid object, std::size_t want,
-                                              actions::AtomicAction& client_action, Probe& probe);
+                                              actions::AtomicAction& client_action, Probe& probe,
+                                              Rebind rebind);
+  // Drop `object`'s bindings named by `tokens` wherever they are: a bind
+  // that gives up leaves none behind.
+  sim::Task<> drop_bindings(Uid object, std::vector<Uid> tokens);
+  // One osdb.bind, resent under the same token while no reply comes.
+  sim::Task<Result<BindReply>> bind_call(Uid object, std::size_t want, const Uid& client_action,
+                                         const Uid& token, const std::vector<NodeId>& avoid,
+                                         const std::vector<NodeId>& remove, const Uid& release);
 
   actions::ActionRuntime& rt_;
   NodeId naming_node_;

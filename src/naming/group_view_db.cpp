@@ -15,6 +15,10 @@ namespace {
 // between two of its own naming interactions; larger rings only pad every
 // reply leaving the naming node.
 constexpr std::size_t kRecentBumpCap = 8;
+// Released bind tokens remembered: a bind request still in flight with
+// one (a copy its client stopped waiting for) arrives within a few call
+// deadlines of the release.
+constexpr std::size_t kReleasedCap = 256;
 
 using Tokens = ObjectServerDb::Tokens;
 
@@ -34,6 +38,19 @@ Tokens* slot(ObjectServerDb::Entry& e, NodeId server, NodeId client) {
   if (uit == e.use.end()) return nullptr;
   auto cit = uit->second.find(client);
   return cit == uit->second.end() ? nullptr : &cit->second;
+}
+
+// True if any client is bound through `server`.
+bool in_use(const ObjectServerDb::Entry& e, NodeId server) {
+  auto uit = e.use.find(server);
+  if (uit == e.use.end()) return false;
+  for (const auto& [client, tokens] : uit->second)
+    if (!tokens.empty()) return true;
+  return false;
+}
+
+bool contains(const std::vector<NodeId>& nodes, NodeId node) {
+  return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
 }
 
 // Live bindings of an entry, all slots.
@@ -92,6 +109,7 @@ GroupViewDb::GroupViewDb(sim::Node& node, store::ObjectStore& store, rpc::RpcEnd
     undo_.clear();
     orphans_.clear();
     locks_.reset();
+    released_.clear();
     load_entries(store_.records(kGvdbUid));
     piggyback_stale_ = true;  // a new incarnation, and reloaded epochs
   });
@@ -269,21 +287,98 @@ void GroupViewDb::bump_epoch(const Uid& object, EntryParts part) {
 
 // ----------------------------------------- the Object Server table (osdb)
 
-sim::Task<Result<BindView>> GroupViewDb::bind_read(NodeId from, Uid object, Uid client_action,
-                                                   Uid bind_action, bool for_update) {
+sim::Task<Result<BindView>> GroupViewDb::bind_read(NodeId from, Uid object,
+                                                   Uid client_action) {
   counters_.inc("gvdb.bind_read");
   note_activity(client_action, from);
-  if (bind_action != client_action) note_activity(bind_action, from);
   // St first: a client action's read lock on St waits only for an
   // Include, never for a binder.
   auto st = co_await get_view(object, client_action);
   if (!st.ok()) co_return st.error();
-  // GetServer.
-  counters_.inc(for_update ? "osdb.get_server_update" : "osdb.get_server");
-  const auto mode = for_update ? actions::LockMode::ExcludeWrite : actions::LockMode::Read;
-  auto sv = co_await lock_entry(servers_, object, mode, bind_action);
+  counters_.inc("osdb.get_server");
+  auto sv = co_await lock_entry(servers_, object, actions::LockMode::Read, client_action);
   if (!sv.ok()) co_return sv.error();
   co_return BindView{ObjectServerDb::view_of(*sv.value()), std::move(st).value()};
+}
+
+sim::Task<Result<BindReply>> GroupViewDb::bind(NodeId from, Uid object, Uid client_action,
+                                               Uid token, std::uint32_t want,
+                                               std::vector<NodeId> avoid,
+                                               std::vector<NodeId> remove, Uid release) {
+  counters_.inc("osdb.bind");
+  note_activity(client_action, from);
+  auto st = co_await get_view(object, client_action);
+  if (!st.ok()) co_return st.error();
+  // The bind action's lock on Sv lives for this call alone: EXCLUDE-WRITE
+  // (exclusive among updaters, compatible with readers, sec 4.2.1), or
+  // WRITE when it Removes. The token is not noted as an activity: no
+  // round trip passes while it holds anything here.
+  const auto mode = remove.empty() ? actions::LockMode::ExcludeWrite : actions::LockMode::Write;
+  auto found = co_await lock_entry(servers_, object, mode, token);
+  if (!found.ok()) co_return found.error();
+  ObjectServerDb::Entry& e = *found.value();
+  BindReply out{{}, std::move(st).value(), false};
+  // From here on the call does not suspend: what it reads and what it
+  // records are one step.
+  for (NodeId host : e.sv) {
+    const Tokens* tokens = slot(e, host, from);
+    if (tokens != nullptr && has_token(*tokens, token)) out.servers.push_back(host);
+  }
+  if (!out.servers.empty()) {
+    counters_.inc("osdb.bind_resent");  // its first copy committed
+    locks_.release_all(token);
+    co_return out;
+  }
+  if (std::find(released_.begin(), released_.end(), token) != released_.end()) {
+    counters_.inc("osdb.bind_refused");
+    locks_.release_all(token);
+    co_return Err::Aborted;
+  }
+  bool changed = false;
+  for (NodeId host : remove) {
+    auto pos = std::find(e.sv.begin(), e.sv.end(), host);
+    if (pos == e.sv.end()) continue;  // a resend's Remove already committed
+    counters_.inc("osdb.remove");
+    e.sv.erase(pos);
+    e.use.erase(host);
+    bump_epoch(object, kSvPart);
+    changed = true;
+  }
+  if (!release.nil()) {
+    if (drop_token(e, from, release)) changed = true;
+    note_released(release);
+  }
+  out.active = use_count(e) > 0;
+  for (NodeId host : e.sv) {
+    if (out.servers.size() >= want) break;
+    if (contains(avoid, host) || (out.active && !in_use(e, host))) continue;
+    out.servers.push_back(host);
+    e.use[host][from].push_back(token);
+  }
+  if (out.servers.empty() && !changed) {
+    locks_.release_all(token);
+    co_return out;
+  }
+  core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
+  commit_now(token, object, kSvPart);
+  co_return out;
+}
+
+void GroupViewDb::note_released(const Uid& token) {
+  released_.push_back(token);
+  if (released_.size() > kReleasedCap) released_.pop_front();
+}
+
+bool GroupViewDb::drop_token(ObjectServerDb::Entry& e, NodeId client, const Uid& token) {
+  bool dropped = false;
+  for (auto& [server, clients] : e.use) {
+    auto cit = clients.find(client);
+    if (cit == clients.end() || !has_token(cit->second, token)) continue;
+    std::erase(cit->second, token);
+    if (cit->second.empty()) clients.erase(cit);
+    dropped = true;
+  }
+  return dropped;
 }
 
 sim::Task<Status> GroupViewDb::insert(Uid object, NodeId host, Uid action) {
@@ -339,46 +434,16 @@ sim::Task<Status> GroupViewDb::remove(Uid object, NodeId host, Uid action) {
   co_return ok_status();
 }
 
-Status GroupViewDb::increment(Uid object, NodeId client, std::vector<NodeId> hosts, Uid token) {
-  counters_.inc("osdb.increment");
-  auto it = servers_.entries.find(object);
-  if (it == servers_.entries.end()) return Err::NotFound;
-  ObjectServerDb::Entry& e = it->second;
-  // A resend of an Increment that already committed: the token says so.
-  for (NodeId host : hosts) {
-    const Tokens* tokens = slot(e, host, client);
-    if (tokens != nullptr && has_token(*tokens, token)) {
-      counters_.inc("osdb.increment_resent");
-      return ok_status();
-    }
-  }
-  // The bind action's update lock pins the view it read; without it the
-  // action is gone from this incarnation and so are its Removes.
-  if (!locks_.holds({object, kSvPart}, token, actions::LockMode::ExcludeWrite)) {
-    counters_.inc("osdb.increment_refused");
-    return Err::Aborted;
-  }
-  for (NodeId host : hosts) e.use[host][client].push_back(token);
-  core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
-  commit_now(token, object, kSvPart);
-  return ok_status();
-}
-
 sim::Task<Status> GroupViewDb::decrement(NodeId client, std::vector<UseRelease> bindings) {
   for (const UseRelease& b : bindings) {
     counters_.inc("osdb.decrement");
     if (!servers_.known(b.object)) continue;
-    if (locks_.holds({b.object, kSvPart}, b.token, actions::LockMode::Read)) {
-      // The bind action itself is still live here (its client gave up on
-      // the Increment): end it, so a late Increment finds nothing to commit.
-      counters_.inc("osdb.decrement_ended_bind");
-      (void)co_await abort(b.token);
-    }
     const Uid local = local_actions_.next();
     auto found = co_await lock_entry(servers_, b.object, actions::LockMode::Write, local);
     if (!found.ok()) co_return found.error();  // the caller resends; done bindings are absent then
     ObjectServerDb::Entry& e = *found.value();
     bool removed = false;
+    if (b.servers.empty()) removed = drop_token(e, client, b.token);
     for (NodeId host : b.servers) {
       Tokens* tokens = slot(e, host, client);
       if (tokens == nullptr || !has_token(*tokens, b.token)) continue;
@@ -390,6 +455,7 @@ sim::Task<Status> GroupViewDb::decrement(NodeId client, std::vector<UseRelease> 
       persist(b.object, kSvPart);
     else
       counters_.inc("osdb.decrement_absent");
+    note_released(b.token);
     core::metric_gauge(metrics_, "naming.use_list_len", static_cast<double>(use_count(e)));
     locks_.release_all(local);
   }
@@ -588,12 +654,7 @@ void GroupViewDb::register_rpc(rpc::RpcEndpoint& endpoint) {
     note_activity(action, from);
     return remove(object, host, action);
   });
-  // Increment and Decrement end or need no action here, so neither
-  // records activity: a refused or resent call must not leave an owner.
-  endpoint.serve(kOsdbIncrement,
-                 [this](NodeId, Uid object, NodeId client, std::vector<NodeId> hosts, Uid token) {
-                   return increment(object, client, std::move(hosts), token);
-                 });
+  // Decrement needs no action here, so it records no activity.
   endpoint.serve(kOsdbDecrement, [this](NodeId, NodeId client, std::vector<UseRelease> bindings) {
     return decrement(client, std::move(bindings));
   });
@@ -612,9 +673,14 @@ void GroupViewDb::register_rpc(rpc::RpcEndpoint& endpoint) {
     note_activity(action, from);
     return include(object, host, action);
   });
-  endpoint.serve(kOsdbBindRead, [this](NodeId from, Uid object, Uid client_action,
-                                       Uid bind_action, bool for_update) {
-    return bind_read(from, object, client_action, bind_action, for_update);
+  endpoint.serve(kOsdbBindRead, [this](NodeId from, Uid object, Uid client_action) {
+    return bind_read(from, object, client_action);
+  });
+  endpoint.serve(kOsdbBind, [this](NodeId from, Uid object, Uid client_action, Uid token,
+                                   std::uint32_t want, std::vector<NodeId> avoid,
+                                   std::vector<NodeId> remove, Uid release) {
+    return bind(from, object, client_action, token, want, std::move(avoid), std::move(remove),
+                release);
   });
   endpoint.serve(kGvdbGetViews,
                  [this](NodeId, std::vector<Uid> objects) { return get_views(objects); });

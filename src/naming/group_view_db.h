@@ -25,11 +25,15 @@
 //
 // Services and the operations they serve:
 //
-//   osdb   Insert, Remove, Increment, Decrement, PurgeClient (sec 4.1,
-//          4.1.3), and bind_read(object, client, bind, update): the
-//          binder's one naming read (figs 6-8) — St(A) read-locked under
-//          the client action and GetServer's Sv(A) under the bind action
-//          (write-locked for update).
+//   osdb   Insert, Remove, Decrement, PurgeClient (sec 4.1, 4.1.3);
+//          bind_read(object, client), S1's naming read (fig 6): St(A)
+//          and GetServer's Sv(A), both read-locked under the client
+//          action; and bind(object, client, token, ...), the whole S2/S3
+//          binder action (figs 7, 8) in one call: St(A) read-locked
+//          under the client action, the Removes and a released binding's
+//          Decrement, the pick of servers, their Increment, and the
+//          commit, with Sv's lock held for the call alone (DESIGN.md
+//          sec 26).
 //   ostdb  GetView, Exclude, Include (sec 4.2).
 //   gvdb   For the client-side group-view cache (sec 6: "caching of
 //          binding information"): get_views(uids...), a lock-free batched
@@ -101,11 +105,22 @@ struct NamingConfig {
 // rate difference between the two.
 enum class ExcludePolicy { ExcludeWriteLock, PromoteToWrite };
 
-// The binder's one naming read: Sv(A) with its use lists, and St(A).
+// S1's naming read: Sv(A) with its use lists, and St(A).
 struct BindView {
   SvView sv;
   StView st;
   GV_WIRE_FIELDS(sv, st)
+};
+
+// An S2/S3 bind's answer: the servers it picked and recorded the client
+// on, in Sv order (none: no server left to bind), and St(A). `active`
+// says the object was in use, so only servers with non-zero use counts
+// could be picked (sec 4.1.3(i)).
+struct BindReply {
+  std::vector<NodeId> servers;
+  StView st;
+  bool active = false;
+  GV_WIRE_FIELDS(servers, st, active)
 };
 
 // One object's Sv(A) and St(A) with their view epochs.
@@ -153,8 +168,13 @@ inline constexpr rpc::Rpc<GetViewsReply(std::vector<Uid>)> kGvdbGetViews{kGvdbSe
                                                                          "get_views"};
 inline constexpr rpc::Rpc<actions::Vote(Uid, std::uint64_t, std::vector<ValidateItem>, bool)>
     kGvdbValidate{kGvdbService, "validate"};
-// (object, client action, bind action, for update)
-inline constexpr rpc::Rpc<BindView(Uid, Uid, Uid, bool)> kOsdbBindRead{kOsdbService, "bind_read"};
+// (object, client action)
+inline constexpr rpc::Rpc<BindView(Uid, Uid)> kOsdbBindRead{kOsdbService, "bind_read"};
+// (object, client action, bind token, servers wanted, servers to avoid,
+// servers to Remove, binding to release)
+inline constexpr rpc::Rpc<BindReply(Uid, Uid, Uid, std::uint32_t, std::vector<NodeId>,
+                                    std::vector<NodeId>, Uid)>
+    kOsdbBind{kOsdbService, "bind"};
 
 class GroupViewDb final : public actions::ServerParticipant {
  public:
@@ -177,40 +197,36 @@ class GroupViewDb final : public actions::ServerParticipant {
   void nested_abort(const Uid& child) override;
 
   // ---- the paper's operations (local API; the RPC glue mirrors these) ---
-  // Every operation but Increment and Decrement names the atomic action
-  // it runs under; locks are owned by that action and held until it ends
+  // Every operation but bind and Decrement names the atomic action it
+  // runs under; locks are owned by that action and held until it ends
   // (or are inherited by its parent if it is nested). This is what makes
   // scheme S1 (fig 6) hold the read lock for the whole client action
-  // while S2/S3 (figs 7, 8) — which pass a short independent top-level
-  // action — release it immediately.
+  // while S2/S3 (figs 7, 8) — whose bind action lives for one call —
+  // release it immediately.
 
-  // The binder's naming read: GetView(A) under `client_action`, then
-  // GetServer(A) under `bind_action`. `for_update` takes Sv's update lock
-  // instead of a read lock: the enhanced schemes (figs 7/8) always follow
-  // GetServer with Increment/Remove, and taking the update lock up front
-  // avoids the promotion deadlock two concurrent binders would otherwise
-  // create (both sharing read locks, both refused promotion). The update
-  // lock is EXCLUDE-WRITE, as for Exclude (sec 4.2.1): exclusive among
-  // updaters, but compatible with readers, so a binder never blocks a
-  // validate; its Remove still promotes to WRITE.
-  sim::Task<Result<BindView>> bind_read(NodeId from, Uid object, Uid client_action,
-                                        Uid bind_action, bool for_update);
+  // S1's naming read: GetView(A) and GetServer(A), both read-locked
+  // under `client_action` until it ends.
+  sim::Task<Result<BindView>> bind_read(NodeId from, Uid object, Uid client_action);
+  // The S2/S3 binder action for client node `from`, named by `token`
+  // (DESIGN.md sec 26): GetView(A) under `client_action`; then, under
+  // Sv's lock held for this call alone, Remove each `remove` server,
+  // Decrement the binding `release` (nil: none), pick up to `want`
+  // servers — the in-use ones if any use list is non-empty, else Sv in
+  // order — skipping `avoid`, Increment them under `token`, and commit.
+  // A resend whose token is already recorded answers the recorded pick;
+  // a token already released — by a Decrement, or by a later bind of the
+  // same client — is refused with Aborted, so a late copy records nothing.
+  sim::Task<Result<BindReply>> bind(NodeId from, Uid object, Uid client_action, Uid token,
+                                    std::uint32_t want, std::vector<NodeId> avoid,
+                                    std::vector<NodeId> remove, Uid release);
   // Insert doubles as the recovered server node's quiescence check.
   sim::Task<Status> insert(Uid object, NodeId host, Uid action);
   sim::Task<Status> remove(Uid object, NodeId host, Uid action);
-  // Increment: record binding `token` for `client` on every host's use
-  // list, then commit the bind action `token` here, together with any
-  // Removes it made: the binder's action ends in this call (DESIGN.md
-  // §15). The action must still hold the entry's update lock (GetServer
-  // for update); one this incarnation no longer holds — aborted, swept as
-  // an orphan, lost in a crash — is refused with Aborted and nothing
-  // changes. A resend whose token is already recorded answers OK.
-  Status increment(Uid object, NodeId client, std::vector<NodeId> hosts, Uid token);
   // Decrement: drop each named binding of `client` from its use lists
-  // and persist the entry, under a local action of its own (no client
-  // action). A token that is absent, or an unknown object, is skipped. If
-  // a bind action is still live here it is rolled back first, so its late
-  // Increment is refused.
+  // (from every server's when the binding names none) and persist the
+  // entry, under a local action of its own (no client action). A token
+  // that is absent, or an unknown object, is skipped. Each token is
+  // remembered, so a copy of its bind that arrives later is refused.
   sim::Task<Status> decrement(NodeId client, std::vector<UseRelease> bindings);
   // Cleanup hook for the janitor (sec 4.1.3: "failure detection and
   // cleanup protocols will be required"): drop every use-list entry of a
@@ -295,6 +311,11 @@ class GroupViewDb final : public actions::ServerParticipant {
   // the other parts as last committed. Entries are never deleted, so it
   // is only asked for existing ones.
   void persist(const Uid& object, EntryParts parts);
+  // Drop binding `token` of `client` from every server's use list of
+  // `e`; false if it held none.
+  static bool drop_token(ObjectServerDb::Entry& e, NodeId client, const Uid& token);
+  // Remember a released bind token, so a late copy of its bind is refused.
+  void note_released(const Uid& token);
   // Replace every entry with the stable records (crash recovery).
   void load_entries(const std::map<Uid, Buffer>& records);
   void note_invalidation(const Uid& object);
@@ -317,6 +338,9 @@ class GroupViewDb final : public actions::ServerParticipant {
   ObjectStateDb states_;
   // Owners of the locks Decrement takes, one fresh UID per binding.
   UidGenerator local_actions_;
+  // Bind tokens a Decrement or a bind's release dropped, most recent
+  // last, bounded: a bind carrying one is refused (volatile).
+  std::deque<Uid> released_;
   // Recently bumped UIDs, most recent last, deduplicated, bounded.
   std::deque<Uid> recent_bumps_;
   // piggyback_blob()'s bytes, valid while !piggyback_stale_.
@@ -338,9 +362,15 @@ inline sim::Task<Result<actions::Vote>> gvdb_validate(rpc::RpcEndpoint& ep, Node
   return ep.call(naming_node, kGvdbValidate, action, incarnation, items, may_leave);
 }
 inline sim::Task<Result<BindView>> osdb_bind_read(rpc::RpcEndpoint& ep, NodeId naming_node,
-                                                  Uid object, Uid client_action, Uid bind_action,
-                                                  bool for_update) {
-  return ep.call(naming_node, kOsdbBindRead, object, client_action, bind_action, for_update);
+                                                  Uid object, Uid client_action) {
+  return ep.call(naming_node, kOsdbBindRead, object, client_action);
+}
+inline sim::Task<Result<BindReply>> osdb_bind(rpc::RpcEndpoint& ep, NodeId naming_node,
+                                              Uid object, Uid client_action, Uid token,
+                                              std::uint32_t want, std::vector<NodeId> avoid,
+                                              std::vector<NodeId> remove, Uid release) {
+  return ep.call(naming_node, kOsdbBind, object, client_action, token, want, avoid, remove,
+                 release);
 }
 
 }  // namespace gv::naming

@@ -6,7 +6,7 @@
 // list per server node of the form <client-node, count> recording which
 // clients are currently bound through that server. Each count is kept as
 // the set of the client's live bindings, each named by its bind token
-// (the UID of the binder action that made it), so a resent Increment or
+// (the UID of the binder action that made it), so a resent bind or
 // Decrement is harmless and an undo restores exactly what it removed.
 //
 // The table is plain state with lock-free queries. The paper's operations
@@ -46,17 +46,10 @@ struct SvView {
   std::uint64_t epoch = 0;
 
   GV_WIRE_FIELDS(epoch, sv, use)
-
-  bool quiescent() const noexcept { return use.empty(); }
-  bool in_use(NodeId server) const noexcept {
-    for (const auto& u : use)
-      if (u.server == server && u.count > 0) return true;
-    return false;
-  }
 };
 
 // One binding to drop in a batched Decrement: the servers it was made
-// through and its bind token.
+// through (none: wherever it is) and its bind token.
 struct UseRelease {
   Uid object;
   std::vector<NodeId> servers;
@@ -92,8 +85,6 @@ class ObjectServerDb {
 // client stubs below, which give each argument's meaning.
 inline constexpr rpc::Rpc<void(Uid, NodeId, Uid)> kOsdbInsert{kOsdbService, "insert"};
 inline constexpr rpc::Rpc<void(Uid, NodeId, Uid)> kOsdbRemove{kOsdbService, "remove"};
-inline constexpr rpc::Rpc<void(Uid, NodeId, std::vector<NodeId>, Uid)> kOsdbIncrement{
-    kOsdbService, "increment"};
 inline constexpr rpc::Rpc<void(NodeId, std::vector<UseRelease>)> kOsdbDecrement{kOsdbService,
                                                                                 "decrement"};
 // (client, action) -> bindings purged
@@ -110,10 +101,6 @@ inline sim::Task<Status> osdb_insert(rpc::RpcEndpoint& ep, NodeId naming_node, U
 inline sim::Task<Status> osdb_remove(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
                                      NodeId host, Uid action) {
   return ep.call(naming_node, kOsdbRemove, object, host, action);
-}
-inline sim::Task<Status> osdb_increment(rpc::RpcEndpoint& ep, NodeId naming_node, Uid object,
-                                        NodeId client, std::vector<NodeId> hosts, Uid token) {
-  return ep.call(naming_node, kOsdbIncrement, object, client, hosts, token);
 }
 inline sim::Task<Status> osdb_decrement(rpc::RpcEndpoint& ep, NodeId naming_node, NodeId client,
                                         std::vector<UseRelease> bindings) {

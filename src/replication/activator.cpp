@@ -1,5 +1,7 @@
 #include "replication/activator.h"
 
+#include <algorithm>
+
 #include "core/trace.h"
 
 namespace gv::replication {
@@ -14,7 +16,23 @@ const char* to_string(ReplicationPolicy p) noexcept {
 }
 
 sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId node,
-                                                std::vector<NodeId> st, Activated& activated) {
+                                                std::vector<NodeId> st, const Contacted& contacted,
+                                                Probed& probed) {
+  // The action already depends on this server incarnation: the object's
+  // first invocation activates it there, and a failure of that call
+  // leaves the action where a failed later invocation would.
+  const bool one_server =
+      spec.policy == ReplicationPolicy::SingleCopyPassive ||
+      (spec.policy == ReplicationPolicy::Active && spec.servers_wanted == 1);
+  if (one_server) {
+    auto known = contacted.find(node);
+    if (known != contacted.end()) {
+      probed.incarnations[node] = known->second;
+      probed.unprobed = node;
+      counters_.inc("activate.probe_skipped");
+      co_return naming::ProbeResult::Ok;
+    }
+  }
   // A node that is down, cannot reach any St store, or lacks the class
   // binary fails the probe and is handled per the binder's scheme. An
   // active replica must also join the group in the same call: a bound
@@ -24,7 +42,7 @@ sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId n
   auto s = co_await objsrv_activate(rt_.endpoint(), node, spec.uid, spec.class_name,
                                     std::move(st), join);
   if (s.ok()) {
-    activated[node] = s.value();
+    probed.incarnations[node] = s.value();
     co_return naming::ProbeResult::Ok;
   }
   switch (s.error()) {
@@ -39,9 +57,10 @@ sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId n
   }
 }
 
-void Activator::record_incarnations(ActiveBinding& out, const Activated& activated) {
+void Activator::record_probes(ActiveBinding& out, const Probed& probed) {
   out.incarnations.clear();
-  for (NodeId server : out.bind.servers) out.incarnations.push_back(activated.at(server));
+  for (NodeId server : out.bind.servers) out.incarnations.push_back(probed.incarnations.at(server));
+  out.activate_on_invoke = out.bind.servers.front() == probed.unprobed;
 }
 
 // Sec 6 cached bind: serve Sv/St from the client's GroupViewCache — a
@@ -49,17 +68,14 @@ void Activator::record_incarnations(ActiveBinding& out, const Activated& activat
 // commit processor's batched epoch validation, which aborts the action if
 // the cached view has been retired in the meantime.
 sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
-    ObjectSpec spec, actions::AtomicAction& action) {
+    const ObjectSpec& spec, actions::AtomicAction& action, naming::Binder::Probe& prober,
+    const Probed& probed, const naming::Rebind& rebind) {
   auto span = core::tracing(rt_.trace())
                   ? core::trace_span(rt_.trace(), "activate.cached", rt_.endpoint().node_id(),
                                      "activator", spec.uid.to_string())
                   : core::TraceRecorder::Span{};
   const std::size_t want =
       spec.policy == ReplicationPolicy::SingleCopyPassive ? 1 : spec.servers_wanted;
-  Activated activated;
-  naming::Binder::Probe prober = [this, &spec, &activated](NodeId node, std::vector<NodeId> st) {
-    return probe(spec, node, std::move(st), activated);
-  };
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto entry = co_await cache_->get_or_fetch(spec.uid);
     if (!entry.ok()) {
@@ -72,8 +88,12 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
     // same fixed selection every scheme uses). No Remove/Increment: a
     // retired candidate costs a failed probe here and an epoch mismatch
     // at commit, not a naming write.
+    std::vector<NodeId> candidates = entry.value().sv;
+    std::erase_if(candidates, [&rebind](NodeId node) {
+      return std::find(rebind.avoid.begin(), rebind.avoid.end(), node) != rebind.avoid.end();
+    });
     naming::BindResult bound = co_await binder_.probe_servers(
-        entry.value().sv, want, entry.value().st, prober, "activate.cached_probe_failure");
+        candidates, want, entry.value().st, prober, "activate.cached_probe_failure");
     if (bound.servers.empty()) {
       // Every cached candidate refused — the view is probably stale.
       // Drop it and refetch once before giving up.
@@ -90,10 +110,10 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
     out.sv_epoch = entry.value().sv_epoch;
     out.st_epoch = entry.value().st_epoch;
     out.view_incarnation = entry.value().incarnation;
-    out.spec = std::move(spec);
+    out.spec = spec;
     out.bind = std::move(bound);
     out.primary = out.bind.servers.front();
-    record_incarnations(out, activated);
+    record_probes(out, probed);
     counters_.inc("activate.bound_cached");
     span.end("ok");
     co_return out;
@@ -104,25 +124,27 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate_cached(
 }
 
 sim::Task<Result<ActiveBinding>> Activator::bind_and_activate(ObjectSpec spec,
-                                                              actions::AtomicAction& action) {
-  if (cache_ != nullptr) co_return co_await bind_and_activate_cached(std::move(spec), action);
+                                                              actions::AtomicAction& action,
+                                                              const Contacted& contacted,
+                                                              naming::Rebind rebind) {
+  Probed probed;
+  naming::Binder::Probe prober = [this, &spec, &contacted, &probed](NodeId node,
+                                                                   std::vector<NodeId> st) {
+    return probe(spec, node, std::move(st), contacted, probed);
+  };
+  if (cache_ != nullptr)
+    co_return co_await bind_and_activate_cached(spec, action, prober, probed, rebind);
   auto span = core::tracing(rt_.trace())
                   ? core::trace_span(rt_.trace(), "activate", rt_.endpoint().node_id(),
                                      "activator", spec.uid.to_string())
                   : core::TraceRecorder::Span{};
-  // St(A) is read under the client's action by the binder's naming read:
+  // St(A) is read under the client's action by the binder's naming call:
   // the read lock both pins the view for the action's lifetime and is the
   // lock the commit processor later promotes to EXCLUDE-WRITE if stores
   // fail.
   const std::size_t want =
       spec.policy == ReplicationPolicy::SingleCopyPassive ? 1 : spec.servers_wanted;
-  Activated activated;
-  auto bound = co_await binder_.bind(
-      spec.uid, want, &action,
-      [this, &spec, &activated](NodeId node,
-                                std::vector<NodeId> st) -> sim::Task<naming::ProbeResult> {
-        return probe(spec, node, std::move(st), activated);
-      });
+  auto bound = co_await binder_.bind(spec.uid, want, &action, prober, std::move(rebind));
   if (!bound.ok()) {
     counters_.inc("activate.bind_failed");
     co_return bound.error();
@@ -135,7 +157,7 @@ sim::Task<Result<ActiveBinding>> Activator::bind_and_activate(ObjectSpec spec,
   out.bind = std::move(bound).value();
   out.st = out.bind.st;
   out.primary = out.bind.servers.front();
-  record_incarnations(out, activated);
+  record_probes(out, probed);
   counters_.inc("activate.bound");
   co_return out;
 }

@@ -9,12 +9,19 @@
 //   |Sv|>1, |St|=1  replicated servers, single state (fig 4)
 //   |Sv|>1, |St|>1  the general case                 (fig 5)
 //
-// Activation: drive the Binder, whose one naming read returns St(A)
-// read-locked under the client's action together with Sv(A) under the
-// configured scheme, with a probe that asks candidate server nodes to
-// activate the object — each freshly created server loads the state from
-// any functioning node in St — and, for active replication, to join the
-// object's replica group in the same call.
+// Activation: drive the Binder, whose one naming call returns St(A)
+// read-locked under the client's action together with the servers the
+// configured scheme offers, with a probe that asks candidate server
+// nodes to activate the object — each freshly created server loads the
+// state from any functioning node in St — and, for active replication,
+// to join the object's replica group in the same call.
+//
+// The probe runs once per server an action contacts. When one server is
+// bound (|Sv'| = 1) outside coordinator-cohort, and the action (or an
+// ancestor) already holds work at it under a recorded incarnation, the
+// probe is skipped: the binding is marked activate_on_invoke, and the
+// object's first invocation, bound to that incarnation, activates it
+// (DESIGN.md sec 26).
 //
 // Policies:
 //   SingleCopyPassive  one server; state copied to all St stores at commit
@@ -73,6 +80,11 @@ struct ActiveBinding {
   // staged_version; mark_committed retires them after the commit.
   std::vector<NodeId> servers_behind;
 
+  // No probe activated the object: its first invocation goes point to
+  // point to the bound incarnation and activates it there. Cleared once
+  // an invocation has done so.
+  bool activate_on_invoke = false;
+
   // Set by Transaction::invoke on the first successful write-mode call:
   // the client KNOWS this action modified the object, so a commit-time
   // probe that finds only unmodified replicas means the modified ones are
@@ -85,11 +97,20 @@ class Activator {
   Activator(actions::ActionRuntime& rt, NodeId naming_node, naming::Scheme scheme)
       : rt_(rt), binder_(rt, naming_node, scheme) {}
 
+  // The servers an action (with its ancestors) already holds work at,
+  // each with the incarnation it recorded.
+  using Contacted = std::map<NodeId, std::uint64_t>;
+
   // Bind to (activating if necessary) the object described by `spec`,
-  // within `action`. Enlists the group view database and the bound
-  // servers' hosts as participants of `action`.
+  // within `action`, skipping `rebind.avoid` and releasing the binding
+  // `rebind.release` names. A server in `contacted` is not probed when
+  // one server is bound outside coordinator-cohort. Enlists the group
+  // view database and the bound servers' hosts as participants of
+  // `action`.
   sim::Task<Result<ActiveBinding>> bind_and_activate(ObjectSpec spec,
-                                                     actions::AtomicAction& action);
+                                                     actions::AtomicAction& action,
+                                                     const Contacted& contacted = {},
+                                                     naming::Rebind rebind = {});
 
   // Enable the cached bind path (nullptr = classic schemes only).
   void set_view_cache(naming::GroupViewCache* cache) noexcept { cache_ = cache; }
@@ -98,17 +119,27 @@ class Activator {
   Counters& counters() noexcept { return counters_; }
 
  private:
-  sim::Task<Result<ActiveBinding>> bind_and_activate_cached(ObjectSpec spec,
-                                                            actions::AtomicAction& action);
-  // One bind's successful probes: each server's incarnation.
-  using Activated = std::map<NodeId, std::uint64_t>;
+  // One bind's probes: each server that answered Ok with its
+  // incarnation, and the server taken unprobed, if any.
+  struct Probed {
+    std::map<NodeId, std::uint64_t> incarnations;
+    NodeId unprobed = sim::kNoNode;
+  };
+  sim::Task<Result<ActiveBinding>> bind_and_activate_cached(const ObjectSpec& spec,
+                                                            actions::AtomicAction& action,
+                                                            naming::Binder::Probe& prober,
+                                                            const Probed& probed,
+                                                            const naming::Rebind& rebind);
   // Ask `node` to activate the object from the stores in `st`, joining
-  // its replica group if the object is actively replicated; a success
-  // is appended to `activated`.
+  // its replica group if the object is actively replicated, and record
+  // the answer in `probed`; or take a `contacted` node unprobed when
+  // `spec` allows it.
   sim::Task<naming::ProbeResult> probe(const ObjectSpec& spec, NodeId node,
-                                       std::vector<NodeId> st, Activated& activated);
-  // Fill `out.incarnations` from its bound servers' activations.
-  static void record_incarnations(ActiveBinding& out, const Activated& activated);
+                                       std::vector<NodeId> st, const Contacted& contacted,
+                                       Probed& probed);
+  // Fill `out.incarnations` and `out.activate_on_invoke` from its bound
+  // servers' probes.
+  static void record_probes(ActiveBinding& out, const Probed& probed);
 
   actions::ActionRuntime& rt_;
   naming::Binder binder_;

@@ -103,9 +103,19 @@ ObjectStatus ObjectServerHost::status(const Uid& object) const {
 sim::Task<Result<Buffer>> ObjectServerHost::invoke(Uid object, Uid action,
                                                    std::vector<Uid> ancestors,
                                                    actions::LockMode mode, std::string op,
-                                                   Buffer args, NodeId owner) {
+                                                   Buffer args, NodeId owner,
+                                                   std::optional<Activation> activation) {
+  if (activation) {
+    auto activated = co_await activate(object, std::move(activation->class_name),
+                                       std::move(activation->st), activation->join);
+    if (!activated.ok()) co_return activated.error();
+    if (activation->join && gc_.members(object) != std::vector<NodeId>{node_.id()}) {
+      counters_.inc("objsrv.invoke_not_sole_member");
+      co_return Err::NotSoleMember;
+    }
+  }
   auto it = active_.find(object);
-  if (it == active_.end()) co_return Err::NotFound;  // passive: activate first
+  if (it == active_.end()) co_return Err::NotFound;
   if (ended(action)) co_return Err::Aborted;
   if (owner != sim::kNoNode) orphans_.note(action, owner);
   Status lk = co_await locks_.acquire({object, actions::kObjectPart}, mode, action,
@@ -245,7 +255,8 @@ Status ObjectServerHost::passivate(const Uid& object) {
 // ---------------------------------------------------------- participant
 
 sim::Task<actions::Vote> ObjectServerHost::prepare(const Uid&, bool) {
-  co_return actions::Vote::Yes;
+  counters_.inc("objsrv.prepare_refused");
+  co_return actions::Vote::No;
 }
 
 std::vector<ObjectServerHost::ActiveEntry*> ObjectServerHost::take_touched(const Uid& action) {
@@ -383,9 +394,10 @@ void ObjectServerHost::register_rpc() {
                   });
   endpoint_.serve(kObjsrvInvoke, [this](NodeId from, Uid object, Uid action,
                                         std::vector<Uid> ancestors, actions::LockMode mode,
-                                        std::string op, Buffer args) {
+                                        std::string op, Buffer args,
+                                        std::optional<Activation> activation) {
     return invoke(object, action, std::move(ancestors), mode, std::move(op), std::move(args),
-                  from);
+                  from, std::move(activation));
   });
   endpoint_.serve(kObjsrvStateForCommit,
                   [this](NodeId, Uid txn, std::vector<Uid> objects,

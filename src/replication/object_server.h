@@ -9,6 +9,11 @@
 // re-key locks and undo data to the parent, top-level commit/abort
 // release them.
 //
+// The first invocation of an object in an action may activate it: when
+// the action already depends on this server incarnation, it carries the
+// object's class, St and join flag, and the server activates the object
+// as activate() would before it applies the operation (DESIGN.md sec 26).
+//
 // Active replication invokes through a group call (RpcEndpoint::call_group):
 // the client multicasts the objsrv.invoke request to the object's replica
 // group (reliable, totally ordered — sec 2.3), each functioning member
@@ -22,6 +27,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -39,6 +45,19 @@ namespace gv::replication {
 using sim::NodeId;
 
 inline constexpr const char* kObjSrvService = "objsrv";
+
+// The activation an invocation may carry: what activate() takes.
+struct Activation {
+  std::string class_name;
+  std::vector<NodeId> st;
+  bool join = false;  // join the object's replica group (active replication)
+  GV_WIRE_FIELDS(class_name, st, join)
+};
+
+// The probe's deadline (the binder's failure detector), and what an
+// activating invocation adds to the data-path call deadline: a load that
+// first waits out one dead St store still answers within it.
+inline constexpr sim::SimTime kActivateTimeout = 60 * sim::kMillisecond;
 
 struct ObjectStatus {
   bool active = false;
@@ -85,10 +104,16 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // `owner` is the client node coordinating `action` (kNoNode when
   // unknown); it is recorded so an action whose phase-2 never arrives
   // here can be resolved against the coordinator log instead of wedging
-  // the object's lock forever.
+  // the object's lock forever. With `activation`, the object is first
+  // activated as activate() does; each refusal of that step comes before
+  // anything is applied: activate()'s, and NotSoleMember when the
+  // object's replica group has members besides this server (a
+  // point-to-point operation would bypass the group's order). Without
+  // it, an object not active here is NotFound.
   sim::Task<Result<Buffer>> invoke(Uid object, Uid action, std::vector<Uid> ancestors,
                                    actions::LockMode mode, std::string op, Buffer args,
-                                   NodeId owner = sim::kNoNode);
+                                   NodeId owner = sim::kNoNode,
+                                   std::optional<Activation> activation = std::nullopt);
 
   // Commit processing support: current state + whether `txn` modified it.
   // In the batched reply each object's answer carries its own `err` (an
@@ -132,8 +157,8 @@ class ObjectServerHost final : public actions::ServerParticipant {
 
   // ---- ServerParticipant ------------------------------------------------
   // A server votes in its staging reply, so the coordinator asks none
-  // (DESIGN.md sec 25); one asked anyway holds only volatile state and
-  // votes Yes.
+  // (DESIGN.md sec 25). One asked anyway votes No: a server that staged
+  // nothing cannot tell the action's work from a forgotten action's.
   sim::Task<actions::Vote> prepare(const Uid& txn, bool may_leave) override;
   sim::Task<Status> commit(const Uid& txn) override;
   sim::Task<Status> abort(const Uid& txn) override;
@@ -212,8 +237,10 @@ class ObjectServerHost final : public actions::ServerParticipant {
 // (object, class, St nodes, join the replica group) -> the server's incarnation
 inline constexpr rpc::Rpc<std::uint64_t(Uid, std::string, std::vector<NodeId>, bool)>
     kObjsrvActivate{kObjSrvService, "activate"};
+// (object, action, ancestors, lock mode, operation, its arguments, the
+// activation a first invocation carries) -> the operation's result
 inline constexpr rpc::Rpc<Buffer(Uid, Uid, std::vector<Uid>, actions::LockMode, std::string,
-                                 Buffer)>
+                                 Buffer, std::optional<Activation>)>
     kObjsrvInvoke{kObjSrvService, "invoke"};
 // (action, the objects it bound here, may leave) -> one answer per
 // object, in order, and the server's vote
@@ -226,20 +253,31 @@ inline constexpr rpc::Rpc<void(Uid, std::string, std::uint64_t, Buffer)> kObjsrv
 
 // --------------------------------------------------------- client stubs
 
-// `timeout` bounds the probe round-trip: activation doubles as the
-// binder's failure detector, so it must not inherit a generous data-path
-// RPC deadline (a dead candidate would stall binding while the caller
-// holds naming-database locks).
-inline sim::Task<Result<std::uint64_t>> objsrv_activate(
-    rpc::RpcEndpoint& ep, NodeId server, Uid object, std::string class_name,
-    std::vector<NodeId> st_nodes, bool join, sim::SimTime timeout = 60 * sim::kMillisecond) {
-  return ep.call(server, timeout, kObjsrvActivate, object, class_name, st_nodes, join);
+// The probe's round trip is bounded by kActivateTimeout: activation
+// doubles as the binder's failure detector, so a dead candidate must not
+// stall the bind for a data-path deadline.
+inline sim::Task<Result<std::uint64_t>> objsrv_activate(rpc::RpcEndpoint& ep, NodeId server,
+                                                        Uid object, std::string class_name,
+                                                        std::vector<NodeId> st_nodes, bool join) {
+  return ep.call(server, kActivateTimeout, kObjsrvActivate, object, class_name, st_nodes, join);
 }
 inline sim::Task<Result<Buffer>> objsrv_invoke(rpc::RpcEndpoint& ep, NodeId server, Uid object,
                                                Uid action, std::vector<Uid> ancestors,
                                                actions::LockMode mode, std::string op,
                                                Buffer args) {
-  return ep.call(server, kObjsrvInvoke, object, action, ancestors, mode, op, args);
+  return ep.call(server, kObjsrvInvoke, object, action, ancestors, mode, op, args,
+                 std::optional<Activation>{});
+}
+// An object's first invocation at a server incarnation the action
+// already depends on: bound to it, and activating the object first, so
+// its deadline is the probe's plus the data path's.
+inline sim::Task<Result<Buffer>> objsrv_invoke_activating(
+    rpc::RpcEndpoint& ep, rpc::Binding& server, Uid object, Uid action,
+    std::vector<Uid> ancestors, actions::LockMode mode, std::string op, Buffer args,
+    Activation activation) {
+  return ep.call_bound(server, kActivateTimeout + ep.config().call_timeout, kObjsrvInvoke, object,
+                       action, ancestors, mode, op, args,
+                       std::optional<Activation>{std::move(activation)});
 }
 // Bound to the server incarnation that activated the objects: a server
 // that crashed since answers BindingBroken, never for reads it lost.

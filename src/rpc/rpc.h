@@ -279,6 +279,11 @@ class RpcEndpoint {
                                   const std::type_identity_t<A>&... args) {
     return call_op<R>(binding.server, m.name, encode(args...), cfg_.call_timeout, &binding);
   }
+  template <typename R, typename... A>
+  sim::Task<Result<R>> call_bound(Binding& binding, sim::SimTime timeout, const Rpc<R(A...)>& m,
+                                  const std::type_identity_t<A>&... args) {
+    return call_op<R>(binding.server, m.name, encode(args...), timeout, &binding);
+  }
 
   // Group invocation of the declared method `m` on every member of
   // `group`; the first reply answers it. Spanned "ginv.invoke", timed in

@@ -32,6 +32,7 @@ enum class Err {
   Conflict,        // generic optimistic/version conflict
   StaleView,       // cached group-view epoch no longer current (rebind + retry)
   StorageFault,    // a stable-storage write failed (injected IO error)
+  NotSoleMember,   // point-to-point invocation refused: the replica group has other members
 };
 
 const char* to_string(Err e) noexcept;

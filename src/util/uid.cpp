@@ -30,6 +30,7 @@ const char* to_string(Err e) noexcept {
     case Err::Conflict: return "Conflict";
     case Err::StaleView: return "StaleView";
     case Err::StorageFault: return "StorageFault";
+    case Err::NotSoleMember: return "NotSoleMember";
   }
   return "Unknown";
 }

@@ -3,6 +3,7 @@
 // generates, and the paper's rules for joining an already-active group.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "actions/atomic_action.h"
@@ -80,9 +81,9 @@ struct Fixture {
 
   bool entry_unlocked() { return gvdb->locks().holder_count({obj, kSvPart}) == 0; }
 
-  // Sv through the binder's naming read, with both locks under `action`.
+  // Sv through S1's naming read, with both locks under `action`.
   sim::Task<Result<SvView>> get_server(Uid action) {
-    auto v = co_await osdb_bind_read(rt->endpoint(), 0, obj, action, action, false);
+    auto v = co_await osdb_bind_read(rt->endpoint(), 0, obj, action);
     if (!v.ok()) co_return v.error();
     co_return std::move(v).value().sv;
   }
@@ -175,8 +176,9 @@ TEST(BinderS2, RemovesDeadServersAndIncrementsUseLists) {
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv, (std::vector<NodeId>{3, 4}));  // 2 Removed
-      EXPECT_TRUE(v.value().in_use(3));
-      EXPECT_TRUE(v.value().in_use(4));
+      std::set<NodeId> used;
+      for (const UseEntry& u : v.value().use) used.insert(u.server);
+      EXPECT_EQ(used, (std::set<NodeId>{3, 4}));
     }
     peek.enlist({0, kGvdbService});
     (void)co_await peek.commit();
@@ -212,7 +214,7 @@ TEST(BinderS2, UnbindDecrementsToQuiescence) {
     AtomicAction peek{*f.rt};
     auto v = co_await f.get_server(peek.uid());
     EXPECT_TRUE(v.ok());
-    if (v.ok()) EXPECT_TRUE(v.value().quiescent());
+    if (v.ok()) EXPECT_TRUE(v.value().use.empty());
     peek.enlist({0, kGvdbService});
     (void)co_await peek.commit();
   }(f, binder));
@@ -260,10 +262,10 @@ TEST(BinderS3, StructurallySameRepairsAsS2) {
 
 // ------------------------------------------- single-site binder actions
 
-// A bind costs one naming read (GetServer with GetView) + Increment, an
-// unbind one Decrement: no prepare, no phase 2, no client action around
-// the Decrement.
-TEST(BinderS2, BindIsTwoCallsAndUnbindOne) {
+// A bind is one naming call — GetServer with GetView, the pick, the
+// Increment and the bind action's commit — and an unbind one Decrement:
+// no prepare, no phase 2, no client-side binder action.
+TEST(BinderS2, BindIsOneCallAndUnbindOne) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
@@ -271,46 +273,103 @@ TEST(BinderS2, BindIsTwoCallsAndUnbindOne) {
     auto r = co_await binder.bind(f.obj, 2, &client, f.probe());
     EXPECT_TRUE(r.ok());
     if (r.ok()) {
-      // The bind action's UID: the runtime's second, after the client's.
+      // The bind token: the runtime's second UID, after the client's.
       EXPECT_EQ(r.value().token, (Uid{0xB1D, 2}));
       EXPECT_EQ(r.value().st, (std::vector<NodeId>{2, 3, 4}));
-      EXPECT_EQ(f.net.counters().get("net.send"), 4u);
+      EXPECT_EQ(f.net.counters().get("net.send"), 2u);
       EXPECT_EQ(f.uses_of(1), 2u);
+      EXPECT_TRUE(f.entry_unlocked());
       EXPECT_TRUE((co_await binder.unbind(f.releases(r.value()))).ok());
-      EXPECT_EQ(f.net.counters().get("net.send"), 6u);
+      EXPECT_EQ(f.net.counters().get("net.send"), 4u);
       EXPECT_EQ(f.uses_of(1), 0u);
     }
     (void)co_await client.commit();
   }(f, binder));
-  EXPECT_EQ(f.rt->counters().get("action.committed_single_site"), 1u);
-  // Two top-level actions: the client's and the one bind action.
-  EXPECT_EQ(f.rt->counters().get("action.begin_top"), 2u);
-  // One commit at the naming node, the Increment's. The client action
-  // only read there, so it ended at its read-only vote.
+  // One top-level action at the client: its own.
+  EXPECT_EQ(f.rt->counters().get("action.begin_top"), 1u);
+  // One commit at the naming node, the bind's. The client action only
+  // read there, so it ended at its read-only vote.
   EXPECT_EQ(f.gvdb->counters().get("db.commit"), 1u);
   EXPECT_EQ(f.gvdb->counters().get("db.read_only_vote"), 1u);
 }
 
-// The Increment's reply is lost; the resend finds the token and answers
-// OK, leaving exactly one binding.
-TEST(BinderS2, LostIncrementReplyIsResentAndLeavesOneToken) {
+// A probe that finds its server dead sends one more bind: it Removes the
+// server and releases the first binding in that call, and the auditor's
+// use-list balance holds — one binding left, and none once unbound.
+TEST(BinderS2, DeadFirstCandidateIsRemovedAndReleasedInTheRebind) {
   Fixture f;
+  f.dead = {2};
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    Binder::Probe probe = [&f](NodeId, std::vector<NodeId>) -> sim::Task<ProbeResult> {
-      f.drop_for(0, 1, 20 * sim::kMillisecond);  // the naming node's next reply
-      co_return ProbeResult::Ok;
-    };
-    auto r = co_await f.bind(binder, f.obj, 1, probe);
+    AtomicAction client{*f.rt};
+    auto r = co_await binder.bind(f.obj, 1, &client, f.probe());
     EXPECT_TRUE(r.ok());
+    if (r.ok()) {
+      EXPECT_EQ(r.value().servers, (std::vector<NodeId>{3}));
+      EXPECT_EQ(r.value().token, (Uid{0xB1D, 3}));  // the second bind's
+      EXPECT_EQ(f.net.counters().get("net.send"), 4u);
+      EXPECT_EQ(f.uses_of(1), 1u);
+      EXPECT_TRUE((co_await binder.unbind(f.releases(r.value()))).ok());
+    }
+    (void)co_await client.commit();
   }(f, binder));
-  EXPECT_EQ(f.uses_of(1), 1u);
-  EXPECT_EQ(binder.counters().get("bind.increment_resent"), 1u);
-  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_resent"), 1u);
+  EXPECT_EQ(f.probes, 2);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.bind"), 2u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.remove"), 1u);
+  EXPECT_EQ(binder.counters().get("bind.removed_failed_server"), 1u);
+  EXPECT_EQ(f.gvdb->servers().entries.at(f.obj).sv, (std::vector<NodeId>{3, 4}));
+  EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
   EXPECT_TRUE(f.entry_unlocked());
 }
 
-// Every datagram duplicated: the duplicate Increment changes nothing.
+// Two binders of a quiescent object, concurrently: the pick and the
+// Increment are one step at the naming node, so the second sees the
+// first's use list and binds the same server, without waiting for it.
+TEST(BinderS2, ConcurrentBindersOfAQuiescentObjectPickTheSameServer) {
+  Fixture f;
+  f.dead = {2};  // the first candidate: both must move on to the same one
+  auto rt5 = std::make_unique<ActionRuntime>(f.fabric->endpoint(5), 0xB15);
+  Binder one{*f.rt, 0, Scheme::IndependentTopLevel};
+  Binder two{*rt5, 0, Scheme::IndependentTopLevel};
+  std::vector<NodeId> got1, got2;
+  auto bind = [](Fixture& f, ActionRuntime& rt, Binder& binder,
+                 std::vector<NodeId>& got) -> sim::Task<> {
+    AtomicAction client{rt};
+    auto r = co_await binder.bind(f.obj, 1, &client, f.probe());
+    if (r.ok()) got = r.value().servers;
+    (void)co_await client.commit();
+  };
+  f.sim.spawn(bind(f, *f.rt, one, got1));
+  f.sim.spawn(bind(f, *rt5, two, got2));
+  f.sim.run();
+  EXPECT_EQ(got1, (std::vector<NodeId>{3}));
+  EXPECT_EQ(got2, (std::vector<NodeId>{3}));
+  EXPECT_EQ(f.uses_of(1), 1u);
+  EXPECT_EQ(f.uses_of(5), 1u);
+  EXPECT_EQ(f.gvdb->locks().counters().get("lock.conflict_wait"), 0u);
+}
+
+// The bind's reply is lost; the resend finds the token and answers the
+// recorded pick, leaving exactly one binding.
+TEST(BinderS2, LostIncrementReplyIsResentAndLeavesOneToken) {
+  Fixture f;
+  Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
+  std::vector<NodeId> got;
+  f.run([](Fixture& f, Binder& binder, std::vector<NodeId>& got) -> sim::Task<> {
+    f.drop_for(0, 1, 20 * sim::kMillisecond);  // the naming node's next reply
+    auto r = co_await f.bind(binder, f.obj, 1, f.probe());
+    EXPECT_TRUE(r.ok());
+    if (r.ok()) got = r.value().servers;
+  }(f, binder, got));
+  EXPECT_EQ(got, (std::vector<NodeId>{2}));
+  EXPECT_EQ(f.uses_of(1), 1u);
+  EXPECT_EQ(f.probes, 1);
+  EXPECT_EQ(binder.counters().get("bind.resent"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.bind_resent"), 1u);
+  EXPECT_TRUE(f.entry_unlocked());
+}
+
+// Every datagram duplicated: the duplicate bind changes nothing.
 TEST(BinderS2, DuplicatedIncrementLeavesOneToken) {
   Fixture f;
   f.net.config().dup_prob = 1.0;
@@ -321,54 +380,48 @@ TEST(BinderS2, DuplicatedIncrementLeavesOneToken) {
   }(f, binder));
   EXPECT_GE(f.net.counters().get("net.duplicated"), 4u);
   EXPECT_EQ(f.uses_of(1), 1u);
-  EXPECT_EQ(f.gvdb->counters().get("osdb.increment"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.bind"), 1u);
 }
 
-// The naming node restarts after the Increment committed and before its
-// reply arrived: the resend reaches the new incarnation, which answers OK
-// from the reloaded token.
+// The naming node restarts after the bind committed and before its reply
+// arrived: the resend reaches the new incarnation, which answers from
+// the reloaded token.
 TEST(BinderS2, NamingRestartAfterIncrementCommittedAnswersFromToken) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
-    Binder::Probe probe = [&f](NodeId, std::vector<NodeId>) -> sim::Task<ProbeResult> {
-      f.drop_for(0, 1, 20 * sim::kMillisecond);
-      f.sim.spawn([](Fixture& f) -> sim::Task<> {
-        co_await f.sim.sleep(10 * sim::kMillisecond);  // the Increment has committed
-        f.cluster.node(0).crash();
-        f.cluster.node(0).recover();
-      }(f));
-      co_return ProbeResult::Ok;
-    };
-    auto r = co_await f.bind(binder, f.obj, 1, probe);
+    f.drop_for(0, 1, 20 * sim::kMillisecond);
+    f.sim.spawn([](Fixture& f) -> sim::Task<> {
+      co_await f.sim.sleep(10 * sim::kMillisecond);  // the bind has committed
+      f.cluster.node(0).crash();
+      f.cluster.node(0).recover();
+    }(f));
+    auto r = co_await f.bind(binder, f.obj, 1, f.probe());
     EXPECT_TRUE(r.ok());
   }(f, binder));
   EXPECT_EQ(f.uses_of(1), 1u);
-  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_resent"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.bind_resent"), 1u);
 }
 
-// The naming node restarts during the bind's probe: the new incarnation
-// holds no bind action, so the Increment is refused and records nothing;
-// a retried bind succeeds.
-TEST(BinderS2, NamingRestartDuringProbeRefusesIncrement) {
+// The naming node restarts during the bind's probe: the bind action
+// committed in its one call, before the probe, so the new incarnation
+// reloads the binding and the client's unbind drops it.
+TEST(BinderS2, NamingRestartDuringProbeKeepsTheCommittedBinding) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
-  Err first = Err::None;
-  f.run([](Fixture& f, Binder& binder, Err& first) -> sim::Task<> {
+  f.run([](Fixture& f, Binder& binder) -> sim::Task<> {
     Binder::Probe probe = [&f](NodeId, std::vector<NodeId>) -> sim::Task<ProbeResult> {
       f.cluster.node(0).crash();
       f.cluster.node(0).recover();
       co_return ProbeResult::Ok;
     };
     auto r = co_await f.bind(binder, f.obj, 1, probe);
-    first = r.ok() ? Err::None : r.error();
-    EXPECT_EQ(f.uses_of(1), 0u);
-    auto again = co_await f.bind(binder, f.obj, 1, f.probe());
-    EXPECT_TRUE(again.ok());
-  }(f, binder, first));
-  EXPECT_EQ(first, Err::Aborted);
-  EXPECT_EQ(f.uses_of(1), 1u);
-  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_refused"), 1u);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(f.uses_of(1), 1u);
+    if (r.ok()) EXPECT_TRUE((co_await binder.unbind(f.releases(r.value()))).ok());
+  }(f, binder));
+  EXPECT_EQ(f.uses_of(1), 0u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.bind"), 1u);
   EXPECT_TRUE(f.entry_unlocked());
 }
 
@@ -391,32 +444,34 @@ TEST(BinderS2, UnbindResentAfterLostReplyLeavesZero) {
   EXPECT_EQ(f.gvdb->counters().get("osdb.decrement_absent"), 1u);
 }
 
-// Every Increment is lost, so the bind gives up: it aborts its action,
-// and an Increment that arrives late is refused and records nothing.
+// Every bind request is lost, so the bind gives up: it Decrements its
+// token wherever it may be, and a copy of the bind that arrives later is
+// refused and records nothing.
 TEST(BinderS2, GivenUpBindRefusesLateIncrement) {
   Fixture f;
   Binder binder{*f.rt, 0, Scheme::IndependentTopLevel};
   const sim::SimTime timeout = f.fabric->endpoint(1).config().call_timeout;
   Err got = Err::None;
   f.run([](Fixture& f, Binder& binder, sim::SimTime timeout, Err& got) -> sim::Task<> {
-    // Requests to the naming node are lost until the last Increment has
-    // gone; the abort that follows gets through.
-    Binder::Probe probe = [&f, timeout](NodeId, std::vector<NodeId>) -> sim::Task<ProbeResult> {
-      f.drop_for(1, 0, (Binder::kIncrementAttempts - 1) * timeout + timeout / 2);
-      co_return ProbeResult::Ok;
-    };
-    auto r = co_await f.bind(binder, f.obj, 1, probe);
+    // Requests to the naming node are lost until the last bind has gone;
+    // the Decrement that follows gets through.
+    f.drop_for(1, 0, (Binder::kBindAttempts - 1) * timeout + timeout / 2);
+    AtomicAction client{*f.rt};
+    auto r = co_await binder.bind(f.obj, 1, &client, f.probe());
     got = r.ok() ? Err::None : r.error();
-    const Uid token{0xB1D, 2};  // the bind action: the runtime's second UID
-    const std::vector<NodeId> two{2};
-    EXPECT_EQ((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, two, token)).error(),
-              Err::Aborted);
+    const Uid token{0xB1D, 2};  // the bind token: the runtime's second UID
+    const std::vector<NodeId> none;
+    auto late = co_await osdb_bind(f.rt->endpoint(), 0, f.obj, client.uid(), token, 1, none, none,
+                                   Uid{});
+    EXPECT_EQ(late.error(), Err::Aborted);
+    (void)co_await client.abort();
   }(f, binder, timeout, got));
   EXPECT_EQ(got, Err::Timeout);
-  EXPECT_EQ(binder.counters().get("bind.increment_resent"),
-            static_cast<std::uint64_t>(Binder::kIncrementAttempts - 1));
-  EXPECT_EQ(f.rt->counters().get("action.aborted_top"), 1u);
+  EXPECT_EQ(binder.counters().get("bind.resent"),
+            static_cast<std::uint64_t>(Binder::kBindAttempts - 1));
+  EXPECT_EQ(f.probes, 0);
   EXPECT_EQ(f.uses_of(1), 0u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.bind_refused"), 1u);
   EXPECT_TRUE(f.entry_unlocked());
 }
 
@@ -499,10 +554,10 @@ std::uint64_t calls(const ReplicaSystem& sys, const std::string& method) {
   return it == sys.metrics().histograms().end() ? 0 : it->second.count();
 }
 
-// A two-object S2 transaction binds each object in 3 round trips — the
-// naming read, activate-and-join, Increment — and releases both bindings
-// with one Decrement.
-TEST(BinderS2, TwoObjectTransactionIsThreeRoundTripsPerObjectAndOneDecrement) {
+// A two-object S2 transaction binds each object in one naming call and
+// one activate-and-join probe (the objects' servers differ), and
+// releases both bindings with one Decrement.
+TEST(BinderS2, TwoObjectTransactionIsOneNamingCallPerObjectAndOneDecrement) {
   SystemConfig cfg;
   cfg.nodes = 8;
   cfg.seed = 5;
@@ -520,17 +575,17 @@ TEST(BinderS2, TwoObjectTransactionIsThreeRoundTripsPerObjectAndOneDecrement) {
   }(sys, a, b, committed));
   sys.sim().run();
   EXPECT_TRUE(committed);
-  // Per object: one naming read, one activate, one Increment.
-  EXPECT_EQ(calls(sys, "osdb.bind_read"), 2u);
+  // Per object: one naming call, one activate.
+  EXPECT_EQ(calls(sys, "osdb.bind"), 2u);
   EXPECT_EQ(calls(sys, "objsrv.activate"), 2u);
-  EXPECT_EQ(calls(sys, "osdb.increment"), 2u);
   EXPECT_EQ(calls(sys, "osdb.decrement"), 1u);
   // Nothing else goes to the naming node but the client action's 2PC,
   // and no server is asked to join the group separately.
+  EXPECT_EQ(calls(sys, "osdb.bind_read"), 0u);
   EXPECT_EQ(calls(sys, "ostdb.get_view"), 0u);
   EXPECT_EQ(calls(sys, "objsrv.join_group"), 0u);
   Counters all = sys.aggregate_counters();
-  EXPECT_EQ(all.get("gvdb.bind_read"), 2u);
+  EXPECT_EQ(all.get("osdb.bind"), 2u);
   EXPECT_EQ(all.get("objsrv.activated"), 2u);
   EXPECT_EQ(sys.gc().members(a), (std::vector<NodeId>{2}));
   EXPECT_EQ(sys.gc().members(b), (std::vector<NodeId>{3}));

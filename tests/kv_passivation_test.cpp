@@ -198,10 +198,10 @@ TEST(CoordinatorLog, EndToEndInDoubtCommitRecovered) {
 
   // Watchdog: the moment the coordinator records the CLIENT action's
   // commit decision, kill the store — its phase-2 commit RPC (>=500us
-  // network latency) can no longer arrive. Decision #1 is the binder's
-  // independent top-level action; #2 is the client action itself.
+  // network latency) can no longer arrive. It is the client's first
+  // decision: the binder's action commits at the naming node.
   s.sys.sim().spawn([](core::ReplicaSystem& sys, core::ClientSession* client) -> sim::Task<> {
-    while (client->runtime().counters().get("action.committed_top") < 2)
+    while (client->runtime().counters().get("action.committed_top") < 1)
       co_await sys.sim().sleep(50);  // 50us polling, well under latency
     sys.cluster().node(4).crash();
   }(s.sys, client));

@@ -48,6 +48,15 @@ struct Fixture {
     gvdb->create_object(obj, {2, 3, 4}, {2, 3, 4});
   }
 
+  // A client runtime on `node` (node 1's is `rt`).
+  ActionRuntime& runtime_at(NodeId node) {
+    if (node == 1) return *rt;
+    auto& r = clients[node];
+    if (!r) r = std::make_unique<ActionRuntime>(fabric->endpoint(node), 0xC10 + node);
+    return *r;
+  }
+  std::map<NodeId, std::unique_ptr<ActionRuntime>> clients;
+
   // Run a coroutine to completion.
   template <typename F>
   void run(F&& body) {
@@ -56,22 +65,39 @@ struct Fixture {
   }
 };
 
-// GetServer through the binder's naming read, with the Sv and St locks
-// both under `action`.
-sim::Task<Result<SvView>> get_server(Fixture& f, Uid object, Uid action, bool for_update = false) {
-  auto v = co_await osdb_bind_read(f.rt->endpoint(), 0, object, action, action, for_update);
+// GetServer through S1's naming read, with the Sv and St locks both
+// under `action`.
+sim::Task<Result<SvView>> get_server(Fixture& f, Uid object, Uid action) {
+  auto v = co_await osdb_bind_read(f.rt->endpoint(), 0, object, action);
   if (!v.ok()) co_return v.error();
   co_return std::move(v).value().sv;
 }
 
-// A binder action for `client` through `hosts`: GetServer for update,
-// then the Increment that records binding `token` (the action's UID) and
-// commits the action at the naming node.
+// One osdb.bind of `client` under a client action that ends right after
+// it (St's read lock lives as long as that action): the binder action
+// named `token`, Removing `remove`, picking `want` servers and committing
+// at the naming node.
+sim::Task<Result<BindReply>> bind_once(Fixture& f, NodeId client, Uid object, std::uint32_t want,
+                                       Uid token, std::vector<NodeId> remove) {
+  ActionRuntime& rt = f.runtime_at(client);
+  AtomicAction action{rt};
+  const std::vector<NodeId> avoid;
+  auto r = co_await osdb_bind(rt.endpoint(), 0, object, action.uid(), token, want, avoid, remove,
+                              Uid{});
+  action.enlist({0, kGvdbService});
+  (void)co_await action.commit();
+  co_return r;
+}
+
+// A binder action for `client` that picks `hosts` (Sv order), recording
+// binding `token` on them.
 sim::Task<Status> record_binding(Fixture& f, Uid object, NodeId client, std::vector<NodeId> hosts,
                                  Uid token) {
-  auto v = co_await get_server(f, object, token, true);
-  if (!v.ok()) co_return v.error();
-  co_return co_await osdb_increment(f.rt->endpoint(), 0, object, client, hosts, token);
+  auto r = co_await bind_once(f, client, object, static_cast<std::uint32_t>(hosts.size()), token,
+                            std::vector<NodeId>{});
+  if (!r.ok()) co_return r.error();
+  EXPECT_EQ(r.value().servers, hosts);
+  co_return ok_status();
 }
 
 // One binding's Decrement.
@@ -79,6 +105,13 @@ sim::Task<Status> decrement(Fixture& f, Uid object, NodeId client, std::vector<N
                             Uid token) {
   std::vector<UseRelease> bindings{UseRelease{object, std::move(hosts), token}};
   co_return co_await osdb_decrement(f.rt->endpoint(), 0, client, std::move(bindings));
+}
+
+// True if some client is bound through `server` in view `v`.
+bool in_use(const SvView& v, NodeId server) {
+  for (const UseEntry& u : v.use)
+    if (u.server == server && u.count > 0) return true;
+  return false;
 }
 
 // Live bindings of `client` on `object`'s use lists, summed over servers.
@@ -101,7 +134,7 @@ TEST(ObjectServerDb, GetServerReturnsSvUnderReadLock) {
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv, (std::vector<NodeId>{2, 3, 4}));
-      EXPECT_TRUE(v.value().quiescent());
+      EXPECT_TRUE(v.value().use.empty());
     }
     // The entry is read-locked by this action until it ends.
     EXPECT_TRUE(f.gvdb->locks().holds({f.obj, kSvPart}, act.uid(), actions::LockMode::Read));
@@ -208,10 +241,10 @@ TEST(ObjectServerDb, IncrementDecrementMaintainUseLists) {
     auto v = co_await get_server(f, f.obj, a2.uid());
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
-      EXPECT_FALSE(v.value().quiescent());
-      EXPECT_TRUE(v.value().in_use(2));
-      EXPECT_TRUE(v.value().in_use(3));
-      EXPECT_FALSE(v.value().in_use(4));
+      EXPECT_FALSE(v.value().use.empty());
+      EXPECT_TRUE(in_use(v.value(), 2));
+      EXPECT_TRUE(in_use(v.value(), 3));
+      EXPECT_FALSE(in_use(v.value(), 4));
     }
     a2.enlist({0, kGvdbService});
     (void)co_await a2.commit();
@@ -223,7 +256,7 @@ TEST(ObjectServerDb, IncrementDecrementMaintainUseLists) {
     auto v2 = co_await get_server(f, f.obj, a4.uid());
     EXPECT_TRUE(v2.ok());
     if (v2.ok()) {
-      EXPECT_TRUE(v2.value().quiescent());
+      EXPECT_TRUE(v2.value().use.empty());
     }
     a4.enlist({0, kGvdbService});
     (void)co_await a4.commit();
@@ -279,12 +312,10 @@ TEST(ObjectServerDb, NestedActionInheritsLockToParent) {
 TEST(ObjectServerDb, PersistsAcrossNamingNodeCrash) {
   Fixture f;
   f.run([](Fixture& f) -> sim::Task<> {
-    // A binder action: Remove, then the Increment that commits both.
-    AtomicAction act{*f.rt};
-    std::vector<NodeId> two{2};
-    EXPECT_TRUE((co_await osdb_remove(f.rt->endpoint(), 0, f.obj, 4, act.uid())).ok());
-    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, two, act.uid())).ok());
-    act.committed_at_participant();
+    // A binder action: one call Removes, Increments and commits both.
+    std::vector<NodeId> four{4};
+    auto r = co_await bind_once(f, 1, f.obj, 1, f.rt->new_uid(), four);
+    EXPECT_TRUE(r.ok() && r.value().servers == std::vector<NodeId>{2});
   }(f));
 
   f.cluster.node(0).crash();
@@ -296,7 +327,7 @@ TEST(ObjectServerDb, PersistsAcrossNamingNodeCrash) {
     EXPECT_TRUE(v.ok());
     if (v.ok()) {
       EXPECT_EQ(v.value().sv, (std::vector<NodeId>{2, 3}));
-      EXPECT_TRUE(v.value().in_use(2));  // committed use count survived
+      EXPECT_TRUE(in_use(v.value(), 2));  // committed use count survived
     }
     act.enlist({0, kGvdbService});
     (void)co_await act.commit();
@@ -558,7 +589,7 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
       purge.enlist({0, kGvdbService});
       EXPECT_TRUE((co_await purge.commit()).ok());
     }
-    {  // edits across both databases, aborted; its late Increment is refused
+    {  // edits across both databases, aborted
       AtomicAction doomed{*f.rt};
       EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 2, doomed.uid())).ok());
       EXPECT_TRUE((co_await osdb_remove(ep, 0, a, 3, doomed.uid())).ok());
@@ -566,7 +597,6 @@ TEST(NamingPersistence, MultiEntryCommitsSurviveCrashComplete) {
       EXPECT_TRUE((co_await ostdb_exclude(ep, 0, items, doomed.uid())).ok());
       doomed.enlist({0, kGvdbService});
       (void)co_await doomed.abort();
-      EXPECT_EQ((co_await osdb_increment(ep, 0, a, 6, two, doomed.uid())).error(), Err::Aborted);
     }
   }(f, a, b, c));
   const std::map<Uid, std::string> expected{
@@ -678,73 +708,61 @@ TEST(ObjectServerDb, AbortedPurgeRestoresOnlyItsTokens) {
   }(f));
 }
 
-// An Increment resent after it committed answers OK from its token, in
-// the same incarnation and in the next one, and records nothing twice.
+// A bind resent after it committed answers OK from its token with the
+// servers it picked, in the same incarnation and in the next one, and
+// records nothing twice.
 TEST(ObjectServerDb, ResentIncrementAnswersFromItsToken) {
   Fixture f;
   const Uid token = f.rt->new_uid();
   const std::vector<NodeId> both{2, 3};
   f.run([](Fixture& f, Uid token, std::vector<NodeId> both) -> sim::Task<> {
     EXPECT_TRUE((co_await record_binding(f, f.obj, 1, both, token)).ok());
-    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, both, token)).ok());
+    auto again = co_await bind_once(f, 1, f.obj, 2, token, std::vector<NodeId>{});
+    EXPECT_TRUE(again.ok() && again.value().servers == both);
     EXPECT_EQ(uses_of(f, f.obj, 1), 2u);  // one binding on each of 2 and 3
   }(f, token, both));
   crash_naming_node(f);
   f.run([](Fixture& f, Uid token, std::vector<NodeId> both) -> sim::Task<> {
-    EXPECT_TRUE((co_await osdb_increment(f.rt->endpoint(), 0, f.obj, 1, both, token)).ok());
+    auto again = co_await bind_once(f, 1, f.obj, 2, token, std::vector<NodeId>{});
+    EXPECT_TRUE(again.ok() && again.value().servers == both);
   }(f, token, both));
   EXPECT_EQ(uses_of(f, f.obj, 1), 2u);
-  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_resent"), 2u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.bind_resent"), 2u);
 }
 
-// An Increment for an action this incarnation does not hold is refused
-// and changes nothing: one that never locked the entry, one lost in a
-// naming-node crash (with its Remove), one already aborted.
+// A bind whose token was already released is refused and changes
+// nothing, Removes included: a copy that arrives late cannot record a
+// binding nobody will release. Released by a Decrement that found it
+// absent (its client gave the bind up with no reply), or by the same
+// client's next bind.
 TEST(ObjectServerDb, IncrementOfAnActionNotHeldIsRefused) {
   Fixture f;
-  const Uid lost = f.rt->new_uid();
-  f.run([](Fixture& f, Uid lost) -> sim::Task<> {
-    rpc::RpcEndpoint& ep = f.rt->endpoint();
-    std::vector<NodeId> two{2};
-    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, f.rt->new_uid())).error(),
-              Err::Aborted);
-    EXPECT_TRUE((co_await get_server(f, f.obj, lost, true)).ok());
-    EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 4, lost)).ok());
-  }(f, lost));
-  crash_naming_node(f);
-  f.run([](Fixture& f, Uid lost) -> sim::Task<> {
-    rpc::RpcEndpoint& ep = f.rt->endpoint();
-    std::vector<NodeId> two{2};
-    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, lost)).error(), Err::Aborted);
-    AtomicAction aborted{*f.rt};
-    EXPECT_TRUE((co_await get_server(f, f.obj, aborted.uid(), true)).ok());
-    aborted.enlist({0, kGvdbService});
-    (void)co_await aborted.abort();
-    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, aborted.uid())).error(),
-              Err::Aborted);
-  }(f, lost));
-  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
-  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_refused"), 3u);
-}
-
-// A Decrement for a bind action still live at the naming node ends that
-// action: its Remove is rolled back, its lock released, and its late
-// Increment refused. A resent Decrement then answers OK.
-TEST(ObjectServerDb, DecrementEndsALiveBindAction) {
-  Fixture f;
   f.run([](Fixture& f) -> sim::Task<> {
-    rpc::RpcEndpoint& ep = f.rt->endpoint();
-    const Uid token = f.rt->new_uid();
-    std::vector<NodeId> two{2};
-    EXPECT_TRUE((co_await get_server(f, f.obj, token, true)).ok());
-    EXPECT_TRUE((co_await osdb_remove(ep, 0, f.obj, 4, token)).ok());
-    EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, token)).ok());
+    const Uid given_up = f.rt->new_uid();
+    const std::vector<NodeId> anywhere;
+    EXPECT_TRUE((co_await decrement(f, f.obj, 1, anywhere, given_up)).ok());
+    std::vector<NodeId> four{4};
+    auto late = co_await bind_once(f, 1, f.obj, 1, given_up, four);
+    EXPECT_EQ(late.error(), Err::Aborted);
     EXPECT_EQ(f.gvdb->locks().holder_count({f.obj, kSvPart}), 0u);
-    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, token)).error(), Err::Aborted);
-    EXPECT_TRUE((co_await decrement(f, f.obj, 1, two, token)).ok());
+    // A binding the client's next bind released in its own call: a late
+    // copy of the first bind is refused as well.
+    rpc::RpcEndpoint& ep = f.rt->endpoint();
+    AtomicAction client{*f.rt};
+    const Uid first = f.rt->new_uid(), second = f.rt->new_uid();
+    const std::vector<NodeId> none;
+    EXPECT_TRUE((co_await osdb_bind(ep, 0, f.obj, client.uid(), first, 1, none, none, Uid{})).ok());
+    EXPECT_TRUE((co_await osdb_bind(ep, 0, f.obj, client.uid(), second, 1, none, none, first)).ok());
+    EXPECT_EQ(uses_of(f, f.obj, 1), 1u);
+    auto copy = co_await osdb_bind(ep, 0, f.obj, client.uid(), first, 1, none, none, Uid{});
+    EXPECT_EQ(copy.error(), Err::Aborted);
+    EXPECT_EQ(uses_of(f, f.obj, 1), 1u);
+    EXPECT_TRUE((co_await decrement(f, f.obj, 1, anywhere, second)).ok());
+    client.enlist({0, kGvdbService});
+    (void)co_await client.commit();
   }(f));
   EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
-  EXPECT_EQ(f.gvdb->counters().get("osdb.decrement_ended_bind"), 1u);
+  EXPECT_EQ(f.gvdb->counters().get("osdb.bind_refused"), 2u);
   crash_naming_node(f);
   EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use= st=2,3,4");
 }
@@ -1043,19 +1061,21 @@ TEST(OrphanCleanup, LockConflictTriggersSweepAutomatically) {
 
 // ---------------------------------------------- one group view database
 
-// The binder's update lock is on Sv alone, and compatible with readers:
-// while a bind action holds it, another action's GetView and validate of
-// the same entry are granted at once. A second binder still waits.
+// A bind holds Sv's lock for its one call: when its reply arrives nothing
+// of the bind action is left at the naming node, so another action's
+// GetView and validate of the entry are granted at once, and a second
+// binder does not wait either.
 TEST(GroupViewDb, BinderUpdateLockBlocksNoGetViewOrValidate) {
   Fixture f;
   f.run([](Fixture& f) -> sim::Task<> {
     rpc::RpcEndpoint& ep = f.rt->endpoint();
     AtomicAction client{*f.rt};
-    AtomicAction binder{*f.rt};
-    auto view = co_await osdb_bind_read(ep, 0, f.obj, client.uid(), binder.uid(), true);
-    EXPECT_TRUE(view.ok());
-    EXPECT_TRUE(f.gvdb->locks().holds({f.obj, kSvPart}, binder.uid(),
-                                      actions::LockMode::ExcludeWrite));
+    const Uid token = f.rt->new_uid();
+    const std::vector<NodeId> none;
+    auto bound = co_await osdb_bind(ep, 0, f.obj, client.uid(), token, 1, none, none, Uid{});
+    EXPECT_TRUE(bound.ok() && bound.value().servers == std::vector<NodeId>{2});
+    EXPECT_EQ(f.gvdb->locks().holder_count({f.obj, kSvPart}), 0u);
+    EXPECT_TRUE(f.gvdb->locks().holds({f.obj, kStPart}, client.uid(), actions::LockMode::Read));
 
     const std::uint64_t waits = f.gvdb->locks().counters().get("lock.conflict_wait");
     const sim::SimTime t0 = f.sim.now();
@@ -1065,50 +1085,20 @@ TEST(GroupViewDb, BinderUpdateLockBlocksNoGetViewOrValidate) {
         {f.obj, f.gvdb->servers().epoch_of(f.obj), f.gvdb->states().epoch_of(f.obj)}};
     const std::uint64_t incarnation = f.cluster.node(0).epoch();
     EXPECT_TRUE((co_await gvdb_validate(ep, 0, incarnation, items, other.uid())).ok());
+    AtomicAction second{*f.rt};
+    auto joined =
+        co_await osdb_bind(ep, 0, f.obj, second.uid(), f.rt->new_uid(), 2, none, none, Uid{});
+    EXPECT_TRUE(joined.ok() && joined.value().active &&
+                joined.value().servers == std::vector<NodeId>{2});
     EXPECT_EQ(f.gvdb->locks().counters().get("lock.conflict_wait"), waits);
     EXPECT_LT(f.sim.now() - t0, NamingConfig{}.lock_wait);
-
-    AtomicAction second{*f.rt};
-    auto refused = co_await osdb_bind_read(ep, 0, f.obj, second.uid(), second.uid(), true);
-    EXPECT_EQ(refused.error(), Err::LockRefused);
-    second.enlist({0, kGvdbService});
-    (void)co_await second.abort();
-
-    // The first binder's Increment still commits, readers and all.
-    const std::vector<NodeId> two{2};
-    EXPECT_TRUE((co_await osdb_increment(ep, 0, f.obj, 1, two, binder.uid())).ok());
-    other.enlist({0, kGvdbService});
-    EXPECT_TRUE((co_await other.commit()).ok());
-    client.enlist({0, kGvdbService});
-    EXPECT_TRUE((co_await client.commit()).ok());
+    for (AtomicAction* a : {&other, &second, &client}) {
+      a->enlist({0, kGvdbService});
+      EXPECT_TRUE((co_await a->commit()).ok());
+    }
   }(f));
-  EXPECT_EQ(uses_of(f, f.obj, 1), 1u);
+  EXPECT_EQ(uses_of(f, f.obj, 1), 2u);
   EXPECT_EQ(f.gvdb->locks().table_depth(), 0u);
-}
-
-// The naming node restarts between a bind's naming read and its
-// Increment: the new incarnation holds neither lock, so the Increment is
-// refused and records no token; a retried bind succeeds.
-TEST(GroupViewDb, RestartBetweenBindReadAndIncrementRefusesIncrement) {
-  Fixture f;
-  const Uid client = f.rt->new_uid(), first = f.rt->new_uid(), retry = f.rt->new_uid();
-  f.run([](Fixture& f, Uid client, Uid first) -> sim::Task<> {
-    EXPECT_TRUE((co_await osdb_bind_read(f.rt->endpoint(), 0, f.obj, client, first, true)).ok());
-  }(f, client, first));
-  crash_naming_node(f);
-  f.run([](Fixture& f, Uid client, Uid first, Uid retry) -> sim::Task<> {
-    rpc::RpcEndpoint& ep = f.rt->endpoint();
-    const std::vector<NodeId> two{2};
-    EXPECT_EQ((co_await osdb_increment(ep, 0, f.obj, 1, two, first)).error(), Err::Aborted);
-    EXPECT_EQ(uses_of(f, f.obj, 1), 0u);
-    EXPECT_EQ(f.gvdb->locks().table_depth(), 0u);
-    EXPECT_TRUE((co_await osdb_bind_read(ep, 0, f.obj, client, retry, true)).ok());
-    EXPECT_TRUE((co_await osdb_increment(ep, 0, f.obj, 1, two, retry)).ok());
-  }(f, client, first, retry));
-  EXPECT_EQ(uses_of(f, f.obj, 1), 1u);
-  EXPECT_EQ(f.gvdb->counters().get("osdb.increment_refused"), 1u);
-  crash_naming_node(f);
-  EXPECT_EQ(entry_state(f, f.obj), "sv=2,3,4 use=2:1x1 st=2,3,4");
 }
 
 // Sv and St of one object share a stable record. A commit that edited

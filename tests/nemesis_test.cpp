@@ -157,11 +157,12 @@ TEST(StaleStaging, StoreAheadOfStagedStateAbortsInsteadOfExcluding) {
                                     ReplicationPolicy::SingleCopyPassive, 1);
   auto* client = sys.client(1);
 
-  // The moment the client decides to commit its action (decision #2;
-  // #1 is the bind), cut it off from store 5: phase 2 reaches store 6
-  // only, and store 5 keeps the commit as a pending shadow.
+  // The moment the client decides to commit its action (its first
+  // decision: the bind commits at the naming node), cut it off from
+  // store 5: phase 2 reaches store 6 only, and store 5 keeps the commit
+  // as a pending shadow.
   sys.sim().spawn([](ReplicaSystem& sys, ClientSession* client) -> sim::Task<> {
-    while (client->runtime().counters().get("action.committed_top") < 2)
+    while (client->runtime().counters().get("action.committed_top") < 1)
       co_await sys.sim().sleep(50);  // 50us polling, well under latency
     sys.net().set_reachable(1, 5, false);
   }(sys, client));

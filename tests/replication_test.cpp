@@ -4,6 +4,7 @@
 // checkpoints, and the recovery daemon.
 #include <gtest/gtest.h>
 
+#include "core/audit.h"
 #include "core/system.h"
 
 namespace gv::replication {
@@ -822,6 +823,27 @@ TEST(ObjectServerIndex, ReadOnlyVoteReleasesLocksAndRefusesLateInvocations) {
   EXPECT_EQ(held_balance(s.host, s.a), 5);
 }
 
+// A server votes in its staging reply, so no coordinator asks it to
+// prepare. One asked anyway has no staging of the action to vote from
+// and votes No, whatever the action did there.
+TEST(ObjectServerIndex, PrepareVotesNo) {
+  IndexSys s;
+  const Uid writer{0xAC7, 1}, stranger{0xAC7, 2};
+  std::vector<actions::Vote> votes;
+  s.run([](IndexSys& s, Uid writer, Uid stranger,
+           std::vector<actions::Vote>& votes) -> sim::Task<> {
+    EXPECT_TRUE((co_await s.host.activate(s.a, "bank", s.st)).ok());
+    EXPECT_TRUE((co_await s.deposit(s.a, writer, {}, 3)).ok());
+    votes.push_back(co_await s.host.prepare(writer, false));
+    votes.push_back(co_await s.host.prepare(writer, true));
+    votes.push_back(co_await s.host.prepare(stranger, true));
+    EXPECT_TRUE((co_await s.host.abort(writer)).ok());
+  }(s, writer, stranger, votes));
+  EXPECT_EQ(votes, (std::vector<actions::Vote>(3, actions::Vote::No)));
+  EXPECT_EQ(s.host.counters().get("objsrv.prepare_refused"), 3u);
+  EXPECT_EQ(held_balance(s.host, s.a), 0);
+}
+
 // A server where the action wrote votes Yes even when allowed to leave.
 TEST(ObjectServerIndex, WriterVotesYesWhenAllowedToLeave) {
   IndexSys s;
@@ -842,13 +864,14 @@ TEST(ObjectServerIndex, WriterVotesYesWhenAllowedToLeave) {
 // ------------------------------------------------------ commit shapes
 
 // The calls `node` sent from `since` on, in order, by their span names
-// ("rpc.<service>.<method>").
+// ("rpc.<service>.<method>", and "ginv.invoke" for a group call).
 std::vector<std::string> calls_from(const core::TraceRecorder& rec, sim::NodeId node,
                                     sim::SimTime since) {
   std::vector<std::string> out;
   for (const core::TraceEvent& ev : rec.events())
     if (ev.kind == core::TraceKind::Begin && ev.node == node && ev.at >= since &&
-        ev.name.rfind("rpc.", 0) == 0 && ev.name.rfind("rpc.serve.", 0) != 0)
+        ((ev.name.rfind("rpc.", 0) == 0 && ev.name.rfind("rpc.serve.", 0) != 0) ||
+         ev.name == "ginv.invoke"))
       out.push_back(ev.name);
   return out;
 }
@@ -1027,10 +1050,11 @@ TEST(CommitShape, LateInvocationAfterReadOnlyVoteIsRefused) {
 // The read-only vote must come from the server incarnation that served
 // the reads (sec 3.1). A reads X at server 2; server 2 crashes and
 // recovers, losing A's read lock; B re-activates X there, writes X and Y
-// and commits; A then reads Y, after B's write. A read X before B and Y
-// after it, so A must not commit. Its staging call for X is bound to the
-// incarnation that activated X for A, so the recovered server answers
-// BindingBroken and cannot vote.
+// and commits; A then tries to read Y, after B's write. A read X before
+// B, so it must not read Y after it, nor commit. A already depends on
+// server 2's first incarnation, so Y's first invocation is bound to it
+// and answers BindingBroken; A's staging call for X is bound to that
+// incarnation too, so the recovered server cannot vote.
 TEST(CommitShape, ReadsOfACrashedServerIncarnationDoNotCommit) {
   Sys s{shape_cfg(true, naming::Scheme::IndependentTopLevel, 47)};
   const Uid x = s.sys.define_object("x", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
@@ -1055,14 +1079,180 @@ TEST(CommitShape, ReadsOfACrashedServerIncarnationDoNotCommit) {
       EXPECT_TRUE((co_await writer->commit()).ok());
     }
     auto read_y = co_await reader->invoke(y, "balance", Buffer{}, LockMode::Read);
-    EXPECT_TRUE(read_y.ok());
-    if (read_y.ok()) {
-      EXPECT_EQ(read_y.value().unpack_i64().value(), 7);
-    }
+    EXPECT_EQ(read_y.error(), Err::BindingBroken);
     outcome = co_await reader->commit();
   }(s, a, b, x, y, outcome));
   EXPECT_FALSE(outcome.ok());
   EXPECT_EQ(a->commit_processor().counters().get("commit.server_unreachable"), 1u);
+}
+
+// ------------------------------------------ binds and first invocations
+
+// An uncached S2 write of two objects bound at one server: each bind is
+// one naming call, the server is probed once, and the second object is
+// activated by its first invocation, a call bound to the incarnation the
+// probe answered. The first object's invocation goes through its group.
+TEST(CommitShape, TwoObjectsAtOneServerBindInOneCallEachAndActivateOnce) {
+  Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 48)};
+  s.sys.trace().enable();
+  const Uid a = s.sys.define_object("a", "bank", BankAccount{}.snapshot(), {2, 3}, {4, 5},
+                                    ReplicationPolicy::Active, 1);
+  const Uid b = s.sys.define_object("b", "bank", BankAccount{}.snapshot(), {2, 3}, {4, 5},
+                                    ReplicationPolicy::Active, 1);
+  auto* client = s.sys.client(1);
+  std::vector<std::string> calls;
+  Status outcome = Err::Aborted;
+  s.run([](Sys& s, core::ClientSession* client, Uid a, Uid b, std::vector<std::string>& calls,
+           Status& outcome) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "deposit", i64_buf(1), LockMode::Write)).ok());
+    EXPECT_TRUE((co_await txn->invoke(b, "deposit", i64_buf(2), LockMode::Write)).ok());
+    calls = calls_from(s.sys.trace(), client->node(), 0);
+    outcome = co_await txn->commit();
+  }(s, client, a, b, calls, outcome));
+  EXPECT_TRUE(outcome.ok());
+  EXPECT_EQ(calls, (std::vector<std::string>{"rpc.osdb.bind", "rpc.objsrv.activate",
+                                              "ginv.invoke", "rpc.osdb.bind",
+                                              "rpc.objsrv.invoke"}));
+  EXPECT_EQ(client->activator().counters().get("activate.probe_skipped"), 1u);
+  EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.activated"), 2u);
+  EXPECT_EQ(s.sys.gc().members(b), (std::vector<sim::NodeId>{2}));
+  for (sim::NodeId st : {4u, 5u}) EXPECT_EQ(s.sys.store_at(st).read(b).value().version, 2u);
+  EXPECT_TRUE(s.sys.gvdb().servers().clients_in_use().empty());
+}
+
+// A dead first candidate: the probe fails, and one more bind Removes it
+// and releases the first binding in the same call; the action commits
+// through the next server and the auditor finds the use lists balanced.
+TEST(CommitShape, DeadFirstCandidateIsRemovedByTheOneRebind) {
+  Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 49)};
+  s.sys.trace().enable();
+  const Uid a = s.sys.define_object("a", "bank", BankAccount{}.snapshot(), {2, 3}, {4, 5},
+                                    ReplicationPolicy::Active, 1);
+  s.sys.cluster().node(2).crash();
+  auto* client = s.sys.client(1);
+  std::vector<std::string> calls;
+  Status outcome = Err::Aborted;
+  s.run([](Sys& s, core::ClientSession* client, Uid a, std::vector<std::string>& calls,
+           Status& outcome) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "deposit", i64_buf(5), LockMode::Write)).ok());
+    calls = calls_from(s.sys.trace(), client->node(), 0);
+    outcome = co_await txn->commit();
+  }(s, client, a, calls, outcome));
+  EXPECT_TRUE(outcome.ok());
+  EXPECT_EQ(calls, (std::vector<std::string>{"rpc.osdb.bind", "rpc.objsrv.activate",
+                                              "rpc.osdb.bind", "rpc.objsrv.activate",
+                                              "ginv.invoke"}));
+  EXPECT_EQ(s.sys.gvdb().servers().entries.at(a).sv, (std::vector<sim::NodeId>{3}));
+  EXPECT_EQ(s.sys.gvdb().counters().get("osdb.remove"), 1u);
+  EXPECT_EQ(client->activator().binder().counters().get("bind.removed_failed_server"), 1u);
+  core::InvariantAuditor audit{s.sys};
+  audit.track(a);
+  EXPECT_EQ(audit.check_now(/*quiescent=*/true), 0u) << audit.report();
+}
+
+// The server restarts between the action's first contact and an
+// activating invocation: that invocation is bound to the incarnation
+// the action depends on, so the new one answers BindingBroken before
+// anything is applied, and the action aborts with no effects.
+TEST(CommitShape, ServerRestartBeforeAnActivatingInvocationAbortsWithNoEffects) {
+  Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 50)};
+  s.sys.trace().enable();
+  const Uid a = s.sys.define_object("a", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  const Uid b = s.sys.define_object("b", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  Result<Buffer> second = Buffer{};
+  std::vector<std::string> calls;
+  s.run([](Sys& s, core::ClientSession* client, Uid a, Uid b, Result<Buffer>& second,
+           std::vector<std::string>& calls) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "deposit", i64_buf(5), LockMode::Write)).ok());
+    s.sys.cluster().node(2).crash();
+    s.sys.cluster().node(2).recover();
+    const sim::SimTime t0 = s.sys.sim().now();
+    second = co_await txn->invoke(b, "deposit", i64_buf(7), LockMode::Write);
+    calls = calls_from(s.sys.trace(), client->node(), t0);
+    (void)co_await txn->abort();
+  }(s, client, a, b, second, calls));
+  EXPECT_EQ(second.error(), Err::BindingBroken);
+  EXPECT_EQ(calls, (std::vector<std::string>{"rpc.osdb.bind", "rpc.objsrv.invoke"}));
+  EXPECT_FALSE(s.sys.host_at(2).is_active(b));
+  for (const Uid& obj : {a, b})
+    for (sim::NodeId st : {3u, 4u}) EXPECT_EQ(s.sys.store_at(st).read(obj).value().version, 1u);
+  EXPECT_TRUE(s.sys.gvdb().servers().clients_in_use().empty());
+  EXPECT_EQ(s.sys.gvdb().locks().table_depth(), 0u);
+}
+
+// The object's replica group already has another member: the activating
+// invocation activates and joins at the bound server, then refuses the
+// point-to-point operation, which the client resends through the group.
+TEST(CommitShape, ExtraGroupMemberSendsTheFirstInvocationThroughTheGroup) {
+  Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 51)};
+  s.sys.trace().enable();
+  const Uid a = s.sys.define_object("a", "bank", BankAccount{}.snapshot(), {2, 3}, {4, 5},
+                                    ReplicationPolicy::Active, 1);
+  const Uid b = s.sys.define_object("b", "bank", BankAccount{}.snapshot(), {2, 3}, {4, 5},
+                                    ReplicationPolicy::Active, 1);
+  auto* client = s.sys.client(1);
+  std::vector<std::string> calls;
+  Status outcome = Err::Aborted;
+  s.run([](Sys& s, core::ClientSession* client, Uid a, Uid b, std::vector<std::string>& calls,
+           Status& outcome) -> sim::Task<> {
+    const std::vector<sim::NodeId> st{4, 5};
+    EXPECT_TRUE((co_await s.sys.host_at(3).activate(b, "bank", st, /*join=*/true)).ok());
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "deposit", i64_buf(1), LockMode::Write)).ok());
+    const sim::SimTime t0 = s.sys.sim().now();
+    EXPECT_TRUE((co_await txn->invoke(b, "balance", Buffer{}, LockMode::Read)).ok());
+    calls = calls_from(s.sys.trace(), client->node(), t0);
+    outcome = co_await txn->commit();
+  }(s, client, a, b, calls, outcome));
+  EXPECT_TRUE(outcome.ok());
+  EXPECT_EQ(calls, (std::vector<std::string>{"rpc.osdb.bind", "rpc.objsrv.invoke",
+                                              "ginv.invoke"}));
+  EXPECT_EQ(s.sys.gc().members(b), (std::vector<sim::NodeId>{3, 2}));
+  EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.invoke_not_sole_member"), 1u);
+  EXPECT_EQ(client->counters().get("session.activate_group_call"), 1u);
+}
+
+// With St's first store down, an activating invocation spends the call
+// timeout on it before it loads from the second: its deadline is the
+// probe's plus the data path's, so it answers, the action commits on its
+// first attempt, and no live server is Removed.
+TEST(CommitShape, ActivatingInvocationOutlastsADeadFirstStore) {
+  Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 52)};
+  const Uid a = s.sys.define_object("a", "counter", Counter{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::Active, 1);
+  const Uid b = s.sys.define_object("b", "counter", Counter{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::Active, 1);
+  auto* client = s.sys.client(1);
+  Status outcome = Err::Aborted;
+  sim::SimTime activating = 0;
+  s.run([](Sys& s, core::ClientSession* client, Uid a, Uid b, Status& outcome,
+           sim::SimTime& activating) -> sim::Task<> {
+    {  // a is active at server 2 before store 3 goes down
+      auto warm = client->begin();
+      EXPECT_TRUE((co_await warm->invoke(a, "add", i64_buf(1), LockMode::Write)).ok());
+      EXPECT_TRUE((co_await warm->commit()).ok());
+    }
+    s.sys.cluster().node(3).crash();
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "add", i64_buf(1), LockMode::Write)).ok());
+    const sim::SimTime t0 = s.sys.sim().now();
+    EXPECT_TRUE((co_await txn->invoke(b, "add", i64_buf(1), LockMode::Write)).ok());
+    activating = s.sys.sim().now() - t0;
+    outcome = co_await txn->commit();
+  }(s, client, a, b, outcome, activating));
+  EXPECT_TRUE(outcome.ok());
+  EXPECT_GT(activating, s.sys.config().rpc.call_timeout);
+  EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.activate_store_miss"), 1u);
+  EXPECT_EQ(client->counters().get("session.txn_aborted"), 0u);
+  EXPECT_EQ(s.sys.gvdb().counters().get("osdb.remove"), 0u);
+  EXPECT_EQ(s.sys.gvdb().servers().entries.at(b).sv, (std::vector<sim::NodeId>{2}));
+  EXPECT_EQ(s.sys.store_at(4).read(b).value().version, 2u);
 }
 
 }  // namespace

@@ -277,8 +277,7 @@ TEST(ViewCache, WarmBindMakesZeroNamingRpcs) {
   EXPECT_EQ(all.get("cache.hit"), 2u);
   // The classic naming traffic never happens on the cached path.
   EXPECT_EQ(all.get("osdb.get_server"), 0u);
-  EXPECT_EQ(all.get("osdb.get_server_update"), 0u);
-  EXPECT_EQ(all.get("osdb.increment"), 0u);
+  EXPECT_EQ(all.get("osdb.bind"), 0u);
   EXPECT_EQ(all.get("osdb.decrement"), 0u);
   EXPECT_EQ(all.get("ostdb.get_view"), 0u);
   EXPECT_EQ(all.get("gvdb.bind_read"), 0u);

@@ -168,11 +168,25 @@ TEST(WireOracle, ObjsrvInvokeRequest) {
   Buffer ref;
   ref.pack_uid(Uid{1, 1}).pack_uid(Uid{2, 2}).pack_uid_vector(ancestors);
   ref.pack_u8(static_cast<std::uint8_t>(actions::LockMode::Write));
-  ref.pack_string("add").pack_bytes(bytes({4, 0, 0, 0}));
+  ref.pack_string("add").pack_bytes(bytes({4, 0, 0, 0})).pack_bool(false);
   const Buffer wire = request(replication::kObjsrvInvoke, Uid{1, 1}, Uid{2, 2}, ancestors,
-                              actions::LockMode::Write, "add", bytes({4, 0, 0, 0}));
+                              actions::LockMode::Write, "add", bytes({4, 0, 0, 0}),
+                              std::optional<replication::Activation>{});
   EXPECT_EQ(wire, ref);
   expect_request_prefixes_refused(replication::kObjsrvInvoke, wire);
+  // A first invocation's activation: the class, St, then the join flag.
+  ref = Buffer{};
+  ref.pack_uid(Uid{1, 1}).pack_uid(Uid{2, 2}).pack_uid_vector(ancestors);
+  ref.pack_u8(static_cast<std::uint8_t>(actions::LockMode::Write));
+  ref.pack_string("add").pack_bytes(bytes({4, 0, 0, 0})).pack_bool(true);
+  ref.pack_string("counter").pack_u32_vector({5, 6}).pack_bool(true);
+  const Buffer activating =
+      request(replication::kObjsrvInvoke, Uid{1, 1}, Uid{2, 2}, ancestors,
+              actions::LockMode::Write, "add", bytes({4, 0, 0, 0}),
+              std::optional<replication::Activation>{replication::Activation{"counter", {5, 6},
+                                                                             true}});
+  EXPECT_EQ(activating, ref);
+  expect_request_prefixes_refused(replication::kObjsrvInvoke, activating);
 }
 
 // The action, the objects it bound at the server, then whether the
@@ -344,11 +358,13 @@ TEST(WireOracle, OsdbRecord) {
   NamingFixture f;
   const Uid first{7, 7}, second{7, 8};
   f.sim.spawn([](NamingFixture& f, Uid first, Uid second) -> sim::Task<> {
-    // Two bind actions, each ended by its Increment.
-    EXPECT_TRUE((co_await f.gvdb->bind_read(1, f.obj, first, first, true)).ok());
-    EXPECT_TRUE(f.gvdb->increment(f.obj, 1, {2, 3}, first).ok());
-    EXPECT_TRUE((co_await f.gvdb->bind_read(5, f.obj, second, second, true)).ok());
-    EXPECT_TRUE(f.gvdb->increment(f.obj, 5, {2}, second).ok());
+    // Two bind actions, each one call: client 1 on servers 2 and 3, then
+    // client 5 on the in-use server 2.
+    const std::vector<NodeId> none;
+    auto one = co_await f.gvdb->bind(1, f.obj, Uid{7, 1}, first, 2, none, none, Uid{});
+    EXPECT_TRUE(one.ok() && one.value().servers == std::vector<NodeId>({2, 3}));
+    auto two = co_await f.gvdb->bind(5, f.obj, Uid{7, 2}, second, 1, none, none, Uid{});
+    EXPECT_TRUE(two.ok() && two.value().servers == std::vector<NodeId>{2});
   }(f, first, second));
   f.sim.run();
 
