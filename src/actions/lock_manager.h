@@ -26,8 +26,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,6 +68,17 @@ struct LockKey {
 
 // The key as logs spell it; built only when a log line is written.
 std::string to_string(const LockKey& key);
+
+}  // namespace gv::actions
+
+template <>
+struct std::hash<gv::actions::LockKey> {
+  std::size_t operator()(const gv::actions::LockKey& k) const noexcept {
+    return std::hash<gv::Uid>{}(k.object) ^ k.part;
+  }
+};
+
+namespace gv::actions {
 
 class LockManager {
  public:
@@ -130,7 +139,9 @@ class LockManager {
     sim::SimPromise<Status> promise;
     std::uint64_t timer_id;
   };
-  using Waiters = std::deque<Waiter>;
+  // FIFO: requests join at the back and leave from anywhere. A short
+  // vector, so a free key's first entry allocates nothing for it.
+  using Waiters = std::vector<Waiter>;
   struct Entry {
     std::vector<Holder> holders;
     Waiters waiters;
@@ -151,7 +162,8 @@ class LockManager {
   void pump(const LockKey& key);  // grant eligible waiters
 
   sim::Simulator& sim_;
-  std::map<LockKey, Entry> table_;
+  // Hashed; only reset() walks it, and its order reaches nothing there.
+  std::unordered_map<LockKey, Entry> table_;
   // owner -> the resources it holds or waits on, in the order it first
   // asked for each.
   std::unordered_map<Uid, std::vector<LockKey>> owned_;

@@ -1,5 +1,6 @@
 #include "actions/orphan_resolver.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "actions/coordinator_log.h"
@@ -30,9 +31,11 @@ bool OrphanResolver::inherit(const Uid& child, const Uid& parent) {
 
 sim::Task<std::uint32_t> OrphanResolver::sweep() {
   std::uint32_t aborted = 0;
-  // Snapshot: the calls below suspend, and phase-2 messages may end
-  // tracked actions meanwhile.
-  const std::vector<std::pair<Uid, Owner>> snapshot(owners_.begin(), owners_.end());
+  // Snapshot, in UID order: the calls below suspend, and phase-2
+  // messages may end tracked actions meanwhile.
+  std::vector<std::pair<Uid, Owner>> snapshot(owners_.begin(), owners_.end());
+  std::sort(snapshot.begin(), snapshot.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   for (const auto& [action, owner] : snapshot) {
     if (!tracks(action)) continue;  // finished meanwhile
     auto outcome = co_await CoordinatorLog::remote_outcome(endpoint_, owner.node, action);

@@ -25,7 +25,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <unordered_map>
 
 #include "rpc/failure_detector.h"
 #include "rpc/rpc.h"
@@ -75,7 +75,7 @@ class OrphanResolver {
   Aged aged_;
   Apply apply_;
   Swept swept_;
-  std::map<Uid, Owner> owners_;
+  std::unordered_map<Uid, Owner> owners_;
   sim::Node::Job& sweep_job_;
 };
 

@@ -469,7 +469,8 @@ sim::Task<Result<std::uint32_t>> GroupViewDb::purge_client(NodeId client, Uid ac
   // for the rest of the run.
   note_activity(action, owner);
   std::uint32_t purged = 0;
-  // Snapshot the affected objects first; we lock and edit one at a time.
+  // Snapshot the affected objects first; we lock and edit one at a time,
+  // in UID order.
   std::vector<Uid> affected;
   for (const auto& [object, e] : servers_.entries) {
     for (const auto& [server, clients] : e.use) {
@@ -480,6 +481,7 @@ sim::Task<Result<std::uint32_t>> GroupViewDb::purge_client(NodeId client, Uid ac
       }
     }
   }
+  std::sort(affected.begin(), affected.end());
   for (const Uid& object : affected) {
     auto found = co_await lock_entry(servers_, object, actions::LockMode::Write, action);
     if (found.error() == Err::Aborted) co_return Err::Aborted;

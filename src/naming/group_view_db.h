@@ -56,6 +56,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "actions/atomic_action.h"
@@ -329,7 +330,7 @@ class GroupViewDb final : public actions::ServerParticipant {
   NamingConfig cfg_;
   ExcludePolicy policy_;
   actions::LockManager locks_;
-  std::map<Uid, std::vector<Undo>> undo_;
+  std::unordered_map<Uid, std::vector<Undo>> undo_;
   Counters counters_;
   actions::OrphanResolver orphans_;
   core::TraceRecorder* trace_ = nullptr;

@@ -27,9 +27,15 @@ Result<SvView> ObjectServerDb::peek_view(const Uid& object) const {
 }
 
 std::vector<NodeId> ObjectServerDb::clients_in_use() const {
+  // Entries with use lists, in UID order: the janitor pings the clients
+  // in the order returned.
+  std::vector<const std::pair<const Uid, Entry>*> used;
+  for (const auto& entry : entries)
+    if (!entry.second.use.empty()) used.push_back(&entry);
+  std::sort(used.begin(), used.end(), [](auto* a, auto* b) { return a->first < b->first; });
   std::vector<NodeId> out;
-  for (const auto& [object, e] : entries)
-    for (const auto& [server, clients] : e.use)
+  for (const auto* entry : used)
+    for (const auto& [server, clients] : entry->second.use)
       for (const auto& [client, tokens] : clients)
         if (!tokens.empty() && std::find(out.begin(), out.end(), client) == out.end())
           out.push_back(client);

@@ -17,6 +17,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "rpc/rpc.h"
@@ -73,12 +74,15 @@ class ObjectServerDb {
   bool known(const Uid& object) const { return entries.count(object) > 0; }
   std::uint64_t epoch_of(const Uid& object) const noexcept;
   Result<SvView> peek_view(const Uid& object) const;
-  // All client nodes appearing in any use list (janitor scan).
+  // All client nodes appearing in any use list (janitor scan), in the
+  // order a walk of the entries in UID order first meets them.
   std::vector<NodeId> clients_in_use() const;
 
   static SvView view_of(const Entry& e);
 
-  std::map<Uid, Entry> entries;
+  // Hashed: found by UID on every operation. A walk whose order could
+  // reach the event stream sorts what it collects.
+  std::unordered_map<Uid, Entry> entries;
 };
 
 // The osdb service's methods, declared once for the registration and the

@@ -12,6 +12,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "rpc/rpc.h"
@@ -63,7 +64,9 @@ class ObjectStateDb {
     return StView{it->second.st, it->second.epoch};
   }
 
-  std::map<Uid, Entry> entries;
+  // Hashed: found by UID on every operation. A walk whose order could
+  // reach the event stream sorts what it collects.
+  std::unordered_map<Uid, Entry> entries;
 };
 
 // The ostdb service's methods, declared once for the registration and the

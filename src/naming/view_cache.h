@@ -28,7 +28,7 @@
 // session table.
 #pragma once
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "naming/group_view_db.h"
@@ -74,9 +74,9 @@ class GroupViewCache {
 
   rpc::RpcEndpoint& ep_;
   NodeId naming_node_;
-  std::map<Uid, Entry> entries_;
+  std::unordered_map<Uid, Entry> entries_;
   // UIDs with a fill in flight -> promises of callers waiting on it.
-  std::map<Uid, std::vector<sim::SimPromise<Status>>> inflight_;
+  std::unordered_map<Uid, std::vector<sim::SimPromise<Status>>> inflight_;
   Counters counters_;
 };
 

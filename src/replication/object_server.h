@@ -30,6 +30,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "actions/atomic_action.h"
 #include "actions/lock_manager.h"
@@ -195,7 +196,7 @@ class ObjectServerHost final : public actions::ServerParticipant {
   bool ended(const Uid& action);
   // Remove `action` from the touched-object index, returning those of its
   // objects that are still active.
-  using ActiveEntry = std::map<Uid, Active>::value_type;
+  using ActiveEntry = std::unordered_map<Uid, Active>::value_type;
   std::vector<ActiveEntry*> take_touched(const Uid& action);
 
   // ---- orphaned-action resolution ---------------------------------------
@@ -216,12 +217,14 @@ class ObjectServerHost final : public actions::ServerParticipant {
   rpc::GroupComm& gc_;
   ClassRegistry& classes_;
   actions::LockManager locks_;
-  std::map<Uid, Active> active_;  // volatile
+  // Both tables are hashed and never iterated: each visit goes through a
+  // UID, and an action's objects are visited in UID order (its set).
+  std::unordered_map<Uid, Active> active_;  // volatile
   // action -> objects it left a before-image (and maybe modified_by) on,
   // so ending an action visits only what it touched. Entries may name
   // objects since passivated, retired or re-activated: visitors skip
   // those missing from active_, and a fresh instance holds no undo state.
-  std::map<Uid, std::set<Uid>> touched_;  // volatile
+  std::unordered_map<Uid, std::set<Uid>> touched_;  // volatile
   // Actions already committed/aborted here, or that left at a read-only
   // vote: an invocation whose lock is granted after its action terminated
   // (client gave up waiting, then aborted) must be refused, not applied

@@ -16,6 +16,13 @@ constexpr std::uint8_t kKindReply = 1;
 // Fixed request overhead: kind u8 + req_id u64 + epoch u64 + trace u64 +
 // span u64 + op-hash u64 + args length prefix u32.
 constexpr std::size_t kRequestOverhead = 1 + 8 * 5 + 4;
+
+// Read a frame's last field, its length-prefixed tail: true when the
+// prefix names exactly the bytes left, the cursor then at their start.
+bool tail_follows(Buffer& frame) {
+  auto len = frame.unpack_u32();
+  return len.ok() && len.value() == frame.remaining();
+}
 }  // namespace
 
 RpcEndpoint::RpcEndpoint(sim::Node& node, sim::Network& net, RpcConfig cfg)
@@ -55,7 +62,11 @@ bool DedupWindow::first_delivery(std::uint64_t req_id) {
 
 void RpcEndpoint::register_method(const std::string& service, const std::string& method,
                                   Method fn) {
-  register_op(OpName{service.c_str(), method.c_str(), op_hash(service, method)}, std::move(fn));
+  // An untyped handler takes its arguments as a buffer of their own.
+  register_op(OpName{service.c_str(), method.c_str(), op_hash(service, method)},
+              [fn = std::move(fn)](NodeId from, Buffer args) {
+                return fn(from, std::move(args.drop_read()));
+              });
 }
 
 void RpcEndpoint::register_op(const OpName& op_name, Method fn) {
@@ -187,9 +198,9 @@ void RpcEndpoint::on_request(NodeId from, std::uint64_t req_id, Buffer msg) {
   auto wire_trace = msg.unpack_u64();
   auto wire_span = msg.unpack_u64();
   auto op = msg.unpack_u64();
-  auto args = msg.unpack_bytes();
   const std::uint64_t epoch_now = node_.epoch();
-  if (!expected_epoch.ok() || !wire_trace.ok() || !wire_span.ok() || !op.ok() || !args.ok()) {
+  if (!expected_epoch.ok() || !wire_trace.ok() || !wire_span.ok() || !op.ok() ||
+      !tail_follows(msg)) {
     send_reply(from, req_id, Err::BadRequest, epoch_now);
     return;
   }
@@ -198,7 +209,9 @@ void RpcEndpoint::on_request(NodeId from, std::uint64_t req_id, Buffer msg) {
     send_reply(from, req_id, Err::BindingBroken, epoch_now);
     return;
   }
-  node_.sim().spawn(run_handler(from, req_id, op.value(), std::move(args).value(),
+  // The arguments are the frame's tail: the handler decodes them from
+  // the datagram's own bytes, at its cursor.
+  node_.sim().spawn(run_handler(from, req_id, op.value(), std::move(msg),
                                 TraceContext{wire_trace.value(), wire_span.value()}));
 }
 
@@ -231,15 +244,15 @@ void RpcEndpoint::send_reply(NodeId to, std::uint64_t req_id, const Result<Buffe
   if (!node_.up() || node_.epoch() != epoch_at_receipt) return;
   static const Buffer kNoPiggyback;
   const Buffer& piggyback = piggyback_provider_ ? piggyback_provider_() : kNoPiggyback;
+  static const Buffer kNoPayload;
+  const Buffer& payload = result.ok() ? result.value() : kNoPayload;
   Buffer msg;
-  msg.reserve(1 + 8 + 4 + 4 + (result.ok() ? result.value().size() : 0) + 4 + piggyback.size());
-  msg.pack_u8(kKindReply).pack_u64(req_id).pack_u32(static_cast<std::uint32_t>(
-      result.ok() ? Err::None : result.error()));
-  if (result.ok())
-    msg.pack_bytes(result.value());
-  else
-    msg.pack_bytes(Buffer{});
-  msg.pack_bytes(piggyback);
+  msg.reserve(1 + 8 + 4 + 4 + piggyback.size() + 4 + payload.size());
+  msg.pack_u8(kKindReply)
+      .pack_u64(req_id)
+      .pack_u32(static_cast<std::uint32_t>(result.ok() ? Err::None : result.error()))
+      .pack_bytes(piggyback)
+      .pack_bytes(payload);
   net_.send(node_.id(), to, std::move(msg));
 }
 
@@ -255,21 +268,22 @@ void RpcEndpoint::on_reply(NodeId from, std::uint64_t req_id, Buffer msg) {
   outstanding_.erase(it);
 
   auto err = msg.unpack_u32();
-  auto payload = msg.unpack_bytes();
-  if (!err.ok() || !payload.ok()) {
+  auto piggyback = msg.unpack_bytes();
+  if (!err.ok() || !piggyback.ok() || !tail_follows(msg)) {
     promise.set_value(Err::BadRequest);
     return;
   }
   // The piggyback blob rides every reply — deliver it to the sink BEFORE
   // resuming the caller, so a cached view invalidated by this very reply
   // is already gone when the awaiting coroutine runs.
-  auto piggyback = msg.unpack_bytes();
-  if (piggyback.ok() && !piggyback.value().empty() && piggyback_sink_)
+  if (!piggyback.value().empty() && piggyback_sink_)
     piggyback_sink_(from, std::move(piggyback).value());
+  // The payload is the frame's tail: the caller decodes it from the
+  // datagram's own bytes, at its cursor.
   if (static_cast<Err>(err.value()) != Err::None)
     promise.set_value(static_cast<Err>(err.value()));
   else
-    promise.set_value(std::move(payload).value());
+    promise.set_value(std::move(msg));
 }
 
 RpcFabric::RpcFabric(sim::Cluster& cluster, sim::Network& net, RpcConfig cfg) {

@@ -22,6 +22,15 @@
 // that carries the epoch it expects. A crash of the calling node abandons
 // a call, even between its reply and the caller's resumption (sim/node.h).
 //
+// Frames: a request is kind u8 (0), req_id u64, the expected epoch u64 (a
+// bound call's plus one; 0 when unbound), the trace and span ids u64,
+// the op hash u64, then the arguments, length-prefixed. A reply is kind
+// u8 (1), req_id u64, its Err u32, the piggyback blob, length-prefixed,
+// then the reply body, length-prefixed. Each frame ends in its payload,
+// so a handler decodes its arguments, and a caller its reply, from the
+// datagram's own bytes at the read cursor, with no copy; a payload whose
+// length disagrees with the bytes left in the frame answers BadRequest.
+//
 // Group invocations (sec 2.3(2)(i)) are calls too: call_group multicasts
 // the same request, reliable and totally ordered, to a replica group.
 // Each member's group upcall hands it to its endpoint's request path, so
@@ -130,13 +139,13 @@ Result<Buffer> encode_reply(Result<R> r) {
     return encode(r.value());
 }
 
-// A reply body as the caller's result, decoded in place.
+// A reply body as the caller's result, decoded in place from its cursor.
 template <typename R>
 Result<R> decode_reply(Buffer& body) {
   if constexpr (std::is_void_v<R>) {
     return ok_status();
   } else if constexpr (std::is_same_v<R, Buffer>) {
-    return std::move(body);
+    return std::move(body.drop_read());
   } else {
     Result<R> out{R{}};
     if (!wire::get(body, out.value())) return Err::BadRequest;

@@ -7,8 +7,14 @@ namespace gv::sim {
 namespace {
 
 // Detached driver: starts eagerly, awaits the task, self-destroys at end.
+// Its frame comes from the task frames' pool: every served request and
+// spawned process has one.
 struct Detached {
   struct promise_type {
+    static void* operator new(std::size_t n) { return detail::FramePool::allocate(n); }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      detail::FramePool::deallocate(p, n);
+    }
     Detached get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

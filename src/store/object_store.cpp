@@ -1,5 +1,7 @@
 #include "store/object_store.h"
 
+#include <algorithm>
+
 #include "actions/coordinator_log.h"
 #include "core/trace.h"
 
@@ -269,6 +271,7 @@ std::vector<Uid> ObjectStore::local_objects() const {
   std::vector<Uid> out;
   out.reserve(committed_.size());
   for (const auto& [uid, vs] : committed_) out.push_back(uid);
+  std::sort(out.begin(), out.end());  // UID order, whatever the table's layout
   return out;
 }
 

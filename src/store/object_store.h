@@ -20,6 +20,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "actions/atomic_action.h"
@@ -83,6 +84,7 @@ class ObjectStore {
   Status abort(const Uid& txn);
   Status write_direct(const Uid& uid, std::uint64_t version, Buffer state);
   bool contains(const Uid& uid) const;
+  // Every locally stored object, in UID order.
   std::vector<Uid> local_objects() const;
 
   // Keyed stable records for a local service that persists itself here
@@ -175,8 +177,9 @@ class ObjectStore {
   sim::Task<> resolve_in_doubt();
   sim::Node::Job& resolver_;
 
-  // STABLE storage: survives crashes.
-  std::map<Uid, VersionedState> committed_;
+  // STABLE storage: survives crashes. Hashed: looked up per operation,
+  // never iterated where the order could reach the event stream.
+  std::unordered_map<Uid, VersionedState> committed_;
   std::map<Uid, std::map<Uid, Buffer>> tables_;  // table -> key -> record
   // Shadow slots: stable; ended by phase 2, the in-doubt resolver or the
   // orphan reaper. txn -> pending writes.

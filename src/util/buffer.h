@@ -67,6 +67,14 @@ class Buffer {
   Result<std::vector<Uid>> unpack_uid_vector();
 
   void rewind() noexcept { read_pos_ = 0; }
+  // Drop the bytes already read, in place and without allocating: the
+  // unread tail becomes the whole buffer, its cursor at the start. A
+  // frame parsed up to its payload hands the payload on this way.
+  Buffer& drop_read() {
+    bytes_.erase(bytes_.begin(), bytes_.begin() + static_cast<long>(read_pos_));
+    read_pos_ = 0;
+    return *this;
+  }
   std::size_t remaining() const noexcept { return bytes_.size() - read_pos_; }
 
   // 64-bit FNV-1a over content; used for cheap replica state comparison.

@@ -272,6 +272,36 @@ TEST(LockManager, TimedOutRequestUnblocksTheQueueBehindIt) {
   EXPECT_TRUE(f.lm.holds(kR, f.c, LockMode::Read));
 }
 
+// A waiter that times out in the middle of the queue leaves it without
+// reordering the rest: the requests ahead of and behind it are granted
+// in the order they asked, and the key leaves the table once released.
+TEST(LockManager, MidQueueTimeoutKeepsTheOthersInFifoOrder) {
+  Fixture f;
+  const Uid d{1, 4};
+  EXPECT_TRUE(f.acquire_now(kR, LockMode::Write, f.a).ok());
+  std::vector<Uid> granted;
+  Status middle = Err::None;
+  auto waiter = [](Fixture& f, Uid owner, sim::SimTime timeout, std::vector<Uid>& granted,
+                   Status& out) -> sim::Task<> {
+    out = co_await f.lm.acquire(kR, LockMode::Write, owner, timeout);
+    if (!out.ok()) co_return;
+    granted.push_back(owner);
+    co_await f.sim.sleep(5 * kMillisecond);
+    f.lm.release_all(owner);
+  };
+  Status first = Err::None, last = Err::None;
+  f.sim.spawn(waiter(f, f.b, 300 * kMillisecond, granted, first));
+  f.sim.spawn(waiter(f, f.c, 10 * kMillisecond, granted, middle));
+  f.sim.spawn(waiter(f, d, 300 * kMillisecond, granted, last));
+  f.sim.schedule(20 * kMillisecond, [&] { f.lm.release_all(f.a); });
+  f.sim.run();
+  EXPECT_EQ(middle.error(), Err::LockRefused);
+  EXPECT_TRUE(first.ok());
+  EXPECT_TRUE(last.ok());
+  EXPECT_EQ(granted, (std::vector<Uid>{f.b, d}));
+  EXPECT_EQ(f.lm.table_depth(), 0u);
+}
+
 // Wait on `res` for `owner` and record the resource once granted.
 sim::Task<> wait_for(Fixture& f, LockKey res, Uid owner, std::vector<LockKey>& resumed) {
   Status s = co_await f.lm.acquire(res, LockMode::Write, owner, 300 * kMillisecond);

@@ -812,6 +812,22 @@ TEST(UseListJanitor, PurgesCrashedClientsEntries) {
   EXPECT_TRUE(f.gvdb->servers().clients_in_use().empty());
 }
 
+// The entries are hashed; the janitor's client list still follows a
+// walk of the entries in UID order, each client where it first appears,
+// whatever the order the entries were made in.
+TEST(ObjectServerDb, ClientsInUseFollowUidOrderWhateverTheInsertOrder) {
+  ObjectServerDb db;
+  std::vector<NodeId> expected;
+  for (std::uint64_t k = 40; k >= 1; --k) {
+    ObjectServerDb::Entry& e = db.entries[Uid{7, k}];
+    e.sv = {2};
+    e.use[2][static_cast<NodeId>(140 - k / 2)].push_back(Uid{9, k});
+  }
+  db.entries[Uid{7, 0}].sv = {2};  // no use list: no client
+  for (NodeId client = 140; client >= 120; --client) expected.push_back(client);
+  EXPECT_EQ(db.clients_in_use(), expected);
+}
+
 TEST(UseListJanitor, LeavesLiveClientsAlone) {
   Fixture f;
   UseListJanitor janitor{*f.gvdb, f.fabric->endpoint(0), f.naming_log.get()};

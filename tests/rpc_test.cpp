@@ -203,6 +203,39 @@ TEST(Rpc, ClientCrashAbandonsOutstandingCall) {
   EXPECT_FALSE(resumed);
 }
 
+// A reply's payload is the tail of its frame: a length prefix that names
+// fewer or more bytes than the frame has left resolves the call with
+// BadRequest, and one that agrees hands the payload on.
+TEST(Rpc, ReplyPayloadLengthMustMatchItsFrame) {
+  for (int delta : {0, -1, 1}) {
+    Fixture f;
+    f.ep(1).register_method("slow", "op", [&f](NodeId, Buffer) -> sim::Task<Result<Buffer>> {
+      co_await f.sim.sleep(10 * sim::kMillisecond);
+      co_return Buffer{};
+    });
+    Result<Buffer> got = Err::Timeout;
+    f.sim.spawn([](Fixture& f, Result<Buffer>& got) -> sim::Task<> {
+      got = co_await f.ep(0).call(1, "slow", "op", Buffer{});
+    }(f, got));
+    // The reply frame to the client's first call (req_id 1), injected
+    // before the server's own: kind, req_id, Err, no piggyback, payload.
+    f.sim.schedule(1 * sim::kMillisecond, [&f, delta] {
+      Buffer frame;
+      frame.pack_u8(1).pack_u64(1).pack_u32(0).pack_bytes(Buffer{});
+      frame.pack_u32(static_cast<std::uint32_t>(4 + delta)).pack_u32(42);
+      f.ep(0).receive(1, std::move(frame));
+    });
+    f.sim.run();
+    if (delta == 0) {
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value().size(), 4u);
+      EXPECT_EQ(got.value().unpack_u32().value(), 42u);
+    } else {
+      EXPECT_EQ(got.error(), Err::BadRequest) << "length off by " << delta;
+    }
+  }
+}
+
 // Serves kDouble on `server`, and crashes `client` in the instant the
 // reply reaches it, just after the delivery. With a jitter-free network
 // the reply lands one base latency after it is sent; the crash is

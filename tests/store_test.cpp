@@ -3,6 +3,8 @@
 // access helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "actions/coordinator_log.h"
 #include "rpc/rpc.h"
 #include "sim/simulator.h"
@@ -190,6 +192,18 @@ TEST(ObjectStore, SuspectListMatchesLocalObjects) {
   f.cluster.node(0).crash();
   f.cluster.node(0).recover();
   EXPECT_EQ(f.stores[0]->suspect_objects().size(), 2u);
+}
+
+// The committed table is hashed; the object list comes back in UID
+// order whatever the order of the writes.
+TEST(ObjectStore, LocalObjectsComeBackInUidOrder) {
+  Fixture f;
+  std::vector<Uid> written;
+  for (std::uint64_t i = 0; i < 64; ++i) written.push_back(Uid{1 + i % 3, (i * 37) % 64 + 1});
+  for (const Uid& uid : written) ASSERT_TRUE(f.stores[0]->write_direct(uid, 1, state_of("x")).ok());
+  std::vector<Uid> sorted = written;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(f.stores[0]->local_objects(), sorted);
 }
 
 TEST(ObjectStore, NestedShadowRekeyMerges) {
