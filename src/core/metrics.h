@@ -19,6 +19,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/stats.h"
@@ -36,10 +37,11 @@ class MetricsRegistry {
 
   // Named histogram, created on first use. Convention: dotted component
   // path with unit suffix, e.g. "naming.getserver_us", "commit.prepare_us".
-  gv::Histogram& histogram(const std::string& name) { return histograms_[name]; }
+  // Looked up by view: a name is copied into a string only when created.
+  gv::Histogram& histogram(std::string_view name) { return find_or_add(histograms_, name); }
 
-  void gauge_set(const std::string& name, double value) {
-    Gauge& g = gauges_[name];
+  void gauge_set(std::string_view name, double value) {
+    Gauge& g = find_or_add(gauges_, name);
     if (g.updates == 0) {
       g.min = g.max = value;
     } else {
@@ -53,7 +55,9 @@ class MetricsRegistry {
   gv::Counters& counters() noexcept { return counters_; }
   const gv::Counters& counters() const noexcept { return counters_; }
 
-  const std::map<std::string, gv::Histogram>& histograms() const noexcept { return histograms_; }
+  const std::map<std::string, gv::Histogram, std::less<>>& histograms() const noexcept {
+    return histograms_;
+  }
 
   // clear() drops every metric and bumps generation(), so a component
   // holding Histogram pointers from this registry knows to re-resolve.
@@ -76,19 +80,25 @@ class MetricsRegistry {
   bool write_jsonl(const std::string& path, const std::string& label) const;
 
  private:
-  std::map<std::string, gv::Histogram> histograms_;
-  std::map<std::string, Gauge> gauges_;
+  template <class V>
+  static V& find_or_add(std::map<std::string, V, std::less<>>& table, std::string_view name) {
+    auto it = table.find(name);
+    return it != table.end() ? it->second : table.emplace(name, V{}).first->second;
+  }
+
+  std::map<std::string, gv::Histogram, std::less<>> histograms_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
   gv::Counters counters_;
   std::uint64_t generation_ = 0;
 };
 
 // Null-tolerant helpers mirroring trace_span/trace_instant: components
 // outside a ReplicaSystem pass nullptr and record nothing.
-inline void metric_record(MetricsRegistry* m, const std::string& name, double value) {
+inline void metric_record(MetricsRegistry* m, std::string_view name, double value) {
   if (m != nullptr) m->histogram(name).record(value);
 }
 
-inline void metric_gauge(MetricsRegistry* m, const std::string& name, double value) {
+inline void metric_gauge(MetricsRegistry* m, std::string_view name, double value) {
   if (m != nullptr) m->gauge_set(name, value);
 }
 

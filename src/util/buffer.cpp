@@ -36,7 +36,6 @@ Buffer& Buffer::pack_double(double v) {
 }
 
 Buffer& Buffer::pack_string(const std::string& s) {
-  bytes_.reserve(bytes_.size() + 4 + s.size());
   pack_u32(static_cast<std::uint32_t>(s.size()));
   append(s.data(), s.size());
   return *this;
@@ -48,21 +47,18 @@ Buffer& Buffer::pack_uid(const Uid& u) {
 }
 
 Buffer& Buffer::pack_bytes(const Buffer& b) {
-  bytes_.reserve(bytes_.size() + 4 + b.bytes().size());
   pack_u32(static_cast<std::uint32_t>(b.bytes().size()));
   append(b.bytes().data(), b.bytes().size());
   return *this;
 }
 
 Buffer& Buffer::pack_u32_vector(const std::vector<std::uint32_t>& v) {
-  bytes_.reserve(bytes_.size() + 4 + 4 * v.size());
   pack_u32(static_cast<std::uint32_t>(v.size()));
   for (auto x : v) pack_u32(x);
   return *this;
 }
 
 Buffer& Buffer::pack_uid_vector(const std::vector<Uid>& v) {
-  bytes_.reserve(bytes_.size() + 4 + 16 * v.size());
   pack_u32(static_cast<std::uint32_t>(v.size()));
   for (const auto& u : v) pack_uid(u);
   return *this;

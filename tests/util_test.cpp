@@ -2,7 +2,9 @@
 // Result semantics, RNG determinism, Summary statistics.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <vector>
 
 #include "util/buffer.h"
 #include "util/result.h"
@@ -118,6 +120,28 @@ TEST(Buffer, RewindRereads) {
 }
 
 // ------------------------------------------------------------------ Uid
+
+// Appending grows a buffer geometrically: packing n values reallocates
+// O(log n) times, not once per value.
+TEST(Buffer, PackingGrowsGeometrically) {
+  constexpr int kValues = 10000;
+  const std::vector<std::function<void(Buffer&)>> packs = {
+      [](Buffer& b) { b.pack_string("a value"); },
+      [](Buffer& b) { b.pack_bytes(Buffer{std::vector<std::uint8_t>(7, 1)}); },
+      [](Buffer& b) { b.pack_u32_vector({1, 2}); },
+      [](Buffer& b) { b.pack_uid_vector({Uid{1, 2}}); },
+  };
+  for (std::size_t which = 0; which < packs.size(); ++which) {
+    Buffer b;
+    int growths = 0;
+    for (int i = 0; i < kValues; ++i) {
+      const std::size_t before = b.capacity();
+      packs[which](b);
+      growths += b.capacity() != before;
+    }
+    EXPECT_LE(growths, 40) << "pack call " << which;
+  }
+}
 
 TEST(Uid, OrderingAndEquality) {
   Uid a{1, 2}, b{1, 3}, c{2, 0};
