@@ -125,7 +125,7 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
         flag = ""
         if name in sim_time and b != h:
             flag, moved = "  DIFFERS", True
-        fmt = lambda q: " / ".join(f"{v:.4g}" for v in q)
+        fmt = lambda q: " / ".join(f"{v:.0f}" if abs(v) >= 1000 else f"{v:.4g}" for v in q)
         print(f"  {name:<16} {fmt(quartiles(b)):>32} {fmt(quartiles(h)):>32}"
               f" {ratio:>7.3f} {won:>3}/{len(seeds)}{flag}")
     traced = [r for r in mine if r["side"] == "traced" and r["result"]]
