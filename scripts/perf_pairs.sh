@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Paired wall-time comparison of two commits on the repository benchmark:
-# build perfbench from BASE_REF and from HEAD (each a clean export of the
-# commit, RelWithDebInfo as perfbench/run.py builds it), then run the
-# drivers in alternating pairs, one pair per seed and workload: the base
-# runs first in odd pairs and HEAD first in even ones, so drift over the
-# session falls on both sides alike.
+# export BASE_REF and HEAD (each a clean export of the commit) and run
+# each tree's own benchmark command, perfbench/run.py, in alternating
+# pairs, one pair per seed and workload: the base runs first in odd pairs
+# and HEAD first in even ones, so drift over the session falls on both
+# sides alike. The workloads and the run length are HEAD's BENCHMARK.json
+# ones; the eleven seeds are fixed.
 #
 #   scripts/perf_pairs.sh BASE_REF [WORKDIR]
 #
@@ -13,17 +14,16 @@
 # HEAD/base, and the pairs HEAD won (by the metric's direction; ties
 # count for neither). The simulator is deterministic, so a sim-time
 # metric (commit_p50/p99/p999_ms, sim_tps, commit_frac, stall_max_ms)
-# that moves in any pair is flagged DIFFERS. One traced HEAD run per
-# workload gives sim.events_per_txn, and with it each side's median
-# untraced wall ns per event, 1e9 / (wall_tps * sim.events_per_txn).
+# that moves in any pair is flagged DIFFERS. One traced run per side and
+# workload gives that side's sim.events_per_txn, and with it the side's
+# median untraced wall ns per event, 1e9 / (wall_tps * sim.events_per_txn).
 #
-# Environment: SEEDS (default "101 102 ... 110 90001"), SECONDS_PER_RUN
-# (default 20), WORKLOADS (default "txn_rw read_mostly crash_recover"),
-# JOBS (build parallelism, default 4). WORKDIR (default: a fresh
-# temporary directory) keeps both builds and results.jsonl, one line per
-# run. Commit the change first: HEAD is built as committed. Exits 0 when
-# no sim-time metric moved, 1 when one did, 2 on bad usage or a failed
-# build.
+# WORKDIR (default: a fresh temporary directory) keeps both trees (each
+# builds into its own .bench_build/), results.jsonl with one line per
+# run, and base.log and head.log with run.py's build and run messages.
+# Commit the change first: HEAD is run as committed. Exits 0 when no
+# sim-time metric moved, 1 when one did, 2 on bad usage, a failed build
+# or a workload without a single complete pair.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -34,40 +34,56 @@ repo=$(git rev-parse --show-toplevel)
 base=$(git -C "$repo" rev-parse --verify "$1^{commit}") || exit 2
 head=$(git -C "$repo" rev-parse --verify "HEAD^{commit}")
 work=${2:-$(mktemp -d)}
-jobs=${JOBS:-4}
-seeds=${SEEDS:-"101 102 103 104 105 106 107 108 109 110 90001"}
-seconds=${SECONDS_PER_RUN:-20}
-workloads=${WORKLOADS:-"txn_rw read_mostly crash_recover"}
+seeds="101 102 103 104 105 106 107 108 109 110 90001"
 mkdir -p "$work"
 
-# build NAME REF: export REF into WORKDIR/NAME-src and build its driver.
-build() {
-  local src="$work/$1-src" out="$work/$1-build"
-  rm -rf "$src"
-  mkdir -p "$src"
-  git -C "$repo" archive "$2" | tar -x -C "$src"
-  cmake -S "$src/perfbench" -B "$out" -DCMAKE_BUILD_TYPE=RelWithDebInfo > "$work/$1-build.log" 2>&1 &&
-    cmake --build "$out" --target perfbench_driver -j "$jobs" >> "$work/$1-build.log" 2>&1 || {
-    echo "$1 ($2) failed to build; see $work/$1-build.log" >&2
-    exit 2
-  }
-}
-
-# record NAME WORKLOAD SEED TRACE: one driver run in WORKDIR (a traced run
-# writes its files there), appended to results.jsonl; a run that prints
-# no result is recorded as null.
-record() {
-  local out side
-  out=$(cd "$work" && "$work/$1-build/perfbench_driver" --workload "$2" --seed "$3" \
-    --seconds "$seconds" --trace "$4" 2> /dev/null | tail -n 1) || true
-  [ "$4" = 1 ] && side=traced || side=$1
-  printf '{"workload":"%s","seed":%s,"side":"%s","result":%s}\n' "$2" "$3" "$side" \
-    "${out:-null}" >> "$results"
-}
-
 echo "base ${base:0:12}, head ${head:0:12}, in $work"
-build base "$base"
-build head "$head"
+for side in base head; do
+  rm -rf "$work/$side-src"
+  mkdir -p "$work/$side-src"
+  [ "$side" = base ] && ref=$base || ref=$head
+  git -C "$repo" archive "$ref" | tar -x -C "$work/$side-src"
+  : > "$work/$side.log"
+done
+read -r seconds workloads < <(python3 -c '
+import json, sys
+bench = json.load(open(sys.argv[1]))
+print(bench["run_seconds"], " ".join(w["name"] for w in bench["workloads"]))
+' "$work/head-src/BENCHMARK.json")
+
+# run SIDE WORKLOAD SEED TRACE: one run.py call in SIDE's tree; prints its
+# last stdout line, the driver's JSON result, or nothing when it failed
+# (its stdout then goes to SIDE's log after its stderr). CARGO_TARGET_DIR
+# is cleared so that each tree builds into its own directory.
+run() {
+  local out
+  if out=$(cd "$work/$1-src" &&
+    env -u CARGO_TARGET_DIR python3 perfbench/run.py --workload "$2" --seed "$3" \
+      --seconds "$seconds" --trace "$4" 2>> "$work/$1.log"); then
+    printf '%s\n' "${out##*$'\n'}"
+  else
+    printf '%s: %s seed %s trace %s failed\n%s\n' "$1" "$2" "$3" "$4" "$out" >> "$work/$1.log"
+  fi
+}
+
+# The first call of each side builds its driver; a side that cannot
+# produce one result stops the comparison before any pair runs.
+first=${workloads%% *}
+for side in base head; do
+  if [ -z "$(run "$side" "$first" "${seeds%% *}" 0)" ]; then
+    echo "$side failed to build or run; see $work/$side.log" >&2
+    exit 2
+  fi
+done
+
+# record SIDE WORKLOAD SEED TRACE: one run, appended to results.jsonl; a
+# run without a result is recorded as null.
+record() {
+  local out
+  out=$(run "$@")
+  printf '{"workload":"%s","seed":%s,"side":"%s","trace":%s,"result":%s}\n' \
+    "$2" "$3" "$1" "$4" "${out:-null}" >> "$results"
+}
 
 results="$work/results.jsonl"
 : > "$results"
@@ -78,10 +94,10 @@ for workload in $workloads; do
     if [ $((pair % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi
     for side in $order; do record "$side" "$workload" "$seed" 0; done
   done
-  record head "$workload" "${seeds%% *}" 1
+  for side in base head; do record "$side" "$workload" "${seeds%% *}" 1; done
 done
 
-python3 - "$repo/BENCHMARK.json" "$results" <<'EOF'
+python3 - "$work/head-src/BENCHMARK.json" "$results" <<'EOF'
 import json
 import statistics
 import sys
@@ -103,16 +119,20 @@ def value(run, name):
     return run["result"]["metrics"][name]["value"]
 
 
-moved = False
+moved = unpaired = False
 for workload in dict.fromkeys(r["workload"] for r in runs):
     mine = [r for r in runs if r["workload"] == workload]
-    sides = {s: {r["seed"]: r for r in mine if r["side"] == s and r["result"]}
+    sides = {s: {r["seed"]: r for r in mine if r["side"] == s and not r["trace"] and r["result"]}
              for s in ("base", "head")}
     seeds = [s for s in sides["base"] if s in sides["head"]]
-    failed = [(r["side"], r["seed"]) for r in mine
+    failed = [(r["side"] + (" traced" if r["trace"] else ""), r["seed"]) for r in mine
               if not r["result"] or not r["result"]["correct"] or r["result"]["failed"]]
     print(f"\n{workload}: {len(seeds)} pairs" +
           (f", failed operations or gates in {failed}" if failed else ""))
+    if not seeds:
+        print("  no complete pair: nothing to compare")
+        unpaired = True
+        continue
     print(f"  {'metric':<16} {'base q1 / median / q3':>32} {'head q1 / median / q3':>32}"
           f" {'ratio':>7} {'won':>6}")
     for metric in bench["end_to_end"]:
@@ -128,12 +148,15 @@ for workload in dict.fromkeys(r["workload"] for r in runs):
         fmt = lambda q: " / ".join(f"{v:.0f}" if abs(v) >= 1000 else f"{v:.4g}" for v in q)
         print(f"  {name:<16} {fmt(quartiles(b)):>32} {fmt(quartiles(h)):>32}"
               f" {ratio:>7.3f} {won:>3}/{len(seeds)}{flag}")
-    traced = [r for r in mine if r["side"] == "traced" and r["result"]]
-    if traced and "sim.events_per_txn" in traced[0]["result"]["metrics"]:
-        events = value(traced[0], "sim.events_per_txn")
-        ns = {side: 1e9 / (statistics.median([value(sides[side][s], "wall_tps") for s in seeds])
-                           * events) for side in ("base", "head")}
-        print(f"  wall ns/event (sim.events_per_txn {events:.2f}, seed {traced[0]['seed']}):"
-              f" base {ns['base']:.0f}, head {ns['head']:.0f}")
-sys.exit(1 if moved else 0)
+    ns = []
+    for side in ("base", "head"):
+        traced = [r for r in mine if r["side"] == side and r["trace"] and r["result"]]
+        if traced and "sim.events_per_txn" in traced[0]["result"]["metrics"]:
+            events = value(traced[0], "sim.events_per_txn")
+            tps = statistics.median(value(sides[side][s], "wall_tps") for s in seeds)
+            ns.append(f"{side} {1e9 / (tps * events):.0f}"
+                      f" ({events:.2f} events/txn, seed {traced[0]['seed']})")
+    if ns:
+        print("  wall ns/event: " + ", ".join(ns))
+sys.exit(2 if unpaired else 1 if moved else 0)
 EOF
