@@ -118,7 +118,7 @@ sim::Task<Result<Buffer>> Transaction::invoke(Uid object, std::string op, Buffer
       ab.activate_on_invoke = false;
       break;
     }
-    if (refused != Err::NotQuiescent && refused != Err::NoReplicas && refused != Err::Conflict) {
+    if (refused != Err::NotQuiescent && refused != Err::NoReplicas && refused != Err::JoinRefused) {
       if (first.ok()) {
         ab.activate_on_invoke = false;
         if (mode == LockMode::Write) ab.wrote = true;

@@ -48,8 +48,8 @@ sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId n
   switch (s.error()) {
     case Err::NotQuiescent:  // recovering: its Insert will re-admit it
     case Err::NoReplicas:    // alive, but no store reachable right now
-    case Err::Conflict:      // alive, but refused into the replica group
-      counters_.inc(s.error() == Err::Conflict ? "activate.join_failed"
+    case Err::JoinRefused:   // alive, but refused into the replica group
+      counters_.inc(s.error() == Err::JoinRefused ? "activate.join_failed"
                                                : "activate.busy_server_skipped");
       co_return naming::ProbeResult::Busy;
     default:

@@ -37,7 +37,7 @@ sim::Task<Result<std::uint64_t>> ObjectServerHost::activate(Uid object, std::str
   if (!s.ok()) co_return s.error();
   if (join && !join_group(object)) {
     counters_.inc("objsrv.join_refused");
-    co_return Err::Conflict;
+    co_return Err::JoinRefused;
   }
   co_return node_.epoch();
 }
@@ -52,7 +52,7 @@ sim::Task<Status> ObjectServerHost::load(Uid object, std::string class_name,
     counters_.inc("objsrv.activate_blocked_recovering");
     co_return Err::NotQuiescent;  // Insert has not re-admitted us yet
   }
-  if (!classes_.knows(class_name)) co_return Err::NotFound;
+  if (!classes_.knows(class_name)) co_return Err::NotActivated;
 
   // Load the latest committed state from any functioning store in St.
   for (NodeId st : st_nodes) {
@@ -62,8 +62,7 @@ sim::Task<Status> ObjectServerHost::load(Uid object, std::string class_name,
       continue;
     }
     auto obj = classes_.make(class_name);
-    Status restored = obj->restore(std::move(r.value().state));
-    if (!restored.ok()) co_return restored;
+    if (!obj->restore(std::move(r.value().state)).ok()) co_return Err::NotActivated;
     Active a;
     a.class_name = std::move(class_name);
     a.obj = std::move(obj);

@@ -76,8 +76,12 @@ class ObjectServerHost final : public actions::ServerParticipant {
   // state from one of `st_nodes` (tried in order; suspect/down stores are
   // skipped). Idempotent if already active. With `join` (active
   // replication) the server also joins the object's replica group, on
-  // the idempotent path too; a refused join answers Conflict, so the
-  // binder does not bind a member that would miss invocations. Answers
+  // the idempotent path too; a refused join answers JoinRefused, so the
+  // binder does not bind a member that would miss invocations. A class
+  // this node lacks, or a state that does not restore, answers
+  // NotActivated. An operation never answers these codes, so the client
+  // of an activating invocation tells the activation's refusal from the
+  // operation's own answer. Answers
   // this node's incarnation, which the client's bound calls then name
   // (sec 3.1).
   sim::Task<Result<std::uint64_t>> activate(Uid object, std::string class_name,

@@ -35,6 +35,8 @@ class ReplicatedObject {
   // Apply one operation. Must be deterministic. `modified` reports
   // whether the state changed (drives the read-only commit optimisation
   // of sec 4.2.1: unmodified objects skip the copy-back to stores).
+  // Its errors are its own (BadRequest, Conflict, NotFound), never one
+  // of the codes an activation refuses with (ObjectServerHost::activate).
   virtual Result<Buffer> apply(const std::string& op, Buffer args, bool& modified) = 0;
 };
 

@@ -33,6 +33,9 @@ enum class Err {
   StaleView,       // cached group-view epoch no longer current (rebind + retry)
   StorageFault,    // a stable-storage write failed (injected IO error)
   NotSoleMember,   // point-to-point invocation refused: the replica group has other members
+  JoinRefused,     // activated, but the object's replica group refused the join
+  NotActivated,    // the server cannot activate the object: it lacks the class, or the state
+                   // does not restore
 };
 
 const char* to_string(Err e) noexcept;

@@ -31,6 +31,8 @@ const char* to_string(Err e) noexcept {
     case Err::StaleView: return "StaleView";
     case Err::StorageFault: return "StorageFault";
     case Err::NotSoleMember: return "NotSoleMember";
+    case Err::JoinRefused: return "JoinRefused";
+    case Err::NotActivated: return "NotActivated";
   }
   return "Unknown";
 }

@@ -1152,6 +1152,28 @@ TEST(CommitShape, DeadFirstCandidateIsRemovedByTheOneRebind) {
   EXPECT_EQ(audit.check_now(/*quiescent=*/true), 0u) << audit.report();
 }
 
+// An activating invocation whose operation refuses (a withdraw with too
+// little money answers Conflict) answers with the operation's own error:
+// the client does not take it for a refused join and re-bind.
+TEST(CommitShape, ActivatingInvocationKeepsTheOperationsConflict) {
+  Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 53)};
+  const Uid a = s.sys.define_object("a", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  const Uid b = s.sys.define_object("b", "bank", BankAccount{}.snapshot(), {2}, {3, 4},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  auto* client = s.sys.client(1);
+  Result<Buffer> withdraw = Buffer{};
+  s.run([](core::ClientSession* client, Uid a, Uid b, Result<Buffer>& withdraw) -> sim::Task<> {
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(a, "deposit", i64_buf(5), LockMode::Write)).ok());
+    withdraw = co_await txn->invoke(b, "withdraw", i64_buf(999), LockMode::Write);
+    (void)co_await txn->abort();
+  }(client, a, b, withdraw));
+  EXPECT_EQ(withdraw.error(), Err::Conflict);
+  EXPECT_EQ(client->counters().get("session.activate_rebind"), 0u);
+  EXPECT_TRUE(s.sys.host_at(2).is_active(b));
+}
+
 // The server restarts between the action's first contact and an
 // activating invocation: that invocation is bound to the incarnation
 // the action depends on, so the new one answers BindingBroken before
