@@ -4,7 +4,8 @@
 // This is the FoundationDB-style outer loop over the deterministic
 // simulation: each cell builds a fresh ReplicaSystem from (seed, mix,
 // scheme), runs a bank workload under composed fault injection
-// (core/nemesis.h), then heals everything, drains, and applies the
+// (core/nemesis.h) on one actively replicated account, bound at both
+// servers for even seeds and at one for odd seeds, then heals everything, drains, and applies the
 // strict quiescent audit (core/audit.h). Any violation prints the exact
 // replay command; the binary exits non-zero so CI fails.
 //
@@ -134,8 +135,13 @@ CellResult run_cell(std::uint64_t seed, const std::string& mix, naming::Scheme s
   cfg.tracing = tracing;
   cfg.trace_ring = kCellTraceRing;
   ReplicaSystem sys{cfg};
-  const Uid acct = sys.define_object("acct", "bank", replication::BankAccount{}.snapshot(),
-                                     kServerNodes, kStoreNodes, ReplicationPolicy::Active, 2);
+  // Even seeds bind both servers (|Sv'| = 2, every invocation a group
+  // call); odd seeds bind one, so a transaction's first invocation goes
+  // point to point and activates the account.
+  const std::size_t servers_wanted = seed % 2 == 0 ? 2 : 1;
+  const Uid acct =
+      sys.define_object("acct", "bank", replication::BankAccount{}.snapshot(), kServerNodes,
+                        kStoreNodes, ReplicationPolicy::Active, servers_wanted);
 
   InvariantAuditor audit{sys};
   audit.track(acct);
