@@ -74,7 +74,8 @@ replication::Activator::Contacted Transaction::contacted() const {
   for (const Transaction* t = this; t != nullptr; t = t->parent_)
     for (const auto& [uid, b] : t->bindings_)
       for (std::size_t j = 0; j < b.bind.servers.size(); ++j)
-        out.emplace(b.bind.servers[j], b.incarnations[j]);
+        if (b.incarnations[j] != rpc::Binding::kUnknownEpoch)
+          out.emplace(b.bind.servers[j], b.incarnations[j]);
   return out;
 }
 
@@ -99,11 +100,15 @@ sim::Task<Result<Buffer>> Transaction::invoke(Uid object, std::string op, Buffer
   for (const actions::AtomicAction* p = action_.parent(); p != nullptr; p = p->parent())
     ancestors.push_back(p->uid());
 
-  // The first invocation at a server incarnation the action already
-  // depends on activates the object there (DESIGN.md sec 26). A refusal
-  // comes before anything is applied: when the object's replica group
-  // has other members the operation goes through the group instead;
-  // otherwise the object is re-bound, avoiding that server.
+  // An unprobed object's first invocation activates it at its server,
+  // bound to the incarnation the action depends on there, or else making
+  // the binding: its reply, a refusal too, names the incarnation staging
+  // is bound to (DESIGN.md sec 28). A refusal comes before anything is
+  // applied: when the object's replica group has other members the
+  // operation goes through the group instead; otherwise the object is
+  // re-bound, avoiding that server. Any other failure fails the
+  // invocation, for the operation may have run; a server that gave no
+  // answer, or could not activate, is suspect until it answers.
   std::vector<sim::NodeId> avoid;
   while (ab.activate_on_invoke) {
     rpc::Binding server{ab.primary, ab.incarnations.front()};
@@ -112,7 +117,10 @@ sim::Task<Result<Buffer>> Transaction::invoke(Uid object, std::string op, Buffer
     Result<Buffer> first = co_await replication::objsrv_invoke_activating(
         session_.runtime().endpoint(), server, object, action_.uid(), ancestors, mode, op, args,
         std::move(activation));
+    ab.incarnations.front() = server.epoch;
     const Err refused = first.ok() ? Err::None : first.error();
+    session_.activator().set_suspect(ab.primary, refused == Err::Timeout || !server.known() ||
+                                                     refused == Err::NotActivated);
     if (refused == Err::NotSoleMember) {
       session_.counters().inc("session.activate_group_call");
       ab.activate_on_invoke = false;

@@ -31,9 +31,10 @@
 //
 // Every scheme reads St(A) under the client action, whose commit
 // processing relies on it, in the same call that reads Sv. A bind is
-// one naming call; the probe that activates a server and joins it to the
-// replica group runs at most once per server an action contacts (the
-// Activator skips it for a server the action already depends on).
+// one naming call. The probe that activates a server and joins it to the
+// replica group runs only where more than one server is bound, or for
+// coordinator-cohort, or at a suspect server; otherwise the Activator
+// answers it at once and the object's first invocation activates it.
 //
 // The binder performs naming-database work and server probing only;
 // actually activating object replicas is the Activator's job

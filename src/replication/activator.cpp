@@ -18,20 +18,20 @@ const char* to_string(ReplicationPolicy p) noexcept {
 sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId node,
                                                 std::vector<NodeId> st, const Contacted& contacted,
                                                 Probed& probed) {
-  // The action already depends on this server incarnation: the object's
-  // first invocation activates it there, and a failure of that call
-  // leaves the action where a failed later invocation would.
+  // One server is bound: the object's first invocation activates it
+  // there, bound to the incarnation the action already depends on, or
+  // else taking the incarnation from its reply (DESIGN.md sec 28). A
+  // suspect server the action has not contacted is probed first.
   const bool one_server =
       spec.policy == ReplicationPolicy::SingleCopyPassive ||
       (spec.policy == ReplicationPolicy::Active && spec.servers_wanted == 1);
-  if (one_server) {
-    auto known = contacted.find(node);
-    if (known != contacted.end()) {
-      probed.incarnations[node] = known->second;
-      probed.unprobed = node;
-      counters_.inc("activate.probe_skipped");
-      co_return naming::ProbeResult::Ok;
-    }
+  auto known = contacted.find(node);
+  if (one_server && (known != contacted.end() || suspects_.count(node) == 0)) {
+    probed.incarnations[node] =
+        known != contacted.end() ? known->second : rpc::Binding::kUnknownEpoch;
+    probed.unprobed = node;
+    counters_.inc("activate.probe_skipped");
+    co_return naming::ProbeResult::Ok;
   }
   // A node that is down, cannot reach any St store, or lacks the class
   // binary fails the probe and is handled per the binder's scheme. An
@@ -43,6 +43,7 @@ sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId n
                                     std::move(st), join);
   if (s.ok()) {
     probed.incarnations[node] = s.value();
+    suspects_.erase(node);
     co_return naming::ProbeResult::Ok;
   }
   switch (s.error()) {
@@ -51,6 +52,7 @@ sim::Task<naming::ProbeResult> Activator::probe(const ObjectSpec& spec, NodeId n
     case Err::JoinRefused:   // alive, but refused into the replica group
       counters_.inc(s.error() == Err::JoinRefused ? "activate.join_failed"
                                                : "activate.busy_server_skipped");
+      suspects_.erase(node);
       co_return naming::ProbeResult::Busy;
     default:
       co_return naming::ProbeResult::Dead;

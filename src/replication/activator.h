@@ -16,12 +16,14 @@
 // state from any functioning node in St — and, for active replication,
 // to join the object's replica group in the same call.
 //
-// The probe runs once per server an action contacts. When one server is
-// bound (|Sv'| = 1) outside coordinator-cohort, and the action (or an
-// ancestor) already holds work at it under a recorded incarnation, the
-// probe is skipped: the binding is marked activate_on_invoke, and the
-// object's first invocation, bound to that incarnation, activates it
-// (DESIGN.md sec 26).
+// When one server is bound (|Sv'| = 1) outside coordinator-cohort, no
+// probe runs: the binding is marked activate_on_invoke, and the object's
+// first invocation activates it. That invocation is bound to the
+// incarnation the action (or an ancestor) recorded at the server, or
+// takes the incarnation from its reply when the action has not
+// contacted the server yet. A server whose activating invocation got no
+// answer, or could not activate, is suspect: the next bind that picks it
+// probes it first (DESIGN.md sec 28).
 //
 // Policies:
 //   SingleCopyPassive  one server; state copied to all St stores at commit
@@ -31,6 +33,7 @@
 #pragma once
 
 #include <map>
+#include <set>
 
 #include "actions/atomic_action.h"
 #include "naming/binder.h"
@@ -57,7 +60,9 @@ struct ActiveBinding {
   ObjectSpec spec;
   naming::BindResult bind;      // bound servers (Sv')
   // Per bound server, in bind.servers order: the incarnation that
-  // activated the object. Staging is a call bound to it (sec 3.1).
+  // activated the object (rpc::Binding::kUnknownEpoch until an unprobed
+  // server's first reply names it). Staging is a call bound to it (sec
+  // 3.1).
   std::vector<std::uint64_t> incarnations;
   std::vector<NodeId> st;       // St(A) as read under the action
   NodeId primary = sim::kNoNode;  // invocation target (passive / CC)
@@ -81,8 +86,8 @@ struct ActiveBinding {
   std::vector<NodeId> servers_behind;
 
   // No probe activated the object: its first invocation goes point to
-  // point to the bound incarnation and activates it there. Cleared once
-  // an invocation has done so.
+  // point to the bound server and activates it there, bound to the
+  // incarnation when it is known. Cleared once an invocation has done so.
   bool activate_on_invoke = false;
 
   // Set by Transaction::invoke on the first successful write-mode call:
@@ -103,10 +108,10 @@ class Activator {
 
   // Bind to (activating if necessary) the object described by `spec`,
   // within `action`, skipping `rebind.avoid` and releasing the binding
-  // `rebind.release` names. A server in `contacted` is not probed when
-  // one server is bound outside coordinator-cohort. Enlists the group
-  // view database and the bound servers' hosts as participants of
-  // `action`.
+  // `rebind.release` names. When one server is bound outside
+  // coordinator-cohort, a server is probed only when it is suspect and
+  // not in `contacted`. Enlists the group view database and the bound
+  // servers' hosts as participants of `action`.
   sim::Task<Result<ActiveBinding>> bind_and_activate(ObjectSpec spec,
                                                      actions::AtomicAction& action,
                                                      const Contacted& contacted = {},
@@ -114,6 +119,15 @@ class Activator {
 
   // Enable the cached bind path (nullptr = classic schemes only).
   void set_view_cache(naming::GroupViewCache* cache) noexcept { cache_ = cache; }
+
+  // Mark `node` suspect (an activating invocation there got no answer, or
+  // could not activate), or clear it (the server answered).
+  void set_suspect(NodeId node, bool suspect) {
+    if (suspect)
+      suspects_.insert(node);
+    else
+      suspects_.erase(node);
+  }
 
   naming::Binder& binder() noexcept { return binder_; }
   Counters& counters() noexcept { return counters_; }
@@ -132,8 +146,8 @@ class Activator {
                                                             const naming::Rebind& rebind);
   // Ask `node` to activate the object from the stores in `st`, joining
   // its replica group if the object is actively replicated, and record
-  // the answer in `probed`; or take a `contacted` node unprobed when
-  // `spec` allows it.
+  // the answer in `probed`; or take the node unprobed when `spec` binds
+  // one server and the node is in `contacted` or not suspect.
   sim::Task<naming::ProbeResult> probe(const ObjectSpec& spec, NodeId node,
                                        std::vector<NodeId> st, const Contacted& contacted,
                                        Probed& probed);
@@ -144,6 +158,7 @@ class Activator {
   actions::ActionRuntime& rt_;
   naming::Binder binder_;
   naming::GroupViewCache* cache_ = nullptr;
+  std::set<NodeId> suspects_;  // the session's suspect servers
   Counters counters_;
 };
 

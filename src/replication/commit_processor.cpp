@@ -182,6 +182,9 @@ sim::Task<Status> CommitProcessor::stage(actions::AtomicAction& action,
     for (std::size_t j = 0; j < b->bind.servers.size(); ++j)
       fetch_at(b->bind.servers[j], b->incarnations[j]).objects.push_back(b->spec.uid);
   for (Fetch& f : fetches) {
+    // An incarnation no reply has named: the object's first invocation
+    // there went unanswered, so the server cannot vote.
+    if (!f.server.known()) continue;
     auto r = co_await objsrv_state_for_commit(rt_.endpoint(), f.server, action.uid(), f.objects,
                                               may_leave);
     // A failed call, or a reply that does not answer every object, fails

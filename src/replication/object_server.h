@@ -10,9 +10,9 @@
 // release them.
 //
 // The first invocation of an object in an action may activate it: when
-// the action already depends on this server incarnation, it carries the
-// object's class, St and join flag, and the server activates the object
-// as activate() would before it applies the operation (DESIGN.md sec 26).
+// one server is bound, it carries the object's class, St and join flag,
+// and the server activates the object as activate() would before it
+// applies the operation (DESIGN.md sec 28).
 //
 // Active replication invokes through a group call (RpcEndpoint::call_group):
 // the client multicasts the objsrv.invoke request to the object's replica
@@ -275,9 +275,10 @@ inline sim::Task<Result<Buffer>> objsrv_invoke(rpc::RpcEndpoint& ep, NodeId serv
   return ep.call(server, kObjsrvInvoke, object, action, ancestors, mode, op, args,
                  std::optional<Activation>{});
 }
-// An object's first invocation at a server incarnation the action
-// already depends on: bound to it, and activating the object first, so
-// its deadline is the probe's plus the data path's.
+// An object's first invocation at its one bound server: bound to the
+// incarnation when `server` knows it, else unbound, its reply naming the
+// incarnation. It activates the object first, so its deadline is the
+// probe's plus the data path's.
 inline sim::Task<Result<Buffer>> objsrv_invoke_activating(
     rpc::RpcEndpoint& ep, rpc::Binding& server, Uid object, Uid action,
     std::vector<Uid> ancestors, actions::LockMode mode, std::string op, Buffer args,

@@ -36,7 +36,7 @@ RpcEndpoint::RpcEndpoint(sim::Node& node, sim::Network& net, RpcConfig cfg)
   // outgoing call is abandoned WITHOUT resolving its future — the calling
   // coroutine never resumes, modelling the death of the client process.
   node_.on_crash([this] {
-    for (auto& [id, entry] : outstanding_) node_.sim().cancel(entry.second);
+    for (auto& [id, call] : outstanding_) node_.sim().cancel(call.timer);
     outstanding_.clear();
     dedup_.clear();
   });
@@ -93,7 +93,7 @@ sim::Task<Result<Buffer>> RpcEndpoint::call(NodeId dest, std::string service, st
   return call(dest, std::move(service), std::move(method), std::move(args), cfg_.call_timeout);
 }
 
-RpcEndpoint::OpenCall RpcEndpoint::open_call(std::uint64_t wire_epoch, std::uint64_t op,
+RpcEndpoint::OpenCall RpcEndpoint::open_call(Binding* binding, std::uint64_t op,
                                              const Buffer& args, sim::SimTime timeout) {
   // Propagate the ambient context (the caller's span when recording, its
   // inherited context otherwise) so the server parents its handler.
@@ -104,18 +104,19 @@ RpcEndpoint::OpenCall RpcEndpoint::open_call(std::uint64_t wire_epoch, std::uint
   const std::uint64_t timer = node_.sim().schedule(timeout, [this, req_id] {
     auto it = outstanding_.find(req_id);
     if (it == outstanding_.end()) return;
-    auto p = it->second.first;
+    auto p = it->second.reply;
     outstanding_.erase(it);
     core::trace_instant(trace_, "rpc.timeout", node_.id(), "rpc");
     p.set_value(Err::Timeout);
   });
-  outstanding_.emplace(req_id, std::make_pair(promise, timer));
+  outstanding_.emplace(req_id, Outstanding{promise, timer, binding});
+  const bool bound = binding != nullptr && binding->known();
 
   Buffer msg;
   msg.reserve(kRequestOverhead + args.size());
   msg.pack_u8(kKindRequest)
       .pack_u64(req_id)
-      .pack_u64(wire_epoch)
+      .pack_u64(bound ? binding->epoch + 1 : 0)
       .pack_u64(ctx.trace)
       .pack_u64(ctx.span)
       .pack_u64(op)
@@ -170,12 +171,6 @@ void RpcEndpoint::check_binding(Binding& binding, const OpName& name,
   if (core::tracing(trace_))
     core::trace_instant(trace_, "rpc.binding_broken", node_.id(), "rpc",
                         std::string(name.service) + "." + name.method);
-}
-
-sim::Task<Result<Binding>> RpcEndpoint::bind(NodeId server) {
-  Result<std::uint64_t> epoch = co_await call(server, kSysPing);
-  if (!epoch.ok()) co_return epoch.error();
-  co_return Binding{server, epoch.value(), false};
 }
 
 void RpcEndpoint::receive(NodeId from, Buffer msg) {
@@ -247,9 +242,10 @@ void RpcEndpoint::send_reply(NodeId to, std::uint64_t req_id, const Result<Buffe
   static const Buffer kNoPayload;
   const Buffer& payload = result.ok() ? result.value() : kNoPayload;
   Buffer msg;
-  msg.reserve(1 + 8 + 4 + 4 + piggyback.size() + 4 + payload.size());
+  msg.reserve(1 + 8 + 8 + 4 + 4 + piggyback.size() + 4 + payload.size());
   msg.pack_u8(kKindReply)
       .pack_u64(req_id)
+      .pack_u64(epoch_at_receipt)
       .pack_u32(static_cast<std::uint32_t>(result.ok() ? Err::None : result.error()))
       .pack_bytes(piggyback)
       .pack_bytes(payload);
@@ -263,16 +259,21 @@ void RpcEndpoint::on_reply(NodeId from, std::uint64_t req_id, Buffer msg) {
     if (metrics_ != nullptr) metrics_->counters().inc("rpc.late_reply");
     return;
   }
-  auto promise = it->second.first;
-  node_.sim().cancel(it->second.second);
+  auto promise = it->second.reply;
+  Binding* binding = it->second.binding;
+  node_.sim().cancel(it->second.timer);
   outstanding_.erase(it);
 
+  auto epoch = msg.unpack_u64();
   auto err = msg.unpack_u32();
   auto piggyback = msg.unpack_bytes();
-  if (!err.ok() || !piggyback.ok() || !tail_follows(msg)) {
+  if (!epoch.ok() || !err.ok() || !piggyback.ok() || !tail_follows(msg)) {
     promise.set_value(Err::BadRequest);
     return;
   }
+  // Any reply, a refusal too, names the incarnation that served the call:
+  // a binding made by this call is bound to it from now on (sec 3.1).
+  if (binding != nullptr && !binding->known()) binding->epoch = epoch.value();
   // The piggyback blob rides every reply — deliver it to the sink BEFORE
   // resuming the caller, so a cached view invalidated by this very reply
   // is already gone when the awaiting coroutine runs.

@@ -13,20 +13,24 @@
 // decoded in full before its handler runs; one that does not decode is
 // refused with BadRequest.
 //
-// Bindings (sec 3.1): a client's binding to a server is created when the
-// first invocation is made and carries the server node's epoch. If the
-// server node crashes, the binding is broken and STAYS broken for the
-// remainder of the client's atomic action, even if the node recovers —
-// the recovered node holds pre-crash state and must run the recovery
-// protocol (sec 4.2) before serving again. A bound call is a typed call
-// that carries the epoch it expects. A crash of the calling node abandons
-// a call, even between its reply and the caller's resumption (sim/node.h).
+// Bindings (sec 3.1): a client's binding to a server is created by the
+// first invocation made through it and carries the server node's epoch.
+// A Binding whose epoch is not yet known sends its call unbound and takes
+// the epoch from the call's reply, whatever the reply answers: a refusal
+// binds it as an operation's result does. If the server node crashes, the
+// binding is broken and STAYS broken for the remainder of the client's
+// atomic action, even if the node recovers — the recovered node holds
+// pre-crash state and must run the recovery protocol (sec 4.2) before
+// serving again. A bound call is a typed call that carries the epoch it
+// expects. A crash of the calling node abandons a call, even between its
+// reply and the caller's resumption (sim/node.h).
 //
 // Frames: a request is kind u8 (0), req_id u64, the expected epoch u64 (a
 // bound call's plus one; 0 when unbound), the trace and span ids u64,
 // the op hash u64, then the arguments, length-prefixed. A reply is kind
-// u8 (1), req_id u64, its Err u32, the piggyback blob, length-prefixed,
-// then the reply body, length-prefixed. Each frame ends in its payload,
+// u8 (1), req_id u64, the epoch of the incarnation that served it u64,
+// its Err u32, the piggyback blob, length-prefixed, then the reply body,
+// length-prefixed. Each frame ends in its payload,
 // so a handler decodes its arguments, and a caller its reply, from the
 // datagram's own bytes at the read cursor, with no copy; a payload whose
 // length disagrees with the bytes left in the frame answers BadRequest.
@@ -74,13 +78,17 @@ namespace gv::rpc {
 
 using sim::NodeId;
 
-// A client's view of one server incarnation.
+// A client's view of one server incarnation. Until its epoch is known,
+// its first call goes unbound and the reply names the incarnation.
 struct Binding {
+  static constexpr std::uint64_t kUnknownEpoch = ~std::uint64_t{0};
+
   NodeId server = sim::kNoNode;
-  std::uint64_t epoch = 0;
+  std::uint64_t epoch = kUnknownEpoch;
   bool broken = false;
 
   bool valid() const noexcept { return server != sim::kNoNode && !broken; }
+  bool known() const noexcept { return epoch != kUnknownEpoch; }
 };
 
 struct RpcConfig {
@@ -123,7 +131,7 @@ struct Rpc<R(A...)> {
   OpName name;
 };
 
-// The built-in bind/ping service every endpoint serves: the node's current
+// The built-in ping service every endpoint serves: the node's current
 // incarnation epoch.
 inline constexpr Rpc<std::uint64_t()> kSysPing{"sys", "ping"};
 
@@ -283,6 +291,7 @@ class RpcEndpoint {
   // Bound call (sec 3.1) of the declared method `m`: refuses at once with
   // BindingBroken if the binding is already broken, and breaks it when
   // the server incarnation it was made against is gone or unreachable.
+  // A binding whose epoch is not yet known takes it from the reply.
   template <typename R, typename... A>
   sim::Task<Result<R>> call_bound(Binding& binding, const Rpc<R(A...)>& m,
                                   const std::type_identity_t<A>&... args) {
@@ -309,12 +318,6 @@ class RpcEndpoint {
   void receive(NodeId from, Buffer msg);
 
   Rng& rng() noexcept { return rng_; }
-
-  // Create a binding against the server node's *current* incarnation.
-  // Fails if the node is down (from this node's perspective: we must be
-  // able to reach it; an unreachable node looks identical to a crashed
-  // one, so this performs a real round-trip "bind" ping).
-  sim::Task<Result<Binding>> bind(NodeId server);
 
   sim::Node& node() noexcept { return node_; }
   NodeId node_id() const noexcept { return node_.id(); }
@@ -364,9 +367,9 @@ class RpcEndpoint {
     sim::SimFuture<Result<Buffer>> reply;
   };
   // Register a call in outstanding_ with its timeout armed, and frame its
-  // request. `wire_epoch` is the server incarnation a bound call expects,
-  // plus one (0: unbound).
-  OpenCall open_call(std::uint64_t wire_epoch, std::uint64_t op, const Buffer& args,
+  // request: bound to `binding`'s epoch when it is known, and unbound
+  // otherwise (no binding, or one whose reply is to name its epoch).
+  OpenCall open_call(Binding* binding, std::uint64_t op, const Buffer& args,
                      sim::SimTime timeout);
   // Mark a bound call's binding broken (sec 3.1) when its reply shows the
   // server incarnation gone or unreachable.
@@ -398,9 +401,14 @@ class RpcEndpoint {
   std::uint64_t latency_generation_ = 0;
   std::function<const Buffer&()> piggyback_provider_;
   std::function<void(NodeId, Buffer)> piggyback_sink_;
-  // req_id -> (reply promise, timeout event id)
-  std::unordered_map<std::uint64_t, std::pair<sim::SimPromise<Result<Buffer>>, std::uint64_t>>
-      outstanding_;
+  // A call awaiting its reply: the promise it resolves, its timeout event,
+  // and the binding whose epoch the reply names when not yet known.
+  struct Outstanding {
+    sim::SimPromise<Result<Buffer>> reply;
+    std::uint64_t timer;
+    Binding* binding;
+  };
+  std::unordered_map<std::uint64_t, Outstanding> outstanding_;  // by req_id
   std::unordered_map<NodeId, DedupWindow> dedup_;  // per sender; volatile
 };
 
@@ -411,8 +419,7 @@ sim::Task<Result<R>> RpcEndpoint::call_op(NodeId dest, OpName name, Buffer args,
   if (!node_.up()) co_return Err::NodeDown;
   auto span = call_span(name, binding != nullptr ? "bound dest=" : "dest=", dest);
   const sim::SimTime t0 = node_.sim().now();
-  const std::uint64_t wire_epoch = binding != nullptr ? binding->epoch + 1 : 0;
-  OpenCall call = open_call(wire_epoch, name.op, args, timeout);
+  OpenCall call = open_call(binding, name.op, args, timeout);
   net_.send(node_.id(), dest, std::move(call.request));
   Result<Buffer> reply = co_await call.reply.on(node_);
   record_latency(name, t0);
@@ -427,7 +434,7 @@ sim::Task<Result<R>> RpcEndpoint::group_op(GroupComm& gc, Uid group, OpName name
   if (!node_.up()) co_return Err::NodeDown;
   auto span = group_span(group);
   const sim::SimTime t0 = node_.sim().now();
-  OpenCall call = open_call(0, name.op, args, cfg_.call_timeout);
+  OpenCall call = open_call(nullptr, name.op, args, cfg_.call_timeout);
   gc.multicast(node_.id(), group, std::move(call.request), McastMode::ReliableOrdered);
   Result<Buffer> reply = co_await call.reply.on(node_);
   record_group_latency(t0);
@@ -436,8 +443,8 @@ sim::Task<Result<R>> RpcEndpoint::group_op(GroupComm& gc, Uid group, OpName name
   co_return decode_reply<R>(reply.value());
 }
 
-// The cluster-wide RPC fabric: one endpoint per node, plus a built-in
-// "bind"/"ping" service on every node.
+// The cluster-wide RPC fabric: one endpoint per node, each serving the
+// built-in "sys.ping".
 class RpcFabric {
  public:
   RpcFabric(sim::Cluster& cluster, sim::Network& net, RpcConfig cfg = {});

@@ -554,9 +554,10 @@ std::uint64_t calls(const ReplicaSystem& sys, const std::string& method) {
   return it == sys.metrics().histograms().end() ? 0 : it->second.count();
 }
 
-// A two-object S2 transaction binds each object in one naming call and
-// one activate-and-join probe (the objects' servers differ), and
-// releases both bindings with one Decrement.
+// A two-object S2 transaction binds each object in one naming call, and
+// no probe: each object's first invocation activates and joins it at its
+// server (the objects' servers differ). One Decrement releases both
+// bindings.
 TEST(BinderS2, TwoObjectTransactionIsOneNamingCallPerObjectAndOneDecrement) {
   SystemConfig cfg;
   cfg.nodes = 8;
@@ -575,9 +576,10 @@ TEST(BinderS2, TwoObjectTransactionIsOneNamingCallPerObjectAndOneDecrement) {
   }(sys, a, b, committed));
   sys.sim().run();
   EXPECT_TRUE(committed);
-  // Per object: one naming call, one activate.
+  // Per object: one naming call, one activating invocation.
   EXPECT_EQ(calls(sys, "osdb.bind"), 2u);
-  EXPECT_EQ(calls(sys, "objsrv.activate"), 2u);
+  EXPECT_EQ(calls(sys, "objsrv.activate"), 0u);
+  EXPECT_EQ(calls(sys, "objsrv.invoke"), 2u);
   EXPECT_EQ(calls(sys, "osdb.decrement"), 1u);
   // Nothing else goes to the naming node but the client action's 2PC,
   // and no server is asked to join the group separately.

@@ -1089,9 +1089,9 @@ TEST(CommitShape, ReadsOfACrashedServerIncarnationDoNotCommit) {
 // ------------------------------------------ binds and first invocations
 
 // An uncached S2 write of two objects bound at one server: each bind is
-// one naming call, the server is probed once, and the second object is
-// activated by its first invocation, a call bound to the incarnation the
-// probe answered. The first object's invocation goes through its group.
+// one naming call, no probe runs, and each object is activated by its
+// first invocation, a point-to-point call. The first one goes unbound and
+// its reply names the incarnation the second one is bound to.
 TEST(CommitShape, TwoObjectsAtOneServerBindInOneCallEachAndActivateOnce) {
   Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 48)};
   s.sys.trace().enable();
@@ -1111,18 +1111,21 @@ TEST(CommitShape, TwoObjectsAtOneServerBindInOneCallEachAndActivateOnce) {
     outcome = co_await txn->commit();
   }(s, client, a, b, calls, outcome));
   EXPECT_TRUE(outcome.ok());
-  EXPECT_EQ(calls, (std::vector<std::string>{"rpc.osdb.bind", "rpc.objsrv.activate",
-                                              "ginv.invoke", "rpc.osdb.bind",
-                                              "rpc.objsrv.invoke"}));
-  EXPECT_EQ(client->activator().counters().get("activate.probe_skipped"), 1u);
+  EXPECT_EQ(calls, (std::vector<std::string>{"rpc.osdb.bind", "rpc.objsrv.invoke",
+                                              "rpc.osdb.bind", "rpc.objsrv.invoke"}));
+  EXPECT_EQ(client->activator().counters().get("activate.probe_skipped"), 2u);
   EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.activated"), 2u);
+  EXPECT_EQ(s.sys.gc().members(a), (std::vector<sim::NodeId>{2}));
   EXPECT_EQ(s.sys.gc().members(b), (std::vector<sim::NodeId>{2}));
   for (sim::NodeId st : {4u, 5u}) EXPECT_EQ(s.sys.store_at(st).read(b).value().version, 2u);
   EXPECT_TRUE(s.sys.gvdb().servers().clients_in_use().empty());
 }
 
-// A dead first candidate: the probe fails, and one more bind Removes it
-// and releases the first binding in the same call; the action commits
+// A dead first candidate: the first transaction's activating invocation
+// there gets no answer, so it fails (the operation may have run) and the
+// transaction aborts with no effects; the session marks the server
+// suspect. The retry's bind probes it, and one more bind Removes it and
+// releases the first binding in the same call; the retry commits
 // through the next server and the auditor finds the use lists balanced.
 TEST(CommitShape, DeadFirstCandidateIsRemovedByTheOneRebind) {
   Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 49)};
@@ -1131,19 +1134,31 @@ TEST(CommitShape, DeadFirstCandidateIsRemovedByTheOneRebind) {
                                     ReplicationPolicy::Active, 1);
   s.sys.cluster().node(2).crash();
   auto* client = s.sys.client(1);
-  std::vector<std::string> calls;
+  std::vector<std::string> first_calls, retry_calls;
+  Result<Buffer> first = Buffer{};
   Status outcome = Err::Aborted;
-  s.run([](Sys& s, core::ClientSession* client, Uid a, std::vector<std::string>& calls,
+  s.run([](Sys& s, core::ClientSession* client, Uid a, std::vector<std::string>& first_calls,
+           std::vector<std::string>& retry_calls, Result<Buffer>& first,
            Status& outcome) -> sim::Task<> {
+    {
+      auto txn = client->begin();
+      first = co_await txn->invoke(a, "deposit", i64_buf(5), LockMode::Write);
+      first_calls = calls_from(s.sys.trace(), client->node(), 0);
+      (void)co_await txn->abort();
+    }
+    const sim::SimTime t0 = s.sys.sim().now();
     auto txn = client->begin();
     EXPECT_TRUE((co_await txn->invoke(a, "deposit", i64_buf(5), LockMode::Write)).ok());
-    calls = calls_from(s.sys.trace(), client->node(), 0);
+    retry_calls = calls_from(s.sys.trace(), client->node(), t0);
     outcome = co_await txn->commit();
-  }(s, client, a, calls, outcome));
+  }(s, client, a, first_calls, retry_calls, first, outcome));
+  EXPECT_EQ(first.error(), Err::Timeout);
+  EXPECT_EQ(first_calls, (std::vector<std::string>{"rpc.osdb.bind", "rpc.objsrv.invoke"}));
   EXPECT_TRUE(outcome.ok());
-  EXPECT_EQ(calls, (std::vector<std::string>{"rpc.osdb.bind", "rpc.objsrv.activate",
-                                              "rpc.osdb.bind", "rpc.objsrv.activate",
-                                              "ginv.invoke"}));
+  EXPECT_EQ(retry_calls, (std::vector<std::string>{"rpc.osdb.bind", "rpc.objsrv.activate",
+                                                    "rpc.osdb.bind", "rpc.objsrv.invoke"}));
+  EXPECT_EQ(client->counters().get("session.txn_aborted"), 1u);
+  for (sim::NodeId st : {4u, 5u}) EXPECT_EQ(s.sys.store_at(st).read(a).value().version, 2u);
   EXPECT_EQ(s.sys.gvdb().servers().entries.at(a).sv, (std::vector<sim::NodeId>{3}));
   EXPECT_EQ(s.sys.gvdb().counters().get("osdb.remove"), 1u);
   EXPECT_EQ(client->activator().binder().counters().get("bind.removed_failed_server"), 1u);
@@ -1172,6 +1187,48 @@ TEST(CommitShape, ActivatingInvocationKeepsTheOperationsConflict) {
   EXPECT_EQ(withdraw.error(), Err::Conflict);
   EXPECT_EQ(client->counters().get("session.activate_rebind"), 0u);
   EXPECT_TRUE(s.sys.host_at(2).is_active(b));
+}
+
+// S1 keeps a dead server in Sv. An activating invocation that gets no
+// answer makes its server suspect, so the next bind that picks it probes
+// it first; once the server has recovered, the probe's answer clears the
+// suspicion and later binds take it unprobed again.
+TEST(CommitShape, SuspectServerIsProbedUntilItAnswers) {
+  Sys s{shape_cfg(false, naming::Scheme::StandardNested, 55)};
+  s.sys.trace().enable();
+  const Uid a = s.sys.define_object("a", "bank", BankAccount{}.snapshot(), {2, 3}, {4, 5},
+                                    ReplicationPolicy::SingleCopyPassive, 1);
+  s.sys.cluster().node(2).crash();
+  auto* client = s.sys.client(1);
+  std::vector<std::vector<std::string>> calls;
+  std::vector<Err> outcomes;
+  s.run([](Sys& s, core::ClientSession* client, Uid a,
+           std::vector<std::vector<std::string>>& calls,
+           std::vector<Err>& outcomes) -> sim::Task<> {
+    for (int i = 0; i < 3; ++i) {
+      if (i == 1) {
+        s.sys.cluster().node(2).recover();
+        co_await s.sys.sim().sleep(2 * sim::kSecond);  // its recovery re-admits it
+      }
+      const sim::SimTime t0 = s.sys.sim().now();
+      auto txn = client->begin();
+      auto r = co_await txn->invoke(a, "deposit", i64_buf(1), LockMode::Write);
+      calls.push_back(calls_from(s.sys.trace(), client->node(), t0));
+      if (r.ok()) {
+        outcomes.push_back((co_await txn->commit()).error());
+      } else {
+        outcomes.push_back(r.error());
+        (void)co_await txn->abort();
+      }
+    }
+  }(s, client, a, calls, outcomes));
+  EXPECT_EQ(outcomes, (std::vector<Err>{Err::Timeout, Err::None, Err::None}));
+  ASSERT_EQ(calls.size(), 3u);
+  EXPECT_EQ(calls[0], (std::vector<std::string>{"rpc.osdb.bind_read", "rpc.objsrv.invoke"}));
+  EXPECT_EQ(calls[1], (std::vector<std::string>{"rpc.osdb.bind_read", "rpc.objsrv.activate",
+                                                 "rpc.objsrv.invoke"}));
+  EXPECT_EQ(calls[2], (std::vector<std::string>{"rpc.osdb.bind_read", "rpc.objsrv.invoke"}));
+  for (sim::NodeId st : {4u, 5u}) EXPECT_EQ(s.sys.store_at(st).read(a).value().version, 3u);
 }
 
 // The server restarts between the action's first contact and an
@@ -1238,6 +1295,45 @@ TEST(CommitShape, ExtraGroupMemberSendsTheFirstInvocationThroughTheGroup) {
   EXPECT_EQ(s.sys.gc().members(b), (std::vector<sim::NodeId>{3, 2}));
   EXPECT_EQ(s.sys.host_at(2).counters().get("objsrv.invoke_not_sole_member"), 1u);
   EXPECT_EQ(client->counters().get("session.activate_group_call"), 1u);
+}
+
+// A refusal names the incarnation too. The action's first invocation of
+// b at server 2 goes unbound; b's replica group has another member, so
+// server 2 activates and joins, then refuses the point-to-point operation
+// with NotSoleMember, and the client resends it through the group. The
+// refusal bound b's binding to server 2's incarnation: after server 2
+// restarts, staging there answers BindingBroken and the action aborts.
+TEST(CommitShape, RefusalBindsTheIncarnationThatStagingIsBoundTo) {
+  Sys s{shape_cfg(false, naming::Scheme::IndependentTopLevel, 54)};
+  s.sys.trace().enable();
+  const Uid b = s.sys.define_object("b", "bank", BankAccount{}.snapshot(), {2, 3}, {4, 5},
+                                    ReplicationPolicy::Active, 1);
+  auto* client = s.sys.client(1);
+  std::uint64_t bound_to = 0;
+  std::uint64_t before_restart = 0;
+  Status outcome = ok_status();
+  s.run([](Sys& s, core::ClientSession* client, Uid b, std::uint64_t& bound_to,
+           std::uint64_t& before_restart, Status& outcome) -> sim::Task<> {
+    const std::vector<sim::NodeId> st{4, 5};
+    EXPECT_TRUE((co_await s.sys.host_at(3).activate(b, "bank", st, /*join=*/true)).ok());
+    auto txn = client->begin();
+    EXPECT_TRUE((co_await txn->invoke(b, "deposit", i64_buf(3), LockMode::Write)).ok());
+    bound_to = txn->bindings().at(b).incarnations.front();
+    before_restart = s.sys.cluster().node(2).epoch();
+    s.sys.cluster().node(2).crash();
+    s.sys.cluster().node(2).recover();
+    outcome = co_await txn->commit();
+  }(s, client, b, bound_to, before_restart, outcome));
+  EXPECT_EQ(client->counters().get("session.activate_group_call"), 1u);
+  EXPECT_EQ(bound_to, before_restart);
+  EXPECT_FALSE(outcome.ok());
+  EXPECT_EQ(client->commit_processor().counters().get("commit.server_unreachable"), 1u);
+  std::vector<std::string> staging;
+  for (const core::TraceEvent& ev : s.sys.trace().events())
+    if (ev.kind == core::TraceKind::Begin && ev.name == "rpc.objsrv.state_for_commit")
+      staging.push_back(ev.outcome);
+  EXPECT_EQ(staging, (std::vector<std::string>{"BindingBroken"}));
+  for (sim::NodeId st : {4u, 5u}) EXPECT_EQ(s.sys.store_at(st).read(b).value().version, 1u);
 }
 
 // With St's first store down, an activating invocation spends the call

@@ -113,33 +113,67 @@ TEST(Rpc, NestedRpcFromHandler) {
 
 // ------------------------------------------------------------- Bindings
 
+// A binding is made by its first call: the call goes unbound, and its
+// reply names the incarnation the next calls are bound to.
 TEST(Rpc, BindThenCallBound) {
   Fixture f;
   register_doubler(f, 1);
-  std::uint32_t got = 0;
-  f.sim.spawn([](Fixture& f, std::uint32_t& got) -> sim::Task<> {
-    auto b = co_await f.ep(0).bind(1);
-    EXPECT_TRUE(b.ok());
-    if (!b.ok()) co_return;
-    auto r = co_await f.ep(0).call_bound(b.value(), kDouble, 8);
-    EXPECT_TRUE(r.ok());
-    if (!r.ok()) co_return;
-    got = r.value();
+  std::vector<std::uint32_t> got;
+  f.sim.spawn([](Fixture& f, std::vector<std::uint32_t>& got) -> sim::Task<> {
+    Binding binding{1};
+    EXPECT_FALSE(binding.known());
+    for (std::uint32_t v : {8u, 9u}) {
+      auto r = co_await f.ep(0).call_bound(binding, kDouble, v);
+      EXPECT_TRUE(r.ok());
+      if (!r.ok()) co_return;
+      got.push_back(r.value());
+      EXPECT_TRUE(binding.known());
+      EXPECT_EQ(binding.epoch, f.cluster.node(1).epoch());
+    }
   }(f, got));
   f.sim.run();
-  EXPECT_EQ(got, 16u);
+  EXPECT_EQ(got, (std::vector<std::uint32_t>{16u, 18u}));
 }
 
+// The first call of a binding to a crashed node gets no reply: it times
+// out, learns no incarnation, and breaks the binding.
 TEST(Rpc, BindToCrashedNodeFails) {
   Fixture f;
+  register_doubler(f, 1);
   f.cluster.node(1).crash();
   Err got = Err::None;
-  f.sim.spawn([](Fixture& f, Err& got) -> sim::Task<> {
-    auto b = co_await f.ep(0).bind(1);
-    got = b.error();
-  }(f, got));
+  Binding binding{1};
+  f.sim.spawn([](Fixture& f, Err& got, Binding& binding) -> sim::Task<> {
+    got = (co_await f.ep(0).call_bound(binding, kDouble, 1)).error();
+  }(f, got, binding));
   f.sim.run();
   EXPECT_EQ(got, Err::Timeout);
+  EXPECT_FALSE(binding.known());
+  EXPECT_TRUE(binding.broken);
+}
+
+// An unbound call's binding takes its incarnation from the reply, a
+// refusal as much as a result: after the server restarts, the binding's
+// next call is refused as bound to the old incarnation.
+TEST(Rpc, UnboundCallTakesItsIncarnationFromTheReply) {
+  Fixture f;
+  f.cluster.node(1).crash();
+  f.cluster.node(1).recover();  // epoch 1, so an epoch of 0 would not pass
+  std::vector<Err> errs;
+  Binding binding{1};
+  f.sim.spawn([](Fixture& f, std::vector<Err>& errs, Binding& binding) -> sim::Task<> {
+    // No such method: a NotFound reply, which still names the epoch.
+    errs.push_back((co_await f.ep(0).call_bound(binding, kDouble, 1)).error());
+    EXPECT_EQ(binding.epoch, 1u);
+    f.cluster.node(1).crash();
+    f.cluster.node(1).recover();
+    register_doubler(f, 1);
+    errs.push_back((co_await f.ep(0).call_bound(binding, kDouble, 1)).error());
+  }(f, errs, binding));
+  f.sim.run();
+  EXPECT_EQ(errs, (std::vector<Err>{Err::NotFound, Err::BindingBroken}));
+  EXPECT_EQ(binding.epoch, 1u);
+  EXPECT_TRUE(binding.broken);
 }
 
 TEST(Rpc, BindingStaysBrokenAfterRecovery) {
@@ -149,10 +183,8 @@ TEST(Rpc, BindingStaysBrokenAfterRecovery) {
   register_doubler(f, 1);
   std::vector<Err> errs;
   f.sim.spawn([](Fixture& f, std::vector<Err>& errs) -> sim::Task<> {
-    auto b = co_await f.ep(0).bind(1);
-    EXPECT_TRUE(b.ok());
-    if (!b.ok()) co_return;
-    Binding binding = b.value();
+    Binding binding{1};
+    EXPECT_TRUE((co_await f.ep(0).call_bound(binding, kDouble, 1)).ok());
     // Crash + instant recovery: the node is up again but in a new epoch.
     f.cluster.node(1).crash();
     f.cluster.node(1).recover();
@@ -174,10 +206,8 @@ TEST(Rpc, BoundCallTimeoutBreaksBinding) {
   register_doubler(f, 1);
   bool broken = false;
   f.sim.spawn([](Fixture& f, bool& broken) -> sim::Task<> {
-    auto b = co_await f.ep(0).bind(1);
-    EXPECT_TRUE(b.ok());
-    if (!b.ok()) co_return;
-    Binding binding = b.value();
+    Binding binding{1};
+    EXPECT_TRUE((co_await f.ep(0).call_bound(binding, kDouble, 1)).ok());
     f.cluster.node(1).crash();
     auto r = co_await f.ep(0).call_bound(binding, kDouble, 1);
     EXPECT_EQ(r.error(), Err::Timeout);
@@ -218,10 +248,11 @@ TEST(Rpc, ReplyPayloadLengthMustMatchItsFrame) {
       got = co_await f.ep(0).call(1, "slow", "op", Buffer{});
     }(f, got));
     // The reply frame to the client's first call (req_id 1), injected
-    // before the server's own: kind, req_id, Err, no piggyback, payload.
+    // before the server's own: kind, req_id, the server's epoch, Err, no
+    // piggyback, payload.
     f.sim.schedule(1 * sim::kMillisecond, [&f, delta] {
       Buffer frame;
-      frame.pack_u8(1).pack_u64(1).pack_u32(0).pack_bytes(Buffer{});
+      frame.pack_u8(1).pack_u64(1).pack_u64(0).pack_u32(0).pack_bytes(Buffer{});
       frame.pack_u32(static_cast<std::uint32_t>(4 + delta)).pack_u32(42);
       f.ep(0).receive(1, std::move(frame));
     });
