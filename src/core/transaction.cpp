@@ -74,8 +74,7 @@ replication::Activator::Contacted Transaction::contacted() const {
   for (const Transaction* t = this; t != nullptr; t = t->parent_)
     for (const auto& [uid, b] : t->bindings_)
       for (std::size_t j = 0; j < b.bind.servers.size(); ++j)
-        if (b.incarnations[j] != rpc::Binding::kUnknownEpoch)
-          out.emplace(b.bind.servers[j], b.incarnations[j]);
+        out.emplace(b.bind.servers[j], b.incarnations[j]);
   return out;
 }
 
@@ -101,14 +100,13 @@ sim::Task<Result<Buffer>> Transaction::invoke(Uid object, std::string op, Buffer
     ancestors.push_back(p->uid());
 
   // An unprobed object's first invocation activates it at its server,
-  // bound to the incarnation the action depends on there, or else making
-  // the binding: its reply, a refusal too, names the incarnation staging
-  // is bound to (DESIGN.md sec 28). A refusal comes before anything is
-  // applied: when the object's replica group has other members the
-  // operation goes through the group instead; otherwise the object is
-  // re-bound, avoiding that server. Any other failure fails the
-  // invocation, for the operation may have run; a server that gave no
-  // answer, or could not activate, is suspect until it answers.
+  // and its reply, a refusal too, names the incarnation staging is bound
+  // to when the action had none recorded there (DESIGN.md sec 28). A
+  // refusal comes before anything is applied: when the object's replica
+  // group has other members the operation goes through the group
+  // instead; otherwise the object is re-bound, avoiding that server. Any
+  // other failure fails the invocation, for the operation may have run;
+  // a server that gave no answer, or could not activate, is suspect.
   std::vector<sim::NodeId> avoid;
   while (ab.activate_on_invoke) {
     rpc::Binding server{ab.primary, ab.incarnations.front()};

@@ -94,8 +94,7 @@ class Transaction {
   Transaction(ClientSession& session, Transaction* parent);
   sim::Task<Result<ActiveBinding*>> bound(Uid object);
   // The servers this action and its ancestors hold bindings at, each
-  // with the incarnation recorded for it (none whose first reply is yet
-  // to name it).
+  // with the incarnation recorded for it.
   replication::Activator::Contacted contacted() const;
   sim::Task<> release_use_lists();
 
